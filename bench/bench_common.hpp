@@ -57,15 +57,6 @@ struct BenchOptions {
     /** Sweep worker threads; 0 resolves via BOWSIM_JOBS, then the
      *  hardware concurrency (--jobs / BOWSIM_JOBS). */
     unsigned jobs = 0;
-    /**
-     * Per-simulation SM worker threads (--sm-threads / BOWSIM_SM_THREADS):
-     * forces GpuConfig::smThreads on every point. 0 leaves each config
-     * untouched (the default of 1 means sequential). Unlike --jobs, which
-     * parallelizes across independent sweep points, this parallelizes the
-     * compute phase inside one simulation; results are bit-identical for
-     * any value (docs/PERF.md). Recorded per point as config.sm_threads.
-     */
-    unsigned smThreads = 0;
     /** When set, runSweep() writes the sweep artifact here (--json). */
     std::string jsonPath;
     /**
@@ -192,7 +183,7 @@ tracePathFor(const std::string &base, const std::string &id)
 }
 
 /**
- * Parses --scale= / --cores= / --devices= / --jobs= / --sm-threads= / --json= /
+ * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
  * --progress / --exec-mode= / --sample-window= / --sample-period= /
@@ -223,8 +214,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         o.syncReportPath = env;
     if (const char *env = std::getenv("BOWSIM_NO_SKIP"))
         o.noSkip = env[0] != '\0' && env[0] != '0';
-    if (const char *env = std::getenv("BOWSIM_SM_THREADS"))
-        o.smThreads = static_cast<unsigned>(std::atoi(env));
     if (const char *env = std::getenv("BOWSIM_METRICS"))
         o.metricsPath = env;
     if (const char *env = std::getenv("BOWSIM_METRICS_INTERVAL"))
@@ -281,8 +270,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             o.traceFilter = argv[i] + 15;
         else if (std::strncmp(argv[i], "--sync-report=", 14) == 0)
             o.syncReportPath = argv[i] + 14;
-        else if (std::strncmp(argv[i], "--sm-threads=", 13) == 0)
-            o.smThreads = static_cast<unsigned>(std::atoi(argv[i] + 13));
         else if (std::strcmp(argv[i], "--no-skip") == 0)
             o.noSkip = true;
         else if (std::strncmp(argv[i], "--metrics-interval=", 19) == 0)
@@ -369,7 +356,7 @@ struct Sweep {
     /**
      * Adds a custom point that runs on a runner-provided Gpu. Prefer
      * this over the body overload: the runner owns Gpu construction, so
-     * --trace/--metrics/--no-skip/--sm-threads/--profile all apply.
+     * --trace/--metrics/--no-skip/--profile all apply.
      * @p cache_salt opts the point into the result cache: it must cover
      * everything the closure's behavior depends on beyond the config —
      * at minimum fingerprintPrograms() of the harness it runs plus all
@@ -405,7 +392,7 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
     // Per-point overrides (--trace file fan-out, --no-skip) operate on
     // a copy; the artifact then records the configs that actually ran.
     std::vector<SweepPoint> points = sweep.points;
-    if (!opts.tracePath.empty() || opts.noSkip || opts.smThreads != 0 ||
+    if (!opts.tracePath.empty() || opts.noSkip ||
         opts.devices != 0 || !opts.metricsPath.empty() ||
         opts.metricsInterval != 0 || !opts.syncReportPath.empty() ||
         opts.profile || opts.hasExecMode ||
@@ -420,7 +407,6 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
                              "%s is not supported for it\n",
                              p.id.c_str(),
                              opts.noSkip        ? "--no-skip"
-                             : opts.smThreads   ? "--sm-threads"
                              : opts.devices     ? "--devices"
                              : opts.profile     ? "--profile"
                              : opts.hasExecMode ? "--exec-mode"
@@ -435,8 +421,6 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
             }
             if (opts.noSkip)
                 p.cfg.idleSkip = false;
-            if (opts.smThreads != 0)
-                p.cfg.smThreads = opts.smThreads;
             if (opts.devices != 0)
                 p.cfg.numDevices = opts.devices;
             if (!opts.tracePath.empty()) {

@@ -18,8 +18,8 @@
  * --scale multiplies the round count like every other bench. The JSON
  * artifact (--json) is the litmus outcome-matrix document validated by
  * json_check --litmus; it deliberately omits execution knobs (--jobs,
- * --sm-threads, idle-skip, metrics interval), so artifacts are
- * byte-identical across them.
+ * idle-skip, metrics interval), so artifacts are byte-identical across
+ * them.
  */
 #include <cmath>
 #include <cstdio>
@@ -153,7 +153,7 @@ main(int argc, char **argv)
     }
     // The shared knobs that change *what* is simulated are applied to
     // the base config before cells are built, so the artifact records
-    // them; execution-only knobs (--sm-threads, --no-skip, --jobs) are
+    // them; execution-only knobs (--no-skip, --jobs) are
     // left to runSweep and deliberately never reach the artifact.
     applyCores(opts, lo.base);
     if (opts.hasExecMode)

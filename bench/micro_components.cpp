@@ -237,7 +237,7 @@ BENCHMARK(BM_MicroMetrics)->Name("micro_metrics")
 
 /**
  * Custom main instead of BENCHMARK_MAIN(): the shared bench flags
- * (--scale/--cores/--jobs/--sm-threads/--json) are stripped before
+ * (--scale/--cores/--jobs/--json) are stripped before
  * google-benchmark sees argv, so driver scripts can pass one flag set
  * to every binary.
  */
@@ -251,7 +251,6 @@ main(int argc, char **argv)
             std::strncmp(argv[i], "--scale=", 8) == 0 ||
             std::strncmp(argv[i], "--cores=", 8) == 0 ||
             std::strncmp(argv[i], "--jobs=", 7) == 0 ||
-            std::strncmp(argv[i], "--sm-threads=", 13) == 0 ||
             std::strncmp(argv[i], "--json=", 7) == 0 ||
             std::strncmp(argv[i], "--metrics=", 10) == 0 ||
             std::strncmp(argv[i], "--metrics-interval=", 19) == 0 ||

@@ -223,17 +223,6 @@ struct GpuConfig {
     bool idleSkip = true;
 
     /**
-     * Host worker threads for the per-cycle SM compute phase (--sm-threads
-     * / BOWSIM_SM_THREADS on the bench binaries). Purely an execution
-     * knob: results are independent of it by the phase-split contract
-     * (docs/PERF.md) — the compute phase of active SMs runs concurrently,
-     * and all globally visible side effects (functional memory, memory-
-     * system requests, traces) are committed serially in SM-id order at a
-     * cycle barrier. 1 (the default) keeps the sequential loop.
-     */
-    unsigned smThreads = 1;
-
-    /**
      * Sample period, in simulated cycles, for the time-series metrics
      * sampler (--metrics-interval / BOWSIM_METRICS_INTERVAL on the bench
      * binaries). 0 disables sampling; the value is only consulted when a

@@ -336,11 +336,10 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
 
     // Deliberately excluded — execution knobs whose non-effect on
     // results is contractual and locked in by the differential suites
-    // (docs/PERF.md): idleSkip (SkipEquivalence), smThreads
-    // (ThreadEquivalence), metricsInterval (inert without an attached
-    // sampler; sampler points bypass the cache anyway). Excluding them
-    // lets a cache warmed at --sm-threads=1 serve a --sm-threads=8 run.
-    // syncTopN and syncStormWindow (docs/SYNC.md) join that list: they
+    // (docs/PERF.md): idleSkip (SkipEquivalence) and metricsInterval
+    // (inert without an attached sampler; sampler points bypass the
+    // cache anyway). Excluding them lets a cache warmed with idle-skip
+    // on serve a --no-skip run. syncTopN and syncStormWindow (docs/SYNC.md) join that list: they
     // only shape the sync-report/profile *rendering* of an attached
     // SyncProfileRegistry, never KernelStats or timing, and points with
     // a --sync-report side output bypass the cache exactly like traced

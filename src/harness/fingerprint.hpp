@@ -25,8 +25,8 @@
  * The guarantee the result cache leans on (docs/PERF.md): two runs with
  * equal fingerprints produce bit-identical KernelStats. The determinism
  * contracts shipped with the sweep harness make that literal — results
- * are byte-identical across --jobs, --sm-threads and idle-skip, which
- * is exactly why those execution knobs are excluded from the hash.
+ * are byte-identical across --jobs and idle-skip, which is exactly why
+ * those execution knobs are excluded from the hash.
  */
 
 namespace bowsim {
@@ -80,9 +80,10 @@ class FingerprintHasher {
 
 /**
  * Hashes every result-relevant GpuConfig field into @p h. The only
- * exclusions are the three execution knobs whose non-effect on results
- * is contractual and differentially tested (docs/PERF.md): idleSkip,
- * smThreads and metricsInterval. Everything else — including fields
+ * exclusions are the execution knobs whose non-effect on results is
+ * contractual and differentially tested (docs/PERF.md): idleSkip and
+ * metricsInterval, plus the sync-profiler rendering knobs. Everything
+ * else — including fields
  * that only gate optional stats collection (collectStallBreakdown,
  * collectSpinCycles), since they change what statsToJson emits — is
  * included. A field-coverage guard in fingerprint.cpp fails the build

@@ -113,13 +113,8 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
             return fail("point " + std::to_string(i) +
                         " config lacks \"idle_skip\"");
         }
-        // Same for the execution knobs added since: sm_threads (phase-
-        // split worker count) and atomic_service_period (Table II
-        // parameter) must be recorded so artifacts are self-describing.
-        if (!p.at("config").has("sm_threads")) {
-            return fail("point " + std::to_string(i) +
-                        " config lacks \"sm_threads\"");
-        }
+        // Same for atomic_service_period (Table II parameter): it must
+        // be recorded so artifacts are self-describing.
         if (!p.at("config").has("atomic_service_period")) {
             return fail("point " + std::to_string(i) +
                         " config lacks \"atomic_service_period\"");

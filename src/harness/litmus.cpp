@@ -273,7 +273,7 @@ namespace {
 
 /**
  * Semantic configuration subset for one cell. Execution knobs that
- * cannot affect results (sm_threads, idle_skip, metrics_interval) are
+ * cannot affect results (idle_skip, metrics_interval) are
  * deliberately absent so artifacts stay byte-identical across them.
  */
 Json
@@ -358,9 +358,9 @@ litmusToJson(const std::string &bench_name, const LitmusOptions &opts,
         if (!r.detail.empty())
             c.set("detail", r.detail);
         if (r.hasEvidence) {
-            // Deterministic across --sm-threads/--jobs/idle-skip like
-            // the rest of the document (the profiler hooks the
-            // committed instruction stream).
+            // Deterministic across --jobs/idle-skip like the rest of
+            // the document (the profiler hooks the issued instruction
+            // stream).
             Json ev = Json::object();
             std::ostringstream hex;
             hex << "0x" << std::hex << r.evidenceAddr;

@@ -37,9 +37,8 @@ struct LaunchAbort;
  *    making non-spin progress — the budget was simply too small.
  *
  * Classification consumes Gpu::lastAbort(), which is deterministic
- * across --sm-threads and idle-skip, so a litmus artifact is
- * byte-identical across those execution knobs (they are deliberately
- * not recorded in the document).
+ * across idle-skip, so a litmus artifact is byte-identical across that
+ * execution knob (it is deliberately not recorded in the document).
  */
 
 namespace bowsim::harness {
@@ -193,8 +192,8 @@ SyncOutcome classifySyncAbort(const LaunchAbort &abort,
  * "watchdog_cycles", "threads_per_cta", "iters", "primitives",
  * "schedulers", "bows", "occupancies", "devices", "cells": [...] }.
  * Execution
- * knobs that cannot affect results (--jobs, --sm-threads, idle-skip,
- * metrics interval) are deliberately omitted so artifacts are
+ * knobs that cannot affect results (--jobs, idle-skip, metrics
+ * interval) are deliberately omitted so artifacts are
  * byte-identical across them.
  */
 Json litmusToJson(const std::string &bench_name,

@@ -564,7 +564,6 @@ configToJson(const GpuConfig &cfg)
         j.set("switch_latency", cfg.switchLatency);
     }
     j.set("idle_skip", cfg.idleSkip);
-    j.set("sm_threads", cfg.smThreads);
     j.set("metrics_interval", cfg.metricsInterval);
     j.set("atomic_service_period", cfg.atomicServicePeriod);
     j.set("exec_mode", toString(cfg.execMode));

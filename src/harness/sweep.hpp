@@ -87,7 +87,7 @@ struct SweepPoint {
      * intervals — here, validated by `json_check --sync-report`.
      * Written even when the point fails (a livelocked point's report is
      * the interesting one). Deterministic: byte-identical across
-     * --sm-threads, --jobs and idle-skip. Ignored (with a warning from
+     * --jobs and idle-skip. Ignored (with a warning from
      * runSweep) for `body` points, like metricsPath.
      */
     std::string syncReportPath;

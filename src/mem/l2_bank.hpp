@@ -37,8 +37,6 @@ struct MemPacket {
      * atomics — like all plain reads/writes — route to the home device.
      */
     MemScope scope = MemScope::Device;
-    /** Opaque transaction id, returned with the reply. */
-    std::uint64_t token = 0;
 };
 
 /** One L2 slice with its DRAM channel. */

@@ -16,9 +16,8 @@
  * per direction), then pays the switch hop plus the link latency.
  *
  * Determinism: traverse() mutates port state, so it is only legal from
- * the serialized request order — the same contract MemorySystem already
- * has (inline in the sequential loop, or the commit phase of the
- * phase-split loop). System horizon: a link traversal's completion is
+ * the cycle loop's fixed request order — the same contract MemorySystem
+ * already has. System horizon: a link traversal's completion is
  * folded into the reply cycle MemorySystem::request() returns, which
  * lands in the requesting SM's LD/ST event queue, so the idle-skip
  * horizon (min over SMs' nextWorkCycle) covers link events with no

@@ -16,10 +16,9 @@
  * path costs one pointer test per call site.
  *
  * The registry does not aggregate by itself: values are *pulled* by the
- * MetricsSampler at the cycle barrier of Gpu::launch, never pushed from
- * SM-private compute state — that is what keeps sampled series
- * bit-identical for any --sm-threads (see docs/METRICS.md for the
- * determinism contract).
+ * MetricsSampler at the end of a Gpu::launch cycle, never pushed from
+ * inside an SM's cycle (see docs/METRICS.md for the determinism
+ * contract).
  */
 
 namespace bowsim::metrics {

@@ -184,16 +184,12 @@ MetricsSampler::collectLocal(Cycle now, const SampleSources &src) const
     (void)now;
     std::vector<double> local(reg_.size(), 0.0);
 
-    // Launch-wide counters: every device's launch aggregate plus every
-    // SM shard, summed in device/SM-id order (exact integer adds —
-    // identical to the inline-mode running totals by the phase-split
-    // stat contract).
+    // Launch-wide counters: every device's launch aggregate, summed in
+    // device-id order.
     auto fold = [&](auto &&get) {
         std::uint64_t v = 0;
         for (const KernelStats *ls : src.launchStats)
             v += get(*ls);
-        for (const auto &s : *src.shards)
-            v += get(*s);
         return static_cast<double>(v);
     };
     local[kWarpInstructions] =
@@ -254,7 +250,7 @@ MetricsSampler::collectLocal(Cycle now, const SampleSources &src) const
         local[b + 2] = static_cast<double>(src.sync->peakWaiters());
     }
 
-    // Per-SM state: all SM-private and settled at the commit barrier.
+    // Per-SM state: all SM-private and settled at the end of the cycle.
     // Cores are indexed by flat (device-major) position — SmCore::id()
     // is device-local and repeats across devices.
     std::uint64_t resident = 0, eligible = 0, spinning = 0, backed = 0;

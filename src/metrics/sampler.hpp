@@ -14,13 +14,11 @@
  * MetricsSampler attached to a Gpu (Gpu::setMetrics) snapshots a fixed
  * column schema every `interval` simulated cycles into a MetricsRegistry,
  * plus one boundary row at the end of every launch. Sampling is *pull*:
- * Gpu::launch calls sample() on the coordinator thread at the end of a
- * cycle — after the phase-split commit barrier — so every value is read
- * from serially-merged or SM-private-but-settled state and the series is
- * bit-identical for any --sm-threads. The idle-cycle fast-forward clamps
- * its jump targets to the next sample cycle (over-conservative, hence
- * legal under the PR 3 horizon contract), so skip-on and skip-off runs
- * produce byte-identical series too.
+ * Gpu::launch calls sample() at the end of a cycle, once every SM has
+ * run it, so every value is read from settled state. The idle-cycle
+ * fast-forward clamps its jump targets to the next sample cycle
+ * (over-conservative, hence legal under the horizon contract), so
+ * skip-on and skip-off runs produce byte-identical series.
  *
  * Samples sit on a *global* cycle grid (multiples of the interval across
  * launches): counter columns accumulate over launches via per-column
@@ -42,20 +40,17 @@ namespace bowsim::metrics {
 
 /** Where sample() reads from; everything is owned by Gpu::launch.
  *  Multi-device runs list one launch aggregate and one memory system
- *  per device (device-id order); `cores` and `shards` are flat,
- *  device-major vectors covering every SM in the system. */
+ *  per device (device-id order); `cores` is a flat, device-major vector
+ *  covering every SM in the system. */
 struct SampleSources {
     const std::vector<std::unique_ptr<SmCore>> *cores = nullptr;
-    /** Per-device launch aggregates (inline-mode counters + retired-SM
-     *  idle accounting applied by the coordinator). */
+    /** Per-device launch aggregates (every SM's counters + retired-SM
+     *  idle accounting applied by the cycle loop). */
     std::vector<const KernelStats *> launchStats;
-    /** Per-SM stat shards (phase-split mode; empty when inline). Counter
-     *  columns fold launchStats + all shards, which covers both modes. */
-    const std::vector<std::unique_ptr<KernelStats>> *shards = nullptr;
     /** Per-device memory systems (device-id order). */
     std::vector<const MemorySystem *> memsys;
     /** Sync-contention profiler, when one is attached (docs/SYNC.md);
-     *  feeds the sync_* columns. Read at the commit barrier like every
+     *  feeds the sync_* columns. Read at the end of a cycle like every
      *  other source, so the values are settled and deterministic. */
     const syncprof::SyncProfileRegistry *sync = nullptr;
 };

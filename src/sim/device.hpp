@@ -12,7 +12,7 @@
  * sharding"). A Device bundles what used to be the whole simulator's
  * per-launch state: the device-local memory system (L2 banks, DRAM,
  * crossbars), the launch-shared state its SMs mutate (CTA dispatch
- * cursor, stat aggregate, tracer), and the coordinator-side accounting
+ * cursor, stat aggregate, tracer), and the cycle loop's accounting
  * for SMs that retired from the active list. GpuSystem::launch owns
  * one Device per GpuConfig::numDevices and the SM cores themselves in
  * a flat device-major vector, so the single-device layout is exactly
@@ -33,7 +33,7 @@ struct Device {
     /** Last cycle on which any of this device's SMs issued. */
     Cycle lastIssue = 0;
     /** SMs retired from the active list; their per-cycle delay-limit
-     *  accounting is applied analytically by the coordinator. */
+     *  accounting is applied analytically by the cycle loop. */
     std::uint64_t idleCores = 0;
     /** Sum of retired SMs' (from then on constant) back-off limits. */
     std::uint64_t idleDelaySum = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 
 #include "src/arch/snapshot.hpp"
 #include "src/common/log.hpp"
@@ -123,38 +122,18 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
                                          num_devices);
     }
 
-    // Phase-split execution (docs/PERF.md): with sm-threads > 1 each
-    // cycle becomes dispatch (serial) -> compute (parallel, SM-private)
-    // -> commit (serial, device/SM-id order), with cores staging all
-    // globally visible side effects in per-SM commit queues and counting
-    // into per-SM stat shards. Byte-identical to the sequential loop by
-    // construction; sm-threads = 1 runs the sequential loop itself.
-    const unsigned sm_threads =
-        std::min(std::max(cfg_.smThreads, 1u), total_cores);
-    const bool phased = sm_threads > 1;
-    for (auto &dev : devices)
-        dev->launch.deferCommit = phased;
-
     // Cores are flat and device-major (index = device * numCores +
-    // local id); shards index identically. SmCore::id() stays the
-    // device-local id — it feeds crossbar port indexing and stall-table
-    // rows, both per-device concepts.
-    std::vector<std::unique_ptr<KernelStats>> shards;
+    // local id). SmCore::id() stays the device-local id — it feeds
+    // crossbar port indexing and stall-table rows, both per-device
+    // concepts.
     std::vector<std::unique_ptr<SmCore>> cores;
     cores.reserve(total_cores);
     for (unsigned d = 0; d < num_devices; ++d) {
         for (unsigned c = 0; c < num_cores; ++c) {
-            KernelStats *shard = nullptr;
-            if (phased) {
-                shards.push_back(std::make_unique<KernelStats>());
-                shard = shards.back().get();
-            }
-            cores.push_back(std::make_unique<SmCore>(
-                c, cfg_, devices[d]->launch, shard));
+            cores.push_back(
+                std::make_unique<SmCore>(c, cfg_, devices[d]->launch));
         }
     }
-    if (phased && !pool_)
-        pool_ = std::make_unique<WorkerPool>(sm_threads);
 
     // Only busy SMs are cycled. An SM with no resident CTAs once its
     // device's CTA dispatcher has drained can never become busy again,
@@ -180,11 +159,11 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     const bool skip = cfg_.idleSkip && traceSink_ == nullptr;
 
     // Metrics sampling (docs/METRICS.md): samples are pulled at the end
-    // of the cycle iteration — after the commit barrier, where per-SM
-    // state is settled in every execution mode — whenever the clock has
-    // reached the sampler's next grid cycle. kNeverCycle keeps the
-    // detached fast path to a single always-false compare per cycle.
-    metrics::SampleSources msrc{&cores, {}, &shards, {}, syncProf_};
+    // of the cycle iteration, once every SM has run the cycle, whenever
+    // the clock has reached the sampler's next grid cycle. kNeverCycle
+    // keeps the detached fast path to a single always-false compare per
+    // cycle.
+    metrics::SampleSources msrc{&cores, {}, {}, syncProf_};
     for (auto &dev : devices) {
         msrc.launchStats.push_back(&dev->launch.stats);
         msrc.memsys.push_back(&dev->memsys);
@@ -205,74 +184,21 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     Cycle now = 0;
     Cycle last_issue = 0;
 
-    // Parallel-phase scaffolding, allocated once per launch. The slices
-    // capture the loop state by reference; per-SM results and exceptions
-    // land in position-indexed arrays so the coordinator can reduce them
-    // in device/SM order.
-    std::vector<std::uint8_t> issued_flags;
-    std::vector<std::exception_ptr> errors;
-    Cycle phase_now = 0;
-    Cycle ff_from = 0;
-    Cycle ff_to = 0;
-    WorkerPool::Task compute_slice;
-    WorkerPool::Task forward_slice;
-    if (phased) {
-        issued_flags.resize(cores.size(), 0);
-        errors.resize(cores.size());
-        compute_slice = [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) {
-                try {
-                    issued_flags[i] = active[i]->compute(phase_now) ? 1 : 0;
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            }
-        };
-        forward_slice = [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) {
-                try {
-                    active[i]->fastForward(ff_from, ff_to);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            }
-        };
-    }
-    // Rethrows the lowest-position pending exception, after committing
-    // the queues of every SM up to and including the faulting one —
-    // exactly the state the sequential loop leaves behind when SM i
-    // throws mid-cycle (earlier SMs finished, later SMs never ran).
-    auto rethrow_first_error = [&](bool commit_prefix, Cycle when) {
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            if (!errors[i])
-                continue;
-            if (commit_prefix) {
-                for (std::size_t k = 0; k <= i; ++k)
-                    active[k]->commit(when);
-            }
-            std::rethrow_exception(errors[i]);
-        }
-    };
-
     // One device's stats at clock @p at: its launch aggregate plus its
-    // own SM shards, summed in SM-id order, plus its memory system.
+    // memory system.
     auto device_stats = [&](unsigned d, Cycle at) {
         KernelStats s = devices[d]->launch.stats;
-        if (phased) {
-            for (unsigned c = 0; c < num_cores; ++c)
-                s += *shards[static_cast<std::size_t>(d) * num_cores + c];
-        }
         s.cycles = at;
         s.mem = devices[d]->memsys.stats();
         return s;
     };
     // Folds per-device stats into the system aggregate, in device-id
-    // order. Single-device launches return the lone shard unchanged —
-    // byte-identical to the pre-split merge. Multi-device launches
-    // rebuild the per-SM tables by concatenation (operator+= folds them
-    // positionally, which would overlay device 1's SM rows onto device
-    // 0's; the system-wide tables use global, device-major SM rows) and
-    // keep the shards themselves in KernelStats::perDevice.
+    // order. Single-device launches return the lone device's stats
+    // unchanged — byte-identical to the pre-split merge. Multi-device
+    // launches rebuild the per-SM tables by concatenation (operator+=
+    // folds them positionally, which would overlay device 1's SM rows
+    // onto device 0's; the system-wide tables use global, device-major
+    // SM rows) and keep the per-device stats in KernelStats::perDevice.
     auto merge_devices = [&](std::vector<KernelStats> per_dev, Cycle at) {
         KernelStats total = per_dev[0];
         for (std::size_t d = 1; d < per_dev.size(); ++d)
@@ -304,7 +230,7 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     // can classify the abort — per device and system-wide. At the
     // watchdog trip the throw happens at the top of the loop on fully
     // settled end-of-cycle state, so the stash is byte-identical across
-    // --sm-threads and idle-skip.
+    // idle-skip.
     auto stash_abort = [&](Cycle at) {
         abort_.valid = true;
         std::vector<KernelStats> per_dev;
@@ -334,29 +260,11 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
             dev->launch.stats.smCycles += dev->idleCores;
         }
         bool issued = false;
-        if (!phased || active.size() <= 1) {
-            // Sequential loop (also the tail of a phased run once one
-            // SM remains — commit queues still drain inside cycle()).
-            for (SmCore *core : active) {
-                if (core->cycle(now)) {
-                    issued = true;
-                    devices[core->device()]->lastIssue = now;
-                }
+        for (SmCore *core : active) {
+            if (core->cycle(now)) {
+                issued = true;
+                devices[core->device()]->lastIssue = now;
             }
-        } else {
-            for (SmCore *core : active)
-                core->dispatch(now);
-            phase_now = now;
-            pool_->run(active.size(), compute_slice);
-            rethrow_first_error(/*commit_prefix=*/true, now);
-            for (std::size_t i = 0; i < active.size(); ++i) {
-                if (issued_flags[i] != 0) {
-                    issued = true;
-                    devices[active[i]->device()]->lastIssue = now;
-                }
-            }
-            for (SmCore *core : active)
-                core->commit(now);
         }
         if (issued)
             last_issue = now;
@@ -391,17 +299,8 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
                 // Skip cycles now+1 .. target-1; cycle target runs live.
                 const Cycle to = target - 1;
                 const std::uint64_t delta = to - now;
-                if (phased && active.size() > 1) {
-                    // fastForward only touches SM-private accounting, so
-                    // the gap replay parallelizes over the same pool.
-                    ff_from = now + 1;
-                    ff_to = to;
-                    pool_->run(active.size(), forward_slice);
-                    rethrow_first_error(/*commit_prefix=*/false, now);
-                } else {
-                    for (SmCore *core : active)
-                        core->fastForward(now + 1, to);
-                }
+                for (SmCore *core : active)
+                    core->fastForward(now + 1, to);
                 for (auto &dev : devices) {
                     dev->launch.stats.delayLimitCycleSum +=
                         dev->idleDelaySum * delta;
@@ -422,16 +321,12 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
 
     // The final cycle of the launch is recorded even when it falls off
     // the sample grid, so the series' last row matches the returned
-    // KernelStats. Must run before the shard merge below: the sampler
-    // folds the device aggregates + shards itself, exactly like the
-    // merge.
+    // KernelStats.
     if (metrics_)
         metrics_->endLaunch(now, msrc);
 
-    // Per-device finalization: deterministic shard merge (every per-SM
-    // counter sums in SM-id order; shards carry no launch-wide fields,
-    // so the aggregate matches the inline-mode totals exactly), then
-    // energy and DDOS accuracy from the device's own cores.
+    // Per-device finalization: the device's stats, then energy and DDOS
+    // accuracy from the device's own cores.
     std::vector<KernelStats> per_dev;
     per_dev.reserve(num_devices);
     for (unsigned d = 0; d < num_devices; ++d) {
@@ -677,7 +572,7 @@ GpuSystem::runDetailedWindow(const Program &prog, Dim3 grid, Dim3 block,
     std::vector<std::unique_ptr<SmCore>> cores;
     cores.reserve(cfg_.numCores);
     for (unsigned c = 0; c < cfg_.numCores; ++c) {
-        cores.push_back(std::make_unique<SmCore>(c, cfg_, wl, nullptr));
+        cores.push_back(std::make_unique<SmCore>(c, cfg_, wl));
         if (c < snap.sms.size() && !snap.sms[c].ctas.empty())
             cores.back()->seed(snap.sms[c]);
     }
@@ -688,9 +583,7 @@ GpuSystem::runDetailedWindow(const Program &prog, Dim3 grid, Dim3 block,
 
     // Sampled mode samples metrics only inside detailed windows: each
     // window is one sampler launch segment on the global cycle grid.
-    const std::vector<std::unique_ptr<KernelStats>> no_shards;
-    metrics::SampleSources msrc{&cores, {&wl.stats}, &no_shards,
-                                {&memsys}};
+    metrics::SampleSources msrc{&cores, {&wl.stats}, {&memsys}};
     Cycle metricsNext = kNeverCycle;
     if (metrics_) {
         metrics_->beginLaunch(prog.name, cfg_.numCores);

@@ -1,7 +1,6 @@
 #ifndef BOWSIM_SIM_GPU_HPP
 #define BOWSIM_SIM_GPU_HPP
 
-#include <memory>
 #include <vector>
 
 #include "src/common/config.hpp"
@@ -9,7 +8,6 @@
 #include "src/isa/program.hpp"
 #include "src/mem/memory_space.hpp"
 #include "src/sim/sm_core.hpp"
-#include "src/sim/worker_pool.hpp"
 #include "src/stats/stats.hpp"
 
 /**
@@ -46,15 +44,14 @@ struct GpuSnapshot;
  * cycle watchdog, or functional mode's progress checks). The litmus
  * harness (src/harness/litmus.*) classifies the abort from these:
  * whether warps were still issuing, and how spin-dominated the
- * instruction stream was. Deterministic across --sm-threads and
- * idle-skip: the watchdog fires at the top of the cycle loop on fully
- * settled state, and the stats are exact by the phase-split and
- * fast-forward contracts (docs/PERF.md).
+ * instruction stream was. Deterministic across idle-skip: the watchdog
+ * fires at the top of the cycle loop on fully settled state, and the
+ * stats are exact by the fast-forward contract (docs/PERF.md).
  */
 struct LaunchAbort {
     bool valid = false;
-    /** System-wide stats at the abort point (per-SM shards merged in
-     *  device/SM-id order, memory-system counters included). */
+    /** System-wide stats at the abort point (per-device stats merged in
+     *  device-id order, memory-system counters included). */
     KernelStats stats;
     /** Cycle of the last settled simulated cycle (0 in functional). */
     Cycle atCycle = 0;
@@ -119,10 +116,9 @@ class GpuSystem {
      * Attaches a time-series metrics sampler to every subsequent launch
      * (nullptr detaches). Observational like tracing — sampled and
      * unsampled runs produce bit-identical results — but, unlike
-     * tracing, compatible with idle-skip and the parallel compute
-     * phase: samples are pulled at the commit barrier, where per-SM
-     * state is settled regardless of --sm-threads, and skip targets are
-     * clamped so the clock always lands exactly on sample cycles (see
+     * tracing, compatible with idle-skip: samples are pulled at the end
+     * of a cycle, once every SM has run it, and skip targets are clamped
+     * so the clock always lands exactly on sample cycles (see
      * docs/METRICS.md for the determinism contract).
      */
     void setMetrics(metrics::MetricsSampler *sampler)
@@ -133,14 +129,12 @@ class GpuSystem {
     /**
      * Attaches a sync-contention profiler to every subsequent launch
      * (nullptr detaches; see docs/SYNC.md). Observational like tracing
-     * and, like the metrics sampler, compatible with idle-skip and the
-     * parallel compute phase: the functional hooks fire on the committed
-     * atomic/store path (whose order the phase-split contract pins), the
-     * timed hooks only accumulate commutative per-address sums, so the
+     * and, like the metrics sampler, compatible with idle-skip: the
+     * functional hooks fire on the atomic/store path at issue, the timed
+     * hooks only accumulate commutative per-address sums, so the
      * registry contents — and a --sync-report dump — are byte-identical
-     * across --sm-threads, --jobs, idle-skip and device count. Cycle
-     * mode only: functional and sampled launches leave the registry
-     * untouched.
+     * across --jobs, idle-skip and device count. Cycle mode only:
+     * functional and sampled launches leave the registry untouched.
      */
     void setSyncProf(syncprof::SyncProfileRegistry *registry)
     {
@@ -187,9 +181,6 @@ class GpuSystem {
     trace::TraceSink *traceSink_ = nullptr;
     metrics::MetricsSampler *metrics_ = nullptr;
     syncprof::SyncProfileRegistry *syncProf_ = nullptr;
-    /** Compute-phase worker pool (cfg_.smThreads > 1); persistent so
-     *  repeated launches reuse the same threads. */
-    std::unique_ptr<WorkerPool> pool_;
     /** Abort record of the most recent failed launch (lastAbort()). */
     LaunchAbort abort_;
 };

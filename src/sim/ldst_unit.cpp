@@ -39,30 +39,6 @@ LdstUnit::pushEvent(Cycle when, Event::Kind kind, std::uint32_t op,
 }
 
 void
-LdstUnit::pushEventSeq(Cycle when, std::uint64_t seq, Event::Kind kind,
-                       std::uint32_t op, Addr line)
-{
-    events_.push(Event{when, seq, kind, op, line});
-}
-
-void
-LdstUnit::commitRequest(const MemPortRequest &r, Cycle now)
-{
-    const Cycle reply = memsys_.request(r.pkt, now);
-    switch (r.completion) {
-      case MemPortRequest::Completion::None:
-        break;  // write: the OpPartDone event was pushed at decision time
-      case MemPortRequest::Completion::OpDone:
-        pushEventSeq(reply, r.seq, Event::Kind::OpPartDone,
-                     static_cast<std::uint32_t>(r.pkt.token), 0);
-        break;
-      case MemPortRequest::Completion::Fill:
-        pushEventSeq(reply, r.seq, Event::Kind::Fill, 0, r.line);
-        break;
-    }
-}
-
-void
 LdstUnit::submit(Warp *warp, const Instruction &inst,
                  const std::array<Addr, kWarpSize> &addrs, LaneMask mask,
                  bool sync, Cycle now)
@@ -162,16 +138,9 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
         Addr line = lineBase(txn.addr);
         if (txn.vol) {
             // Volatile polling loads read through to the L2 every time.
-            const std::uint64_t seq = ++eventSeq_;
-            const MemPacket pkt{line, MemPacket::Type::Read, smId_,
-                                MemScope::Device, txn.op};
-            if (queue_) {
-                queue_->pushRequest(MemPortRequest{
-                    pkt, seq, MemPortRequest::Completion::OpDone, 0});
-            } else {
-                pushEventSeq(memsys_.request(pkt, now), seq,
-                             Event::Kind::OpPartDone, txn.op, 0);
-            }
+            const MemPacket pkt{line, MemPacket::Type::Read, smId_};
+            pushEvent(memsys_.request(pkt, now), Event::Kind::OpPartDone,
+                      txn.op, 0);
             l1Queue_.pop_front();
             break;
         }
@@ -210,17 +179,9 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
                          static_cast<std::int32_t>(ops_[txn.op].warp->id()),
                          trace::EventKind::L1Miss, line);
         }
-        const std::uint64_t seq = ++eventSeq_;
-        const MemPacket pkt{line, MemPacket::Type::Read, smId_,
-                            MemScope::Device, txn.op};
+        const MemPacket pkt{line, MemPacket::Type::Read, smId_};
         mshr_.emplace(line, std::vector<std::uint32_t>{txn.op});
-        if (queue_) {
-            queue_->pushRequest(MemPortRequest{
-                pkt, seq, MemPortRequest::Completion::Fill, line});
-        } else {
-            pushEventSeq(memsys_.request(pkt, now), seq, Event::Kind::Fill,
-                         0, line);
-        }
+        pushEvent(memsys_.request(pkt, now), Event::Kind::Fill, 0, line);
         l1Queue_.pop_front();
         break;
       }
@@ -228,30 +189,17 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
         Addr line = lineBase(txn.addr);
         // Write-through, no-allocate: update the line if present.
         (void)l1_.access(line, true);
-        const MemPacket pkt{line, MemPacket::Type::Write, smId_,
-                            MemScope::Device, txn.op};
-        if (queue_) {
-            queue_->pushRequest(MemPortRequest{
-                pkt, 0, MemPortRequest::Completion::None, 0});
-        } else {
-            memsys_.request(pkt, now);
-        }
-        // Writes get no reply; the op completes next cycle either way.
+        memsys_.request(MemPacket{line, MemPacket::Type::Write, smId_}, now);
+        // Writes get no reply; the op completes next cycle.
         pushEvent(now + 1, Event::Kind::OpPartDone, txn.op, 0);
         l1Queue_.pop_front();
         break;
       }
       case MemPacket::Type::Atomic: {
-        const std::uint64_t seq = ++eventSeq_;
         const MemPacket pkt{txn.addr, MemPacket::Type::Atomic, smId_,
-                            txn.scope, txn.op};
-        if (queue_) {
-            queue_->pushRequest(MemPortRequest{
-                pkt, seq, MemPortRequest::Completion::OpDone, 0});
-        } else {
-            pushEventSeq(memsys_.request(pkt, now), seq,
-                         Event::Kind::OpPartDone, txn.op, 0);
-        }
+                            txn.scope};
+        pushEvent(memsys_.request(pkt, now), Event::Kind::OpPartDone,
+                  txn.op, 0);
         l1Queue_.pop_front();
         break;
       }

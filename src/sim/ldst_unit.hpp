@@ -11,8 +11,8 @@
 #include "src/common/config.hpp"
 #include "src/mem/cache.hpp"
 #include "src/mem/l2_bank.hpp"
-#include "src/mem/mem_port.hpp"
 #include "src/stats/stats.hpp"
+#include "src/trace/trace.hpp"
 
 /**
  * @file
@@ -92,18 +92,6 @@ class LdstUnit {
     /** Attaches the launch's event sink (L1Miss/MshrMerge). */
     void setTrace(trace::Tracer t) { tracer_ = t; }
 
-    /**
-     * Phase-split mode: defer MemorySystem::request calls into @p q for
-     * the commit phase instead of issuing them inline (nullptr reverts
-     * to inline). Deferred requests carry a pre-reserved event sequence
-     * number so completion ordering is identical either way.
-     */
-    void setCommitQueue(CommitQueue *q) { queue_ = q; }
-
-    /** Commit-phase drain: issues one deferred request and schedules its
-     *  completion event at the reply cycle. */
-    void commitRequest(const MemPortRequest &r, Cycle now);
-
   private:
     static constexpr unsigned kMaxInflightOps = 64;
 
@@ -145,8 +133,6 @@ class LdstUnit {
                       std::vector<MemCompletion> &completed);
     void pushEvent(Cycle when, Event::Kind kind, std::uint32_t op,
                    Addr line);
-    void pushEventSeq(Cycle when, std::uint64_t seq, Event::Kind kind,
-                      std::uint32_t op, Addr line);
 
     const GpuConfig &cfg_;
     unsigned smId_;
@@ -165,8 +151,6 @@ class LdstUnit {
     std::uint64_t eventSeq_ = 0;
     /** line -> op ids waiting on an outstanding fill. */
     std::unordered_map<Addr, std::vector<std::uint32_t>> mshr_;
-    /** Commit queue for deferred requests; nullptr = inline mode. */
-    CommitQueue *queue_ = nullptr;
 };
 
 }  // namespace bowsim

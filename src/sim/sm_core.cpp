@@ -51,11 +51,8 @@ maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
     return max_ctas;
 }
 
-SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch,
-               KernelStats *shard)
-    : id_(id), cfg_(cfg), launch_(launch),
-      stats_(shard ? *shard : launch.stats), staging_(queue_),
-      deferCommit_(launch.deferCommit),
+SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
+    : id_(id), cfg_(cfg), launch_(launch), stats_(launch.stats),
       ldst_(cfg, id, *launch.memsys, stats_),
       backoff_(cfg.bows), maxWarps_(cfg.maxWarpsPerCore())
 {
@@ -92,23 +89,15 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch,
     cawaAccounting_ = cfg.scheduler == SchedulerKind::CAWA;
     spinAccounting_ = cfg.collectSpinCycles;
     // Sync profiling mirrors tracing: a launch-wide handle, one cached
-    // bool on the issue-path branch sites. Registry calls always run on
-    // the coordinator thread — the functional hooks fire at the enqueue
-    // point in inline mode and at the commit drain in phase-split mode,
-    // the BOWS/DDOS transitions are staged as SyncEvent entries.
+    // bool on the issue-path branch sites.
     sync_ = launch_.sync;
     syncOn_ = sync_.enabled();
 
     // Tracing and stall attribution ride the same launch-wide handle.
     // Sizing the stall table here (cores are built serially) keeps
     // Gpu::launch() agnostic and covers direct SmCore construction.
-    // In deferCommit mode the core's own handle points at the staging
-    // sink, so every SM-side emission lands in the commit queue and is
-    // forwarded to the real sink in drain order.
     tracer_ = launch_.trace;
     stallAccounting_ = tracer_.enabled() || cfg.collectStallBreakdown;
-    if (deferCommit_ && tracer_.enabled())
-        tracer_ = trace::Tracer(&staging_);
     if (stallAccounting_) {
         KernelStats &st = stats_;
         st.stallWarpsPerSm = maxWarps_;
@@ -128,8 +117,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch,
     // always-on (profile reports and metrics need it unconditionally).
     if (stats_.peakResidentPerSm.size() < cfg.numCores)
         stats_.peakResidentPerSm.resize(cfg.numCores, 0);
-    if (deferCommit_)
-        ldst_.setCommitQueue(&queue_);
     ldst_.setTrace(tracer_);
     ddos_->setTrace(tracer_, id_);
     backoff_.setTrace(tracer_, id_);
@@ -512,16 +499,14 @@ SmCore::executeAtomicLane(Warp &w, const Instruction &inst, unsigned lane,
     Word desired = inst.atom == AtomOp::Cas
                        ? readOperand(w, inst.src[2], lane)
                        : 0;
-    // Warp key: the device-wide age offset by the device's key base —
-    // globally unique across devices and nonzero.
-    const std::uint64_t warp_key = launch_.warpKeyBase + w.age() + 1;
+    const std::uint64_t warp_key = warpKey(w);
     exec::AtomicResult r = exec::applyAtomicLane(
         *launch_.mem, launch_.locks(), inst, addr, operand, desired,
         warp_key);
     if (syncOn_) {
         // Release = an exchange (the TAS-family unlock) or a successful
         // CAS that stored the free sentinel 0; plain-store unlocks reach
-        // the profiler through execGlobalStore's onWrite hook instead.
+        // the profiler through executeMemory's onWrite hook instead.
         const bool failed = r.isCas && r.cas != CasOutcome::Success;
         const bool releases =
             inst.atom == AtomOp::Exch ||
@@ -589,41 +574,37 @@ SmCore::executeMemory(Warp &w, const Instruction &inst, LaneMask exec,
                 std::memcpy(cta.shared.data() + a, &v, inst.size);
             }
         }
-    } else if (deferCommit_) {
-        // Phase-split mode: stage the functional op for the commit
-        // phase. The lock-acquire flag is PC-derived, so it is captured
-        // now — the warp's PC advances before the queue drains.
-        CommitEntry::Kind kind;
-        bool acquire = false;
-        switch (inst.op) {
-          case Opcode::Ld:
-            kind = CommitEntry::Kind::GlobalLoad;
-            break;
-          case Opcode::St:
-            kind = CommitEntry::Kind::GlobalStore;
-            break;
-          case Opcode::Atom:
-            kind = CommitEntry::Kind::GlobalAtomic;
-            acquire = (launch_.pcFlags[w.stack().pc()] &
-                       LaunchState::kPcLockAcquire) != 0;
-            break;
-          default:
-            panic("executeMemory on non-memory opcode");
-        }
-        queue_.pushGlobal(kind, &w, &inst, exec, addrs, acquire);
     } else {
+        // Functional global memory: values are globally visible at
+        // issue; the LD/ST unit below models only timing and traffic.
+        MemorySpace &mem = *launch_.mem;
         switch (inst.op) {
           case Opcode::Ld:
-            execGlobalLoad(w, inst, exec, addrs);
+            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+                const unsigned lane = firstLane(rest);
+                w.regs().write(lane, inst.dst.index,
+                               mem.read(addrs[lane], inst.size));
+            }
             break;
           case Opcode::St:
-            execGlobalStore(w, inst, exec, addrs);
+            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+                const unsigned lane = firstLane(rest);
+                Word v = readOperand(w, inst.src[1], lane);
+                mem.write(addrs[lane], v, inst.size);
+                launch_.locks().onWrite(addrs[lane], v);
+                if (syncOn_)
+                    sync_.onWrite(addrs[lane], now_);
+            }
             break;
-          case Opcode::Atom:
-            execGlobalAtomic(w, inst, exec, addrs,
-                             (launch_.pcFlags[w.stack().pc()] &
-                              LaunchState::kPcLockAcquire) != 0);
+          case Opcode::Atom: {
+            const bool acquire = (launch_.pcFlags[w.stack().pc()] &
+                                  LaunchState::kPcLockAcquire) != 0;
+            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+                const unsigned lane = firstLane(rest);
+                executeAtomicLane(w, inst, lane, addrs[lane], acquire);
+            }
             break;
+          }
           default:
             panic("executeMemory on non-memory opcode");
         }
@@ -632,46 +613,6 @@ SmCore::executeMemory(Warp &w, const Instruction &inst, LaneMask exec,
     ldst_.submit(&w, inst, addrs, exec, sync, now);
     if (inst.dst.valid())
         w.scoreboard().reserve(inst);
-}
-
-void
-SmCore::execGlobalLoad(Warp &w, const Instruction &inst, LaneMask exec,
-                       const std::array<Addr, kWarpSize> &addrs)
-{
-    // Safe to defer to the cycle barrier: the scoreboard reserve at
-    // issue prevents any same-cycle read of the destination register.
-    MemorySpace &mem = *launch_.mem;
-    for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-        const unsigned lane = firstLane(rest);
-        w.regs().write(lane, inst.dst.index,
-                       mem.read(addrs[lane], inst.size));
-    }
-}
-
-void
-SmCore::execGlobalStore(Warp &w, const Instruction &inst, LaneMask exec,
-                        const std::array<Addr, kWarpSize> &addrs)
-{
-    MemorySpace &mem = *launch_.mem;
-    for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-        const unsigned lane = firstLane(rest);
-        Word v = readOperand(w, inst.src[1], lane);
-        mem.write(addrs[lane], v, inst.size);
-        launch_.locks().onWrite(addrs[lane], v);
-        if (syncOn_)
-            sync_.onWrite(addrs[lane], now_);
-    }
-}
-
-void
-SmCore::execGlobalAtomic(Warp &w, const Instruction &inst, LaneMask exec,
-                         const std::array<Addr, kWarpSize> &addrs,
-                         bool acquire)
-{
-    for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-        const unsigned lane = firstLane(rest);
-        executeAtomicLane(w, inst, lane, addrs[lane], acquire);
-    }
 }
 
 void
@@ -753,10 +694,8 @@ SmCore::issue(Warp &w, Cycle now)
                                  truth ? trace::EventKind::DetectTrue
                                        : trace::EventKind::DetectFalse,
                                  pc);
-                    if (syncOn_) {
-                        noteSyncTransition(trace::EventKind::SibConfirm,
-                                           w, now);
-                    }
+                    if (syncOn_)
+                        sync_.onSibConfirm(warpKey(w), now);
                 }
             }
         }
@@ -770,10 +709,8 @@ SmCore::issue(Warp &w, Cycle now)
                 // profiler can charge the back-off to its sync address.
                 const bool was_off = w.bows().backedOff;
                 backoff_.onSpinBranch(w, now);
-                if (!was_off && w.bows().backedOff) {
-                    noteSyncTransition(trace::EventKind::BackoffEnter, w,
-                                       now);
-                }
+                if (!was_off && w.bows().backedOff)
+                    sync_.onBackoffEnter(warpKey(w), now);
             }
         }
         w.stack().branch(inst, taken);
@@ -887,77 +824,8 @@ SmCore::refreshWarpMask(const Warp &w)
 bool
 SmCore::cycle(Cycle now)
 {
-    dispatch(now);
-    const bool issued = compute(now);
-    commit(now);
-    return issued;
-}
-
-void
-SmCore::dispatch(Cycle now)
-{
     now_ = now;
     tryLaunchCtas();
-}
-
-void
-SmCore::noteSyncTransition(trace::EventKind kind, Warp &w, Cycle now)
-{
-    const std::uint64_t key = launch_.warpKeyBase + w.age() + 1;
-    if (deferCommit_) {
-        trace::TraceEvent ev;
-        ev.cycle = now;
-        ev.sm = id_;
-        ev.warp = static_cast<std::int32_t>(w.id());
-        ev.kind = kind;
-        ev.a0 = key;
-        queue_.pushSyncEvent(ev);
-    } else if (kind == trace::EventKind::BackoffEnter) {
-        sync_.onBackoffEnter(key, now);
-    } else {
-        sync_.onSibConfirm(key, now);
-    }
-}
-
-void
-SmCore::commit(Cycle now)
-{
-    if (!deferCommit_ || queue_.empty())
-        return;
-    now_ = now;  // executeAtomicLane stamps profiler events with now_
-    for (const CommitEntry &e : queue_.entries()) {
-        switch (e.kind) {
-          case CommitEntry::Kind::Trace:
-            launch_.trace.record(e.ev);
-            break;
-          case CommitEntry::Kind::SyncEvent:
-            if (e.ev.kind == trace::EventKind::BackoffEnter)
-                sync_.onBackoffEnter(e.ev.a0, e.ev.cycle);
-            else
-                sync_.onSibConfirm(e.ev.a0, e.ev.cycle);
-            break;
-          case CommitEntry::Kind::MemRequest:
-            ldst_.commitRequest(e.req, now);
-            break;
-          case CommitEntry::Kind::GlobalLoad:
-            execGlobalLoad(*e.warp, *e.inst, e.exec, e.addrs);
-            break;
-          case CommitEntry::Kind::GlobalStore:
-            execGlobalStore(*e.warp, *e.inst, e.exec, e.addrs);
-            break;
-          case CommitEntry::Kind::GlobalAtomic:
-            execGlobalAtomic(*e.warp, *e.inst, e.exec, e.addrs,
-                             e.acquire);
-            break;
-        }
-    }
-    queue_.clear();
-}
-
-bool
-SmCore::compute(Cycle now)
-{
-    now_ = now;
 
     // 1. Memory and ALU writebacks due this cycle.
     const bool tracing = tracer_.enabled();

@@ -10,7 +10,6 @@
 #include "src/core/ddos/ddos_unit.hpp"
 #include "src/isa/program.hpp"
 #include "src/mem/lock_tracker.hpp"
-#include "src/mem/mem_port.hpp"
 #include "src/mem/memory_space.hpp"
 #include "src/sched/scheduler.hpp"
 #include "src/sim/ldst_unit.hpp"
@@ -75,14 +74,6 @@ struct LaunchState {
      *  devices' independent age counters (deviceId << 48). */
     std::uint64_t warpKeyBase = 0;
 
-    /**
-     * Phase-split mode (sm-threads > 1): cores stage every globally
-     * visible side effect in their CommitQueue during compute() and
-     * apply it in commit(), instead of executing inline. Set before
-     * cores are constructed; see docs/PERF.md for the contract.
-     */
-    bool deferCommit = false;
-
     /** Per-PC sync-annotation flags, bit-packed from Program::sync once
      *  at launch so the issue path avoids std::set lookups. */
     static constexpr std::uint8_t kPcSyncRegion = 1;
@@ -120,13 +111,8 @@ unsigned maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
 
 class SmCore : private IssueGate {
   public:
-    /**
-     * @param shard per-SM statistics target for the phase-split mode;
-     *        nullptr (inline mode) accumulates into launch.stats
-     *        directly. Shards are merged by Gpu::launch in SM-id order.
-     */
-    SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch,
-           KernelStats *shard = nullptr);
+    /** Counts into launch.stats, which every SM of the device shares. */
+    SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch);
 
     /**
      * Seeds this SM's resident CTAs/warps from an architectural
@@ -140,38 +126,13 @@ class SmCore : private IssueGate {
     void seed(const struct SmSnapshot &snap);
 
     /**
-     * Advances the SM by one cycle; true when any unit issued.
-     * Equivalent to dispatch(now) + compute(now) + commit(now) — the
-     * sequential loop's shape.
+     * Advances the SM by one cycle: CTA dispatch, writebacks, the BOWS
+     * window, one issue per scheduler unit (functional global-memory
+     * ops and memory-system requests run inline, at issue and at the
+     * L1 port), then the per-cycle accounting. True when any unit
+     * issued.
      */
     bool cycle(Cycle now);
-
-    /**
-     * Phase 1 (serial, SM-id order): CTA dispatch. The only per-cycle
-     * step that touches launch-shared dispatch state (nextCta,
-     * warpAgeCounter), hoisted out of compute() so the latter is
-     * SM-private. Hoisting all dispatches ahead of all computes is
-     * order-equivalent to the interleaved loop: nothing between two
-     * SMs' dispatch points in the sequential order writes nextCta, and
-     * an SM's free slots only change in its own cycle.
-     */
-    void dispatch(Cycle now);
-
-    /**
-     * Phase 2 (parallel-safe): fetch, scheduling, scoreboard, SIMT
-     * stack, DDOS/BOWS, L1/shared-memory — everything SM-private. In
-     * deferCommit mode, globally visible side effects are staged in the
-     * commit queue instead of executed. True when any unit issued.
-     */
-    bool compute(Cycle now);
-
-    /**
-     * Phase 3 (serial, SM-id order): drains the commit queue —
-     * functional global-memory ops (including atomics),
-     * MemorySystem::request calls, staged trace events — in program
-     * order. No-op in inline mode, where these ran at the enqueue point.
-     */
-    void commit(Cycle now);
 
     /** True while CTAs are resident or still waiting for dispatch. */
     bool busy() const;
@@ -206,8 +167,8 @@ class SmCore : private IssueGate {
     /** Owning device (multi-device stat/idle attribution). */
     unsigned device() const { return launch_.deviceId; }
 
-    // --- metrics-sampler gauges (SM-private, settled at the commit
-    // --- barrier; see src/metrics/sampler.cpp) ------------------------
+    // --- metrics-sampler gauges (SM-private, settled at the end of a
+    // --- cycle; see src/metrics/sampler.cpp) --------------------------
     /** Resident unfinished warps right now. */
     std::size_t residentWarps() const { return resident_.size(); }
     /** Resident warps passing every issue gate this cycle. */
@@ -240,10 +201,13 @@ class SmCore : private IssueGate {
     bool eligible(Warp &w) const override;
     void issue(Warp &w, Cycle now);
     bool isSib(Pc pc) const;
-    /** Routes a BOWS/DDOS transition to the sync profiler: staged as a
-     *  SyncEvent commit entry in phase-split mode (keeps the drain-order
-     *  determinism contract), applied directly in inline mode. */
-    void noteSyncTransition(trace::EventKind kind, Warp &w, Cycle now);
+    /** Lock-owner and sync-profiler key of @p w: the device-wide age
+     *  offset by the device's key base — globally unique and nonzero. */
+    std::uint64_t
+    warpKey(const Warp &w) const
+    {
+        return launch_.warpKeyBase + w.age() + 1;
+    }
 
     /**
      * Why @p w cannot issue at now_ (mirrors eligible()'s check order).
@@ -277,29 +241,13 @@ class SmCore : private IssueGate {
                        bool sync, Cycle now);
     void executeAtomicLane(Warp &w, const Instruction &inst, unsigned lane,
                            Addr addr, bool is_acquire);
-    /** Functional global-memory ops; run at issue (inline mode) or at
-     *  commit (deferCommit mode) — same order either way. */
-    void execGlobalLoad(Warp &w, const Instruction &inst, LaneMask exec,
-                        const std::array<Addr, kWarpSize> &addrs);
-    void execGlobalStore(Warp &w, const Instruction &inst, LaneMask exec,
-                         const std::array<Addr, kWarpSize> &addrs);
-    void execGlobalAtomic(Warp &w, const Instruction &inst, LaneMask exec,
-                          const std::array<Addr, kWarpSize> &addrs,
-                          bool acquire);
     void onWarpFinished(Warp &w);
 
     unsigned id_;
     const GpuConfig &cfg_;
     LaunchState &launch_;
-    /** This SM's statistics target: its private shard under the phase-
-     *  split contract, or the launch-wide aggregate in inline mode. */
+    /** The launch-wide aggregate (launch_.stats). */
     KernelStats &stats_;
-    /** Deferred side effects for the commit phase (deferCommit_ only). */
-    CommitQueue queue_;
-    /** Trace staging into queue_, so SM-side events keep their order
-     *  relative to deferred memory requests. */
-    StagingSink staging_;
-    bool deferCommit_ = false;
     LdstUnit ldst_;
     std::vector<std::unique_ptr<Scheduler>> schedulers_;
     std::unique_ptr<DdosUnit> ddos_;

@@ -22,16 +22,14 @@
  * detector, local/remote device splits, and DDOS/BOWS transitions
  * cross-attributed to the address whose failed CAS caused them.
  *
- * Determinism contract (why reports are byte-identical across
- * --sm-threads, --jobs, idle-skip and device count):
+ * Determinism contract (why reports are byte-identical across --jobs,
+ * idle-skip and device count):
  *
- *  - Functional hooks (onAtomic / onWrite) fire on the committed
- *    functional path — at the enqueue point in inline mode, at the
- *    commit-queue drain in phase-split mode. The drain replays the
- *    serial loop's side-effect order exactly (docs/PERF.md), so the
- *    profiler observes the identical (addr, warp, outcome, cycle)
- *    sequence at any thread count. Idle-skip never skips a cycle in
- *    which an atomic commits, so cycle stamps are identical too.
+ *  - Functional hooks (onAtomic / onWrite) fire on the functional
+ *    global-memory path at issue, in the cycle loop's fixed device/SM
+ *    order, so the profiler observes one (addr, warp, outcome, cycle)
+ *    sequence per configuration. Idle-skip never skips a cycle in
+ *    which an atomic issues, so cycle stamps are identical too.
  *  - Ownership/session/storm state is driven *only* by those
  *    functional outcomes, which the differential suites pin as
  *    byte-identical across execution knobs.
@@ -39,9 +37,8 @@
  *    commutative per-address sums (packet counts, wait cycles, the
  *    local/remote split), so their interleaving with the functional
  *    stream is irrelevant.
- *  - BOWS/DDOS transition hooks are staged through the same per-SM
- *    commit queues as trace events, preserving each warp's program
- *    order between its failed CAS and the back-off it provoked; the
+ *  - BOWS/DDOS transition hooks fire at issue too, after the warp's
+ *    own preceding failed CAS and before its next one; the
  *    cross-attribution map is per-warp, so cross-warp interleaving
  *    cannot change it.
  *
@@ -123,9 +120,8 @@ struct AddrSummary {
  * The system-wide profile. One registry serves every device of a launch
  * (lock words live in the shared functional memory, so attribution must
  * be system-wide, exactly like the LockTracker); all hooks run on the
- * coordinator thread — at dispatch/commit or inside MemorySystem::
- * request, which the phase-split contract keeps serial — so the
- * registry is deliberately unsynchronized.
+ * simulation's one thread — at issue or inside MemorySystem::request —
+ * so the registry is deliberately unsynchronized.
  */
 class SyncProfileRegistry {
   public:

@@ -162,14 +162,6 @@ class Tracer {
         sink_->emit(ev);
     }
 
-    /** Forwards an already-built event (commit-phase queue drain). */
-    void
-    record(const TraceEvent &ev) const
-    {
-        if (sink_)
-            sink_->emit(ev);
-    }
-
   private:
     TraceSink *sink_ = nullptr;
     std::uint16_t device_ = 0;

@@ -15,9 +15,9 @@
  *  - Degenerate equivalence: numDevices = 1 must be byte-identical to
  *    a config that never mentions devices — no shards, no link
  *    traffic, same memory image and cycle count.
- *  - Knob invariance: at numDevices = 2, --sm-threads and idle-skip
- *    remain pure execution knobs — memory, cycles, outcomes, link
- *    packets, and every per-device shard must be bit-identical.
+ *  - Knob invariance: at numDevices = 2, idle-skip remains a pure
+ *    execution knob — memory, cycles, outcomes, link packets, and
+ *    every per-device shard must be bit-identical.
  *  - Aggregation: the system-wide KernelStats is exactly the fold of
  *    its per-device shards (additive counters sum; every shard reports
  *    the system horizon as its cycle count; shards never nest).
@@ -87,51 +87,31 @@ class DeviceKnobEquivalence : public ::testing::TestWithParam<std::string> {
 TEST_P(DeviceKnobEquivalence, ExecutionKnobsInvisibleAtTwoDevices)
 {
     const std::string &name = GetParam();
-    RunResult ref;
-    bool have_ref = false;
-    std::string ref_label;
-    for (unsigned threads : {1u, 4u}) {
-        for (bool skip : {true, false}) {
-            GpuConfig cfg = deviceConfig(2);
-            cfg.smThreads = threads;
-            cfg.idleSkip = skip;
-            RunResult r = runKernel(name, cfg);
-            ASSERT_EQ(r.stats.perDevice.size(), 2u) << name;
+    GpuConfig cfg = deviceConfig(2);
+    cfg.idleSkip = true;
+    const RunResult ref = runKernel(name, cfg);
+    cfg.idleSkip = false;
+    const RunResult r = runKernel(name, cfg);
+    ASSERT_EQ(ref.stats.perDevice.size(), 2u) << name;
+    ASSERT_EQ(r.stats.perDevice.size(), 2u) << name;
 
-            const std::string label =
-                name + " sm-threads=" + std::to_string(threads) +
-                (skip ? " skip=on" : " skip=off");
-            if (!have_ref) {
-                ref = r;
-                ref_label = label;
-                have_ref = true;
-                continue;
-            }
-            ASSERT_EQ(r.digest, ref.digest)
-                << label << " vs " << ref_label
-                << ": memory image diverged";
-            ASSERT_EQ(r.stats.cycles, ref.stats.cycles) << label;
-            EXPECT_EQ(r.stats.warpInstructions,
-                      ref.stats.warpInstructions)
-                << label;
-            EXPECT_EQ(r.stats.outcomes.total(), ref.stats.outcomes.total())
-                << label;
-            EXPECT_EQ(r.stats.mem.l2Accesses, ref.stats.mem.l2Accesses)
-                << label;
-            EXPECT_EQ(r.stats.mem.linkPackets, ref.stats.mem.linkPackets)
-                << label;
-            for (std::size_t d = 0; d < 2; ++d) {
-                const KernelStats &a = r.stats.perDevice[d];
-                const KernelStats &b = ref.stats.perDevice[d];
-                EXPECT_EQ(a.cycles, b.cycles) << label << " device " << d;
-                EXPECT_EQ(a.warpInstructions, b.warpInstructions)
-                    << label << " device " << d;
-                EXPECT_EQ(a.mem.l2Accesses, b.mem.l2Accesses)
-                    << label << " device " << d;
-                EXPECT_EQ(a.mem.linkPackets, b.mem.linkPackets)
-                    << label << " device " << d;
-            }
-        }
+    const std::string label = name + " skip=off vs skip=on";
+    ASSERT_EQ(r.digest, ref.digest) << label << ": memory image diverged";
+    ASSERT_EQ(r.stats.cycles, ref.stats.cycles) << label;
+    EXPECT_EQ(r.stats.warpInstructions, ref.stats.warpInstructions) << label;
+    EXPECT_EQ(r.stats.outcomes.total(), ref.stats.outcomes.total()) << label;
+    EXPECT_EQ(r.stats.mem.l2Accesses, ref.stats.mem.l2Accesses) << label;
+    EXPECT_EQ(r.stats.mem.linkPackets, ref.stats.mem.linkPackets) << label;
+    for (std::size_t d = 0; d < 2; ++d) {
+        const KernelStats &a = r.stats.perDevice[d];
+        const KernelStats &b = ref.stats.perDevice[d];
+        EXPECT_EQ(a.cycles, b.cycles) << label << " device " << d;
+        EXPECT_EQ(a.warpInstructions, b.warpInstructions)
+            << label << " device " << d;
+        EXPECT_EQ(a.mem.l2Accesses, b.mem.l2Accesses)
+            << label << " device " << d;
+        EXPECT_EQ(a.mem.linkPackets, b.mem.linkPackets)
+            << label << " device " << d;
     }
 }
 

@@ -85,7 +85,7 @@ TEST(L2Bank, AtomicServicePeriodComesFromConfig)
     cfg.atomicServicePeriod = 9;
     L2Bank bank(cfg);
 
-    const MemPacket atom{0x40, MemPacket::Type::Atomic, 0, MemScope::Device, 0};
+    const MemPacket atom{0x40, MemPacket::Type::Atomic, 0, MemScope::Device};
     L2Bank::AccessInfo first, second;
     (void)bank.access(atom, 100, &first);
     EXPECT_EQ(first.waited, 0u);
@@ -103,7 +103,7 @@ TEST(L2Bank, PlainReadsUseUnitServicePeriod)
     cfg.atomicServicePeriod = 9;
     L2Bank bank(cfg);
 
-    const MemPacket rd{0x40, MemPacket::Type::Read, 0, MemScope::Device, 0};
+    const MemPacket rd{0x40, MemPacket::Type::Read, 0, MemScope::Device};
     L2Bank::AccessInfo first, second;
     (void)bank.access(rd, 100, &first);
     (void)bank.access(rd, 100, &second);

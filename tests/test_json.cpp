@@ -274,7 +274,6 @@ cachedSweepDoc(const char *mode, int hits, int misses, int stored,
 {
     Json cfg = Json::object();
     cfg.set("idle_skip", true);
-    cfg.set("sm_threads", 1);
     cfg.set("atomic_service_period", 1);
     cfg.set("metrics_interval", 0);
     cfg.set("exec_mode", "cycle");

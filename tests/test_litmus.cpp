@@ -279,8 +279,7 @@ TEST(Litmus, JsonArtifactIsSelfDescribingAndValidates)
     EXPECT_EQ(cell.at("outcome").asString(), "completed");
     EXPECT_FALSE(cell.has("detail"));  // empty detail is omitted
     // Execution knobs must not leak into the artifact: it is
-    // byte-identical across --sm-threads / idle-skip by contract.
-    EXPECT_FALSE(cell.at("config").has("sm_threads"));
+    // byte-identical across idle-skip by contract.
     EXPECT_FALSE(cell.at("config").has("idle_skip"));
     EXPECT_TRUE(cell.at("config").has("atomic_service_period"));
 

@@ -11,8 +11,8 @@
  * @file
  * Litmus differential suite (labeled `slow`): the outcome-matrix
  * artifact is a *result*, so it must be byte-identical across every
- * execution knob (per-simulation SM worker pool, idle-skip), and the
- * primitives' final memory must be schedule-invariant — functional
+ * execution knob (idle-skip), and the primitives' final memory must be
+ * schedule-invariant — functional
  * mode, which rotates warps with bounded fairness and no timing, must
  * land on the exact cycle-mode memory image for every completing cell.
  */
@@ -27,18 +27,16 @@ using harness::OccupancyLevel;
 using harness::SyncOutcome;
 using sync::Primitive;
 
-/** Runs every cell sequentially under the given execution knobs and
+/** Runs every cell sequentially under the given execution knob and
  *  returns the dumped artifact. */
 std::string
-runMatrixDump(const LitmusOptions &opts, unsigned sm_threads,
-              bool idle_skip)
+runMatrixDump(const LitmusOptions &opts, bool idle_skip)
 {
     const std::vector<LitmusCell> cells =
         harness::buildLitmusCells(opts);
     std::vector<LitmusCellResult> results(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         GpuConfig cfg = cells[i].cfg;
-        cfg.smThreads = sm_threads;
         cfg.idleSkip = idle_skip;
         Gpu gpu(cfg);
         results[i] = harness::runLitmusCell(cells[i], gpu);
@@ -50,7 +48,7 @@ runMatrixDump(const LitmusOptions &opts, unsigned sm_threads,
  * A reduced matrix that still contains every outcome story: a base
  * livelock that BOWS resolves (tas/over), a BOWS-induced livelock
  * (ticket/GTO/bows/over), and the barrier's co-residency livelock.
- * Two cores so the SM worker pool has real work to parallelize.
+ * Two cores so the idle-skip horizon spans more than one SM.
  */
 LitmusOptions
 reducedOptions()
@@ -66,14 +64,10 @@ reducedOptions()
 TEST(LitmusEquivalence, ArtifactBytesInvariantAcrossExecutionKnobs)
 {
     const LitmusOptions opts = reducedOptions();
-    const std::string reference = runMatrixDump(opts, 1, true);
+    const std::string reference = runMatrixDump(opts, true);
     ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(runMatrixDump(opts, 1, false), reference)
+    EXPECT_EQ(runMatrixDump(opts, false), reference)
         << "idle-skip off diverged";
-    EXPECT_EQ(runMatrixDump(opts, 4, true), reference)
-        << "sm-threads=4 diverged";
-    EXPECT_EQ(runMatrixDump(opts, 4, false), reference)
-        << "sm-threads=4 + idle-skip off diverged";
 }
 
 /**

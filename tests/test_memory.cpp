@@ -132,7 +132,7 @@ TEST(MemorySystem, ReadMissGoesToDramThenHits)
 {
     GpuConfig cfg = memTestConfig();
     MemorySystem mem(cfg);
-    MemPacket pkt{0x10000, MemPacket::Type::Read, 0, MemScope::Device, 1};
+    MemPacket pkt{0x10000, MemPacket::Type::Read, 0, MemScope::Device};
     Cycle miss = mem.request(pkt, 0);
     // Miss path: icnt + L2 tag + DRAM + return icnt.
     Cycle expected_min = 2 * cfg.icntLatency + cfg.l2HitLatency +
@@ -148,7 +148,7 @@ TEST(MemorySystem, ReadMissGoesToDramThenHits)
 TEST(MemorySystem, WritesReturnNoReplyButCountTraffic)
 {
     MemorySystem mem(memTestConfig());
-    MemPacket pkt{0x20000, MemPacket::Type::Write, 0, MemScope::Device, 1};
+    MemPacket pkt{0x20000, MemPacket::Type::Write, 0, MemScope::Device};
     EXPECT_EQ(mem.request(pkt, 0), 0u);
     EXPECT_EQ(mem.stats().l2Accesses, 1u);
 }
@@ -158,9 +158,9 @@ TEST(MemorySystem, AtomicsToOneBankSerialize)
     GpuConfig cfg = memTestConfig();
     MemorySystem mem(cfg);
     // Same line -> same bank; atomics pay the per-bank atomic period.
-    Cycle t1 = mem.request({0x30000, MemPacket::Type::Atomic, 0, MemScope::Device, 1}, 0);
-    Cycle t2 = mem.request({0x30008, MemPacket::Type::Atomic, 1, MemScope::Device, 2}, 0);
-    Cycle t3 = mem.request({0x30010, MemPacket::Type::Atomic, 2, MemScope::Device, 3}, 0);
+    Cycle t1 = mem.request({0x30000, MemPacket::Type::Atomic, 0, MemScope::Device}, 0);
+    Cycle t2 = mem.request({0x30008, MemPacket::Type::Atomic, 1, MemScope::Device}, 0);
+    Cycle t3 = mem.request({0x30010, MemPacket::Type::Atomic, 2, MemScope::Device}, 0);
     EXPECT_LT(t1, t2);
     EXPECT_LT(t2, t3);
     EXPECT_EQ(mem.stats().atomics, 3u);
@@ -171,8 +171,8 @@ TEST(MemorySystem, DifferentBanksProceedInParallel)
     GpuConfig cfg = memTestConfig();
     MemorySystem mem(cfg);
     // Consecutive lines map to different banks (2 banks).
-    Cycle a = mem.request({0x40000, MemPacket::Type::Atomic, 0, MemScope::Device, 1}, 0);
-    Cycle b = mem.request({0x40080, MemPacket::Type::Atomic, 1, MemScope::Device, 2}, 0);
+    Cycle a = mem.request({0x40000, MemPacket::Type::Atomic, 0, MemScope::Device}, 0);
+    Cycle b = mem.request({0x40080, MemPacket::Type::Atomic, 1, MemScope::Device}, 0);
     EXPECT_EQ(a, b);  // no serialization across banks
 }
 
@@ -182,13 +182,13 @@ TEST(MemorySystem, BankCongestionGrowsLatency)
     MemorySystem mem(cfg);
     // Prime the line so every atomic hits in the L2 and timing is pure
     // bank serialization.
-    (void)mem.request({0x50000, MemPacket::Type::Read, 0, MemScope::Device, 99}, 0);
+    (void)mem.request({0x50000, MemPacket::Type::Read, 0, MemScope::Device}, 0);
     Cycle first = 0;
     Cycle last = 0;
     for (unsigned i = 0; i < 16; ++i) {
         Cycle done = mem.request(
             {0x50000 + 8 * i, MemPacket::Type::Atomic, i % cfg.numCores,
-             MemScope::Device, i},
+             MemScope::Device},
             1000);
         if (i == 0)
             first = done;

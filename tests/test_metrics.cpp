@@ -18,9 +18,9 @@
 /**
  * Metrics layer (docs/METRICS.md): registry semantics, the null-handle
  * observer effect, the sampler's grid/boundary math at kernel end, and
- * the checkMetricsSeries validator. The cross-mode byte-equivalence of
- * whole series (--sm-threads x idle-skip) lives with the other
- * differential properties in test_differential.cpp.
+ * the checkMetricsSeries validator. The byte-equivalence of whole
+ * series across idle-skip lives with the other differential properties
+ * in test_differential.cpp.
  */
 
 namespace bowsim {

@@ -334,12 +334,6 @@ TEST(Fingerprint, StableAcrossCallsAndExcludedKnobs)
     }
     {
         SweepPoint knobs = p;
-        knobs.cfg.smThreads = 7;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "smThreads";
-    }
-    {
-        SweepPoint knobs = p;
         knobs.cfg.metricsInterval = 12345;
         EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
             << "metricsInterval";
@@ -362,7 +356,6 @@ TEST(Fingerprint, StableAcrossCallsAndExcludedKnobs)
     // And all of them together.
     SweepPoint knobs = p;
     knobs.cfg.idleSkip = !knobs.cfg.idleSkip;
-    knobs.cfg.smThreads = 7;
     knobs.cfg.metricsInterval = 12345;
     knobs.cfg.syncTopN = 7;
     knobs.cfg.syncStormWindow = 16;

@@ -173,11 +173,8 @@ TEST(SweepToJson, RecordsIdleSkipAndStaticEnergy)
         ASSERT_TRUE(p.at("config").has("idle_skip"));
         EXPECT_EQ(p.at("config").at("idle_skip").asBool(),
                   points[i].cfg.idleSkip);
-        // Likewise for the phase-split worker count and the atomic
-        // service period (json_check requires both).
-        ASSERT_TRUE(p.at("config").has("sm_threads"));
-        EXPECT_EQ(p.at("config").at("sm_threads").asInt(),
-                  static_cast<std::int64_t>(points[i].cfg.smThreads));
+        // Likewise for the atomic service period (json_check requires
+        // it).
         ASSERT_TRUE(p.at("config").has("atomic_service_period"));
         EXPECT_EQ(p.at("config").at("atomic_service_period").asInt(),
                   static_cast<std::int64_t>(points[i].cfg.atomicServicePeriod));
@@ -229,7 +226,6 @@ TEST(SweepToJson, RecordsExecModeAndSampledEstimator)
     auto brokenDoc = [](bool with_mode, bool with_est) {
         Json cfg = Json::object();
         cfg.set("idle_skip", true);
-        cfg.set("sm_threads", 1);
         cfg.set("atomic_service_period", 1);
         cfg.set("metrics_interval", 0);
         if (with_mode)

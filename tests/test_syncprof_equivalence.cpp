@@ -15,8 +15,8 @@
  * @file
  * Whole-simulation guarantees of the sync-contention profiler
  * (docs/SYNC.md): the --sync-report document is byte-identical across
- * the execution knobs that may not change results (--sm-threads,
- * idle-skip), the device split folds to the aggregate, and the matrix's
+ * the execution knob that may not change results (idle-skip), the
+ * device split folds to the aggregate, and the matrix's
  * headline result carries quantitative evidence — the BOWS-cured
  * CAS-storm cells show a >= 0.9 failed share in the base cell and at
  * most half the convoy depth (failures per acquire) in the BOWS twin.
@@ -49,12 +49,10 @@ cellOptions(sync::Primitive p, SchedulerKind sched, bool bows,
 /** Runs the single cell of @p opts with a profiler attached and returns
  *  (result, report-JSON text). */
 std::pair<LitmusCellResult, std::string>
-runProfiled(const LitmusOptions &opts, unsigned sm_threads,
-            bool idle_skip)
+runProfiled(const LitmusOptions &opts, bool idle_skip)
 {
     std::vector<LitmusCell> cells = harness::buildLitmusCells(opts);
     EXPECT_EQ(cells.size(), 1u);
-    cells[0].cfg.smThreads = sm_threads;
     cells[0].cfg.idleSkip = idle_skip;
     SyncProfileRegistry reg(cells[0].cfg.syncTopN,
                             cells[0].cfg.syncStormWindow);
@@ -71,21 +69,14 @@ TEST(SyncProfEquivalence, ReportBytesInvariantAcrossExecutionKnobs)
     const LitmusOptions opts =
         cellOptions(sync::Primitive::TasLock, SchedulerKind::GTO, false,
                     OccupancyLevel::Over, 1);
-    const auto [base_result, base_report] = runProfiled(opts, 1, true);
+    const auto [base_result, base_report] = runProfiled(opts, true);
     EXPECT_EQ(base_result.outcome, SyncOutcome::Livelocked);
     const harness::CheckResult chk =
         harness::checkSyncReport(Json::parse(base_report));
     EXPECT_TRUE(chk.ok) << chk.message;
-    for (unsigned sm_threads : {1u, 4u}) {
-        for (bool idle_skip : {false, true}) {
-            const auto [r, report] =
-                runProfiled(opts, sm_threads, idle_skip);
-            EXPECT_EQ(r.outcome, base_result.outcome);
-            EXPECT_EQ(report, base_report)
-                << "sm_threads=" << sm_threads
-                << " idle_skip=" << idle_skip;
-        }
-    }
+    const auto [r, report] = runProfiled(opts, false);
+    EXPECT_EQ(r.outcome, base_result.outcome);
+    EXPECT_EQ(report, base_report) << "idle_skip off diverged";
 }
 
 /** On one device every timed atomic is local; on two, the halves split
@@ -100,7 +91,7 @@ TEST(SyncProfEquivalence, DeviceSplitFoldsToAggregate)
             cellOptions(sync::Primitive::SystemBarrier,
                         SchedulerKind::LRR, true, OccupancyLevel::Exact,
                         devices);
-        const auto [r, report] = runProfiled(opts, 1, true);
+        const auto [r, report] = runProfiled(opts, true);
         EXPECT_EQ(r.outcome, SyncOutcome::Completed);
         const Json doc = Json::parse(report);
         const Json &totals = doc.at("totals");
@@ -134,11 +125,11 @@ TEST(SyncProfEquivalence, BowsCuresTheBaseSchedulerCasStorm)
         const auto [base, base_report] = runProfiled(
             cellOptions(sync::Primitive::TasLock, sched, false,
                         OccupancyLevel::Over, 1),
-            1, true);
+            true);
         const auto [bows, bows_report] = runProfiled(
             cellOptions(sync::Primitive::TasLock, sched, true,
                         OccupancyLevel::Over, 1),
-            1, true);
+            true);
         ASSERT_EQ(base.outcome, SyncOutcome::Livelocked)
             << toString(sched);
         ASSERT_EQ(bows.outcome, SyncOutcome::Completed)
