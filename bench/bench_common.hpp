@@ -60,10 +60,10 @@ struct BenchOptions {
     /** When set, runSweep() writes the sweep artifact here (--json). */
     std::string jsonPath;
     /**
-     * When set, every registry-kernel point records a Chrome trace to a
-     * per-point file derived from this base path (--trace /
-     * BOWSIM_TRACE): "out.json" becomes "out.HT_B500.json" for point
-     * "HT/B500". Per-point files keep tracing safe under --jobs > 1.
+     * When set, every point records a Chrome trace to a per-point file
+     * derived from this base path (--trace / BOWSIM_TRACE): "out.json"
+     * becomes "out.HT_B500.json" for point "HT/B500". Per-point files
+     * keep tracing safe under --jobs > 1.
      */
     std::string tracePath;
     /**
@@ -83,18 +83,18 @@ struct BenchOptions {
      */
     bool noSkip = false;
     /**
-     * When set, every runner-constructed point records a sampled metrics
-     * time series to a per-point file derived from this base path
-     * (--metrics / BOWSIM_METRICS), named like --trace fan-out. A ".csv"
-     * suffix selects CSV output, anything else JSON (docs/METRICS.md).
+     * When set, every point records a metrics time series to a
+     * per-point file derived from this base path (--metrics /
+     * BOWSIM_METRICS), named like --trace fan-out. A ".csv" suffix
+     * selects CSV output, anything else JSON (docs/METRICS.md).
      */
     std::string metricsPath;
     /**
-     * When set, every runner-constructed point runs with the
-     * sync-contention profiler attached and writes its JSON report to a
-     * per-point file derived from this base path (--sync-report /
-     * BOWSIM_SYNC_REPORT), named like --trace fan-out and validated by
-     * `json_check --sync-report` (docs/SYNC.md).
+     * When set, every point runs with the sync-contention profiler
+     * attached and writes its JSON report to a per-point file derived
+     * from this base path (--sync-report / BOWSIM_SYNC_REPORT), named
+     * like --trace fan-out and validated by `json_check --sync-report`
+     * (docs/SYNC.md).
      */
     std::string syncReportPath;
     /**
@@ -119,7 +119,7 @@ struct BenchOptions {
      */
     bool progress = false;
     /**
-     * Execution mode override (--exec-mode=cycle|functional|sampled /
+     * Execution mode override (--exec-mode=cycle|functional /
      * BOWSIM_EXEC_MODE): forces GpuConfig::execMode on every point.
      * hasExecMode distinguishes "not given" from an explicit cycle.
      * Recorded per point as config.exec_mode (docs/PERF.md, "Execution
@@ -127,12 +127,6 @@ struct BenchOptions {
      */
     bool hasExecMode = false;
     ExecMode execMode = ExecMode::Cycle;
-    /** Sampled-mode detailed window length in cycles (--sample-window /
-     *  BOWSIM_SAMPLE_WINDOW); 0 leaves each config's default. */
-    Cycle sampleWindow = 0;
-    /** Sampled-mode fast-forward distance in warp instructions
-     *  (--sample-period / BOWSIM_SAMPLE_PERIOD); 0 leaves the default. */
-    std::uint64_t samplePeriod = 0;
     /**
      * Persistent result cache (--cache=off|ro|rw / BOWSIM_CACHE; see
      * docs/BENCH.md, "Result cache & resume"). Off by default: caching
@@ -186,8 +180,7 @@ tracePathFor(const std::string &base, const std::string &id)
  * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
- * --progress / --exec-mode= / --sample-window= / --sample-period= /
- * --cache= / --cache-dir= / --resume
+ * --progress / --exec-mode= / --cache= / --cache-dir= / --resume
  * plus the corresponding
  * BOWSIM_* environment variables (flags win over the environment, the
  * environment wins over the bench's defaults). Unknown arguments are
@@ -226,7 +219,7 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         if (!parseExecMode(text, &o.execMode)) {
             std::fprintf(stderr,
                          "error: unknown exec mode '%s' (expected "
-                         "cycle, functional or sampled)\n",
+                         "cycle or functional)\n",
                          text);
             std::exit(2);
         }
@@ -234,10 +227,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
     };
     if (const char *env = std::getenv("BOWSIM_EXEC_MODE"))
         setExecMode(env);
-    if (const char *env = std::getenv("BOWSIM_SAMPLE_WINDOW"))
-        o.sampleWindow = static_cast<Cycle>(std::atoll(env));
-    if (const char *env = std::getenv("BOWSIM_SAMPLE_PERIOD"))
-        o.samplePeriod = static_cast<std::uint64_t>(std::atoll(env));
     auto setCacheMode = [&o](const char *text) {
         if (!harness::parseCacheMode(text, &o.cacheMode)) {
             std::fprintf(stderr,
@@ -282,11 +271,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             o.progress = true;
         else if (std::strncmp(argv[i], "--exec-mode=", 12) == 0)
             setExecMode(argv[i] + 12);
-        else if (std::strncmp(argv[i], "--sample-window=", 16) == 0)
-            o.sampleWindow = static_cast<Cycle>(std::atoll(argv[i] + 16));
-        else if (std::strncmp(argv[i], "--sample-period=", 16) == 0)
-            o.samplePeriod =
-                static_cast<std::uint64_t>(std::atoll(argv[i] + 16));
         else if (std::strncmp(argv[i], "--cache=", 8) == 0)
             setCacheMode(argv[i] + 8);
         else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0)
@@ -341,21 +325,9 @@ struct Sweep {
         return points.size() - 1;
     }
 
-    /** Adds a custom-body point (non-registry parameterizations). */
-    size_t
-    add(std::string id, GpuConfig cfg, std::function<KernelStats()> body)
-    {
-        SweepPoint p;
-        p.id = std::move(id);
-        p.cfg = cfg;
-        p.body = std::move(body);
-        points.push_back(std::move(p));
-        return points.size() - 1;
-    }
-
     /**
-     * Adds a custom point that runs on a runner-provided Gpu. Prefer
-     * this over the body overload: the runner owns Gpu construction, so
+     * Adds a custom point (non-registry parameterizations) that runs on
+     * a runner-provided Gpu. The runner owns Gpu construction, so
      * --trace/--metrics/--no-skip/--profile all apply.
      * @p cache_salt opts the point into the result cache: it must cover
      * everything the closure's behavior depends on beyond the config —
@@ -392,63 +364,32 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
     // Per-point overrides (--trace file fan-out, --no-skip) operate on
     // a copy; the artifact then records the configs that actually ran.
     std::vector<SweepPoint> points = sweep.points;
-    if (!opts.tracePath.empty() || opts.noSkip ||
-        opts.devices != 0 || !opts.metricsPath.empty() ||
-        opts.metricsInterval != 0 || !opts.syncReportPath.empty() ||
-        opts.profile || opts.hasExecMode ||
-        opts.sampleWindow != 0 || opts.samplePeriod != 0) {
-        for (SweepPoint &p : points) {
-            if (p.body) {
-                // Custom bodies construct their own Gpu from a config
-                // captured at declaration time, out of the runner's
-                // reach.
-                std::fprintf(stderr,
-                             "warning: point '%s' has a custom body; "
-                             "%s is not supported for it\n",
-                             p.id.c_str(),
-                             opts.noSkip        ? "--no-skip"
-                             : opts.devices     ? "--devices"
-                             : opts.profile     ? "--profile"
-                             : opts.hasExecMode ? "--exec-mode"
-                             : !opts.metricsPath.empty()
-                                 ? "--metrics"
-                             : opts.metricsInterval != 0
-                                 ? "--metrics-interval"
-                             : !opts.syncReportPath.empty()
-                                 ? "--sync-report"
-                                 : "--trace");
-                continue;
-            }
-            if (opts.noSkip)
-                p.cfg.idleSkip = false;
-            if (opts.devices != 0)
-                p.cfg.numDevices = opts.devices;
-            if (!opts.tracePath.empty()) {
-                p.tracePath = tracePathFor(opts.tracePath, p.id);
-                p.traceFilter = opts.traceFilter;
-            }
-            if (!opts.syncReportPath.empty())
-                p.syncReportPath = tracePathFor(opts.syncReportPath, p.id);
-            if (opts.metricsInterval != 0)
-                p.cfg.metricsInterval = opts.metricsInterval;
-            if (!opts.metricsPath.empty()) {
-                p.metricsPath = tracePathFor(opts.metricsPath, p.id);
-                if (p.cfg.metricsInterval == 0)
-                    p.cfg.metricsInterval = 1000;
-            }
-            if (opts.profile) {
-                p.cfg.collectStallBreakdown = true;
-                // The profile report's "hot sync objects" section needs
-                // the profiler attached even without a --sync-report.
-                p.syncProfile = true;
-            }
-            if (opts.hasExecMode)
-                p.cfg.execMode = opts.execMode;
-            if (opts.sampleWindow != 0)
-                p.cfg.sampleWindow = opts.sampleWindow;
-            if (opts.samplePeriod != 0)
-                p.cfg.samplePeriod = opts.samplePeriod;
+    for (SweepPoint &p : points) {
+        if (opts.noSkip)
+            p.cfg.idleSkip = false;
+        if (opts.devices != 0)
+            p.cfg.numDevices = opts.devices;
+        if (!opts.tracePath.empty()) {
+            p.tracePath = tracePathFor(opts.tracePath, p.id);
+            p.traceFilter = opts.traceFilter;
         }
+        if (!opts.syncReportPath.empty())
+            p.syncReportPath = tracePathFor(opts.syncReportPath, p.id);
+        if (opts.metricsInterval != 0)
+            p.cfg.metricsInterval = opts.metricsInterval;
+        if (!opts.metricsPath.empty()) {
+            p.metricsPath = tracePathFor(opts.metricsPath, p.id);
+            if (p.cfg.metricsInterval == 0)
+                p.cfg.metricsInterval = 1000;
+        }
+        if (opts.profile) {
+            p.cfg.collectStallBreakdown = true;
+            // The profile report's "hot sync objects" section needs the
+            // profiler attached even without a --sync-report.
+            p.syncProfile = true;
+        }
+        if (opts.hasExecMode)
+            p.cfg.execMode = opts.execMode;
     }
     // Result cache & resume (docs/BENCH.md): the runner serves
     // fingerprint hits and journal replays without dispatching to a

@@ -2,18 +2,16 @@
  * Execution-mode microbenchmark (docs/PERF.md, "Execution modes"): one
  * long-spin kernel — every thread increments a single global counter K
  * times inside a spin-lock critical section, the worst case for
- * cycle-accurate simulation speed — run under all three execution
- * modes:
+ * cycle-accurate simulation speed — run under both execution modes:
  *
  *   cycle       ground truth; burns a simulated cycle per spin retry
  *   functional  ISA semantics only; bounded-fairness rotation caps spin
- *   sampled     functional fast-forward + detailed IPC windows
  *
- * Printed per mode: wall-clock, simulated cycles, IPC (exact or
- * estimated ± CI95), the memory digest and the counter value. The
- * kernel's final memory is schedule-invariant, so functional and
- * sampled digests must equal the cycle digest byte for byte; the bench
- * fails loudly when they do not. The headline number is the functional
+ * Printed per mode: wall-clock, simulated cycles, IPC (cycle mode
+ * only), the memory digest and the counter value. The kernel's final
+ * memory is schedule-invariant, so the functional digest must equal
+ * the cycle digest byte for byte; the bench fails loudly when it does
+ * not. The headline number is the functional
  * wall-clock speedup — the more contended the lock, the larger it gets
  * (spin retries are free in functional mode and ruinous in cycle mode).
  *
@@ -119,9 +117,8 @@ main(int argc, char **argv)
     const Word expect =
         static_cast<Word>(p.ctas) * p.threadsPerCta * p.iters;
 
-    const std::array<const char *, 3> modes = {"cycle", "functional",
-                                               "sampled"};
-    std::array<ModeResult, 3> mode_results;
+    const std::array<const char *, 2> modes = {"cycle", "functional"};
+    std::array<ModeResult, 2> mode_results;
     Sweep sweep;
     sweep.name = "micro_functional";
     for (std::size_t m = 0; m < modes.size(); ++m) {
@@ -139,24 +136,18 @@ main(int argc, char **argv)
                 p.ctas, p.threadsPerCta,
                 static_cast<unsigned long long>(p.iters),
                 static_cast<unsigned long long>(expect));
-    std::printf("%-12s %10s %12s %18s %10s\n", "mode", "wall_ms",
+    std::printf("%-12s %10s %12s %8s %10s\n", "mode", "wall_ms",
                 "sim_cycles", "ipc", "speedup");
     const double cycle_ms = mode_results[0].wallMs;
     for (std::size_t m = 0; m < modes.size(); ++m) {
         const KernelStats &s = results[m].stats;
-        char ipc[64];
-        if (s.hasSampledIpc()) {
-            std::snprintf(ipc, sizeof ipc, "%.3f±%.3f (%llu win)",
-                          s.ipcEst, s.ipcCi95,
-                          static_cast<unsigned long long>(
-                              s.sampledWindows));
-        } else if (s.cycles > 0) {
+        char ipc[32];
+        if (s.cycles > 0)
             std::snprintf(ipc, sizeof ipc, "%.3f", s.ipc());
-        } else {
+        else
             std::snprintf(ipc, sizeof ipc, "-");
-        }
         const double wall = mode_results[m].wallMs;
-        std::printf("%-12s %10.1f %12llu %18s %9.1fx\n", modes[m], wall,
+        std::printf("%-12s %10.1f %12llu %8s %9.1fx\n", modes[m], wall,
                     static_cast<unsigned long long>(s.cycles), ipc,
                     wall > 0.0 ? cycle_ms / wall : 0.0);
     }

@@ -41,7 +41,6 @@ toString(ExecMode mode)
     switch (mode) {
       case ExecMode::Cycle: return "cycle";
       case ExecMode::Functional: return "functional";
-      case ExecMode::Sampled: return "sampled";
     }
     return "?";
 }
@@ -53,8 +52,6 @@ parseExecMode(const std::string &text, ExecMode *out)
         *out = ExecMode::Cycle;
     else if (text == "functional")
         *out = ExecMode::Functional;
-    else if (text == "sampled")
-        *out = ExecMode::Sampled;
     else
         return false;
     return true;

@@ -51,13 +51,6 @@ enum class ExecMode {
      * kernels — identical to cycle mode. KernelStats::cycles is 0.
      */
     Functional,
-    /**
-     * SMARTS-style sampling: functional fast-forward alternating with
-     * detailed cycle-accurate windows seeded from architectural
-     * checkpoints; reports per-window IPC with mean and a 95% CI
-     * (KernelStats::ipcEst / ipcCi95 / sampledWindows).
-     */
-    Sampled,
 };
 
 const char *toString(SchedulerKind kind);
@@ -65,7 +58,7 @@ const char *toString(SpinDetect kind);
 const char *toString(HashKind kind);
 const char *toString(ExecMode mode);
 
-/** Parses "cycle" / "functional" / "sampled"; false on anything else. */
+/** Parses "cycle" / "functional"; false on anything else. */
 bool parseExecMode(const std::string &text, ExecMode *out);
 
 /** DDOS design parameters (Table I / Table II, "DDOS Specific"). */
@@ -252,30 +245,13 @@ struct GpuConfig {
 
     // --- Execution mode (docs/PERF.md, "Execution modes") ----------------
     /**
-     * Cycle-accurate, fast-functional, or sampled execution
-     * (--exec-mode / BOWSIM_EXEC_MODE on the bench binaries). Functional
-     * and sampled modes are estimation tools: per-cycle observability
-     * (traces, stall breakdowns, time-series metrics outside detailed
-     * windows) is forced off, and only cycle mode reports exact timing.
+     * Cycle-accurate or fast-functional execution (--exec-mode /
+     * BOWSIM_EXEC_MODE on the bench binaries). Functional mode has no
+     * timing: per-cycle observability (traces, stall breakdowns,
+     * time-series metrics) is forced off and KernelStats::cycles
+     * stays 0.
      */
     ExecMode execMode = ExecMode::Cycle;
-
-    /**
-     * Sampled mode: length of one detailed cycle-accurate window in
-     * cycles (--sample-window). The first quarter of each window is
-     * warm-up — simulated but excluded from the IPC measurement, which
-     * absorbs the cold-start bias of checkpoint-seeded caches and
-     * pipeline state.
-     */
-    Cycle sampleWindow = 4000;
-
-    /**
-     * Sampled mode: functional fast-forward distance between detailed
-     * windows, in warp instructions (--sample-period). The first
-     * fast-forward leg is half a period, so windows sit mid-period
-     * rather than sampling the launch transient at instruction 0.
-     */
-    std::uint64_t samplePeriod = 10000;
 
     // --- Device/system split (docs/PERF.md, "Device sharding") -----------
     /**

@@ -242,7 +242,7 @@ FingerprintHasher::hex()
  * the exclusion must be explicit and the size below still updated.
  */
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(GpuConfig) == 368 && sizeof(BowsConfig) == 72 &&
+static_assert(sizeof(GpuConfig) == 352 && sizeof(BowsConfig) == 72 &&
                   sizeof(DdosConfig) == 40 && sizeof(CacheConfig) == 24,
               "GpuConfig layout changed: update hashConfig() and "
               "configToJson() for any new result-relevant field, then "
@@ -343,11 +343,9 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
     // only shape the sync-report/profile *rendering* of an attached
     // SyncProfileRegistry, never KernelStats or timing, and points with
     // a --sync-report side output bypass the cache exactly like traced
-    // and sampled points do.
+    // and metrics-sampled points do.
 
     h.add("exec_mode", std::string(toString(cfg.execMode)));
-    h.add("sample_window", cfg.sampleWindow);
-    h.add("sample_period", cfg.samplePeriod);
 }
 
 // ---------------------------------------------------------------------
@@ -432,10 +430,6 @@ PointKey
 fingerprintPoint(const SweepPoint &point)
 {
     PointKey key;
-    if (point.body) {
-        key.reason = "opaque custom body";
-        return key;
-    }
     FingerprintHasher h;
     hashConfig(h, point.cfg);
     h.add("scale", point.scale);

@@ -119,8 +119,8 @@ struct PointKey {
  *    assembled programs of makeBenchmark(kernel, scale));
  *  - gpuBody points with a declared cacheSalt hash (schema version,
  *    config, salt, scale);
- *  - opaque `body` points and gpuBody points without a salt are not
- *    cacheable (the harness counts them as bypassed).
+ *  - gpuBody points without a salt are not cacheable (the harness
+ *    counts them as bypassed and journals them under a weak key).
  * Side outputs (tracePath/metricsPath) are the runner's concern: such
  * points get a key here but are bypassed at dispatch, because a cache
  * hit would not regenerate the side files.

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/config.hpp"
 #include "src/common/log.hpp"
 #include "src/harness/litmus.hpp"
 #include "src/sync/primitives.hpp"
@@ -124,27 +125,27 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
                         " config lacks \"metrics_interval\"");
         }
         // Execution mode must always be recorded (a cycle-mode artifact
-        // and a sampled-mode artifact are not comparable), and the
-        // estimator fields are exclusive to the estimating modes: a
-        // cycle-mode point carrying ipc_est would silently launder an
-        // estimate as ground truth.
+        // and a functional-mode artifact are not comparable). No mode
+        // emits the IPC-estimator fields ipc_est, ipc_ci95 or
+        // sampled_windows, so a point carrying one does not follow this
+        // schema.
         if (!p.at("config").has("exec_mode")) {
             return fail("point " + std::to_string(i) +
                         " config lacks \"exec_mode\"");
         }
         const std::string &mode =
             p.at("config").at("exec_mode").asString();
-        if (mode != "cycle" && mode != "functional" && mode != "sampled") {
+        ExecMode parsed = ExecMode::Cycle;
+        if (!parseExecMode(mode, &parsed)) {
             return fail("point " + std::to_string(i) +
                         " has unknown exec_mode \"" + mode + "\"");
         }
-        if (mode == "cycle" && p.has("stats")) {
+        if (p.has("stats")) {
             const Json &stats = p.at("stats");
             if (stats.has("ipc_est") || stats.has("ipc_ci95") ||
                 stats.has("sampled_windows")) {
                 return fail("point " + std::to_string(i) +
-                            " is exec_mode=cycle but carries sampled "
-                            "estimator fields");
+                            " carries IPC-estimator fields");
             }
         }
         // Multi-device points are self-describing: the device count,
@@ -534,7 +535,8 @@ checkLitmusMatrix(const Json &doc, std::int64_t expected_cells)
                         "\"");
     }
     const std::string &mode = doc.at("exec_mode").asString();
-    if (mode != "cycle" && mode != "functional" && mode != "sampled")
+    ExecMode parsed = ExecMode::Cycle;
+    if (!parseExecMode(mode, &parsed))
         return fail("unknown exec_mode \"" + mode + "\"");
     if (doc.at("watchdog_cycles").asInt() <= 0)
         return fail("watchdog_cycles must be positive");

@@ -29,7 +29,9 @@ Json loadJsonFile(const std::string &path);
  * Validates a BENCH_*.json sweep artifact: a "points" array of
  * @p expected_points entries (any size when negative) in which every
  * point reports ok == true and carries a "config" object recording at
- * least the idle_skip setting. When the artifact carries a "cache"
+ * least the idle_skip setting and an exec_mode of "cycle" or
+ * "functional"; no point may carry the IPC-estimator fields ipc_est,
+ * ipc_ci95 or sampled_windows. When the artifact carries a "cache"
  * block (the sweep ran with --cache, docs/BENCH.md) its mode and
  * counters are validated: hits + misses + bypassed + resumed must
  * equal the point count and stored may not exceed misses. A

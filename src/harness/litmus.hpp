@@ -114,7 +114,7 @@ struct LitmusCellResult {
      * it on every livelocked cycle-mode cell, so "livelocked" is never
      * a bare classification — the artifact names the address and the
      * failed-CAS share behind it. False when the profiler saw no
-     * atomics (functional/sampled modes, or an atomics-free cell).
+     * atomics (functional mode, or an atomics-free cell).
      */
     bool hasEvidence = false;
     Addr evidenceAddr = 0;

@@ -41,7 +41,7 @@ runPoint(const SweepPoint &point)
 {
     SweepResult r;
     std::unique_ptr<trace::RingRecorder> recorder;
-    if (!point.tracePath.empty() && !point.body) {
+    if (!point.tracePath.empty()) {
         recorder = std::make_unique<trace::RingRecorder>();
         if (!point.traceFilter.empty()) {
             std::uint32_t mask = 0;
@@ -53,34 +53,28 @@ runPoint(const SweepPoint &point)
         }
     }
     std::unique_ptr<metrics::MetricsSampler> sampler;
-    if (!point.metricsPath.empty() && !point.body) {
+    if (!point.metricsPath.empty()) {
         const Cycle interval =
             point.cfg.metricsInterval ? point.cfg.metricsInterval : 1000;
         sampler = std::make_unique<metrics::MetricsSampler>(
             interval, point.metricsPath);
     }
     std::unique_ptr<syncprof::SyncProfileRegistry> syncreg;
-    if ((!point.syncReportPath.empty() || point.syncProfile) &&
-        !point.body) {
+    if (!point.syncReportPath.empty() || point.syncProfile) {
         syncreg = std::make_unique<syncprof::SyncProfileRegistry>(
             point.cfg.syncTopN, point.cfg.syncStormWindow);
     }
     try {
-        if (point.body) {
-            r.stats = point.body();
-        } else {
-            Gpu gpu(point.cfg);
-            if (recorder)
-                gpu.setTraceSink(recorder.get());
-            if (sampler)
-                gpu.setMetrics(sampler.get());
-            if (syncreg)
-                gpu.setSyncProf(syncreg.get());
-            r.stats = point.gpuBody
-                          ? point.gpuBody(gpu)
-                          : makeBenchmark(point.kernel, point.scale)
-                                ->run(gpu);
-        }
+        Gpu gpu(point.cfg);
+        if (recorder)
+            gpu.setTraceSink(recorder.get());
+        if (sampler)
+            gpu.setMetrics(sampler.get());
+        if (syncreg)
+            gpu.setSyncProf(syncreg.get());
+        r.stats = point.gpuBody
+                      ? point.gpuBody(gpu)
+                      : makeBenchmark(point.kernel, point.scale)->run(gpu);
         r.ok = true;
     } catch (const std::exception &e) {
         r.error = e.what();
@@ -281,14 +275,6 @@ statsToJson(const KernelStats &s)
     j.set("active_lane_sum", s.activeLaneSum);
     j.set("simd_efficiency", finite("simd_efficiency", s.simdEfficiency()));
     j.set("ipc", finite("ipc", s.ipc()));
-    // Sampled-mode estimator fields appear only when an estimate was
-    // actually produced; cycle-mode artifacts never carry them
-    // (json_check enforces this).
-    if (s.hasSampledIpc()) {
-        j.set("ipc_est", finite("ipc_est", s.ipcEst));
-        j.set("ipc_ci95", finite("ipc_ci95", s.ipcCi95));
-        j.set("sampled_windows", s.sampledWindows);
-    }
 
     Json mem = Json::object();
     mem.set("l1_accesses", s.l1Accesses);
@@ -327,8 +313,8 @@ statsToJson(const KernelStats &s)
         sched.set("spinning_warp_cycles", s.spinningWarpCycles);
     sched.set("delay_limit_cycle_sum", s.delayLimitCycleSum);
     sched.set("sm_cycles", s.smCycles);
-    // Per-SM peak residency (empty for custom-body points, which build
-    // their stats by hand).
+    // Per-SM peak residency (empty when no cycle-mode SM ran, e.g. on
+    // functional points).
     if (!s.peakResidentPerSm.empty()) {
         Json peaks = Json::array();
         for (std::uint64_t p : s.peakResidentPerSm)
@@ -436,14 +422,6 @@ statsFromJson(const Json &j)
     s.sibInstructions = getU64(j, "sib_instructions");
     s.activeLaneSum = getU64(j, "active_lane_sum");
     // simd_efficiency and ipc are derived; recomputed from the raws.
-    if (j.has("sampled_windows")) {
-        s.ipcEst = j.at("ipc_est").asDouble();
-        s.ipcCi95 = j.at("ipc_ci95").asDouble();
-        s.sampledWindows = getU64(j, "sampled_windows");
-        if (!s.hasSampledIpc())
-            fatal("statsFromJson: sampled_windows == 0 in a sampled "
-                  "record");
-    }
 
     const Json &mem = j.at("mem");
     s.l1Accesses = getU64(mem, "l1_accesses");
@@ -567,12 +545,6 @@ configToJson(const GpuConfig &cfg)
     j.set("metrics_interval", cfg.metricsInterval);
     j.set("atomic_service_period", cfg.atomicServicePeriod);
     j.set("exec_mode", toString(cfg.execMode));
-    // The sampling knobs only matter — and are only recorded — when the
-    // point actually ran in sampled mode.
-    if (cfg.execMode == ExecMode::Sampled) {
-        j.set("sample_window", cfg.sampleWindow);
-        j.set("sample_period", cfg.samplePeriod);
-    }
     j.set("scheduler", toString(cfg.scheduler));
     j.set("spin_detect", toString(cfg.spinDetect));
     j.set("bows_enabled", cfg.bows.enabled);

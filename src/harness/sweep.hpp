@@ -34,23 +34,17 @@ class ResumeJournal;
 struct SweepPoint {
     /** Unique label for output/JSON rows, e.g. "HT/B500". */
     std::string id;
-    /** Registry benchmark name; used when no custom body is set. */
+    /** Registry benchmark name; used when no gpuBody is set. */
     std::string kernel;
     GpuConfig cfg;
-    /** Workload scale passed to makeBenchmark for the default body. */
+    /** Workload scale passed to makeBenchmark for registry points. */
     double scale = 1.0;
     /**
-     * Optional custom run body (e.g. non-registry parameterizations).
-     * When empty the point runs makeBenchmark(kernel, scale) on a fresh
-     * Gpu(cfg).
-     */
-    std::function<KernelStats()> body;
-    /**
-     * Custom workload on a runner-provided Gpu: the runner constructs
-     * Gpu(cfg), attaches observers (trace recorder, metrics sampler),
-     * and hands it to this body. Prefer this over `body` — it keeps a
-     * non-registry workload compatible with --trace/--metrics/--profile.
-     * Ignored when `body` is set.
+     * Custom workload (e.g. non-registry parameterizations) on a
+     * runner-provided Gpu: the runner constructs Gpu(cfg), attaches
+     * observers (trace recorder, metrics sampler, sync profiler), and
+     * hands it to this body. When empty the point runs
+     * makeBenchmark(kernel, scale) on that Gpu.
      */
     std::function<KernelStats(Gpu &)> gpuBody;
     /**
@@ -58,9 +52,7 @@ struct SweepPoint {
      * attached and writes a Chrome trace_event JSON document here (see
      * docs/TRACING.md). The file is written even when the point fails,
      * so the trace window leading up to a watchdog abort is preserved.
-     * Ignored (with a warning from runSweep) for custom-body points,
-     * which construct their own Gpu out of the runner's sight. Each
-     * point owns its recorder, so tracing is safe under any --jobs.
+     * Each point owns its recorder, so tracing is safe under any --jobs.
      */
     std::string tracePath;
     /**
@@ -76,8 +68,7 @@ struct SweepPoint {
      * cfg.metricsInterval, or 1000 when that is 0) and writes the
      * sampled time series here (CSV for a ".csv" suffix, else JSON; see
      * docs/METRICS.md). Written even when the point fails, like
-     * tracePath. Ignored (with a warning from runSweep) for `body`
-     * points; `gpuBody` points sample fine.
+     * tracePath.
      */
     std::string metricsPath;
     /**
@@ -87,8 +78,7 @@ struct SweepPoint {
      * intervals — here, validated by `json_check --sync-report`.
      * Written even when the point fails (a livelocked point's report is
      * the interesting one). Deterministic: byte-identical across
-     * --jobs and idle-skip. Ignored (with a warning from
-     * runSweep) for `body` points, like metricsPath.
+     * --jobs and idle-skip.
      */
     std::string syncReportPath;
     /**

@@ -75,7 +75,7 @@ class MetricsSampler {
      * profiler) are byte-identical to the pre-device-split layout.
      */
     void beginLaunch(const std::string &kernel, unsigned num_cores,
-                     unsigned num_devices = 1, bool has_sync = false);
+                     unsigned num_devices, bool has_sync);
 
     /**
      * Launch-local cycle of the next due sample (the global grid point

@@ -434,7 +434,7 @@ FunctionalExecutor::runFor(std::uint64_t max_instr)
                                                   : executed_ + max_instr;
     // The rotation cursor persists across calls so runFor can stop at
     // warp-slice granularity: a full rotation over all resident warps
-    // can execute hundreds of slices, far more than one sample period.
+    // can execute hundreds of slices, far more than one device slice.
     // Rotation order itself stays fixed (SM id, then CTA slot, then
     // warp slot) — only where a call pauses varies, and that is a
     // deterministic function of the runFor call sequence.
@@ -482,82 +482,6 @@ void
 FunctionalExecutor::run()
 {
     runFor(~std::uint64_t{0});
-}
-
-GpuSnapshot
-FunctionalExecutor::snapshot() const
-{
-    GpuSnapshot snap;
-    snap.device = launch_.deviceId;
-    snap.nextCta = launch_.nextCta;
-    snap.warpAgeCounter = launch_.warpAgeCounter;
-    snap.sms.resize(sms_.size());
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
-        for (const FCta &cta : sms_[s].ctas) {
-            if (!cta.valid)
-                continue;
-            CtaSnapshot cs;
-            cs.id = cta.id;
-            cs.arrivedAtBarrier = cta.arrivedAtBarrier;
-            cs.shared = cta.shared;
-            cs.warps.reserve(cta.warps.size());
-            for (const auto &w : cta.warps)
-                cs.warps.push_back(snapshotWarp(*w));
-            snap.sms[s].ctas.push_back(std::move(cs));
-        }
-    }
-    return snap;
-}
-
-void
-FunctionalExecutor::restore(const GpuSnapshot &snap)
-{
-    const Program &prog = *launch_.prog;
-    launch_.nextCta = snap.nextCta;
-    launch_.warpAgeCounter = snap.warpAgeCounter;
-    residentCtas_ = 0;
-    // The rotation restarts from SM 0; the cursor is an execution-order
-    // detail, not architectural state.
-    rotSm_ = 0;
-    rotCta_ = 0;
-    rotWarp_ = 0;
-    rotationProgress_ = 0;
-    rotationStarted_ = false;
-    sms_.clear();
-    sms_.resize(cfg_.numCores);
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
-        FSm &sm = sms_[s];
-        sm.ctas.resize(maxResidentCtas_);
-        static const std::vector<CtaSnapshot> kNoCtas;
-        const auto &ctas =
-            s < snap.sms.size() ? snap.sms[s].ctas : kNoCtas;
-        for (std::size_t c = 0; c < ctas.size(); ++c) {
-            if (c >= sm.ctas.size())
-                fatal("snapshot has more CTAs than fit one SM");
-            const CtaSnapshot &cs = ctas[c];
-            FCta &slot = sm.ctas[c];
-            slot.valid = true;
-            slot.id = cs.id;
-            slot.shared = cs.shared;
-            slot.arrivedAtBarrier = cs.arrivedAtBarrier;
-            slot.warps.clear();
-            slot.liveWarps = 0;
-            for (std::size_t wi = 0; wi < cs.warps.size(); ++wi) {
-                const WarpSnapshot &ws = cs.warps[wi];
-                auto warp = std::make_unique<Warp>(
-                    static_cast<unsigned>(c) * warpsPerCta_ +
-                        static_cast<unsigned>(wi),
-                    cs.id, ws.warpInCta, ws.age, prog.numRegs,
-                    prog.numPreds, kFullMask);
-                restoreWarp(*warp, ws);
-                if (!warp->done())
-                    ++slot.liveWarps;
-                slot.warps.push_back(std::move(warp));
-            }
-            ++sm.validCtas;
-            ++residentCtas_;
-        }
-    }
 }
 
 }  // namespace bowsim

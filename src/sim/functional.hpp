@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/arch/snapshot.hpp"
 #include "src/arch/warp.hpp"
 #include "src/common/config.hpp"
 #include "src/sim/sm_core.hpp"
@@ -49,26 +48,16 @@ class FunctionalExecutor {
     /**
      * Runs until at least @p max_instr more warp instructions execute
      * (rounded up to whole warp slices) or the kernel finishes.
-     * Returns finished().
+     * Returns finished(). Multi-device functional launches take turns
+     * across devices with one runFor slice each.
      */
     bool runFor(std::uint64_t max_instr);
 
     /** True when every CTA has been dispatched and completed. */
     bool finished() const;
 
-    /** Warp instructions executed so far (the fast-forward odometer). */
+    /** Warp instructions executed so far (the runFor odometer). */
     std::uint64_t instructionsExecuted() const { return executed_; }
-
-    /**
-     * Architectural checkpoint of the current state (functional memory
-     * is snapshotted separately — copy the MemorySpace). Used by
-     * sampled mode to seed detailed windows and by checkpoint/restore
-     * round-trip tests.
-     */
-    GpuSnapshot snapshot() const;
-
-    /** Restores a checkpoint previously taken with snapshot(). */
-    void restore(const GpuSnapshot &snap);
 
   private:
     struct FCta {
@@ -110,7 +99,7 @@ class FunctionalExecutor {
     /** CTAs resident across all virtual SMs (finished() gate). */
     unsigned residentCtas_ = 0;
     /** Rotation cursor (SM, CTA slot, warp slot), persistent across
-     *  runFor calls so fast-forward legs pause at slice granularity. */
+     *  runFor calls so each call pauses at slice granularity. */
     std::size_t rotSm_ = 0;
     unsigned rotCta_ = 0;
     unsigned rotWarp_ = 0;

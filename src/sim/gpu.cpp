@@ -1,9 +1,7 @@
 #include "src/sim/gpu.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "src/arch/snapshot.hpp"
 #include "src/common/log.hpp"
 #include "src/mem/lock_tracker.hpp"
 #include "src/mem/system_link.hpp"
@@ -49,8 +47,6 @@ GpuSystem::launch(const Program &prog, Dim3 grid, Dim3 block,
     switch (cfg_.execMode) {
       case ExecMode::Functional:
         return launchFunctional(prog, grid, block, params);
-      case ExecMode::Sampled:
-        return launchSampled(prog, grid, block, params);
       case ExecMode::Cycle:
         break;
     }
@@ -470,188 +466,6 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
     stats.cycles = 0;
     stats.perDevice = std::move(per_dev);
     return stats;
-}
-
-KernelStats
-GpuSystem::launchSampled(const Program &prog, Dim3 grid, Dim3 block,
-                         const std::vector<Word> &params)
-{
-    if (cfg_.numDevices > 1) {
-        fatal("sampled execution mode supports a single device "
-              "(numDevices = ", cfg_.numDevices,
-              "); use cycle or functional mode for multi-device runs");
-    }
-    // SMARTS-style sampling: a functional master fast-forwards the
-    // kernel (mutating this Gpu's memory — final contents match
-    // functional mode exactly); every samplePeriod warp instructions a
-    // detailed cycle-accurate window runs on *copies* of the
-    // architectural state, and the per-window post-warm-up IPCs form
-    // the timing estimate.
-    LaunchState launch;
-    launch.prog = &prog;
-    launch.grid = grid;
-    launch.block = block;
-    launch.params = params;
-    launch.mem = &mem_;
-    launch.spinDetect = cfg_.spinDetect;
-    launch.stats.kernel = prog.name;
-
-    // Pre-launch memory, kept for the short-kernel fallback below.
-    MemorySpace pristine = mem_;
-
-    FunctionalExecutor fx(cfg_, launch);
-    const std::uint64_t period =
-        std::max<std::uint64_t>(cfg_.samplePeriod, 1);
-    const Cycle window = std::max<Cycle>(cfg_.sampleWindow, 4);
-    const Cycle warmup = window / 4;
-
-    std::vector<double> ipcs;
-    // The first leg is half a period so windows sit mid-period instead
-    // of measuring the launch transient at instruction 0.
-    bool done = fx.runFor(std::max<std::uint64_t>(period / 2, 1));
-    while (!done) {
-        GpuSnapshot snap = fx.snapshot();
-        runDetailedWindow(prog, grid, block, params, snap, mem_, warmup,
-                          window, ipcs);
-        done = fx.runFor(period);
-    }
-
-    KernelStats stats = launch.stats;
-    if (ipcs.empty()) {
-        // The kernel finished inside the first fast-forward leg, so it
-        // is at most ~half a sample period long: measure it exactly
-        // with one full detailed run from the pre-launch state.
-        runDetailedWindow(prog, grid, block, params, GpuSnapshot{},
-                          pristine, 0, kNeverCycle - 1, ipcs);
-    }
-
-    double sum = 0.0;
-    for (double v : ipcs)
-        sum += v;
-    const double n = static_cast<double>(ipcs.size());
-    const double mean = ipcs.empty() ? 0.0 : sum / n;
-    double sq = 0.0;
-    for (double v : ipcs)
-        sq += (v - mean) * (v - mean);
-    const double sd =
-        ipcs.size() >= 2 ? std::sqrt(sq / (n - 1.0)) : 0.0;
-    stats.ipcEst = mean;
-    stats.ipcCi95 = ipcs.size() >= 2 ? 1.96 * sd / std::sqrt(n) : 0.0;
-    stats.sampledWindows = ipcs.size();
-    // Projected run length: instructions over estimated IPC. An
-    // estimate, clearly marked as such by sampledWindows != 0.
-    stats.cycles =
-        mean > 0.0 ? static_cast<Cycle>(std::llround(
-                         static_cast<double>(stats.warpInstructions) /
-                         mean))
-                   : 0;
-    return stats;
-}
-
-void
-GpuSystem::runDetailedWindow(const Program &prog, Dim3 grid, Dim3 block,
-                             const std::vector<Word> &params,
-                             const GpuSnapshot &snap,
-                             const MemorySpace &base_mem, Cycle warmup,
-                             Cycle max_cycles, std::vector<double> &ipcs)
-{
-    MemorySpace wmem = base_mem;
-    MemorySystem memsys(cfg_);
-    LaunchState wl;
-    wl.prog = &prog;
-    wl.grid = grid;
-    wl.block = block;
-    wl.params = params;
-    wl.mem = &wmem;
-    wl.memsys = &memsys;
-    wl.spinDetect = cfg_.spinDetect;
-    wl.stats.kernel = prog.name;
-    wl.nextCta = snap.nextCta;
-    wl.warpAgeCounter = snap.warpAgeCounter;
-
-    std::vector<std::unique_ptr<SmCore>> cores;
-    cores.reserve(cfg_.numCores);
-    for (unsigned c = 0; c < cfg_.numCores; ++c) {
-        cores.push_back(std::make_unique<SmCore>(c, cfg_, wl));
-        if (c < snap.sms.size() && !snap.sms[c].ctas.empty())
-            cores.back()->seed(snap.sms[c]);
-    }
-    std::vector<SmCore *> active;
-    active.reserve(cores.size());
-    for (auto &core : cores)
-        active.push_back(core.get());
-
-    // Sampled mode samples metrics only inside detailed windows: each
-    // window is one sampler launch segment on the global cycle grid.
-    metrics::SampleSources msrc{&cores, {&wl.stats}, {&memsys}};
-    Cycle metricsNext = kNeverCycle;
-    if (metrics_) {
-        metrics_->beginLaunch(prog.name, cfg_.numCores);
-        metricsNext = metrics_->nextSampleCycle();
-    }
-
-    const bool skip = cfg_.idleSkip;
-    const Cycle wd_stop = cfg_.watchdogCycles >= kNeverCycle - 1
-                              ? kNeverCycle - 1
-                              : cfg_.watchdogCycles + 1;
-    Cycle now = 0;
-    std::uint64_t warm_instr = 0;
-    bool warm_captured = warmup == 0;
-    while (!active.empty() && now < max_cycles) {
-        ++now;
-        if (now > cfg_.watchdogCycles)
-            simFatal("kernel '", prog.name, "' exceeded the ",
-                     cfg_.watchdogCycles, "-cycle watchdog (deadlock?)");
-        bool issued = false;
-        for (SmCore *core : active)
-            issued |= core->cycle(now);
-        for (std::size_t i = 0; i < active.size();) {
-            if (active[i]->busy())
-                ++i;
-            else
-                active.erase(active.begin() + i);
-        }
-        if (skip && !issued && !active.empty()) {
-            Cycle horizon = kNeverCycle;
-            for (SmCore *core : active) {
-                horizon = std::min(horizon, core->nextWorkCycle(now));
-                if (horizon <= now + 1)
-                    break;
-            }
-            Cycle target = std::min(horizon, wd_stop);
-            if (max_cycles < kNeverCycle - 1)
-                target = std::min(target, max_cycles + 1);
-            if (!warm_captured)
-                target = std::min(target, warmup + 1);
-            if (metricsNext != kNeverCycle)
-                target = std::min(target, metricsNext + 1);
-            if (target > now + 1) {
-                const Cycle to = target - 1;
-                for (SmCore *core : active)
-                    core->fastForward(now + 1, to);
-                now = to;
-            }
-        }
-        if (!warm_captured && now >= warmup) {
-            // No instructions issue inside a skipped gap, so capturing
-            // at the first cycle >= warmup is exact even when idle-skip
-            // jumped over the boundary.
-            warm_instr = wl.stats.warpInstructions;
-            warm_captured = true;
-        }
-        if (now >= metricsNext) {
-            metrics_->sample(now, msrc);
-            metricsNext = metrics_->nextSampleCycle();
-        }
-    }
-    if (metrics_)
-        metrics_->endLaunch(now, msrc);
-
-    if (now > warmup) {
-        ipcs.push_back(
-            static_cast<double>(wl.stats.warpInstructions - warm_instr) /
-            static_cast<double>(now - warmup));
-    }
 }
 
 }  // namespace bowsim

@@ -37,8 +37,6 @@ namespace metrics {
 class MetricsSampler;
 }
 
-struct GpuSnapshot;
-
 /**
  * Partial statistics captured when a launch dies on a SimError (the
  * cycle watchdog, or functional mode's progress checks). The litmus
@@ -93,13 +91,9 @@ class GpuSystem {
      * persists across launches.
      *
      * GpuConfig::execMode selects how (docs/PERF.md, "Execution
-     * modes"): full cycle-accurate simulation (the default), fast
-     * functional interpretation (cycles = 0, timing skipped), or
-     * SMARTS-style sampling (functional fast-forward alternating with
-     * detailed windows; KernelStats::ipcEst / ipcCi95 /
-     * sampledWindows carry the timing estimate). Functional and
-     * sampled modes force the trace sink off; a metrics sampler is
-     * consulted only inside sampled mode's detailed windows.
+     * modes"): full cycle-accurate simulation (the default) or fast
+     * functional interpretation (cycles = 0, timing skipped).
+     * Functional mode forces the trace sink and metrics sampler off.
      */
     KernelStats launch(const Program &prog, Dim3 grid, Dim3 block,
                        const std::vector<Word> &params);
@@ -134,7 +128,7 @@ class GpuSystem {
      * hooks only accumulate commutative per-address sums, so the
      * registry contents — and a --sync-report dump — are byte-identical
      * across --jobs, idle-skip and device count. Cycle mode only:
-     * functional and sampled launches leave the registry untouched.
+     * functional launches leave the registry untouched.
      */
     void setSyncProf(syncprof::SyncProfileRegistry *registry)
     {
@@ -160,20 +154,6 @@ class GpuSystem {
     KernelStats launchFunctional(const Program &prog, Dim3 grid,
                                  Dim3 block,
                                  const std::vector<Word> &params);
-    KernelStats launchSampled(const Program &prog, Dim3 grid, Dim3 block,
-                              const std::vector<Word> &params);
-    /**
-     * One detailed cycle-accurate window for sampled mode: seeds cores
-     * from @p snap against a copy of @p base_mem, simulates at most
-     * @p max_cycles cycles, and appends the measured post-warm-up IPC
-     * to @p ipcs (nothing is appended when the window ends inside the
-     * warm-up prefix).
-     */
-    void runDetailedWindow(const Program &prog, Dim3 grid, Dim3 block,
-                           const std::vector<Word> &params,
-                           const GpuSnapshot &snap,
-                           const MemorySpace &base_mem, Cycle warmup,
-                           Cycle max_cycles, std::vector<double> &ipcs);
 
     GpuConfig cfg_;
     MemorySpace mem_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "src/arch/snapshot.hpp"
 #include "src/common/log.hpp"
 #include "src/isa/exec.hpp"
 
@@ -187,52 +186,6 @@ SmCore::tryLaunchCtas()
         stats_.peakResidentPerSm[id_] = std::max<std::uint64_t>(
             stats_.peakResidentPerSm[id_], resident_.size());
     }
-}
-
-void
-SmCore::seed(const SmSnapshot &snap)
-{
-    if (validCtas_ != 0)
-        panic("SmCore::seed on a core that already has resident CTAs");
-    const Program &prog = *launch_.prog;
-    const unsigned units = static_cast<unsigned>(schedulers_.size());
-    if (snap.ctas.size() > maxResidentCtas_)
-        fatal("snapshot has more CTAs than fit one SM");
-    for (std::size_t c = 0; c < snap.ctas.size(); ++c) {
-        const CtaSnapshot &cs = snap.ctas[c];
-        Cta &slot = ctas_[c];
-        slot.valid = true;
-        ++validCtas_;
-        slot.id = cs.id;
-        slot.shared = cs.shared;
-        slot.arrivedAtBarrier = cs.arrivedAtBarrier;
-        slot.warps.clear();
-        slot.liveWarps = 0;
-        for (std::size_t wi = 0; wi < cs.warps.size(); ++wi) {
-            const WarpSnapshot &ws = cs.warps[wi];
-            const unsigned warp_slot =
-                static_cast<unsigned>(c) * warpsPerCta_ +
-                static_cast<unsigned>(wi);
-            auto warp = std::make_unique<Warp>(warp_slot, cs.id,
-                                               ws.warpInCta, ws.age,
-                                               prog.numRegs,
-                                               prog.numPreds, kFullMask);
-            restoreWarp(*warp, ws);
-            ddos_->resetWarp(warp_slot);
-            if (!warp->done()) {
-                ++slot.liveWarps;
-                resident_.push_back(warp.get());
-                unitResident_[warp_slot % units].push_back(warp.get());
-            }
-            slot.warps.push_back(std::move(warp));
-        }
-        if (slot.liveWarps == 0)
-            ++drainedCtas_;
-    }
-    for (unsigned u = 0; u < units; ++u)
-        rebuildUnitMask(u);
-    stats_.peakResidentPerSm[id_] = std::max<std::uint64_t>(
-        stats_.peakResidentPerSm[id_], resident_.size());
 }
 
 void

@@ -115,17 +115,6 @@ class SmCore : private IssueGate {
     SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch);
 
     /**
-     * Seeds this SM's resident CTAs/warps from an architectural
-     * checkpoint (sampled mode's detailed windows; docs/PERF.md). Call
-     * once, before the first cycle. Architectural state — SIMT stacks,
-     * registers, barrier membership, shared memory, warp ages — is
-     * restored exactly; microarchitectural state (scoreboard, LD/ST
-     * unit, caches, DDOS, BOWS) starts cold, which is why windows
-     * exclude a warm-up prefix from measurement.
-     */
-    void seed(const struct SmSnapshot &snap);
-
-    /**
      * Advances the SM by one cycle: CTA dispatch, writebacks, the BOWS
      * window, one issue per scheduler unit (functional global-memory
      * ops and memory-system requests run inline, at issue and at the

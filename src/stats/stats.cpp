@@ -1,7 +1,6 @@
 #include "src/stats/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -70,23 +69,6 @@ KernelStats::operator+=(const KernelStats &o)
         for (std::size_t i = 0; i < o.unitIssues.size(); ++i)
             unitIssues[i] += o.unitIssues[i];
         unitsPerSm = o.unitsPerSm;
-    }
-    // Sampled-IPC estimates pool across launches (NW's second kernel):
-    // window-count-weighted mean, with the half-widths combined as for
-    // a weighted mean of independent estimates.
-    if (o.sampledWindows != 0) {
-        const double n1 = static_cast<double>(sampledWindows);
-        const double n2 = static_cast<double>(o.sampledWindows);
-        if (sampledWindows == 0) {
-            ipcEst = o.ipcEst;
-            ipcCi95 = o.ipcCi95;
-        } else {
-            ipcEst = (n1 * ipcEst + n2 * o.ipcEst) / (n1 + n2);
-            ipcCi95 = std::sqrt(n1 * n1 * ipcCi95 * ipcCi95 +
-                                n2 * n2 * o.ipcCi95 * o.ipcCi95) /
-                      (n1 + n2);
-        }
-        sampledWindows += o.sampledWindows;
     }
     // Peaks are high-water marks: element-wise max, never summed.
     if (peakResidentPerSm.size() < o.peakResidentPerSm.size())

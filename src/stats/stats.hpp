@@ -153,20 +153,6 @@ struct KernelStats {
      *  energyNj so normalized-dynamic comparisons are unaffected. */
     double staticEnergyNj = 0.0;
 
-    // --- sampled execution (ExecMode::Sampled; docs/PERF.md) -----------
-    /**
-     * Per-window IPC estimate: mean over the detailed windows' measured
-     * (post-warm-up) IPC. 0 when the launch did not run sampled.
-     */
-    double ipcEst = 0.0;
-    /** 95% confidence half-width: 1.96 * sd / sqrt(n) over the window
-     *  IPCs (0 with fewer than two windows). */
-    double ipcCi95 = 0.0;
-    /** Detailed windows that contributed a measurement. */
-    std::uint64_t sampledWindows = 0;
-
-    bool hasSampledIpc() const { return sampledWindows != 0; }
-
     // --- DDOS accuracy (Table I) --------------------------------------
     DdosAccuracy::Report ddos;
 

@@ -263,61 +263,6 @@ INSTANTIATE_TEST_SUITE_P(Kernels, FunctionalEquivalence,
                          ::testing::ValuesIn(allKernelNames()),
                          [](const auto &info) { return info.param; });
 
-struct SampledCase {
-    const char *kernel;
-    /** Window/period scaled to the short diff-test inputs; the default
-     *  4000/10000 pair targets fig01-sized runs and would fit at most
-     *  one window here. */
-    Cycle window;
-    std::uint64_t period;
-};
-
-/** Prints the case, not gtest's raw-byte dump of the `kernel` pointer,
- *  so the listed test name is the same on every build. */
-void
-PrintTo(const SampledCase &c, std::ostream *os)
-{
-    *os << c.kernel << " window=" << c.window << " period=" << c.period;
-}
-
-class SampledAccuracy : public ::testing::TestWithParam<SampledCase> {};
-
-TEST_P(SampledAccuracy, EstimateTracksCycleIpc)
-{
-    // Sampled mode's detailed windows are seeded from functional
-    // checkpoints: the estimate must land near the true cycle-mode IPC
-    // on spin-heavy kernels, and must never perturb results.
-    const SampledCase &c = GetParam();
-    GpuConfig cyc = diffConfig(SchedulerKind::GTO, /*bows=*/false);
-    RunResult truth = runKernel(c.kernel, cyc);
-
-    GpuConfig smp = cyc;
-    smp.execMode = ExecMode::Sampled;
-    smp.sampleWindow = c.window;
-    smp.samplePeriod = c.period;
-    RunResult est = runKernel(c.kernel, smp);
-    ASSERT_EQ(est.digest, truth.digest)
-        << c.kernel << ": sampled mode perturbed the result";
-    ASSERT_GT(est.stats.sampledWindows, 0u);
-    ASSERT_GT(est.stats.ipcEst, 0.0);
-    // Tolerance: CI95 half-width plus 30% of truth. Checkpoint-seeded
-    // windows carry cold-start and phase-placement bias (documented in
-    // docs/PERF.md, "Sampled accuracy") that the CI alone does not
-    // cover on these scaled-down inputs; at fig01 scale the estimate
-    // lands within 10% on moderate-contention points.
-    const double tol = est.stats.ipcCi95 + 0.30 * truth.stats.ipc();
-    EXPECT_NEAR(est.stats.ipcEst, truth.stats.ipc(), tol)
-        << c.kernel << ": sampled IPC estimate is off (windows="
-        << est.stats.sampledWindows << ", ci95=" << est.stats.ipcCi95
-        << ")";
-}
-
-INSTANTIATE_TEST_SUITE_P(Kernels, SampledAccuracy,
-                         ::testing::Values(SampledCase{"ATM", 1000, 2000},
-                                           SampledCase{"ST", 2000, 10000},
-                                           SampledCase{"VEC", 1000, 2000}),
-                         [](const auto &info) { return info.param.kernel; });
-
 TEST(MetricsEquivalence, SampledSeriesIdenticalAcrossExecutionModes)
 {
     // Metrics determinism contract (docs/METRICS.md): the sampled time

@@ -8,8 +8,8 @@
 /**
  * Fast-functional execution mode (docs/PERF.md, "Execution modes"):
  * determinism of the fixed atomic application order, the bounded-
- * fairness slice rotation, and the checkpoint/restore round trip that
- * sampled mode's detailed windows depend on.
+ * fairness slice rotation, and the exec-mode names the bench flags
+ * and artifacts use.
  */
 
 namespace bowsim {
@@ -72,7 +72,6 @@ TEST(Functional, SpinLockCriticalSectionIsExact)
     EXPECT_EQ(s.outcomes.lockSuccess, 4u * 128u);
     EXPECT_EQ(s.cycles, 0u) << "functional mode reports no timing";
     EXPECT_GT(s.warpInstructions, 0u);
-    EXPECT_FALSE(s.hasSampledIpc());
 }
 
 TEST(Functional, AtomicOrderingIsDeterministic)
@@ -131,110 +130,33 @@ TEST(Functional, RunForStopsWithinOneSlice)
 
     FunctionalExecutor fx(gpu.config(), launch);
     fx.runFor(1000);
-    // The fast-forward odometer overshoots by at most the final warp's
-    // slice — the fairness bound sampled mode's period relies on.
+    // The odometer overshoots by at most the final warp's slice, which
+    // bounds each device's turn in a multi-device functional launch
+    // (runFor(kDeviceSlice) in GpuSystem::launchFunctional).
     EXPECT_GE(fx.instructionsExecuted(), 1000u);
     EXPECT_LE(fx.instructionsExecuted(),
               1000u + FunctionalExecutor::kSliceInstructions);
 }
 
-TEST(Functional, CheckpointRestoreRoundTrip)
+TEST(ExecModeNames, RoundTripAndRejectUnknown)
 {
-    Program prog = assemble(kSpinCounter);
-    const Dim3 grid{4, 1, 1};
-    const Dim3 block{128, 1, 1};
+    // The bench --exec-mode flag and every artifact's config.exec_mode
+    // go through these two functions; a name parseExecMode rejects is
+    // the usage error that makes --exec-mode=<name> exit 2.
+    for (ExecMode mode : {ExecMode::Cycle, ExecMode::Functional}) {
+        ExecMode parsed = mode == ExecMode::Cycle ? ExecMode::Functional
+                                                  : ExecMode::Cycle;
+        ASSERT_TRUE(parseExecMode(toString(mode), &parsed))
+            << toString(mode);
+        EXPECT_EQ(parsed, mode);
+    }
+    EXPECT_STREQ(toString(ExecMode::Cycle), "cycle");
+    EXPECT_STREQ(toString(ExecMode::Functional), "functional");
 
-    Gpu gpu(funcConfig());
-    Addr mutex = gpu.malloc(8);
-    Addr counter = gpu.malloc(8);
-    const std::vector<Word> params = {static_cast<Word>(mutex),
-                                      static_cast<Word>(counter)};
-
-    LaunchState launch;
-    launch.prog = &prog;
-    launch.grid = grid;
-    launch.block = block;
-    launch.params = params;
-    launch.mem = &gpu.mem();
-    launch.stats.kernel = prog.name;
-
-    FunctionalExecutor fx(gpu.config(), launch);
-    ASSERT_FALSE(fx.runFor(500)) << "kernel finished before checkpoint";
-    GpuSnapshot snap = fx.snapshot();
-    MemorySpace mem_at_snap = gpu.mem();
-
-    fx.run();
-    const std::uint64_t straight = gpu.mem().digest();
-
-    // Resume an independent executor from the checkpoint; it must
-    // converge to the same memory image.
-    LaunchState relaunch;
-    relaunch.prog = &prog;
-    relaunch.grid = grid;
-    relaunch.block = block;
-    relaunch.params = params;
-    relaunch.mem = &mem_at_snap;
-    relaunch.stats.kernel = prog.name;
-    FunctionalExecutor fy(gpu.config(), relaunch);
-    fy.restore(snap);
-    EXPECT_FALSE(fy.finished());
-    fy.run();
-    EXPECT_EQ(mem_at_snap.digest(), straight);
-
-    EXPECT_EQ(mem_at_snap.read(counter, 8), 4u * 128u);
-}
-
-TEST(Sampled, SpinLockResultExactWithIpcEstimate)
-{
-    GpuConfig cfg = funcConfig(ExecMode::Sampled);
-    cfg.sampleWindow = 500;
-    cfg.samplePeriod = 2000;
-    Gpu gpu(cfg);
-    Addr mutex = gpu.malloc(8);
-    Addr counter = gpu.malloc(8);
-    Program prog = assemble(kSpinCounter);
-    KernelStats s = gpu.launch(prog, Dim3{4, 1, 1}, Dim3{128, 1, 1},
-                               {static_cast<Word>(mutex),
-                                static_cast<Word>(counter)});
-    Word v = 0;
-    gpu.memcpyFromDevice(&v, counter, 8);
-    EXPECT_EQ(v, 4u * 128u) << "sampled mode must not perturb results";
-    EXPECT_TRUE(s.hasSampledIpc());
-    EXPECT_GT(s.sampledWindows, 0u);
-    EXPECT_GT(s.ipcEst, 0.0);
-    EXPECT_GT(s.cycles, 0u) << "cycles carries the projected run length";
-}
-
-TEST(Sampled, ShortKernelFallsBackToExactWindow)
-{
-    // A kernel that finishes inside the first fast-forward leg gets one
-    // full detailed window instead: the estimate is then exact.
-    GpuConfig cfg = funcConfig(ExecMode::Sampled);
-    Gpu gpu(cfg);
-    Addr out = gpu.malloc(8);
-    Program prog = assemble(R"(
-.kernel tiny
-.param 1
-  ld.param.u64 %r1, [0];
-  atom.global.add.b64 %r2, [%r1], 1;
-  exit;
-)");
-    KernelStats s = gpu.launch(prog, Dim3{1, 1, 1}, Dim3{32, 1, 1},
-                               {static_cast<Word>(out)});
-    Word v = 0;
-    gpu.memcpyFromDevice(&v, out, 8);
-    EXPECT_EQ(v, 32u);
-    EXPECT_EQ(s.sampledWindows, 1u);
-    EXPECT_GT(s.ipcEst, 0.0);
-    EXPECT_EQ(s.ipcCi95, 0.0) << "one window has no spread";
-
-    GpuConfig cyc = funcConfig(ExecMode::Cycle);
-    Gpu gpu_c(cyc);
-    Addr out_c = gpu_c.malloc(8);
-    KernelStats sc = gpu_c.launch(prog, Dim3{1, 1, 1}, Dim3{32, 1, 1},
-                                  {static_cast<Word>(out_c)});
-    EXPECT_NEAR(s.ipcEst, sc.ipc(), 1e-9)
-        << "single-window fallback must reproduce cycle-mode IPC";
+    for (const char *bad : {"sampled", "", "Cycle"}) {
+        ExecMode out = ExecMode::Cycle;
+        EXPECT_FALSE(parseExecMode(bad, &out)) << "'" << bad << "'";
+    }
 }
 
 }  // namespace

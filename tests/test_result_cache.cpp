@@ -151,9 +151,6 @@ fullStats()
     s.energy.atomicOps = 55;
     s.energyNj = 123.4375;
     s.staticEnergyNj = 7.25;
-    s.ipcEst = 0.875;
-    s.ipcCi95 = 0.125;
-    s.sampledWindows = 4;
     s.ddos.trueBranches = 10;
     s.ddos.trueDetected = 9;
     s.ddos.falseBranches = 8;
@@ -218,9 +215,6 @@ TEST(StatsJsonRoundTrip, EveryFieldSurvives)
     EXPECT_EQ(t.energy.atomicOps, s.energy.atomicOps);
     EXPECT_EQ(t.energyNj, s.energyNj);
     EXPECT_EQ(t.staticEnergyNj, s.staticEnergyNj);
-    EXPECT_EQ(t.ipcEst, s.ipcEst);
-    EXPECT_EQ(t.ipcCi95, s.ipcCi95);
-    EXPECT_EQ(t.sampledWindows, s.sampledWindows);
     EXPECT_EQ(t.ddos.trueBranches, s.ddos.trueBranches);
     EXPECT_EQ(t.ddos.trueDetected, s.ddos.trueDetected);
     EXPECT_EQ(t.ddos.falseBranches, s.ddos.falseBranches);
@@ -259,7 +253,6 @@ TEST(StatsJsonRoundTrip, MinimalStatsOmitOptionalBlocks)
     EXPECT_EQ(harness::statsToJson(t).dump(), j.dump());
     EXPECT_TRUE(t.stallCounts.empty());
     EXPECT_TRUE(t.unitIssues.empty());
-    EXPECT_EQ(t.sampledWindows, 0u);
     EXPECT_EQ(t.spinningWarpCycles, 0u);
 }
 
@@ -272,9 +265,9 @@ TEST(StatsJsonRoundTrip, NonFiniteValuesAreFatal)
     nan_energy.energyNj = std::nan("");
     EXPECT_THROW(harness::statsToJson(nan_energy), FatalError);
 
-    KernelStats inf_est = fullStats();
-    inf_est.ipcEst = INFINITY;
-    EXPECT_THROW(harness::statsToJson(inf_est), FatalError);
+    KernelStats inf_static = fullStats();
+    inf_static.staticEnergyNj = INFINITY;
+    EXPECT_THROW(harness::statsToJson(inf_static), FatalError);
 
     KernelStats nan_dpr = fullStats();
     nan_dpr.ddos.dprFalseSum = -std::nan("");
@@ -300,10 +293,6 @@ TEST(StatsJsonRoundTrip, ParseRejectsContradictoryRecords)
     EXPECT_THROW(
         harness::statsFromJson(mutated(j, "\"cycles\":123456,", "")),
         FatalError);
-    // A sampled record claiming zero windows.
-    EXPECT_THROW(harness::statsFromJson(mutated(
-                     j, "\"sampled_windows\":4", "\"sampled_windows\":0")),
-                 FatalError);
     // An explicit zero for a presence-gated gauge.
     EXPECT_THROW(
         harness::statsFromJson(mutated(j, "\"spinning_warp_cycles\":340",
@@ -452,8 +441,6 @@ TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
          [](GpuConfig &c) { c.collectSpinCycles = !c.collectSpinCycles; }},
         {"execMode",
          [](GpuConfig &c) { c.execMode = ExecMode::Functional; }},
-        {"sampleWindow", [](GpuConfig &c) { c.sampleWindow = 8000; }},
-        {"samplePeriod", [](GpuConfig &c) { c.samplePeriod = 20000; }},
     };
 
     const SweepPoint base = registryPoint();
@@ -495,17 +482,11 @@ TEST(Fingerprint, KernelScaleAndSaltChangeKey)
 
 TEST(Fingerprint, OpaquePointsAreNotCacheable)
 {
-    SweepPoint body = registryPoint();
-    body.body = [] { return KernelStats{}; };
-    const PointKey bk = harness::fingerprintPoint(body);
-    EXPECT_FALSE(bk.cacheable);
-    EXPECT_TRUE(bk.hash.empty());
-    EXPECT_NE(bk.reason.find("body"), std::string::npos) << bk.reason;
-
     SweepPoint unsalted = registryPoint();
     unsalted.gpuBody = [](Gpu &) { return KernelStats{}; };
     const PointKey uk = harness::fingerprintPoint(unsalted);
     EXPECT_FALSE(uk.cacheable);
+    EXPECT_TRUE(uk.hash.empty());
     EXPECT_NE(uk.reason.find("salt"), std::string::npos) << uk.reason;
 
     SweepPoint unknown = registryPoint();
@@ -810,7 +791,7 @@ TEST(CacheIntegration, SideOutputsAndOpaquePointsBypass)
     traced.tracePath = (td.path / "trace.json").string();
     points.push_back(traced);
     SweepPoint opaque = registryPoint("opaque");
-    opaque.body = [] {
+    opaque.gpuBody = [](Gpu &) {
         KernelStats s;
         s.kernel = "custom";
         s.cycles = 42;
@@ -872,7 +853,7 @@ TEST(CacheIntegration, NonCacheablePointsStillResumeViaWeakKey)
 {
     TempDir td("integration_weak");
     SweepPoint opaque = registryPoint("opaque");
-    opaque.body = [] {
+    opaque.gpuBody = [](Gpu &) {
         KernelStats s;
         s.kernel = "custom";
         s.cycles = 42;

@@ -111,7 +111,7 @@ TEST(SweepRunner, CustomBodyPointsRun)
     SweepPoint p;
     p.id = "custom";
     p.cfg = makeGtx480Config();
-    p.body = [] {
+    p.gpuBody = [](Gpu &) {
         KernelStats s;
         s.kernel = "custom";
         s.cycles = 42;
@@ -183,24 +183,20 @@ TEST(SweepToJson, RecordsIdleSkipAndStaticEnergy)
     }
 }
 
-TEST(SweepToJson, RecordsExecModeAndSampledEstimator)
+TEST(SweepToJson, RecordsExecMode)
 {
     std::vector<SweepPoint> points = smallSweep();
-    points.resize(3);
+    points.resize(2);
     points[0].cfg.execMode = ExecMode::Cycle;
     points[1].cfg.execMode = ExecMode::Functional;
-    points[2].cfg.execMode = ExecMode::Sampled;
-    points[2].cfg.sampleWindow = 500;
-    points[2].cfg.samplePeriod = 2000;
     const std::vector<SweepResult> results = SweepRunner(1).run(points);
 
     const Json doc =
         harness::sweepToJson("unit_test", 1, points, results);
     const Json &arr = doc.at("points");
-    ASSERT_EQ(arr.size(), 3u);
+    ASSERT_EQ(arr.size(), 2u);
 
     EXPECT_EQ(arr.at(0).at("config").at("exec_mode").asString(), "cycle");
-    EXPECT_FALSE(arr.at(0).at("config").has("sample_window"));
     EXPECT_FALSE(arr.at(0).at("stats").has("ipc_est"));
     EXPECT_FALSE(arr.at(0).at("stats").has("ipc_ci95"));
 
@@ -209,27 +205,19 @@ TEST(SweepToJson, RecordsExecModeAndSampledEstimator)
     EXPECT_EQ(arr.at(1).at("stats").at("cycles").asInt(), 0);
     EXPECT_FALSE(arr.at(1).at("stats").has("ipc_est"));
 
-    const Json &smp = arr.at(2);
-    EXPECT_EQ(smp.at("config").at("exec_mode").asString(), "sampled");
-    EXPECT_EQ(smp.at("config").at("sample_window").asInt(), 500);
-    EXPECT_EQ(smp.at("config").at("sample_period").asInt(), 2000);
-    ASSERT_TRUE(smp.at("stats").has("ipc_est"));
-    ASSERT_TRUE(smp.at("stats").has("ipc_ci95"));
-    ASSERT_TRUE(smp.at("stats").has("sampled_windows"));
-    EXPECT_GT(smp.at("stats").at("ipc_est").asDouble(), 0.0);
-
     // The full artifact passes the checker...
-    EXPECT_TRUE(harness::checkSweepArtifact(doc, 3).ok);
+    EXPECT_TRUE(harness::checkSweepArtifact(doc, 2).ok);
 
     // ...and the checker enforces the mode contract: exec_mode must be
-    // present, and a cycle-mode point must not carry estimator fields.
-    auto brokenDoc = [](bool with_mode, bool with_est) {
+    // present and name a known mode, and no point may carry estimator
+    // fields.
+    auto brokenDoc = [](const char *mode, bool with_est) {
         Json cfg = Json::object();
         cfg.set("idle_skip", true);
         cfg.set("atomic_service_period", 1);
         cfg.set("metrics_interval", 0);
-        if (with_mode)
-            cfg.set("exec_mode", "cycle");
+        if (mode)
+            cfg.set("exec_mode", mode);
         Json stats = Json::object();
         stats.set("cycles", 100);
         if (with_est)
@@ -245,17 +233,26 @@ TEST(SweepToJson, RecordsExecModeAndSampledEstimator)
         d.set("points", std::move(arr));
         return d;
     };
-    EXPECT_TRUE(harness::checkSweepArtifact(brokenDoc(true, false), 1).ok);
+    EXPECT_TRUE(harness::checkSweepArtifact(brokenDoc("cycle", false), 1).ok);
+    EXPECT_TRUE(
+        harness::checkSweepArtifact(brokenDoc("functional", false), 1).ok);
     const harness::CheckResult missing =
-        harness::checkSweepArtifact(brokenDoc(false, false), 1);
+        harness::checkSweepArtifact(brokenDoc(nullptr, false), 1);
     EXPECT_FALSE(missing.ok);
     EXPECT_NE(missing.message.find("exec_mode"), std::string::npos)
         << missing.message;
-    const harness::CheckResult est =
-        harness::checkSweepArtifact(brokenDoc(true, true), 1);
-    EXPECT_FALSE(est.ok);
-    EXPECT_NE(est.message.find("estimator"), std::string::npos)
-        << est.message;
+    const harness::CheckResult sampled =
+        harness::checkSweepArtifact(brokenDoc("sampled", false), 1);
+    EXPECT_FALSE(sampled.ok);
+    EXPECT_NE(sampled.message.find("unknown exec_mode"), std::string::npos)
+        << sampled.message;
+    for (const char *mode : {"cycle", "functional"}) {
+        const harness::CheckResult est =
+            harness::checkSweepArtifact(brokenDoc(mode, true), 1);
+        EXPECT_FALSE(est.ok) << mode;
+        EXPECT_NE(est.message.find("estimator"), std::string::npos)
+            << est.message;
+    }
 }
 
 }  // namespace
