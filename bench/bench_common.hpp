@@ -295,6 +295,16 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
                      "resume journal lives in the cache directory)\n");
         std::exit(2);
     }
+    if (o.execMode == ExecMode::Functional &&
+        (!o.tracePath.empty() || !o.metricsPath.empty() ||
+         !o.syncReportPath.empty())) {
+        // Functional mode has no cycles and observes nothing, so these
+        // files would come out empty.
+        std::fprintf(stderr,
+                     "error: --trace, --metrics and --sync-report need "
+                     "--exec-mode=cycle\n");
+        std::exit(2);
+    }
     return o;
 }
 

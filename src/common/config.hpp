@@ -224,32 +224,13 @@ struct GpuConfig {
      */
     Cycle metricsInterval = 0;
 
-    /**
-     * Sync-contention profiler (docs/SYNC.md, "Sync observability"):
-     * number of hot addresses emitted in a --sync-report document and
-     * the --profile hot-sync section. Purely an observability knob —
-     * only consulted when a SyncProfileRegistry is attached via
-     * Gpu::setSyncProf() — and excluded from the result-cache
-     * fingerprint like metricsInterval.
-     */
-    unsigned syncTopN = 32;
-
-    /**
-     * CAS-storm detector window: the profiler classifies an address as
-     * storming when at least 90% of the last syncStormWindow CAS
-     * attempts failed, and clears the flag below 50% (hysteresis).
-     * Capped at 64 attempts (one machine word of history per address).
-     * Observability-only, like syncTopN.
-     */
-    unsigned syncStormWindow = 64;
-
     // --- Execution mode (docs/PERF.md, "Execution modes") ----------------
     /**
      * Cycle-accurate or fast-functional execution (--exec-mode /
      * BOWSIM_EXEC_MODE on the bench binaries). Functional mode has no
-     * timing: per-cycle observability (traces, stall breakdowns,
-     * time-series metrics) is forced off and KernelStats::cycles
-     * stays 0.
+     * timing: observability (traces, stall breakdowns, time-series
+     * metrics, sync reports) is forced off — the bench flags that ask
+     * for it are a usage error there — and KernelStats::cycles stays 0.
      */
     ExecMode execMode = ExecMode::Cycle;
 

@@ -242,7 +242,7 @@ FingerprintHasher::hex()
  * the exclusion must be explicit and the size below still updated.
  */
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(GpuConfig) == 352 && sizeof(BowsConfig) == 72 &&
+static_assert(sizeof(GpuConfig) == 344 && sizeof(BowsConfig) == 72 &&
                   sizeof(DdosConfig) == 40 && sizeof(CacheConfig) == 24,
               "GpuConfig layout changed: update hashConfig() and "
               "configToJson() for any new result-relevant field, then "
@@ -339,11 +339,7 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
     // (docs/PERF.md): idleSkip (SkipEquivalence) and metricsInterval
     // (inert without an attached sampler; sampler points bypass the
     // cache anyway). Excluding them lets a cache warmed with idle-skip
-    // on serve a --no-skip run. syncTopN and syncStormWindow (docs/SYNC.md) join that list: they
-    // only shape the sync-report/profile *rendering* of an attached
-    // SyncProfileRegistry, never KernelStats or timing, and points with
-    // a --sync-report side output bypass the cache exactly like traced
-    // and metrics-sampled points do.
+    // on serve a --no-skip run.
 
     h.add("exec_mode", std::string(toString(cfg.execMode)));
 }

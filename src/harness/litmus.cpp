@@ -227,8 +227,7 @@ runLitmusCell(const LitmusCell &cell, Gpu &gpu)
     std::unique_ptr<syncprof::SyncProfileRegistry> local;
     syncprof::SyncProfileRegistry *reg = gpu.syncProf();
     if (reg == nullptr && gpu.config().execMode == ExecMode::Cycle) {
-        local = std::make_unique<syncprof::SyncProfileRegistry>(
-            cell.cfg.syncTopN, cell.cfg.syncStormWindow);
+        local = std::make_unique<syncprof::SyncProfileRegistry>();
         reg = local.get();
         gpu.setSyncProf(reg);
     }

@@ -61,8 +61,7 @@ runPoint(const SweepPoint &point)
     }
     std::unique_ptr<syncprof::SyncProfileRegistry> syncreg;
     if (!point.syncReportPath.empty() || point.syncProfile) {
-        syncreg = std::make_unique<syncprof::SyncProfileRegistry>(
-            point.cfg.syncTopN, point.cfg.syncStormWindow);
+        syncreg = std::make_unique<syncprof::SyncProfileRegistry>();
     }
     try {
         Gpu gpu(point.cfg);

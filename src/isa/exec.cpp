@@ -72,36 +72,4 @@ readSpecial(SpecialReg sr, const ThreadCtx &ctx, unsigned lane)
     return 0;
 }
 
-AtomicResult
-applyAtomicLane(MemorySpace &mem, LockTracker &tracker,
-                const Instruction &inst, Addr addr, Word operand,
-                Word desired, std::uint64_t warp_key)
-{
-    AtomicResult r;
-    r.old = mem.read(addr, inst.size);
-    Word next = r.old;
-    switch (inst.atom) {
-      case AtomOp::Cas:
-        next = (r.old == operand) ? desired : r.old;
-        r.isCas = true;
-        r.cas = tracker.onCas(addr, warp_key, r.old, operand, desired);
-        break;
-      case AtomOp::Exch:
-        next = operand;
-        tracker.onWrite(addr, operand);
-        break;
-      case AtomOp::Add:
-        next = wrapAdd(r.old, operand);
-        break;
-      case AtomOp::Min:
-        next = std::min(r.old, operand);
-        break;
-      case AtomOp::Max:
-        next = std::max(r.old, operand);
-        break;
-    }
-    mem.write(addr, next, inst.size);
-    return r;
-}
-
 }  // namespace bowsim::exec

@@ -3,16 +3,13 @@
 
 #include "src/common/types.hpp"
 #include "src/isa/instruction.hpp"
-#include "src/mem/lock_tracker.hpp"
-#include "src/mem/memory_space.hpp"
 
 /**
  * @file
- * Shared ISA execution semantics, lifted out of the cycle-accurate
- * pipeline path so the fast-functional interpreter (src/sim/functional)
- * and SmCore execute instructions through one definition. Everything
- * here is pure functional behaviour: no timing, no statistics — callers
- * do their own accounting.
+ * Pure ISA value helpers: wrapping arithmetic, the ALU opcodes, setp
+ * comparisons and special registers. They touch no register file,
+ * memory, lock tracker or statistics; the per-lane interpreter both
+ * execution modes share (src/sim/interpreter.hpp) builds on them.
  */
 
 namespace bowsim::exec {
@@ -56,30 +53,6 @@ struct ThreadCtx {
 
 /** Special (read-only) register semantics shared by both executors. */
 Word readSpecial(SpecialReg sr, const ThreadCtx &ctx, unsigned lane);
-
-/**
- * One lane of an atomic read-modify-write: reads old, computes the next
- * value per inst.atom, writes it back, and keeps the LockTracker's
- * CAS/release bookkeeping in step. Returns the old value (the
- * destination-register result) and, for CAS, the tracker's outcome
- * classification so the caller can count lock-acquire statistics.
- *
- * @param operand  src[1] value for this lane (compare value / addend).
- * @param desired  src[2] value for this lane (CAS desired; ignored
- *                 otherwise).
- * @param warp_key globally unique nonzero key of the issuing warp
- *                 (warp age + 1), the LockTracker's owner identity.
- */
-struct AtomicResult {
-    Word old = 0;
-    CasOutcome cas = CasOutcome::Success;
-    bool isCas = false;
-};
-
-AtomicResult applyAtomicLane(MemorySpace &mem, LockTracker &tracker,
-                             const Instruction &inst, Addr addr,
-                             Word operand, Word desired,
-                             std::uint64_t warp_key);
 
 }  // namespace bowsim::exec
 

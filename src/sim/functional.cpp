@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "src/common/log.hpp"
-#include "src/isa/exec.hpp"
+#include "src/sim/interpreter.hpp"
 
 namespace bowsim {
 
@@ -17,12 +16,6 @@ popcount(LaneMask m)
     return static_cast<unsigned>(std::popcount(m));
 }
 
-unsigned
-firstLane(LaneMask m)
-{
-    return static_cast<unsigned>(std::countr_zero(m));
-}
-
 }  // namespace
 
 FunctionalExecutor::FunctionalExecutor(const GpuConfig &cfg,
@@ -31,14 +24,15 @@ FunctionalExecutor::FunctionalExecutor(const GpuConfig &cfg,
 {
     const Program &prog = *launch_.prog;
     blockThreads_ = launch_.block.count();
-    gridCtas_ = launch_.grid.count();
-    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : gridCtas_;
+    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : launch_.grid.count();
     warpsPerCta_ = (blockThreads_ + kWarpSize - 1) / kWarpSize;
     maxResidentCtas_ = maxResidentCtasFor(cfg, prog, blockThreads_);
     code_ = prog.code.data();
     codeSize_ = static_cast<Pc>(prog.code.size());
     if (launch_.pcFlags.size() != prog.code.size())
         launch_.buildPcFlags();
+    if (launch_.tracker == nullptr)
+        panic("functional launch without a lock tracker");
     sms_.resize(cfg.numCores);
     for (FSm &sm : sms_)
         sm.ctas.resize(maxResidentCtas_);
@@ -122,68 +116,13 @@ FunctionalExecutor::onWarpFinished(FSm &sm, FCta &cta, Warp &w)
     }
 }
 
-Word
-FunctionalExecutor::readOperand(const Warp &w, const Operand &op,
-                                unsigned lane, unsigned sm_id) const
-{
-    switch (op.kind) {
-      case Operand::Kind::Reg:
-        return w.regs().read(lane, op.index);
-      case Operand::Kind::Imm:
-        return op.imm;
-      case Operand::Kind::Pred:
-        return w.regs().readPred(lane, op.index) ? 1 : 0;
-      case Operand::Kind::Special:
-        return exec::readSpecial(
-            static_cast<SpecialReg>(op.index),
-            exec::ThreadCtx{w.warpInCta(), w.cta(), blockThreads_,
-                            gridCtas_, sm_id},
-            lane);
-      case Operand::Kind::None:
-        panic("readOperand on a missing operand");
-    }
-    return 0;
-}
-
 std::uint64_t
 FunctionalExecutor::runWarpSlice(unsigned sm_id, FCta &cta, Warp &w)
 {
     KernelStats &st = launch_.stats;
     std::uint64_t n = 0;
 
-    // Operand resolution mirrors SmCore::executeAlu: register sources
-    // become row pointers, immediates constants; only predicate/special
-    // sources keep the generic path.
-    struct SrcRef {
-        const Word *row = nullptr;
-        const Operand *op = nullptr;
-        Word imm = 0;
-    };
-    auto resolve = [&](const Operand &o) {
-        SrcRef s;
-        switch (o.kind) {
-          case Operand::Kind::Reg:
-            s.row = w.regs().row(o.index);
-            break;
-          case Operand::Kind::Imm:
-            s.imm = o.imm;
-            break;
-          case Operand::Kind::None:
-            break;
-          default:
-            s.op = &o;
-            break;
-        }
-        return s;
-    };
-    auto get = [&](const SrcRef &s, unsigned lane) -> Word {
-        if (s.row)
-            return s.row[lane];
-        if (s.op)
-            return readOperand(w, *s.op, lane, sm_id);
-        return s.imm;
-    };
-
+    LaneAddrs addrs{};  // lane addresses only feed cycle-mode timing
     while (n < kSliceInstructions) {
         const Pc pc = w.stack().pc();
         const Instruction &inst = fetch(pc);
@@ -240,180 +179,14 @@ FunctionalExecutor::runWarpSlice(unsigned sm_id, FCta &cta, Warp &w)
             // fences are complete no-ops here.
             w.stack().advance();
             break;
-          case Opcode::St: {
-            MemorySpace &mem = *launch_.mem;
-            if (inst.space == MemSpace::Shared) {
-                const SrcRef base = resolve(inst.src[0]);
-                for (LaneMask rest = exec_mask; rest != 0;
-                     rest &= rest - 1) {
-                    const unsigned lane = firstLane(rest);
-                    Addr a = static_cast<Addr>(get(base, lane) +
-                                               inst.memOffset);
-                    if (a + inst.size > cta.shared.size())
-                        simFatal("shared-memory access out of bounds in"
-                                 " '", launch_.prog->name, "' (addr ", a,
-                                 ")");
-                    Word v = readOperand(w, inst.src[1], lane, sm_id);
-                    std::memcpy(cta.shared.data() + a, &v, inst.size);
-                }
-            } else {
-                const SrcRef base = resolve(inst.src[0]);
-                const SrcRef val = resolve(inst.src[1]);
-                for (LaneMask rest = exec_mask; rest != 0;
-                     rest &= rest - 1) {
-                    const unsigned lane = firstLane(rest);
-                    Addr a = static_cast<Addr>(get(base, lane) +
-                                               inst.memOffset);
-                    Word v = get(val, lane);
-                    mem.write(a, v, inst.size);
-                    launch_.locks().onWrite(a, v);
-                }
-            }
+          default:
+            // `clock` reads the pseudo-time: one tick per warp
+            // instruction, monotonic across the whole device so timed
+            // back-off loops observe progress and terminate.
+            executeLanes(launch_, sm_id, cta.shared, w, inst, exec_mask,
+                         executed_, addrs);
             w.stack().advance();
             break;
-          }
-          case Opcode::Atom: {
-            const bool acquire =
-                (flags & LaunchState::kPcLockAcquire) != 0;
-            const SrcRef base = resolve(inst.src[0]);
-            for (LaneMask rest = exec_mask; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                Addr a = static_cast<Addr>(get(base, lane) +
-                                           inst.memOffset);
-                Word operand = readOperand(w, inst.src[1], lane, sm_id);
-                Word desired =
-                    inst.atom == AtomOp::Cas
-                        ? readOperand(w, inst.src[2], lane, sm_id)
-                        : 0;
-                exec::AtomicResult r = exec::applyAtomicLane(
-                    *launch_.mem, launch_.locks(), inst, a, operand,
-                    desired, launch_.warpKeyBase + w.age() + 1);
-                if (r.isCas && acquire) {
-                    switch (r.cas) {
-                      case CasOutcome::Success:
-                        ++st.outcomes.lockSuccess;
-                        break;
-                      case CasOutcome::InterWarpFail:
-                        ++st.outcomes.interWarpFail;
-                        break;
-                      case CasOutcome::IntraWarpFail:
-                        ++st.outcomes.intraWarpFail;
-                        break;
-                    }
-                }
-                if (inst.dst.valid())
-                    w.regs().write(lane, inst.dst.index, r.old);
-            }
-            w.stack().advance();
-            break;
-          }
-          case Opcode::Ld: {
-            if (inst.space == MemSpace::Param) {
-                const SrcRef base = resolve(inst.src[0]);
-                Word *dst = w.regs().row(inst.dst.index);
-                for (LaneMask rest = exec_mask; rest != 0;
-                     rest &= rest - 1) {
-                    const unsigned lane = firstLane(rest);
-                    Addr offset = static_cast<Addr>(get(base, lane) +
-                                                    inst.memOffset);
-                    unsigned index = static_cast<unsigned>(offset / 8);
-                    if (index >= launch_.params.size())
-                        simFatal("ld.param index ", index,
-                                 " out of range in '",
-                                 launch_.prog->name, "'");
-                    dst[lane] = launch_.params[index];
-                }
-            } else if (inst.space == MemSpace::Shared) {
-                const SrcRef base = resolve(inst.src[0]);
-                for (LaneMask rest = exec_mask; rest != 0;
-                     rest &= rest - 1) {
-                    const unsigned lane = firstLane(rest);
-                    Addr a = static_cast<Addr>(get(base, lane) +
-                                               inst.memOffset);
-                    if (a + inst.size > cta.shared.size())
-                        simFatal("shared-memory access out of bounds in"
-                                 " '", launch_.prog->name, "' (addr ", a,
-                                 ")");
-                    Word v = 0;
-                    std::memcpy(&v, cta.shared.data() + a, inst.size);
-                    if (inst.size == 4)
-                        v = static_cast<Word>(
-                            static_cast<std::int32_t>(v));
-                    w.regs().write(lane, inst.dst.index, v);
-                }
-            } else {
-                MemorySpace &mem = *launch_.mem;
-                const SrcRef base = resolve(inst.src[0]);
-                Word *dst = w.regs().row(inst.dst.index);
-                for (LaneMask rest = exec_mask; rest != 0;
-                     rest &= rest - 1) {
-                    const unsigned lane = firstLane(rest);
-                    Addr a = static_cast<Addr>(get(base, lane) +
-                                               inst.memOffset);
-                    dst[lane] = mem.read(a, inst.size);
-                }
-            }
-            w.stack().advance();
-            break;
-          }
-          case Opcode::Setp: {
-            const bool is_wait_check =
-                (flags & LaunchState::kPcWaitCheck) != 0;
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            LaneMask &pred = w.regs().predRow(inst.dst.index);
-            for (LaneMask rest = exec_mask; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                const bool r =
-                    exec::compare(inst.cmp, get(a, lane), get(b, lane));
-                const LaneMask bit = LaneMask{1} << lane;
-                pred = r ? (pred | bit) : (pred & ~bit);
-                if (is_wait_check) {
-                    if (r)
-                        ++st.outcomes.waitExitSuccess;
-                    else
-                        ++st.outcomes.waitExitFail;
-                }
-            }
-            w.stack().advance();
-            break;
-          }
-          case Opcode::Selp: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            const LaneMask pbits = w.regs().predBits(inst.src[2].index);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec_mask; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                dst[lane] =
-                    ((pbits >> lane) & 1) ? get(a, lane) : get(b, lane);
-            }
-            w.stack().advance();
-            break;
-          }
-          case Opcode::Clock: {
-            // Pseudo-time: one tick per warp instruction, monotonic
-            // across the whole device so timed back-off loops observe
-            // progress and terminate.
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec_mask; rest != 0; rest &= rest - 1)
-                dst[firstLane(rest)] = static_cast<Word>(executed_);
-            w.stack().advance();
-            break;
-          }
-          default: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            const SrcRef c = resolve(inst.src[2]);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec_mask; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                dst[lane] = exec::aluCompute(inst, get(a, lane),
-                                             get(b, lane), get(c, lane));
-            }
-            w.stack().advance();
-            break;
-          }
         }
 
         if (w.done()) {

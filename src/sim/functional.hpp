@@ -79,8 +79,6 @@ class FunctionalExecutor {
     void onWarpFinished(FSm &sm, FCta &cta, Warp &w);
     /** Runs one warp turn; returns instructions executed. */
     std::uint64_t runWarpSlice(unsigned sm_id, FCta &cta, Warp &w);
-    Word readOperand(const Warp &w, const Operand &op, unsigned lane,
-                     unsigned sm_id) const;
     const Instruction &fetch(Pc pc) const;
 
     const GpuConfig &cfg_;
@@ -89,8 +87,7 @@ class FunctionalExecutor {
     unsigned warpsPerCta_ = 0;
     unsigned maxResidentCtas_ = 0;
     unsigned blockThreads_ = 0;
-    unsigned gridCtas_ = 0;
-    /** One past this device's last CTA (%nctaid stays gridCtas_). */
+    /** One past this device's last CTA (%nctaid stays the whole grid). */
     unsigned ctaEnd_ = 0;
     const Instruction *code_ = nullptr;
     Pc codeSize_ = 0;

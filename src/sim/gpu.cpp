@@ -367,8 +367,10 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
     // cycles to trace or sample, so an attached trace sink or metrics
     // sampler is simply not consulted (docs/PERF.md).
     const unsigned num_devices = std::max(cfg_.numDevices, 1u);
+    LockTracker system_locks;
     if (num_devices == 1) {
         LaunchState launch;
+        launch.tracker = &system_locks;
         launch.prog = &prog;
         launch.grid = grid;
         launch.block = block;
@@ -401,7 +403,6 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
     // so the per-executor zero-progress check keeps its meaning.
     const unsigned grid_ctas = grid.count();
     const unsigned chunk = (grid_ctas + num_devices - 1) / num_devices;
-    LockTracker system_locks;
     std::vector<std::unique_ptr<LaunchState>> launches;
     std::vector<std::unique_ptr<FunctionalExecutor>> fxs;
     for (unsigned d = 0; d < num_devices; ++d) {

@@ -4,7 +4,7 @@
 #include <bit>
 
 #include "src/common/log.hpp"
-#include "src/isa/exec.hpp"
+#include "src/sim/interpreter.hpp"
 
 namespace bowsim {
 
@@ -79,12 +79,13 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     wbRing_.resize(wbRingSize_);
 
     blockThreads_ = launch_.block.count();
-    gridCtas_ = launch_.grid.count();
-    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : gridCtas_;
+    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : launch_.grid.count();
     code_ = launch_.prog->code.data();
     codeSize_ = static_cast<Pc>(launch_.prog->code.size());
     if (launch_.pcFlags.size() != launch_.prog->code.size())
         launch_.buildPcFlags();  // idempotent; cores are built serially
+    if (launch_.tracker == nullptr)
+        panic("launch without a lock tracker");
     cawaAccounting_ = cfg.scheduler == SchedulerKind::CAWA;
     spinAccounting_ = cfg.collectSpinCycles;
     // Sync profiling mirrors tracing: a launch-wide handle, one cached
@@ -281,159 +282,32 @@ SmCore::spinningWarpCount() const
     return n;
 }
 
-Word
-SmCore::readOperand(Warp &w, const Operand &op, unsigned lane) const
-{
-    switch (op.kind) {
-      case Operand::Kind::Reg:
-        return w.regs().read(lane, op.index);
-      case Operand::Kind::Imm:
-        return op.imm;
-      case Operand::Kind::Pred:
-        return w.regs().readPred(lane, op.index) ? 1 : 0;
-      case Operand::Kind::Special:
-        return exec::readSpecial(
-            static_cast<SpecialReg>(op.index),
-            exec::ThreadCtx{w.warpInCta(), w.cta(), blockThreads_,
-                            gridCtas_, id_},
-            lane);
-      case Operand::Kind::None:
-        panic("readOperand on a missing operand");
-    }
-    return 0;
-}
-
 void
-SmCore::executeAlu(Warp &w, const Instruction &inst, LaneMask exec,
-                   Cycle now)
+SmCore::execute(Warp &w, const Instruction &inst, LaneMask active,
+                LaneMask exec, bool sync, Cycle now)
 {
-    KernelStats &st = stats_;
-    const bool is_setp = inst.op == Opcode::Setp;
-    // Per-instruction facts hoisted out of the per-lane loop: the PC (and
-    // thus the wait-check set membership) and operand validity cannot
-    // change between lanes.
-    const bool is_wait_check =
-        is_setp && (launch_.pcFlags[w.stack().pc()] &
-                    LaunchState::kPcWaitCheck) != 0;
-
-    // DDOS profiles the first active thread of the warp at every setp.
-    if (is_setp) {
-        LaneMask active = w.stack().activeMask();
-        if (active != 0) {
-            unsigned lane = firstLane(active);
-            Word v0 = readOperand(w, inst.src[0], lane);
-            Word v1 = readOperand(w, inst.src[1], lane);
-            ddos_->onSetp(w.id(), w.stack().pc(), v0, v1, now);
-        }
+    // DDOS profiles the first active thread of the warp at every setp,
+    // guard or no guard.
+    if (inst.op == Opcode::Setp && active != 0) {
+        const unsigned lane = firstLane(active);
+        ddos_->onSetp(w.id(), w.stack().pc(),
+                      readOperand(launch_, id_, w, inst.src[0], lane),
+                      readOperand(launch_, id_, w, inst.src[1], lane), now);
     }
+    const bool memory = inst.op == Opcode::St || inst.op == Opcode::Atom ||
+                        (inst.op == Opcode::Ld &&
+                         inst.space != MemSpace::Param);
+    if (memory && exec == 0)
+        return;  // fully predicated off: no transaction, no hazard
 
-    // Operand access is resolved once per instruction instead of once
-    // per lane: register sources become contiguous row pointers and
-    // immediates become constants; only predicate/special sources keep
-    // the generic readOperand path. A missing operand reads as 0, as
-    // the old per-lane defaulting did.
-    struct SrcRef {
-        const Word *row = nullptr;
-        const Operand *op = nullptr;
-        Word imm = 0;
-    };
-    auto resolve = [&](const Operand &o) {
-        SrcRef s;
-        switch (o.kind) {
-          case Operand::Kind::Reg:
-            s.row = w.regs().row(o.index);
-            break;
-          case Operand::Kind::Imm:
-            s.imm = o.imm;
-            break;
-          case Operand::Kind::None:
-            break;
-          default:
-            s.op = &o;
-            break;
-        }
-        return s;
-    };
-    auto get = [&](const SrcRef &s, unsigned lane) -> Word {
-        if (s.row)
-            return s.row[lane];
-        if (s.op)
-            return readOperand(w, *s.op, lane);
-        return s.imm;
-    };
-
-    if (exec != 0) {
-        switch (inst.op) {
-          case Opcode::Setp: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            LaneMask &pred = w.regs().predRow(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                const bool r =
-                    exec::compare(inst.cmp, get(a, lane), get(b, lane));
-                const LaneMask bit = LaneMask{1} << lane;
-                pred = r ? (pred | bit) : (pred & ~bit);
-                if (is_wait_check) {
-                    if (r)
-                        ++st.outcomes.waitExitSuccess;
-                    else
-                        ++st.outcomes.waitExitFail;
-                }
-            }
-            break;
-          }
-          case Opcode::Selp: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            const LaneMask pbits = w.regs().predBits(inst.src[2].index);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                dst[lane] =
-                    ((pbits >> lane) & 1) ? get(a, lane) : get(b, lane);
-            }
-            break;
-          }
-          case Opcode::Clock: {
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1)
-                dst[firstLane(rest)] = static_cast<Word>(now);
-            break;
-          }
-          case Opcode::Ld: {
-            // ld.param: constant access, ALU-class latency.
-            const SrcRef base = resolve(inst.src[0]);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                Addr offset =
-                    static_cast<Addr>(get(base, lane) + inst.memOffset);
-                unsigned index = static_cast<unsigned>(offset / 8);
-                if (index >= launch_.params.size())
-                    simFatal("ld.param index ", index,
-                             " out of range in '", launch_.prog->name,
-                             "'");
-                dst[lane] = launch_.params[index];
-            }
-            break;
-          }
-          default: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            const SrcRef c = resolve(inst.src[2]);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                dst[lane] = exec::aluCompute(inst, get(a, lane),
-                                             get(b, lane), get(c, lane));
-            }
-            break;
-          }
-        }
-    }
-
-    if (inst.dst.valid()) {
+    LaneAddrs addrs{};
+    executeLanes(launch_, id_, ctas_.at(w.id() / warpsPerCta_).shared, w,
+                 inst, exec, now, addrs);
+    if (memory) {
+        ldst_.submit(&w, inst, addrs, exec, sync, now);
+        if (inst.dst.valid())
+            w.scoreboard().reserve(inst);
+    } else if (inst.dst.valid()) {
         w.scoreboard().reserve(inst);
         unsigned latency =
             inst.longLatency() ? cfg_.mulDivLatency : cfg_.aluLatency;
@@ -442,130 +316,6 @@ SmCore::executeAlu(Warp &w, const Instruction &inst, LaneMask exec,
         wbRing_[(now + latency) % wbRingSize_].push_back(WbEvent{&w, &inst});
         ++wbPending_;
     }
-}
-
-void
-SmCore::executeAtomicLane(Warp &w, const Instruction &inst, unsigned lane,
-                          Addr addr, bool is_acquire)
-{
-    Word operand = readOperand(w, inst.src[1], lane);
-    Word desired = inst.atom == AtomOp::Cas
-                       ? readOperand(w, inst.src[2], lane)
-                       : 0;
-    const std::uint64_t warp_key = warpKey(w);
-    exec::AtomicResult r = exec::applyAtomicLane(
-        *launch_.mem, launch_.locks(), inst, addr, operand, desired,
-        warp_key);
-    if (syncOn_) {
-        // Release = an exchange (the TAS-family unlock) or a successful
-        // CAS that stored the free sentinel 0; plain-store unlocks reach
-        // the profiler through executeMemory's onWrite hook instead.
-        const bool failed = r.isCas && r.cas != CasOutcome::Success;
-        const bool releases =
-            inst.atom == AtomOp::Exch ||
-            (r.isCas && r.cas == CasOutcome::Success && desired == 0);
-        sync_.onAtomic(addr, warp_key, now_, r.isCas, failed, is_acquire,
-                       releases);
-    }
-    if (r.isCas && is_acquire) {
-        KernelStats &st = stats_;
-        switch (r.cas) {
-          case CasOutcome::Success:
-            ++st.outcomes.lockSuccess;
-            break;
-          case CasOutcome::InterWarpFail:
-            ++st.outcomes.interWarpFail;
-            break;
-          case CasOutcome::IntraWarpFail:
-            ++st.outcomes.intraWarpFail;
-            break;
-        }
-    }
-    if (inst.dst.valid())
-        w.regs().write(lane, inst.dst.index, r.old);
-}
-
-void
-SmCore::executeMemory(Warp &w, const Instruction &inst, LaneMask exec,
-                      bool sync, Cycle now)
-{
-    if (exec == 0)
-        return;  // fully predicated off: no transaction, no hazard
-
-    std::array<Addr, kWarpSize> addrs{};
-    if (inst.src[0].isReg()) {
-        // Common case: the address base lives in a register row.
-        const Word *base = w.regs().row(inst.src[0].index);
-        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-            const unsigned lane = firstLane(rest);
-            addrs[lane] = static_cast<Addr>(base[lane] + inst.memOffset);
-        }
-    } else {
-        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-            const unsigned lane = firstLane(rest);
-            Word base = readOperand(w, inst.src[0], lane);
-            addrs[lane] = static_cast<Addr>(base + inst.memOffset);
-        }
-    }
-
-    if (inst.space == MemSpace::Shared) {
-        Cta &cta = ctas_.at(w.id() / warpsPerCta_);
-        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-            const unsigned lane = firstLane(rest);
-            Addr a = addrs[lane];
-            if (a + inst.size > cta.shared.size())
-                simFatal("shared-memory access out of bounds in '",
-                         launch_.prog->name, "' (addr ", a, ")");
-            if (inst.op == Opcode::Ld) {
-                Word v = 0;
-                std::memcpy(&v, cta.shared.data() + a, inst.size);
-                if (inst.size == 4)
-                    v = static_cast<Word>(static_cast<std::int32_t>(v));
-                w.regs().write(lane, inst.dst.index, v);
-            } else {
-                Word v = readOperand(w, inst.src[1], lane);
-                std::memcpy(cta.shared.data() + a, &v, inst.size);
-            }
-        }
-    } else {
-        // Functional global memory: values are globally visible at
-        // issue; the LD/ST unit below models only timing and traffic.
-        MemorySpace &mem = *launch_.mem;
-        switch (inst.op) {
-          case Opcode::Ld:
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                w.regs().write(lane, inst.dst.index,
-                               mem.read(addrs[lane], inst.size));
-            }
-            break;
-          case Opcode::St:
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                Word v = readOperand(w, inst.src[1], lane);
-                mem.write(addrs[lane], v, inst.size);
-                launch_.locks().onWrite(addrs[lane], v);
-                if (syncOn_)
-                    sync_.onWrite(addrs[lane], now_);
-            }
-            break;
-          case Opcode::Atom: {
-            const bool acquire = (launch_.pcFlags[w.stack().pc()] &
-                                  LaunchState::kPcLockAcquire) != 0;
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                executeAtomicLane(w, inst, lane, addrs[lane], acquire);
-            }
-            break;
-          }
-          default:
-            panic("executeMemory on non-memory opcode");
-        }
-    }
-
-    ldst_.submit(&w, inst, addrs, exec, sync, now);
-    if (inst.dst.valid())
-        w.scoreboard().reserve(inst);
 }
 
 void
@@ -648,7 +398,7 @@ SmCore::issue(Warp &w, Cycle now)
                                        : trace::EventKind::DetectFalse,
                                  pc);
                     if (syncOn_)
-                        sync_.onSibConfirm(warpKey(w), now);
+                        sync_.onSibConfirm(launch_.warpKey(w), now);
                 }
             }
         }
@@ -663,7 +413,7 @@ SmCore::issue(Warp &w, Cycle now)
                 const bool was_off = w.bows().backedOff;
                 backoff_.onSpinBranch(w, now);
                 if (!was_off && w.bows().backedOff)
-                    sync_.onBackoffEnter(warpKey(w), now);
+                    sync_.onBackoffEnter(launch_.warpKey(w), now);
             }
         }
         w.stack().branch(inst, taken);
@@ -688,21 +438,8 @@ SmCore::issue(Warp &w, Cycle now)
         // already globally visible at issue (documented approximation).
         w.stack().advance();
         break;
-      case Opcode::Ld:
-        if (inst.space == MemSpace::Param) {
-            executeAlu(w, inst, exec, now);
-        } else {
-            executeMemory(w, inst, exec, sync_pc, now);
-        }
-        w.stack().advance();
-        break;
-      case Opcode::St:
-      case Opcode::Atom:
-        executeMemory(w, inst, exec, sync_pc, now);
-        w.stack().advance();
-        break;
       default:
-        executeAlu(w, inst, exec, now);
+        execute(w, inst, active, exec, sync_pc, now);
         w.stack().advance();
         break;
     }

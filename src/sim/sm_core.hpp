@@ -42,16 +42,13 @@ struct LaunchState {
     MemorySpace *mem = nullptr;
     MemorySystem *memsys = nullptr;
     SpinDetect spinDetect = SpinDetect::Ddos;
-    LockTracker lockTracker;
     /**
-     * System-wide lock tracker shared by every device of a launch
-     * (nullptr on a standalone LaunchState — locks() then falls back to
-     * the local tracker above). Lock words are functional state in the
-     * shared MemorySpace, so ownership must be tracked system-wide;
-     * warpKeyBase keeps the owner keys globally unique.
+     * The launch's one lock tracker, shared by every device (required).
+     * Lock words are functional state in the shared MemorySpace, so
+     * ownership must be tracked system-wide; warpKeyBase keeps the
+     * owner keys globally unique.
      */
     LockTracker *tracker = nullptr;
-    LockTracker &locks() { return tracker ? *tracker : lockTracker; }
     KernelStats stats;
     /** Event sink for this launch; the default Tracer is the null sink. */
     trace::Tracer trace;
@@ -73,6 +70,14 @@ struct LaunchState {
     /** Folded into lock-owner warp keys so they stay unique across
      *  devices' independent age counters (deviceId << 48). */
     std::uint64_t warpKeyBase = 0;
+
+    /** Lock-owner and sync-profiler key of @p w: the device-wide age
+     *  offset by the device's key base — globally unique and nonzero. */
+    std::uint64_t
+    warpKey(const Warp &w) const
+    {
+        return warpKeyBase + w.age() + 1;
+    }
 
     /** Per-PC sync-annotation flags, bit-packed from Program::sync once
      *  at launch so the issue path avoids std::set lookups. */
@@ -190,13 +195,6 @@ class SmCore : private IssueGate {
     bool eligible(Warp &w) const override;
     void issue(Warp &w, Cycle now);
     bool isSib(Pc pc) const;
-    /** Lock-owner and sync-profiler key of @p w: the device-wide age
-     *  offset by the device's key base — globally unique and nonzero. */
-    std::uint64_t
-    warpKey(const Warp &w) const
-    {
-        return launch_.warpKeyBase + w.age() + 1;
-    }
 
     /**
      * Why @p w cannot issue at now_ (mirrors eligible()'s check order).
@@ -222,14 +220,13 @@ class SmCore : private IssueGate {
         return pc < codeSize_ ? code_[pc] : launch_.prog->at(pc);
     }
 
-    // Functional execution helpers.
-    Word readOperand(Warp &w, const Operand &op, unsigned lane) const;
-    void executeAlu(Warp &w, const Instruction &inst, LaneMask exec,
-                    Cycle now);
-    void executeMemory(Warp &w, const Instruction &inst, LaneMask exec,
-                       bool sync, Cycle now);
-    void executeAtomicLane(Warp &w, const Instruction &inst, unsigned lane,
-                           Addr addr, bool is_acquire);
+    /**
+     * Executes a non-control instruction through the shared interpreter
+     * (src/sim/interpreter.hpp) and adds its timing: DDOS setp
+     * profiling, then an LD/ST-unit submission or an ALU writeback.
+     */
+    void execute(Warp &w, const Instruction &inst, LaneMask active,
+                 LaneMask exec, bool sync, Cycle now);
     void onWarpFinished(Warp &w);
 
     unsigned id_;
@@ -280,10 +277,9 @@ class SmCore : private IssueGate {
     unsigned maxWarps_;
     unsigned warpsPerCta_ = 0;
     unsigned maxResidentCtas_ = 0;
-    /** Launch geometry cached out of the per-lane/ per-cycle paths. */
+    /** Launch geometry cached out of the per-cycle paths. */
     unsigned blockThreads_ = 0;
-    unsigned gridCtas_ = 0;
-    /** One past this device's last CTA (%nctaid stays gridCtas_). */
+    /** One past this device's last CTA (%nctaid stays the whole grid). */
     unsigned ctaEnd_ = 0;
     /** Instruction stream cached for the unchecked fetch() fast path. */
     const Instruction *code_ = nullptr;

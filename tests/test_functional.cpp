@@ -120,7 +120,9 @@ TEST(Functional, RunForStopsWithinOneSlice)
     Addr counter = gpu.malloc(8);
     Program prog = assemble(kSpinCounter);
 
+    LockTracker locks;
     LaunchState launch;
+    launch.tracker = &locks;
     launch.prog = &prog;
     launch.grid = Dim3{4, 1, 1};
     launch.block = Dim3{128, 1, 1};

@@ -8,14 +8,16 @@
 #include "src/harness/sweep.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/sim/gpu.hpp"
+#include "src/syncprof/syncprof.hpp"
 #include "src/trace/ring_recorder.hpp"
 
 /**
  * Golden-stats regression tests (labeled `slow`): cycle counts and
  * synchronization outcomes for HT and ATM pinned at an exact
  * configuration, plus SHA-256 digests of whole runs (every stats field
- * and the final memory image) for every registry kernel, one traced
- * run and two-device runs. The simulator is deterministic, so any drift
+ * and the final memory image) for every registry kernel in cycle and in
+ * functional mode, one traced run, two-device runs and two sync
+ * reports. The simulator is deterministic, so any drift
  * here is a real behavior change — timing model, scheduler, DDOS, BOWS,
  * or side-effect order. When a change is intentional, re-measure and
  * update the constants in the same commit, and say why in the commit
@@ -295,6 +297,53 @@ TEST(GoldenDigests, TwoDeviceRunsPinned)
     }
     EXPECT_EQ(h.hex(),
               "9d2b8857e1bf65fb87ba5f90372debd66f1b71e5abf8c1badc172e1c07de83ca");
+}
+
+
+TEST(GoldenDigests, FunctionalRunsPinned)
+{
+    // Fast-functional execution: every registry kernel on one device,
+    // then the two-device round-robin with its shared lock tracker.
+    harness::FingerprintHasher h;
+    for (const GoldenDigest &g : kGoldenDigests) {
+        GpuConfig cfg = makeGtx480Config();
+        cfg.numCores = 4;
+        cfg.execMode = ExecMode::Functional;
+        Gpu gpu(cfg);
+        addRun(h, makeBenchmark(g.kernel, 0.25)->run(gpu), gpu);
+    }
+    for (const char *kernel : {"HT", "ATM", "VEC"}) {
+        GpuConfig cfg = makeGtx480Config();
+        cfg.numCores = 4;
+        cfg.execMode = ExecMode::Functional;
+        cfg.numDevices = 2;
+        Gpu gpu(cfg);
+        addRun(h, makeBenchmark(kernel, 0.25)->run(gpu), gpu);
+    }
+    EXPECT_EQ(h.hex(),
+              "8498f4b83abb9d659d815ec1ed83c3a7e14daa7faad7011289613379da25c89c");
+}
+
+TEST(GoldenDigests, SyncReportPinned)
+{
+    // The --sync-report bytes of the two lock kernels: per-address CAS
+    // splits, sessions, histograms and storms, base and BOWS.
+    harness::FingerprintHasher h;
+    for (const char *kernel : {"HT", "ATM"}) {
+        for (bool bows : {false, true}) {
+            GpuConfig cfg = makeGtx480Config();
+            cfg.numCores = 4;
+            cfg.scheduler = SchedulerKind::GTO;
+            cfg.bows.enabled = bows;
+            syncprof::SyncProfileRegistry reg;
+            Gpu gpu(cfg);
+            gpu.setSyncProf(&reg);
+            makeBenchmark(kernel, 0.25)->run(gpu);
+            h.add("report", reg.reportJson().dump());
+        }
+    }
+    EXPECT_EQ(h.hex(),
+              "b5728b425c5a299f1cb6537c01af3164ad460e694a2936bfdffd4b62e96fefa2");
 }
 
 }  // namespace

@@ -327,27 +327,10 @@ TEST(Fingerprint, StableAcrossCallsAndExcludedKnobs)
         EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
             << "metricsInterval";
     }
-    // The sync-profiler knobs shape the report, never the simulation
-    // (the profiler is observational by construction), so they are
-    // excluded like the metrics interval.
-    {
-        SweepPoint knobs = p;
-        knobs.cfg.syncTopN = 7;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "syncTopN";
-    }
-    {
-        SweepPoint knobs = p;
-        knobs.cfg.syncStormWindow = 16;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "syncStormWindow";
-    }
-    // And all of them together.
+    // And both together.
     SweepPoint knobs = p;
     knobs.cfg.idleSkip = !knobs.cfg.idleSkip;
     knobs.cfg.metricsInterval = 12345;
-    knobs.cfg.syncTopN = 7;
-    knobs.cfg.syncStormWindow = 16;
     EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash);
 }
 

@@ -5,6 +5,8 @@
 
 #include "src/harness/json.hpp"
 #include "src/harness/json_check.hpp"
+#include "src/kernels/registry.hpp"
+#include "src/sim/gpu.hpp"
 #include "src/syncprof/syncprof.hpp"
 
 /**
@@ -354,6 +356,43 @@ TEST(SyncProf, HotReportTextNamesTheAddress)
     const std::string text = reg.hotReport();
     EXPECT_NE(text.find("hot sync objects"), std::string::npos);
     EXPECT_NE(text.find("0x1000"), std::string::npos);
+}
+
+
+// --- agreement with the Fig. 2 outcome counters ---------------------------
+
+TEST(SyncProf, TotalsAgreeWithFigure2Outcomes)
+{
+    // The Fig. 2 outcome counters and the profiler observe the same
+    // atomic and store stream through one hook site, so their lock
+    // totals must agree on every registry kernel: each acquire-site CAS
+    // is one attempt, each success one acquire, and every acquired lock
+    // is released by the end of the run.
+    std::vector<std::string> kernels = syncKernelNames();
+    for (const std::string &name : syncFreeKernelNames())
+        kernels.push_back(name);
+    std::uint64_t all_acquires = 0;
+    for (const std::string &name : kernels) {
+        GpuConfig cfg = makeGtx480Config();
+        cfg.numCores = 4;
+        cfg.scheduler = SchedulerKind::GTO;
+        SyncProfileRegistry reg;
+        Gpu gpu(cfg);
+        gpu.setSyncProf(&reg);
+        const SyncOutcomes o = makeBenchmark(name, 0.25)->run(gpu).outcomes;
+        const Json doc = reg.reportJson();
+        const Json &t = doc.at("totals");
+        const auto total = [&](const char *key) {
+            return static_cast<std::uint64_t>(t.at(key).asInt());
+        };
+        const std::uint64_t fails = o.interWarpFail + o.intraWarpFail;
+        EXPECT_EQ(total("acquires"), o.lockSuccess) << name;
+        EXPECT_EQ(total("cas_attempts"), o.lockSuccess + fails) << name;
+        EXPECT_EQ(total("cas_failures"), fails) << name;
+        EXPECT_EQ(total("releases"), total("acquires")) << name;
+        all_acquires += o.lockSuccess;
+    }
+    EXPECT_GT(all_acquires, 0u) << "no lock kernel acquired a lock";
 }
 
 }  // namespace

@@ -54,8 +54,7 @@ runProfiled(const LitmusOptions &opts, bool idle_skip)
     std::vector<LitmusCell> cells = harness::buildLitmusCells(opts);
     EXPECT_EQ(cells.size(), 1u);
     cells[0].cfg.idleSkip = idle_skip;
-    SyncProfileRegistry reg(cells[0].cfg.syncTopN,
-                            cells[0].cfg.syncStormWindow);
+    SyncProfileRegistry reg;
     Gpu gpu(cells[0].cfg);
     gpu.setSyncProf(&reg);
     LitmusCellResult r = harness::runLitmusCell(cells[0], gpu);
