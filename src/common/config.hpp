@@ -147,8 +147,6 @@ struct GpuConfig {
     SchedulerKind scheduler = SchedulerKind::GTO;
     /** GTO age-rotation period; avoids livelock on HT/ATM (Section VI). */
     Cycle gtoRotatePeriod = 50000;
-    /** Fetch-group size for the TwoLevel scheduler. */
-    unsigned twoLevelGroupSize = 8;
 
     BowsConfig bows;
     DdosConfig ddos;

@@ -242,7 +242,7 @@ FingerprintHasher::hex()
  * the exclusion must be explicit and the size below still updated.
  */
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(GpuConfig) == 344 && sizeof(BowsConfig) == 72 &&
+static_assert(sizeof(GpuConfig) == 336 && sizeof(BowsConfig) == 72 &&
                   sizeof(DdosConfig) == 40 && sizeof(CacheConfig) == 24,
               "GpuConfig layout changed: update hashConfig() and "
               "configToJson() for any new result-relevant field, then "
@@ -277,7 +277,6 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
     h.add("num_schedulers_per_core", cfg.numSchedulersPerCore);
     h.add("scheduler", std::string(toString(cfg.scheduler)));
     h.add("gto_rotate_period", cfg.gtoRotatePeriod);
-    h.add("two_level_group_size", cfg.twoLevelGroupSize);
 
     h.add("bows_enabled", cfg.bows.enabled);
     h.add("bows_deprioritize", cfg.bows.deprioritize);

@@ -17,13 +17,11 @@ namespace bowsim {
 
 class CawaScheduler : public Scheduler {
   public:
-    void order(std::vector<Warp *> &warps, Cycle now) override;
-    /** The (criticality, age) comparator is element-wise and age makes
-     *  it a total order, so a pre-filtered subset sorts into the same
-     *  relative order it would have inside the full sort — the core may
-     *  drop masked-out warps before ordering. */
-    bool supportsFilteredOrder() const override { return true; }
     const char *name() const override { return "CAWA"; }
+
+  protected:
+    Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
+                   Cycle now, const IssueGate &gate) override;
 };
 
 }  // namespace bowsim

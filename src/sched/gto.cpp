@@ -1,113 +1,31 @@
 #include "src/sched/gto.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace bowsim {
 
-void
-GtoScheduler::order(std::vector<Warp *> &warps, Cycle now)
-{
-    // Ages are fixed at warp launch and (age, id) pairs are unique, so
-    // the sorted order is unique. The core hands us warps in residency
-    // (= age) order, making the input already sorted almost always;
-    // checking first turns the per-cycle sort into a linear scan.
-    const auto by_age = [](const Warp *a, const Warp *b) {
-        if (a->age() != b->age())
-            return a->age() < b->age();
-        return a->id() < b->id();
-    };
-    if (!std::is_sorted(warps.begin(), warps.end(), by_age))
-        std::sort(warps.begin(), warps.end(), by_age);
-    // Periodic age rotation (livelock avoidance): shift which resident
-    // warp currently counts as oldest.
-    if (rotatePeriod_ > 0 && !warps.empty()) {
-        size_t rot = static_cast<size_t>(now / rotatePeriod_) % warps.size();
-        std::rotate(warps.begin(), warps.begin() + rot, warps.end());
-    }
-    // Greedy: the last-issued warp keeps top priority.
-    if (lastIssued_) {
-        auto it = std::find(warps.begin(), warps.end(), lastIssued_);
-        if (it != warps.end()) {
-            Warp *w = *it;
-            warps.erase(it);
-            warps.insert(warps.begin(), w);
-        }
-    }
-}
-
 Warp *
-GtoScheduler::pick(const std::vector<Warp *> &warps, const UnitMask &mask,
-                   Cycle now, bool deprioritize, const IssueGate &gate)
+GtoScheduler::pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
+                       Cycle now, const IssueGate &gate)
 {
-    const std::size_t n = warps.size();
-    if (n == 0)
-        return nullptr;
-    // The ordered list order() would build is: lastIssued_ first, then
-    // the remaining warps in age order rotated by the livelock-avoidance
-    // offset; with deprioritization the backed-off warps drop behind all
-    // of that, FIFO by their (unique, per-core) backoffSeq ticket. The
-    // first eligible warp of that list can be found by scanning the
-    // age-ordered residents directly, without copying or sorting.
+    // Priority: the last-issued warp first, then the residents in age
+    // order rotated by the livelock-avoidance offset, i.e. positions
+    // >= rot ascending, then the wrapped positions below rot.
+    if (Warp *w = greedyPick(warps, cand, gate))
+        return w;
     std::size_t rot = 0;
-    if (rotatePeriod_ > 0)
-        rot = static_cast<std::size_t>(now / rotatePeriod_) % n;
-
-    Warp *li = lastIssued_;
-    if (li && !(deprioritize && li->bows().backedOff) && gate.eligible(*li))
-        return li;
-    if (mask.valid) {
-        // Same circular scan over the set bits only: positions >= rot
-        // in ascending order, then the wrapped positions below rot.
-        std::uint64_t cand = mask.issuable;
-        if (deprioritize)
-            cand &= ~mask.backedOff;
-        const std::uint64_t low =
-            rot > 0 ? cand & ((std::uint64_t{1} << rot) - 1) : 0;
-        for (std::uint64_t bits : {cand ^ low, low}) {
-            for (; bits != 0; bits &= bits - 1) {
-                Warp *w =
-                    warps[static_cast<unsigned>(std::countr_zero(bits))];
-                if (w == li)
-                    continue;
-                if (gate.eligible(*w))
-                    return w;
-            }
-        }
-    } else {
-        for (std::size_t k = 0; k < n; ++k) {
-            Warp *w = warps[rot + k < n ? rot + k : rot + k - n];
-            if (w == li || (deprioritize && w->bows().backedOff))
-                continue;
-            if (gate.eligible(*w))
+    if (rotatePeriod_ > 0 && !warps.empty())
+        rot = static_cast<std::size_t>(now / rotatePeriod_) % warps.size();
+    const std::uint64_t low =
+        rot > 0 ? cand & ((std::uint64_t{1} << rot) - 1) : 0;
+    for (std::uint64_t bits : {cand ^ low, low}) {
+        for (; bits != 0; bits &= bits - 1) {
+            Warp *w = warps[static_cast<unsigned>(std::countr_zero(bits))];
+            if (w != lastIssued_ && gate.eligible(*w))
                 return w;
         }
     }
-    if (!deprioritize)
-        return nullptr;
-    // Backed-off queue: first eligible in FIFO order = the eligible warp
-    // with the smallest backoffSeq.
-    Warp *best = nullptr;
-    if (mask.valid) {
-        for (std::uint64_t boff = mask.backedOff & mask.issuable;
-             boff != 0; boff &= boff - 1) {
-            Warp *w = warps[static_cast<unsigned>(std::countr_zero(boff))];
-            if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
-                continue;
-            if (gate.eligible(*w))
-                best = w;
-        }
-        return best;
-    }
-    for (Warp *w : warps) {
-        if (!w->bows().backedOff)
-            continue;
-        if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
-            continue;
-        if (gate.eligible(*w))
-            best = w;
-    }
-    return best;
+    return nullptr;
 }
 
 }  // namespace bowsim

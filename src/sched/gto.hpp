@@ -21,12 +21,11 @@ class GtoScheduler : public Scheduler {
     {
     }
 
-    void order(std::vector<Warp *> &warps, Cycle now) override;
-    bool supportsPick() const override { return true; }
-    Warp *pick(const std::vector<Warp *> &warps, const UnitMask &mask,
-               Cycle now, bool deprioritize,
-               const IssueGate &gate) override;
     const char *name() const override { return "GTO"; }
+
+  protected:
+    Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
+                   Cycle now, const IssueGate &gate) override;
 
   private:
     Cycle rotatePeriod_;

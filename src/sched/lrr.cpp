@@ -5,129 +5,45 @@
 
 namespace bowsim {
 
-void
-LrrScheduler::order(std::vector<Warp *> &warps, Cycle now)
-{
-    (void)now;
-    // Warp ids are unique and static; skip the sort when the core's
-    // residency order is already id-ordered (the common case).
-    const auto by_id = [](const Warp *a, const Warp *b) {
-        return a->id() < b->id();
-    };
-    if (!std::is_sorted(warps.begin(), warps.end(), by_id))
-        std::sort(warps.begin(), warps.end(), by_id);
-    if (!lastIssued_)
-        return;
-    // Rotate so the warp following the last-issued one leads.
-    auto it = std::find(warps.begin(), warps.end(), lastIssued_);
-    if (it != warps.end())
-        std::rotate(warps.begin(), it + 1, warps.end());
-}
-
 Warp *
-LrrScheduler::pick(const std::vector<Warp *> &warps, const UnitMask &mask,
-                   Cycle now, bool deprioritize, const IssueGate &gate)
+LrrScheduler::pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
+                       Cycle now, const IssueGate &gate)
 {
     (void)now;
-    // order() yields ascending warp ids rotated to start just after the
+    // Priority is ascending warp id rotated to start just after the
     // last-issued warp's id. The first eligible warp of that circular
     // order is the eligible warp with the smallest id above the pivot,
     // else the smallest eligible id overall (ids are unique per unit).
-    // With deprioritization the backed-off warps drop behind, FIFO by
-    // backoffSeq, exactly as in the generic path.
-    //
-    // The pivot only applies when lastIssued_ is still in @p warps:
-    // a warp whose final issue was its Exit stays recorded as
-    // lastIssued_ until its CTA retires, and order()'s find() treats
-    // that as "no rotation" (plain ascending ids). Match that exactly.
-    //
     // The id-minimum bookkeeping is order-independent and eligible() is
-    // side-effect free, so scanning the set bits of the mask (barrier-
-    // parked warps pre-filtered) selects the same warp as the full
-    // vector scan below.
+    // side-effect free, so one pass over the set bits finds both.
     const bool have_pivot = lastIssued_ != nullptr;
     const unsigned pivot = have_pivot ? lastIssued_->id() : 0;
-    bool pivot_present = false;
     Warp *best_above = nullptr;
     Warp *best_any = nullptr;
-    if (mask.valid) {
-        std::uint64_t cand = mask.issuable;
-        if (deprioritize)
-            cand &= ~mask.backedOff;
-        for (; cand != 0; cand &= cand - 1) {
-            Warp *w = warps[static_cast<unsigned>(std::countr_zero(cand))];
-            const unsigned id = w->id();
-            const bool improves_above =
-                have_pivot && id > pivot &&
-                (!best_above || id < best_above->id());
-            const bool improves_any = !best_any || id < best_any->id();
-            if (!improves_above && !improves_any)
-                continue;
-            if (!gate.eligible(*w))
-                continue;
-            if (improves_above)
-                best_above = w;
-            if (improves_any)
-                best_any = w;
-        }
-        // Membership only decides above-pivot vs wraparound, so the
-        // pointer scan is deferred until that distinction matters.
-        if (best_above &&
-            std::find(warps.begin(), warps.end(), lastIssued_) !=
-                warps.end()) {
-            pivot_present = true;
-        }
-    } else {
-        for (Warp *w : warps) {
-            if (w == lastIssued_)
-                pivot_present = true;
-            if (deprioritize && w->bows().backedOff)
-                continue;
-            const unsigned id = w->id();
-            const bool improves_above =
-                have_pivot && id > pivot &&
-                (!best_above || id < best_above->id());
-            const bool improves_any = !best_any || id < best_any->id();
-            if (!improves_above && !improves_any)
-                continue;
-            if (!gate.eligible(*w))
-                continue;
-            if (improves_above)
-                best_above = w;
-            if (improves_any)
-                best_any = w;
-        }
+    for (; cand != 0; cand &= cand - 1) {
+        Warp *w = warps[static_cast<unsigned>(std::countr_zero(cand))];
+        const unsigned id = w->id();
+        const bool improves_above =
+            have_pivot && id > pivot && (!best_above || id < best_above->id());
+        const bool improves_any = !best_any || id < best_any->id();
+        if (!improves_above && !improves_any)
+            continue;
+        if (!gate.eligible(*w))
+            continue;
+        if (improves_above)
+            best_above = w;
+        if (improves_any)
+            best_any = w;
     }
-    if (pivot_present && best_above)
+    // The pivot only applies while the last-issued warp is resident: a
+    // warp whose final issue was its Exit stays recorded as lastIssued_
+    // until its CTA retires, and that means plain ascending ids.
+    // Membership only decides above-pivot vs wraparound, so the pointer
+    // scan is deferred until that distinction matters.
+    if (best_above &&
+        std::find(warps.begin(), warps.end(), lastIssued_) != warps.end())
         return best_above;
-    if (best_any)
-        return best_any;
-    if (!deprioritize)
-        return nullptr;
-    if (mask.valid) {
-        Warp *best = nullptr;
-        // Barrier-parked warps are never backed off (issuing the bar
-        // cleared the state), so masking with issuable loses nothing.
-        for (std::uint64_t boff = mask.backedOff & mask.issuable;
-             boff != 0; boff &= boff - 1) {
-            Warp *w = warps[static_cast<unsigned>(std::countr_zero(boff))];
-            if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
-                continue;
-            if (gate.eligible(*w))
-                best = w;
-        }
-        return best;
-    }
-    Warp *best = nullptr;
-    for (Warp *w : warps) {
-        if (!w->bows().backedOff)
-            continue;
-        if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
-            continue;
-        if (gate.eligible(*w))
-            best = w;
-    }
-    return best;
+    return best_any;
 }
 
 }  // namespace bowsim

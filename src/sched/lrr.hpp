@@ -13,12 +13,11 @@ namespace bowsim {
 
 class LrrScheduler : public Scheduler {
   public:
-    void order(std::vector<Warp *> &warps, Cycle now) override;
-    bool supportsPick() const override { return true; }
-    Warp *pick(const std::vector<Warp *> &warps, const UnitMask &mask,
-               Cycle now, bool deprioritize,
-               const IssueGate &gate) override;
     const char *name() const override { return "LRR"; }
+
+  protected:
+    Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
+                   Cycle now, const IssueGate &gate) override;
 };
 
 }  // namespace bowsim

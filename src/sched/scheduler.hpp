@@ -1,6 +1,7 @@
 #ifndef BOWSIM_SCHED_SCHEDULER_HPP
 #define BOWSIM_SCHED_SCHEDULER_HPP
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -10,10 +11,10 @@
 /**
  * @file
  * Warp-scheduler policies. Each SM scheduler unit owns one Scheduler
- * instance; every cycle the core asks it to order the unit's resident
- * warps by descending priority and issues the first *eligible* one (the
- * eligibility test — scoreboard, barrier, BOWS back-off — stays in the
- * core so policies remain pure priority functions).
+ * instance; every cycle the core asks it to pick() the warp that issues
+ * from the unit's warp bitmasks. The eligibility test (scoreboard,
+ * barrier, BOWS back-off) stays in the core, so policies remain pure
+ * priority functions.
  */
 
 namespace bowsim {
@@ -21,8 +22,8 @@ namespace bowsim {
 /**
  * Eligibility oracle the core hands to pick(): wraps the per-warp checks
  * that stay core-side (scoreboard, barrier, back-off delay, memory-port
- * availability). eligible() must be side-effect free — fast-path
- * arbitration may probe warps in a different order than a linear scan.
+ * availability). eligible() must be side-effect free — arbitration
+ * probes warps in mask order, not in priority order.
  */
 class IssueGate {
   public:
@@ -33,12 +34,9 @@ class IssueGate {
 };
 
 /**
- * Per-unit active-warp bitmasks maintained incrementally by the core:
- * bit k describes warps[k] of the unit's resident vector. Policies use
- * them to iterate set bits instead of scanning (and dereferencing)
- * every warp slot. When valid is false (unit wider than 64 warp slots,
- * or mask maintenance disabled) the masks carry no information and
- * policies must fall back to scanning the vector.
+ * Per-unit warp bitmasks maintained incrementally by the core: bit k
+ * describes warps[k] of the unit's resident vector, which holds at most
+ * 64 warps.
  */
 struct UnitMask {
     /** Warp is not parked at a barrier (finished warps leave the
@@ -46,47 +44,23 @@ struct UnitMask {
     std::uint64_t issuable = 0;
     /** Warp is in the BOWS backed-off state. */
     std::uint64_t backedOff = 0;
-    bool valid = false;
 };
 
 class Scheduler {
   public:
     virtual ~Scheduler() = default;
 
-    /** Sorts @p warps into descending scheduling priority. */
-    virtual void order(std::vector<Warp *> &warps, Cycle now) = 0;
-
     /**
-     * Optional O(n) arbitration fast path. Returns exactly the warp that
-     * order() + the core's back-off deprioritization (non-backed-off
-     * warps first, backed-off ones FIFO by backoffSeq when
-     * @p deprioritize) + a first-eligible scan would select, or nullptr
-     * when no warp is eligible — without materializing the ordered list.
-     * @p warps must be the unit's residents in launch-age order (the
-     * order the core maintains). Policies whose priority cannot be
-     * evaluated positionally keep the generic path.
+     * Fig. 8 arbitration: the first warp passing @p gate in the base
+     * policy's order over the candidates — the issuable warps, minus the
+     * backed-off ones when @p deprioritize — then, when
+     * @p deprioritize, the backed-off queue in FIFO order (smallest
+     * backoffSeq first). nullptr when no warp is eligible. @p warps are
+     * the unit's residents in launch-age order (the order the core
+     * maintains), indexed by the bits of @p mask.
      */
-    virtual bool supportsPick() const { return false; }
-    virtual Warp *
-    pick(const std::vector<Warp *> &warps, const UnitMask &mask, Cycle now,
-         bool deprioritize, const IssueGate &gate)
-    {
-        (void)warps;
-        (void)mask;
-        (void)now;
-        (void)deprioritize;
-        (void)gate;
-        return nullptr;
-    }
-
-    /**
-     * True when order() evaluates warps element-wise (its result for a
-     * subset is the subset of its result), so the core may pre-filter
-     * the input by the UnitMask before ordering. Policies whose
-     * priority depends on the whole resident set (e.g. TwoLevel's
-     * group count) must leave this false.
-     */
-    virtual bool supportsFilteredOrder() const { return false; }
+    Warp *pick(const std::vector<Warp *> &warps, const UnitMask &mask,
+               Cycle now, bool deprioritize, const IssueGate &gate);
 
     /** Called when @p warp wins arbitration this cycle. */
     virtual void
@@ -107,6 +81,21 @@ class Scheduler {
     virtual const char *name() const = 0;
 
   protected:
+    /**
+     * The base policy: the highest-priority warp among the set bits of
+     * @p cand that passes @p gate, or nullptr.
+     */
+    virtual Warp *pickFrom(const std::vector<Warp *> &warps,
+                           std::uint64_t cand, Cycle now,
+                           const IssueGate &gate) = 0;
+
+    /**
+     * The greedy component of GTO and CAWA: lastIssued_ when it is still
+     * a candidate (its bit is set in @p cand) and passes @p gate.
+     */
+    Warp *greedyPick(const std::vector<Warp *> &warps, std::uint64_t cand,
+                     const IssueGate &gate) const;
+
     Warp *lastIssued_ = nullptr;
 };
 

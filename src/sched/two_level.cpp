@@ -1,38 +1,47 @@
 #include "src/sched/two_level.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace bowsim {
 
-void
-TwoLevelScheduler::order(std::vector<Warp *> &warps, Cycle now)
+Warp *
+TwoLevelScheduler::pickFrom(const std::vector<Warp *> &warps,
+                            std::uint64_t cand, Cycle now,
+                            const IssueGate &gate)
 {
     (void)now;
-    // Sort by (group distance from the active group, LRR order inside
-    // the group). Group ids wrap so "next" groups follow the active one.
+    // Priority key: (group distance from the active group, round-robin
+    // distance inside the group from the last-issued warp's slot),
+    // smallest first. Group ids wrap so "next" groups follow the active
+    // one; the group count spans the whole unit, not just the
+    // candidates.
     unsigned max_group = 0;
     for (const Warp *w : warps)
-        max_group = std::max(max_group, w->id() / groupSize_);
+        max_group = std::max(max_group, w->id() / kGroupSize);
     const unsigned num_groups = max_group + 1;
-
-    unsigned last_id =
-        lastIssued_ ? lastIssued_->id() % groupSize_ : groupSize_ - 1;
-    std::sort(warps.begin(), warps.end(), [&](const Warp *a,
-                                              const Warp *b) {
-        unsigned ga = (a->id() / groupSize_ + num_groups - activeGroup_) %
-                      num_groups;
-        unsigned gb = (b->id() / groupSize_ + num_groups - activeGroup_) %
-                      num_groups;
-        if (ga != gb)
-            return ga < gb;
-        // Round-robin within the group, starting after the last-issued
-        // warp's slot.
-        unsigned ra =
-            (a->id() % groupSize_ + groupSize_ - 1 - last_id) % groupSize_;
-        unsigned rb =
-            (b->id() % groupSize_ + groupSize_ - 1 - last_id) % groupSize_;
-        return ra < rb;
-    });
+    const unsigned last_id =
+        lastIssued_ ? lastIssued_->id() % kGroupSize : kGroupSize - 1;
+    const auto key = [&](const Warp *w) {
+        const unsigned group =
+            (w->id() / kGroupSize + num_groups - activeGroup_) % num_groups;
+        const unsigned slot =
+            (w->id() % kGroupSize + kGroupSize - 1 - last_id) % kGroupSize;
+        return std::uint64_t{group} << 32 | slot;
+    };
+    Warp *best = nullptr;
+    std::uint64_t best_key = 0;
+    for (; cand != 0; cand &= cand - 1) {
+        Warp *w = warps[static_cast<unsigned>(std::countr_zero(cand))];
+        const std::uint64_t k = key(w);
+        if (best && k >= best_key)
+            continue;
+        if (gate.eligible(*w)) {
+            best = w;
+            best_key = k;
+        }
+    }
+    return best;
 }
 
 }  // namespace bowsim

@@ -17,26 +17,23 @@ namespace bowsim {
 
 class TwoLevelScheduler : public Scheduler {
   public:
-    explicit TwoLevelScheduler(unsigned group_size)
-        : groupSize_(group_size ? group_size : 8)
-    {
-    }
-
-    void order(std::vector<Warp *> &warps, Cycle now) override;
+    /** Warps per fetch group (consecutive warp ids). */
+    static constexpr unsigned kGroupSize = 8;
 
     void
     notifyIssued(Warp *warp, Cycle now) override
     {
         Scheduler::notifyIssued(warp, now);
-        activeGroup_ = warp->id() / groupSize_;
+        activeGroup_ = warp->id() / kGroupSize;
     }
 
     const char *name() const override { return "TwoLevel"; }
 
-    unsigned groupSize() const { return groupSize_; }
+  protected:
+    Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
+                   Cycle now, const IssueGate &gate) override;
 
   private:
-    unsigned groupSize_;
     unsigned activeGroup_ = 0;
 };
 

@@ -251,10 +251,4 @@ FunctionalExecutor::runFor(std::uint64_t max_instr)
     return finished();
 }
 
-void
-FunctionalExecutor::run()
-{
-    runFor(~std::uint64_t{0});
-}
-
 }  // namespace bowsim

@@ -42,14 +42,11 @@ class FunctionalExecutor {
 
     FunctionalExecutor(const GpuConfig &cfg, LaunchState &launch);
 
-    /** Runs the kernel to completion. */
-    void run();
-
     /**
      * Runs until at least @p max_instr more warp instructions execute
      * (rounded up to whole warp slices) or the kernel finishes.
-     * Returns finished(). Multi-device functional launches take turns
-     * across devices with one runFor slice each.
+     * Returns finished(). Functional launches take turns across
+     * devices with one runFor slice each, a lone device included.
      */
     bool runFor(std::uint64_t max_instr);
 

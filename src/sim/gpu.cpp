@@ -366,41 +366,18 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
     // Functional mode forces null observability sinks: there are no
     // cycles to trace or sample, so an attached trace sink or metrics
     // sampler is simply not consulted (docs/PERF.md).
+    //
+    // One executor per device over the device's CTA chunk, interleaved
+    // round-robin in fixed slices so cross-device synchronization (e.g.
+    // a system barrier) makes forward progress deterministically.
+    // Spinning warps execute instructions, so a device stuck on a peer
+    // is bounded by its own executor's instruction watchdog; CTA
+    // barriers are device-local, so the per-executor zero-progress
+    // check keeps its meaning. An executor's rotation cursor persists
+    // across runFor calls, so a lone device runs the same instruction
+    // sequence in slices as it would in one go.
     const unsigned num_devices = std::max(cfg_.numDevices, 1u);
     LockTracker system_locks;
-    if (num_devices == 1) {
-        LaunchState launch;
-        launch.tracker = &system_locks;
-        launch.prog = &prog;
-        launch.grid = grid;
-        launch.block = block;
-        launch.params = params;
-        launch.mem = &mem_;
-        launch.spinDetect = cfg_.spinDetect;
-        launch.stats.kernel = prog.name;
-        FunctionalExecutor fx(cfg_, launch);
-        try {
-            fx.run();
-        } catch (...) {
-            // Functional aborts (instruction watchdog, zero-progress
-            // check) stash the partial stats like the cycle loop; there
-            // is no cycle clock, so the issue-recency signal stays zero.
-            abort_.valid = true;
-            abort_.stats = launch.stats;
-            abort_.atCycle = 0;
-            abort_.lastIssueCycle = 0;
-            throw;
-        }
-        return launch.stats;
-    }
-
-    // Multi-device functional execution: one executor per device over
-    // the device's CTA chunk, interleaved round-robin in fixed slices
-    // so cross-device synchronization (e.g. a system barrier) makes
-    // forward progress deterministically. Spinning warps execute
-    // instructions, so a device stuck on a peer is bounded by its own
-    // executor's instruction watchdog; CTA barriers are device-local,
-    // so the per-executor zero-progress check keeps its meaning.
     const unsigned grid_ctas = grid.count();
     const unsigned chunk = (grid_ctas + num_devices - 1) / num_devices;
     std::vector<std::unique_ptr<LaunchState>> launches;
@@ -423,18 +400,12 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
         fxs.push_back(std::make_unique<FunctionalExecutor>(cfg_, dl));
     }
 
-    auto stash_abort = [&] {
-        abort_.valid = true;
-        abort_.perDevice.clear();
-        KernelStats total = launches[0]->stats;
-        abort_.perDevice.push_back({0, launches[0]->stats, 0});
-        for (unsigned d = 1; d < num_devices; ++d) {
-            total += launches[d]->stats;
-            abort_.perDevice.push_back({d, launches[d]->stats, 0});
-        }
-        abort_.stats = std::move(total);
-        abort_.atCycle = 0;
-        abort_.lastIssueCycle = 0;
+    // System-wide stats: the sum over devices (there is no cycle clock).
+    const auto total = [&] {
+        KernelStats sum = launches[0]->stats;
+        for (unsigned d = 1; d < num_devices; ++d)
+            sum += launches[d]->stats;
+        return sum;
     };
 
     // Round-robin slices, device-id order: large enough to amortize the
@@ -446,26 +417,28 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
         while (!all_done) {
             all_done = true;
             for (auto &fx : fxs) {
-                if (fx->finished())
-                    continue;
-                if (!fx->runFor(kDeviceSlice))
+                if (!fx->finished() && !fx->runFor(kDeviceSlice))
                     all_done = false;
             }
         }
     } catch (...) {
-        stash_abort();
+        // Functional aborts (instruction watchdog, zero-progress check)
+        // stash the partial stats like the cycle loop; without a cycle
+        // clock the abort and issue-recency cycles stay zero.
+        abort_.valid = true;
+        abort_.stats = total();
+        if (num_devices > 1) {
+            for (unsigned d = 0; d < num_devices; ++d)
+                abort_.perDevice.push_back({d, launches[d]->stats, 0});
+        }
         throw;
     }
 
-    std::vector<KernelStats> per_dev;
-    per_dev.reserve(num_devices);
-    for (auto &dl : launches)
-        per_dev.push_back(dl->stats);
-    KernelStats stats = per_dev[0];
-    for (unsigned d = 1; d < num_devices; ++d)
-        stats += per_dev[d];
-    stats.cycles = 0;
-    stats.perDevice = std::move(per_dev);
+    KernelStats stats = total();
+    if (num_devices > 1) {
+        for (const auto &dl : launches)
+            stats.perDevice.push_back(dl->stats);
+    }
     return stats;
 }
 

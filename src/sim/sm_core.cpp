@@ -55,22 +55,21 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
       ldst_(cfg, id, *launch.memsys, stats_),
       backoff_(cfg.bows), maxWarps_(cfg.maxWarpsPerCore())
 {
-    for (unsigned s = 0; s < cfg.numSchedulersPerCore; ++s)
-        schedulers_.push_back(makeScheduler(cfg));
-    unitResident_.resize(schedulers_.size());
-    ddos_ = std::make_unique<DdosUnit>(cfg.ddos, maxWarps_);
-
     // Warp slots are distributed round-robin over the units, so unit u
-    // holds at most ceil(maxWarps_/units) warps; the bitmask fast path
-    // applies whenever that fits one 64-bit word (always, for the
-    // Table II configurations).
-    const unsigned units = static_cast<unsigned>(schedulers_.size());
-    masksEnabled_ = (maxWarps_ + units - 1) / units <= 64;
-    if (masksEnabled_) {
-        unitIssuable_.assign(units, 0);
-        unitBackedOff_.assign(units, 0);
-        unitPosOf_.assign(maxWarps_, 0);
-    }
+    // holds at most ceil(maxWarps_/units) warps, which must fit the
+    // 64-bit arbitration masks.
+    const unsigned units = cfg.numSchedulersPerCore;
+    if (units == 0 || (maxWarps_ + units - 1) / units > 64)
+        fatal("numSchedulersPerCore = ", units, " and maxThreadsPerCore = ",
+              cfg.maxThreadsPerCore, ": an SM needs at least one scheduler",
+              " unit and at most 64 warp slots per unit");
+    for (unsigned s = 0; s < units; ++s)
+        schedulers_.push_back(makeScheduler(cfg));
+    unitResident_.resize(units);
+    unitIssuable_.assign(units, 0);
+    unitBackedOff_.assign(units, 0);
+    unitPosOf_.assign(maxWarps_, 0);
+    ddos_ = std::make_unique<DdosUnit>(cfg.ddos, maxWarps_);
 
     // ALU latencies are bounded, so writebacks at most max-latency
     // cycles ahead fit in a ring of per-cycle buckets.
@@ -173,13 +172,10 @@ SmCore::tryLaunchCtas()
             resident_.push_back(warp.get());
             const unsigned unit_id = warp_slot % units;
             auto &unit = unitResident_[unit_id];
-            if (masksEnabled_) {
-                const std::uint64_t bit = std::uint64_t{1} << unit.size();
-                unitPosOf_[warp_slot] =
-                    static_cast<std::uint32_t>(unit.size());
-                unitIssuable_[unit_id] |= bit;
-                unitBackedOff_[unit_id] &= ~bit;
-            }
+            const std::uint64_t bit = std::uint64_t{1} << unit.size();
+            unitPosOf_[warp_slot] = static_cast<std::uint32_t>(unit.size());
+            unitIssuable_[unit_id] |= bit;
+            unitBackedOff_[unit_id] &= ~bit;
             unit.push_back(warp.get());
             slot.warps.push_back(std::move(warp));
         }
@@ -475,8 +471,6 @@ SmCore::onWarpFinished(Warp &w)
 void
 SmCore::rebuildUnitMask(unsigned u)
 {
-    if (!masksEnabled_)
-        return;
     std::uint64_t issuable = 0;
     std::uint64_t backed_off = 0;
     const auto &unit = unitResident_[u];
@@ -496,8 +490,6 @@ SmCore::rebuildUnitMask(unsigned u)
 void
 SmCore::refreshWarpMask(const Warp &w)
 {
-    if (!masksEnabled_)
-        return;
     const unsigned u =
         w.id() % static_cast<unsigned>(schedulers_.size());
     const std::uint64_t bit = std::uint64_t{1} << unitPosOf_[w.id()];
@@ -566,73 +558,10 @@ SmCore::cycle(Cycle now)
         if (unitResident_[u].empty())
             continue;
         Scheduler &sched = *schedulers_[u];
-        UnitMask mask;
-        if (masksEnabled_) {
-            mask.valid = true;
-            mask.issuable = unitIssuable_[u];
-            mask.backedOff = unitBackedOff_[u];
-        }
-        Warp *winner = nullptr;
-        if (sched.supportsPick()) {
-            // Positional policies (GTO, LRR) can answer "who issues"
-            // directly from the age-ordered resident list.
-            winner = sched.pick(unitResident_[u], mask, now, deprio,
-                                *this);
-        } else if (mask.valid && sched.supportsFilteredOrder()) {
-            // Element-wise policies (CAWA) order a pre-filtered copy:
-            // the masked-out warps could never win (barrier-parked, or
-            // behind every non-backed-off warp under deprioritization)
-            // and dropping them keeps their relative order intact.
-            std::uint64_t cand = mask.issuable;
-            if (deprio)
-                cand &= ~mask.backedOff;
-            unitWarps_.clear();
-            for (std::uint64_t bits = cand; bits != 0; bits &= bits - 1) {
-                unitWarps_.push_back(
-                    unitResident_[u][static_cast<unsigned>(
-                        std::countr_zero(bits))]);
-            }
-            sched.order(unitWarps_, now);
-            for (Warp *w : unitWarps_) {
-                if (eligible(*w)) {
-                    winner = w;
-                    break;
-                }
-            }
-            if (!winner && deprio) {
-                // Backed-off queue, FIFO by ticket: the eligible warp
-                // with the smallest backoffSeq.
-                for (std::uint64_t boff = mask.backedOff & mask.issuable;
-                     boff != 0; boff &= boff - 1) {
-                    Warp *w = unitResident_[u][static_cast<unsigned>(
-                        std::countr_zero(boff))];
-                    if (winner &&
-                        w->bows().backoffSeq >= winner->bows().backoffSeq)
-                        continue;
-                    if (eligible(*w))
-                        winner = w;
-                }
-            }
-        } else {
-            unitWarps_ = unitResident_[u];
-            sched.order(unitWarps_, now);
-            if (deprio) {
-                auto mid = std::stable_partition(
-                    unitWarps_.begin(), unitWarps_.end(),
-                    [](const Warp *w) { return !w->bows().backedOff; });
-                std::sort(mid, unitWarps_.end(),
-                          [](const Warp *a, const Warp *b) {
-                              return a->bows().backoffSeq <
-                                     b->bows().backoffSeq;
-                          });
-            }
-            for (Warp *w : unitWarps_) {
-                if (eligible(*w)) {
-                    winner = w;
-                    break;
-                }
-            }
-        }
+        Warp *winner =
+            sched.pick(unitResident_[u],
+                       UnitMask{unitIssuable_[u], unitBackedOff_[u]}, now,
+                       deprio, *this);
         if (winner) {
             issue(*winner, now);
             if (stallAccounting_)

@@ -116,7 +116,11 @@ unsigned maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
 
 class SmCore : private IssueGate {
   public:
-    /** Counts into launch.stats, which every SM of the device shares. */
+    /**
+     * Counts into launch.stats, which every SM of the device shares.
+     * Fatal unless cfg has at least one scheduler unit and at most 64
+     * warp slots per unit.
+     */
     SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch);
 
     /**
@@ -251,14 +255,12 @@ class SmCore : private IssueGate {
      * Active-warp bitmasks mirroring unitResident_ (bit k = position k
      * of unit u's vector): not-at-barrier and BOWS backed-off. Kept in
      * sync at warp launch/finish, barrier entry/exit, and back-off
-     * transitions; only maintained when every unit fits in 64 slots
-     * (masksEnabled_), else schedulers fall back to vector scans.
+     * transitions; the constructor rejects units wider than 64 slots.
      */
     std::vector<std::uint64_t> unitIssuable_;
     std::vector<std::uint64_t> unitBackedOff_;
     /** Warp slot -> position inside its unit's resident vector. */
     std::vector<std::uint32_t> unitPosOf_;
-    bool masksEnabled_ = false;
 
     /**
      * Calendar queue for ALU writebacks: ring of per-cycle buckets
@@ -271,8 +273,6 @@ class SmCore : private IssueGate {
     unsigned wbRingSize_ = 0;
     std::uint64_t wbPending_ = 0;
     std::vector<MemCompletion> memCompletions_;
-    /** Scratch buffer for per-unit arbitration (reused every cycle). */
-    std::vector<Warp *> unitWarps_;
 
     unsigned maxWarps_;
     unsigned warpsPerCta_ = 0;

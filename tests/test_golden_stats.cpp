@@ -16,10 +16,10 @@
  * synchronization outcomes for HT and ATM pinned at an exact
  * configuration, plus SHA-256 digests of whole runs (every stats field
  * and the final memory image) for every registry kernel in cycle and in
- * functional mode, one traced run, two-device runs and two sync
- * reports. The simulator is deterministic, so any drift
- * here is a real behavior change — timing model, scheduler, DDOS, BOWS,
- * or side-effect order. When a change is intentional, re-measure and
+ * functional mode, TwoLevel and arbitration-variant runs, one traced
+ * run, two-device runs and two sync reports. The simulator is
+ * deterministic, so any drift here is a real behavior change — timing
+ * model, scheduler, DDOS, BOWS, or side-effect order. When a change is intentional, re-measure and
  * update the constants in the same commit, and say why in the commit
  * message.
  *
@@ -259,6 +259,54 @@ INSTANTIATE_TEST_SUITE_P(Kernels, GoldenDigests,
                          [](const auto &info) {
                              return std::string(info.param.kernel);
                          });
+
+TEST(GoldenDigests, TwoLevelRunsPinned)
+{
+    // The fourth base policy on every registry kernel, with and without
+    // BOWS.
+    harness::FingerprintHasher h;
+    for (const GoldenDigest &g : kGoldenDigests) {
+        for (bool bows : {false, true}) {
+            GpuConfig cfg = makeGtx480Config();
+            cfg.numCores = 4;
+            cfg.scheduler = SchedulerKind::TwoLevel;
+            cfg.bows.enabled = bows;
+            cfg.collectStallBreakdown = true;
+            Gpu gpu(cfg);
+            addRun(h, makeBenchmark(g.kernel, 0.25)->run(gpu), gpu);
+        }
+    }
+    EXPECT_EQ(h.hex(),
+              "2b12e9e08c9de64a862096b831628345d7fc8f25c53993a438fa424b076f5a2f");
+}
+
+TEST(GoldenDigests, ArbitrationVariantsPinned)
+{
+    // BOWS throttling without deprioritization (ablation_bows's
+    // "throttle" mode), then four scheduler units per SM on the Pascal
+    // model, each under every base policy.
+    const SchedulerKind policies[] = {SchedulerKind::LRR, SchedulerKind::GTO,
+                                      SchedulerKind::CAWA,
+                                      SchedulerKind::TwoLevel};
+    harness::FingerprintHasher h;
+    for (bool pascal : {false, true}) {
+        for (const char *kernel : {"HT", "ATM"}) {
+            for (SchedulerKind sched : policies) {
+                GpuConfig cfg =
+                    pascal ? makeGtx1080TiConfig() : makeGtx480Config();
+                cfg.numCores = 4;
+                cfg.scheduler = sched;
+                cfg.bows.enabled = true;
+                cfg.bows.deprioritize = pascal;
+                cfg.collectStallBreakdown = true;
+                Gpu gpu(cfg);
+                addRun(h, makeBenchmark(kernel, 0.25)->run(gpu), gpu);
+            }
+        }
+    }
+    EXPECT_EQ(h.hex(),
+              "47ae5da4002988a3c559d8a0bba268c4b01797a6ffef36653e73feb0f5b5137f");
+}
 
 TEST(GoldenDigests, TraceStreamPinned)
 {

@@ -83,6 +83,24 @@ TEST(GpuApi, LaunchRejectsSharedMemoryOverflow)
                  FatalError);
 }
 
+TEST(GpuApi, LaunchRejectsSchedulerUnitGeometry)
+{
+    // An SM needs a scheduler unit, and a unit at most 64 warp slots
+    // (its arbitration bitmask): 4096 threads are 128 slots in one unit.
+    GpuConfig no_units = smallConfig();
+    no_units.numSchedulersPerCore = 0;
+    GpuConfig wide_unit = smallConfig();
+    wide_unit.numSchedulersPerCore = 1;
+    wide_unit.maxThreadsPerCore = 4096;
+    for (const GpuConfig &cfg : {no_units, wide_unit}) {
+        Gpu gpu(cfg);
+        Addr a = gpu.malloc(8);
+        EXPECT_THROW(gpu.launch(trivialKernel(), Dim3{1, 1, 1},
+                                Dim3{32, 1, 1}, {static_cast<Word>(a)}),
+                     FatalError);
+    }
+}
+
 TEST(GpuApi, MemoryPersistsAcrossLaunches)
 {
     Gpu gpu(smallConfig());

@@ -104,8 +104,9 @@ TEST(LitmusEquivalence, FunctionalModeMatchesCycleDigests)
             harness::runLitmusCell(cell, func_gpu);
         ASSERT_EQ(rf.outcome, SyncOutcome::Completed) << cell.id;
 
-        if (cell.numDevices == 1)
+        if (cell.numDevices == 1) {
             ASSERT_EQ(rc.outcome, SyncOutcome::Completed) << cell.id;
+        }
         if (rc.outcome != SyncOutcome::Completed)
             continue;
         EXPECT_EQ(cycle_gpu.mem().digest(), func_gpu.mem().digest())

@@ -355,8 +355,6 @@ TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
          [](GpuConfig &c) { c.scheduler = SchedulerKind::LRR; }},
         {"gtoRotatePeriod",
          [](GpuConfig &c) { c.gtoRotatePeriod = 60000; }},
-        {"twoLevelGroupSize",
-         [](GpuConfig &c) { c.twoLevelGroupSize = 16; }},
         {"bows.enabled",
          [](GpuConfig &c) { c.bows.enabled = !c.bows.enabled; }},
         {"bows.deprioritize",

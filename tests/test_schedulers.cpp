@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -35,34 +36,75 @@ raw(const std::vector<std::unique_ptr<Warp>> &warps)
     return out;
 }
 
+/** Rejects the listed warps, accepts the rest. */
+struct ListGate : IssueGate {
+    bool
+    eligible(Warp &w) const override
+    {
+        return std::find(rejected.begin(), rejected.end(), &w) ==
+               rejected.end();
+    }
+    std::vector<Warp *> rejected;
+};
+
+/**
+ * A policy's full priority order, recovered through pick() alone: each
+ * call goes through a gate that rejects @p ineligible and the warps
+ * already returned. @p warps is a unit's resident vector in launch-age
+ * order, with the masks the core derives from the warps' barrier and
+ * back-off state.
+ */
 std::vector<unsigned>
-ids(const std::vector<Warp *> &warps)
+priorityOrder(Scheduler &s, const std::vector<Warp *> &warps, Cycle now,
+              bool deprioritize = false,
+              const std::vector<Warp *> &ineligible = {})
 {
-    std::vector<unsigned> out;
-    for (const Warp *w : warps)
-        out.push_back(w->id());
-    return out;
+    UnitMask mask;
+    for (std::size_t k = 0; k < warps.size(); ++k) {
+        if (!warps[k]->atBarrier())
+            mask.issuable |= std::uint64_t{1} << k;
+        if (warps[k]->bows().backedOff)
+            mask.backedOff |= std::uint64_t{1} << k;
+    }
+    ListGate gate;
+    gate.rejected = ineligible;
+    std::vector<unsigned> order;
+    // A rejected warp coming back would repeat forever: stop at size.
+    while (Warp *w = s.pick(warps, mask, now, deprioritize, gate)) {
+        order.push_back(w->id());
+        gate.rejected.push_back(w);
+        if (order.size() > warps.size())
+            break;
+    }
+    return order;
 }
+
+const SchedulerKind kPolicies[] = {SchedulerKind::LRR, SchedulerKind::GTO,
+                                   SchedulerKind::CAWA,
+                                   SchedulerKind::TwoLevel};
 
 // ------------------------------------------------------------------ LRR
 
 TEST(Lrr, InitialOrderIsById)
 {
     auto owned = makeWarps(4);
-    auto list = raw(owned);
     LrrScheduler lrr;
-    lrr.order(list, 0);
-    EXPECT_EQ(ids(list), (std::vector<unsigned>{0, 1, 2, 3}));
+    EXPECT_EQ(priorityOrder(lrr, raw(owned), 0),
+              (std::vector<unsigned>{0, 1, 2, 3}));
 }
 
 TEST(Lrr, RotatesPastLastIssued)
 {
     auto owned = makeWarps(4);
-    auto list = raw(owned);
     LrrScheduler lrr;
     lrr.notifyIssued(owned[1].get(), 0);
-    lrr.order(list, 1);
-    EXPECT_EQ(ids(list), (std::vector<unsigned>{2, 3, 0, 1}));
+    EXPECT_EQ(priorityOrder(lrr, raw(owned), 1),
+              (std::vector<unsigned>{2, 3, 0, 1}));
+    // A last-issued warp that exited leaves the resident vector but
+    // stays lastIssued_ until its CTA retires: plain ascending ids then.
+    std::vector<Warp *> list = {owned[0].get(), owned[2].get(),
+                                owned[3].get()};
+    EXPECT_EQ(priorityOrder(lrr, list, 1), (std::vector<unsigned>{0, 2, 3}));
 }
 
 TEST(Lrr, FullRotationIsFair)
@@ -71,10 +113,8 @@ TEST(Lrr, FullRotationIsFair)
     LrrScheduler lrr;
     std::vector<unsigned> issued;
     for (int c = 0; c < 6; ++c) {
-        auto list = raw(owned);
-        lrr.order(list, c);
-        lrr.notifyIssued(list.front(), c);
-        issued.push_back(list.front()->id());
+        issued.push_back(priorityOrder(lrr, raw(owned), c).front());
+        lrr.notifyIssued(owned[issued.back()].get(), c);
     }
     EXPECT_EQ(issued, (std::vector<unsigned>{0, 1, 2, 0, 1, 2}));
 }
@@ -86,8 +126,7 @@ TEST(Lrr, FinishedWarpDropsFromRotation)
     lrr.notifyIssued(owned[2].get(), 0);
     lrr.notifyFinished(owned[2].get());
     std::vector<Warp *> list = {owned[0].get(), owned[1].get()};
-    lrr.order(list, 1);
-    EXPECT_EQ(ids(list), (std::vector<unsigned>{0, 1}));
+    EXPECT_EQ(priorityOrder(lrr, list, 1), (std::vector<unsigned>{0, 1}));
 }
 
 // ------------------------------------------------------------------ GTO
@@ -99,37 +138,36 @@ TEST(Gto, OldestFirstWithoutGreedy)
     owned[1]->setAge(10);
     owned[2]->setAge(20);
     owned[3]->setAge(40);
-    auto list = raw(owned);
+    // The core keeps residents in launch-age order.
+    std::vector<Warp *> list = {owned[1].get(), owned[2].get(),
+                                owned[0].get(), owned[3].get()};
     GtoScheduler gto(0);
-    gto.order(list, 0);
-    EXPECT_EQ(ids(list), (std::vector<unsigned>{1, 2, 0, 3}));
+    EXPECT_EQ(priorityOrder(gto, list, 0),
+              (std::vector<unsigned>{1, 2, 0, 3}));
 }
 
 TEST(Gto, GreedyKeepsLastIssuedOnTop)
 {
     auto owned = makeWarps(4);
-    auto list = raw(owned);
     GtoScheduler gto(0);
     gto.notifyIssued(owned[3].get(), 0);
-    gto.order(list, 1);
-    EXPECT_EQ(list.front()->id(), 3u);
-    // The rest stay oldest-first.
-    EXPECT_EQ(ids(list), (std::vector<unsigned>{3, 0, 1, 2}));
+    // The rest stay oldest-first, and an ineligible greedy warp is
+    // skipped.
+    EXPECT_EQ(priorityOrder(gto, raw(owned), 1),
+              (std::vector<unsigned>{3, 0, 1, 2}));
+    EXPECT_EQ(priorityOrder(gto, raw(owned), 1, false, {owned[3].get()}),
+              (std::vector<unsigned>{0, 1, 2}));
 }
 
 TEST(Gto, RotationShiftsAgePriorityOverTime)
 {
     auto owned = makeWarps(4);
     GtoScheduler gto(1000);
-    auto list = raw(owned);
-    gto.order(list, 500);  // rotation bucket 0
-    EXPECT_EQ(list.front()->id(), 0u);
-    list = raw(owned);
-    gto.order(list, 1500);  // rotation bucket 1
-    EXPECT_EQ(list.front()->id(), 1u);
-    list = raw(owned);
-    gto.order(list, 2500);
-    EXPECT_EQ(list.front()->id(), 2u);
+    // rotation bucket 0
+    EXPECT_EQ(priorityOrder(gto, raw(owned), 500).front(), 0u);
+    // rotation bucket 1
+    EXPECT_EQ(priorityOrder(gto, raw(owned), 1500).front(), 1u);
+    EXPECT_EQ(priorityOrder(gto, raw(owned), 2500).front(), 2u);
 }
 
 TEST(Gto, FinishedGreedyWarpForgotten)
@@ -139,8 +177,7 @@ TEST(Gto, FinishedGreedyWarpForgotten)
     gto.notifyIssued(owned[1].get(), 0);
     gto.notifyFinished(owned[1].get());
     std::vector<Warp *> list = {owned[0].get()};
-    gto.order(list, 1);
-    EXPECT_EQ(list.front()->id(), 0u);
+    EXPECT_EQ(priorityOrder(gto, list, 1).front(), 0u);
 }
 
 // ----------------------------------------------------------------- CAWA
@@ -154,10 +191,8 @@ TEST(Cawa, PrioritizesHighestCriticality)
     owned[2]->cawa().stallCycles = 5000;
     owned[0]->cawa().estRemaining = 10;
     owned[1]->cawa().estRemaining = 10;
-    auto list = raw(owned);
     CawaScheduler cawa;
-    cawa.order(list, 0);
-    EXPECT_EQ(list.front()->id(), 2u);
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 0).front(), 2u);
 }
 
 TEST(Cawa, SpinningWarpGainsPriorityAsEstimateGrows)
@@ -173,15 +208,12 @@ TEST(Cawa, SpinningWarpGainsPriorityAsEstimateGrows)
     spinner.activeCycles = worker.activeCycles = 1000;
 
     CawaScheduler cawa;
-    auto list = raw(owned);
-    cawa.order(list, 0);
     // Equal criticality: oldest (warp 0) leads; but now the spinner keeps
     // re-running its loop and its estimate balloons.
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 0).front(), 0u);
     for (int i = 0; i < 100; ++i)
         spinner.estRemaining += 5;  // backward-branch inflation
-    list = raw(owned);
-    cawa.order(list, 1);
-    EXPECT_EQ(list.front()->id(), 0u);
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 1).front(), 0u);
     EXPECT_GT(spinner.criticality(), worker.criticality());
 }
 
@@ -199,42 +231,41 @@ TEST(Cawa, GreedyComponentKeepsLastIssued)
 {
     auto owned = makeWarps(3);
     owned[0]->cawa().estRemaining = 100;
-    auto list = raw(owned);
     CawaScheduler cawa;
     cawa.notifyIssued(owned[2].get(), 0);
-    cawa.order(list, 1);
-    EXPECT_EQ(list.front()->id(), 2u);
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 1).front(), 2u);
+    // An ineligible greedy warp is skipped: criticality, then age.
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 1, false, {owned[2].get()}),
+              (std::vector<unsigned>{0, 1}));
 }
 
 // ------------------------------------------------------------ TwoLevel
 
 TEST(TwoLevel, ActiveGroupLeadsTheOrder)
 {
-    auto owned = makeWarps(16);
-    TwoLevelScheduler tl(4);
-    // Issue from warp 9: group 2 becomes active.
-    tl.notifyIssued(owned[9].get(), 0);
-    auto list = raw(owned);
-    tl.order(list, 1);
-    // The first four entries are all of group 2 (ids 8..11).
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(list[i]->id() / 4, 2u) << "position " << i;
+    auto owned = makeWarps(32);
+    TwoLevelScheduler tl;
+    // Issue from warp 17: group 2 becomes active.
+    tl.notifyIssued(owned[17].get(), 0);
+    const auto order = priorityOrder(tl, raw(owned), 1);
+    // The first eight entries are all of group 2 (ids 16..23).
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(order[i] / 8, 2u) << "position " << i;
     }
-    // Round-robin inside the group: warp after 9 leads.
-    EXPECT_EQ(list[0]->id(), 10u);
+    // Round-robin inside the group: warp after 17 leads.
+    EXPECT_EQ(order[0], 18u);
 }
 
 TEST(TwoLevel, GroupsFollowInWrapOrder)
 {
-    auto owned = makeWarps(12);
-    TwoLevelScheduler tl(4);
-    tl.notifyIssued(owned[8].get(), 0);  // active group = 2 (last)
-    auto list = raw(owned);
-    tl.order(list, 1);
+    auto owned = makeWarps(24);
+    TwoLevelScheduler tl;
+    tl.notifyIssued(owned[16].get(), 0);  // active group = 2 (last)
+    const auto order = priorityOrder(tl, raw(owned), 1);
     // Order of groups: 2, then 0, then 1.
-    EXPECT_EQ(list[0]->id() / 4, 2u);
-    EXPECT_EQ(list[4]->id() / 4, 0u);
-    EXPECT_EQ(list[8]->id() / 4, 1u);
+    EXPECT_EQ(order[0] / 8, 2u);
+    EXPECT_EQ(order[8] / 8, 0u);
+    EXPECT_EQ(order[16] / 8, 1u);
 }
 
 TEST(TwoLevel, RunsAKernelCorrectly)
@@ -256,6 +287,54 @@ TEST(TwoLevel, RunsAKernelCorrectly)
     Word v = 0;
     gpu.memcpyFromDevice(&v, counter, 8);
     EXPECT_EQ(v, 4 * 256);
+}
+
+// ---------------------------------------------------------- arbitration
+
+TEST(Arbitration, BackedOffWarpsComeLastInFifoOrder)
+{
+    // Fig. 8: with deprioritization every policy's order over the
+    // non-backed-off warps comes first, then the backed-off queue by
+    // ticket; without it, backed-off warps are ordinary candidates.
+    auto owned = makeWarps(6);
+    for (auto [id, seq] : {std::pair{4, 1}, {2, 2}, {1, 3}}) {
+        owned[id]->bows().backedOff = true;
+        owned[id]->bows().backoffSeq = seq;
+    }
+    GpuConfig cfg;
+    for (SchedulerKind kind : kPolicies) {
+        cfg.scheduler = kind;
+        auto sched = makeScheduler(cfg);
+        EXPECT_EQ(priorityOrder(*sched, raw(owned), 0, true),
+                  (std::vector<unsigned>{0, 3, 5, 4, 2, 1}))
+            << sched->name();
+        EXPECT_EQ(priorityOrder(*sched, raw(owned), 0, false),
+                  (std::vector<unsigned>{0, 1, 2, 3, 4, 5}))
+            << sched->name();
+    }
+}
+
+TEST(Arbitration, ClearedIssuableBitIsNeverPicked)
+{
+    // Barrier-parked warps have a clear issuable bit; the fake gate
+    // would accept them, so only the mask keeps them out. Warp 1 is the
+    // last-issued one GTO and CAWA favour, warp 2 is also backed off.
+    auto owned = makeWarps(4);
+    owned[1]->setAtBarrier(true);
+    owned[2]->setAtBarrier(true);
+    owned[2]->bows().backedOff = true;
+    GpuConfig cfg;
+    for (SchedulerKind kind : kPolicies) {
+        cfg.scheduler = kind;
+        auto sched = makeScheduler(cfg);
+        sched->notifyIssued(owned[1].get(), 0);
+        for (bool deprioritize : {false, true}) {
+            auto order = priorityOrder(*sched, raw(owned), 1, deprioritize);
+            std::sort(order.begin(), order.end());
+            EXPECT_EQ(order, (std::vector<unsigned>{0, 3}))
+                << sched->name() << " deprioritize=" << deprioritize;
+        }
+    }
 }
 
 // -------------------------------------------------------------- factory
