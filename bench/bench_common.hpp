@@ -129,21 +129,13 @@ struct BenchOptions {
     ExecMode execMode = ExecMode::Cycle;
     /**
      * Persistent result cache (--cache=off|ro|rw / BOWSIM_CACHE; see
-     * docs/BENCH.md, "Result cache & resume"). Off by default: caching
-     * is opt-in so a default invocation always re-simulates.
+     * docs/BENCH.md, "Result cache"). Off by default: caching is opt-in
+     * so a default invocation always re-simulates.
      */
     harness::CacheMode cacheMode = harness::CacheMode::Off;
     /** Cache directory (--cache-dir= / BOWSIM_CACHE_DIR); defaults to
      *  .bowsim-cache in the working directory. */
     std::string cacheDir = ".bowsim-cache";
-    /**
-     * Resume an interrupted sweep from its journal (--resume /
-     * BOWSIM_RESUME): journaled points are served without simulation,
-     * everything else runs. Requires the cache to be on (the journal
-     * lives in the cache directory); --cache=off with --resume is a
-     * usage error.
-     */
-    bool resume = false;
 };
 
 /** Sanitizes a point id into a filename fragment (slashes etc. -> '_'). */
@@ -180,7 +172,7 @@ tracePathFor(const std::string &base, const std::string &id)
  * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
- * --progress / --exec-mode= / --cache= / --cache-dir= / --resume
+ * --progress / --exec-mode= / --cache= / --cache-dir=
  * plus the corresponding
  * BOWSIM_* environment variables (flags win over the environment, the
  * environment wins over the bench's defaults). Unknown arguments are
@@ -240,8 +232,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         setCacheMode(env);
     if (const char *env = std::getenv("BOWSIM_CACHE_DIR"))
         o.cacheDir = env;
-    if (const char *env = std::getenv("BOWSIM_RESUME"))
-        o.resume = env[0] != '\0' && env[0] != '0';
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--scale=", 8) == 0)
             o.scale = std::atof(argv[i] + 8);
@@ -275,8 +265,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             setCacheMode(argv[i] + 8);
         else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0)
             o.cacheDir = argv[i] + 12;
-        else if (std::strcmp(argv[i], "--resume") == 0)
-            o.resume = true;
     }
     if (!o.traceFilter.empty()) {
         std::uint32_t mask = 0;
@@ -288,12 +276,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
                          o.traceFilter.c_str());
             std::exit(2);
         }
-    }
-    if (o.resume && o.cacheMode == harness::CacheMode::Off) {
-        std::fprintf(stderr,
-                     "error: --resume requires --cache=ro or rw (the "
-                     "resume journal lives in the cache directory)\n");
-        std::exit(2);
     }
     if (o.execMode == ExecMode::Functional &&
         (!o.tracePath.empty() || !o.metricsPath.empty() ||
@@ -322,39 +304,38 @@ struct Sweep {
     std::string name;
     std::vector<SweepPoint> points;
 
-    /** Adds a registry-kernel point; returns its index. */
+    /**
+     * Adds a registry-kernel point, with optional kernel overrides
+     * (makeBenchmark validates them); returns its index.
+     */
     size_t
-    add(std::string id, std::string kernel, GpuConfig cfg, double scale)
+    add(std::string id, std::string kernel, GpuConfig cfg, double scale,
+        KernelParams params = {})
     {
         SweepPoint p;
         p.id = std::move(id);
         p.kernel = std::move(kernel);
         p.cfg = cfg;
         p.scale = scale;
+        p.params = std::move(params);
         points.push_back(std::move(p));
         return points.size() - 1;
     }
 
     /**
-     * Adds a custom point (non-registry parameterizations) that runs on
-     * a runner-provided Gpu. The runner owns Gpu construction, so
-     * --trace/--metrics/--no-skip/--profile all apply.
-     * @p cache_salt opts the point into the result cache: it must cover
-     * everything the closure's behavior depends on beyond the config —
-     * at minimum fingerprintPrograms() of the harness it runs plus all
-     * baked-in parameters (see SweepPoint::cacheSalt). Empty (the
-     * default) keeps the point uncacheable.
+     * Adds a point whose closure needs the Gpu itself (litmus cells,
+     * micro_functional). The runner owns Gpu construction, so
+     * --trace/--metrics/--no-skip/--profile all apply; the point always
+     * simulates, even with --cache.
      */
     size_t
     add(std::string id, GpuConfig cfg,
-        std::function<KernelStats(Gpu &)> gpu_body,
-        std::string cache_salt = std::string())
+        std::function<KernelStats(Gpu &)> gpu_body)
     {
         SweepPoint p;
         p.id = std::move(id);
         p.cfg = cfg;
         p.gpuBody = std::move(gpu_body);
-        p.cacheSalt = std::move(cache_salt);
         points.push_back(std::move(p));
         return points.size() - 1;
     }
@@ -401,19 +382,14 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         if (opts.hasExecMode)
             p.cfg.execMode = opts.execMode;
     }
-    // Result cache & resume (docs/BENCH.md): the runner serves
-    // fingerprint hits and journal replays without dispatching to a
-    // worker. Both objects must outlive runner.run().
+    // Result cache (docs/BENCH.md): the runner serves fingerprint hits
+    // without dispatching to a worker. The cache must outlive
+    // runner.run().
     std::unique_ptr<harness::ResultCache> cache;
-    std::unique_ptr<harness::ResumeJournal> journal;
     if (opts.cacheMode != harness::CacheMode::Off) {
         cache = std::make_unique<harness::ResultCache>(opts.cacheDir,
                                                        opts.cacheMode);
-        journal = std::make_unique<harness::ResumeJournal>(
-            cache->journalPath(sweep.name), opts.resume,
-            opts.cacheMode == harness::CacheMode::ReadWrite);
         runner.setCache(cache.get());
-        runner.setJournal(journal.get());
     }
     metrics::ProgressMeter meter;
     if (opts.progress) {
@@ -463,15 +439,6 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         std::printf("\n");
     }
     return results;
-}
-
-/** Runs one named benchmark on @p cfg and returns its statistics. */
-inline KernelStats
-runBenchmark(const GpuConfig &cfg, const std::string &name, double scale)
-{
-    Gpu gpu(cfg);
-    auto harness = makeBenchmark(name, scale);
-    return harness->run(gpu);
 }
 
 inline void

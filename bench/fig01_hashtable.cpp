@@ -11,7 +11,6 @@
  *      conflicts cause the drop).
  */
 #include "bench/bench_common.hpp"
-#include "bench/ht_salt.hpp"
 
 #include "src/cpuref/hashtable_cpu.hpp"
 #include "src/kernels/hashtable.hpp"
@@ -19,38 +18,13 @@
 using namespace bowsim;
 using namespace bowsim::bench;
 
-namespace {
-
-HashtableParams
-htForBuckets(unsigned buckets, double scale)
-{
-    HashtableParams p;
-    p.insertions = static_cast<unsigned>(24576 * scale);
-    p.buckets = buckets;
-    p.ctas = 30;
-    p.threadsPerCta = 256;
-    return p;
-}
-
-/** Sweep body: one hashtable run with explicit parameters. The runner
- *  provides the Gpu, so --trace/--metrics/--no-skip all apply. */
-std::function<KernelStats(Gpu &)>
-htBody(const HashtableParams &p)
-{
-    return [p](Gpu &gpu) {
-        auto h = makeHashtable(p);
-        return h->run(gpu);
-    };
-}
-
-}  // namespace
-
 int
 main(int argc, char **argv)
 {
     BenchOptions opts = parseOptions(argc, argv, 1.0);
     const std::vector<unsigned> buckets = {128, 256, 512, 1024, 2048,
                                            4096};
+    const auto insertions = static_cast<std::int64_t>(24576 * opts.scale);
 
     // Three GPU points per bucket count: Fermi (reused for both 1b and
     // the 1c/1d/1e multi-warp columns — same config, same inputs),
@@ -59,21 +33,23 @@ main(int argc, char **argv)
     Sweep sweep;
     sweep.name = "fig01_hashtable";
     for (unsigned b : buckets) {
-        HashtableParams p = htForBuckets(b, opts.scale);
+        const KernelParams multi = {{"insertions", insertions},
+                                    {"buckets", b},
+                                    {"ctas", 30},
+                                    {"threadsPerCta", 256}};
+        const KernelParams single = {{"insertions", 2048},
+                                     {"buckets", b},
+                                     {"ctas", 1},
+                                     {"threadsPerCta", 32}};
         GpuConfig fermi = makeGtx480Config();
         applyCores(opts, fermi);
         GpuConfig pascal = makeGtx1080TiConfig();
         applyCores(opts, pascal);
-        sweep.add("HT/fermi/" + std::to_string(b), fermi, htBody(p),
-                  htSalt(p));
-        sweep.add("HT/pascal/" + std::to_string(b), pascal, htBody(p),
-                  htSalt(p));
-        HashtableParams single = p;
-        single.ctas = 1;
-        single.threadsPerCta = 32;
-        single.insertions = 2048;
-        sweep.add("HT/single/" + std::to_string(b), fermi,
-                  htBody(single), htSalt(single));
+        sweep.add("HT/fermi/" + std::to_string(b), "HT", fermi, 1.0, multi);
+        sweep.add("HT/pascal/" + std::to_string(b), "HT", pascal, 1.0,
+                  multi);
+        sweep.add("HT/single/" + std::to_string(b), "HT", fermi, 1.0,
+                  single);
     }
 
     const std::vector<SweepResult> results = runSweep(opts, sweep);
@@ -85,10 +61,9 @@ main(int argc, char **argv)
     std::printf("%-8s %12s %12s %12s\n", "buckets", "cpu_ms",
                 "fermi_ms", "pascal_ms");
     for (size_t i = 0; i < buckets.size(); ++i) {
-        HashtableParams p = htForBuckets(buckets[i], opts.scale);
         // Real, natively-timed serial CPU insertion of the same keys.
-        std::vector<Word> keys(p.insertions);
-        std::uint64_t x = p.seed;
+        std::vector<Word> keys(insertions);
+        std::uint64_t x = HashtableParams{}.seed;
         for (auto &k : keys) {
             x ^= x >> 12;
             x ^= x << 25;

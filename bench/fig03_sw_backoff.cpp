@@ -5,9 +5,6 @@
  * issue slots, so it only pays off at very high contention, if at all.
  */
 #include "bench/bench_common.hpp"
-#include "bench/ht_salt.hpp"
-
-#include "src/kernels/hashtable.hpp"
 
 using namespace bowsim;
 using namespace bowsim::bench;
@@ -33,20 +30,15 @@ main(int argc, char **argv)
             GpuConfig cfg = makeGtx1080TiConfig();
             applyCores(opts, cfg);
             cfg.bows.enabled = false;
-            HashtableParams p;
-            p.insertions = static_cast<unsigned>(16384 * opts.scale);
-            p.buckets = b;
-            p.ctas = 30;
-            p.threadsPerCta = 256;
-            p.delayFactor = f;
-            sweep.add("HT/" + std::to_string(b) + "/d" +
-                          std::to_string(f),
-                      cfg,
-                      std::function<KernelStats(Gpu &)>([p](Gpu &gpu) {
-                          auto h = makeHashtable(p);
-                          return h->run(gpu);
-                      }),
-                      htSalt(p));
+            sweep.add(
+                "HT/" + std::to_string(b) + "/d" + std::to_string(f), "HT",
+                cfg, 1.0,
+                {{"insertions",
+                  static_cast<std::int64_t>(16384 * opts.scale)},
+                 {"buckets", b},
+                 {"ctas", 30},
+                 {"threadsPerCta", 256},
+                 {"delayFactor", f}});
         }
     }
 

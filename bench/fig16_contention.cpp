@@ -7,9 +7,6 @@
  * The gap between BOWS and ideal-blocking shrinks as buckets grow.
  */
 #include "bench/bench_common.hpp"
-#include "bench/ht_salt.hpp"
-
-#include "src/kernels/hashtable.hpp"
 
 using namespace bowsim;
 using namespace bowsim::bench;
@@ -33,19 +30,13 @@ main(int argc, char **argv)
             applyCores(opts, cfg);
             cfg.scheduler = SchedulerKind::GTO;
             cfg.bows.enabled = bows != 0;
-            HashtableParams p;
-            p.insertions = static_cast<unsigned>(24576 * opts.scale);
-            p.buckets = b;
-            p.ctas = 30;
-            p.threadsPerCta = 256;
-            sweep.add("HT/" + std::to_string(b) +
-                          (bows ? "/BOWS" : "/GTO"),
-                      cfg,
-                      std::function<KernelStats(Gpu &)>([p](Gpu &gpu) {
-                          auto h = makeHashtable(p);
-                          return h->run(gpu);
-                      }),
-                      htSalt(p));
+            sweep.add("HT/" + std::to_string(b) + (bows ? "/BOWS" : "/GTO"),
+                      "HT", cfg, 1.0,
+                      {{"insertions",
+                        static_cast<std::int64_t>(24576 * opts.scale)},
+                       {"buckets", b},
+                       {"ctas", 30},
+                       {"threadsPerCta", 256}});
         }
     }
 

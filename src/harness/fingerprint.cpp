@@ -5,7 +5,6 @@
 #include "src/common/log.hpp"
 #include "src/harness/sweep.hpp"
 #include "src/isa/program.hpp"
-#include "src/kernels/kernel_harness.hpp"
 #include "src/kernels/registry.hpp"
 
 namespace bowsim::harness {
@@ -406,17 +405,6 @@ hashProgram(FingerprintHasher &h, const Program &prog)
     hashPcSet(h, "sync_region", prog.sync.syncRegion);
 }
 
-std::string
-fingerprintPrograms(const KernelHarness &harness)
-{
-    FingerprintHasher h;
-    const auto progs = harness.programs();
-    h.add("num_programs", static_cast<std::uint64_t>(progs.size()));
-    for (const Program *p : progs)
-        hashProgram(h, *p);
-    return h.hex();
-}
-
 // ---------------------------------------------------------------------
 // Point fingerprints.
 // ---------------------------------------------------------------------
@@ -425,33 +413,37 @@ PointKey
 fingerprintPoint(const SweepPoint &point)
 {
     PointKey key;
+    if (point.gpuBody) {
+        key.reason = "gpuBody closures always simulate";
+        return key;
+    }
     FingerprintHasher h;
     hashConfig(h, point.cfg);
     h.add("scale", point.scale);
-    if (point.gpuBody) {
-        if (point.cacheSalt.empty()) {
-            key.reason = "gpuBody without a declared cache salt";
-            return key;
+    h.add("kernel", point.kernel);
+    // Hashed only when present, so points without overrides keep the
+    // keys they had before overrides existed.
+    if (!point.params.empty()) {
+        h.add("num_params", static_cast<std::uint64_t>(point.params.size()));
+        for (const auto &[name, value] : point.params) {
+            h.add("param", name);
+            h.add("value", value);
         }
-        h.add("salt", point.cacheSalt);
-    } else {
-        h.add("kernel", point.kernel);
-        try {
-            // Constructors assemble their programs (setup() only touches
-            // device memory), so the ISA content is available without a
-            // Gpu. An unresolvable kernel name is not cacheable — the
-            // run itself will fail and failures are never cached.
-            auto harness = makeBenchmark(point.kernel, point.scale);
-            const auto progs = harness->programs();
-            h.add("num_programs",
-                  static_cast<std::uint64_t>(progs.size()));
-            for (const Program *p : progs)
-                hashProgram(h, *p);
-        } catch (const FatalError &e) {
-            key.reason = std::string("kernel not fingerprintable: ") +
-                         e.what();
-            return key;
-        }
+    }
+    try {
+        // Constructors assemble their programs (setup() only touches
+        // device memory), so the ISA content is available without a
+        // Gpu. An unresolvable kernel or a rejected override is not
+        // cacheable — the run itself will fail and failures are never
+        // cached.
+        auto harness = makeBenchmark(point.kernel, point.scale, point.params);
+        const auto progs = harness->programs();
+        h.add("num_programs", static_cast<std::uint64_t>(progs.size()));
+        for (const Program *p : progs)
+            hashProgram(h, *p);
+    } catch (const FatalError &e) {
+        key.reason = std::string("kernel not fingerprintable: ") + e.what();
+        return key;
     }
     key.cacheable = true;
     key.hash = h.hex();

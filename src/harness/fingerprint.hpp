@@ -8,8 +8,8 @@
 
 /**
  * @file
- * Content fingerprints for sweep points (docs/BENCH.md, "Result cache &
- * resume"). A fingerprint is a SHA-256 over a canonical serialization of
+ * Content fingerprints for sweep points (docs/BENCH.md, "Result
+ * cache"). A fingerprint is a SHA-256 over a canonical serialization of
  * everything that can influence a point's statistics:
  *
  *  - a schema-version constant (kResultSchemaVersion), bumped whenever
@@ -17,7 +17,8 @@
  *    changes, so every previously cached result is invalidated at once;
  *  - every result-relevant GpuConfig field (see hashConfig for the
  *    short, deliberately enumerated list of exclusions);
- *  - the kernel name and workload scale;
+ *  - the kernel name, workload scale and kernel overrides (the
+ *    overrides only when the point has some);
  *  - the assembled ISA of every program the benchmark launches —
  *    instruction stream, resource declarations and synchronization
  *    annotations — so editing a kernel's source text changes its key.
@@ -30,7 +31,6 @@
  */
 
 namespace bowsim {
-class KernelHarness;
 struct Program;
 }
 
@@ -96,14 +96,6 @@ void hashConfig(FingerprintHasher &h, const GpuConfig &cfg);
  *  which elides reconvergence PCs) and the sync annotations. */
 void hashProgram(FingerprintHasher &h, const Program &prog);
 
-/**
- * Fingerprint of all programs @p harness launches, as a hex digest.
- * Benches with custom gpuBody points fold this into their declared
- * cache salt so a kernel-source edit invalidates their cached results
- * (see SweepPoint::cacheSalt).
- */
-std::string fingerprintPrograms(const KernelHarness &harness);
-
 /** Whether and how a sweep point is content-addressable. */
 struct PointKey {
     bool cacheable = false;
@@ -115,12 +107,11 @@ struct PointKey {
 
 /**
  * Computes @p point's fingerprint:
- *  - registry points hash (schema version, config, kernel, scale, the
- *    assembled programs of makeBenchmark(kernel, scale));
- *  - gpuBody points with a declared cacheSalt hash (schema version,
- *    config, salt, scale);
- *  - gpuBody points without a salt are not cacheable (the harness
- *    counts them as bypassed and journals them under a weak key).
+ *  - registry points hash (schema version, config, scale, kernel, the
+ *    overrides when there are any, and the assembled programs of
+ *    makeBenchmark(kernel, scale, params));
+ *  - gpuBody points are not cacheable (the runner counts them as
+ *    bypassed and always simulates them).
  * Side outputs (tracePath/metricsPath) are the runner's concern: such
  * points get a key here but are bypassed at dispatch, because a cache
  * hit would not regenerate the side files.

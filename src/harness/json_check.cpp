@@ -59,8 +59,7 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
         // "off" never emits a block at all, so it is illegal here.
         if (mode != "ro" && mode != "rw")
             return fail("cache block has unknown mode \"" + mode + "\"");
-        for (const char *k :
-             {"hits", "misses", "stored", "bypassed", "resumed"}) {
+        for (const char *k : {"hits", "misses", "stored", "bypassed"}) {
             if (!cache.has(k) || !cache.at(k).isNumber())
                 return fail(std::string("cache block lacks numeric \"") +
                             k + "\"");
@@ -72,14 +71,12 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
         const std::int64_t misses = cache.at("misses").asInt();
         const std::int64_t stored = cache.at("stored").asInt();
         const std::int64_t bypassed = cache.at("bypassed").asInt();
-        const std::int64_t resumed = cache.at("resumed").asInt();
         // Every point gets exactly one disposition.
-        if (hits + misses + bypassed + resumed !=
+        if (hits + misses + bypassed !=
             static_cast<std::int64_t>(points.size())) {
             std::ostringstream os;
-            os << "cache counters sum to "
-               << (hits + misses + bypassed + resumed) << " but the "
-               << "artifact has " << points.size() << " points";
+            os << "cache counters sum to " << (hits + misses + bypassed)
+               << " but the artifact has " << points.size() << " points";
             return fail(os.str());
         }
         if (stored > misses)
@@ -217,8 +214,7 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
         const Json &cache = doc.at("cache");
         os << ", cache " << cache.at("hits").asInt() << " hit/"
            << cache.at("misses").asInt() << " miss/"
-           << cache.at("bypassed").asInt() << " bypassed/"
-           << cache.at("resumed").asInt() << " resumed";
+           << cache.at("bypassed").asInt() << " bypassed";
     }
     os << ")";
     CheckResult r;

@@ -33,8 +33,8 @@ Json loadJsonFile(const std::string &path);
  * "functional"; no point may carry the IPC-estimator fields ipc_est,
  * ipc_ci95 or sampled_windows. When the artifact carries a "cache"
  * block (the sweep ran with --cache, docs/BENCH.md) its mode and
- * counters are validated: hits + misses + bypassed + resumed must
- * equal the point count and stored may not exceed misses. A
+ * counters are validated: hits + misses + bypassed must equal the
+ * point count and stored may not exceed misses. A
  * non-negative @p expected_cache_hits additionally requires the block
  * to be present and report exactly that many hits (the CI warm-run
  * all-hits gate).

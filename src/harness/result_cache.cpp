@@ -108,8 +108,6 @@ ResultCache::ResultCache(std::string dir, CacheMode mode)
     if (mode_ == CacheMode::ReadWrite) {
         std::error_code ec;
         fs::create_directories(fs::path(dir_) / "objects", ec);
-        if (!ec)
-            fs::create_directories(fs::path(dir_) / "journal", ec);
         if (ec) {
             fatal("result cache: cannot create ", dir_, ": ",
                   ec.message());
@@ -121,13 +119,6 @@ std::string
 ResultCache::recordPath(const std::string &fingerprint) const
 {
     return (fs::path(dir_) / "objects" / (fingerprint + ".json"))
-        .string();
-}
-
-std::string
-ResultCache::journalPath(const std::string &bench_name) const
-{
-    return (fs::path(dir_) / "journal" / (bench_name + ".jsonl"))
         .string();
 }
 
@@ -181,84 +172,7 @@ ResultCache::counters() const
     c.misses = misses_.load(std::memory_order_relaxed);
     c.stored = stored_.load(std::memory_order_relaxed);
     c.bypassed = bypassed_.load(std::memory_order_relaxed);
-    c.resumed = resumed_.load(std::memory_order_relaxed);
     return c;
-}
-
-ResumeJournal::ResumeJournal(std::string path, bool resume, bool writable)
-    : path_(std::move(path)), writable_(writable)
-{
-    if (resume) {
-        std::string text;
-        if (readFile(path_, &text)) {
-            std::istringstream lines(text);
-            std::string line;
-            while (std::getline(lines, line)) {
-                if (line.empty())
-                    continue;
-                try {
-                    const Json rec = Json::parse(line);
-                    Entry e;
-                    e.key = rec.at("key").asString();
-                    e.stats = statsFromJson(rec.at("stats"));
-                    entries_[rec.at("id").asString()] = std::move(e);
-                } catch (const FatalError &) {
-                    // A torn final line is how a crash mid-append
-                    // manifests; everything after it is unreadable, so
-                    // stop and let those points re-simulate.
-                    break;
-                }
-            }
-        }
-    } else if (writable_) {
-        // Fresh sweep: any journal left by a previous run describes
-        // points the caller chose not to resume — discard it.
-        std::error_code ec;
-        fs::remove(path_, ec);
-    }
-    if (writable_) {
-        std::error_code ec;
-        fs::create_directories(fs::path(path_).parent_path(), ec);
-        if (ec) {
-            fatal("resume journal: cannot create ",
-                  fs::path(path_).parent_path().string(), ": ",
-                  ec.message());
-        }
-    }
-}
-
-bool
-ResumeJournal::lookup(const std::string &id, const std::string &key,
-                      KernelStats *out) const
-{
-    auto it = entries_.find(id);
-    if (it == entries_.end() || it->second.key != key)
-        return false;
-    *out = it->second.stats;
-    return true;
-}
-
-void
-ResumeJournal::record(const std::string &id, const std::string &key,
-                      const KernelStats &stats)
-{
-    if (!writable_)
-        return;
-    Json rec = Json::object();
-    rec.set("id", id);
-    rec.set("key", key);
-    rec.set("stats", statsToJson(stats));
-    const std::string line = rec.dump(0) + "\n";
-    std::lock_guard<std::mutex> lock(mu_);
-    std::ofstream out(path_, std::ios::binary | std::ios::app);
-    if (!out) {
-        warn("resume journal: cannot append to " + path_);
-        return;
-    }
-    out << line;
-    out.flush();
-    if (!out)
-        warn("resume journal: short write to " + path_);
 }
 
 }  // namespace bowsim::harness

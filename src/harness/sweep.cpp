@@ -73,7 +73,8 @@ runPoint(const SweepPoint &point)
             gpu.setSyncProf(syncreg.get());
         r.stats = point.gpuBody
                       ? point.gpuBody(gpu)
-                      : makeBenchmark(point.kernel, point.scale)->run(gpu);
+                      : makeBenchmark(point.kernel, point.scale, point.params)
+                            ->run(gpu);
         r.ok = true;
     } catch (const std::exception &e) {
         r.error = e.what();
@@ -136,67 +137,34 @@ runPoint(const SweepPoint &point)
 SweepResult
 SweepRunner::execPoint(const SweepPoint &point) const
 {
-    if (!cache_ && !journal_)
+    if (!cache_)
         return runPoint(point);
 
     // A cache hit would not regenerate side-output files, so points
-    // with a trace, metrics or sync-report output always simulate.
-    if (!point.tracePath.empty() || !point.metricsPath.empty() ||
-        !point.syncReportPath.empty() || point.syncProfile) {
-        if (cache_)
-            cache_->countBypassed();
+    // with a trace, metrics or sync-report output always simulate, as
+    // do the gpuBody closures the fingerprinter cannot key.
+    const bool side_outputs =
+        !point.tracePath.empty() || !point.metricsPath.empty() ||
+        !point.syncReportPath.empty() || point.syncProfile;
+    const PointKey key = side_outputs ? PointKey{} : fingerprintPoint(point);
+    if (!key.cacheable) {
+        cache_->countBypassed();
         return runPoint(point);
     }
 
-    const PointKey key = fingerprintPoint(point);
-    // Points the fingerprinter cannot content-address still get a weak
-    // per-sweep resume key (config + id + scale). That is enough for
-    // journal replay — a resumed sweep re-runs the same sweep
-    // definition, so a matching (id, config) names the same work — but
-    // deliberately too weak for the shared object store, where keys
-    // must survive source edits.
-    std::string journal_key;
-    if (key.cacheable) {
-        journal_key = key.hash;
-    } else {
-        FingerprintHasher weak;
-        hashConfig(weak, point.cfg);
-        weak.add("weak_id", point.id);
-        weak.add("scale", point.scale);
-        journal_key = weak.hex();
-    }
-
     SweepResult r;
-    if (journal_ && journal_->lookup(point.id, journal_key, &r.stats)) {
-        r.ok = true;
-        r.source = SweepResult::Source::Resumed;
-        if (cache_)
-            cache_->countResumed();
-        return r;
-    }
-    if (cache_ && key.cacheable && cache_->lookup(key.hash, &r.stats)) {
+    if (cache_->lookup(key.hash, &r.stats)) {
         r.ok = true;
         r.source = SweepResult::Source::CacheHit;
         cache_->countHit();
-        // Journal the hit too, so resuming an interrupted warm run
-        // replays it without even touching the object store.
-        if (journal_)
-            journal_->record(point.id, journal_key, r.stats);
         return r;
     }
-    if (cache_) {
-        if (key.cacheable)
-            cache_->countMiss();
-        else
-            cache_->countBypassed();
-    }
+    cache_->countMiss();
     r = runPoint(point);
-    if (r.ok) {
-        if (cache_ && key.cacheable)
-            cache_->store(key.hash, point.id, r.stats);
-        if (journal_)
-            journal_->record(point.id, journal_key, r.stats);
-    }
+    // Stored the moment the point finishes, so rerunning an interrupted
+    // sweep serves every finished point as a hit.
+    if (r.ok)
+        cache_->store(key.hash, point.id, r.stats);
     return r;
 }
 
@@ -577,7 +545,6 @@ sweepToJson(const std::string &bench_name, unsigned jobs,
         cj.set("misses", c.misses);
         cj.set("stored", c.stored);
         cj.set("bypassed", c.bypassed);
-        cj.set("resumed", c.resumed);
         doc.set("cache", std::move(cj));
     }
     Json arr = Json::array();
@@ -587,6 +554,12 @@ sweepToJson(const std::string &bench_name, unsigned jobs,
         if (!points[i].kernel.empty())
             p.set("kernel", points[i].kernel);
         p.set("scale", points[i].scale);
+        if (!points[i].params.empty()) {
+            Json params = Json::object();
+            for (const auto &[key, value] : points[i].params)
+                params.set(key, value);
+            p.set("params", std::move(params));
+        }
         p.set("ok", results[i].ok);
         p.set("config", configToJson(points[i].cfg));
         if (results[i].ok)

@@ -7,6 +7,7 @@
 
 #include "src/common/config.hpp"
 #include "src/harness/json.hpp"
+#include "src/kernels/registry.hpp"
 #include "src/stats/stats.hpp"
 
 namespace bowsim {
@@ -28,7 +29,6 @@ using Gpu = GpuSystem;
 namespace bowsim::harness {
 
 class ResultCache;
-class ResumeJournal;
 
 /** One independent simulation in a sweep. */
 struct SweepPoint {
@@ -39,12 +39,16 @@ struct SweepPoint {
     GpuConfig cfg;
     /** Workload scale passed to makeBenchmark for registry points. */
     double scale = 1.0;
+    /** Kernel overrides passed to makeBenchmark for registry points. */
+    KernelParams params;
     /**
-     * Custom workload (e.g. non-registry parameterizations) on a
-     * runner-provided Gpu: the runner constructs Gpu(cfg), attaches
-     * observers (trace recorder, metrics sampler, sync profiler), and
-     * hands it to this body. When empty the point runs
-     * makeBenchmark(kernel, scale) on that Gpu.
+     * Custom workload that needs the Gpu itself (litmus cells, the
+     * micro_functional timing loop): the runner constructs Gpu(cfg),
+     * attaches observers (trace recorder, metrics sampler, sync
+     * profiler), and hands it to this body. The runner cannot see what
+     * a closure does or returns through side effects, so such a point
+     * always simulates and is never cached. When empty the point runs
+     * makeBenchmark(kernel, scale, params) on that Gpu.
      */
     std::function<KernelStats(Gpu &)> gpuBody;
     /**
@@ -87,23 +91,13 @@ struct SweepPoint {
      * (SweepResult::syncProfileText). Implied by syncReportPath.
      */
     bool syncProfile = false;
-    /**
-     * Opt-in content key for `gpuBody` points (ignored otherwise). The
-     * runner cannot see inside a gpuBody closure, so such a point is
-     * only cacheable when the bench declares a salt covering everything
-     * the closure's behavior depends on — at minimum
-     * fingerprintPrograms() of the harness it runs plus every
-     * parameter baked into the closure. An empty salt (the default)
-     * keeps the point safely uncacheable. See docs/BENCH.md.
-     */
-    std::string cacheSalt;
 };
 
 /** Outcome of one sweep point. */
 struct SweepResult {
     /** How the result was obtained (sweep artifacts do not record
      *  this — cold and warm runs must emit identical points). */
-    enum class Source { Simulated, CacheHit, Resumed };
+    enum class Source { Simulated, CacheHit };
 
     bool ok = false;
     KernelStats stats;
@@ -139,23 +133,18 @@ class SweepRunner {
     void setPointCallback(PointCallback cb) { callback_ = std::move(cb); }
 
     /**
-     * Attaches a persistent result cache (docs/BENCH.md, "Result cache
-     * & resume"): before dispatching a point to a worker the runner
+     * Attaches a persistent result cache (docs/BENCH.md, "Result
+     * cache"): before dispatching a point to a worker the runner
      * consults the cache and serves a fingerprint hit without
-     * simulating; misses simulate and (rw mode) store their result.
-     * Points with side outputs (tracePath/metricsPath) and points the
-     * fingerprinter cannot key bypass the cache and are counted as
-     * such. @p cache must outlive run(); nullptr detaches.
+     * simulating; misses simulate and (rw mode) store their result as
+     * soon as the point finishes, so rerunning an interrupted sweep
+     * serves its finished points as hits. Points with side outputs
+     * (tracePath/metricsPath/syncReportPath/syncProfile) and points the
+     * fingerprinter cannot key (gpuBody closures) bypass the cache and
+     * are counted as such. @p cache must outlive run(); nullptr
+     * detaches.
      */
     void setCache(ResultCache *cache) { cache_ = cache; }
-
-    /**
-     * Attaches a resume journal: every completed (ok) point is
-     * journaled, and points already journaled under a matching key are
-     * served without simulation (--resume). @p journal must outlive
-     * run(); nullptr detaches.
-     */
-    void setJournal(ResumeJournal *journal) { journal_ = journal; }
 
     /**
      * Runs every point and returns results in submission order. With
@@ -169,7 +158,6 @@ class SweepRunner {
     unsigned jobs_;
     PointCallback callback_;
     ResultCache *cache_ = nullptr;
-    ResumeJournal *journal_ = nullptr;
 };
 
 /**
@@ -195,12 +183,13 @@ KernelStats statsFromJson(const Json &j);
 Json configToJson(const GpuConfig &cfg);
 
 /**
- * Builds the BENCH_*.json artifact document for one finished sweep:
- * { "bench", "jobs", ["cache"], "points": [ {id, kernel, ok, config,
- * stats|error} ] }. When @p cache is non-null a "cache" block records
- * its mode and hit/miss/stored/bypassed/resumed counters (validated by
- * json_check); the "points" array is identical either way, so cold and
- * warm runs differ only in that block.
+ * Builds the --json artifact document for one finished sweep:
+ * { "bench", "jobs", ["cache"], "points": [ {id, kernel, scale,
+ * [params], ok, config, stats|error} ] }; "params" appears only on
+ * points with kernel overrides. When @p cache is non-null a "cache"
+ * block records its mode and hit/miss/stored/bypassed counters
+ * (validated by json_check); the "points" array is identical either
+ * way, so cold and warm runs differ only in that block.
  */
 Json sweepToJson(const std::string &bench_name, unsigned jobs,
                  const std::vector<SweepPoint> &points,

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
+#include <limits>
 #include <sstream>
 
 #include "src/common/log.hpp"
@@ -15,7 +14,6 @@
 #include "src/kernels/nw.hpp"
 #include "src/kernels/syncfree.hpp"
 #include "src/kernels/tsp.hpp"
-#include "src/sync/sync_kernels.hpp"
 
 namespace bowsim {
 
@@ -37,53 +35,40 @@ nextPow2(unsigned v)
     return p;
 }
 
-/**
- * Programmatically registered benchmark variants. Registration and
- * lookup happen from sweep worker threads, so every access holds the
- * registry mutex; factories themselves run outside the lock.
- */
-std::mutex &
-registryMutex()
-{
-    static std::mutex mu;
-    return mu;
-}
-
-std::map<std::string, BenchmarkFactory> &
-variantRegistry()
-{
-    static std::map<std::string, BenchmarkFactory> registry;
-    return registry;
-}
-
-bool
-isBuiltinName(const std::string &name)
-{
-    const auto &sync = syncKernelNames();
-    const auto &free = syncFreeKernelNames();
-    return std::find(sync.begin(), sync.end(), name) != sync.end() ||
-           std::find(free.begin(), free.end(), name) != free.end();
-}
+/** One overridable field of a kernel's parameter struct. */
+struct Field {
+    const char *key;
+    unsigned *value;
+};
 
 /**
- * The default sync-primitive variants register lazily on first lookup:
- * static self-registration objects in a static library are silently
- * dropped by the linker, so the registry pulls them in explicitly.
- * Re-entrant by design (not std::call_once): registerSyncKernelVariants
- * registers through registerBenchmark, which calls back here so that
- * user registrations clash-check against the defaults regardless of
- * call order. Other threads block until registration completes.
+ * Copies each override in @p params onto the field its key names. Fatal
+ * on a key outside @p fields or a value the field cannot hold; the
+ * message lists the accepted keys.
  */
 void
-ensureDefaultVariants()
+applyOverrides(const std::string &kernel, const KernelParams &params,
+               std::initializer_list<Field> fields)
 {
-    static std::recursive_mutex mu;
-    static bool done = false;
-    std::lock_guard<std::recursive_mutex> lock(mu);
-    if (done)
-        return;
-    done = true;  // before registering: re-entrant calls no-op
-    sync::registerSyncKernelVariants();
+    for (const auto &[key, value] : params) {
+        const Field *f =
+            std::find_if(fields.begin(), fields.end(),
+                         [&key](const Field &c) { return key == c.key; });
+        const bool fits =
+            value >= 0 &&
+            value <= std::int64_t{std::numeric_limits<unsigned>::max()};
+        if (f != fields.end() && fits) {
+            *f->value = static_cast<unsigned>(value);
+            continue;
+        }
+        std::string accepted;
+        for (const Field &c : fields)
+            accepted += (accepted.empty() ? "" : " ") + std::string(c.key);
+        fatal("benchmark '", kernel, "': ",
+              f == fields.end() ? "unknown" : "out-of-range", " override ",
+              key, "=", value, " (accepted keys: ",
+              accepted.empty() ? "none" : accepted, ")");
+    }
 }
 
 }  // namespace
@@ -104,49 +89,9 @@ syncFreeKernelNames()
     return names;
 }
 
-void
-registerBenchmark(const std::string &name, BenchmarkFactory factory)
-{
-    if (name.empty())
-        fatal("registerBenchmark: empty benchmark name");
-    if (!factory)
-        fatal("registerBenchmark: null factory for '", name, "'");
-    if (isBuiltinName(name))
-        fatal("registerBenchmark: '", name,
-              "' clashes with a built-in suite kernel");
-    // Defaults first, so a user registration clash-checks against them
-    // no matter which registry call happens first in the process.
-    ensureDefaultVariants();
-    std::lock_guard<std::mutex> lock(registryMutex());
-    if (!variantRegistry().emplace(name, std::move(factory)).second)
-        fatal("registerBenchmark: duplicate registration of '", name, "'");
-}
-
-bool
-hasBenchmark(const std::string &name)
-{
-    if (isBuiltinName(name))
-        return true;
-    ensureDefaultVariants();
-    std::lock_guard<std::mutex> lock(registryMutex());
-    return variantRegistry().count(name) != 0;
-}
-
-std::vector<std::string>
-allBenchmarkNames()
-{
-    std::vector<std::string> names = syncKernelNames();
-    const auto &free = syncFreeKernelNames();
-    names.insert(names.end(), free.begin(), free.end());
-    ensureDefaultVariants();
-    std::lock_guard<std::mutex> lock(registryMutex());
-    for (const auto &[name, factory] : variantRegistry())
-        names.push_back(name);
-    return names;
-}
-
 std::unique_ptr<KernelHarness>
-makeBenchmark(const std::string &name, double scale)
+makeBenchmark(const std::string &name, double scale,
+              const KernelParams &params)
 {
     if (name == "HT") {
         // 30 CTAs x 256 threads over 256 buckets keeps the paper's
@@ -154,7 +99,19 @@ makeBenchmark(const std::string &name, double scale)
         HashtableParams p;
         p.insertions = scaled(12288, scale);
         p.buckets = 128;
+        applyOverrides(name, params,
+                       {{"insertions", &p.insertions},
+                        {"buckets", &p.buckets},
+                        {"ctas", &p.ctas},
+                        {"threadsPerCta", &p.threadsPerCta},
+                        {"delayFactor", &p.delayFactor}});
         return makeHashtable(p);
+    }
+    if (!params.empty()) {
+        // No other kernel takes overrides. Resolve the name first, so a
+        // misspelled kernel reports the known names, not the keys.
+        makeBenchmark(name, scale);
+        applyOverrides(name, params, {});
     }
     if (name == "ATM") {
         // 6144 threads over 250 accounts ~ the paper's 24K threads on
@@ -211,22 +168,10 @@ makeBenchmark(const std::string &name, double scale)
         return makeReduction(sf);
     if (name == "STEN")
         return makeStencil(sf);
-    // Not in the fixed suite: consult the dynamic variant registry. The
-    // factory is copied out so it runs without holding the lock (it may
-    // itself resolve other benchmarks).
-    ensureDefaultVariants();
-    BenchmarkFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(registryMutex());
-        auto it = variantRegistry().find(name);
-        if (it != variantRegistry().end())
-            factory = it->second;
-    }
-    if (factory)
-        return factory(scale);
     std::ostringstream known;
-    for (const std::string &n : allBenchmarkNames())
-        known << (known.tellp() > 0 ? " " : "") << n;
+    for (const auto *names : {&syncKernelNames(), &syncFreeKernelNames()})
+        for (const std::string &n : *names)
+            known << (known.tellp() > 0 ? " " : "") << n;
     fatal("unknown benchmark '", name, "' (known: ", known.str(), ")");
 }
 

@@ -1,7 +1,8 @@
 #ifndef BOWSIM_KERNELS_REGISTRY_HPP
 #define BOWSIM_KERNELS_REGISTRY_HPP
 
-#include <functional>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,10 +18,10 @@
  *   sync kernels: TB, ST, DS, ATM, HT, TSP, NW1, NW2
  *   sync-free:    VEC, KM, MS, HL, RED, STEN
  *
- * Beyond that fixed suite, parameterized kernel variants (e.g. the
- * src/sync primitive x geometry instantiations) register themselves
- * programmatically via registerBenchmark(); makeBenchmark() resolves
- * both kinds, so harness code never assumes a fixed name set.
+ * A caller that needs a shape the scaled defaults do not give (fig01's
+ * bucket sweep, fig03's back-off factor) passes validated overrides
+ * instead of building the kernel itself, so the point stays a registry
+ * point the result cache can key.
  */
 
 namespace bowsim {
@@ -32,35 +33,25 @@ const std::vector<std::string> &syncKernelNames();
 const std::vector<std::string> &syncFreeKernelNames();
 
 /**
- * Factory for one programmatically registered benchmark variant. The
- * scale argument has the same meaning as makeBenchmark()'s: it
- * multiplies the variant's default problem size (1.0 = default).
+ * Per-kernel parameter overrides, keyed by the kernel's parameter-struct
+ * field name. Each value is absolute: it replaces what the scaled
+ * defaults would give. Only HT accepts overrides so far, with the
+ * HashtableParams keys insertions, buckets, ctas, threadsPerCta and
+ * delayFactor.
  */
-using BenchmarkFactory =
-    std::function<std::unique_ptr<KernelHarness>(double scale)>;
+using KernelParams = std::map<std::string, std::int64_t>;
 
 /**
- * Registers @p factory under @p name. Fatal on an empty name, a
- * duplicate registration, or a clash with a built-in suite name.
- * Thread-safe (sweep workers resolve benchmarks concurrently).
- */
-void registerBenchmark(const std::string &name, BenchmarkFactory factory);
-
-/** True when @p name resolves — built-in suite or registered variant. */
-bool hasBenchmark(const std::string &name);
-
-/**
- * Every resolvable benchmark name: the built-in suite in its canonical
- * order, then the registered variants sorted lexicographically.
- */
-std::vector<std::string> allBenchmarkNames();
-
-/**
- * Creates the named benchmark with its default (scaled) inputs.
+ * Creates the named benchmark with its default (scaled) inputs, then
+ * applies @p params.
  * @param scale multiplies the default problem size (1.0 = default).
+ * Fatal on an unknown name, an override key the kernel does not accept
+ * (any key on a kernel without overrides) or a value that does not fit
+ * its field; the override errors name the accepted keys.
  */
 std::unique_ptr<KernelHarness> makeBenchmark(const std::string &name,
-                                             double scale = 1.0);
+                                             double scale = 1.0,
+                                             const KernelParams &params = {});
 
 }  // namespace bowsim
 

@@ -42,9 +42,9 @@ class ProgressMeter {
 
     /**
      * Records one finished point that simulated @p sim_cycles cycles.
-     * @p from_cache marks a point served without simulation (cache hit
-     * or resume-journal replay): it counts toward the hit gauge and
-     * contributes no sim-cycles worth of throughput.
+     * @p from_cache marks a point served from the result cache without
+     * simulation: it counts toward the hit gauge and contributes no
+     * sim-cycles worth of throughput.
      */
     void pointDone(std::uint64_t sim_cycles, bool from_cache = false);
 
@@ -56,7 +56,7 @@ class ProgressMeter {
     void pointDoneAt(std::uint64_t sim_cycles, double now_secs,
                      bool from_cache = false);
 
-    /** Completed points served from the cache/journal. */
+    /** Completed points served from the cache. */
     std::uint64_t cacheHits();
     /** Completed points that had to simulate. */
     std::uint64_t cacheMisses();

@@ -1,14 +1,11 @@
 #include "src/sync/sync_kernels.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <vector>
 
 #include "src/common/log.hpp"
 #include "src/cpuref/sync_cpu.hpp"
 #include "src/isa/assembler.hpp"
-#include "src/kernels/registry.hpp"
 
 namespace bowsim::sync {
 
@@ -204,31 +201,6 @@ std::unique_ptr<KernelHarness>
 makeSyncKernel(Primitive p, const SyncGeometry &g)
 {
     return std::make_unique<SyncKernelHarness>(p, g);
-}
-
-void
-registerSyncKernelVariants()
-{
-    struct Shape {
-        unsigned ctas;
-        unsigned threadsPerCta;
-    };
-    static const Shape shapes[] = {{2, 64}, {8, 64}, {16, 128}};
-    for (Primitive p : allPrimitives()) {
-        for (const Shape &s : shapes) {
-            SyncGeometry base;
-            base.ctas = s.ctas;
-            base.threadsPerCta = s.threadsPerCta;
-            registerBenchmark(
-                syncBenchmarkName(p, base), [p, base](double scale) {
-                    SyncGeometry g = base;
-                    g.iters = std::max(
-                        1u, static_cast<unsigned>(
-                                std::lround(g.iters * scale)));
-                    return makeSyncKernel(p, g);
-                });
-        }
-    }
 }
 
 }  // namespace bowsim::sync

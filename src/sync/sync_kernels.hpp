@@ -12,9 +12,7 @@
  * KernelHarness wrappers for the src/sync primitive library: device
  * memory layout, launch geometry, and validation against the
  * src/cpuref references. makeSyncKernel() instantiates any primitive
- * at any geometry; registerSyncKernelVariants() publishes a default
- * set of (primitive x geometry) variants in the benchmark registry so
- * sweeps and the bench CLI can reference them by name.
+ * at any geometry; tests and the litmus harness call it directly.
  */
 
 namespace bowsim::sync {
@@ -23,16 +21,8 @@ namespace bowsim::sync {
 std::unique_ptr<KernelHarness> makeSyncKernel(Primitive p,
                                               const SyncGeometry &g);
 
-/** Registry name of one variant, e.g. "SYNC_tas_4x64". */
+/** Harness name of one variant, e.g. "SYNC_tas_4x64". */
 std::string syncBenchmarkName(Primitive p, const SyncGeometry &g);
-
-/**
- * Registers the default variant set (every primitive at 2x64, 8x64 and
- * 16x128 CTAs x threads) with the benchmark registry. Idempotent via
- * the registry's lazy-init hook; the scale argument of the registered
- * factories multiplies the round count.
- */
-void registerSyncKernelVariants();
 
 }  // namespace bowsim::sync
 

@@ -6,6 +6,7 @@
 #include "src/harness/fingerprint.hpp"
 #include "src/harness/litmus.hpp"
 #include "src/harness/sweep.hpp"
+#include "src/kernels/hashtable.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/sim/gpu.hpp"
 #include "src/syncprof/syncprof.hpp"
@@ -16,8 +17,9 @@
  * synchronization outcomes for HT and ATM pinned at an exact
  * configuration, plus SHA-256 digests of whole runs (every stats field
  * and the final memory image) for every registry kernel in cycle and in
- * functional mode, TwoLevel and arbitration-variant runs, one traced
- * run, two-device runs and two sync reports. The simulator is
+ * functional mode, TwoLevel and arbitration-variant runs, the hashtable
+ * shapes of the contention figures, one traced run, two-device runs and
+ * two sync reports. The simulator is
  * deterministic, so any drift here is a real behavior change — timing
  * model, scheduler, DDOS, BOWS, or side-effect order. When a change is intentional, re-measure and
  * update the constants in the same commit, and say why in the commit
@@ -306,6 +308,66 @@ TEST(GoldenDigests, ArbitrationVariantsPinned)
     }
     EXPECT_EQ(h.hex(),
               "47ae5da4002988a3c559d8a0bba268c4b01797a6ffef36653e73feb0f5b5137f");
+}
+
+TEST(GoldenDigests, HashtableVariantsPinned)
+{
+    // The hashtable shapes fig01, fig03 and fig16 sweep through HT
+    // overrides, at a small insertion count. Each shape is built twice,
+    // directly and through the registry, and both must hit the digest
+    // recorded from the direct build before the overrides existed.
+    struct Variant {
+        const char *name;
+        bool pascal;
+        bool bows;
+        HashtableParams p;
+        const char *sha256;
+    };
+    auto shape = [](unsigned insertions, unsigned buckets, unsigned ctas,
+                    unsigned threads, unsigned delay) {
+        HashtableParams p;
+        p.insertions = insertions;
+        p.buckets = buckets;
+        p.ctas = ctas;
+        p.threadsPerCta = threads;
+        p.delayFactor = delay;
+        return p;
+    };
+    const Variant variants[] = {
+        {"fig01_fermi", false, false, shape(2048, 128, 30, 256, 0),
+         "08af8d588e90ec89786b932f9d7ef45254add188c227dd0663f4cf6f2962a00a"},
+        {"fig01_pascal", true, false, shape(2048, 128, 30, 256, 0),
+         "3ffebf08488972608c70bb8f625cea5c14fed422e7c9d38e23bee7620801c2b3"},
+        {"fig01_single", false, false, shape(512, 128, 1, 32, 0),
+         "ebefb591af10ac06b3f09b9f6acc4c5e96b5d2a4390626b49575812645694ef8"},
+        {"fig03_delay", true, false, shape(2048, 512, 30, 256, 100),
+         "2c85c13e80d0ff5481885437468d30447701f7d508251838541aad9bff18c1a9"},
+        {"fig16_gto", false, false, shape(2048, 256, 30, 256, 0),
+         "1badf2a57c0459400f4ae557bbe77c4076a2c0463ee2c076f5b2d3649b5d4d62"},
+        {"fig16_bows", false, true, shape(2048, 256, 30, 256, 0),
+         "e53a9d072786738ab24c0e76ebd65912880d1d44b5731855c2e2387a6d6fd7a8"},
+    };
+    for (const Variant &v : variants) {
+        const HashtableParams &p = v.p;
+        const KernelParams overrides = {{"insertions", p.insertions},
+                                        {"buckets", p.buckets},
+                                        {"ctas", p.ctas},
+                                        {"threadsPerCta", p.threadsPerCta},
+                                        {"delayFactor", p.delayFactor}};
+        for (bool registry : {false, true}) {
+            GpuConfig cfg =
+                v.pascal ? makeGtx1080TiConfig() : makeGtx480Config();
+            cfg.numCores = 4;
+            cfg.bows.enabled = v.bows;
+            Gpu gpu(cfg);
+            auto kernel = registry ? makeBenchmark("HT", 1.0, overrides)
+                                   : makeHashtable(p);
+            harness::FingerprintHasher h;
+            addRun(h, kernel->run(gpu), gpu);
+            EXPECT_EQ(h.hex(), v.sha256)
+                << v.name << (registry ? " via overrides" : " direct");
+        }
+    }
 }
 
 TEST(GoldenDigests, TraceStreamPinned)

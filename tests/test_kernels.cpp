@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "src/common/log.hpp"
 #include "src/kernels/atm.hpp"
 #include "src/kernels/bh_sort.hpp"
 #include "src/kernels/bh_tree.hpp"
@@ -192,6 +197,69 @@ INSTANTIATE_TEST_SUITE_P(
                toString(std::get<1>(info.param)) +
                (std::get<2>(info.param) ? "_BOWS" : "_base");
     });
+
+// --- registry ---------------------------------------------------------
+
+TEST(Registry, UnknownBenchmarkErrorListsKnownNames)
+{
+    try {
+        makeBenchmark("definitely_not_a_kernel", 1.0);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("definitely_not_a_kernel"),
+                  std::string::npos);
+        EXPECT_NE(what.find("HT"), std::string::npos);
+        EXPECT_NE(what.find("STEN"), std::string::npos);
+    }
+}
+
+/** The FatalError message makeBenchmark(@p name, 1.0, @p params) throws. */
+std::string
+overrideError(const std::string &name, const KernelParams &params)
+{
+    try {
+        makeBenchmark(name, 1.0, params);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << name << ": overrides accepted";
+    return "";
+}
+
+TEST(Registry, OverridesAreValidated)
+{
+    const char *ht_keys = "insertions buckets ctas threadsPerCta delayFactor";
+
+    const std::string unknown = overrideError("HT", {{"accounts", 1000}});
+    EXPECT_NE(unknown.find("unknown override accounts"), std::string::npos)
+        << unknown;
+    EXPECT_NE(unknown.find(ht_keys), std::string::npos) << unknown;
+
+    // No other kernel takes overrides, not even a key HT accepts.
+    const std::string tb = overrideError("TB", {{"buckets", 64}});
+    EXPECT_NE(tb.find("'TB'"), std::string::npos) << tb;
+    EXPECT_NE(tb.find("accepted keys: none"), std::string::npos) << tb;
+
+    // HashtableParams fields are unsigned.
+    const std::int64_t too_big =
+        std::int64_t{std::numeric_limits<unsigned>::max()} + 1;
+    for (std::int64_t bad : {std::int64_t{-1}, too_big}) {
+        const std::string range = overrideError("HT", {{"buckets", bad}});
+        EXPECT_NE(range.find("out-of-range override buckets"),
+                  std::string::npos)
+            << range;
+        EXPECT_NE(range.find(ht_keys), std::string::npos) << range;
+    }
+
+    // The upper bound itself fits, and a misspelled kernel still reports
+    // the known names rather than the accepted keys.
+    EXPECT_NO_THROW(makeBenchmark(
+        "HT", 1.0, {{"delayFactor", std::numeric_limits<unsigned>::max()}}));
+    const std::string typo = overrideError("Ht", {{"buckets", 64}});
+    EXPECT_NE(typo.find("unknown benchmark 'Ht'"), std::string::npos)
+        << typo;
+}
 
 }  // namespace
 }  // namespace bowsim

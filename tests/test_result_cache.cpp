@@ -16,11 +16,11 @@
 
 /**
  * @file
- * The persistent result cache (docs/BENCH.md, "Result cache & resume"):
+ * The persistent result cache (docs/BENCH.md, "Result cache"):
  * fingerprint stability and per-field sensitivity, the statsToJson /
  * statsFromJson inverse pair that cache records depend on, record
  * corruption and crash-leftover tolerance, ro vs rw semantics, and
- * resume-journal replay through the sweep runner.
+ * resuming an interrupted sweep through the sweep runner.
  */
 
 namespace bowsim {
@@ -34,7 +34,6 @@ using harness::FingerprintHasher;
 using harness::Json;
 using harness::PointKey;
 using harness::ResultCache;
-using harness::ResumeJournal;
 using harness::SweepPoint;
 using harness::SweepResult;
 using harness::SweepRunner;
@@ -463,36 +462,50 @@ TEST(Fingerprint, KernelScaleAndSaltChangeKey)
 
 TEST(Fingerprint, OpaquePointsAreNotCacheable)
 {
-    SweepPoint unsalted = registryPoint();
-    unsalted.gpuBody = [](Gpu &) { return KernelStats{}; };
-    const PointKey uk = harness::fingerprintPoint(unsalted);
-    EXPECT_FALSE(uk.cacheable);
-    EXPECT_TRUE(uk.hash.empty());
-    EXPECT_NE(uk.reason.find("salt"), std::string::npos) << uk.reason;
+    SweepPoint closure = registryPoint();
+    closure.gpuBody = [](Gpu &) { return KernelStats{}; };
+    const PointKey ck = harness::fingerprintPoint(closure);
+    EXPECT_FALSE(ck.cacheable);
+    EXPECT_TRUE(ck.hash.empty());
+    EXPECT_NE(ck.reason.find("gpuBody"), std::string::npos) << ck.reason;
 
     SweepPoint unknown = registryPoint();
     unknown.kernel = "NO_SUCH_KERNEL";
     EXPECT_FALSE(harness::fingerprintPoint(unknown).cacheable);
+
+    // A rejected override fails the run, so it has no key either.
+    SweepPoint bad_override = registryPoint();
+    bad_override.params = {{"buckets", 64}};  // TB takes no overrides
+    EXPECT_FALSE(harness::fingerprintPoint(bad_override).cacheable);
 }
 
-TEST(Fingerprint, SaltedGpuBodyPointsKeyOnTheSalt)
+TEST(Fingerprint, OverridesChangeKeyOnlyWhenPresent)
 {
-    SweepPoint a = registryPoint();
-    a.gpuBody = [](Gpu &) { return KernelStats{}; };
-    a.cacheSalt = "prog-digest/i100";
-    const PointKey ka = harness::fingerprintPoint(a);
-    ASSERT_TRUE(ka.cacheable) << ka.reason;
+    // Keys recorded before overrides existed: a point without overrides
+    // must still hash to them, or every cached result would go cold.
+    // They move only with kResultSchemaVersion or hashConfig().
+    SweepPoint ht = registryPoint("HT");
+    ht.kernel = "HT";
+    EXPECT_EQ(harness::fingerprintPoint(registryPoint()).hash,
+              "c4d86549cd35226ef944e9f2007c8ab1fd5b7896886bb71c5ededb107309bae1");
+    EXPECT_EQ(harness::fingerprintPoint(ht).hash,
+              "fbeda88e04d7c642405754b38d27d22eb29936518cd55693b3fcf6a2e5435d2a");
 
-    SweepPoint b = a;
-    b.cacheSalt = "prog-digest/i200";
-    const PointKey kb = harness::fingerprintPoint(b);
-    ASSERT_TRUE(kb.cacheable);
-    EXPECT_NE(ka.hash, kb.hash);
-
-    // Config changes still matter for salted points.
-    SweepPoint c = a;
-    c.cfg.bows.enabled = !c.cfg.bows.enabled;
-    EXPECT_NE(harness::fingerprintPoint(c).hash, ka.hash);
+    // Every override value, and the delay factor's switch to the
+    // back-off program, moves the key.
+    std::set<std::string> hashes = {harness::fingerprintPoint(ht).hash};
+    for (const KernelParams &params :
+         std::vector<KernelParams>{{{"buckets", 256}},
+                                   {{"buckets", 512}},
+                                   {{"buckets", 256}, {"ctas", 1}},
+                                   {{"delayFactor", 100}}}) {
+        SweepPoint p = ht;
+        p.params = params;
+        const PointKey key = harness::fingerprintPoint(p);
+        ASSERT_TRUE(key.cacheable) << key.reason;
+        hashes.insert(key.hash);
+    }
+    EXPECT_EQ(hashes.size(), 5u);
 }
 
 TEST(Fingerprint, HasherIsSelfDelimiting)
@@ -642,63 +655,6 @@ TEST(ResultCache, ModeParsingAndNames)
     EXPECT_STREQ(harness::toString(CacheMode::ReadWrite), "rw");
 }
 
-// --- the resume journal ------------------------------------------------
-
-TEST(ResumeJournal, RecordsReplayOnResume)
-{
-    TempDir td("journal_replay");
-    const std::string path = (td.path / "sweep.jsonl").string();
-    const KernelStats s = fullStats();
-    {
-        ResumeJournal j(path, /*resume=*/false, /*writable=*/true);
-        EXPECT_EQ(j.loadedEntries(), 0u);
-        j.record("p0", "key0", s);
-        j.record("p1", "key1", s);
-    }
-    ResumeJournal j(path, /*resume=*/true, /*writable=*/true);
-    EXPECT_EQ(j.loadedEntries(), 2u);
-    KernelStats out;
-    ASSERT_TRUE(j.lookup("p0", "key0", &out));
-    EXPECT_EQ(harness::statsToJson(out).dump(),
-              harness::statsToJson(s).dump());
-    // Key mismatch (the sweep definition changed) re-simulates.
-    EXPECT_FALSE(j.lookup("p0", "other-key", &out));
-    EXPECT_FALSE(j.lookup("p2", "key0", &out));
-}
-
-TEST(ResumeJournal, ToleratesATornFinalLine)
-{
-    TempDir td("journal_torn");
-    const std::string path = (td.path / "sweep.jsonl").string();
-    {
-        ResumeJournal j(path, false, true);
-        j.record("p0", "key0", fullStats());
-        j.record("p1", "key1", fullStats());
-    }
-    // A crash mid-append leaves a truncated last line.
-    std::ofstream(path, std::ios::app) << "{\"id\":\"p2\",\"key\":\"ke";
-    ResumeJournal j(path, true, true);
-    EXPECT_EQ(j.loadedEntries(), 2u);
-    KernelStats out;
-    EXPECT_TRUE(j.lookup("p1", "key1", &out));
-    EXPECT_FALSE(j.lookup("p2", "key2", &out));
-}
-
-TEST(ResumeJournal, FreshRunDiscardsThePreviousJournal)
-{
-    TempDir td("journal_fresh");
-    const std::string path = (td.path / "sweep.jsonl").string();
-    {
-        ResumeJournal j(path, false, true);
-        j.record("p0", "key0", fullStats());
-    }
-    // resume=false: the stale journal must not leak into this run.
-    ResumeJournal fresh(path, false, true);
-    EXPECT_EQ(fresh.loadedEntries(), 0u);
-    KernelStats out;
-    EXPECT_FALSE(fresh.lookup("p0", "key0", &out));
-}
-
 // --- through the sweep runner ------------------------------------------
 
 TEST(CacheIntegration, WarmRunServesEveryPointBitIdentically)
@@ -799,97 +755,84 @@ TEST(CacheIntegration, ResumeReplaysOnlyCompletedPoints)
     TempDir td("integration_resume");
     const std::vector<SweepPoint> points = smallSweep();
 
-    // Interrupted run: only the first two points completed.
+    // Interrupted run: only the first two points completed, and each was
+    // stored the moment it finished.
     {
         ResultCache cache(td.str(), CacheMode::ReadWrite);
-        ResumeJournal journal(cache.journalPath("unit"), false, true);
         SweepRunner runner(1);
         runner.setCache(&cache);
-        runner.setJournal(&journal);
         const std::vector<SweepPoint> half(points.begin(),
                                            points.begin() + 2);
         runner.run(half);
+        EXPECT_EQ(cache.counters().stored, 2u);
     }
 
+    // Running the whole sweep again serves those two as hits and
+    // simulates the rest.
     ResultCache cache(td.str(), CacheMode::ReadWrite);
-    ResumeJournal journal(cache.journalPath("unit"), true, true);
-    EXPECT_EQ(journal.loadedEntries(), 2u);
     SweepRunner runner(1);
     runner.setCache(&cache);
-    runner.setJournal(&journal);
     const std::vector<SweepResult> results = runner.run(points);
     ASSERT_EQ(results.size(), points.size());
-    EXPECT_EQ(results[0].source, SweepResult::Source::Resumed);
-    EXPECT_EQ(results[1].source, SweepResult::Source::Resumed);
+    EXPECT_EQ(results[0].source, SweepResult::Source::CacheHit);
+    EXPECT_EQ(results[1].source, SweepResult::Source::CacheHit);
     EXPECT_EQ(results[2].source, SweepResult::Source::Simulated);
     EXPECT_EQ(results[3].source, SweepResult::Source::Simulated);
     const CacheCounters c = cache.counters();
-    EXPECT_EQ(c.resumed, 2u);
+    EXPECT_EQ(c.hits, 2u);
     EXPECT_EQ(c.misses, 2u);
     EXPECT_EQ(c.stored, 2u);
-    EXPECT_EQ(c.hits + c.misses + c.bypassed + c.resumed, points.size());
+    EXPECT_EQ(c.hits + c.misses + c.bypassed, points.size());
 }
 
-TEST(CacheIntegration, NonCacheablePointsStillResumeViaWeakKey)
+TEST(CacheIntegration, ClosurePointsAlwaysSimulate)
 {
-    TempDir td("integration_weak");
-    SweepPoint opaque = registryPoint("opaque");
-    opaque.gpuBody = [](Gpu &) {
+    // A closure can hand results back through side effects the runner
+    // never sees (the litmus cells do), so replaying only its stats
+    // would be wrong: it runs every time.
+    TempDir td("integration_closure");
+    int calls = 0;
+    SweepPoint closure = registryPoint("closure");
+    closure.gpuBody = [&calls](Gpu &) {
+        ++calls;
         KernelStats s;
         s.kernel = "custom";
         s.cycles = 42;
         return s;
     };
-    const std::vector<SweepPoint> points = {opaque};
+    const std::vector<SweepPoint> points = {closure};
 
-    {
+    for (int run = 1; run <= 2; ++run) {
         ResultCache cache(td.str(), CacheMode::ReadWrite);
-        ResumeJournal journal(cache.journalPath("unit"), false, true);
         SweepRunner runner(1);
         runner.setCache(&cache);
-        runner.setJournal(&journal);
-        const std::vector<SweepResult> first = runner.run(points);
-        ASSERT_TRUE(first[0].ok);
-        // Simulated (the object store cannot key it)...
-        EXPECT_EQ(cache.counters().bypassed, 1u);
-        EXPECT_EQ(cache.counters().stored, 0u);
+        const std::vector<SweepResult> results = runner.run(points);
+        ASSERT_TRUE(results[0].ok);
+        EXPECT_EQ(results[0].source, SweepResult::Source::Simulated);
+        EXPECT_EQ(calls, run);
+        const CacheCounters c = cache.counters();
+        EXPECT_EQ(c.bypassed, 1u);
+        EXPECT_EQ(c.misses + c.hits + c.stored, 0u);
     }
-    // ...but journaled under the weak (config, id, scale) key, so a
-    // resumed sweep does not redo it.
-    ResultCache cache(td.str(), CacheMode::ReadWrite);
-    ResumeJournal journal(cache.journalPath("unit"), true, true);
-    EXPECT_EQ(journal.loadedEntries(), 1u);
-    SweepRunner runner(1);
-    runner.setCache(&cache);
-    runner.setJournal(&journal);
-    const std::vector<SweepResult> again = runner.run(points);
-    ASSERT_TRUE(again[0].ok);
-    EXPECT_EQ(again[0].source, SweepResult::Source::Resumed);
-    EXPECT_EQ(again[0].stats.cycles, 42u);
-    EXPECT_EQ(cache.counters().resumed, 1u);
 }
 
-TEST(CacheIntegration, FailedPointsAreNeitherStoredNorJournaled)
+TEST(CacheIntegration, FailedPointsAreNotStored)
 {
     TempDir td("integration_fail");
     SweepPoint doomed = registryPoint("doomed");
     doomed.cfg.watchdogCycles = 10;  // spinning kernel cannot finish
     const std::vector<SweepPoint> points = {doomed};
 
-    {
+    // A rerun finds nothing to serve and simulates the point again.
+    for (int run = 0; run < 2; ++run) {
         ResultCache cache(td.str(), CacheMode::ReadWrite);
-        ResumeJournal journal(cache.journalPath("unit"), false, true);
         SweepRunner runner(1);
         runner.setCache(&cache);
-        runner.setJournal(&journal);
         const std::vector<SweepResult> results = runner.run(points);
         ASSERT_FALSE(results[0].ok);
+        EXPECT_EQ(cache.counters().misses, 1u);
         EXPECT_EQ(cache.counters().stored, 0u);
     }
-    ResumeJournal journal(ResultCache(td.str(), CacheMode::ReadWrite)
-                              .journalPath("unit"),
-                          true, true);
-    EXPECT_EQ(journal.loadedEntries(), 0u);
 }
 
 }  // namespace

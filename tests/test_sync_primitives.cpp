@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "src/common/log.hpp"
 #include "src/cpuref/sync_cpu.hpp"
-#include "src/kernels/registry.hpp"
 #include "src/sync/primitives.hpp"
 #include "src/sync/sync_kernels.hpp"
 
@@ -165,87 +162,6 @@ TEST(SyncCpuRef, BarrierReference)
     EXPECT_EQ(ref.data.size(), g.ctas);
     for (Word w : ref.data)
         EXPECT_EQ(w, g.iters);
-}
-
-// --- registry ---------------------------------------------------------
-
-TEST(Registry, SyncVariantsAreRegistered)
-{
-    EXPECT_TRUE(hasBenchmark("SYNC_tas_8x64"));
-    EXPECT_TRUE(hasBenchmark("SYNC_barrier_16x128"));
-    EXPECT_TRUE(hasBenchmark("HT"));  // builtins resolve too
-    EXPECT_FALSE(hasBenchmark("SYNC_tas_3x96"));
-    EXPECT_FALSE(hasBenchmark("no_such_kernel"));
-}
-
-TEST(Registry, AllBenchmarkNamesListsBuiltinsAndVariants)
-{
-    const std::vector<std::string> names = allBenchmarkNames();
-    auto has = [&names](const char *n) {
-        return std::find(names.begin(), names.end(), n) != names.end();
-    };
-    EXPECT_TRUE(has("HT"));
-    EXPECT_TRUE(has("ATM"));
-    for (Primitive p : sync::allPrimitives()) {
-        SyncGeometry g;
-        g.ctas = 8;
-        g.threadsPerCta = 64;
-        EXPECT_TRUE(has(sync::syncBenchmarkName(p, g).c_str()))
-            << sync::toString(p);
-    }
-}
-
-TEST(Registry, MakeBenchmarkResolvesSyncVariant)
-{
-    Gpu gpu(testConfig());
-    auto h = makeBenchmark("SYNC_ticket_2x64", 1.0);
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->name(), "SYNC_ticket_2x64");
-    EXPECT_NO_THROW(h->run(gpu));
-}
-
-/** The factory's scale argument multiplies the round count. */
-TEST(Registry, SyncVariantScaleShrinksWork)
-{
-    Gpu small_gpu(testConfig());
-    Gpu big_gpu(testConfig());
-    KernelStats small = makeBenchmark("SYNC_tas_2x64", 0.25)
-                            ->run(small_gpu);
-    KernelStats big = makeBenchmark("SYNC_tas_2x64", 1.0)->run(big_gpu);
-    EXPECT_LT(small.outcomes.lockSuccess, big.outcomes.lockSuccess);
-}
-
-TEST(Registry, RegisterBenchmarkRejectsClashes)
-{
-    // Builtin names stay reserved.
-    EXPECT_THROW(
-        registerBenchmark("HT", [](double) {
-            return sync::makeSyncKernel(Primitive::TasLock,
-                                        SyncGeometry{});
-        }),
-        FatalError);
-    // Duplicate variant registration is a bug, not a silent overwrite.
-    EXPECT_THROW(
-        registerBenchmark("SYNC_tas_8x64", [](double) {
-            return sync::makeSyncKernel(Primitive::TasLock,
-                                        SyncGeometry{});
-        }),
-        FatalError);
-    EXPECT_THROW(registerBenchmark("", nullptr), FatalError);
-}
-
-TEST(Registry, UnknownBenchmarkErrorListsKnownNames)
-{
-    try {
-        makeBenchmark("definitely_not_a_kernel", 1.0);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("definitely_not_a_kernel"),
-                  std::string::npos);
-        EXPECT_NE(what.find("HT"), std::string::npos);
-        EXPECT_NE(what.find("SYNC_tas_8x64"), std::string::npos);
-    }
 }
 
 }  // namespace
