@@ -44,12 +44,8 @@ struct CawaState {
 struct BowsState {
     /** The warp executed a SIB and sits in the backed-off queue. */
     bool backedOff = false;
-    /** Cycles remaining before the next spin iteration may issue. */
-    Cycle pendingDelay = 0;
-    /** Absolute expiry cycle of the armed delay — the deadline twin of
-     *  pendingDelay the simulator hot path uses so no per-cycle counter
-     *  ticking is needed (a delay of L armed at issue cycle c first
-     *  allows issue at cycle c+L in both representations). */
+    /** First cycle the next spin iteration may issue: a delay of L armed
+     *  at issue cycle c expires at c + L. */
     Cycle delayUntil = 0;
     /** FIFO ticket: when the warp entered the backed-off queue. */
     std::uint64_t backoffSeq = 0;

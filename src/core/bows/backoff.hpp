@@ -2,7 +2,6 @@
 #define BOWSIM_CORE_BOWS_BACKOFF_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "src/arch/warp.hpp"
 #include "src/common/config.hpp"
@@ -19,7 +18,9 @@
  *     has expired; backed-off warps are ordered FIFO by entry time.
  *  3. When a backed-off warp issues, it leaves the backed-off state and
  *     its pending delay is re-armed to the current delay limit — setting
- *     a minimum spacing between consecutive spin-loop iterations.
+ *     a minimum spacing between consecutive spin-loop iterations. The
+ *     delay is kept as an absolute deadline (BowsState::delayUntil), so
+ *     no per-cycle counter ticking is needed.
  */
 
 namespace bowsim {
@@ -45,59 +46,35 @@ class BackoffUnit {
     /** Backed-off warps drop behind non-backed-off ones (ablation). */
     bool deprioritizes() const { return cfg_.enabled && cfg_.deprioritize; }
 
-    /** Warp @p w took a SIB: push it to the back of the priority queue. */
-    void
+    /**
+     * Warp @p w took a SIB: push it to the back of the priority queue.
+     * Returns true when the warp newly entered the backed-off state.
+     */
+    bool
     onSpinBranch(Warp &w, Cycle now = 0)
     {
         if (!cfg_.enabled)
-            return;
+            return false;
         BowsState &b = w.bows();
-        if (!b.backedOff) {
-            b.backedOff = true;
-            b.backoffSeq = ++seq_;
-            ++backedOffCount_;
-            if (tracer_.enabled()) {
-                const std::int32_t wid = static_cast<std::int32_t>(w.id());
-                tracer_.emit(now, sm_, wid, trace::EventKind::BackoffEnter,
-                             b.backoffSeq);
-                tracer_.emit(now, sm_, -1, trace::EventKind::BackoffCount,
-                             backedOffCount_);
-            }
+        if (b.backedOff)
+            return false;
+        b.backedOff = true;
+        b.backoffSeq = ++seq_;
+        ++backedOffCount_;
+        if (tracer_.enabled()) {
+            const std::int32_t wid = static_cast<std::int32_t>(w.id());
+            tracer_.emit(now, sm_, wid, trace::EventKind::BackoffEnter,
+                         b.backoffSeq);
+            tracer_.emit(now, sm_, -1, trace::EventKind::BackoffCount,
+                         backedOffCount_);
         }
+        return true;
     }
 
     /**
-     * Warp @p w won arbitration: leaving the backed-off state re-arms its
-     * pending delay to the current limit.
-     */
-    void
-    onIssue(Warp &w)
-    {
-        BowsState &b = w.bows();
-        if (b.backedOff) {
-            b.backedOff = false;
-            --backedOffCount_;
-            b.pendingDelay = currentLimit_;
-        }
-    }
-
-    /** True when BOWS permits @p w to compete for an issue slot at all. */
-    bool
-    mayIssue(const Warp &w) const
-    {
-        if (!cfg_.enabled)
-            return true;
-        const BowsState &b = w.bows();
-        return !b.backedOff || b.pendingDelay == 0;
-    }
-
-    /**
-     * Deadline-based twins of onIssue()/mayIssue() used by the simulator
-     * hot path: arming records an absolute expiry cycle instead of a
-     * counter, so cycle()'s per-warp decrement loop is unnecessary. A
-     * delay of L armed at issue cycle c first allows issue at cycle
-     * c + L — identical to decrementing a counter of L once per
-     * subsequent cycle.
+     * Warp @p w won arbitration at cycle @p now: leaving the backed-off
+     * state arms its delay to the current limit L, so it may next issue
+     * at cycle now + L.
      */
     void
     onIssue(Warp &w, Cycle now)
@@ -116,6 +93,8 @@ class BackoffUnit {
         }
     }
 
+    /** True when BOWS permits @p w to compete for an issue slot at
+     *  cycle @p now at all. */
     bool
     mayIssue(const Warp &w, Cycle now) const
     {
@@ -127,18 +106,6 @@ class BackoffUnit {
 
     /** Currently backed-off warps (Fig. 11 occupancy accounting). */
     unsigned backedOffCount() const { return backedOffCount_; }
-
-    /** Ticks every resident warp's pending-delay counter. */
-    void
-    cycle(std::vector<Warp *> &resident)
-    {
-        if (!cfg_.enabled)
-            return;
-        for (Warp *w : resident) {
-            if (w->bows().pendingDelay > 0)
-                --w->bows().pendingDelay;
-        }
-    }
 
     /** Feeds the adaptive estimator; call once per issued instruction. */
     void

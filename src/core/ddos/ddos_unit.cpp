@@ -63,34 +63,28 @@ DdosUnit::onSetp(unsigned warp, Pc pc, Word src0, Word src1, Cycle now)
     hist->insert(path, v0, v1);
 }
 
-void
+bool
 DdosUnit::onBackwardBranch(unsigned warp, Pc pc, Cycle now)
 {
     if (!cfg_.enabled)
-        return;
+        return false;
     accuracy_.onBackwardBranch(pc, now);
     bool was_confirmed = table_.isConfirmed(pc);
     const HistoryRegisters *hist = historyFor(warp);
     if (hist && hist->spinning()) {
-        if (!tracer_.enabled()) {
-            table_.onSpinningBranch(pc);
-        } else {
-            Pc evicted_pc = 0;
-            bool did_evict = false;
-            table_.onSpinningBranch(pc, &evicted_pc, &did_evict);
-            if (did_evict) {
-                tracer_.emit(now, sm_, static_cast<std::int32_t>(warp),
-                             trace::EventKind::SibEvict, evicted_pc);
-            }
+        if (const std::optional<Pc> evicted = table_.onSpinningBranch(pc)) {
+            tracer_.emit(now, sm_, static_cast<std::int32_t>(warp),
+                         trace::EventKind::SibEvict, *evicted);
         }
     } else if (hist) {
         table_.onNonSpinningBranch(pc);
     }
-    if (!was_confirmed && table_.isConfirmed(pc)) {
-        accuracy_.onConfirmed(pc, now);
-        tracer_.emit(now, sm_, static_cast<std::int32_t>(warp),
-                     trace::EventKind::SibConfirm, pc);
-    }
+    if (was_confirmed || !table_.isConfirmed(pc))
+        return false;
+    accuracy_.onConfirmed(pc, now);
+    tracer_.emit(now, sm_, static_cast<std::int32_t>(warp),
+                 trace::EventKind::SibConfirm, pc);
+    return true;
 }
 
 bool

@@ -37,9 +37,10 @@ class DdosUnit {
 
     /**
      * Records a taken backward branch by @p warp; updates the SIB-PT and
-     * accuracy records.
+     * accuracy records. Returns true when this branch newly confirmed
+     * @p pc as a SIB.
      */
-    void onBackwardBranch(unsigned warp, Pc pc, Cycle now);
+    bool onBackwardBranch(unsigned warp, Pc pc, Cycle now);
 
     /** True when the warp's history FSM currently says "spinning". */
     bool isSpinning(unsigned warp) const;

@@ -4,9 +4,10 @@
 
 namespace bowsim {
 
-void
-SibTable::onSpinningBranch(Pc pc, Pc *evicted, bool *did_evict)
+std::optional<Pc>
+SibTable::onSpinningBranch(Pc pc)
 {
+    std::optional<Pc> evicted;
     auto it = table_.find(pc);
     if (it == table_.end()) {
         if (table_.size() >= capacity_) {
@@ -22,11 +23,8 @@ SibTable::onSpinningBranch(Pc pc, Pc *evicted, bool *did_evict)
                 }
             }
             if (victim == table_.end())
-                return;
-            if (evicted)
-                *evicted = victim->first;
-            if (did_evict)
-                *did_evict = true;
+                return std::nullopt;
+            evicted = victim->first;
             ++evicts_;
             table_.erase(victim);
         }
@@ -40,6 +38,7 @@ SibTable::onSpinningBranch(Pc pc, Pc *evicted, bool *did_evict)
         ++confirms_;
     }
     peak_ = std::max(peak_, table_.size());
+    return evicted;
 }
 
 void

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "src/common/config.hpp"
@@ -34,12 +35,11 @@ class SibTable {
     }
 
     /**
-     * A spinning warp took the backward branch at @p pc. When insertion
-     * evicts a candidate entry, the victim's PC is reported through
-     * @p evicted (left untouched otherwise — for the SibEvict event).
+     * A spinning warp took the backward branch at @p pc. Returns the PC
+     * of the candidate entry that insertion evicted, if any (for the
+     * SibEvict event).
      */
-    void onSpinningBranch(Pc pc, Pc *evicted = nullptr,
-                          bool *did_evict = nullptr);
+    std::optional<Pc> onSpinningBranch(Pc pc);
 
     /** A non-spinning warp took the backward branch at @p pc. */
     void onNonSpinningBranch(Pc pc);

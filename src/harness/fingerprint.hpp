@@ -82,11 +82,9 @@ class FingerprintHasher {
  * Hashes every result-relevant GpuConfig field into @p h. The only
  * exclusions are the execution knobs whose non-effect on results is
  * contractual and differentially tested (docs/PERF.md): idleSkip and
- * metricsInterval, plus the sync-profiler rendering knobs. Everything
- * else — including fields
- * that only gate optional stats collection (collectStallBreakdown,
- * collectSpinCycles), since they change what statsToJson emits — is
- * included. A field-coverage guard in fingerprint.cpp fails the build
+ * metricsInterval. Everything else — including fields that only gate
+ * optional stats collection (collectStallBreakdown, collectSpinCycles),
+ * since they change what statsToJson emits — is included. A field-coverage guard in fingerprint.cpp fails the build
  * when GpuConfig grows without this function being revisited.
  */
 void hashConfig(FingerprintHasher &h, const GpuConfig &cfg);
@@ -112,9 +110,11 @@ struct PointKey {
  *    makeBenchmark(kernel, scale, params));
  *  - gpuBody points are not cacheable (the runner counts them as
  *    bypassed and always simulates them).
- * Side outputs (tracePath/metricsPath) are the runner's concern: such
- * points get a key here but are bypassed at dispatch, because a cache
- * hit would not regenerate the side files.
+ * Side outputs — the trace (tracePath), the metrics series
+ * (metricsPath), the sync report (syncReportPath) and --profile's sync
+ * profiler (syncProfile) — are the runner's concern: such points get a
+ * key here but are bypassed at dispatch, because a cache hit would not
+ * regenerate them.
  */
 PointKey fingerprintPoint(const SweepPoint &point);
 

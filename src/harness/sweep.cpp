@@ -36,6 +36,27 @@ resolveJobs(unsigned requested)
 
 namespace {
 
+/**
+ * Writes one side artifact of a finished point with @p write. Called
+ * even when the point failed: the trace window, the metrics series and
+ * the contention report leading up to a watchdog abort are the ones
+ * worth reading. A write error fails the point, but the point's own
+ * error wins.
+ */
+template <typename Write>
+void
+writeSideArtifact(SweepResult &r, Write &&write)
+{
+    try {
+        write();
+    } catch (const std::exception &e) {
+        if (r.ok) {
+            r.ok = false;
+            r.error = e.what();
+        }
+    }
+}
+
 SweepResult
 runPoint(const SweepPoint &point)
 {
@@ -81,53 +102,27 @@ runPoint(const SweepPoint &point)
     } catch (...) {
         r.error = "unknown error";
     }
-    if (syncreg) {
+    if (syncreg)
         r.syncProfileText = syncreg->hotReport();
-        if (!point.syncReportPath.empty()) {
-            // Written even on failure: a livelocked point's contention
-            // report is the one worth reading.
-            try {
-                std::ofstream out(point.syncReportPath);
-                if (!out) {
-                    fatal("cannot write sync report '",
-                          point.syncReportPath, "'");
-                }
-                out << syncreg->reportJson().dump(2) << "\n";
-            } catch (const std::exception &e) {
-                if (r.ok) {
-                    r.ok = false;
-                    r.error = e.what();
-                }
-            }
-        }
+    if (syncreg && !point.syncReportPath.empty()) {
+        writeSideArtifact(r, [&] {
+            std::ofstream out(point.syncReportPath);
+            if (!out)
+                fatal("cannot write sync report '", point.syncReportPath,
+                      "'");
+            out << syncreg->reportJson().dump(2) << "\n";
+        });
     }
-    if (sampler) {
-        // Like the trace below: written even on failure, so the series
-        // leading up to a watchdog abort is preserved.
-        try {
-            sampler->writeFile();
-        } catch (const std::exception &e) {
-            if (r.ok) {
-                r.ok = false;
-                r.error = e.what();
-            }
-        }
-    }
+    if (sampler)
+        writeSideArtifact(r, [&] { sampler->writeFile(); });
     if (recorder) {
-        // Written even on failure: the retained window ending at a
-        // watchdog abort is the most useful trace of all.
-        try {
+        writeSideArtifact(r, [&] {
             trace::ChromeTraceMeta meta;
             meta.label = point.id;
             meta.dropped = recorder->dropped();
-            trace::writeChromeTraceFile(recorder->events(),
-                                        point.tracePath, meta);
-        } catch (const std::exception &e) {
-            if (r.ok) {
-                r.ok = false;
-                r.error = e.what();
-            }
-        }
+            trace::writeChromeTraceFile(recorder->events(), point.tracePath,
+                                        meta);
+        });
     }
     return r;
 }

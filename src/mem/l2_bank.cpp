@@ -3,7 +3,7 @@
 namespace bowsim {
 
 Cycle
-L2Bank::access(const MemPacket &pkt, Cycle arrival, AccessInfo *info)
+L2Bank::access(const MemPacket &pkt, Cycle arrival, AccessInfo &info)
 {
     ++accesses_;
     bool is_atomic = pkt.type == MemPacket::Type::Atomic;
@@ -15,18 +15,16 @@ L2Bank::access(const MemPacket &pkt, Cycle arrival, AccessInfo *info)
     free_ = start + (is_atomic ? atomicPeriod_ : 1);
     if (is_atomic)
         atomicWaitCycles_ += start - arrival;
-    if (info)
-        info->waited = start - arrival;
+    info.waited = start - arrival;
 
     // Atomics arrive with byte addresses (they serialize per address);
     // the tag array works on line granularity.
     Addr line = lineBase(pkt.line);
     bool hit = cache_.access(line, is_write || is_atomic);
     Cycle tag_done = start + hitLatency_;
+    info.miss = !hit;
     if (hit)
         return tag_done;
-    if (info)
-        info->miss = true;
 
     // Miss: fetch the line from DRAM and install it (write-allocate).
     bool evicted_dirty = false;
@@ -63,29 +61,11 @@ MemorySystem::request(const MemPacket &pkt, Cycle now)
     if (home != deviceId_)
         return remoteRequest(pkt, now, home);
 
-    Cycle arrival = toMem_.inject(pkt.smId, now);
-    unsigned bank = static_cast<unsigned>(
-        (lineBase(pkt.line) / kLineBytes) % banks_.size());
-    Cycle bank_done;
-    if (!tracer_.enabled() && !sync_.enabled()) {
-        bank_done = banks_[bank].access(pkt, arrival);
-    } else {
-        L2Bank::AccessInfo info;
-        bank_done = banks_[bank].access(pkt, arrival, &info);
-        if (pkt.type == MemPacket::Type::Atomic) {
-            tracer_.emit(now, pkt.smId, -1,
-                         trace::EventKind::AtomicSerialize, pkt.line,
-                         info.waited);
-            sync_.onTimedAtomic(pkt.line, info.waited, /*remote=*/false);
-        }
-        if (info.miss) {
-            tracer_.emit(now, pkt.smId, -1, trace::EventKind::L2Miss,
-                         lineBase(pkt.line));
-        }
-    }
+    const Cycle arrival = toMem_.inject(pkt.smId, now);
+    const Cycle bank_done = serveAt(*this, pkt, now, arrival);
     if (pkt.type == MemPacket::Type::Write)
         return 0;
-    return toSm_.inject(bank, bank_done);
+    return toSm_.inject(bankOf(pkt.line), bank_done);
 }
 
 Cycle
@@ -97,30 +77,32 @@ MemorySystem::remoteRequest(const MemPacket &pkt, Cycle now,
     // and its bank access accrues on the home device's counters. Trace
     // events are emitted by the requesting device's tracer so per-device
     // streams stay timestamp-ordered.
-    MemorySystem &h = *peers_[home];
     const Cycle arrival = link_->traverse(deviceId_, home, now);
     ++linkPackets_;
-    Cycle bank_done;
-    if (!tracer_.enabled() && !sync_.enabled()) {
-        bank_done = h.bankAccess(pkt, arrival);
-    } else {
-        L2Bank::AccessInfo info;
-        bank_done = h.bankAccess(pkt, arrival, &info);
-        if (pkt.type == MemPacket::Type::Atomic) {
-            tracer_.emit(now, pkt.smId, -1,
-                         trace::EventKind::AtomicSerialize, pkt.line,
-                         info.waited);
-            sync_.onTimedAtomic(pkt.line, info.waited, /*remote=*/true);
-        }
-        if (info.miss) {
-            tracer_.emit(now, pkt.smId, -1, trace::EventKind::L2Miss,
-                         lineBase(pkt.line));
-        }
-    }
+    const Cycle bank_done = serveAt(*peers_[home], pkt, now, arrival);
     if (pkt.type == MemPacket::Type::Write)
         return 0;
     ++linkPackets_;
     return link_->traverse(home, deviceId_, bank_done);
+}
+
+Cycle
+MemorySystem::serveAt(MemorySystem &home, const MemPacket &pkt, Cycle now,
+                      Cycle arrival)
+{
+    L2Bank::AccessInfo info;
+    const Cycle done =
+        home.banks_[home.bankOf(pkt.line)].access(pkt, arrival, info);
+    if (pkt.type == MemPacket::Type::Atomic) {
+        tracer_.emit(now, pkt.smId, -1, trace::EventKind::AtomicSerialize,
+                     pkt.line, info.waited);
+        sync_.onTimedAtomic(pkt.line, info.waited, &home != this);
+    }
+    if (info.miss) {
+        tracer_.emit(now, pkt.smId, -1, trace::EventKind::L2Miss,
+                     lineBase(pkt.line));
+    }
+    return done;
 }
 
 MemSystemStats

@@ -50,7 +50,7 @@ class L2Bank {
     {
     }
 
-    /** What one bank access did (for trace emission by the caller). */
+    /** What one bank access did (for the caller's observers). */
     struct AccessInfo {
         bool miss = false;
         /** Cycles the request queued behind the bank's service slot. */
@@ -59,10 +59,10 @@ class L2Bank {
 
     /**
      * Services @p pkt arriving at @p arrival; returns the cycle the bank
-     * finishes (data ready to travel back for reads/atomics).
+     * finishes (data ready to travel back for reads/atomics) and fills
+     * @p info.
      */
-    Cycle access(const MemPacket &pkt, Cycle arrival,
-                 AccessInfo *info = nullptr);
+    Cycle access(const MemPacket &pkt, Cycle arrival, AccessInfo &info);
 
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t atomics() const { return atomics_; }
@@ -164,22 +164,27 @@ class MemorySystem {
         numDevices_ = num_devices;
     }
 
-    /**
-     * Direct bank access for remote requests arriving over the link:
-     * the link attaches at the memory-side switch, so remote traffic
-     * bypasses this device's SM/L2 crossbars. Serialized-order only.
-     */
-    Cycle
-    bankAccess(const MemPacket &pkt, Cycle arrival,
-               L2Bank::AccessInfo *info = nullptr)
-    {
-        unsigned bank = static_cast<unsigned>(
-            (lineBase(pkt.line) / kLineBytes) % banks_.size());
-        return banks_[bank].access(pkt, arrival, info);
-    }
-
   private:
     Cycle remoteRequest(const MemPacket &pkt, Cycle now, unsigned home);
+
+    /** The L2 bank that serves @p line. */
+    unsigned
+    bankOf(Addr line) const
+    {
+        return static_cast<unsigned>((lineBase(line) / kLineBytes) %
+                                     banks_.size());
+    }
+
+    /**
+     * Services @p pkt at @p home's bank — this device's own, or a peer's
+     * for a request that crossed the link, which attaches at the
+     * memory-side switch and so bypasses the peer's crossbars — when it
+     * arrives there at @p arrival. Reports the access to this device's
+     * observers, stamped with the request cycle @p now, and returns the
+     * bank's finish cycle.
+     */
+    Cycle serveAt(MemorySystem &home, const MemPacket &pkt, Cycle now,
+                  Cycle arrival);
 
     GpuConfig cfg_;
     std::vector<L2Bank> banks_;

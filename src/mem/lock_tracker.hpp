@@ -9,15 +9,33 @@
 
 /**
  * @file
- * Measurement-only lock ownership tracker behind the Figure 2 / Figure 12
- * outcome distributions. Successful `atomicCAS(m, 0, v)` records the
- * acquiring warp; failed attempts are classified as intra-warp (the holder
- * is the same warp) or inter-warp failures. Writing 0 back releases.
+ * Measurement-only lock ownership tracker: the one model of which warp
+ * holds which lock word. It reports each transition once, and every
+ * observer consumes that result — the Figure 2 / Figure 12 outcome
+ * counters and the sync profiler alike. The rule:
+ *
+ *  - a successful CAS that stores a nonzero value acquires the word;
+ *  - a failed CAS is an intra-warp failure when the issuing warp holds
+ *    the word, and an inter-warp failure otherwise;
+ *  - a store, an exchange, or a successful CAS that stores 0 releases a
+ *    held word.
  */
 
 namespace bowsim {
 
-enum class CasOutcome { Success, InterWarpFail, IntraWarpFail };
+/** What one observed access did to a lock word. */
+struct LockTransition {
+    enum class Kind { None, Acquire, Release, InterWarpFail, IntraWarpFail };
+    Kind kind = Kind::None;
+    /** Release only: the warp key that held the word. */
+    std::uint64_t holder = 0;
+
+    bool
+    failed() const
+    {
+        return kind == Kind::InterWarpFail || kind == Kind::IntraWarpFail;
+    }
+};
 
 class LockTracker {
   public:
@@ -27,11 +45,11 @@ class LockTracker {
      * @param expected     the compare value
      * @param desired      the swap value
      */
-    CasOutcome onCas(Addr addr, std::uint64_t warp_key, Word old_value,
-                     Word expected, Word desired);
+    LockTransition onCas(Addr addr, std::uint64_t warp_key, Word old_value,
+                         Word expected, Word desired);
 
-    /** Records a plain store/exchange of @p value to @p addr. */
-    void onWrite(Addr addr, Word value);
+    /** Records a plain store or exchange to @p addr. */
+    LockTransition onWrite(Addr addr);
 
     /** Number of currently-held tracked locks. */
     size_t held() const { return owner_.size(); }

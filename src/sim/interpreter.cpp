@@ -206,36 +206,36 @@ executeLanes(LaunchState &launch, unsigned sm_id,
     if (inst.op == Opcode::St) {
         for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
             const unsigned lane = firstLane(rest);
-            const Word v = get(value, lane);
-            mem.write(addrs[lane], v, inst.size);
-            locks.onWrite(addrs[lane], v);
-            launch.sync.onWrite(addrs[lane], clock);
+            mem.write(addrs[lane], get(value, lane), inst.size);
+            const LockTransition t = locks.onWrite(addrs[lane]);
+            if (t.kind == LockTransition::Kind::Release)
+                launch.sync.onRelease(addrs[lane], t.holder, clock);
         }
         return;
     }
 
     const bool acquire = (launch.pcFlags[w.stack().pc()] &
                           LaunchState::kPcLockAcquire) != 0;
+    const bool is_cas = inst.atom == AtomOp::Cas;
     const std::uint64_t warp_key = launch.warpKey(w);
     const SrcRef swap = resolve(inst.src[2]);
     for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
         const unsigned lane = firstLane(rest);
         const Addr a = addrs[lane];
         const Word operand = get(value, lane);
-        const Word desired = inst.atom == AtomOp::Cas ? get(swap, lane) : 0;
         const Word old = mem.read(a, inst.size);
         Word next = old;
-        bool is_cas = false;
-        CasOutcome cas = CasOutcome::Success;
+        LockTransition t;
         switch (inst.atom) {
-          case AtomOp::Cas:
+          case AtomOp::Cas: {
+            const Word desired = get(swap, lane);
             next = old == operand ? desired : old;
-            is_cas = true;
-            cas = locks.onCas(a, warp_key, old, operand, desired);
+            t = locks.onCas(a, warp_key, old, operand, desired);
             break;
+          }
           case AtomOp::Exch:
             next = operand;
-            locks.onWrite(a, operand);
+            t = locks.onWrite(a);
             break;
           case AtomOp::Add:
             next = exec::wrapAdd(old, operand);
@@ -248,26 +248,23 @@ executeLanes(LaunchState &launch, unsigned sm_id,
             break;
         }
         mem.write(a, next, inst.size);
-        if (launch.sync.enabled()) {
-            // Release = an exchange (the TAS-family unlock) or a
-            // successful CAS that stored the free sentinel 0; plain-store
-            // unlocks reach the profiler through the st arm's onWrite.
-            const bool failed = is_cas && cas != CasOutcome::Success;
-            const bool releases = inst.atom == AtomOp::Exch ||
-                                  (is_cas && !failed && desired == 0);
-            launch.sync.onAtomic(a, warp_key, clock, is_cas, failed,
-                                 acquire, releases);
-        }
-        if (is_cas && acquire) {
-            switch (cas) {
-              case CasOutcome::Success:
+        // The tracker's one transition feeds both observers: the
+        // profiler, and the Fig. 2 counters at acquire sites (only a CAS
+        // acquires or fails).
+        launch.sync.onAtomic(a, warp_key, clock, is_cas, acquire, t);
+        if (acquire) {
+            switch (t.kind) {
+              case LockTransition::Kind::Acquire:
                 ++st.outcomes.lockSuccess;
                 break;
-              case CasOutcome::InterWarpFail:
+              case LockTransition::Kind::InterWarpFail:
                 ++st.outcomes.interWarpFail;
                 break;
-              case CasOutcome::IntraWarpFail:
+              case LockTransition::Kind::IntraWarpFail:
                 ++st.outcomes.intraWarpFail;
+                break;
+              case LockTransition::Kind::None:
+              case LockTransition::Kind::Release:
                 break;
             }
         }

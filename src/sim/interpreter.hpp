@@ -15,10 +15,11 @@
  * themselves — Bra, Exit, Bar, Nop, Membar — and hand every other
  * instruction to executeLanes(), the one definition of its value
  * semantics: operand reads, register and predicate writes, param,
- * shared and global loads and stores, atomics, the lock tracker's
- * CAS/release bookkeeping, the Fig. 2 outcome counters and the syncprof
- * atomic/store hooks. Timing (scoreboard, writeback, LD/ST unit, DDOS)
- * stays with the caller.
+ * shared and global loads and stores, and atomics. Each global store
+ * and atomic asks the lock tracker for its transition once and hands
+ * that one value to the Fig. 2 outcome counters and the syncprof
+ * hooks. Timing (scoreboard, writeback, LD/ST unit, DDOS) stays with
+ * the caller.
  */
 
 namespace bowsim {

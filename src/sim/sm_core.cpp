@@ -87,10 +87,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
         panic("launch without a lock tracker");
     cawaAccounting_ = cfg.scheduler == SchedulerKind::CAWA;
     spinAccounting_ = cfg.collectSpinCycles;
-    // Sync profiling mirrors tracing: a launch-wide handle, one cached
-    // bool on the issue-path branch sites.
-    sync_ = launch_.sync;
-    syncOn_ = sync_.enabled();
 
     // Tracing and stall attribution ride the same launch-wide handle.
     // Sizing the stall table here (cores are built serially) keeps
@@ -375,42 +371,27 @@ SmCore::issue(Warp &w, Cycle now)
             // The warp will re-run the loop body: grow CAWA's remaining-
             // work estimate (this is the spin-prioritization pathology).
             cawa.estRemaining += static_cast<double>(pc - inst.target + 1);
-            if (!tracer_.enabled() && !syncOn_) {
-                ddos_->onBackwardBranch(w.id(), pc, now);
-            } else {
-                // Label newly confirmed SIBs against the kernel's
+            if (ddos_->onBackwardBranch(w.id(), pc, now)) {
+                // Label the newly confirmed SIB against the kernel's
                 // ground-truth annotations for the detection stream, and
                 // cross-attribute the confirmation to the sync address
                 // whose failed CAS provoked the spin.
-                const bool was_sib = ddos_->isSib(pc);
-                ddos_->onBackwardBranch(w.id(), pc, now);
-                if (!was_sib && ddos_->isSib(pc)) {
-                    const bool truth =
-                        (launch_.pcFlags[pc] &
-                         LaunchState::kPcSpinBranch) != 0;
-                    tracer_.emit(now, id_,
-                                 static_cast<std::int32_t>(w.id()),
-                                 truth ? trace::EventKind::DetectTrue
-                                       : trace::EventKind::DetectFalse,
-                                 pc);
-                    if (syncOn_)
-                        sync_.onSibConfirm(launch_.warpKey(w), now);
-                }
+                const bool truth =
+                    (launch_.pcFlags[pc] & LaunchState::kPcSpinBranch) != 0;
+                tracer_.emit(now, id_, static_cast<std::int32_t>(w.id()),
+                             truth ? trace::EventKind::DetectTrue
+                                   : trace::EventKind::DetectFalse,
+                             pc);
+                launch_.sync.onSibConfirm(launch_.warpKey(w), now);
             }
         }
         if (backward && taken != 0 && isSib(pc)) {
             sib_executed = true;
             ++st.sibInstructions;
-            if (!syncOn_) {
-                backoff_.onSpinBranch(w, now);
-            } else {
-                // Catch the not-backed-off -> backed-off edge so the
-                // profiler can charge the back-off to its sync address.
-                const bool was_off = w.bows().backedOff;
-                backoff_.onSpinBranch(w, now);
-                if (!was_off && w.bows().backedOff)
-                    sync_.onBackoffEnter(launch_.warpKey(w), now);
-            }
+            // The profiler charges the back-off entry to the sync
+            // address whose failed CAS provoked the spin.
+            if (backoff_.onSpinBranch(w, now))
+                launch_.sync.onBackoffEnter(launch_.warpKey(w), now);
         }
         w.stack().branch(inst, taken);
         break;

@@ -300,12 +300,6 @@ class SmCore : private IssueGate {
     bool stallAccounting_ = false;
     /** Per-cycle spinning-warp attribution (GpuConfig::collectSpinCycles). */
     bool spinAccounting_ = false;
-    /** Launch-wide sync-profiler handle (null unless --sync-report or a
-     *  litmus evidence pass attached a registry). */
-    syncprof::SyncProf sync_;
-    /** Cached sync_.enabled() so the issue-path branch sites pay one
-     *  bool test, mirroring stallAccounting_. */
-    bool syncOn_ = false;
 };
 
 }  // namespace bowsim

@@ -72,12 +72,6 @@ SyncProfileRegistry::SyncProfileRegistry(unsigned top_n,
 {
 }
 
-SyncProfileRegistry::Record &
-SyncProfileRegistry::recordFor(Addr addr)
-{
-    return addrs_[addr];
-}
-
 void
 SyncProfileRegistry::stepStorm(Record &r, bool failed)
 {
@@ -108,27 +102,24 @@ SyncProfileRegistry::stepStorm(Record &r, bool failed)
 }
 
 void
-SyncProfileRegistry::release(Record &r, Cycle now)
+SyncProfileRegistry::release(Record &r, std::uint64_t holder, Cycle now)
 {
-    if (r.owner == 0)
-        return;
     ++r.releases;
     ++totalReleases_;
     r.holdHist.add(now - r.acquiredAt);
-    r.lastReleaser = r.owner;
-    r.owner = 0;
+    r.lastReleaser = holder;
     r.releasedAt = now;
     r.pendingHandoff = true;
 }
 
 void
 SyncProfileRegistry::onAtomic(Addr addr, std::uint64_t warp_key, Cycle now,
-                              bool is_cas, bool failed, bool is_acquire,
-                              bool is_release)
+                              bool is_cas, bool is_acquire, LockTransition t)
 {
-    Record &r = recordFor(addr);
+    Record &r = addrs_[addr];
     ++r.atomics;
     ++totalAtomics_;
+    const bool failed = t.failed();
     if (is_cas) {
         ++r.casAttempts;
         ++totalCasAttempts_;
@@ -152,36 +143,34 @@ SyncProfileRegistry::onAtomic(Addr addr, std::uint64_t warp_key, Cycle now,
         }
         stepStorm(r, failed);
     }
-    if (!failed && is_acquire && !is_release) {
-        // Successful lock acquire.
-        ++r.acquires;
-        ++totalAcquires_;
-        ++r.acqByWarp[warp_key];
-        auto session = r.sessions.find(warp_key);
-        if (session != r.sessions.end()) {
-            r.acquireHist.add(now - session->second);
-            r.sessions.erase(session);
-        } else {
-            r.acquireHist.add(0);  // uncontended: acquired first try
-        }
-        if (r.pendingHandoff) {
-            if (r.lastReleaser != warp_key)
-                r.handoffHist.add(now - r.releasedAt);
-            r.pendingHandoff = false;
-        }
-        r.owner = warp_key;
-        r.acquiredAt = now;
+    if (t.kind == LockTransition::Kind::Release)
+        release(r, t.holder, now);
+    if (t.kind != LockTransition::Kind::Acquire)
+        return;
+    r.acquiredAt = now;  // the hold runs until the tracker's release
+    if (!is_acquire)
+        return;  // acquires count .annot acquire CAS sites, as Fig. 2 does
+    ++r.acquires;
+    ++totalAcquires_;
+    ++r.acqByWarp[warp_key];
+    auto session = r.sessions.find(warp_key);
+    if (session != r.sessions.end()) {
+        r.acquireHist.add(now - session->second);
+        r.sessions.erase(session);
+    } else {
+        r.acquireHist.add(0);  // uncontended: acquired first try
     }
-    if (is_release && !failed)
-        release(r, now);
+    if (r.pendingHandoff) {
+        if (r.lastReleaser != warp_key)
+            r.handoffHist.add(now - r.releasedAt);
+        r.pendingHandoff = false;
+    }
 }
 
 void
-SyncProfileRegistry::onWrite(Addr addr, Cycle now)
+SyncProfileRegistry::onRelease(Addr addr, std::uint64_t holder, Cycle now)
 {
-    auto it = addrs_.find(addr);
-    if (it != addrs_.end())
-        release(it->second, now);
+    release(addrs_[addr], holder, now);
 }
 
 void
@@ -205,7 +194,7 @@ SyncProfileRegistry::onSibConfirm(std::uint64_t warp_key, Cycle)
 void
 SyncProfileRegistry::onTimedAtomic(Addr addr, Cycle waited, bool remote)
 {
-    Record &r = recordFor(addr);
+    Record &r = addrs_[addr];
     ++r.timedAtomics;
     ++totalTimedAtomics_;
     if (remote) {

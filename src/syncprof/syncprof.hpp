@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/types.hpp"
+#include "src/mem/lock_tracker.hpp"
 
 /**
  * @file
@@ -25,14 +26,16 @@
  * Determinism contract (why reports are byte-identical across --jobs,
  * idle-skip and device count):
  *
- *  - Functional hooks (onAtomic / onWrite) fire on the functional
+ *  - Functional hooks (onAtomic / onRelease) fire on the functional
  *    global-memory path at issue, in the cycle loop's fixed device/SM
- *    order, so the profiler observes one (addr, warp, outcome, cycle)
- *    sequence per configuration. Idle-skip never skips a cycle in
- *    which an atomic issues, so cycle stamps are identical too.
- *  - Ownership/session/storm state is driven *only* by those
- *    functional outcomes, which the differential suites pin as
- *    byte-identical across execution knobs.
+ *    order, so the profiler observes one (addr, warp, transition,
+ *    cycle) sequence per configuration. Idle-skip never skips a cycle
+ *    in which an atomic issues, so cycle stamps are identical too.
+ *  - Lock ownership is not modelled here: every hook carries the
+ *    LockTracker's transition (acquire, release, inter- or intra-warp
+ *    failure), the same value the Fig. 2 counters consume. Session and
+ *    storm state is driven *only* by those transitions, which the
+ *    differential suites pin as byte-identical across execution knobs.
  *  - Timed hooks (onTimedAtomic, from the L2 banks) contribute only
  *    commutative per-address sums (packet counts, wait cycles, the
  *    local/remote split), so their interleaving with the functional
@@ -140,19 +143,17 @@ class SyncProfileRegistry {
      * One committed atomic lane operation on byte address @p addr by
      * global warp @p warp_key at @p now.
      * @param is_cas     the operation was a compare-and-swap
-     * @param failed     CAS only: the compare failed
-     * @param is_acquire the PC carries the lock-acquire annotation
-     * @param release    the operation released a lock word (an exchange,
-     *                   or a successful CAS whose desired value was the
-     *                   free sentinel 0)
+     * @param is_acquire the PC carries the lock-acquire annotation; only
+     *                   a CAS there counts acquires and opens sessions
+     * @param t          what the operation did to the lock word, as the
+     *                   LockTracker classified it
      */
     void onAtomic(Addr addr, std::uint64_t warp_key, Cycle now,
-                  bool is_cas, bool failed, bool is_acquire, bool release);
+                  bool is_cas, bool is_acquire, LockTransition t);
 
-    /** A committed plain global store to @p addr (release detection:
-     *  any write to a held lock word releases it, mirroring the
-     *  LockTracker). Cheap no-op for never-atomically-touched addresses. */
-    void onWrite(Addr addr, Cycle now);
+    /** A committed plain global store to @p addr released the lock word
+     *  that warp @p holder held. */
+    void onRelease(Addr addr, std::uint64_t holder, Cycle now);
 
     /** A warp entered BOWS back-off; attributed to its last failed-CAS
      *  address. */
@@ -219,7 +220,6 @@ class SyncProfileRegistry {
         std::uint64_t sibConfirms = 0;
 
         // Lock-session state.
-        std::uint64_t owner = 0;  ///< holding warp key; 0 = free
         Cycle acquiredAt = 0;
         std::uint64_t lastReleaser = 0;
         Cycle releasedAt = 0;
@@ -248,8 +248,7 @@ class SyncProfileRegistry {
         std::uint64_t waitCycles = 0;
     };
 
-    Record &recordFor(Addr addr);
-    void release(Record &r, Cycle now);
+    void release(Record &r, std::uint64_t holder, Cycle now);
     void stepStorm(Record &r, bool failed);
     /** Hottest-first record order (see hotAddresses). */
     std::vector<const std::pair<const Addr, Record> *> ranked() const;
@@ -282,7 +281,7 @@ class SyncProfileRegistry {
 /**
  * Null-capable handle over an optional registry — the trace::Tracer
  * idiom. Every hook site costs one pointer test when detached; handles
- * are freely copyable and carried by value in LaunchState, SmCore and
+ * are freely copyable and carried by value in LaunchState and
  * MemorySystem.
  */
 class SyncProf {
@@ -290,24 +289,19 @@ class SyncProf {
     SyncProf() = default;
     explicit SyncProf(SyncProfileRegistry *reg) : reg_(reg) {}
 
-    bool enabled() const { return reg_ != nullptr; }
-    SyncProfileRegistry *registry() const { return reg_; }
-
     void
     onAtomic(Addr addr, std::uint64_t warp_key, Cycle now, bool is_cas,
-             bool failed, bool is_acquire, bool release) const
+             bool is_acquire, LockTransition t) const
     {
-        if (reg_) {
-            reg_->onAtomic(addr, warp_key, now, is_cas, failed,
-                           is_acquire, release);
-        }
+        if (reg_)
+            reg_->onAtomic(addr, warp_key, now, is_cas, is_acquire, t);
     }
 
     void
-    onWrite(Addr addr, Cycle now) const
+    onRelease(Addr addr, std::uint64_t holder, Cycle now) const
     {
         if (reg_)
-            reg_->onWrite(addr, now);
+            reg_->onRelease(addr, holder, now);
     }
 
     void

@@ -30,38 +30,36 @@ TEST(Backoff, SpinBranchEntersBackedOffState)
 {
     BackoffUnit b(fixedCfg(100));
     auto w = makeWarp(0);
-    EXPECT_TRUE(b.mayIssue(*w));
-    b.onSpinBranch(*w);
+    EXPECT_TRUE(b.mayIssue(*w, 5));
+    EXPECT_TRUE(b.onSpinBranch(*w, 5));
     EXPECT_TRUE(w->bows().backedOff);
-    // Fresh back-off: pending delay still zero, so it may issue when its
-    // turn comes (at the back of the queue).
-    EXPECT_TRUE(b.mayIssue(*w));
+    // Fresh back-off: no delay armed yet, so it may issue when its turn
+    // comes (at the back of the queue).
+    EXPECT_TRUE(b.mayIssue(*w, 5));
+    // Only the entry is an edge: a backed-off warp stays put.
+    EXPECT_FALSE(b.onSpinBranch(*w, 6));
 }
 
 TEST(Backoff, IssueLeavesBackedOffAndArmsDelay)
 {
     BackoffUnit b(fixedCfg(100));
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);
+    b.onSpinBranch(*w, 5);
+    b.onIssue(*w, 10);
     EXPECT_FALSE(w->bows().backedOff);
-    EXPECT_EQ(w->bows().pendingDelay, 100u);
+    EXPECT_EQ(w->bows().delayUntil, 110u);
 }
 
 TEST(Backoff, PendingDelayBlocksNextSpinIteration)
 {
     BackoffUnit b(fixedCfg(3));
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);  // leaves backed-off, arms delay = 3
-    b.onSpinBranch(*w);  // hits the SIB again before the delay expired
-    EXPECT_FALSE(b.mayIssue(*w));
-    std::vector<Warp *> resident{w.get()};
-    b.cycle(resident);
-    b.cycle(resident);
-    EXPECT_FALSE(b.mayIssue(*w));
-    b.cycle(resident);  // delay reaches zero
-    EXPECT_TRUE(b.mayIssue(*w));
+    b.onSpinBranch(*w, 5);
+    b.onIssue(*w, 10);       // leaves backed-off, arms delay = 3
+    b.onSpinBranch(*w, 11);  // hits the SIB again before the delay expired
+    EXPECT_FALSE(b.mayIssue(*w, 11));
+    EXPECT_FALSE(b.mayIssue(*w, 12));
+    EXPECT_TRUE(b.mayIssue(*w, 13));  // delay expires 3 cycles after issue
 }
 
 TEST(Backoff, FifoTicketsOrderBackedOffWarps)
@@ -84,20 +82,21 @@ TEST(Backoff, DisabledUnitIsTransparent)
     cfg.enabled = false;
     BackoffUnit b(cfg);
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
+    EXPECT_FALSE(b.onSpinBranch(*w, 5));
     EXPECT_FALSE(w->bows().backedOff);
-    EXPECT_TRUE(b.mayIssue(*w));
+    EXPECT_TRUE(b.mayIssue(*w, 5));
 }
 
 TEST(Backoff, ZeroLimitDeprioritizesWithoutThrottling)
 {
     BackoffUnit b(fixedCfg(0));
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);
-    EXPECT_EQ(w->bows().pendingDelay, 0u);
-    b.onSpinBranch(*w);
-    EXPECT_TRUE(b.mayIssue(*w));  // queued last, but never delay-blocked
+    b.onSpinBranch(*w, 5);
+    b.onIssue(*w, 10);
+    EXPECT_EQ(w->bows().delayUntil, 10u);
+    EXPECT_TRUE(b.onSpinBranch(*w, 10));
+    // Queued last, but never delay-blocked.
+    EXPECT_TRUE(b.mayIssue(*w, 10));
 }
 
 // -------------------------------------------------- AdaptiveDelayEstimator
@@ -263,9 +262,9 @@ TEST(Backoff, AdaptiveLimitFlowsIntoIssuedWarps)
     b.tickWindow(10);
     b.tickWindow(2000);
     EXPECT_GT(b.delayLimit(), 0u);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);
-    EXPECT_EQ(w->bows().pendingDelay, b.delayLimit());
+    b.onSpinBranch(*w, 2000);
+    b.onIssue(*w, 2001);
+    EXPECT_EQ(w->bows().delayUntil, 2001 + b.delayLimit());
 }
 
 }  // namespace

@@ -434,10 +434,12 @@ TEST(GoldenDigests, FunctionalRunsPinned)
               "8498f4b83abb9d659d815ec1ed83c3a7e14daa7faad7011289613379da25c89c");
 }
 
-TEST(GoldenDigests, SyncReportPinned)
+/** Digest of the --sync-report bytes of the two lock kernels — per-
+ *  address CAS splits, sessions, histograms and storms — base and BOWS,
+ *  on @p num_devices devices. */
+std::string
+syncReportDigest(unsigned num_devices)
 {
-    // The --sync-report bytes of the two lock kernels: per-address CAS
-    // splits, sessions, histograms and storms, base and BOWS.
     harness::FingerprintHasher h;
     for (const char *kernel : {"HT", "ATM"}) {
         for (bool bows : {false, true}) {
@@ -445,6 +447,7 @@ TEST(GoldenDigests, SyncReportPinned)
             cfg.numCores = 4;
             cfg.scheduler = SchedulerKind::GTO;
             cfg.bows.enabled = bows;
+            cfg.numDevices = num_devices;
             syncprof::SyncProfileRegistry reg;
             Gpu gpu(cfg);
             gpu.setSyncProf(&reg);
@@ -452,8 +455,20 @@ TEST(GoldenDigests, SyncReportPinned)
             h.add("report", reg.reportJson().dump());
         }
     }
-    EXPECT_EQ(h.hex(),
+    return h.hex();
+}
+
+TEST(GoldenDigests, SyncReportPinned)
+{
+    EXPECT_EQ(syncReportDigest(1),
               "b5728b425c5a299f1cb6537c01af3164ad460e694a2936bfdffd4b62e96fefa2");
+}
+
+TEST(GoldenDigests, TwoDeviceSyncReportPinned)
+{
+    // One registry and one lock tracker serve both devices.
+    EXPECT_EQ(syncReportDigest(2),
+              "de98b53a195fef46ca5ad5b0f8aa40162b71f66d4903b87e8dbcb8726b11fae5");
 }
 
 }  // namespace

@@ -87,11 +87,11 @@ TEST(L2Bank, AtomicServicePeriodComesFromConfig)
 
     const MemPacket atom{0x40, MemPacket::Type::Atomic, 0, MemScope::Device};
     L2Bank::AccessInfo first, second;
-    (void)bank.access(atom, 100, &first);
+    (void)bank.access(atom, 100, first);
     EXPECT_EQ(first.waited, 0u);
     // The second atomic to the bank queues behind the configured
     // serialization period, not the hard-coded default.
-    (void)bank.access(atom, 100, &second);
+    (void)bank.access(atom, 100, second);
     EXPECT_EQ(second.waited, 9u);
     EXPECT_FALSE(second.miss) << "first atomic should have filled the line";
     EXPECT_EQ(bank.atomics(), 2u);
@@ -105,8 +105,8 @@ TEST(L2Bank, PlainReadsUseUnitServicePeriod)
 
     const MemPacket rd{0x40, MemPacket::Type::Read, 0, MemScope::Device};
     L2Bank::AccessInfo first, second;
-    (void)bank.access(rd, 100, &first);
-    (void)bank.access(rd, 100, &second);
+    (void)bank.access(rd, 100, first);
+    (void)bank.access(rd, 100, second);
     EXPECT_EQ(first.waited, 0u);
     EXPECT_EQ(second.waited, 1u);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -121,6 +122,52 @@ TEST(SweepRunner, CustomBodyPointsRun)
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok);
     EXPECT_EQ(results[0].stats.cycles, 42u);
+}
+
+TEST(SweepRunner, SideArtifactsSurviveAFailedPoint)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "bowsim_side_artifacts";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    // A watchdog abort still writes the trace window, the series and
+    // the contention report leading up to it, each valid.
+    SweepPoint p;
+    p.id = "HT/watchdog";
+    p.kernel = "HT";
+    p.scale = 0.25;
+    p.cfg = makeGtx480Config();
+    p.cfg.numCores = 2;
+    p.cfg.watchdogCycles = 5000;
+    p.cfg.metricsInterval = 500;
+    p.tracePath = (dir / "trace.json").string();
+    p.metricsPath = (dir / "metrics.json").string();
+    p.syncReportPath = (dir / "sync.json").string();
+    const SweepResult failed = SweepRunner(1).run({p}).front();
+    EXPECT_FALSE(failed.ok);
+    EXPECT_NE(failed.error.find("watchdog"), std::string::npos)
+        << "error was: " << failed.error;
+    const harness::CheckResult trace =
+        harness::checkChromeTrace(harness::loadJsonFile(p.tracePath));
+    EXPECT_TRUE(trace.ok) << trace.message;
+    const harness::CheckResult series =
+        harness::checkMetricsSeries(harness::loadJsonFile(p.metricsPath));
+    EXPECT_TRUE(series.ok) << series.message;
+    const harness::CheckResult report =
+        harness::checkSyncReport(harness::loadJsonFile(p.syncReportPath));
+    EXPECT_TRUE(report.ok) << report.message;
+
+    // A passing point fails with the write error instead.
+    SweepPoint q = smallSweep().front();
+    q.syncReportPath = (dir / "missing" / "sync.json").string();
+    const SweepResult unwritable = SweepRunner(1).run({q}).front();
+    EXPECT_FALSE(unwritable.ok);
+    EXPECT_NE(unwritable.error.find("cannot write sync report"),
+              std::string::npos)
+        << "error was: " << unwritable.error;
+    fs::remove_all(dir);
 }
 
 TEST(SweepRunner, ResolveJobsPrefersExplicitRequest)

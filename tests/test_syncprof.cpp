@@ -5,6 +5,7 @@
 
 #include "src/harness/json.hpp"
 #include "src/harness/json_check.hpp"
+#include "src/isa/assembler.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/sim/gpu.hpp"
 #include "src/syncprof/syncprof.hpp"
@@ -80,25 +81,28 @@ TEST(SyncProf, GiniOrdersByInequality)
 // --- the lock-session state machine -------------------------------------
 
 constexpr Addr kLock = 0x1000;
+constexpr LockTransition kAcquired{LockTransition::Kind::Acquire};
+constexpr LockTransition kFailed{LockTransition::Kind::InterWarpFail};
 
 /** acquire = CAS-success at an acquire PC; fail = failed CAS there;
- *  release = exchange at the release PC. */
+ *  release = the holder's exchange at the release PC. */
 void
 acquire(SyncProfileRegistry &reg, std::uint64_t warp, Cycle now)
 {
-    reg.onAtomic(kLock, warp, now, true, false, true, false);
+    reg.onAtomic(kLock, warp, now, true, true, kAcquired);
 }
 
 void
 failAcquire(SyncProfileRegistry &reg, std::uint64_t warp, Cycle now)
 {
-    reg.onAtomic(kLock, warp, now, true, true, true, false);
+    reg.onAtomic(kLock, warp, now, true, true, kFailed);
 }
 
 void
 releaseLock(SyncProfileRegistry &reg, std::uint64_t warp, Cycle now)
 {
-    reg.onAtomic(kLock, warp, now, false, false, false, true);
+    reg.onAtomic(kLock, warp, now, false, false,
+                 {LockTransition::Kind::Release, warp});
 }
 
 TEST(SyncProf, SessionTracksAcquireHoldAndHandoff)
@@ -148,15 +152,12 @@ TEST(SyncProf, PlainStoreReleasesTheLock)
     // Ticket/array locks release with a plain store, not an exchange.
     SyncProfileRegistry reg;
     acquire(reg, 1, 10);
-    reg.onWrite(kLock, 18);
+    reg.onRelease(kLock, 1, 18);
     acquire(reg, 2, 30);
     const auto hot = reg.hotAddresses(1);
     ASSERT_EQ(hot.size(), 1u);
     EXPECT_EQ(hot.front().releases, 1u);
     EXPECT_EQ(hot.front().acquires, 2u);
-    // Stores to never-atomically-touched addresses stay untracked.
-    reg.onWrite(0x9999, 20);
-    EXPECT_EQ(reg.trackedAddresses(), 1u);
 }
 
 TEST(SyncProf, BackoffAndSibAttributeToLastFailedAddress)
@@ -182,7 +183,7 @@ TEST(SyncProf, ContendedLinesCountFirstFailurePerLine)
     failAcquire(reg, 2, 2);
     failAcquire(reg, 2, 3);  // same line counted once
     EXPECT_EQ(reg.contendedLines(), 1u);
-    reg.onAtomic(0x8000, 3, 4, true, true, true, false);
+    reg.onAtomic(0x8000, 3, 4, true, true, kFailed);
     EXPECT_EQ(reg.contendedLines(), 2u);
 }
 
@@ -191,11 +192,11 @@ TEST(SyncProf, HotAddressesRankByFailuresThenAttempts)
     SyncProfileRegistry reg;
     // 0x3000: 2 failures; 0x2000: 1 failure, 2 attempts; 0x1000: 1
     // failure, 1 attempt.
-    reg.onAtomic(0x3000, 1, 1, true, true, true, false);
-    reg.onAtomic(0x3000, 2, 2, true, true, true, false);
-    reg.onAtomic(0x2000, 1, 3, true, true, true, false);
-    reg.onAtomic(0x2000, 2, 4, true, false, true, false);
-    reg.onAtomic(0x1000, 1, 5, true, true, true, false);
+    reg.onAtomic(0x3000, 1, 1, true, true, kFailed);
+    reg.onAtomic(0x3000, 2, 2, true, true, kFailed);
+    reg.onAtomic(0x2000, 1, 3, true, true, kFailed);
+    reg.onAtomic(0x2000, 2, 4, true, true, kAcquired);
+    reg.onAtomic(0x1000, 1, 5, true, true, kFailed);
     const auto hot = reg.hotAddresses(3);
     ASSERT_EQ(hot.size(), 3u);
     EXPECT_EQ(hot[0].addr, 0x3000u);
@@ -235,18 +236,16 @@ TEST(SyncProf, StormEntersAtNinetyPercentAndExitsBelowHalf)
 TEST(SyncProf, NullHandleForwardsNothing)
 {
     syncprof::SyncProf off;
-    EXPECT_FALSE(off.enabled());
     // Every hook must be a safe no-op when detached.
-    off.onAtomic(kLock, 1, 1, true, true, true, false);
-    off.onWrite(kLock, 1);
+    off.onAtomic(kLock, 1, 1, true, true, kFailed);
+    off.onRelease(kLock, 1, 1);
     off.onBackoffEnter(1, 1);
     off.onSibConfirm(1, 1);
     off.onTimedAtomic(kLock, 1, false);
 
     SyncProfileRegistry reg;
     syncprof::SyncProf on(&reg);
-    EXPECT_TRUE(on.enabled());
-    on.onAtomic(kLock, 1, 1, true, true, true, false);
+    on.onAtomic(kLock, 1, 1, true, true, kFailed);
     EXPECT_EQ(reg.casAttempts(), 1u);
 }
 
@@ -265,7 +264,7 @@ sampleReport()
     reg.onBackoffEnter(2, 36);
     reg.onTimedAtomic(kLock, 5, false);
     reg.onTimedAtomic(kLock, 9, true);
-    reg.onAtomic(0x2000, 3, 40, true, true, true, false);
+    reg.onAtomic(0x2000, 3, 40, true, true, kFailed);
     return reg.reportJson();
 }
 
@@ -393,6 +392,53 @@ TEST(SyncProf, TotalsAgreeWithFigure2Outcomes)
         all_acquires += o.lockSuccess;
     }
     EXPECT_GT(all_acquires, 0u) << "no lock kernel acquired a lock";
+}
+
+// --- one ownership model ---------------------------------------------------
+
+/** A ticket lock, one thread per CTA, whose fetch-add ticket grab
+ *  carries the acquire annotation: an annotated atomic that is no CAS. */
+constexpr const char *kAnnotatedTicketLock = R"(
+.kernel annotated_ticket
+.param 2
+  ld.param.u64 %r1, [0];         // next ticket
+  ld.param.u64 %r2, [8];         // now serving
+.annot sync_begin
+  .annot acquire
+  atom.global.add.b64 %r3, [%r1], 1;
+WAIT:
+  ld.volatile.global.u64 %r4, [%r2];
+  .annot wait
+  setp.ne.s64 %p1, %r4, %r3;
+  .annot spin
+  @%p1 bra WAIT;
+.annot sync_end
+  add %r4, %r3, 1;
+  st.global.u64 [%r2], %r4;      // now_serving = ticket + 1
+  exit;
+)";
+
+TEST(SyncProf, NonCasAcquireSiteCountsNoAcquire)
+{
+    // Only a CAS acquires a lock word, so the report and Fig. 2 both
+    // count nothing at a fetch-add acquire site.
+    GpuConfig cfg = makeGtx480Config();
+    cfg.numCores = 1;
+    SyncProfileRegistry reg;
+    Gpu gpu(cfg);
+    gpu.setSyncProf(&reg);
+    const Addr next = gpu.malloc(8);
+    const Addr serving = gpu.malloc(8);
+    const KernelStats s =
+        gpu.launch(assemble(kAnnotatedTicketLock), Dim3{8, 1, 1},
+                   Dim3{1, 1, 1},
+                   {static_cast<Word>(next), static_cast<Word>(serving)});
+    const Json doc = reg.reportJson();
+    const Json &t = doc.at("totals");
+    EXPECT_EQ(t.at("atomics").asInt(), 8);
+    EXPECT_EQ(t.at("acquires").asInt(), 0);
+    EXPECT_EQ(t.at("releases").asInt(), 0);
+    EXPECT_EQ(s.outcomes.lockSuccess, 0u);
 }
 
 }  // namespace
