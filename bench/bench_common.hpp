@@ -28,8 +28,8 @@
  *
  * Every binary declares its simulations as a Sweep — an ordered list of
  * independent (kernel, GpuConfig) points — and executes it through
- * runSweep(), which runs the points on a worker pool (--jobs=N /
- * BOWSIM_JOBS) and optionally writes a machine-readable artifact
+ * runSweep(), which runs the points on a worker pool (--jobs=N) and
+ * optionally writes a machine-readable artifact
  * (--json=FILE). Results come back in declaration order, so the printed
  * tables are byte-identical regardless of the worker count.
  */
@@ -41,71 +41,67 @@ using harness::SweepResult;
 
 /** Command-line options shared by every bench binary (see docs/BENCH.md). */
 struct BenchOptions {
-    /** Workload scale factor (--scale / BOWSIM_SCALE). */
+    /** Workload scale factor (--scale). */
     double scale = 1.0;
     /** Simulated core count override; 0 leaves each config untouched
-     *  (--cores / BOWSIM_CORES). */
+     *  (--cores). */
     unsigned cores = 0;
     /**
      * Simulated device (GPU) count override; 0 leaves each config
-     * untouched (--devices / BOWSIM_DEVICES). Values above 1 shard the
-     * launch across that many devices joined by the modeled
-     * inter-device link (docs/PERF.md, "Device sharding"). Recorded per
-     * point as config.num_devices when it differs from 1.
+     * untouched (--devices). Values above 1 shard the launch across
+     * that many devices joined by the modeled inter-device link
+     * (docs/PERF.md, "Device sharding"). Recorded per point as
+     * config.num_devices when it differs from 1.
      */
     unsigned devices = 0;
-    /** Sweep worker threads; 0 resolves via BOWSIM_JOBS, then the
-     *  hardware concurrency (--jobs / BOWSIM_JOBS). */
+    /** Sweep worker threads; 0 means the hardware concurrency (--jobs). */
     unsigned jobs = 0;
     /** When set, runSweep() writes the sweep artifact here (--json). */
     std::string jsonPath;
     /**
      * When set, every point records a Chrome trace to a per-point file
-     * derived from this base path (--trace / BOWSIM_TRACE): "out.json"
-     * becomes "out.HT_B500.json" for point "HT/B500". Per-point files
-     * keep tracing safe under --jobs > 1.
+     * derived from this base path (--trace): "out.json" becomes
+     * "out.HT_B500.json" for point "HT/B500". Per-point files keep
+     * tracing safe under --jobs > 1.
      */
     std::string tracePath;
     /**
-     * Trace category filter (--trace-filter / BOWSIM_TRACE_FILTER):
-     * comma-separated category tokens (pipe, mem, ddos, bows, barrier,
-     * or the alias sync = ddos|bows|barrier; docs/TRACING.md) applied to
-     * every point's trace recorder. Only meaningful with --trace.
+     * Trace category filter (--trace-filter): comma-separated category
+     * tokens (pipe, mem, ddos, bows, barrier, or the alias sync =
+     * ddos|bows|barrier; docs/TRACING.md) applied to every point's
+     * trace recorder. Only meaningful with --trace.
      */
     std::string traceFilter;
     /**
-     * Escape hatch for the idle-cycle fast-forward (--no-skip /
-     * BOWSIM_NO_SKIP): forces GpuConfig::idleSkip off on every point.
-     * Results are bit-identical either way (that is tested); the flag
-     * exists for wall-clock comparisons and for ruling the skip logic
-     * out when debugging. Recorded per point in the JSON artifact as
-     * config.idle_skip.
+     * Escape hatch for the idle-cycle fast-forward (--no-skip): forces
+     * GpuConfig::idleSkip off on every point. Results are bit-identical
+     * either way (that is tested); the flag exists for wall-clock
+     * comparisons and for ruling the skip logic out when debugging.
+     * Recorded per point in the JSON artifact as config.idle_skip.
      */
     bool noSkip = false;
     /**
      * When set, every point records a metrics time series to a
-     * per-point file derived from this base path (--metrics /
-     * BOWSIM_METRICS), named like --trace fan-out. A ".csv" suffix
-     * selects CSV output, anything else JSON (docs/METRICS.md).
+     * per-point file derived from this base path (--metrics), named
+     * like --trace fan-out. A ".csv" suffix selects CSV output,
+     * anything else JSON (docs/METRICS.md).
      */
     std::string metricsPath;
     /**
      * When set, every point runs with the sync-contention profiler
      * attached and writes its JSON report to a per-point file derived
-     * from this base path (--sync-report / BOWSIM_SYNC_REPORT), named
-     * like --trace fan-out and validated by `json_check --sync-report`
-     * (docs/SYNC.md).
+     * from this base path (--sync-report), named like --trace fan-out
+     * and validated by `json_check --sync-report` (docs/SYNC.md).
      */
     std::string syncReportPath;
     /**
-     * Sample spacing in simulated cycles (--metrics-interval /
-     * BOWSIM_METRICS_INTERVAL). 0 defers to each point's config, which
-     * defaults to 1000 when --metrics is on. Recorded per point as
-     * config.metrics_interval.
+     * Sample spacing in simulated cycles (--metrics-interval). 0 defers
+     * to each point's config, which defaults to 1000 when --metrics is
+     * on. Recorded per point as config.metrics_interval.
      */
     Cycle metricsInterval = 0;
     /**
-     * Per-kernel profile reports (--profile / BOWSIM_PROFILE): turns on
+     * Per-kernel profile reports (--profile): turns on
      * GpuConfig::collectStallBreakdown for every point and prints
      * metrics::profileReport after the sweep — per-scheduler-unit issue
      * distribution, peak-vs-mean occupancy, ranked stall causes, and
@@ -113,28 +109,27 @@ struct BenchOptions {
      */
     bool profile = false;
     /**
-     * Sweep heartbeat (--progress / BOWSIM_PROGRESS): one stderr status
-     * line rewritten after every finished point with done/total counts,
-     * aggregate sim-cycles/s, and an ETA. stdout is untouched.
+     * Sweep heartbeat (--progress): one stderr status line rewritten
+     * after every finished point with done/total counts, aggregate
+     * sim-cycles/s, and an ETA. stdout is untouched.
      */
     bool progress = false;
     /**
-     * Execution mode override (--exec-mode=cycle|functional /
-     * BOWSIM_EXEC_MODE): forces GpuConfig::execMode on every point.
-     * hasExecMode distinguishes "not given" from an explicit cycle.
-     * Recorded per point as config.exec_mode (docs/PERF.md, "Execution
-     * modes").
+     * Execution mode override (--exec-mode=cycle|functional): forces
+     * GpuConfig::execMode on every point. hasExecMode distinguishes
+     * "not given" from an explicit cycle. Recorded per point as
+     * config.exec_mode (docs/PERF.md, "Execution modes").
      */
     bool hasExecMode = false;
     ExecMode execMode = ExecMode::Cycle;
     /**
-     * Persistent result cache (--cache=off|ro|rw / BOWSIM_CACHE; see
-     * docs/BENCH.md, "Result cache"). Off by default: caching is opt-in
-     * so a default invocation always re-simulates.
+     * Persistent result cache (--cache=off|ro|rw; see docs/BENCH.md,
+     * "Result cache"). Off by default: caching is opt-in so a default
+     * invocation always re-simulates.
      */
     harness::CacheMode cacheMode = harness::CacheMode::Off;
-    /** Cache directory (--cache-dir= / BOWSIM_CACHE_DIR); defaults to
-     *  .bowsim-cache in the working directory. */
+    /** Cache directory (--cache-dir=); defaults to .bowsim-cache in the
+     *  working directory. */
     std::string cacheDir = ".bowsim-cache";
 };
 
@@ -172,11 +167,9 @@ tracePathFor(const std::string &base, const std::string &id)
  * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
- * --progress / --exec-mode= / --cache= / --cache-dir=
- * plus the corresponding
- * BOWSIM_* environment variables (flags win over the environment, the
- * environment wins over the bench's defaults). Unknown arguments are
- * ignored so binaries with their own flags can share the parser.
+ * --progress / --exec-mode= / --cache= / --cache-dir=. Unknown
+ * arguments are ignored so binaries with their own flags can share the
+ * parser.
  */
 inline BenchOptions
 parseOptions(int argc, char **argv, double default_scale = 1.0,
@@ -185,28 +178,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
     BenchOptions o;
     o.scale = default_scale;
     o.cores = default_cores;
-    if (const char *env = std::getenv("BOWSIM_SCALE"))
-        o.scale = std::atof(env);
-    if (const char *env = std::getenv("BOWSIM_CORES"))
-        o.cores = static_cast<unsigned>(std::atoi(env));
-    if (const char *env = std::getenv("BOWSIM_DEVICES"))
-        o.devices = static_cast<unsigned>(std::atoi(env));
-    if (const char *env = std::getenv("BOWSIM_TRACE"))
-        o.tracePath = env;
-    if (const char *env = std::getenv("BOWSIM_TRACE_FILTER"))
-        o.traceFilter = env;
-    if (const char *env = std::getenv("BOWSIM_SYNC_REPORT"))
-        o.syncReportPath = env;
-    if (const char *env = std::getenv("BOWSIM_NO_SKIP"))
-        o.noSkip = env[0] != '\0' && env[0] != '0';
-    if (const char *env = std::getenv("BOWSIM_METRICS"))
-        o.metricsPath = env;
-    if (const char *env = std::getenv("BOWSIM_METRICS_INTERVAL"))
-        o.metricsInterval = static_cast<Cycle>(std::atoll(env));
-    if (const char *env = std::getenv("BOWSIM_PROFILE"))
-        o.profile = env[0] != '\0' && env[0] != '0';
-    if (const char *env = std::getenv("BOWSIM_PROGRESS"))
-        o.progress = env[0] != '\0' && env[0] != '0';
     auto setExecMode = [&o](const char *text) {
         if (!parseExecMode(text, &o.execMode)) {
             std::fprintf(stderr,
@@ -217,8 +188,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         }
         o.hasExecMode = true;
     };
-    if (const char *env = std::getenv("BOWSIM_EXEC_MODE"))
-        setExecMode(env);
     auto setCacheMode = [&o](const char *text) {
         if (!harness::parseCacheMode(text, &o.cacheMode)) {
             std::fprintf(stderr,
@@ -228,10 +197,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             std::exit(2);
         }
     };
-    if (const char *env = std::getenv("BOWSIM_CACHE"))
-        setCacheMode(env);
-    if (const char *env = std::getenv("BOWSIM_CACHE_DIR"))
-        o.cacheDir = env;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--scale=", 8) == 0)
             o.scale = std::atof(argv[i] + 8);

@@ -6,10 +6,10 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "src/arch/simt_stack.hpp"
 #include "src/core/ddos/hashing.hpp"
 #include "src/core/ddos/history.hpp"
@@ -25,6 +25,9 @@
 namespace {
 
 using namespace bowsim;
+
+/** The shared --no-skip flag (docs/BENCH.md), parsed by main(). */
+bool noSkip = false;
 
 void
 BM_HashXor(benchmark::State &state)
@@ -71,7 +74,7 @@ BENCHMARK(BM_SibTableLookup);
 void
 BM_CacheAccessHit(benchmark::State &state)
 {
-    CacheConfig cfg{16 * 1024, 4, 128, 32};
+    CacheConfig cfg{16 * 1024, 4};
     Cache c(cfg);
     for (Addr a = 0; a < 16 * 1024; a += 128)
         c.fill(a, false, nullptr);
@@ -165,8 +168,8 @@ BENCHMARK(BM_MicroCycleLoop)->Name("micro_cycle_loop")
  * at 4000 cycles parks every loser warp for thousands of cycles while
  * the one lock holder drains its critical section. Most cycles have no
  * issue on the (single) SM, which is exactly the shape the idle-cycle
- * fast-forward targets (docs/PERF.md). Set BOWSIM_NO_SKIP=1 to measure
- * the cycle-by-cycle baseline; results are bit-identical either way.
+ * fast-forward targets (docs/PERF.md). Pass --no-skip to measure the
+ * cycle-by-cycle baseline; results are bit-identical either way.
  */
 void
 BM_MicroBackoffIdle(benchmark::State &state)
@@ -178,8 +181,7 @@ BM_MicroBackoffIdle(benchmark::State &state)
     cfg.bows.adaptive = true;
     cfg.bows.minLimit = 4000;
     cfg.bows.maxLimit = 16000;
-    if (const char *env = std::getenv("BOWSIM_NO_SKIP"))
-        cfg.idleSkip = !(env[0] != '\0' && env[0] != '0');
+    cfg.idleSkip = !noSkip;
     AtmParams p;
     p.transactions = 1024;
     p.accounts = 2;
@@ -236,27 +238,19 @@ BENCHMARK(BM_MicroMetrics)->Name("micro_metrics")
 }  // namespace
 
 /**
- * Custom main instead of BENCHMARK_MAIN(): the shared bench flags
- * (--scale/--cores/--jobs/--json) are stripped before
- * google-benchmark sees argv, so driver scripts can pass one flag set
- * to every binary.
+ * Custom main instead of BENCHMARK_MAIN(): the shared bench flags go
+ * through parseOptions() like in every other bench binary, and only
+ * --benchmark_* arguments reach google-benchmark, so one flag set can be
+ * passed to every binary.
  */
 int
 main(int argc, char **argv)
 {
+    noSkip = bench::parseOptions(argc, argv).noSkip;
     std::vector<char *> kept;
     kept.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
-        const bool shared =
-            std::strncmp(argv[i], "--scale=", 8) == 0 ||
-            std::strncmp(argv[i], "--cores=", 8) == 0 ||
-            std::strncmp(argv[i], "--jobs=", 7) == 0 ||
-            std::strncmp(argv[i], "--json=", 7) == 0 ||
-            std::strncmp(argv[i], "--metrics=", 10) == 0 ||
-            std::strncmp(argv[i], "--metrics-interval=", 19) == 0 ||
-            std::strcmp(argv[i], "--profile") == 0 ||
-            std::strcmp(argv[i], "--progress") == 0;
-        if (!shared)
+        if (std::strncmp(argv[i], "--benchmark_", 12) == 0)
             kept.push_back(argv[i]);
     }
     int kept_argc = static_cast<int>(kept.size());

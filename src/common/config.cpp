@@ -18,7 +18,6 @@ const char *
 toString(SpinDetect kind)
 {
     switch (kind) {
-      case SpinDetect::None: return "none";
       case SpinDetect::Oracle: return "oracle";
       case SpinDetect::Ddos: return "ddos";
     }
@@ -66,8 +65,9 @@ makeGtx480Config()
     cfg.maxThreadsPerCore = 1536;
     cfg.numRegsPerCore = 32768;
     cfg.numSchedulersPerCore = 2;
-    cfg.l1d = CacheConfig{16 * 1024, 4, kLineBytes, 32};
-    cfg.l2 = CacheConfig{64 * 1024, 8, kLineBytes, 64};
+    cfg.l1d = CacheConfig{16 * 1024, 4};
+    cfg.l1Mshrs = 32;
+    cfg.l2 = CacheConfig{64 * 1024, 8};
     cfg.numL2Banks = 6;
     cfg.atomicServicePeriod = 4;
     cfg.coreClockMhz = 700.0;
@@ -83,8 +83,9 @@ makeGtx1080TiConfig()
     cfg.maxThreadsPerCore = 2048;
     cfg.numRegsPerCore = 65536;
     cfg.numSchedulersPerCore = 4;
-    cfg.l1d = CacheConfig{48 * 1024, 6, kLineBytes, 64};
-    cfg.l2 = CacheConfig{128 * 1024, 16, kLineBytes, 64};
+    cfg.l1d = CacheConfig{48 * 1024, 6};
+    cfg.l1Mshrs = 64;
+    cfg.l2 = CacheConfig{128 * 1024, 16};
     cfg.numL2Banks = 11;
     cfg.atomicServicePeriod = 4;
     cfg.coreClockMhz = 1481.0;

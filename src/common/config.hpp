@@ -8,12 +8,71 @@
 
 /**
  * @file
- * Simulator configuration. GpuConfig mirrors Table II of the paper
- * (GTX480 "Fermi" and GTX1080Ti "Pascal" baselines); DdosConfig and
- * BowsConfig mirror the DDOS/BOWS-specific rows of the same table.
+ * Simulator configuration. GpuConfig holds what the two Table II
+ * presets (GTX480 "Fermi" and GTX1080Ti "Pascal") set differently plus
+ * the experiment axes: scheduler, BOWS, DDOS (Table I), device count
+ * and the execution knobs. Table II values that neither preset nor any
+ * experiment varies are the named constants below. A constant is part
+ * of the model: changing one changes simulated results, so it needs a
+ * kResultSchemaVersion bump (src/harness/fingerprint.hpp).
  */
 
 namespace bowsim {
+
+// --- Core geometry (Table II) ------------------------------------------
+/** Resident CTAs per SM. */
+inline constexpr unsigned kMaxCtasPerCore = 8;
+/** Shared memory per SM, in bytes. */
+inline constexpr unsigned kSharedMemPerCore = 48 * 1024;
+
+// --- Latencies GPGPU-Sim would read from its config files --------------
+/** ALU writeback latency in cycles. */
+inline constexpr unsigned kAluLatency = 4;
+/** Multiply/divide writeback latency in cycles. */
+inline constexpr unsigned kMulDivLatency = 16;
+/** Shared-memory access latency in cycles. */
+inline constexpr unsigned kSharedMemLatency = 24;
+/** L1 hit latency in cycles. */
+inline constexpr unsigned kL1HitLatency = 28;
+/** SM <-> L2 crossbar latency in cycles, per direction. */
+inline constexpr unsigned kIcntLatency = 24;
+
+// --- Inter-device link (docs/PERF.md, "Device sharding") ---------------
+/**
+ * Link traversal latency in cycles (one direction, switch excluded).
+ * Only consulted when GpuConfig::numDevices > 1.
+ */
+inline constexpr unsigned kLinkLatency = 700;
+/**
+ * Minimum cycles between packets on one device's link egress (and,
+ * symmetrically, ingress) port — the link serialization delay.
+ */
+inline constexpr unsigned kLinkServicePeriod = 4;
+/** System-level switch hop latency between link ports, in cycles. */
+inline constexpr unsigned kSwitchLatency = 100;
+
+// --- DDOS (Table II, "DDOS Specific") ----------------------------------
+/** SIB-PT capacity per SM (16 entries, 30 bits each; Table III). */
+inline constexpr unsigned kSibTableEntries = 16;
+/** Epoch length in cycles when history registers are time-shared. */
+inline constexpr Cycle kTimeShareEpoch = 1000;
+
+// --- BOWS (Table II, "BOWS Specific") ----------------------------------
+/** Execution window T for the adaptive estimator. */
+inline constexpr Cycle kBowsWindow = 1000;
+/** Delay step added/removed by the estimator. */
+inline constexpr Cycle kBowsDelayStep = 250;
+/**
+ * SIB-instruction fraction that triggers an increase (FRAC1).
+ * Table II lists 0.5; a spin iteration in this ISA is ~5-8
+ * instructions (one SIB each), so the dynamic SIB share tops out
+ * near 0.2 and 0.5 would never fire. This value keeps the
+ * "non-negligible spinning" semantics of Fig. 5 at this ISA's
+ * instruction granularity.
+ */
+inline constexpr double kBowsFrac1 = 0.1;
+/** Useful-ratio degradation that triggers a decrease (FRAC2). */
+inline constexpr double kBowsFrac2 = 0.8;
 
 /** Baseline warp scheduling policy (Section II of the paper). */
 enum class SchedulerKind {
@@ -25,7 +84,6 @@ enum class SchedulerKind {
 
 /** How spin-inducing branches are identified for BOWS. */
 enum class SpinDetect {
-    None,    ///< No SIB information; BOWS degenerates to the base policy.
     Oracle,  ///< Use the kernel's ground-truth SIB annotations.
     Ddos,    ///< Dynamic detection (Section IV of the paper).
 };
@@ -63,7 +121,6 @@ bool parseExecMode(const std::string &text, ExecMode *out);
 
 /** DDOS design parameters (Table I / Table II, "DDOS Specific"). */
 struct DdosConfig {
-    bool enabled = true;
     HashKind hash = HashKind::Xor;
     /** Hashed path/value width in bits ("m = k" in the paper). */
     unsigned hashBits = 8;
@@ -71,12 +128,8 @@ struct DdosConfig {
     unsigned historyLength = 8;
     /** SIB-PT confidence threshold ("t"). */
     unsigned confidenceThreshold = 4;
-    /** SIB-PT capacity per SM (16 entries, 35 bits each; Table III). */
-    unsigned sibTableEntries = 16;
     /** Time-share one history-register set among warps ("sh"). */
     bool timeShare = false;
-    /** Epoch length in cycles when time-sharing is on. */
-    Cycle timeShareEpoch = 1000;
 };
 
 /** BOWS design parameters (Table II, "BOWS Specific"). */
@@ -97,40 +150,23 @@ struct BowsConfig {
     Cycle delayLimit = 0;
     /** Use the adaptive delay-limit estimator of Fig. 5. */
     bool adaptive = true;
-    /** Execution window T for the adaptive estimator. */
-    Cycle window = 1000;
-    /** Delay step added/removed by the estimator. */
-    Cycle delayStep = 250;
     /** Lower clamp for the adaptive delay limit. */
     Cycle minLimit = 0;
     /** Upper clamp for the adaptive delay limit (14-bit counter). */
     Cycle maxLimit = 10000;
-    /**
-     * SIB-instruction fraction that triggers an increase (FRAC1).
-     * Table II lists 0.5; a spin iteration in this ISA is ~5-8
-     * instructions (one SIB each), so the dynamic SIB share tops out
-     * near 0.2 and 0.5 would never fire. The default keeps the
-     * "non-negligible spinning" semantics of Fig. 5 at this ISA's
-     * instruction granularity.
-     */
-    double frac1 = 0.1;
-    /** Useful-ratio degradation that triggers a decrease (FRAC2). */
-    double frac2 = 0.8;
 };
 
-/** Memory-hierarchy geometry for one cache. */
+/** Memory-hierarchy geometry for one cache (kLineBytes lines). */
 struct CacheConfig {
     std::uint64_t sizeBytes = 16 * 1024;
     unsigned ways = 4;
-    unsigned lineBytes = kLineBytes;
-    unsigned mshrs = 32;
 
-    unsigned numSets() const { return sizeBytes / (ways * lineBytes); }
+    unsigned numSets() const { return sizeBytes / (ways * kLineBytes); }
 };
 
 /**
  * Top-level GPU configuration (Table II "Baseline Configuration" plus the
- * pipeline/memory latencies GPGPU-Sim would read from its config files).
+ * memory latencies GPGPU-Sim would read from its config files).
  */
 struct GpuConfig {
     std::string name = "GTX480";
@@ -138,9 +174,7 @@ struct GpuConfig {
     // --- Core geometry -------------------------------------------------
     unsigned numCores = 15;
     unsigned maxThreadsPerCore = 1536;
-    unsigned maxCtasPerCore = 8;
     unsigned numRegsPerCore = 32768;
-    unsigned sharedMemPerCore = 48 * 1024;
     unsigned numSchedulersPerCore = 2;
 
     // --- Scheduling -----------------------------------------------------
@@ -152,18 +186,13 @@ struct GpuConfig {
     DdosConfig ddos;
     SpinDetect spinDetect = SpinDetect::Ddos;
 
-    // --- Pipeline latencies ---------------------------------------------
-    unsigned aluLatency = 4;
-    unsigned mulDivLatency = 16;
-    unsigned sharedMemLatency = 24;
-
     // --- Memory system ---------------------------------------------------
-    CacheConfig l1d{16 * 1024, 4, kLineBytes, 32};
-    CacheConfig l2{64 * 1024, 8, kLineBytes, 64};
+    CacheConfig l1d{16 * 1024, 4};
+    /** L1 miss-status holding registers per SM. */
+    unsigned l1Mshrs = 32;
+    CacheConfig l2{64 * 1024, 8};
     unsigned numL2Banks = 6;
-    unsigned l1HitLatency = 28;
     unsigned l2HitLatency = 120;
-    unsigned icntLatency = 24;
     unsigned dramLatency = 220;
     /** Cycles between successive DRAM services on one channel. */
     unsigned dramServicePeriod = 4;
@@ -206,8 +235,8 @@ struct GpuConfig {
      * back-off deadline, CTA dispatch) instead of ticking through the
      * gap. Deterministic and statistics-exact by construction (see
      * docs/PERF.md for the horizon contract); the flag exists as an
-     * escape hatch (--no-skip / BOWSIM_NO_SKIP on the bench binaries)
-     * and for differential testing. Ignored — skip is forced off —
+     * escape hatch (--no-skip on the bench binaries) and for
+     * differential testing. Ignored — skip is forced off —
      * while a trace sink is attached, because per-cycle IssueStall
      * events cannot be synthesized for skipped cycles.
      */
@@ -215,48 +244,34 @@ struct GpuConfig {
 
     /**
      * Sample period, in simulated cycles, for the time-series metrics
-     * sampler (--metrics-interval / BOWSIM_METRICS_INTERVAL on the bench
-     * binaries). 0 disables sampling; the value is only consulted when a
-     * MetricsSampler is attached via Gpu::setMetrics(). Recorded in sweep
-     * JSON artifacts so a series can be interpreted offline.
+     * sampler (--metrics-interval on the bench binaries). 0 disables
+     * sampling; the value is only consulted when a MetricsSampler is
+     * attached via Gpu::setMetrics(). Recorded in sweep JSON artifacts
+     * so a series can be interpreted offline.
      */
     Cycle metricsInterval = 0;
 
     // --- Execution mode (docs/PERF.md, "Execution modes") ----------------
     /**
-     * Cycle-accurate or fast-functional execution (--exec-mode /
-     * BOWSIM_EXEC_MODE on the bench binaries). Functional mode has no
-     * timing: observability (traces, stall breakdowns, time-series
-     * metrics, sync reports) is forced off — the bench flags that ask
-     * for it are a usage error there — and KernelStats::cycles stays 0.
+     * Cycle-accurate or fast-functional execution (--exec-mode on the
+     * bench binaries). Functional mode has no timing: observability
+     * (traces, stall breakdowns, time-series metrics, sync reports) is
+     * forced off — the bench flags that ask for it are a usage error
+     * there — and KernelStats::cycles stays 0.
      */
     ExecMode execMode = ExecMode::Cycle;
 
     // --- Device/system split (docs/PERF.md, "Device sharding") -----------
     /**
-     * Number of devices in the simulated system (--devices /
-     * BOWSIM_DEVICES on the bench binaries). Each device replicates the
-     * full core/L2/DRAM geometry above; CTAs of a launch are chunked
-     * contiguously across devices and global memory is homed on devices
-     * by static line-address interleave. 1 (the default) is the
-     * single-GPU model and is byte-identical to the pre-split simulator.
+     * Number of devices in the simulated system (--devices on the bench
+     * binaries). Each device replicates the full core/L2/DRAM geometry
+     * above; CTAs of a launch are chunked contiguously across devices
+     * and global memory is homed on devices by static line-address
+     * interleave, reached over the link modelled by the kLink*
+     * constants. 1 (the default) is the single-GPU model and is
+     * byte-identical to the pre-split simulator.
      */
     unsigned numDevices = 1;
-
-    /**
-     * Inter-device link traversal latency in cycles (one direction,
-     * switch excluded). Only consulted when numDevices > 1.
-     */
-    unsigned linkLatency = 700;
-
-    /**
-     * Minimum cycles between packets on one device's link egress (and,
-     * symmetrically, ingress) port — the link serialization delay.
-     */
-    unsigned linkServicePeriod = 4;
-
-    /** System-level switch hop latency between link ports, in cycles. */
-    unsigned switchLatency = 100;
 
     /** Warps per core implied by the thread budget. */
     unsigned maxWarpsPerCore() const { return maxThreadsPerCore / kWarpSize; }

@@ -43,7 +43,7 @@ class AdaptiveDelayEstimator {
         if (now < windowEnd_)
             return;
         applyWindow();
-        windowEnd_ = now + cfg_.window;
+        windowEnd_ = now + kBowsWindow;
     }
 
     Cycle limit() const { return limit_; }
@@ -77,10 +77,10 @@ class AdaptiveDelayEstimator {
         std::uint64_t sum =
             limit_ * (boundary > from ? boundary - from : 0);
         applyWindow();
-        const Cycle extra = (to - boundary) / cfg_.window;
+        const Cycle extra = (to - boundary) / kBowsWindow;
         if (extra >= 1)
             applyWindow();
-        windowEnd_ = boundary + (extra + 1) * cfg_.window;
+        windowEnd_ = boundary + (extra + 1) * kBowsWindow;
         sum += limit_ * (to - boundary + 1);
         return sum;
     }
@@ -89,14 +89,14 @@ class AdaptiveDelayEstimator {
     void
     applyWindow()
     {
-        if (sibInsts_ > cfg_.frac1 * static_cast<double>(totalInsts_))
-            limit_ += cfg_.delayStep;
+        if (sibInsts_ > kBowsFrac1 * static_cast<double>(totalInsts_))
+            limit_ += kBowsDelayStep;
         if (sibInsts_ > 0 && prevSibInsts_ > 0) {
             double ratio = static_cast<double>(totalInsts_) / sibInsts_;
             double prev =
                 static_cast<double>(prevTotalInsts_) / prevSibInsts_;
-            if (ratio < cfg_.frac2 * prev) {
-                Cycle dec = 2 * cfg_.delayStep;
+            if (ratio < kBowsFrac2 * prev) {
+                Cycle dec = 2 * kBowsDelayStep;
                 limit_ = limit_ > dec ? limit_ - dec : 0;
             }
         }

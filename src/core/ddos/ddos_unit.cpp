@@ -19,14 +19,14 @@ DdosUnit::rotateTimeShare(Cycle now)
     if (!timeShareStarted_) {
         // First use: warp 0 owns the registers for a full epoch.
         timeShareStarted_ = true;
-        nextRotate_ = now + cfg_.timeShareEpoch;
+        nextRotate_ = now + kTimeShareEpoch;
         return;
     }
     if (now < nextRotate_)
         return;
     sharedOwner_ = (sharedOwner_ + 1) % maxWarps_;
     histories_[0].reset();
-    nextRotate_ = now + cfg_.timeShareEpoch;
+    nextRotate_ = now + kTimeShareEpoch;
 }
 
 HistoryRegisters *
@@ -49,8 +49,6 @@ DdosUnit::historyFor(unsigned warp) const
 void
 DdosUnit::onSetp(unsigned warp, Pc pc, Word src0, Word src1, Cycle now)
 {
-    if (!cfg_.enabled)
-        return;
     HistoryRegisters *hist = historyFor(warp, now);
     if (!hist)
         return;
@@ -66,8 +64,6 @@ DdosUnit::onSetp(unsigned warp, Pc pc, Word src0, Word src1, Cycle now)
 bool
 DdosUnit::onBackwardBranch(unsigned warp, Pc pc, Cycle now)
 {
-    if (!cfg_.enabled)
-        return false;
     accuracy_.onBackwardBranch(pc, now);
     bool was_confirmed = table_.isConfirmed(pc);
     const HistoryRegisters *hist = historyFor(warp);

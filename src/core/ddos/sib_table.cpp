@@ -10,7 +10,7 @@ SibTable::onSpinningBranch(Pc pc)
     std::optional<Pc> evicted;
     auto it = table_.find(pc);
     if (it == table_.end()) {
-        if (table_.size() >= capacity_) {
+        if (table_.size() >= kSibTableEntries) {
             // Evict the lowest-confidence unconfirmed entry; if every
             // entry is confirmed the new branch cannot be tracked.
             auto victim = table_.end();

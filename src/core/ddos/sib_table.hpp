@@ -29,8 +29,7 @@ class SibTable {
     };
 
     explicit SibTable(const DdosConfig &cfg)
-        : capacity_(cfg.sibTableEntries),
-          threshold_(cfg.confidenceThreshold)
+        : threshold_(cfg.confidenceThreshold)
     {
     }
 
@@ -61,7 +60,6 @@ class SibTable {
     std::uint64_t evicts() const { return evicts_; }
 
   private:
-    unsigned capacity_;
     unsigned threshold_;
     std::map<Pc, Entry> table_;
     size_t peak_ = 0;

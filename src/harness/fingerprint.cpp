@@ -241,8 +241,8 @@ FingerprintHasher::hex()
  * the exclusion must be explicit and the size below still updated.
  */
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(GpuConfig) == 336 && sizeof(BowsConfig) == 72 &&
-                  sizeof(DdosConfig) == 40 && sizeof(CacheConfig) == 24,
+static_assert(sizeof(GpuConfig) == 232 && sizeof(BowsConfig) == 40 &&
+                  sizeof(DdosConfig) == 20 && sizeof(CacheConfig) == 16,
               "GpuConfig layout changed: update hashConfig() and "
               "configToJson() for any new result-relevant field, then "
               "update these expected sizes (see the stale-cache hazard "
@@ -257,8 +257,6 @@ hashCache(FingerprintHasher &h, const char *tag, const CacheConfig &c)
     h.add(tag, std::string("cache"));
     h.add("size_bytes", c.sizeBytes);
     h.add("ways", c.ways);
-    h.add("line_bytes", c.lineBytes);
-    h.add("mshrs", c.mshrs);
 }
 
 }  // namespace
@@ -270,9 +268,7 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
     h.add("name", cfg.name);
     h.add("num_cores", cfg.numCores);
     h.add("max_threads_per_core", cfg.maxThreadsPerCore);
-    h.add("max_ctas_per_core", cfg.maxCtasPerCore);
     h.add("num_regs_per_core", cfg.numRegsPerCore);
-    h.add("shared_mem_per_core", cfg.sharedMemPerCore);
     h.add("num_schedulers_per_core", cfg.numSchedulersPerCore);
     h.add("scheduler", std::string(toString(cfg.scheduler)));
     h.add("gto_rotate_period", cfg.gtoRotatePeriod);
@@ -281,34 +277,22 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
     h.add("bows_deprioritize", cfg.bows.deprioritize);
     h.add("bows_delay_limit", cfg.bows.delayLimit);
     h.add("bows_adaptive", cfg.bows.adaptive);
-    h.add("bows_window", cfg.bows.window);
-    h.add("bows_delay_step", cfg.bows.delayStep);
     h.add("bows_min_limit", cfg.bows.minLimit);
     h.add("bows_max_limit", cfg.bows.maxLimit);
-    h.add("bows_frac1", cfg.bows.frac1);
-    h.add("bows_frac2", cfg.bows.frac2);
 
-    h.add("ddos_enabled", cfg.ddos.enabled);
     h.add("ddos_hash", std::string(toString(cfg.ddos.hash)));
     h.add("ddos_hash_bits", cfg.ddos.hashBits);
     h.add("ddos_history_length", cfg.ddos.historyLength);
     h.add("ddos_confidence_threshold", cfg.ddos.confidenceThreshold);
-    h.add("ddos_sib_table_entries", cfg.ddos.sibTableEntries);
     h.add("ddos_time_share", cfg.ddos.timeShare);
-    h.add("ddos_time_share_epoch", cfg.ddos.timeShareEpoch);
 
     h.add("spin_detect", std::string(toString(cfg.spinDetect)));
 
-    h.add("alu_latency", cfg.aluLatency);
-    h.add("mul_div_latency", cfg.mulDivLatency);
-    h.add("shared_mem_latency", cfg.sharedMemLatency);
-
     hashCache(h, "l1d", cfg.l1d);
+    h.add("l1_mshrs", cfg.l1Mshrs);
     hashCache(h, "l2", cfg.l2);
     h.add("num_l2_banks", cfg.numL2Banks);
-    h.add("l1_hit_latency", cfg.l1HitLatency);
     h.add("l2_hit_latency", cfg.l2HitLatency);
-    h.add("icnt_latency", cfg.icntLatency);
     h.add("dram_latency", cfg.dramLatency);
     h.add("dram_service_period", cfg.dramServicePeriod);
     h.add("atomic_service_period", cfg.atomicServicePeriod);
@@ -317,14 +301,9 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
     h.add("watchdog_cycles", cfg.watchdogCycles);
 
     // Device/system split: the device count changes CTA placement and
-    // address homing; the link parameters change remote-access timing.
-    // All four are hashed even though a single-device run never consults
-    // the link — a numDevices=1 record must not be served to a
+    // address homing, so a numDevices=1 record must not be served to a
     // numDevices=2 request and vice versa.
     h.add("num_devices", cfg.numDevices);
-    h.add("link_latency", cfg.linkLatency);
-    h.add("link_service_period", cfg.linkServicePeriod);
-    h.add("switch_latency", cfg.switchLatency);
 
     // Stats-collection gates change what statsToJson emits (stall
     // tables, spin-cycle gauge), so they are result-relevant even

@@ -42,8 +42,9 @@ struct SweepPoint;
  * Version of the (simulator behavior, cached-record format) pair.
  * Hashed into every fingerprint and written into every cache record:
  * bump it when a change alters simulated results without touching any
- * GpuConfig field (a scheduler fix, a latency model change, a stats
- * field addition), and the entire cache goes cold instead of stale.
+ * GpuConfig field (a scheduler fix, a latency model change, an edit to
+ * a constant in src/common/config.hpp, a stats field addition), and the
+ * entire cache goes cold instead of stale.
  */
 constexpr std::uint32_t kResultSchemaVersion = 2;
 

@@ -101,7 +101,6 @@ defaultLitmusConfig()
     // starvation livelock the litmus matrix wants to observe.
     cfg.gtoRotatePeriod = 0;
     cfg.spinDetect = SpinDetect::Ddos;
-    cfg.ddos.enabled = true;
     cfg.bows.enabled = false;
     // Spin-cycle attribution feeds the per-cell spin share.
     cfg.collectSpinCycles = true;
@@ -283,9 +282,9 @@ litmusConfigToJson(const GpuConfig &cfg)
     j.set("cores", cfg.numCores);
     j.set("devices", cfg.numDevices);
     if (cfg.numDevices != 1) {
-        j.set("link_latency", cfg.linkLatency);
-        j.set("link_service_period", cfg.linkServicePeriod);
-        j.set("switch_latency", cfg.switchLatency);
+        j.set("link_latency", kLinkLatency);
+        j.set("link_service_period", kLinkServicePeriod);
+        j.set("switch_latency", kSwitchLatency);
     }
     j.set("exec_mode", toString(cfg.execMode));
     j.set("watchdog_cycles", cfg.watchdogCycles);

@@ -32,7 +32,7 @@
 
 namespace bowsim::harness {
 
-/** --cache=off|ro|rw (BOWSIM_CACHE). */
+/** --cache=off|ro|rw. */
 enum class CacheMode {
     Off,        ///< never consult or write the cache
     ReadOnly,   ///< serve hits; never create or modify files
@@ -65,7 +65,6 @@ class ResultCache {
     ResultCache(std::string dir, CacheMode mode);
 
     CacheMode mode() const { return mode_; }
-    const std::string &dir() const { return dir_; }
 
     /**
      * Looks @p fingerprint up in the object store. Returns true and

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
@@ -25,11 +24,6 @@ resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("BOWSIM_JOBS")) {
-        int v = std::atoi(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
@@ -495,13 +489,14 @@ configToJson(const GpuConfig &cfg)
     Json j = Json::object();
     j.set("name", cfg.name);
     j.set("cores", cfg.numCores);
-    // Device/link knobs appear only on multi-device points, keeping
-    // single-device artifacts byte-identical to the pre-split format.
+    // The device count and the link constants appear only on
+    // multi-device points, keeping single-device artifacts
+    // byte-identical to the pre-split format.
     if (cfg.numDevices != 1) {
         j.set("num_devices", cfg.numDevices);
-        j.set("link_latency", cfg.linkLatency);
-        j.set("link_service_period", cfg.linkServicePeriod);
-        j.set("switch_latency", cfg.switchLatency);
+        j.set("link_latency", kLinkLatency);
+        j.set("link_service_period", kLinkServicePeriod);
+        j.set("switch_latency", kSwitchLatency);
     }
     j.set("idle_skip", cfg.idleSkip);
     j.set("metrics_interval", cfg.metricsInterval);

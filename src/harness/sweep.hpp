@@ -110,8 +110,8 @@ struct SweepResult {
 };
 
 /**
- * Worker count: explicit @p requested if nonzero, else the BOWSIM_JOBS
- * environment variable, else the hardware concurrency (at least 1).
+ * Worker count: explicit @p requested if nonzero, else the hardware
+ * concurrency (at least 1).
  */
 unsigned resolveJobs(unsigned requested = 0);
 

@@ -8,14 +8,14 @@ Cache::Cache(const CacheConfig &cfg) : cfg_(cfg), numSets_(cfg.numSets())
 {
     if (numSets_ == 0)
         fatal("cache: size ", cfg.sizeBytes, " too small for ", cfg.ways,
-              " ways of ", cfg.lineBytes, "B lines");
+              " ways of ", kLineBytes, "B lines");
     lines_.resize(static_cast<size_t>(numSets_) * cfg_.ways);
 }
 
 unsigned
 Cache::setOf(Addr line) const
 {
-    return static_cast<unsigned>((line / cfg_.lineBytes) % numSets_);
+    return static_cast<unsigned>((line / kLineBytes) % numSets_);
 }
 
 bool

@@ -36,8 +36,8 @@ L2Bank::access(const MemPacket &pkt, Cycle arrival, AccessInfo &info)
 
 MemorySystem::MemorySystem(const GpuConfig &cfg)
     : cfg_(cfg),
-      toMem_(cfg.numCores, cfg.icntLatency),
-      toSm_(cfg.numL2Banks, cfg.icntLatency)
+      toMem_(cfg.numCores, kIcntLatency),
+      toSm_(cfg.numL2Banks, kIcntLatency)
 {
     banks_.reserve(cfg.numL2Banks);
     for (unsigned b = 0; b < cfg.numL2Banks; ++b)

@@ -12,8 +12,9 @@
  * sharding"): an NVLink-like point-to-point fabric routed through one
  * system-level switch. The model is analytic, like Interconnect — each
  * traversal serializes on the source device's egress port and the
- * destination device's ingress port (one packet per linkServicePeriod
- * per direction), then pays the switch hop plus the link latency.
+ * destination device's ingress port (one packet per kLinkServicePeriod
+ * per direction), then pays the switch hop (kSwitchLatency) plus the
+ * link latency (kLinkLatency).
  *
  * Determinism: traverse() mutates port state, so it is only legal from
  * the cycle loop's fixed request order — the same contract MemorySystem
@@ -29,9 +30,7 @@ namespace bowsim {
 class SystemLink {
   public:
     explicit SystemLink(const GpuConfig &cfg)
-        : latency_(cfg.linkLatency), switchLatency_(cfg.switchLatency),
-          period_(cfg.linkServicePeriod > 0 ? cfg.linkServicePeriod : 1),
-          egressFree_(cfg.numDevices, 0), ingressFree_(cfg.numDevices, 0)
+        : egressFree_(cfg.numDevices, 0), ingressFree_(cfg.numDevices, 0)
     {
     }
 
@@ -45,20 +44,17 @@ class SystemLink {
     {
         ++packets_;
         const Cycle egress = std::max(now, egressFree_[src]);
-        egressFree_[src] = egress + period_;
-        const Cycle at_switch = egress + switchLatency_;
+        egressFree_[src] = egress + kLinkServicePeriod;
+        const Cycle at_switch = egress + kSwitchLatency;
         const Cycle ingress = std::max(at_switch, ingressFree_[dst]);
-        ingressFree_[dst] = ingress + period_;
-        return ingress + latency_;
+        ingressFree_[dst] = ingress + kLinkServicePeriod;
+        return ingress + kLinkLatency;
     }
 
     /** Total packets carried, both directions, all device pairs. */
     std::uint64_t packets() const { return packets_; }
 
   private:
-    Cycle latency_;
-    Cycle switchLatency_;
-    unsigned period_;
     std::vector<Cycle> egressFree_;
     std::vector<Cycle> ingressFree_;
     std::uint64_t packets_ = 0;

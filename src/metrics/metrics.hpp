@@ -10,10 +10,7 @@
  * @file
  * Counter/gauge registry behind the sampled-metrics layer
  * (docs/METRICS.md). A MetricsRegistry holds an ordered column schema
- * plus the sampled rows; the Metrics handle wraps a registry pointer and
- * turns every operation into a no-op when none is attached, mirroring
- * the TraceSink null-path idiom (src/trace/trace.hpp) so the disabled
- * path costs one pointer test per call site.
+ * plus the sampled rows.
  *
  * The registry does not aggregate by itself: values are *pulled* by the
  * MetricsSampler at the end of a Gpu::launch cycle, never pushed from
@@ -58,36 +55,6 @@ class MetricsRegistry {
   private:
     std::vector<MetricColumn> columns_;
     std::vector<std::vector<double>> rows_;
-};
-
-/**
- * Null-handle over a registry: all operations no-op (one pointer test)
- * when default-constructed, exactly like trace::Tracer over TraceSink.
- */
-class Metrics {
-  public:
-    Metrics() = default;
-    explicit Metrics(MetricsRegistry *reg) : reg_(reg) {}
-
-    bool enabled() const { return reg_ != nullptr; }
-
-    std::size_t
-    define(std::string name, Kind kind)
-    {
-        return reg_ ? reg_->define(std::move(name), kind) : 0;
-    }
-
-    void
-    addRow(std::vector<double> row)
-    {
-        if (reg_)
-            reg_->addRow(std::move(row));
-    }
-
-    MetricsRegistry *registry() const { return reg_; }
-
-  private:
-    MetricsRegistry *reg_ = nullptr;
 };
 
 }  // namespace bowsim::metrics

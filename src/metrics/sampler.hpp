@@ -99,8 +99,6 @@ class MetricsSampler {
     /** The sampled series (schema + rows). */
     const MetricsRegistry &registry() const { return reg_; }
 
-    Cycle interval() const { return interval_; }
-
     /** Serializes the series (JSON, or CSV for a ".csv" path). */
     std::string serialize() const;
 

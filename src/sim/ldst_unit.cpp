@@ -54,8 +54,7 @@ LdstUnit::submit(Warp *warp, const Instruction &inst,
         std::uint32_t op = allocOp(warp, inst, 1);
         ++stats_.sharedAccesses;
         ++stats_.energy.sharedAccesses;
-        pushEvent(now + cfg_.sharedMemLatency, Event::Kind::OpPartDone, op,
-                  0);
+        pushEvent(now + kSharedMemLatency, Event::Kind::OpPartDone, op, 0);
         return;
     }
 
@@ -146,8 +145,7 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
         }
         if (l1_.access(line, false)) {
             ++stats_.l1Hits;
-            pushEvent(now + cfg_.l1HitLatency, Event::Kind::OpPartDone,
-                      txn.op, 0);
+            pushEvent(now + kL1HitLatency, Event::Kind::OpPartDone, txn.op, 0);
             l1Queue_.pop_front();
             break;
         }
@@ -165,7 +163,7 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
             l1Queue_.pop_front();
             break;
         }
-        if (mshr_.size() >= cfg_.l1d.mshrs) {
+        if (mshr_.size() >= cfg_.l1Mshrs) {
             // Structural stall: retry next cycle (the access above still
             // consumed the port, as on hardware replays).
             --stats_.l1Accesses;

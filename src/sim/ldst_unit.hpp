@@ -62,8 +62,6 @@ class LdstUnit {
      */
     void cycle(Cycle now, std::vector<MemCompletion> &completed);
 
-    bool idle() const { return inflightOps_ == 0; }
-
     /**
      * Next-event horizon: the earliest cycle after @p now at which this
      * unit can make progress — kNeverCycle when nothing is pending.
@@ -83,8 +81,6 @@ class LdstUnit {
         }
         return kNeverCycle;
     }
-
-    const Cache &l1() const { return l1_; }
 
     /** Lines currently outstanding in the MSHR file (metrics gauge). */
     std::size_t mshrOccupancy() const { return mshr_.size(); }

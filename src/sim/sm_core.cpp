@@ -36,13 +36,13 @@ maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
     unsigned by_threads = cfg.maxThreadsPerCore / threads_per_cta;
     unsigned regs_per_cta = prog.numRegs * threads_per_cta;
     unsigned by_regs = regs_per_cta == 0
-                           ? cfg.maxCtasPerCore
+                           ? kMaxCtasPerCore
                            : cfg.numRegsPerCore / regs_per_cta;
     unsigned by_shared = prog.sharedBytes == 0
-                             ? cfg.maxCtasPerCore
-                             : cfg.sharedMemPerCore / prog.sharedBytes;
+                             ? kMaxCtasPerCore
+                             : kSharedMemPerCore / prog.sharedBytes;
     unsigned by_warps = max_warps / warps_per_cta;
-    unsigned max_ctas = std::min({cfg.maxCtasPerCore, by_threads, by_regs,
+    unsigned max_ctas = std::min({kMaxCtasPerCore, by_threads, by_regs,
                                   by_shared, by_warps});
     if (max_ctas == 0)
         simFatal("kernel '", prog.name, "' does not fit on an SM (",
@@ -71,11 +71,7 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     unitPosOf_.assign(maxWarps_, 0);
     ddos_ = std::make_unique<DdosUnit>(cfg.ddos, maxWarps_);
 
-    // ALU latencies are bounded, so writebacks at most max-latency
-    // cycles ahead fit in a ring of per-cycle buckets.
-    wbRingSize_ =
-        std::max({cfg.aluLatency, cfg.mulDivLatency, 1u}) + 1;
-    wbRing_.resize(wbRingSize_);
+    wbRing_.resize(kWbRingSize);
 
     blockThreads_ = launch_.block.count();
     ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : launch_.grid.count();
@@ -229,8 +225,6 @@ bool
 SmCore::isSib(Pc pc) const
 {
     switch (launch_.spinDetect) {
-      case SpinDetect::None:
-        return false;
       case SpinDetect::Oracle:
         return (launch_.pcFlags[pc] & LaunchState::kPcSpinBranch) != 0;
       case SpinDetect::Ddos:
@@ -239,21 +233,27 @@ SmCore::isSib(Pc pc) const
     return false;
 }
 
+inline trace::StallCause
+SmCore::classifyStall(Warp &w) const
+{
+    if (w.atBarrier())
+        return trace::StallCause::Barrier;
+    if (!backoff_.mayIssue(w, now_))
+        return trace::StallCause::Backoff;
+    const Instruction &inst = fetch(w.stack().pc());
+    if (!w.scoreboard().canIssue(inst))
+        return trace::StallCause::Scoreboard;
+    if (inst.isMemory() && inst.space != MemSpace::Param &&
+        !ldst_.canAccept()) {
+        return trace::StallCause::PipelineBusy;
+    }
+    return trace::StallCause::Arbitration;
+}
+
 bool
 SmCore::eligible(Warp &w) const
 {
-    if (w.done() || w.atBarrier())
-        return false;
-    if (!backoff_.mayIssue(w, now_))
-        return false;
-    const Instruction &inst = fetch(w.stack().pc());
-    if (!w.scoreboard().canIssue(inst))
-        return false;
-    if (inst.isMemory() && inst.space != MemSpace::Param &&
-        !ldst_.canAccept()) {
-        return false;
-    }
-    return true;
+    return !w.done() && classifyStall(w) == trace::StallCause::Arbitration;
 }
 
 unsigned
@@ -301,11 +301,9 @@ SmCore::execute(Warp &w, const Instruction &inst, LaneMask active,
             w.scoreboard().reserve(inst);
     } else if (inst.dst.valid()) {
         w.scoreboard().reserve(inst);
-        unsigned latency =
-            inst.longLatency() ? cfg_.mulDivLatency : cfg_.aluLatency;
-        if (latency == 0)
-            latency = 1;  // a zero-latency writeback still lands next cycle
-        wbRing_[(now + latency) % wbRingSize_].push_back(WbEvent{&w, &inst});
+        const unsigned latency =
+            inst.longLatency() ? kMulDivLatency : kAluLatency;
+        wbRing_[(now + latency) % kWbRingSize].push_back(WbEvent{&w, &inst});
         ++wbPending_;
     }
 }
@@ -506,7 +504,7 @@ SmCore::cycle(Cycle now)
         }
     }
     if (wbPending_ != 0) {
-        std::vector<WbEvent> &due = wbRing_[now % wbRingSize_];
+        std::vector<WbEvent> &due = wbRing_[now % kWbRingSize];
         if (!due.empty()) {
             for (const WbEvent &ev : due) {
                 ev.warp->scoreboard().release(*ev.inst);
@@ -588,11 +586,11 @@ SmCore::nextWorkCycle(Cycle now) const
         return now + 1;
     Cycle horizon = kNeverCycle;
     if (wbPending_ != 0) {
-        // The ring covers at most wbRingSize_-1 cycles ahead and the
+        // The ring covers at most kWbRingSize-1 cycles ahead and the
         // bucket for `now` was drained this cycle, so the first
         // non-empty bucket is the earliest pending writeback.
-        for (unsigned k = 1; k < wbRingSize_; ++k) {
-            if (!wbRing_[(now + k) % wbRingSize_].empty()) {
+        for (unsigned k = 1; k < kWbRingSize; ++k) {
+            if (!wbRing_[(now + k) % kWbRingSize].empty()) {
                 horizon = now + k;
                 break;
             }
@@ -663,23 +661,6 @@ SmCore::recordStallGap(std::uint64_t delta)
         if (idx < st.stallCounts.size())
             st.stallCounts[idx] += delta;
     }
-}
-
-trace::StallCause
-SmCore::classifyStall(Warp &w) const
-{
-    if (w.atBarrier())
-        return trace::StallCause::Barrier;
-    if (!backoff_.mayIssue(w, now_))
-        return trace::StallCause::Backoff;
-    const Instruction &inst = fetch(w.stack().pc());
-    if (!w.scoreboard().canIssue(inst))
-        return trace::StallCause::Scoreboard;
-    if (inst.isMemory() && inst.space != MemSpace::Param &&
-        !ldst_.canAccept()) {
-        return trace::StallCause::PipelineBusy;
-    }
-    return trace::StallCause::Arbitration;
 }
 
 void

@@ -1,6 +1,7 @@
 #ifndef BOWSIM_SIM_SM_CORE_HPP
 #define BOWSIM_SIM_SM_CORE_HPP
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -195,17 +196,18 @@ class SmCore : private IssueGate {
     void tryLaunchCtas();
     void retireFinishedCtas();
     void checkBarrier(Cta &cta);
-    /** IssueGate: all core-side per-warp issue checks (side-effect free). */
+    /** IssueGate: a live warp that classifyStall() finds unblocked. */
     bool eligible(Warp &w) const override;
     void issue(Warp &w, Cycle now);
     bool isSib(Pc pc) const;
 
     /**
-     * Why @p w cannot issue at now_ (mirrors eligible()'s check order).
-     * Only called for resident, not-done warps that did not issue, so
-     * it returns Arbitration when every gate passes.
+     * The one issue gate: the first check that blocks @p w at now_, or
+     * Arbitration when every check passes (eligible() and the stall
+     * tables both read it). @p w must be resident and not done. Inline
+     * so eligible(), the hottest gate call, pays no extra call.
      */
-    trace::StallCause classifyStall(Warp &w) const;
+    inline trace::StallCause classifyStall(Warp &w) const;
     /** Per-cycle stall attribution + unit-level stall events (gated). */
     void recordStallCycle(Cycle now);
     /** Bulk stall attribution for @p delta identical idle cycles. */
@@ -248,9 +250,6 @@ class SmCore : private IssueGate {
     std::vector<Warp *> resident_;
     /** resident_ filtered by scheduler unit, maintained incrementally. */
     std::vector<std::vector<Warp *>> unitResident_;
-    /** Per-warp SM slot for the DDOS history registers. */
-    std::vector<int> warpSlotOf_;
-
     /**
      * Active-warp bitmasks mirroring unitResident_ (bit k = position k
      * of unit u's vector): not-at-barrier and BOWS backed-off. Kept in
@@ -269,8 +268,11 @@ class SmCore : private IssueGate {
      * and a bulk pop; within one bucket the vector preserves issue
      * order, matching the old (when, seq) heap order exactly.
      */
+    static constexpr unsigned kWbRingSize =
+        std::max(kAluLatency, kMulDivLatency) + 1;
+    static_assert(kAluLatency > 0 && kMulDivLatency > 0,
+                  "a writeback must land after the cycle that issued it");
     std::vector<std::vector<WbEvent>> wbRing_;
-    unsigned wbRingSize_ = 0;
     std::uint64_t wbPending_ = 0;
     std::vector<MemCompletion> memCompletions_;
 

@@ -115,16 +115,6 @@ struct KernelStats {
 
     bool hasStallBreakdown() const { return !stallCounts.empty(); }
 
-    std::uint64_t
-    stallCount(unsigned sm, unsigned warp, trace::StallCause cause) const
-    {
-        std::size_t idx =
-            (static_cast<std::size_t>(sm) * stallWarpsPerSm + warp) *
-                trace::kNumStallCauses +
-            static_cast<std::size_t>(cause);
-        return idx < stallCounts.size() ? stallCounts[idx] : 0;
-    }
-
     /** Per-cause totals over all warps (zeroes when not collected). */
     std::array<std::uint64_t, trace::kNumStallCauses> stallTotals() const;
 

@@ -1,24 +1,6 @@
 #include "src/trace/ring_recorder.hpp"
 
-#include <cstring>
-#include <istream>
-#include <ostream>
-
-#include "src/common/log.hpp"
-
 namespace bowsim::trace {
-
-namespace {
-
-/** Binary header: magic, version, record size, record count. */
-struct BinaryHeader {
-    char magic[8] = {'b', 'o', 'w', 't', 'r', 'a', 'c', 'e'};
-    std::uint32_t version = 1;
-    std::uint32_t recordBytes = sizeof(TraceEvent);
-    std::uint64_t records = 0;
-};
-
-}  // namespace
 
 RingRecorder::RingRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity)
@@ -49,50 +31,6 @@ RingRecorder::events() const
     for (std::size_t i = 0; i < count_; ++i)
         out.push_back(ring_[(start + i) % capacity_]);
     return out;
-}
-
-void
-RingRecorder::clear()
-{
-    next_ = 0;
-    count_ = 0;
-    dropped_ = 0;
-}
-
-void
-RingRecorder::saveBinary(std::ostream &out) const
-{
-    std::vector<TraceEvent> evs = events();
-    BinaryHeader hdr;
-    hdr.records = evs.size();
-    out.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
-    if (!evs.empty()) {
-        out.write(reinterpret_cast<const char *>(evs.data()),
-                  static_cast<std::streamsize>(evs.size() *
-                                               sizeof(TraceEvent)));
-    }
-}
-
-std::vector<TraceEvent>
-RingRecorder::loadBinary(std::istream &in)
-{
-    BinaryHeader hdr;
-    in.read(reinterpret_cast<char *>(&hdr), sizeof(hdr));
-    if (!in || std::memcmp(hdr.magic, "bowtrace", 8) != 0)
-        fatal("not a bowsim binary trace (bad magic)");
-    if (hdr.version != 1 || hdr.recordBytes != sizeof(TraceEvent))
-        fatal("unsupported binary trace version ", hdr.version,
-              " (record size ", hdr.recordBytes, ")");
-    std::vector<TraceEvent> evs(hdr.records);
-    if (hdr.records != 0) {
-        in.read(reinterpret_cast<char *>(evs.data()),
-                static_cast<std::streamsize>(hdr.records *
-                                             sizeof(TraceEvent)));
-        if (!in)
-            fatal("truncated binary trace (expected ", hdr.records,
-                  " records)");
-    }
-    return evs;
 }
 
 }  // namespace bowsim::trace

@@ -2,7 +2,6 @@
 #define BOWSIM_TRACE_RING_RECORDER_HPP
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "src/trace/trace.hpp"
@@ -13,8 +12,7 @@
  * records. When the ring fills, the oldest events are overwritten, so a
  * long run always retains the most recent window — the part that shows
  * why it ended the way it did. events() linearizes the ring back into
- * emission order; saveBinary()/loadBinary() round-trip a recording
- * through a flat binary file (a small header plus raw records).
+ * emission order.
  */
 
 namespace bowsim::trace {
@@ -35,26 +33,16 @@ class RingRecorder : public TraceSink {
      * categories that matter. 0 (the default) records everything.
      */
     void setFilter(std::uint32_t mask) { filter_ = mask; }
-    std::uint32_t filter() const { return filter_; }
 
     /** Retained events in emission order (oldest first). */
     std::vector<TraceEvent> events() const;
 
-    std::size_t capacity() const { return capacity_; }
-    /** Events currently retained (<= capacity()). */
+    /** Events currently retained (at most the capacity). */
     std::size_t size() const { return count_; }
     /** Events overwritten because the ring was full. */
     std::uint64_t dropped() const { return dropped_; }
     /** Total events ever emitted into this recorder. */
     std::uint64_t total() const { return dropped_ + count_; }
-
-    void clear();
-
-    /** Writes the retained events as a flat binary stream. */
-    void saveBinary(std::ostream &out) const;
-
-    /** Parses a saveBinary() stream back into event order. */
-    static std::vector<TraceEvent> loadBinary(std::istream &in);
 
   private:
     std::size_t capacity_;

@@ -107,12 +107,8 @@ adaptiveCfg()
     BowsConfig cfg;
     cfg.enabled = true;
     cfg.adaptive = true;
-    cfg.window = 1000;
-    cfg.delayStep = 250;
     cfg.minLimit = 0;
     cfg.maxLimit = 10000;
-    cfg.frac1 = 0.1;
-    cfg.frac2 = 0.8;
     return cfg;
 }
 

@@ -10,7 +10,7 @@ CacheConfig
 tinyCache()
 {
     // 2 sets x 2 ways x 128B lines = 512 B.
-    return CacheConfig{512, 2, kLineBytes, 4};
+    return CacheConfig{512, 2};
 }
 
 Addr
@@ -125,7 +125,7 @@ TEST(Cache, InvalidateAllClearsEverything)
 
 TEST(Cache, ConfigComputesSets)
 {
-    CacheConfig cfg{16 * 1024, 4, 128, 32};
+    CacheConfig cfg{16 * 1024, 4};
     EXPECT_EQ(cfg.numSets(), 32u);
     Cache c(cfg);
     EXPECT_EQ(c.numSets(), 32u);
@@ -133,7 +133,7 @@ TEST(Cache, ConfigComputesSets)
 
 TEST(Cache, RejectsDegenerateGeometry)
 {
-    CacheConfig cfg{64, 4, 128, 4};  // smaller than one line per way
+    CacheConfig cfg{64, 4};  // smaller than one line per way
     EXPECT_THROW(Cache c(cfg), FatalError);
 }
 
@@ -143,8 +143,8 @@ class CacheWays : public ::testing::TestWithParam<unsigned> {};
 TEST_P(CacheWays, MruSurvivesWaysMinusOneFills)
 {
     unsigned ways = GetParam();
-    CacheConfig cfg{static_cast<std::uint64_t>(ways) * kLineBytes, ways,
-                    kLineBytes, 4};  // one set
+    CacheConfig cfg{static_cast<std::uint64_t>(ways) * kLineBytes,
+                    ways};  // one set
     Cache c(cfg);
     Addr hot = 0;
     c.fill(hot, false, nullptr);

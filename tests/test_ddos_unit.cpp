@@ -89,18 +89,6 @@ TEST(DdosUnit, ResetWarpClearsSpinningState)
     EXPECT_FALSE(u.isSpinning(0));
 }
 
-TEST(DdosUnit, DisabledUnitDoesNothing)
-{
-    DdosConfig cfg = unitCfg();
-    cfg.enabled = false;
-    DdosUnit u(cfg, 8);
-    Cycle now = 0;
-    for (int i = 0; i < 10; ++i)
-        spinIteration(u, 0, now);
-    EXPECT_FALSE(u.isSib(10));
-    EXPECT_FALSE(u.isSpinning(0));
-}
-
 TEST(DdosUnit, AccuracyRecordsDetection)
 {
     DdosUnit u(unitCfg(), 8);
@@ -131,7 +119,6 @@ TEST(DdosUnit, TimeSharingOnlyProfilesTheOwner)
 {
     DdosConfig cfg = unitCfg();
     cfg.timeShare = true;
-    cfg.timeShareEpoch = 1000;
     DdosUnit u(cfg, 4);
     Cycle now = 0;
     // Warp 0 owns the shared registers during the first epoch.
@@ -146,7 +133,6 @@ TEST(DdosUnit, TimeSharingRotatesOwnershipAcrossEpochs)
 {
     DdosConfig cfg = unitCfg();
     cfg.timeShare = true;
-    cfg.timeShareEpoch = 100;
     DdosUnit u(cfg, 2);
     Cycle now = 0;
     spinIteration(u, 0, now);
@@ -155,7 +141,7 @@ TEST(DdosUnit, TimeSharingRotatesOwnershipAcrossEpochs)
     ASSERT_TRUE(u.isSpinning(0));
     // Jump past the epoch: ownership rotates to warp 1 and the shared
     // history resets.
-    now = 250;
+    now = kTimeShareEpoch + kTimeShareEpoch / 2;
     u.onSetp(1, 4, 1, 0, now);
     EXPECT_FALSE(u.isSpinning(0));
     // Warp 1 can now be detected.

@@ -126,16 +126,6 @@ TEST(Integration, BowsReducesBackedOffCompetition)
     EXPECT_LT(bows.backedOffFraction(), 0.98);
 }
 
-TEST(Integration, SpinDetectNoneDisablesBows)
-{
-    GpuConfig off = baseConfig(SchedulerKind::GTO, true);
-    off.spinDetect = SpinDetect::None;
-    GpuConfig plain = baseConfig(SchedulerKind::GTO, false);
-    KernelStats a = runHt(off, contendedHt());
-    KernelStats b = runHt(plain, contendedHt());
-    EXPECT_EQ(a.cycles, b.cycles);
-}
-
 TEST(Integration, ContentionSweepBowsGainGrowsWithContention)
 {
     double speedup_high, speedup_low;

@@ -135,7 +135,7 @@ TEST(MemorySystem, ReadMissGoesToDramThenHits)
     MemPacket pkt{0x10000, MemPacket::Type::Read, 0, MemScope::Device};
     Cycle miss = mem.request(pkt, 0);
     // Miss path: icnt + L2 tag + DRAM + return icnt.
-    Cycle expected_min = 2 * cfg.icntLatency + cfg.l2HitLatency +
+    Cycle expected_min = 2 * kIcntLatency + cfg.l2HitLatency +
                          cfg.dramLatency;
     EXPECT_GE(miss, expected_min);
 

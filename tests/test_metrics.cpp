@@ -16,8 +16,8 @@
 #include "src/sim/gpu.hpp"
 
 /**
- * Metrics layer (docs/METRICS.md): registry semantics, the null-handle
- * observer effect, the sampler's grid/boundary math at kernel end, and
+ * Metrics layer (docs/METRICS.md): registry semantics, the sampler's
+ * observer effect, its grid/boundary math at kernel end, and
  * the checkMetricsSeries validator. The byte-equivalence of whole
  * series across idle-skip lives with the other differential properties
  * in test_differential.cpp.
@@ -29,7 +29,6 @@ namespace {
 using harness::CheckResult;
 using harness::Json;
 using metrics::Kind;
-using metrics::Metrics;
 using metrics::MetricsRegistry;
 using metrics::MetricsSampler;
 
@@ -66,23 +65,6 @@ TEST(MetricsRegistry, RowSizeMismatchIsFatal)
     reg.define("ipc", Kind::Rate);
     EXPECT_THROW(reg.addRow({1000.0}), FatalError);
     EXPECT_THROW(reg.addRow({1000.0, 0.5, 3.0}), FatalError);
-}
-
-TEST(MetricsHandle, NullHandleNoOps)
-{
-    Metrics m;
-    EXPECT_FALSE(m.enabled());
-    EXPECT_EQ(m.registry(), nullptr);
-    EXPECT_EQ(m.define("cycle", Kind::Counter), 0u);
-    m.addRow({1.0});  // must not crash, must not store anything
-
-    MetricsRegistry reg;
-    Metrics attached(&reg);
-    EXPECT_TRUE(attached.enabled());
-    EXPECT_EQ(attached.define("cycle", Kind::Counter), 0u);
-    attached.addRow({42.0});
-    ASSERT_EQ(reg.rows().size(), 1u);
-    EXPECT_EQ(reg.rows()[0][0], 42.0);
 }
 
 TEST(MetricsKind, ToString)

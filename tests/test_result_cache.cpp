@@ -344,10 +344,7 @@ TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
         {"numCores", [](GpuConfig &c) { c.numCores = 3; }},
         {"maxThreadsPerCore",
          [](GpuConfig &c) { c.maxThreadsPerCore = 1024; }},
-        {"maxCtasPerCore", [](GpuConfig &c) { c.maxCtasPerCore = 4; }},
         {"numRegsPerCore", [](GpuConfig &c) { c.numRegsPerCore = 16384; }},
-        {"sharedMemPerCore",
-         [](GpuConfig &c) { c.sharedMemPerCore = 96 * 1024; }},
         {"numSchedulersPerCore",
          [](GpuConfig &c) { c.numSchedulersPerCore = 4; }},
         {"scheduler",
@@ -361,55 +358,33 @@ TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
         {"bows.delayLimit", [](GpuConfig &c) { c.bows.delayLimit = 123; }},
         {"bows.adaptive",
          [](GpuConfig &c) { c.bows.adaptive = !c.bows.adaptive; }},
-        {"bows.window", [](GpuConfig &c) { c.bows.window = 2000; }},
-        {"bows.delayStep", [](GpuConfig &c) { c.bows.delayStep = 125; }},
         {"bows.minLimit", [](GpuConfig &c) { c.bows.minLimit = 10; }},
         {"bows.maxLimit", [](GpuConfig &c) { c.bows.maxLimit = 5000; }},
-        {"bows.frac1", [](GpuConfig &c) { c.bows.frac1 = 0.25; }},
-        {"bows.frac2", [](GpuConfig &c) { c.bows.frac2 = 0.75; }},
-        {"ddos.enabled",
-         [](GpuConfig &c) { c.ddos.enabled = !c.ddos.enabled; }},
         {"ddos.hash", [](GpuConfig &c) { c.ddos.hash = HashKind::Modulo; }},
         {"ddos.hashBits", [](GpuConfig &c) { c.ddos.hashBits = 4; }},
         {"ddos.historyLength",
          [](GpuConfig &c) { c.ddos.historyLength = 16; }},
         {"ddos.confidenceThreshold",
          [](GpuConfig &c) { c.ddos.confidenceThreshold = 2; }},
-        {"ddos.sibTableEntries",
-         [](GpuConfig &c) { c.ddos.sibTableEntries = 32; }},
         {"ddos.timeShare",
          [](GpuConfig &c) { c.ddos.timeShare = !c.ddos.timeShare; }},
-        {"ddos.timeShareEpoch",
-         [](GpuConfig &c) { c.ddos.timeShareEpoch = 500; }},
         {"spinDetect",
          [](GpuConfig &c) { c.spinDetect = SpinDetect::Oracle; }},
-        {"aluLatency", [](GpuConfig &c) { c.aluLatency = 8; }},
-        {"mulDivLatency", [](GpuConfig &c) { c.mulDivLatency = 32; }},
-        {"sharedMemLatency", [](GpuConfig &c) { c.sharedMemLatency = 48; }},
         {"l1d.sizeBytes",
          [](GpuConfig &c) { c.l1d.sizeBytes = 32 * 1024; }},
         {"l1d.ways", [](GpuConfig &c) { c.l1d.ways = 8; }},
-        {"l1d.lineBytes", [](GpuConfig &c) { c.l1d.lineBytes = 64; }},
-        {"l1d.mshrs", [](GpuConfig &c) { c.l1d.mshrs = 64; }},
+        {"l1Mshrs", [](GpuConfig &c) { c.l1Mshrs = 64; }},
         {"l2.sizeBytes",
          [](GpuConfig &c) { c.l2.sizeBytes = 128 * 1024; }},
         {"l2.ways", [](GpuConfig &c) { c.l2.ways = 16; }},
-        {"l2.lineBytes", [](GpuConfig &c) { c.l2.lineBytes = 64; }},
-        {"l2.mshrs", [](GpuConfig &c) { c.l2.mshrs = 128; }},
         {"numL2Banks", [](GpuConfig &c) { c.numL2Banks = 8; }},
-        {"l1HitLatency", [](GpuConfig &c) { c.l1HitLatency = 30; }},
         {"l2HitLatency", [](GpuConfig &c) { c.l2HitLatency = 100; }},
-        {"icntLatency", [](GpuConfig &c) { c.icntLatency = 30; }},
         {"dramLatency", [](GpuConfig &c) { c.dramLatency = 200; }},
         {"dramServicePeriod",
          [](GpuConfig &c) { c.dramServicePeriod = 8; }},
         {"atomicServicePeriod",
          [](GpuConfig &c) { c.atomicServicePeriod = 8; }},
         {"numDevices", [](GpuConfig &c) { c.numDevices = 2; }},
-        {"linkLatency", [](GpuConfig &c) { c.linkLatency = 1400; }},
-        {"linkServicePeriod",
-         [](GpuConfig &c) { c.linkServicePeriod = 8; }},
-        {"switchLatency", [](GpuConfig &c) { c.switchLatency = 50; }},
         {"coreClockMhz", [](GpuConfig &c) { c.coreClockMhz = 1000.0; }},
         {"watchdogCycles",
          [](GpuConfig &c) { c.watchdogCycles = 100'000'000; }},
@@ -487,9 +462,9 @@ TEST(Fingerprint, OverridesChangeKeyOnlyWhenPresent)
     SweepPoint ht = registryPoint("HT");
     ht.kernel = "HT";
     EXPECT_EQ(harness::fingerprintPoint(registryPoint()).hash,
-              "c4d86549cd35226ef944e9f2007c8ab1fd5b7896886bb71c5ededb107309bae1");
+              "c43f710029f6d91ab01b45a8164ad6e8212c3efbb486c0b1c7f09a1e216f537b");
     EXPECT_EQ(harness::fingerprintPoint(ht).hash,
-              "fbeda88e04d7c642405754b38d27d22eb29936518cd55693b3fcf6a2e5435d2a");
+              "6c1099c6ae1c95fbcee66ef7050fd4de4748df2956043639425b030c616d2c42");
 
     // Every override value, and the delay factor's switch to the
     // back-off program, moves the key.

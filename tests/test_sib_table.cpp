@@ -6,10 +6,9 @@ namespace bowsim {
 namespace {
 
 DdosConfig
-tableCfg(unsigned entries = 16, unsigned threshold = 4)
+tableCfg(unsigned threshold = 4)
 {
     DdosConfig cfg;
-    cfg.sibTableEntries = entries;
     cfg.confidenceThreshold = threshold;
     return cfg;
 }
@@ -71,34 +70,41 @@ TEST(SibTable, TracksMultipleBranches)
 
 TEST(SibTable, CapacityEvictsLowestConfidenceUnconfirmed)
 {
-    SibTable t(tableCfg(2, 4));
-    t.onSpinningBranch(0x10);
-    t.onSpinningBranch(0x10);
+    SibTable t(tableCfg());
+    // Fill the table: one entry at confidence 1, the rest at 2.
     t.onSpinningBranch(0x20);
-    // Table full; a new branch evicts the weaker entry (0x20).
-    t.onSpinningBranch(0x30);
-    EXPECT_EQ(t.size(), 2u);
-    EXPECT_TRUE(t.entries().count(0x10));
+    for (Pc pc = 1; pc < kSibTableEntries; ++pc) {
+        t.onSpinningBranch(pc);
+        t.onSpinningBranch(pc);
+    }
+    ASSERT_EQ(t.size(), kSibTableEntries);
+    // Table full; a new branch evicts the weakest entry (0x20).
+    EXPECT_EQ(t.onSpinningBranch(0x30), std::optional<Pc>(0x20));
+    EXPECT_EQ(t.size(), kSibTableEntries);
+    EXPECT_TRUE(t.entries().count(1));
     EXPECT_TRUE(t.entries().count(0x30));
     EXPECT_FALSE(t.entries().count(0x20));
 }
 
 TEST(SibTable, ConfirmedEntriesAreNotEvicted)
 {
-    SibTable t(tableCfg(1, 2));
-    t.onSpinningBranch(0x10);
-    t.onSpinningBranch(0x10);
-    ASSERT_TRUE(t.isConfirmed(0x10));
-    // A new branch cannot displace the confirmed SIB.
+    SibTable t(tableCfg(2));
+    for (Pc pc = 0; pc < kSibTableEntries; ++pc) {
+        t.onSpinningBranch(pc);
+        t.onSpinningBranch(pc);
+        ASSERT_TRUE(t.isConfirmed(pc));
+    }
+    // A new branch cannot displace a confirmed SIB.
     for (int i = 0; i < 4; ++i)
-        t.onSpinningBranch(0x20);
-    EXPECT_TRUE(t.isConfirmed(0x10));
-    EXPECT_FALSE(t.isConfirmed(0x20));
+        EXPECT_EQ(t.onSpinningBranch(0x100), std::nullopt);
+    EXPECT_EQ(t.size(), kSibTableEntries);
+    EXPECT_TRUE(t.isConfirmed(0));
+    EXPECT_FALSE(t.isConfirmed(0x100));
 }
 
 TEST(SibTable, ConfidenceSaturatesAtThreshold)
 {
-    SibTable t(tableCfg(16, 4));
+    SibTable t(tableCfg(4));
     for (int i = 0; i < 100; ++i)
         t.onSpinningBranch(0x10);
     EXPECT_EQ(t.entries().at(0x10).confidence, 4u);
@@ -118,7 +124,7 @@ class SibThreshold : public ::testing::TestWithParam<unsigned> {};
 TEST_P(SibThreshold, ExactlyThresholdHitsConfirm)
 {
     unsigned threshold = GetParam();
-    SibTable t(tableCfg(16, threshold));
+    SibTable t(tableCfg(threshold));
     for (unsigned i = 0; i + 1 < threshold; ++i) {
         t.onSpinningBranch(0x50);
         EXPECT_FALSE(t.isConfirmed(0x50));

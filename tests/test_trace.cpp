@@ -3,7 +3,6 @@
 #include <set>
 #include <sstream>
 
-#include "src/common/log.hpp"
 #include "src/harness/json_check.hpp"
 #include "src/kernels/hashtable.hpp"
 #include "src/sim/gpu.hpp"
@@ -11,10 +10,10 @@
 #include "src/trace/ring_recorder.hpp"
 
 /**
- * Trace subsystem tests: ring-recorder retention semantics, the binary
- * round trip, and the Chrome exporter's structural properties on a real
- * traced simulation — monotone per-track timestamps, balanced B/E
- * interval pairs, and a parseable document — checked through the same
+ * Trace subsystem tests: ring-recorder retention semantics and the
+ * Chrome exporter's structural properties on a real traced simulation
+ * — monotone per-track timestamps, balanced B/E interval pairs, and a
+ * parseable document — checked through the same
  * harness::checkChromeTrace logic the json_check CLI runs.
  */
 
@@ -76,34 +75,6 @@ TEST(RingRecorderTest, RetainsMostRecentWindow)
         EXPECT_EQ(events[i].cycle, 12 + i) << "index " << i;
         EXPECT_EQ(events[i].a0, 12 + i);
     }
-}
-
-TEST(RingRecorderTest, BinaryRoundTripPreservesEverything)
-{
-    RingRecorder rec(64);
-    rec.emit(makeEvent(1, EventKind::Fetch, 10));
-    rec.emit(makeEvent(2, EventKind::L1Miss, 0x1234));
-    TraceEvent full = makeEvent(3, EventKind::AtomicSerialize, 0xdead);
-    full.sm = 7;
-    full.warp = -1;
-    full.a1 = 42;
-    rec.emit(full);
-
-    std::stringstream buf;
-    rec.saveBinary(buf);
-    std::vector<TraceEvent> back = RingRecorder::loadBinary(buf);
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back[0].kind, EventKind::Fetch);
-    EXPECT_EQ(back[1].a0, 0x1234u);
-    EXPECT_EQ(back[2].sm, 7u);
-    EXPECT_EQ(back[2].warp, -1);
-    EXPECT_EQ(back[2].a1, 42u);
-}
-
-TEST(RingRecorderTest, LoadBinaryRejectsGarbage)
-{
-    std::stringstream buf("not a trace file at all");
-    EXPECT_THROW(RingRecorder::loadBinary(buf), FatalError);
 }
 
 /** Runs the high-contention hashtable with a recorder attached. */
