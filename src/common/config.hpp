@@ -229,14 +229,14 @@ struct GpuConfig {
     bool collectSpinCycles = false;
 
     /**
-     * Event-driven idle-cycle fast-forward: when a cycle ends with no
-     * warp issued on any SM, jump the clock to the earliest cycle at
-     * which any component can do work (writeback, memory completion,
-     * back-off deadline, CTA dispatch) instead of ticking through the
-     * gap. Deterministic and statistics-exact by construction (see
-     * docs/PERF.md for the horizon contract); the flag exists as an
-     * escape hatch (--no-skip on the bench binaries) and for
-     * differential testing. Ignored — skip is forced off —
+     * Event-driven idle-cycle fast-forward: an SM that issued nothing
+     * sleeps until the earliest cycle at which it can do work
+     * (writeback, memory completion, back-off deadline, CTA dispatch)
+     * and replays the gap's accounting when it wakes; when every SM
+     * sleeps, the clock jumps. Deterministic and statistics-exact by
+     * construction (see docs/PERF.md for the horizon contract); the
+     * flag exists as an escape hatch (--no-skip on the bench binaries)
+     * and for differential testing. Ignored — skip is forced off —
      * while a trace sink is attached, because per-cycle IssueStall
      * events cannot be synthesized for skipped cycles.
      */

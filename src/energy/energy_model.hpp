@@ -92,7 +92,8 @@ class EnergyModel {
      * Static energy for @p sm_cycles total SM-cycles (the sum over SMs
      * of cycles spent resident in the launch), in nanojoules. Computed
      * from the aggregate counter, so it is exact under idle-cycle
-     * fast-forward, which advances smCycles in bulk.
+     * fast-forward, which advances a sleeping SM's smCycles in bulk
+     * when it catches up.
      */
     double
     staticEnergyNj(std::uint64_t sm_cycles) const

@@ -18,11 +18,11 @@
  *
  * Determinism: traverse() mutates port state, so it is only legal from
  * the cycle loop's fixed request order — the same contract MemorySystem
- * already has. System horizon: a link traversal's completion is
- * folded into the reply cycle MemorySystem::request() returns, which
- * lands in the requesting SM's LD/ST event queue, so the idle-skip
- * horizon (min over SMs' nextWorkCycle) covers link events with no
- * separate term.
+ * already has. Horizon: a link traversal's completion is folded into
+ * the reply cycle MemorySystem::request() returns, which lands in the
+ * requesting SM's LD/ST event queue at request time, so that SM's own
+ * nextWorkCycle covers link events with no separate term, and no other
+ * SM has to wake it.
  */
 
 namespace bowsim {

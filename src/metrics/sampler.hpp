@@ -15,10 +15,11 @@
  * column schema every `interval` simulated cycles into a MetricsRegistry,
  * plus one boundary row at the end of every launch. Sampling is *pull*:
  * Gpu::launch calls sample() at the end of a cycle, once every SM has
- * run it, so every value is read from settled state. The idle-cycle
- * fast-forward clamps its jump targets to the next sample cycle
- * (over-conservative, hence legal under the horizon contract), so
- * skip-on and skip-off runs produce byte-identical series.
+ * run it or, if it sleeps, has been caught up through it, so every
+ * value is read from settled state. The idle-cycle fast-forward clamps
+ * its clock jumps to the next sample cycle (over-conservative, hence
+ * legal under the horizon contract), so skip-on and skip-off runs
+ * produce byte-identical series.
  *
  * Samples sit on a *global* cycle grid (multiples of the interval across
  * launches): counter columns accumulate over launches via per-column
@@ -81,7 +82,7 @@ class MetricsSampler {
      * Launch-local cycle of the next due sample (the global grid point
      * minus the cycles consumed by earlier launches). Gpu::launch
      * samples when `now >= nextSampleCycle()` and uses the same value to
-     * clamp idle-skip jump targets.
+     * clamp idle-skip clock jumps.
      */
     Cycle nextSampleCycle() const { return nextSampleGlobal_ - cycleBase_; }
 

@@ -138,27 +138,40 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     // accounting (its adaptive estimator sees no instructions, so its
     // limit is constant from then on) — applied analytically below so
     // statistics stay bit-identical with the cycle-everything loop.
-    std::vector<SmCore *> active;
+    //
+    // Per-SM wake horizons (docs/PERF.md): an SM that issued nothing at
+    // `now` cannot issue before nextWorkCycle(now), so it sleeps until
+    // that cycle and replays the skipped cycles' accounting with
+    // fastForward() when it wakes, before a metrics sample, or before
+    // an abort is stashed. Another SM cannot wake it early: memory and
+    // link replies are scheduled into the requester's LD/ST queue at
+    // request time, and functional memory is read only at issue.
+    // Disabled while a trace sink is attached: per-cycle IssueStall
+    // events cannot be synthesized for cycles that never run.
+    struct ActiveSm {
+        SmCore *core;
+        /** First cycle this SM may issue again; it runs live from here. */
+        Cycle wake;
+        /** Last cycle this SM has accounted for, live or replayed. */
+        Cycle lastRun;
+    };
+    std::vector<ActiveSm> active;
     active.reserve(cores.size());
     for (auto &core : cores)
-        active.push_back(core.get());
-
-    // Idle-cycle fast-forward (docs/PERF.md): after a cycle in which no
-    // SM issued, every remaining state change is a scheduled event, so
-    // the clock can jump to the earliest next-event horizon with the
-    // skipped cycles' accounting applied in bulk. The system horizon is
-    // the min over every device's SMs; in-flight link traversals are
-    // already folded into the requesting SM's reply event, so they need
-    // no separate term. Disabled while a trace sink is attached:
-    // per-cycle IssueStall events cannot be synthesized for cycles that
-    // never run.
+        active.push_back({core.get(), 1, 0});
     const bool skip = cfg_.idleSkip && traceSink_ == nullptr;
+    auto catch_up = [](ActiveSm &sm, Cycle through) {
+        if (sm.lastRun < through) {
+            sm.core->fastForward(sm.lastRun + 1, through);
+            sm.lastRun = through;
+        }
+    };
 
     // Metrics sampling (docs/METRICS.md): samples are pulled at the end
-    // of the cycle iteration, once every SM has run the cycle, whenever
-    // the clock has reached the sampler's next grid cycle. kNeverCycle
-    // keeps the detached fast path to a single always-false compare per
-    // cycle.
+    // of the cycle iteration, once every SM has run the cycle or been
+    // caught up through it, whenever the clock has reached the
+    // sampler's next grid cycle. kNeverCycle keeps the detached fast
+    // path to a single always-false compare per cycle.
     metrics::SampleSources msrc{&cores, {}, {}, syncProf_};
     for (auto &dev : devices) {
         msrc.launchStats.push_back(&dev->launch.stats);
@@ -223,10 +236,9 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
 
     // A launch that dies (watchdog, or a SimError out of a core) stashes
     // its partial statistics first, so callers like the litmus harness
-    // can classify the abort — per device and system-wide. At the
-    // watchdog trip the throw happens at the top of the loop on fully
-    // settled end-of-cycle state, so the stash is byte-identical across
-    // idle-skip.
+    // can classify the abort — per device and system-wide. Sleeping SMs
+    // are caught up first (see the catch below), so the stash is
+    // byte-identical across idle-skip.
     auto stash_abort = [&](Cycle at) {
         abort_.valid = true;
         std::vector<KernelStats> per_dev;
@@ -245,9 +257,13 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
         abort_.lastIssueCycle = last_issue;
     };
 
+    // Index into `active` of the SM inside cycle(now): the ones before
+    // it have run cycle `now`, the rest have not.
+    std::size_t running = 0;
     try {
     do {
         ++now;
+        running = 0;
         if (now > cfg_.watchdogCycles)
             simFatal("kernel '", prog.name, "' exceeded the ",
                      cfg_.watchdogCycles, "-cycle watchdog (deadlock?)");
@@ -256,61 +272,68 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
             dev->launch.stats.smCycles += dev->idleCores;
         }
         bool issued = false;
-        for (SmCore *core : active) {
-            if (core->cycle(now)) {
+        for (; running < active.size(); ++running) {
+            ActiveSm &sm = active[running];
+            if (now < sm.wake)
+                continue;
+            catch_up(sm, now - 1);
+            sm.lastRun = now;
+            if (sm.core->cycle(now)) {
                 issued = true;
-                devices[core->device()]->lastIssue = now;
+                devices[sm.core->device()]->lastIssue = now;
+                sm.wake = now + 1;
+            } else {
+                sm.wake = skip ? sm.core->nextWorkCycle(now) : now + 1;
             }
         }
         if (issued)
             last_issue = now;
+        // busy() changes only inside the SM's own cycle(), so an SM
+        // leaves the list only in a cycle it ran: nothing to catch up.
+        Cycle horizon = kNeverCycle;
         for (std::size_t i = 0; i < active.size();) {
-            if (active[i]->busy()) {
+            SmCore &core = *active[i].core;
+            if (core.busy()) {
+                horizon = std::min(horizon, active[i].wake);
                 ++i;
                 continue;
             }
-            Device &dev = *devices[active[i]->device()];
-            dev.idleDelaySum += active[i]->backoff().delayLimit();
+            Device &dev = *devices[core.device()];
+            dev.idleDelaySum += core.backoff().delayLimit();
             ++dev.idleCores;
             active.erase(active.begin() + i);
         }
-        if (skip && !issued && !active.empty()) {
-            // nextWorkCycle() never returns <= now, so now+1 is the
-            // horizon's floor: once any SM reports it, the gap is empty
-            // and the remaining scans can't change that.
-            Cycle horizon = kNeverCycle;
-            for (SmCore *core : active) {
-                horizon = std::min(horizon, core->nextWorkCycle(now));
-                if (horizon <= now + 1)
-                    break;
+        // Every SM sleeps: jump the clock to the first wake. Clamp to
+        // the watchdog so a deadlock (horizon at infinity) trips the
+        // same fatal at the same cycle, and never past a sample cycle,
+        // so the clock lands exactly on every grid cycle.
+        Cycle target = std::min(horizon, wd_stop);
+        if (metricsNext != kNeverCycle)
+            target = std::min(target, metricsNext + 1);
+        if (!active.empty() && target > now + 1) {
+            // Skip cycles now+1 .. target-1; cycle target runs live.
+            const Cycle to = target - 1;
+            const std::uint64_t delta = to - now;
+            for (auto &dev : devices) {
+                dev->launch.stats.delayLimitCycleSum +=
+                    dev->idleDelaySum * delta;
+                dev->launch.stats.smCycles += dev->idleCores * delta;
             }
-            Cycle target = std::min(horizon, wd_stop);
-            // Never jump past a sample cycle: clamping to metricsNext+1
-            // makes the skip land exactly on the grid cycle (an
-            // over-conservative horizon is always safe — docs/PERF.md),
-            // so the sampled state is identical with and without skip.
-            if (metricsNext != kNeverCycle)
-                target = std::min(target, metricsNext + 1);
-            if (target > now + 1) {
-                // Skip cycles now+1 .. target-1; cycle target runs live.
-                const Cycle to = target - 1;
-                const std::uint64_t delta = to - now;
-                for (SmCore *core : active)
-                    core->fastForward(now + 1, to);
-                for (auto &dev : devices) {
-                    dev->launch.stats.delayLimitCycleSum +=
-                        dev->idleDelaySum * delta;
-                    dev->launch.stats.smCycles += dev->idleCores * delta;
-                }
-                now = to;
-            }
+            now = to;
         }
         if (now >= metricsNext) {
+            for (ActiveSm &sm : active)
+                catch_up(sm, now);
             metrics_->sample(now, msrc);
             metricsNext = metrics_->nextSampleCycle();
         }
     } while (!active.empty());
     } catch (...) {
+        // The cycle-everything loop's partial state: SMs that ran cycle
+        // `now` before the throw are settled through it, the rest
+        // through now - 1.
+        for (std::size_t i = 0; i < active.size(); ++i)
+            catch_up(active[i], i < running ? now : now - 1);
         stash_abort(now > 0 ? now - 1 : 0);
         throw;
     }

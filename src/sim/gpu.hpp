@@ -42,9 +42,10 @@ class MetricsSampler;
  * cycle watchdog, or functional mode's progress checks). The litmus
  * harness (src/harness/litmus.*) classifies the abort from these:
  * whether warps were still issuing, and how spin-dominated the
- * instruction stream was. Deterministic across idle-skip: the watchdog
- * fires at the top of the cycle loop on fully settled state, and the
- * stats are exact by the fast-forward contract (docs/PERF.md).
+ * instruction stream was. Deterministic across idle-skip: sleeping SMs
+ * are caught up to the state the cycle-everything loop leaves at the
+ * throw, and the stats are exact by the fast-forward contract
+ * (docs/PERF.md).
  */
 struct LaunchAbort {
     bool valid = false;
@@ -111,9 +112,10 @@ class GpuSystem {
      * (nullptr detaches). Observational like tracing — sampled and
      * unsampled runs produce bit-identical results — but, unlike
      * tracing, compatible with idle-skip: samples are pulled at the end
-     * of a cycle, once every SM has run it, and skip targets are clamped
-     * so the clock always lands exactly on sample cycles (see
-     * docs/METRICS.md for the determinism contract).
+     * of a cycle, once every SM has run it or been caught up through
+     * it, and clock jumps are clamped so the clock always lands exactly
+     * on sample cycles (see docs/METRICS.md for the determinism
+     * contract).
      */
     void setMetrics(metrics::MetricsSampler *sampler)
     {

@@ -139,12 +139,13 @@ class SmCore : private IssueGate {
     /**
      * Next-event horizon (docs/PERF.md): assuming cycle(now) just ran
      * and issued nothing, the earliest cycle > now at which this SM can
-     * make progress — the minimum over pending ALU writebacks, LD/ST
+     * issue again — the minimum over pending ALU writebacks, LD/ST
      * events, expiring back-off deadlines, and CTA-dispatch
-     * availability; kNeverCycle when none is pending (deadlock). Being
-     * early (over-conservative) only shrinks a skip; reporting later
-     * than a real event would desynchronize the simulation, so every
-     * state change inside (now, horizon) must trace back to one of the
+     * availability; kNeverCycle when none is pending (deadlock). The SM
+     * sleeps until then, however busy the other SMs are. Being early
+     * (over-conservative) only shortens a sleep; reporting later than a
+     * real event would desynchronize the simulation, so every state
+     * change inside (now, horizon) must trace back to one of the
      * enumerated sources.
      */
     Cycle nextWorkCycle(Cycle now) const;
@@ -156,6 +157,9 @@ class SmCore : private IssueGate {
      * (each warp's blocking cause is frozen through the gap), and the
      * resident/backed-off warp-cycle sums. Callable only when no unit
      * on this SM can issue anywhere in the gap (to < nextWorkCycle).
+     * One gap may arrive as consecutive pieces — a catch-up for a
+     * metrics sample, then the rest when the SM wakes — and the pieces
+     * add up to the whole gap exactly.
      */
     void fastForward(Cycle from, Cycle to);
 

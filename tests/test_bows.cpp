@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/bows/adaptive_delay.hpp"
 #include "src/core/bows/backoff.hpp"
@@ -192,49 +195,107 @@ TEST(AdaptiveDelay, TickHonoursWindowBoundaries)
     EXPECT_EQ(e.limit(), 500u);
 }
 
+/**
+ * Replays the idle gap [from, to] on one estimator with fastForward(),
+ * in consecutive pieces that end at each of @p cuts and then at @p to,
+ * and on another with per-cycle tick(). The two must agree on the
+ * gap's summed limit, the final limit and the window phase.
+ */
+void
+expectGapReplayMatchesTicks(Cycle from, Cycle to,
+                            const std::vector<Cycle> &cuts)
+{
+    std::string label = "gap [" + std::to_string(from) + ", " +
+                        std::to_string(to) + "] cut after";
+    for (Cycle cut : cuts)
+        label += " " + std::to_string(cut);
+    SCOPED_TRACE(label);
+    AdaptiveDelayEstimator fast(adaptiveCfg());
+    AdaptiveDelayEstimator ref(adaptiveCfg());
+    auto pressure = [&](int every) {
+        for (int i = 0; i < 100; ++i) {
+            fast.onInstruction(i % every == 0);
+            ref.onInstruction(i % every == 0);
+        }
+    };
+    // Pressure before the first tick and again just before the gap, so
+    // the first in-gap boundary applies non-zero counters and moves the
+    // limit; both estimators run live to the cycle before the gap.
+    pressure(4);
+    for (Cycle c = 1; c < from; ++c) {
+        fast.tick(c);
+        ref.tick(c);
+    }
+    pressure(4);
+    std::uint64_t ref_sum = 0;
+    for (Cycle c = from; c <= to; ++c) {
+        ref.tick(c);
+        ref_sum += ref.limit();
+    }
+    std::uint64_t fast_sum = 0;
+    Cycle start = from;
+    for (Cycle cut : cuts) {
+        fast_sum += fast.fastForward(start, cut);
+        start = cut + 1;
+    }
+    fast_sum += fast.fastForward(start, to);
+    EXPECT_EQ(fast_sum, ref_sum);
+    EXPECT_EQ(fast.limit(), ref.limit());
+    EXPECT_EQ(fast.windowEnd(), ref.windowEnd());
+    // The gap must also leave the ratio baseline identical: the next
+    // live window's update depends on the prev counters.
+    for (int i = 0; i < 60; ++i) {
+        fast.onInstruction(i % 2 == 0);
+        ref.onInstruction(i % 2 == 0);
+    }
+    for (Cycle c = to + 1; c <= to + 2000; ++c) {
+        fast.tick(c);
+        ref.tick(c);
+    }
+    EXPECT_EQ(fast.limit(), ref.limit());
+}
+
 TEST(AdaptiveDelay, FastForwardMatchesPerCycleTicks)
 {
     // The idle-gap replay must be indistinguishable from calling tick()
     // on every cycle of the gap: same final limit, same window phase,
     // same contribution to delayLimitCycleSum — including across gaps
-    // that swallow several window boundaries.
+    // that swallow several window boundaries. A gap may also arrive in
+    // consecutive pieces (an SM caught up for a metrics sample, then
+    // again when it wakes), so each gap is replayed whole, in two
+    // pieces and in three, split before, on and just after a boundary.
     const Cycle gaps[][2] = {
         {20, 40},      // inside the first window: no boundary
         {900, 1100},   // one boundary (limit may change)
         {1500, 4700},  // three boundaries (prev counters must zero)
     };
     for (const auto &gap : gaps) {
-        AdaptiveDelayEstimator fast(adaptiveCfg());
-        AdaptiveDelayEstimator ref(adaptiveCfg());
-        // Pressure before the gap so the first in-gap boundary moves
-        // the limit, then run both estimators to the cycle before it.
-        for (int i = 0; i < 100; ++i) {
-            fast.onInstruction(i % 4 == 0);
-            ref.onInstruction(i % 4 == 0);
+        const Cycle from = gap[0];
+        const Cycle to = gap[1];
+        // The first tick, at cycle 1, opens the window: boundaries fall
+        // at 1 + k * kBowsWindow.
+        const Cycle first = 1 + (from + kBowsWindow - 2) / kBowsWindow *
+                                    kBowsWindow;
+        std::vector<Cycle> splits;
+        for (Cycle b : {first, first + kBowsWindow}) {
+            for (Cycle c : {b - 1, b, b + 1}) {
+                if (c >= from && c < to)
+                    splits.push_back(c);
+            }
         }
-        for (Cycle c = 1; c < gap[0]; ++c) {
-            fast.tick(c);
-            ref.tick(c);
+        splits.push_back(from);
+        splits.push_back((from + to) / 2);
+        std::sort(splits.begin(), splits.end());
+        splits.erase(std::unique(splits.begin(), splits.end()),
+                     splits.end());
+
+        expectGapReplayMatchesTicks(from, to, {});
+        for (std::size_t i = 0; i < splits.size(); ++i) {
+            expectGapReplayMatchesTicks(from, to, {splits[i]});
+            for (std::size_t j = i + 1; j < splits.size(); ++j)
+                expectGapReplayMatchesTicks(from, to,
+                                            {splits[i], splits[j]});
         }
-        std::uint64_t ref_sum = 0;
-        for (Cycle c = gap[0]; c <= gap[1]; ++c) {
-            ref.tick(c);
-            ref_sum += ref.limit();
-        }
-        EXPECT_EQ(fast.fastForward(gap[0], gap[1]), ref_sum);
-        EXPECT_EQ(fast.limit(), ref.limit());
-        EXPECT_EQ(fast.windowEnd(), ref.windowEnd());
-        // The gap must also leave the ratio baseline identical: the
-        // next live window's update depends on the prev counters.
-        for (int i = 0; i < 60; ++i) {
-            fast.onInstruction(i % 2 == 0);
-            ref.onInstruction(i % 2 == 0);
-        }
-        for (Cycle c = gap[1] + 1; c <= gap[1] + 2000; ++c) {
-            fast.tick(c);
-            ref.tick(c);
-        }
-        EXPECT_EQ(fast.limit(), ref.limit());
     }
 }
 

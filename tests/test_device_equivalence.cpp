@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "src/harness/sweep.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/sim/gpu.hpp"
 
@@ -16,8 +17,9 @@
  *    a config that never mentions devices — no shards, no link
  *    traffic, same memory image and cycle count.
  *  - Knob invariance: at numDevices = 2, idle-skip remains a pure
- *    execution knob — memory, cycles, outcomes, link packets, and
- *    every per-device shard must be bit-identical.
+ *    execution knob — memory and every statsToJson field (the system
+ *    aggregate, every per-device shard and the per-SM stall rows) must
+ *    be bit-identical.
  *  - Aggregation: the system-wide KernelStats is exactly the fold of
  *    its per-device shards (additive counters sum; every shard reports
  *    the system horizon as its cycle count; shards never nest).
@@ -88,6 +90,7 @@ TEST_P(DeviceKnobEquivalence, ExecutionKnobsInvisibleAtTwoDevices)
 {
     const std::string &name = GetParam();
     GpuConfig cfg = deviceConfig(2);
+    cfg.collectStallBreakdown = true;
     cfg.idleSkip = true;
     const RunResult ref = runKernel(name, cfg);
     cfg.idleSkip = false;
@@ -97,22 +100,11 @@ TEST_P(DeviceKnobEquivalence, ExecutionKnobsInvisibleAtTwoDevices)
 
     const std::string label = name + " skip=off vs skip=on";
     ASSERT_EQ(r.digest, ref.digest) << label << ": memory image diverged";
-    ASSERT_EQ(r.stats.cycles, ref.stats.cycles) << label;
-    EXPECT_EQ(r.stats.warpInstructions, ref.stats.warpInstructions) << label;
-    EXPECT_EQ(r.stats.outcomes.total(), ref.stats.outcomes.total()) << label;
-    EXPECT_EQ(r.stats.mem.l2Accesses, ref.stats.mem.l2Accesses) << label;
-    EXPECT_EQ(r.stats.mem.linkPackets, ref.stats.mem.linkPackets) << label;
-    for (std::size_t d = 0; d < 2; ++d) {
-        const KernelStats &a = r.stats.perDevice[d];
-        const KernelStats &b = ref.stats.perDevice[d];
-        EXPECT_EQ(a.cycles, b.cycles) << label << " device " << d;
-        EXPECT_EQ(a.warpInstructions, b.warpInstructions)
-            << label << " device " << d;
-        EXPECT_EQ(a.mem.l2Accesses, b.mem.l2Accesses)
-            << label << " device " << d;
-        EXPECT_EQ(a.mem.linkPackets, b.mem.linkPackets)
-            << label << " device " << d;
-    }
+    // Whole stats: the system aggregate, every per-device shard and the
+    // per-SM tables (stall breakdown on in both runs).
+    EXPECT_EQ(harness::statsToJson(r.stats).dump(),
+              harness::statsToJson(ref.stats).dump())
+        << label;
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, DeviceKnobEquivalence,

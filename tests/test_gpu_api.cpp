@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/log.hpp"
+#include "src/harness/sweep.hpp"
 #include "src/isa/assembler.hpp"
 #include "src/sim/gpu.hpp"
 
@@ -147,6 +148,64 @@ TRY:
     EXPECT_THROW(gpu.launch(deadlock, Dim3{1, 1, 1}, Dim3{32, 1, 1},
                             {static_cast<Word>(mutex)}),
                  FatalError);
+}
+
+TEST(GpuApi, MidCycleFaultAbortRecordMatchesNoSkip)
+{
+    // One CTA per SM (48 KiB of shared memory each). CTAs 0, 2 and 3
+    // poll a dependent chain of volatile loads, so their SMs sleep on
+    // memory replies; CTA 1 counts through 300 dependent adds, then
+    // faults on an out-of-bounds shared store inside SM 1's cycle. At
+    // the fault SM 0 has run the cycle and SMs 2 and 3 have not, so the
+    // abort record must catch the sleeping SMs up to exactly that split.
+    Program p = assemble(R"(
+.kernel mid_cycle_fault
+.shared 49152
+.param 1
+  ld.param.u64 %r1, [0];
+  mov %r5, %ctaid;
+  setp.eq.s64 %p1, %r5, 1;
+  @%p1 bra WORK;
+POLL:
+  ld.volatile.global.u64 %r2, [%r1];
+  add %r1, %r1, %r2;
+  setp.eq.s64 %p2, %r2, 0;
+  @%p2 bra POLL;
+  exit;
+WORK:
+  mov %r3, 0;
+LOOP:
+  add %r3, %r3, 1;
+  setp.lt.s64 %p3, %r3, 300;
+  @%p3 bra LOOP;
+  st.shared.u64 [1048576], %r3;
+  exit;
+)");
+    LaunchAbort abort[2];
+    for (bool skip : {true, false}) {
+        GpuConfig cfg = makeGtx480Config();
+        cfg.numCores = 4;
+        cfg.collectStallBreakdown = true;
+        cfg.idleSkip = skip;
+        Gpu gpu(cfg);
+        Addr flag = gpu.malloc(8);
+        EXPECT_THROW(gpu.launch(p, Dim3{4, 1, 1}, Dim3{32, 1, 1},
+                                {static_cast<Word>(flag)}),
+                     SimError);
+        abort[skip ? 0 : 1] = gpu.lastAbort();
+    }
+    const LaunchAbort &on = abort[0];
+    const LaunchAbort &off = abort[1];
+    ASSERT_TRUE(on.valid);
+    ASSERT_TRUE(off.valid);
+    EXPECT_GT(off.atCycle, 1000u);
+    // The oracle's split: SMs 0 and 1 counted cycle atCycle + 1 (SM 1
+    // faulted inside it), SMs 2 and 3 stopped at atCycle.
+    EXPECT_EQ(off.stats.smCycles, 4 * off.atCycle + 2);
+    EXPECT_EQ(on.atCycle, off.atCycle);
+    EXPECT_EQ(on.lastIssueCycle, off.lastIssueCycle);
+    EXPECT_EQ(harness::statsToJson(on.stats).dump(),
+              harness::statsToJson(off.stats).dump());
 }
 
 TEST(GpuApi, SingleLaneTightSpinIsFine)

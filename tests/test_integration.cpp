@@ -2,8 +2,10 @@
 
 #include <iostream>
 
+#include "src/harness/sweep.hpp"
 #include "src/kernels/hashtable.hpp"
 #include "src/kernels/registry.hpp"
+#include "src/metrics/sampler.hpp"
 #include "src/sim/gpu.hpp"
 
 namespace bowsim {
@@ -149,6 +151,53 @@ TEST(Integration, ContentionSweepBowsGainGrowsWithContention)
               << " speedup@4096buckets=" << speedup_low << "\n";
     EXPECT_GT(speedup_high, speedup_low);
     EXPECT_GT(speedup_high, 1.1);
+}
+
+TEST(Integration, SleepingSmsMatchTheNoSkipOracle)
+{
+    // The fast-suite guard on per-SM wake horizons (docs/PERF.md), so
+    // the sanitizer job runs sleeping SMs against the cycle-everything
+    // oracle: BOWS parks HT and ATM warps long enough that one SM
+    // sleeps while another issues. Memory, every statsToJson field
+    // (per-SM stall rows included) and a sampled metrics series must
+    // match with idleSkip on and off, at one and two devices.
+    struct Run {
+        std::uint64_t digest;
+        std::string stats;
+        std::string series;
+    };
+    auto run = [](const std::string &kernel, unsigned devices, bool skip,
+                  bool sampled) {
+        GpuConfig cfg = baseConfig(SchedulerKind::GTO, true);
+        cfg.numDevices = devices;
+        cfg.collectStallBreakdown = true;
+        cfg.idleSkip = skip;
+        Gpu gpu(cfg);
+        metrics::MetricsSampler sampler(500);
+        if (sampled)
+            gpu.setMetrics(&sampler);
+        const KernelStats s = makeBenchmark(kernel, 0.05)->run(gpu);
+        return Run{gpu.mem().digest(), harness::statsToJson(s).dump(),
+                   sampled ? sampler.serialize() : std::string()};
+    };
+    struct Case {
+        const char *kernel;
+        unsigned devices;
+        bool sampled;
+    };
+    const Case cases[] = {{"HT", 1, false},  {"HT", 2, false},
+                          {"ATM", 1, false}, {"ATM", 2, false},
+                          {"ATM", 1, true}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.kernel) + " at " +
+                     std::to_string(c.devices) + " device(s)" +
+                     (c.sampled ? " with metrics" : ""));
+        const Run on = run(c.kernel, c.devices, true, c.sampled);
+        const Run off = run(c.kernel, c.devices, false, c.sampled);
+        EXPECT_EQ(on.digest, off.digest);
+        EXPECT_EQ(on.stats, off.stats);
+        EXPECT_EQ(on.series, off.series);
+    }
 }
 
 TEST(Integration, PascalConfigRunsTheSuite)
