@@ -42,16 +42,6 @@ class RegisterFile {
         return (preds_.at(pred) >> lane) & 1;
     }
 
-    void
-    writePred(unsigned lane, int pred, bool value)
-    {
-        LaneMask bit = LaneMask{1} << lane;
-        if (value)
-            preds_.at(pred) |= bit;
-        else
-            preds_.at(pred) &= ~bit;
-    }
-
     /** Lanes (within @p mask) whose predicate @p pred is set. */
     LaneMask
     predMask(int pred, LaneMask mask) const

@@ -275,12 +275,6 @@ struct GpuConfig {
 
     /** Warps per core implied by the thread budget. */
     unsigned maxWarpsPerCore() const { return maxThreadsPerCore / kWarpSize; }
-
-    /** Total SM count across all devices of the system. */
-    unsigned totalCores() const
-    {
-        return numCores * (numDevices > 0 ? numDevices : 1);
-    }
 };
 
 /**

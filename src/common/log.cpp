@@ -5,52 +5,13 @@
 
 namespace bowsim {
 
-namespace {
-
-/** Serializes writes from concurrent sweep workers. */
-std::mutex &
-sinkMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-std::ostream *&
-sinkRef()
-{
-    static std::ostream *sink = nullptr;  // nullptr -> std::cerr
-    return sink;
-}
-
-void
-emit(const char *prefix, const std::string &message)
-{
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    std::ostream &os = sinkRef() ? *sinkRef() : std::cerr;
-    os << prefix << message << "\n";
-}
-
-}  // namespace
-
 void
 warn(const std::string &message)
 {
-    emit("warn: ", message);
-}
-
-void
-logInfo(const std::string &message)
-{
-    emit("info: ", message);
-}
-
-std::ostream *
-setLogSink(std::ostream *sink)
-{
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    std::ostream *prev = sinkRef();
-    sinkRef() = sink;
-    return prev;
+    // Serializes writes from concurrent sweep workers.
+    static std::mutex m;
+    std::lock_guard<std::mutex> lock(m);
+    std::cerr << "warn: " << message << "\n";
 }
 
 }  // namespace bowsim

@@ -1,7 +1,6 @@
 #ifndef BOWSIM_COMMON_LOG_HPP
 #define BOWSIM_COMMON_LOG_HPP
 
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -98,18 +97,8 @@ panic(const Args &...args)
     throw PanicError(detail::format(args...));
 }
 
-/** Emit a non-fatal warning to the log sink (thread-safe). */
+/** Emit a non-fatal warning to std::cerr (thread-safe). */
 void warn(const std::string &message);
-
-/** Emit an informational message to the log sink (thread-safe). */
-void logInfo(const std::string &message);
-
-/**
- * Redirect warn()/logInfo() output (default: std::cerr). Pass nullptr to
- * restore the default. Returns the previous sink. Intended for tests and
- * harnesses; the sink itself must outlive its installation.
- */
-std::ostream *setLogSink(std::ostream *sink);
 
 }  // namespace bowsim
 

@@ -37,7 +37,6 @@ class Json {
     static Json object() { Json j; j.type_ = Type::Object; return j; }
 
     Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
     bool isNumber() const
     {
         return type_ == Type::Int || type_ == Type::Double;

@@ -24,6 +24,41 @@ fail(std::string message)
     return r;
 }
 
+/**
+ * The stats-shard rule sweep points and litmus cells share: a run on
+ * @p devices > 1 devices carries exactly that many shard objects in
+ * stats.devices, none of which nests a "devices" block of its own; a
+ * one-device run carries none. Empty when @p stats obeys the rule,
+ * else the failure, prefixed with @p where.
+ */
+std::string
+shardViolation(const Json &stats, std::int64_t devices,
+               const std::string &where)
+{
+    std::size_t shards = 0;
+    if (stats.has("devices")) {
+        if (stats.at("devices").type() != Json::Type::Array)
+            return where + " stats \"devices\" is not an array";
+        shards = stats.at("devices").size();
+    }
+    const std::size_t expected =
+        devices > 1 ? static_cast<std::size_t>(devices) : 0;
+    if (shards != expected)
+        return where + " runs on " + std::to_string(devices) +
+               " device(s) but carries " + std::to_string(shards) +
+               " stats shard(s)";
+    for (std::size_t d = 0; d < shards; ++d) {
+        const Json &shard = stats.at("devices").at(d);
+        if (shard.type() != Json::Type::Object)
+            return where + " device shard " + std::to_string(d) +
+                   " is not an object";
+        if (shard.has("devices"))
+            return where + " device shard " + std::to_string(d) +
+                   " nests a \"devices\" block";
+    }
+    return {};
+}
+
 }  // namespace
 
 Json
@@ -149,9 +184,9 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
         // the link parameters, and one per-device stats shard per
         // device. Single-device points omit all of them (the artifact
         // stays byte-identical to the pre-device-split schema).
+        std::int64_t nd = 1;
         if (p.at("config").has("num_devices")) {
-            const std::int64_t nd =
-                p.at("config").at("num_devices").asInt();
+            nd = p.at("config").at("num_devices").asInt();
             if (nd < 2) {
                 return fail("point " + std::to_string(i) + " records "
                             "num_devices=" + std::to_string(nd) +
@@ -165,36 +200,12 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
                                 "\"" + std::string(k) + "\"");
                 }
             }
-            if (p.has("stats")) {
-                const Json &stats = p.at("stats");
-                if (!stats.has("devices") ||
-                    stats.at("devices").type() != Json::Type::Array ||
-                    stats.at("devices").size() !=
-                        static_cast<std::size_t>(nd)) {
-                    return fail("point " + std::to_string(i) +
-                                " is multi-device but its stats lack a "
-                                "\"devices\" array with one shard per "
-                                "device");
-                }
-                for (std::size_t d = 0; d < stats.at("devices").size();
-                     ++d) {
-                    const Json &shard = stats.at("devices").at(d);
-                    if (shard.type() != Json::Type::Object)
-                        return fail("point " + std::to_string(i) +
-                                    " device shard " +
-                                    std::to_string(d) +
-                                    " is not an object");
-                    if (shard.has("devices"))
-                        return fail("point " + std::to_string(i) +
-                                    " device shard " +
-                                    std::to_string(d) +
-                                    " nests a \"devices\" block");
-                }
-            }
-        } else if (p.has("stats") && p.at("stats").has("devices")) {
-            return fail("point " + std::to_string(i) + " carries a "
-                        "per-device stats block without "
-                        "config.num_devices");
+        }
+        if (p.has("stats")) {
+            const std::string err = shardViolation(
+                p.at("stats"), nd, "point " + std::to_string(i));
+            if (!err.empty())
+                return fail(err);
         }
         if (!p.has("ok") || !p.at("ok").asBool()) {
             std::ostringstream os;
@@ -635,6 +646,12 @@ checkLitmusMatrix(const Json &doc, std::int64_t expected_cells)
                         "cell's device count");
         if (c.at("stats").type() != Json::Type::Object)
             return fail(where + " \"stats\" is not an object");
+        // Every outcome keeps its shards: abort records are folded like
+        // finished launches, in both execution modes.
+        const std::string shard_err =
+            shardViolation(c.at("stats"), c.at("devices").asInt(), where);
+        if (!shard_err.empty())
+            return fail(shard_err);
         // Contention evidence (docs/SYNC.md): livelocked cycle-mode
         // cells must carry a machine-checked attribution of the
         // contended address; other cells may.

@@ -89,7 +89,8 @@ CheckResult checkMetricsSeries(const Json &doc,
  *    cell carries its coordinates, geometry, a legal outcome, a
  *    self-describing config (exec_mode agreeing with the header,
  *    scheduler/bows_enabled agreeing with the cell), and a stats
- *    object.
+ *    object with one shard per device in stats.devices when the cell
+ *    runs on more than one device (none on one device).
  * @p expected_cells additionally pins the cell count when >= 0.
  */
 CheckResult checkLitmusMatrix(const Json &doc,

@@ -158,13 +158,6 @@ struct Instruction {
         return op == Opcode::Ld || op == Opcode::St || op == Opcode::Atom;
     }
     bool isAtomic() const { return op == Opcode::Atom; }
-    bool isSetp() const { return op == Opcode::Setp; }
-    bool
-    writesRegister() const
-    {
-        return dst.kind == Operand::Kind::Reg;
-    }
-    bool writesPredicate() const { return dst.kind == Operand::Kind::Pred; }
 
     /** True for mul/div-class ops that use the long-latency pipe. */
     bool

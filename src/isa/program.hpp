@@ -39,7 +39,6 @@ struct SyncAnnotations {
     /** PCs whose dynamic instances count as synchronization overhead. */
     std::set<Pc> syncRegion;
 
-    bool isSpinBranch(Pc pc) const { return spinBranches.count(pc) != 0; }
     bool isSyncPc(Pc pc) const { return syncRegion.count(pc) != 0; }
 };
 

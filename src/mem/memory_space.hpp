@@ -35,8 +35,6 @@ class MemorySpace {
     void readBytes(Addr addr, void *out, std::uint64_t bytes) const;
     void writeBytes(Addr addr, const void *in, std::uint64_t bytes);
 
-    std::uint64_t bytesAllocated() const { return next_ - kHeapBase; }
-
     /**
      * Content digest (FNV-1a over pages in address order), independent of
      * page-map iteration order. Two spaces with the same digest hold the

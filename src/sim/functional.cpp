@@ -1,6 +1,5 @@
 #include "src/sim/functional.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "src/common/log.hpp"
@@ -23,10 +22,9 @@ FunctionalExecutor::FunctionalExecutor(const GpuConfig &cfg,
     : cfg_(cfg), launch_(launch)
 {
     const Program &prog = *launch_.prog;
-    blockThreads_ = launch_.block.count();
-    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : launch_.grid.count();
-    warpsPerCta_ = (blockThreads_ + kWarpSize - 1) / kWarpSize;
-    maxResidentCtas_ = maxResidentCtasFor(cfg, prog, blockThreads_);
+    const unsigned threads_per_cta = launch_.block.count();
+    warpsPerCta_ = (threads_per_cta + kWarpSize - 1) / kWarpSize;
+    maxResidentCtas_ = maxResidentCtasFor(cfg, prog, threads_per_cta);
     code_ = prog.code.data();
     codeSize_ = static_cast<Pc>(prog.code.size());
     if (launch_.pcFlags.size() != prog.code.size())
@@ -47,65 +45,33 @@ FunctionalExecutor::fetch(Pc pc) const
 bool
 FunctionalExecutor::finished() const
 {
-    return residentCtas_ == 0 && launch_.nextCta >= ctaEnd_;
+    return residentCtas_ == 0 && launch_.nextCta >= launch_.ctaEnd;
 }
 
 void
 FunctionalExecutor::tryLaunchCtas(FSm &sm)
 {
-    if (launch_.nextCta >= ctaEnd_ || sm.validCtas == maxResidentCtas_)
+    if (launch_.nextCta >= launch_.ctaEnd ||
+        sm.validCtas == maxResidentCtas_)
         return;
-    const Program &prog = *launch_.prog;
-    for (FCta &slot : sm.ctas) {
-        if (slot.valid)
+    for (unsigned s = 0; s < maxResidentCtas_; ++s) {
+        if (sm.ctas[s].valid)
             continue;
-        if (launch_.nextCta >= ctaEnd_)
+        if (launch_.nextCta >= launch_.ctaEnd)
             return;
-        unsigned cta_id = launch_.nextCta++;
-        slot.valid = true;
+        sm.ctas[s].dispatch(launch_, s, warpsPerCta_);
         ++sm.validCtas;
         ++residentCtas_;
-        slot.id = cta_id;
-        slot.shared.assign(prog.sharedBytes, 0);
-        slot.warps.clear();
-        slot.arrivedAtBarrier = 0;
-        for (unsigned wi = 0; wi < warpsPerCta_; ++wi) {
-            unsigned lanes =
-                std::min(kWarpSize, blockThreads_ - wi * kWarpSize);
-            LaneMask mask = lanes == kWarpSize
-                                ? kFullMask
-                                : ((LaneMask{1} << lanes) - 1);
-            unsigned slot_index =
-                static_cast<unsigned>(&slot - sm.ctas.data());
-            slot.warps.push_back(std::make_unique<Warp>(
-                slot_index * warpsPerCta_ + wi, cta_id, wi,
-                launch_.warpAgeCounter++, prog.numRegs, prog.numPreds,
-                mask));
-        }
-        slot.liveWarps = warpsPerCta_;
     }
 }
 
 void
-FunctionalExecutor::checkBarrier(FCta &cta)
+FunctionalExecutor::onWarpFinished(FSm &sm, Cta &cta)
 {
-    if (cta.liveWarps == 0 || cta.arrivedAtBarrier < cta.liveWarps)
-        return;
-    for (auto &w : cta.warps) {
-        if (!w->done())
-            w->setAtBarrier(false);
-    }
-    cta.arrivedAtBarrier = 0;
-}
-
-void
-FunctionalExecutor::onWarpFinished(FSm &sm, FCta &cta, Warp &w)
-{
-    (void)w;
     if (cta.liveWarps == 0)
         panic("warp finished in an already-empty CTA");
     --cta.liveWarps;
-    checkBarrier(cta);
+    cta.releaseBarrier();
     if (cta.liveWarps == 0) {
         // No pipeline to drain: retire the CTA immediately so the slot
         // is free for the next dispatch.
@@ -117,7 +83,7 @@ FunctionalExecutor::onWarpFinished(FSm &sm, FCta &cta, Warp &w)
 }
 
 std::uint64_t
-FunctionalExecutor::runWarpSlice(unsigned sm_id, FCta &cta, Warp &w)
+FunctionalExecutor::runWarpSlice(unsigned sm_id, Cta &cta, Warp &w)
 {
     KernelStats &st = launch_.stats;
     std::uint64_t n = 0;
@@ -169,7 +135,7 @@ FunctionalExecutor::runWarpSlice(unsigned sm_id, FCta &cta, Warp &w)
             w.stack().advance();
             w.setAtBarrier(true);
             ++cta.arrivedAtBarrier;
-            checkBarrier(cta);
+            cta.releaseBarrier();
             end_slice = w.atBarrier();
             break;
           }
@@ -190,7 +156,7 @@ FunctionalExecutor::runWarpSlice(unsigned sm_id, FCta &cta, Warp &w)
         }
 
         if (w.done()) {
-            onWarpFinished(sms_[sm_id], cta, w);
+            onWarpFinished(sms_[sm_id], cta);
             break;
         }
         if (end_slice)
@@ -231,7 +197,7 @@ FunctionalExecutor::runFor(std::uint64_t max_instr)
         FSm &sm = sms_[rotSm_];
         if (rotCta_ == 0 && rotWarp_ == 0)
             tryLaunchCtas(sm);
-        FCta &cta = sm.ctas[rotCta_];
+        Cta &cta = sm.ctas[rotCta_];
         if (cta.valid && rotWarp_ < cta.warps.size()) {
             Warp &w = *cta.warps[rotWarp_];
             if (!w.done() && !w.atBarrier())

@@ -1,7 +1,6 @@
 #ifndef BOWSIM_SIM_FUNCTIONAL_HPP
 #define BOWSIM_SIM_FUNCTIONAL_HPP
 
-#include <memory>
 #include <vector>
 
 #include "src/arch/warp.hpp"
@@ -57,25 +56,15 @@ class FunctionalExecutor {
     std::uint64_t instructionsExecuted() const { return executed_; }
 
   private:
-    struct FCta {
-        unsigned id = 0;
-        std::vector<std::unique_ptr<Warp>> warps;
-        std::vector<std::uint8_t> shared;
-        unsigned liveWarps = 0;
-        unsigned arrivedAtBarrier = 0;
-        bool valid = false;
-    };
-
     struct FSm {
-        std::vector<FCta> ctas;
+        std::vector<Cta> ctas;
         unsigned validCtas = 0;
     };
 
     void tryLaunchCtas(FSm &sm);
-    void checkBarrier(FCta &cta);
-    void onWarpFinished(FSm &sm, FCta &cta, Warp &w);
+    void onWarpFinished(FSm &sm, Cta &cta);
     /** Runs one warp turn; returns instructions executed. */
-    std::uint64_t runWarpSlice(unsigned sm_id, FCta &cta, Warp &w);
+    std::uint64_t runWarpSlice(unsigned sm_id, Cta &cta, Warp &w);
     const Instruction &fetch(Pc pc) const;
 
     const GpuConfig &cfg_;
@@ -83,9 +72,6 @@ class FunctionalExecutor {
     std::vector<FSm> sms_;
     unsigned warpsPerCta_ = 0;
     unsigned maxResidentCtas_ = 0;
-    unsigned blockThreads_ = 0;
-    /** One past this device's last CTA (%nctaid stays the whole grid). */
-    unsigned ctaEnd_ = 0;
     const Instruction *code_ = nullptr;
     Pc codeSize_ = 0;
     /** Total warp instructions executed (also the pseudo-clock). */

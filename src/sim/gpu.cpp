@@ -6,7 +6,6 @@
 #include "src/mem/lock_tracker.hpp"
 #include "src/mem/system_link.hpp"
 #include "src/metrics/sampler.hpp"
-#include "src/sim/device.hpp"
 #include "src/sim/functional.hpp"
 
 namespace bowsim {
@@ -44,78 +43,153 @@ GpuSystem::launch(const Program &prog, Dim3 grid, Dim3 block,
         fatal("launch with an empty grid or block");
 
     abort_ = LaunchAbort{};
-    switch (cfg_.execMode) {
-      case ExecMode::Functional:
-        return launchFunctional(prog, grid, block, params);
-      case ExecMode::Cycle:
-        break;
-    }
-    return launchCycle(prog, grid, block, params);
-}
 
-KernelStats
-GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
-                       const std::vector<Word> &params)
-{
+    // One LaunchState per device, the same for both engines. Lock words
+    // live in the one functional memory space, so lock ownership is
+    // system-wide: a single tracker classifies a CAS on device 0
+    // against a hold taken from device 1 as an inter-warp (not fresh)
+    // failure, and warpKeyBase keeps the owner keys unique across
+    // devices. CTA sharding: contiguous chunks in device-id order.
+    // Device d owns [d*chunk, (d+1)*chunk); %nctaid stays the whole
+    // grid, so kernels are oblivious to the split.
     const unsigned num_devices = std::max(cfg_.numDevices, 1u);
-    const unsigned num_cores = cfg_.numCores;
-    const unsigned total_cores = num_cores * num_devices;
-
-    // System-level state shared by every device. Lock words live in the
-    // one functional memory space, so lock ownership is system-wide:
-    // a single tracker classifies a CAS on device 0 against a hold
-    // taken from device 1 as an inter-warp (not fresh) failure. Warp
-    // keys disambiguate across devices via LaunchState::warpKeyBase.
-    SystemLink link(cfg_);
-    LockTracker system_locks;
-
-    // CTA sharding: contiguous chunks in device-id order. Device d owns
-    // [d*chunk, (d+1)*chunk); %nctaid stays the whole grid, so kernels
-    // are oblivious to the split.
     const unsigned grid_ctas = grid.count();
     const unsigned chunk = (grid_ctas + num_devices - 1) / num_devices;
-
-    std::vector<std::unique_ptr<Device>> devices;
-    devices.reserve(num_devices);
+    LockTracker system_locks;
+    std::vector<LaunchState> launches(num_devices);
     for (unsigned d = 0; d < num_devices; ++d) {
-        devices.push_back(std::make_unique<Device>(d, cfg_));
-        Device &dev = *devices.back();
-        LaunchState &dl = dev.launch;
-        dl.trace =
-            trace::Tracer(traceSink_, static_cast<std::uint16_t>(d));
-        dev.memsys.setTrace(dl.trace);
-        // One registry serves all devices (like the system lock
-        // tracker): lock words live in the shared functional memory, so
-        // attribution must be system-wide. The L2 handle feeds the
-        // local/remote split per requesting device.
-        dl.sync = syncprof::SyncProf(syncProf_);
-        dev.memsys.setSyncProf(dl.sync);
+        LaunchState &dl = launches[d];
         dl.prog = &prog;
         dl.grid = grid;
         dl.block = block;
         dl.params = params;
         dl.mem = &mem_;
-        dl.memsys = &dev.memsys;
         dl.spinDetect = cfg_.spinDetect;
         dl.stats.kernel = prog.name;
         dl.deviceId = d;
         dl.tracker = &system_locks;
-        if (num_devices > 1) {
-            dl.warpKeyBase = static_cast<std::uint64_t>(d) << 48;
-            dl.nextCta = std::min(d * chunk, grid_ctas);
-            dl.ctaEnd = std::min((d + 1) * chunk, grid_ctas);
-        }
+        dl.warpKeyBase = static_cast<std::uint64_t>(d) << 48;
+        dl.nextCta = std::min(d * chunk, grid_ctas);
+        dl.ctaEnd = std::min((d + 1) * chunk, grid_ctas);
     }
-    // Peer table for remote routing; with one device request() never
-    // consults the link (home == self always), keeping the launch
+
+    switch (cfg_.execMode) {
+      case ExecMode::Functional:
+        return launchFunctional(launches);
+      case ExecMode::Cycle:
+        break;
+    }
+    return launchCycle(launches);
+}
+
+KernelStats
+GpuSystem::finish(const std::vector<LaunchState> &launches,
+                  const std::vector<std::unique_ptr<SmCore>> &cores,
+                  Cycle at) const
+{
+    // Energy and DDOS accuracy are scored only from a finished cycle
+    // launch's cores: per device from the device's own cores, and
+    // system-wide from all of them.
+    const bool scored = !cores.empty();
+    std::vector<DdosAccuracy> acc(scored ? launches.size() : 0);
+    for (const auto &core : cores)
+        acc[core->device()].merge(core->ddos().accuracy());
+    const std::set<Pc> &spin_branches = launches[0].prog->sync.spinBranches;
+
+    // Each device's shard: its launch aggregate at clock @p at, plus its
+    // memory system in cycle mode.
+    std::vector<KernelStats> shards;
+    shards.reserve(launches.size());
+    for (std::size_t d = 0; d < launches.size(); ++d) {
+        KernelStats s = launches[d].stats;
+        s.cycles = at;
+        if (launches[d].memsys != nullptr)
+            s.mem = launches[d].memsys->stats();
+        if (scored) {
+            s.energy.l2Accesses = s.mem.l2Accesses;
+            s.energy.dramAccesses = s.mem.dramAccesses;
+            s.energy.icntPackets = s.mem.icntPackets;
+            s.energy.atomicOps = s.mem.atomics;
+            s.energyNj = energy_.dynamicEnergyNj(s.energy);
+            s.staticEnergyNj = energy_.staticEnergyNj(s.smCycles);
+            s.ddos = acc[d].report(spin_branches);
+        }
+        shards.push_back(std::move(s));
+    }
+    // A single-device launch returns the lone device's stats unchanged,
     // byte-identical to the pre-split simulator.
-    std::vector<MemorySystem *> peers(num_devices);
-    for (unsigned d = 0; d < num_devices; ++d)
-        peers[d] = &devices[d]->memsys;
-    if (num_devices > 1) {
-        for (unsigned d = 0; d < num_devices; ++d)
-            devices[d]->memsys.setSystem(&link, peers.data(), d,
-                                         num_devices);
+    if (shards.size() == 1)
+        return std::move(shards[0]);
+
+    // Multi-device launches fold the shards in device-id order and
+    // rebuild the per-SM tables by concatenation (operator+= folds them
+    // positionally, which would overlay device 1's SM rows onto device
+    // 0's; the system-wide tables use global, device-major SM rows).
+    KernelStats total = shards[0];
+    for (std::size_t d = 1; d < shards.size(); ++d)
+        total += shards[d];
+    total.cycles = at;
+    total.stallCounts.clear();
+    total.unitIssues.clear();
+    total.peakResidentPerSm.clear();
+    for (const KernelStats &s : shards) {
+        total.stallCounts.insert(total.stallCounts.end(),
+                                 s.stallCounts.begin(), s.stallCounts.end());
+        total.unitIssues.insert(total.unitIssues.end(), s.unitIssues.begin(),
+                                s.unitIssues.end());
+        total.peakResidentPerSm.insert(total.peakResidentPerSm.end(),
+                                       s.peakResidentPerSm.begin(),
+                                       s.peakResidentPerSm.end());
+    }
+    if (scored) {
+        // Recomputed from the merged events rather than summed:
+        // operator+= neither sums staticEnergyNj nor merges the accuracy
+        // report, and the DDOS report's rates must score the
+        // system-wide confusion counts.
+        total.energyNj = energy_.dynamicEnergyNj(total.energy);
+        total.staticEnergyNj = energy_.staticEnergyNj(total.smCycles);
+        DdosAccuracy all;
+        for (const auto &core : cores)
+            all.merge(core->ddos().accuracy());
+        total.ddos = all.report(spin_branches);
+    }
+    total.perDevice = std::move(shards);
+    return total;
+}
+
+KernelStats
+GpuSystem::launchCycle(std::vector<LaunchState> &launches)
+{
+    const Program &prog = *launches[0].prog;
+    const unsigned num_devices = static_cast<unsigned>(launches.size());
+    const unsigned num_cores = cfg_.numCores;
+    const unsigned total_cores = num_cores * num_devices;
+
+    // Device-local memory systems (L2 banks, DRAM, crossbars). The peer
+    // table routes remote requests over the one link; with one device
+    // request() never consults it (home == self always), keeping the
+    // launch byte-identical to the pre-split simulator.
+    SystemLink link(cfg_);
+    std::vector<std::unique_ptr<MemorySystem>> memsys;
+    std::vector<MemorySystem *> peers;
+    for (unsigned d = 0; d < num_devices; ++d) {
+        memsys.push_back(std::make_unique<MemorySystem>(cfg_));
+        peers.push_back(memsys.back().get());
+    }
+    for (unsigned d = 0; d < num_devices; ++d) {
+        LaunchState &dl = launches[d];
+        dl.memsys = memsys[d].get();
+        dl.trace =
+            trace::Tracer(traceSink_, static_cast<std::uint16_t>(d));
+        dl.memsys->setTrace(dl.trace);
+        // One registry serves all devices (like the system lock
+        // tracker): lock words live in the shared functional memory, so
+        // attribution must be system-wide. The L2 handle feeds the
+        // local/remote split per requesting device.
+        dl.sync = syncprof::SyncProf(syncProf_);
+        dl.memsys->setSyncProf(dl.sync);
+        if (num_devices > 1)
+            dl.memsys->setSystem(&link, peers.data(), d, num_devices);
     }
 
     // Cores are flat and device-major (index = device * numCores +
@@ -125,10 +199,8 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     std::vector<std::unique_ptr<SmCore>> cores;
     cores.reserve(total_cores);
     for (unsigned d = 0; d < num_devices; ++d) {
-        for (unsigned c = 0; c < num_cores; ++c) {
-            cores.push_back(
-                std::make_unique<SmCore>(c, cfg_, devices[d]->launch));
-        }
+        for (unsigned c = 0; c < num_cores; ++c)
+            cores.push_back(std::make_unique<SmCore>(c, cfg_, launches[d]));
     }
 
     // Only busy SMs are cycled. An SM with no resident CTAs once its
@@ -136,8 +208,10 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     // so it leaves the active list permanently. Its only remaining
     // architectural effect would have been the per-cycle delay-limit
     // accounting (its adaptive estimator sees no instructions, so its
-    // limit is constant from then on) — applied analytically below so
-    // statistics stay bit-identical with the cycle-everything loop.
+    // limit is constant from then on) — applied analytically below,
+    // per device, from the retired-SM count and the sum of their
+    // limits, so statistics stay bit-identical with the
+    // cycle-everything loop.
     //
     // Per-SM wake horizons (docs/PERF.md): an SM that issued nothing at
     // `now` cannot issue before nextWorkCycle(now), so it sleeps until
@@ -159,6 +233,8 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     active.reserve(cores.size());
     for (auto &core : cores)
         active.push_back({core.get(), 1, 0});
+    std::vector<std::uint64_t> idle_cores(num_devices, 0);
+    std::vector<std::uint64_t> idle_delay_sum(num_devices, 0);
     const bool skip = cfg_.idleSkip && traceSink_ == nullptr;
     auto catch_up = [](ActiveSm &sm, Cycle through) {
         if (sm.lastRun < through) {
@@ -173,9 +249,9 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     // sampler's next grid cycle. kNeverCycle keeps the detached fast
     // path to a single always-false compare per cycle.
     metrics::SampleSources msrc{&cores, {}, {}, syncProf_};
-    for (auto &dev : devices) {
-        msrc.launchStats.push_back(&dev->launch.stats);
-        msrc.memsys.push_back(&dev->memsys);
+    for (unsigned d = 0; d < num_devices; ++d) {
+        msrc.launchStats.push_back(&launches[d].stats);
+        msrc.memsys.push_back(memsys[d].get());
     }
     Cycle metricsNext = kNeverCycle;
     if (metrics_) {
@@ -193,70 +269,6 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     Cycle now = 0;
     Cycle last_issue = 0;
 
-    // One device's stats at clock @p at: its launch aggregate plus its
-    // memory system.
-    auto device_stats = [&](unsigned d, Cycle at) {
-        KernelStats s = devices[d]->launch.stats;
-        s.cycles = at;
-        s.mem = devices[d]->memsys.stats();
-        return s;
-    };
-    // Folds per-device stats into the system aggregate, in device-id
-    // order. Single-device launches return the lone device's stats
-    // unchanged — byte-identical to the pre-split merge. Multi-device
-    // launches rebuild the per-SM tables by concatenation (operator+=
-    // folds them positionally, which would overlay device 1's SM rows
-    // onto device 0's; the system-wide tables use global, device-major
-    // SM rows) and keep the per-device stats in KernelStats::perDevice.
-    auto merge_devices = [&](std::vector<KernelStats> per_dev, Cycle at) {
-        KernelStats total = per_dev[0];
-        for (std::size_t d = 1; d < per_dev.size(); ++d)
-            total += per_dev[d];
-        total.cycles = at;
-        if (per_dev.size() > 1) {
-            total.stallCounts.clear();
-            total.unitIssues.clear();
-            total.peakResidentPerSm.clear();
-            for (const KernelStats &s : per_dev) {
-                total.stallCounts.insert(total.stallCounts.end(),
-                                         s.stallCounts.begin(),
-                                         s.stallCounts.end());
-                total.unitIssues.insert(total.unitIssues.end(),
-                                        s.unitIssues.begin(),
-                                        s.unitIssues.end());
-                total.peakResidentPerSm.insert(
-                    total.peakResidentPerSm.end(),
-                    s.peakResidentPerSm.begin(),
-                    s.peakResidentPerSm.end());
-            }
-            total.perDevice = std::move(per_dev);
-        }
-        return total;
-    };
-
-    // A launch that dies (watchdog, or a SimError out of a core) stashes
-    // its partial statistics first, so callers like the litmus harness
-    // can classify the abort — per device and system-wide. Sleeping SMs
-    // are caught up first (see the catch below), so the stash is
-    // byte-identical across idle-skip.
-    auto stash_abort = [&](Cycle at) {
-        abort_.valid = true;
-        std::vector<KernelStats> per_dev;
-        per_dev.reserve(num_devices);
-        for (unsigned d = 0; d < num_devices; ++d)
-            per_dev.push_back(device_stats(d, at));
-        if (num_devices > 1) {
-            abort_.perDevice.clear();
-            for (unsigned d = 0; d < num_devices; ++d) {
-                abort_.perDevice.push_back(
-                    {d, per_dev[d], devices[d]->lastIssue});
-            }
-        }
-        abort_.stats = merge_devices(std::move(per_dev), at);
-        abort_.atCycle = at;
-        abort_.lastIssueCycle = last_issue;
-    };
-
     // Index into `active` of the SM inside cycle(now): the ones before
     // it have run cycle `now`, the rest have not.
     std::size_t running = 0;
@@ -267,9 +279,9 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
         if (now > cfg_.watchdogCycles)
             simFatal("kernel '", prog.name, "' exceeded the ",
                      cfg_.watchdogCycles, "-cycle watchdog (deadlock?)");
-        for (auto &dev : devices) {
-            dev->launch.stats.delayLimitCycleSum += dev->idleDelaySum;
-            dev->launch.stats.smCycles += dev->idleCores;
+        for (unsigned d = 0; d < num_devices; ++d) {
+            launches[d].stats.delayLimitCycleSum += idle_delay_sum[d];
+            launches[d].stats.smCycles += idle_cores[d];
         }
         bool issued = false;
         for (; running < active.size(); ++running) {
@@ -280,7 +292,6 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
             sm.lastRun = now;
             if (sm.core->cycle(now)) {
                 issued = true;
-                devices[sm.core->device()]->lastIssue = now;
                 sm.wake = now + 1;
             } else {
                 sm.wake = skip ? sm.core->nextWorkCycle(now) : now + 1;
@@ -298,9 +309,8 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
                 ++i;
                 continue;
             }
-            Device &dev = *devices[core.device()];
-            dev.idleDelaySum += core.backoff().delayLimit();
-            ++dev.idleCores;
+            idle_delay_sum[core.device()] += core.backoff().delayLimit();
+            ++idle_cores[core.device()];
             active.erase(active.begin() + i);
         }
         // Every SM sleeps: jump the clock to the first wake. Clamp to
@@ -314,10 +324,10 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
             // Skip cycles now+1 .. target-1; cycle target runs live.
             const Cycle to = target - 1;
             const std::uint64_t delta = to - now;
-            for (auto &dev : devices) {
-                dev->launch.stats.delayLimitCycleSum +=
-                    dev->idleDelaySum * delta;
-                dev->launch.stats.smCycles += dev->idleCores * delta;
+            for (unsigned d = 0; d < num_devices; ++d) {
+                launches[d].stats.delayLimitCycleSum +=
+                    idle_delay_sum[d] * delta;
+                launches[d].stats.smCycles += idle_cores[d] * delta;
             }
             now = to;
         }
@@ -329,12 +339,19 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
         }
     } while (!active.empty());
     } catch (...) {
-        // The cycle-everything loop's partial state: SMs that ran cycle
+        // A launch that dies (watchdog, or a SimError out of a core)
+        // stashes its partial statistics first, so callers like the
+        // litmus harness can classify the abort. The stash is the
+        // cycle-everything loop's partial state: SMs that ran cycle
         // `now` before the throw are settled through it, the rest
-        // through now - 1.
+        // through now - 1, so it is byte-identical across idle-skip.
         for (std::size_t i = 0; i < active.size(); ++i)
             catch_up(active[i], i < running ? now : now - 1);
-        stash_abort(now > 0 ? now - 1 : 0);
+        const Cycle at = now > 0 ? now - 1 : 0;
+        abort_.valid = true;
+        abort_.stats = finish(launches, {}, at);
+        abort_.atCycle = at;
+        abort_.lastIssueCycle = last_issue;
         throw;
     }
 
@@ -343,48 +360,11 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     // KernelStats.
     if (metrics_)
         metrics_->endLaunch(now, msrc);
-
-    // Per-device finalization: the device's stats, then energy and DDOS
-    // accuracy from the device's own cores.
-    std::vector<KernelStats> per_dev;
-    per_dev.reserve(num_devices);
-    for (unsigned d = 0; d < num_devices; ++d) {
-        per_dev.push_back(device_stats(d, now));
-        KernelStats &s = per_dev.back();
-        s.energy.l2Accesses = s.mem.l2Accesses;
-        s.energy.dramAccesses = s.mem.dramAccesses;
-        s.energy.icntPackets = s.mem.icntPackets;
-        s.energy.atomicOps = s.mem.atomics;
-        s.energyNj = energy_.dynamicEnergyNj(s.energy);
-        s.staticEnergyNj = energy_.staticEnergyNj(s.smCycles);
-        DdosAccuracy acc;
-        for (unsigned c = 0; c < num_cores; ++c) {
-            acc.merge(cores[static_cast<std::size_t>(d) * num_cores + c]
-                          ->ddos()
-                          .accuracy());
-        }
-        s.ddos = acc.report(prog.sync.spinBranches);
-    }
-
-    KernelStats stats = merge_devices(std::move(per_dev), now);
-    if (num_devices > 1) {
-        // System-wide energy and DDOS accuracy are recomputed from the
-        // merged events rather than summed: operator+= neither sums
-        // staticEnergyNj nor merges the accuracy report, and the DDOS
-        // report's rates must score the system-wide confusion counts.
-        stats.energyNj = energy_.dynamicEnergyNj(stats.energy);
-        stats.staticEnergyNj = energy_.staticEnergyNj(stats.smCycles);
-        DdosAccuracy all;
-        for (auto &core : cores)
-            all.merge(core->ddos().accuracy());
-        stats.ddos = all.report(prog.sync.spinBranches);
-    }
-    return stats;
+    return finish(launches, cores, now);
 }
 
 KernelStats
-GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
-                            const std::vector<Word> &params)
+GpuSystem::launchFunctional(std::vector<LaunchState> &launches)
 {
     // Functional mode forces null observability sinks: there are no
     // cycles to trace or sample, so an attached trace sink or metrics
@@ -399,37 +379,9 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
     // check keeps its meaning. An executor's rotation cursor persists
     // across runFor calls, so a lone device runs the same instruction
     // sequence in slices as it would in one go.
-    const unsigned num_devices = std::max(cfg_.numDevices, 1u);
-    LockTracker system_locks;
-    const unsigned grid_ctas = grid.count();
-    const unsigned chunk = (grid_ctas + num_devices - 1) / num_devices;
-    std::vector<std::unique_ptr<LaunchState>> launches;
     std::vector<std::unique_ptr<FunctionalExecutor>> fxs;
-    for (unsigned d = 0; d < num_devices; ++d) {
-        launches.push_back(std::make_unique<LaunchState>());
-        LaunchState &dl = *launches.back();
-        dl.prog = &prog;
-        dl.grid = grid;
-        dl.block = block;
-        dl.params = params;
-        dl.mem = &mem_;
-        dl.spinDetect = cfg_.spinDetect;
-        dl.stats.kernel = prog.name;
-        dl.deviceId = d;
-        dl.tracker = &system_locks;
-        dl.warpKeyBase = static_cast<std::uint64_t>(d) << 48;
-        dl.nextCta = std::min(d * chunk, grid_ctas);
-        dl.ctaEnd = std::min((d + 1) * chunk, grid_ctas);
+    for (LaunchState &dl : launches)
         fxs.push_back(std::make_unique<FunctionalExecutor>(cfg_, dl));
-    }
-
-    // System-wide stats: the sum over devices (there is no cycle clock).
-    const auto total = [&] {
-        KernelStats sum = launches[0]->stats;
-        for (unsigned d = 1; d < num_devices; ++d)
-            sum += launches[d]->stats;
-        return sum;
-    };
 
     // Round-robin slices, device-id order: large enough to amortize the
     // rotation walk, small enough that a device spinning on a peer's
@@ -449,20 +401,10 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
         // stash the partial stats like the cycle loop; without a cycle
         // clock the abort and issue-recency cycles stay zero.
         abort_.valid = true;
-        abort_.stats = total();
-        if (num_devices > 1) {
-            for (unsigned d = 0; d < num_devices; ++d)
-                abort_.perDevice.push_back({d, launches[d]->stats, 0});
-        }
+        abort_.stats = finish(launches, {}, 0);
         throw;
     }
-
-    KernelStats stats = total();
-    if (num_devices > 1) {
-        for (const auto &dl : launches)
-            stats.perDevice.push_back(dl->stats);
-    }
-    return stats;
+    return finish(launches, {}, 0);
 }
 
 }  // namespace bowsim

@@ -1,6 +1,7 @@
 #ifndef BOWSIM_SIM_GPU_HPP
 #define BOWSIM_SIM_GPU_HPP
 
+#include <memory>
 #include <vector>
 
 #include "src/common/config.hpp"
@@ -49,27 +50,14 @@ class MetricsSampler;
  */
 struct LaunchAbort {
     bool valid = false;
-    /** System-wide stats at the abort point (per-device stats merged in
-     *  device-id order, memory-system counters included). */
+    /** System-wide stats at the abort point, folded like a finished
+     *  launch's: memory-system counters included, and per-device shards
+     *  in stats.perDevice on multi-device launches, in both modes. */
     KernelStats stats;
     /** Cycle of the last settled simulated cycle (0 in functional). */
     Cycle atCycle = 0;
     /** Last cycle on which any SM of any device issued an instruction. */
     Cycle lastIssueCycle = 0;
-
-    /** One device's share of the abort record. */
-    struct DeviceAbort {
-        unsigned device = 0;
-        /** This device's stats at the abort point (its SMs, its L2). */
-        KernelStats stats;
-        /** Last cycle on which one of *this device's* SMs issued — a
-         *  livelock on device 1 is attributed to device 1, not smeared
-         *  over the system aggregate. */
-        Cycle lastIssueCycle = 0;
-    };
-    /** Per-device abort shards in device-id order; populated only on
-     *  multi-device launches (numDevices > 1). */
-    std::vector<DeviceAbort> perDevice;
 };
 
 class GpuSystem {
@@ -151,11 +139,21 @@ class GpuSystem {
     const LaunchAbort &lastAbort() const { return abort_; }
 
   private:
-    KernelStats launchCycle(const Program &prog, Dim3 grid, Dim3 block,
-                            const std::vector<Word> &params);
-    KernelStats launchFunctional(const Program &prog, Dim3 grid,
-                                 Dim3 block,
-                                 const std::vector<Word> &params);
+    /** The two engines, each over launch()'s per-device states. */
+    KernelStats launchCycle(std::vector<LaunchState> &launches);
+    KernelStats launchFunctional(std::vector<LaunchState> &launches);
+
+    /**
+     * The one stats fold, for both engines' success and abort exits:
+     * each device's stats at clock @p at (memory-system counters added
+     * in cycle mode), summed in device-id order with the per-SM tables
+     * concatenated and the shards kept in KernelStats::perDevice on
+     * multi-device launches. Energy and DDOS accuracy are computed
+     * only from @p cores, which only a finished cycle launch passes.
+     */
+    KernelStats finish(const std::vector<LaunchState> &launches,
+                       const std::vector<std::unique_ptr<SmCore>> &cores,
+                       Cycle at) const;
 
     GpuConfig cfg_;
     MemorySpace mem_;

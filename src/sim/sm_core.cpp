@@ -50,6 +50,27 @@ maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
     return max_ctas;
 }
 
+void
+Cta::dispatch(LaunchState &launch, unsigned slot, unsigned warps_per_cta)
+{
+    const Program &prog = *launch.prog;
+    const unsigned threads = launch.block.count();
+    id = launch.nextCta++;
+    valid = true;
+    shared.assign(prog.sharedBytes, 0);
+    warps.clear();
+    arrivedAtBarrier = 0;
+    for (unsigned wi = 0; wi < warps_per_cta; ++wi) {
+        const unsigned lanes = std::min(kWarpSize, threads - wi * kWarpSize);
+        const LaneMask mask =
+            lanes == kWarpSize ? kFullMask : ((LaneMask{1} << lanes) - 1);
+        warps.push_back(std::make_unique<Warp>(
+            slot * warps_per_cta + wi, id, wi, launch.warpAgeCounter++,
+            prog.numRegs, prog.numPreds, mask));
+    }
+    liveWarps = warps_per_cta;
+}
+
 SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     : id_(id), cfg_(cfg), launch_(launch), stats_(launch.stats),
       ldst_(cfg, id, *launch.memsys, stats_),
@@ -73,8 +94,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
 
     wbRing_.resize(kWbRingSize);
 
-    blockThreads_ = launch_.block.count();
-    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : launch_.grid.count();
     code_ = launch_.prog->code.data();
     codeSize_ = static_cast<Pc>(launch_.prog->code.size());
     if (launch_.pcFlags.size() != launch_.prog->code.size())
@@ -112,10 +131,10 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     ddos_->setTrace(tracer_, id_);
     backoff_.setTrace(tracer_, id_);
 
-    const Program &prog = *launch_.prog;
-    unsigned threads_per_cta = blockThreads_;
+    const unsigned threads_per_cta = launch_.block.count();
     warpsPerCta_ = (threads_per_cta + kWarpSize - 1) / kWarpSize;
-    maxResidentCtas_ = maxResidentCtasFor(cfg, prog, threads_per_cta);
+    maxResidentCtas_ =
+        maxResidentCtasFor(cfg, *launch_.prog, threads_per_cta);
     ctas_.resize(maxResidentCtas_);
 }
 
@@ -124,42 +143,26 @@ SmCore::busy() const
 {
     // CTAs are handed out by the device's dispatcher; this SM stays busy
     // while work remains so it can pick CTAs up as slots free.
-    return validCtas_ != 0 || launch_.nextCta < ctaEnd_;
+    return validCtas_ != 0 || launch_.nextCta < launch_.ctaEnd;
 }
 
 void
 SmCore::tryLaunchCtas()
 {
-    if (launch_.nextCta >= ctaEnd_ || validCtas_ == maxResidentCtas_)
+    if (launch_.nextCta >= launch_.ctaEnd ||
+        validCtas_ == maxResidentCtas_)
         return;
-    const Program &prog = *launch_.prog;
-    unsigned total_ctas = ctaEnd_;
-    for (Cta &slot : ctas_) {
+    const unsigned units = static_cast<unsigned>(schedulers_.size());
+    for (unsigned s = 0; s < maxResidentCtas_; ++s) {
+        Cta &slot = ctas_[s];
         if (slot.valid)
             continue;
-        if (launch_.nextCta >= total_ctas)
+        if (launch_.nextCta >= launch_.ctaEnd)
             return;
-        unsigned cta_id = launch_.nextCta++;
-        slot.valid = true;
+        slot.dispatch(launch_, s, warpsPerCta_);
         ++validCtas_;
-        slot.id = cta_id;
-        slot.shared.assign(prog.sharedBytes, 0);
-        slot.warps.clear();
-        slot.arrivedAtBarrier = 0;
-
-        unsigned threads = blockThreads_;
-        unsigned cta_index =
-            static_cast<unsigned>(&slot - ctas_.data());
-        const unsigned units = static_cast<unsigned>(schedulers_.size());
-        for (unsigned wi = 0; wi < warpsPerCta_; ++wi) {
-            unsigned lanes = std::min(kWarpSize, threads - wi * kWarpSize);
-            LaneMask mask = lanes == kWarpSize
-                                ? kFullMask
-                                : ((LaneMask{1} << lanes) - 1);
-            unsigned warp_slot = cta_index * warpsPerCta_ + wi;
-            auto warp = std::make_unique<Warp>(
-                warp_slot, cta_id, wi, launch_.warpAgeCounter++,
-                prog.numRegs, prog.numPreds, mask);
+        for (const auto &warp : slot.warps) {
+            const unsigned warp_slot = warp->id();
             ddos_->resetWarp(warp_slot);
             resident_.push_back(warp.get());
             const unsigned unit_id = warp_slot % units;
@@ -169,9 +172,7 @@ SmCore::tryLaunchCtas()
             unitIssuable_[unit_id] |= bit;
             unitBackedOff_[unit_id] &= ~bit;
             unit.push_back(warp.get());
-            slot.warps.push_back(std::move(warp));
         }
-        slot.liveWarps = warpsPerCta_;
         stats_.peakResidentPerSm[id_] = std::max<std::uint64_t>(
             stats_.peakResidentPerSm[id_], resident_.size());
     }
@@ -208,17 +209,15 @@ SmCore::retireFinishedCtas()
 void
 SmCore::checkBarrier(Cta &cta)
 {
-    if (cta.liveWarps == 0 || cta.arrivedAtBarrier < cta.liveWarps)
+    if (!cta.releaseBarrier())
         return;
     for (auto &w : cta.warps) {
         if (!w->done()) {
-            w->setAtBarrier(false);
             refreshWarpMask(*w);
             tracer_.emit(now_, id_, static_cast<std::int32_t>(w->id()),
                          trace::EventKind::BarrierExit);
         }
     }
-    cta.arrivedAtBarrier = 0;
 }
 
 bool
@@ -582,7 +581,7 @@ SmCore::nextWorkCycle(Cycle now) const
 {
     // A free CTA slot with grid work left dispatches next cycle (a
     // retirement at the end of cycle(now) may have just opened one).
-    if (launch_.nextCta < ctaEnd_ && validCtas_ < maxResidentCtas_)
+    if (launch_.nextCta < launch_.ctaEnd && validCtas_ < maxResidentCtas_)
         return now + 1;
     Cycle horizon = kNeverCycle;
     if (wbPending_ != 0) {

@@ -29,11 +29,12 @@
 namespace bowsim {
 
 /**
- * State shared by all SMs of one device during one kernel launch. On a
- * multi-device system (GpuConfig::numDevices > 1) each device owns one
- * LaunchState: its own CTA dispatch window [nextCta, ctaEnd), warp age
- * counter, statistics shard and memory system — prog/grid/block/params
- * and the functional MemorySpace are shared across devices.
+ * State shared by all SMs of one device during one kernel launch, in
+ * either execution mode. GpuSystem::launch builds one per device
+ * (GpuConfig::numDevices): its own CTA dispatch window [nextCta,
+ * ctaEnd), warp age counter, statistics shard and, in cycle mode,
+ * memory system — prog/grid/block/params, the lock tracker and the
+ * functional MemorySpace are shared across devices.
  */
 struct LaunchState {
     const Program *prog = nullptr;
@@ -59,9 +60,9 @@ struct LaunchState {
     /** Next CTA index awaiting an SM. */
     unsigned nextCta = 0;
     /**
-     * One past the last CTA this device dispatches (0 = unset: the whole
-     * grid, the single-device default). GpuSystem assigns each device a
-     * contiguous chunk [nextCta, ctaEnd).
+     * One past the last CTA this device dispatches. GpuSystem assigns
+     * each device a contiguous chunk [nextCta, ctaEnd); %nctaid stays
+     * the whole grid.
      */
     unsigned ctaEnd = 0;
     /** Monotonic warp age counter (GTO's age ordering), device-local. */
@@ -103,6 +104,48 @@ struct LaunchState {
         mark(prog->sync.waitChecks, kPcWaitCheck);
         mark(prog->sync.lockAcquires, kPcLockAcquire);
         mark(prog->sync.spinBranches, kPcSpinBranch);
+    }
+};
+
+/**
+ * One resident-CTA slot of an SM, shared by both execution modes:
+ * SmCore and each of FunctionalExecutor's virtual SMs hold
+ * maxResidentCtasFor() of them. Slot s owns warp slots
+ * [s * warpsPerCta, (s + 1) * warpsPerCta).
+ */
+struct Cta {
+    unsigned id = 0;
+    std::vector<std::unique_ptr<Warp>> warps;
+    std::vector<std::uint8_t> shared;
+    unsigned liveWarps = 0;
+    unsigned arrivedAtBarrier = 0;
+    bool valid = false;
+
+    /**
+     * Claims @p launch's next CTA into this free slot, the @p slot-th
+     * of its SM: zeroes the shared memory and builds @p warps_per_cta
+     * warps, aged in order from launch.warpAgeCounter.
+     */
+    void dispatch(LaunchState &launch, unsigned slot,
+                  unsigned warps_per_cta);
+
+    /**
+     * Lifts the CTA barrier once every live warp has arrived: clears
+     * the barrier flag of each unfinished warp and resets the arrival
+     * count. True when it released. Inline: both engines call it at
+     * every barrier arrival and warp exit.
+     */
+    bool
+    releaseBarrier()
+    {
+        if (liveWarps == 0 || arrivedAtBarrier < liveWarps)
+            return false;
+        for (auto &w : warps) {
+            if (!w->done())
+                w->setAtBarrier(false);
+        }
+        arrivedAtBarrier = 0;
+        return true;
     }
 };
 
@@ -182,15 +225,6 @@ class SmCore : private IssueGate {
     std::uint64_t issuedInstructions() const { return issuedInstructions_; }
 
   private:
-    struct Cta {
-        unsigned id = 0;
-        std::vector<std::unique_ptr<Warp>> warps;
-        std::vector<std::uint8_t> shared;
-        unsigned liveWarps = 0;
-        unsigned arrivedAtBarrier = 0;
-        bool valid = false;
-    };
-
     /** ALU-pipeline writeback event (bucketed by completion cycle). */
     struct WbEvent {
         Warp *warp;
@@ -283,10 +317,6 @@ class SmCore : private IssueGate {
     unsigned maxWarps_;
     unsigned warpsPerCta_ = 0;
     unsigned maxResidentCtas_ = 0;
-    /** Launch geometry cached out of the per-cycle paths. */
-    unsigned blockThreads_ = 0;
-    /** One past this device's last CTA (%nctaid stays the whole grid). */
-    unsigned ctaEnd_ = 0;
     /** Instruction stream cached for the unchecked fetch() fast path. */
     const Instruction *code_ = nullptr;
     Pc codeSize_ = 0;

@@ -65,35 +65,28 @@ histJson(const LatencyHist &h)
 
 }  // namespace
 
-SyncProfileRegistry::SyncProfileRegistry(unsigned top_n,
-                                         unsigned storm_window)
-    : topN_(top_n == 0 ? 32 : top_n),
-      stormWindow_(storm_window == 0 ? 64 : std::min(storm_window, 64u))
-{
-}
-
 void
 SyncProfileRegistry::stepStorm(Record &r, bool failed)
 {
-    const std::uint64_t mask = stormWindow_ == 64
-                                   ? ~std::uint64_t{0}
-                                   : ((std::uint64_t{1} << stormWindow_) - 1);
-    r.window = ((r.window << 1) | (failed ? 1u : 0u)) & mask;
-    if (r.windowFill < stormWindow_)
+    // The window is one 64-bit word: the shift drops the oldest attempt.
+    static_assert(kStormWindow == 64);
+    r.window = (r.window << 1) | (failed ? 1u : 0u);
+    if (r.windowFill < kStormWindow)
         ++r.windowFill;
     const auto failures =
         static_cast<std::uint64_t>(__builtin_popcountll(r.window));
     if (!r.inStorm) {
         // Enter: full window and >= 90% of it failed.
-        if (r.windowFill == stormWindow_ && failures * 10 >= 9 * stormWindow_) {
+        if (r.windowFill == kStormWindow &&
+            failures * 10 >= 9 * kStormWindow) {
             r.inStorm = true;
             r.stormFromAttempt =
-                r.casAttempts >= stormWindow_ ? r.casAttempts - stormWindow_
+                r.casAttempts >= kStormWindow ? r.casAttempts - kStormWindow
                                               : 0;
             ++r.stormCount;
             ++totalStorms_;
         }
-    } else if (failures * 2 < stormWindow_) {
+    } else if (failures * 2 < kStormWindow) {
         // Exit: below 50% failed (hysteresis).
         r.inStorm = false;
         if (r.storms.size() < 16)
@@ -287,8 +280,8 @@ SyncProfileRegistry::reportJson() const
     using harness::Json;
     auto doc = Json::object();
     doc.set("version", 1);
-    doc.set("top_n", topN_);
-    doc.set("storm_window", stormWindow_);
+    doc.set("top_n", kTopN);
+    doc.set("storm_window", kStormWindow);
 
     auto totals = Json::object();
     totals.set("tracked_addresses",
@@ -317,7 +310,7 @@ SyncProfileRegistry::reportJson() const
     auto arr = Json::array();
     std::size_t emitted = 0;
     for (const auto *entry : ranked()) {
-        if (emitted++ >= topN_)
+        if (emitted++ >= kTopN)
             break;
         const Addr addr = entry->first;
         const Record &r = entry->second;
@@ -374,11 +367,11 @@ SyncProfileRegistry::hotReport() const
     if (totalAtomics_ == 0)
         return {};
     std::ostringstream os;
-    os << "  hot sync objects (top " << std::min<std::size_t>(topN_, 8)
+    os << "  hot sync objects (top " << std::min<std::size_t>(kTopN, 8)
        << " by failed CAS):\n";
     std::size_t emitted = 0;
     for (const auto *entry : ranked()) {
-        if (emitted++ >= std::min<std::size_t>(topN_, 8))
+        if (emitted++ >= std::min<std::size_t>(kTopN, 8))
             break;
         const Addr addr = entry->first;
         const Record &r = entry->second;

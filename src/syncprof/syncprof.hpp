@@ -128,15 +128,14 @@ struct AddrSummary {
  */
 class SyncProfileRegistry {
   public:
+    /** Addresses reportJson() emits; hotReport() prints at most 8. */
+    static constexpr unsigned kTopN = 32;
     /**
-     * @param top_n        addresses emitted by reportJson()/hotReport()
-     * @param storm_window CAS-attempt window of the storm detector,
-     *                     clamped to [1, 64] (one word of history per
-     *                     address). Enter at >= 90% failed with a full
-     *                     window; exit below 50% (hysteresis).
+     * CAS-attempt window of the storm detector, one 64-bit word of
+     * history per address. A storm enters at >= 90% failed with a full
+     * window (58 of 64) and exits below 50% (hysteresis).
      */
-    explicit SyncProfileRegistry(unsigned top_n = 32,
-                                 unsigned storm_window = 64);
+    static constexpr unsigned kStormWindow = 64;
 
     // --- committed functional path (serial, order-deterministic) -------
     /**
@@ -178,8 +177,6 @@ class SyncProfileRegistry {
     std::uint64_t casFailures() const { return totalCasFailures_; }
     /** Highest concurrent-waiter count seen on any single address. */
     unsigned peakWaiters() const { return peakWaiters_; }
-    /** Addresses with at least one atomic operation. */
-    std::size_t trackedAddresses() const { return addrs_.size(); }
 
     /**
      * The @p n hottest addresses — most failed CAS first, ties broken
@@ -259,9 +256,6 @@ class SyncProfileRegistry {
     std::unordered_map<std::uint64_t, Addr> lastFailed_;
     /** Lines with >= 1 contended address (sampler gauge support). */
     std::map<Addr, std::uint64_t> contendedPerLine_;
-
-    unsigned topN_;
-    unsigned stormWindow_;
 
     std::uint64_t totalAtomics_ = 0;
     std::uint64_t totalCasAttempts_ = 0;

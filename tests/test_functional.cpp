@@ -125,6 +125,7 @@ TEST(Functional, RunForStopsWithinOneSlice)
     launch.tracker = &locks;
     launch.prog = &prog;
     launch.grid = Dim3{4, 1, 1};
+    launch.ctaEnd = 4;
     launch.block = Dim3{128, 1, 1};
     launch.params = {static_cast<Word>(mutex), static_cast<Word>(counter)};
     launch.mem = &gpu.mem();

@@ -82,22 +82,42 @@ TEST(Json, MissingKeyThrows)
 
 // --- json_check --litmus ----------------------------------------------
 
-/** A small but complete litmus document: tas x LRR x {base,bows} x
- *  under x {1,2} devices, every cell marked completed. */
-Json
-litmusDoc()
+/** A small but complete litmus matrix: tas x LRR x {base,bows} x
+ *  under x {1,2} devices. */
+harness::LitmusOptions
+smallLitmusOptions()
 {
     harness::LitmusOptions opts = harness::defaultLitmusOptions();
     opts.primitives = {sync::Primitive::TasLock};
     opts.schedulers = {SchedulerKind::LRR};
     opts.bowsModes = {false, true};
     opts.occupancies = {harness::OccupancyLevel::Under};
+    return opts;
+}
+
+/** Every cell completed, each multi-device cell carrying one stats
+ *  shard per device as real runs do. */
+std::vector<harness::LitmusCellResult>
+completedResults(const std::vector<harness::LitmusCell> &cells)
+{
+    std::vector<harness::LitmusCellResult> results(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        results[i].outcome = harness::SyncOutcome::Completed;
+        if (cells[i].numDevices > 1)
+            results[i].stats.perDevice.resize(cells[i].numDevices);
+    }
+    return results;
+}
+
+/** The small matrix as a document, every cell marked completed. */
+Json
+litmusDoc()
+{
+    const harness::LitmusOptions opts = smallLitmusOptions();
     const std::vector<harness::LitmusCell> cells =
         harness::buildLitmusCells(opts);
-    std::vector<harness::LitmusCellResult> results(cells.size());
-    for (harness::LitmusCellResult &r : results)
-        r.outcome = harness::SyncOutcome::Completed;
-    return harness::litmusToJson("litmus", opts, cells, results);
+    return harness::litmusToJson("litmus", opts, cells,
+                                 completedResults(cells));
 }
 
 /** First-occurrence textual surgery for building broken documents. */
@@ -182,6 +202,28 @@ TEST(JsonCheckLitmus, DuplicateCellFails)
     EXPECT_NE(r.message.find("duplicate"), std::string::npos);
 }
 
+TEST(JsonCheckLitmus, TwoDeviceCellWithoutShardsFails)
+{
+    // A multi-device cell must carry its per-device shards whatever its
+    // outcome, so a stats block that lost them fails the document.
+    const harness::LitmusOptions opts = smallLitmusOptions();
+    const std::vector<harness::LitmusCell> cells =
+        harness::buildLitmusCells(opts);
+    std::vector<harness::LitmusCellResult> results = completedResults(cells);
+    std::size_t two_device = 0;
+    while (two_device < cells.size() && cells[two_device].numDevices != 2)
+        ++two_device;
+    ASSERT_LT(two_device, cells.size());
+    results[two_device].stats.perDevice.clear();
+    const harness::CheckResult r = harness::checkLitmusMatrix(
+        harness::litmusToJson("litmus", opts, cells, results));
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.message.find("runs on 2 device(s) but carries 0 stats "
+                             "shard(s)"),
+              std::string::npos)
+        << r.message;
+}
+
 TEST(JsonCheckLitmus, ConfigBowsMismatchFails)
 {
     // Flag flipped but config left alone: self-description broken.
@@ -198,16 +240,10 @@ TEST(JsonCheckLitmus, ConfigBowsMismatchFails)
 Json
 evidenceDoc()
 {
-    harness::LitmusOptions opts = harness::defaultLitmusOptions();
-    opts.primitives = {sync::Primitive::TasLock};
-    opts.schedulers = {SchedulerKind::LRR};
-    opts.bowsModes = {false, true};
-    opts.occupancies = {harness::OccupancyLevel::Under};
+    const harness::LitmusOptions opts = smallLitmusOptions();
     const std::vector<harness::LitmusCell> cells =
         harness::buildLitmusCells(opts);
-    std::vector<harness::LitmusCellResult> results(cells.size());
-    for (harness::LitmusCellResult &r : results)
-        r.outcome = harness::SyncOutcome::Completed;
+    std::vector<harness::LitmusCellResult> results = completedResults(cells);
     results[0].outcome = harness::SyncOutcome::Livelocked;
     results[0].hasEvidence = true;
     results[0].evidenceAddr = 0x1f80;

@@ -254,6 +254,27 @@ TEST(Litmus, GoldenOverSubscribedBarrierLivelocksEvenWithBows)
     EXPECT_EQ(r.outcome, SyncOutcome::Livelocked);
 }
 
+/** The same cell on two devices: the abort record keeps one stats shard
+ *  per device in both execution modes, and the shards add up to the
+ *  system total. */
+TEST(Litmus, GoldenOverSubscribedBarrierAbortKeepsDeviceShards)
+{
+    for (ExecMode mode : {ExecMode::Cycle, ExecMode::Functional}) {
+        LitmusOptions opts = singleCellOptions(
+            sync::Primitive::GlobalBarrier, SchedulerKind::LRR, true,
+            OccupancyLevel::Over);
+        opts.base.execMode = mode;
+        opts.devices = {2};
+        const LitmusCellResult r = runSingleCell(opts);
+        EXPECT_EQ(r.outcome, SyncOutcome::Livelocked) << toString(mode);
+        ASSERT_EQ(r.stats.perDevice.size(), 2u) << toString(mode);
+        std::uint64_t shard_sum = 0;
+        for (const KernelStats &shard : r.stats.perDevice)
+            shard_sum += shard.warpInstructions;
+        EXPECT_EQ(shard_sum, r.stats.warpInstructions) << toString(mode);
+    }
+}
+
 // --- artifact ---------------------------------------------------------
 
 TEST(Litmus, JsonArtifactIsSelfDescribingAndValidates)

@@ -208,26 +208,35 @@ TEST(SyncProf, HotAddressesRankByFailuresThenAttempts)
 
 TEST(SyncProf, StormEntersAtNinetyPercentAndExitsBelowHalf)
 {
-    SyncProfileRegistry reg(4, /*storm_window=*/8);
-    // Seven failures in a full window of eight is below the 90%
-    // threshold: no storm yet.
-    acquire(reg, 1, 0);
+    SyncProfileRegistry reg;
+    static_assert(SyncProfileRegistry::kStormWindow == 64);
+    // Seven successes and 57 failures fill the 64-attempt window below
+    // the 90% threshold: no storm yet.
     for (int i = 0; i < 7; ++i)
+        acquire(reg, 1, i);
+    for (int i = 0; i < 57; ++i)
         failAcquire(reg, 2, 10 + i);
     EXPECT_TRUE(reg.stormsOf(kLock).empty());
-    // The eighth consecutive failure fills the window at 8/8.
-    failAcquire(reg, 2, 20);
+    // The next failure pushes a success out: 58 of 64 enters the storm
+    // at attempt 65, dated back one window.
+    failAcquire(reg, 2, 100);
     auto storms = reg.stormsOf(kLock);
     ASSERT_EQ(storms.size(), 1u);  // open interval, reported to "now"
+    EXPECT_EQ(storms[0].fromAttempt, 1u);
+    EXPECT_EQ(storms[0].toAttempt, 65u);
     // Successes dilute the window; hysteresis keeps the storm open
-    // until the fill drops below 50%.
-    for (int i = 0; i < 4; ++i)
-        acquire(reg, 3, 30 + i);
-    EXPECT_EQ(reg.stormsOf(kLock).size(), 1u);
-    acquire(reg, 3, 40);  // popcount falls to 3 of 8: storm closes
+    // while 32 of 64 still failed.
+    for (int i = 0; i < 32; ++i)
+        acquire(reg, 3, 200 + i);
     storms = reg.stormsOf(kLock);
     ASSERT_EQ(storms.size(), 1u);
-    EXPECT_LE(storms[0].fromAttempt, storms[0].toAttempt);
+    EXPECT_EQ(storms[0].toAttempt, 97u);
+    acquire(reg, 3, 300);  // 31 of 64 failed: the storm closes
+    acquire(reg, 3, 301);  // a closed interval no longer grows
+    storms = reg.stormsOf(kLock);
+    ASSERT_EQ(storms.size(), 1u);
+    EXPECT_EQ(storms[0].fromAttempt, 1u);
+    EXPECT_EQ(storms[0].toAttempt, 98u);
     const auto hot = reg.hotAddresses(1);
     ASSERT_EQ(hot.size(), 1u);
     EXPECT_EQ(hot.front().stormCount, 1u);
@@ -255,16 +264,17 @@ TEST(SyncProf, NullHandleForwardsNothing)
 Json
 sampleReport()
 {
-    SyncProfileRegistry reg(4, 8);
+    SyncProfileRegistry reg;
     acquire(reg, 1, 10);
-    for (int i = 0; i < 8; ++i)
+    // A full window of failures: a storm, still open at the end.
+    for (int i = 0; i < 64; ++i)
         failAcquire(reg, 2, 20 + i);
-    releaseLock(reg, 1, 30);
-    acquire(reg, 2, 34);
-    reg.onBackoffEnter(2, 36);
+    releaseLock(reg, 1, 90);
+    acquire(reg, 2, 94);
+    reg.onBackoffEnter(2, 96);
     reg.onTimedAtomic(kLock, 5, false);
     reg.onTimedAtomic(kLock, 9, true);
-    reg.onAtomic(0x2000, 3, 40, true, true, kFailed);
+    reg.onAtomic(0x2000, 3, 100, true, true, kFailed);
     return reg.reportJson();
 }
 
