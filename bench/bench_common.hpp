@@ -77,7 +77,7 @@ struct BenchOptions {
      * GpuConfig::idleSkip off on every point. Results are bit-identical
      * either way (that is tested); the flag exists for wall-clock
      * comparisons and for ruling the skip logic out when debugging.
-     * Recorded per point in the JSON artifact as config.idle_skip.
+     * Not recorded: the JSON artifact is byte-identical either way.
      */
     bool noSkip = false;
     /**
@@ -95,9 +95,9 @@ struct BenchOptions {
      */
     std::string syncReportPath;
     /**
-     * Sample spacing in simulated cycles (--metrics-interval). 0 defers
-     * to each point's config, which defaults to 1000 when --metrics is
-     * on. Recorded per point as config.metrics_interval.
+     * Sample spacing in simulated cycles for --metrics
+     * (--metrics-interval); 0 means 1000. Recorded in each series as
+     * its "interval", not in the sweep artifact.
      */
     Cycle metricsInterval = 0;
     /**
@@ -306,6 +306,91 @@ struct Sweep {
     }
 };
 
+/** One column of the Figs. 10-13 delay sweep. */
+struct DelayMode {
+    const char *label;
+    bool bows;
+    bool adaptive;
+    /** Fixed back-off delay limit (BowsConfig::delayLimit). */
+    Cycle limit;
+};
+
+/** The Figs. 10-13 columns: plain GTO, then GTO+BOWS at each delay
+ *  limit and with the adaptive estimator. */
+inline const std::vector<DelayMode> &
+delayModes()
+{
+    static const std::vector<DelayMode> modes = {
+        {"GTO", false, false, 0},     {"B0", true, false, 0},
+        {"B500", true, false, 500},   {"B1000", true, false, 1000},
+        {"B3000", true, false, 3000}, {"B5000", true, false, 5000},
+        {"Badapt", true, true, 0},
+    };
+    return modes;
+}
+
+/**
+ * The Figs. 10-13 sweep: every sync kernel under each delayModes()
+ * column on the GTX480 with DDOS spin detection, kernel-major, so the
+ * result of kernel k in column m is at k * delayModes().size() + m.
+ * Point ids are KERNEL/LABEL.
+ */
+inline Sweep
+delaySweep(std::string name, const BenchOptions &opts)
+{
+    Sweep sweep;
+    sweep.name = std::move(name);
+    for (const std::string &kernel : syncKernelNames()) {
+        for (const DelayMode &m : delayModes()) {
+            GpuConfig cfg = makeGtx480Config();
+            applyCores(opts, cfg);
+            cfg.scheduler = SchedulerKind::GTO;
+            cfg.bows.enabled = m.bows;
+            cfg.bows.adaptive = m.adaptive;
+            cfg.bows.delayLimit = m.limit;
+            sweep.add(kernel + "/" + m.label, kernel, cfg, opts.scale);
+        }
+    }
+    return sweep;
+}
+
+/** The paper's three base policies, in column order. */
+inline const std::vector<SchedulerKind> &
+basePolicies()
+{
+    static const std::vector<SchedulerKind> policies = {
+        SchedulerKind::LRR, SchedulerKind::GTO, SchedulerKind::CAWA};
+    return policies;
+}
+
+/**
+ * The Figs. 2, 9 and 15 sweep: every sync kernel under each base
+ * policy with BOWS off and/or on as @p bows_modes lists, on
+ * @p preset's configuration, kernel-major. Point ids are KERNEL/POLICY,
+ * with "+B" appended when BOWS is on.
+ */
+inline Sweep
+policySweep(std::string name, const BenchOptions &opts,
+            GpuConfig (*preset)(), const std::vector<bool> &bows_modes)
+{
+    Sweep sweep;
+    sweep.name = std::move(name);
+    for (const std::string &kernel : syncKernelNames()) {
+        for (SchedulerKind sched : basePolicies()) {
+            for (bool bows : bows_modes) {
+                GpuConfig cfg = preset();
+                applyCores(opts, cfg);
+                cfg.scheduler = sched;
+                cfg.bows.enabled = bows;
+                sweep.add(kernel + "/" + toString(sched) +
+                              (bows ? "+B" : ""),
+                          kernel, cfg, opts.scale);
+            }
+        }
+    }
+    return sweep;
+}
+
 /**
  * Runs @p sweep on a SweepRunner(opts.jobs) pool, writes the JSON
  * artifact when opts.jsonPath is set, and returns the per-point results
@@ -331,12 +416,9 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         }
         if (!opts.syncReportPath.empty())
             p.syncReportPath = tracePathFor(opts.syncReportPath, p.id);
-        if (opts.metricsInterval != 0)
-            p.cfg.metricsInterval = opts.metricsInterval;
         if (!opts.metricsPath.empty()) {
             p.metricsPath = tracePathFor(opts.metricsPath, p.id);
-            if (p.cfg.metricsInterval == 0)
-                p.cfg.metricsInterval = 1000;
+            p.metricsInterval = opts.metricsInterval;
         }
         if (opts.profile) {
             p.cfg.collectStallBreakdown = true;
@@ -378,8 +460,8 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
                          opts.jsonPath.c_str());
             std::exit(1);
         }
-        out << harness::sweepToJson(sweep.name, runner.jobs(), points,
-                                    results, cache.get())
+        out << harness::sweepToJson(sweep.name, points, results,
+                                    cache.get())
                    .dump()
             << "\n";
     }

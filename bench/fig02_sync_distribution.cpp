@@ -19,21 +19,10 @@ main(int argc, char **argv)
                 "lock_ok", "interFail", "intraFail", "wait_ok",
                 "wait_fail");
 
-    const std::vector<SchedulerKind> scheds = {
-        SchedulerKind::LRR, SchedulerKind::GTO, SchedulerKind::CAWA};
-    const std::vector<std::string> kernels = syncKernelNames();
-    Sweep sweep;
-    sweep.name = "fig02_sync_distribution";
-    for (const std::string &name : kernels) {
-        for (SchedulerKind sched : scheds) {
-            GpuConfig cfg = makeGtx480Config();
-            applyCores(opts, cfg);
-            cfg.scheduler = sched;
-            cfg.bows.enabled = false;
-            sweep.add(name + "/" + toString(sched), name, cfg,
-                      opts.scale);
-        }
-    }
+    const std::vector<SchedulerKind> &scheds = basePolicies();
+    const std::vector<std::string> &kernels = syncKernelNames();
+    const Sweep sweep = policySweep("fig02_sync_distribution", opts,
+                                    makeGtx480Config, {false});
 
     const std::vector<SweepResult> results = runSweep(opts, sweep);
     for (size_t k = 0; k < kernels.size(); ++k) {

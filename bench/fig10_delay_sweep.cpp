@@ -20,34 +20,9 @@ main(int argc, char **argv)
                 "BOWS(0)", "B(500)", "B(1000)", "B(3000)", "B(5000)",
                 "B(adapt)");
 
-    struct Mode {
-        const char *label;
-        bool bows;
-        bool adaptive;
-        Cycle limit;
-    };
-    const std::vector<Mode> modes = {
-        {"GTO", false, false, 0},     {"B0", true, false, 0},
-        {"B500", true, false, 500},   {"B1000", true, false, 1000},
-        {"B3000", true, false, 3000}, {"B5000", true, false, 5000},
-        {"Badapt", true, true, 0},
-    };
-
-    const std::vector<std::string> kernels = syncKernelNames();
-    Sweep sweep;
-    sweep.name = "fig10_delay_sweep";
-    for (const std::string &name : kernels) {
-        for (const Mode &m : modes) {
-            GpuConfig cfg = makeGtx480Config();
-            applyCores(opts, cfg);
-            cfg.scheduler = SchedulerKind::GTO;
-            cfg.bows.enabled = m.bows;
-            cfg.bows.adaptive = m.adaptive;
-            cfg.bows.delayLimit = m.limit;
-            cfg.spinDetect = SpinDetect::Ddos;
-            sweep.add(name + "/" + m.label, name, cfg, opts.scale);
-        }
-    }
+    const std::vector<DelayMode> &modes = delayModes();
+    const std::vector<std::string> &kernels = syncKernelNames();
+    const Sweep sweep = delaySweep("fig10_delay_sweep", opts);
 
     const std::vector<SweepResult> results = runSweep(opts, sweep);
     for (size_t k = 0; k < kernels.size(); ++k) {

@@ -13,40 +13,16 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opts = parseOptions(argc, argv, 1.0);
-    struct Mode {
-        const char *label;
-        bool bows;
-        bool adaptive;
-        Cycle limit;
-    };
-    const std::vector<Mode> modes = {
-        {"GTO", false, false, 0},    {"B0", true, false, 0},
-        {"B500", true, false, 500},  {"B1000", true, false, 1000},
-        {"B3000", true, false, 3000}, {"B5000", true, false, 5000},
-        {"Badapt", true, true, 0},
-    };
-
-    const std::vector<std::string> kernels = syncKernelNames();
-    Sweep sweep;
-    sweep.name = "fig13_overheads";
-    for (const std::string &name : kernels) {
-        for (const Mode &m : modes) {
-            GpuConfig cfg = makeGtx480Config();
-            applyCores(opts, cfg);
-            cfg.scheduler = SchedulerKind::GTO;
-            cfg.bows.enabled = m.bows;
-            cfg.bows.adaptive = m.adaptive;
-            cfg.bows.delayLimit = m.limit;
-            sweep.add(name + "/" + m.label, name, cfg, opts.scale);
-        }
-    }
+    const std::vector<DelayMode> &modes = delayModes();
+    const std::vector<std::string> &kernels = syncKernelNames();
+    const Sweep sweep = delaySweep("fig13_overheads", opts);
 
     const std::vector<SweepResult> results = runSweep(opts, sweep);
 
     auto table = [&](const char *title, auto metric, bool normalize) {
         printHeader(title);
         std::printf("%-6s", "kernel");
-        for (const Mode &m : modes)
+        for (const DelayMode &m : modes)
             std::printf(" %8s", m.label);
         std::printf("\n");
         std::vector<double> gmean(modes.size(), 1.0);

@@ -22,25 +22,9 @@ main(int argc, char **argv)
                 "CAWA+B", "eLRR", "eLRR+B", "eGTO", "eGTO+B", "eCAWA",
                 "eCAWA+B");
 
-    const char *labels[6] = {"LRR",  "LRR+B",  "GTO",
-                             "GTO+B", "CAWA", "CAWA+B"};
-    const std::vector<std::string> kernels = syncKernelNames();
-    Sweep sweep;
-    sweep.name = "fig15_pascal";
-    for (const std::string &name : kernels) {
-        unsigned i = 0;
-        for (SchedulerKind sched : {SchedulerKind::LRR, SchedulerKind::GTO,
-                                    SchedulerKind::CAWA}) {
-            for (bool bows : {false, true}) {
-                GpuConfig cfg = makeGtx1080TiConfig();
-                applyCores(opts, cfg);
-                cfg.scheduler = sched;
-                cfg.bows.enabled = bows;
-                sweep.add(name + "/" + labels[i], name, cfg, opts.scale);
-                ++i;
-            }
-        }
-    }
+    const std::vector<std::string> &kernels = syncKernelNames();
+    const Sweep sweep =
+        policySweep("fig15_pascal", opts, makeGtx1080TiConfig, {false, true});
 
     const std::vector<SweepResult> results = runSweep(opts, sweep);
 

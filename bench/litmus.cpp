@@ -17,9 +17,9 @@
  *
  * --scale multiplies the round count like every other bench. The JSON
  * artifact (--json) is the litmus outcome-matrix document validated by
- * json_check --litmus; it deliberately omits execution knobs (--jobs,
- * idle-skip, metrics interval), so artifacts are byte-identical across
- * them.
+ * json_check --litmus. Its header records the base configuration once,
+ * without the execution knobs (--jobs, --no-skip), so artifacts are
+ * byte-identical across them.
  */
 #include <cmath>
 #include <cstdio>
@@ -153,8 +153,8 @@ main(int argc, char **argv)
     }
     // The shared knobs that change *what* is simulated are applied to
     // the base config before cells are built, so the artifact records
-    // them; execution-only knobs (--no-skip, --jobs) are
-    // left to runSweep and deliberately never reach the artifact.
+    // them; execution-only knobs (--no-skip, --jobs) are left to
+    // runSweep and never reach the artifact.
     applyCores(opts, lo.base);
     if (opts.hasExecMode)
         lo.base.execMode = opts.execMode;

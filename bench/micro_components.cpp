@@ -213,13 +213,12 @@ BM_MicroMetrics(benchmark::State &state)
 {
     GpuConfig cfg = makeGtx480Config();
     cfg.numCores = 1;
-    cfg.metricsInterval = 1000;
     const std::string name = syncKernelNames().front();
     std::uint64_t cycles = 0;
     std::uint64_t rows = 0;
     for (auto _ : state) {
         Gpu gpu(cfg);
-        metrics::MetricsSampler sampler(cfg.metricsInterval);
+        metrics::MetricsSampler sampler(1000);
         gpu.setMetrics(&sampler);
         auto h = makeBenchmark(name, 0.05);
         cycles += h->run(gpu).cycles;

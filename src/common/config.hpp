@@ -11,7 +11,10 @@
  * Simulator configuration. GpuConfig holds what the two Table II
  * presets (GTX480 "Fermi" and GTX1080Ti "Pascal") set differently plus
  * the experiment axes: scheduler, BOWS, DDOS (Table I), device count
- * and the execution knobs. Table II values that neither preset nor any
+ * and the execution mode, plus one execution knob, idleSkip. Every
+ * field but idleSkip is in harness::configToJson (src/harness/sweep.hpp),
+ * the one serialized record of a configuration that artifacts and
+ * result-cache keys share. Table II values that neither preset nor any
  * experiment varies are the named constants below. A constant is part
  * of the model: changing one changes simulated results, so it needs a
  * kResultSchemaVersion bump (src/harness/fingerprint.hpp).
@@ -219,16 +222,6 @@ struct GpuConfig {
     bool collectStallBreakdown = false;
 
     /**
-     * Accumulate KernelStats::spinningWarpCycles — the per-cycle count
-     * of resident warps the spin-detection mechanism currently flags as
-     * spinning. Off by default for the same reason as the stall
-     * breakdown: the gauge loops over resident warps, so it stays off
-     * the hot path unless a consumer (the litmus harness's spin-cycle
-     * attribution) asks for it.
-     */
-    bool collectSpinCycles = false;
-
-    /**
      * Event-driven idle-cycle fast-forward: an SM that issued nothing
      * sleeps until the earliest cycle at which it can do work
      * (writeback, memory completion, back-off deadline, CTA dispatch)
@@ -238,18 +231,11 @@ struct GpuConfig {
      * flag exists as an escape hatch (--no-skip on the bench binaries)
      * and for differential testing. Ignored — skip is forced off —
      * while a trace sink is attached, because per-cycle IssueStall
-     * events cannot be synthesized for skipped cycles.
+     * events cannot be synthesized for skipped cycles. The one field
+     * configToJson leaves out, so artifacts and cache keys are the same
+     * with the skip on or off.
      */
     bool idleSkip = true;
-
-    /**
-     * Sample period, in simulated cycles, for the time-series metrics
-     * sampler (--metrics-interval on the bench binaries). 0 disables
-     * sampling; the value is only consulted when a MetricsSampler is
-     * attached via Gpu::setMetrics(). Recorded in sweep JSON artifacts
-     * so a series can be interpreted offline.
-     */
-    Cycle metricsInterval = 0;
 
     // --- Execution mode (docs/PERF.md, "Execution modes") ----------------
     /**

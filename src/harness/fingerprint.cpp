@@ -223,105 +223,6 @@ FingerprintHasher::hex()
 }
 
 // ---------------------------------------------------------------------
-// Canonical GpuConfig serialization.
-// ---------------------------------------------------------------------
-
-/*
- * Field-coverage guard. If this assertion fires, GpuConfig (or one of
- * its nested structs) gained, lost or resized a field. A new field that
- * can influence simulated results MUST be added to hashConfig() below
- * AND to configToJson() (src/harness/sweep.cpp) before updating the
- * expected size — otherwise two configurations that differ in the new
- * field would hash to the same cache key and the result cache would
- * serve STALE statistics for one of them. That failure mode is silent
- * at run time (the cached record looks perfectly valid), which is why
- * the guard is structural: growing the struct breaks the build until a
- * human re-audits the canonical serializations. Execution knobs proven
- * result-neutral (see hashConfig) may be excluded from the hash, but
- * the exclusion must be explicit and the size below still updated.
- */
-#if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(GpuConfig) == 232 && sizeof(BowsConfig) == 40 &&
-                  sizeof(DdosConfig) == 20 && sizeof(CacheConfig) == 16,
-              "GpuConfig layout changed: update hashConfig() and "
-              "configToJson() for any new result-relevant field, then "
-              "update these expected sizes (see the stale-cache hazard "
-              "comment above)");
-#endif
-
-namespace {
-
-void
-hashCache(FingerprintHasher &h, const char *tag, const CacheConfig &c)
-{
-    h.add(tag, std::string("cache"));
-    h.add("size_bytes", c.sizeBytes);
-    h.add("ways", c.ways);
-}
-
-}  // namespace
-
-void
-hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
-{
-    h.add("schema", static_cast<std::uint64_t>(kResultSchemaVersion));
-    h.add("name", cfg.name);
-    h.add("num_cores", cfg.numCores);
-    h.add("max_threads_per_core", cfg.maxThreadsPerCore);
-    h.add("num_regs_per_core", cfg.numRegsPerCore);
-    h.add("num_schedulers_per_core", cfg.numSchedulersPerCore);
-    h.add("scheduler", std::string(toString(cfg.scheduler)));
-    h.add("gto_rotate_period", cfg.gtoRotatePeriod);
-
-    h.add("bows_enabled", cfg.bows.enabled);
-    h.add("bows_deprioritize", cfg.bows.deprioritize);
-    h.add("bows_delay_limit", cfg.bows.delayLimit);
-    h.add("bows_adaptive", cfg.bows.adaptive);
-    h.add("bows_min_limit", cfg.bows.minLimit);
-    h.add("bows_max_limit", cfg.bows.maxLimit);
-
-    h.add("ddos_hash", std::string(toString(cfg.ddos.hash)));
-    h.add("ddos_hash_bits", cfg.ddos.hashBits);
-    h.add("ddos_history_length", cfg.ddos.historyLength);
-    h.add("ddos_confidence_threshold", cfg.ddos.confidenceThreshold);
-    h.add("ddos_time_share", cfg.ddos.timeShare);
-
-    h.add("spin_detect", std::string(toString(cfg.spinDetect)));
-
-    hashCache(h, "l1d", cfg.l1d);
-    h.add("l1_mshrs", cfg.l1Mshrs);
-    hashCache(h, "l2", cfg.l2);
-    h.add("num_l2_banks", cfg.numL2Banks);
-    h.add("l2_hit_latency", cfg.l2HitLatency);
-    h.add("dram_latency", cfg.dramLatency);
-    h.add("dram_service_period", cfg.dramServicePeriod);
-    h.add("atomic_service_period", cfg.atomicServicePeriod);
-
-    h.add("core_clock_mhz", cfg.coreClockMhz);
-    h.add("watchdog_cycles", cfg.watchdogCycles);
-
-    // Device/system split: the device count changes CTA placement and
-    // address homing, so a numDevices=1 record must not be served to a
-    // numDevices=2 request and vice versa.
-    h.add("num_devices", cfg.numDevices);
-
-    // Stats-collection gates change what statsToJson emits (stall
-    // tables, spin-cycle gauge), so they are result-relevant even
-    // though they never alter timing.
-    h.add("collect_stall_breakdown", cfg.collectStallBreakdown);
-    h.add("collect_spin_cycles", cfg.collectSpinCycles);
-
-    // Deliberately excluded — execution knobs whose non-effect on
-    // results is contractual and locked in by the differential suites
-    // (docs/PERF.md): idleSkip (SkipEquivalence) and metricsInterval
-    // (inert without an attached sampler; sampler points bypass the
-    // cache anyway). Excluding them lets a cache warmed with idle-skip
-    // on serve a --no-skip run.
-
-    h.add("exec_mode", std::string(toString(cfg.execMode)));
-}
-
-// ---------------------------------------------------------------------
 // Program serialization.
 // ---------------------------------------------------------------------
 
@@ -397,7 +298,8 @@ fingerprintPoint(const SweepPoint &point)
         return key;
     }
     FingerprintHasher h;
-    hashConfig(h, point.cfg);
+    h.add("schema", static_cast<std::uint64_t>(kResultSchemaVersion));
+    h.add("config", configToJson(point.cfg).dump());
     h.add("scale", point.scale);
     h.add("kernel", point.kernel);
     // Hashed only when present, so points without overrides keep the

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/common/config.hpp"
-
 /**
  * @file
  * Content fingerprints for sweep points (docs/BENCH.md, "Result
@@ -15,8 +13,9 @@
  *  - a schema-version constant (kResultSchemaVersion), bumped whenever
  *    the simulator's timing behavior or the cached-record format
  *    changes, so every previously cached result is invalidated at once;
- *  - every result-relevant GpuConfig field (see hashConfig for the
- *    short, deliberately enumerated list of exclusions);
+ *  - the configuration record configToJson(cfg) (src/harness/sweep.hpp),
+ *    which holds every GpuConfig field except the execution knob
+ *    idleSkip;
  *  - the kernel name, workload scale and kernel overrides (the
  *    overrides only when the point has some);
  *  - the assembled ISA of every program the benchmark launches —
@@ -27,7 +26,7 @@
  * equal fingerprints produce bit-identical KernelStats. The determinism
  * contracts shipped with the sweep harness make that literal — results
  * are byte-identical across --jobs and idle-skip, which is exactly why
- * those execution knobs are excluded from the hash.
+ * neither is in the record.
  */
 
 namespace bowsim {
@@ -79,17 +78,6 @@ class FingerprintHasher {
     bool finalized_ = false;
 };
 
-/**
- * Hashes every result-relevant GpuConfig field into @p h. The only
- * exclusions are the execution knobs whose non-effect on results is
- * contractual and differentially tested (docs/PERF.md): idleSkip and
- * metricsInterval. Everything else — including fields that only gate
- * optional stats collection (collectStallBreakdown, collectSpinCycles),
- * since they change what statsToJson emits — is included. A field-coverage guard in fingerprint.cpp fails the build
- * when GpuConfig grows without this function being revisited.
- */
-void hashConfig(FingerprintHasher &h, const GpuConfig &cfg);
-
 /** Hashes one assembled program: name, resource declarations, the full
  *  instruction stream (every field, numerically — not the disassembly,
  *  which elides reconvergence PCs) and the sync annotations. */
@@ -106,9 +94,10 @@ struct PointKey {
 
 /**
  * Computes @p point's fingerprint:
- *  - registry points hash (schema version, config, scale, kernel, the
- *    overrides when there are any, and the assembled programs of
- *    makeBenchmark(kernel, scale, params));
+ *  - registry points hash (schema version, the dump of
+ *    configToJson(cfg), scale, kernel, the overrides when there are
+ *    any, and the assembled programs of makeBenchmark(kernel, scale,
+ *    params));
  *  - gpuBody points are not cacheable (the runner counts them as
  *    bypassed and always simulates them).
  * Side outputs — the trace (tracePath), the metrics series

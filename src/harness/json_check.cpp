@@ -9,6 +9,7 @@
 #include "src/common/config.hpp"
 #include "src/common/log.hpp"
 #include "src/harness/litmus.hpp"
+#include "src/harness/sweep.hpp"
 #include "src/sync/primitives.hpp"
 
 namespace bowsim::harness {
@@ -56,6 +57,44 @@ shardViolation(const Json &stats, std::int64_t devices,
             return where + " device shard " + std::to_string(d) +
                    " nests a \"devices\" block";
     }
+    return {};
+}
+
+/**
+ * The config-block rule sweep points and the litmus header share:
+ * @p cfg is an object whose keys are exactly those configToJson writes
+ * for its num_devices, and whose exec_mode names a known mode. Empty
+ * when @p cfg obeys the rule, else the failure, naming the key and
+ * prefixed with @p where.
+ */
+std::string
+configViolation(const Json &cfg, const std::string &where)
+{
+    if (cfg.type() != Json::Type::Object)
+        return where + " has no \"config\" object";
+    GpuConfig probe;
+    if (cfg.has("num_devices")) {
+        if (!cfg.at("num_devices").isNumber() ||
+            cfg.at("num_devices").asInt() < 1)
+            return where + " config has a non-positive \"num_devices\"";
+        probe.numDevices =
+            static_cast<unsigned>(cfg.at("num_devices").asInt());
+    }
+    const Json record = configToJson(probe);
+    for (const auto &[key, value] : record.members()) {
+        if (!cfg.has(key))
+            return where + " config lacks \"" + key + "\"";
+    }
+    for (const auto &[key, value] : cfg.members()) {
+        if (!record.has(key))
+            return where + " config carries \"" + key +
+                   "\", which is not in the configuration record";
+    }
+    const Json &mode = cfg.at("exec_mode");
+    ExecMode parsed = ExecMode::Cycle;
+    if (mode.type() != Json::Type::String ||
+        !parseExecMode(mode.asString(), &parsed))
+        return where + " config has unknown exec_mode " + mode.dump();
     return {};
 }
 
@@ -134,76 +173,23 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
     }
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Json &p = points.at(i);
-        // Every point must record its configuration, including the
-        // idle-skip setting, so artifacts from skip-on and skip-off
-        // runs are distinguishable (they must agree everywhere else).
-        if (!p.has("config") ||
-            p.at("config").type() != Json::Type::Object) {
-            return fail("point " + std::to_string(i) +
-                        " has no \"config\" object");
-        }
-        if (!p.at("config").has("idle_skip")) {
-            return fail("point " + std::to_string(i) +
-                        " config lacks \"idle_skip\"");
-        }
-        // Same for atomic_service_period (Table II parameter): it must
-        // be recorded so artifacts are self-describing.
-        if (!p.at("config").has("atomic_service_period")) {
-            return fail("point " + std::to_string(i) +
-                        " config lacks \"atomic_service_period\"");
-        }
-        if (!p.at("config").has("metrics_interval")) {
-            return fail("point " + std::to_string(i) +
-                        " config lacks \"metrics_interval\"");
-        }
-        // Execution mode must always be recorded (a cycle-mode artifact
-        // and a functional-mode artifact are not comparable). No mode
-        // emits the IPC-estimator fields ipc_est, ipc_ci95 or
-        // sampled_windows, so a point carrying one does not follow this
-        // schema.
-        if (!p.at("config").has("exec_mode")) {
-            return fail("point " + std::to_string(i) +
-                        " config lacks \"exec_mode\"");
-        }
-        const std::string &mode =
-            p.at("config").at("exec_mode").asString();
-        ExecMode parsed = ExecMode::Cycle;
-        if (!parseExecMode(mode, &parsed)) {
-            return fail("point " + std::to_string(i) +
-                        " has unknown exec_mode \"" + mode + "\"");
-        }
+        const std::string where = "point " + std::to_string(i);
+        if (!p.has("config"))
+            return fail(where + " has no \"config\" object");
+        const std::string cfg_err = configViolation(p.at("config"), where);
+        if (!cfg_err.empty())
+            return fail(cfg_err);
         if (p.has("stats")) {
+            // No mode emits the IPC-estimator fields ipc_est, ipc_ci95
+            // or sampled_windows, so a point carrying one does not
+            // follow this schema.
             const Json &stats = p.at("stats");
             if (stats.has("ipc_est") || stats.has("ipc_ci95") ||
                 stats.has("sampled_windows")) {
-                return fail("point " + std::to_string(i) +
-                            " carries IPC-estimator fields");
+                return fail(where + " carries IPC-estimator fields");
             }
-        }
-        // Multi-device points are self-describing: the device count,
-        // the link parameters, and one per-device stats shard per
-        // device. Single-device points omit all of them (the artifact
-        // stays byte-identical to the pre-device-split schema).
-        std::int64_t nd = 1;
-        if (p.at("config").has("num_devices")) {
-            nd = p.at("config").at("num_devices").asInt();
-            if (nd < 2) {
-                return fail("point " + std::to_string(i) + " records "
-                            "num_devices=" + std::to_string(nd) +
-                            " (single-device points omit the key)");
-            }
-            for (const char *k : {"link_latency", "link_service_period",
-                                  "switch_latency"}) {
-                if (!p.at("config").has(k)) {
-                    return fail("point " + std::to_string(i) +
-                                " is multi-device but its config lacks "
-                                "\"" + std::string(k) + "\"");
-                }
-            }
-        }
-        if (p.has("stats")) {
             const std::string err = shardViolation(
-                p.at("stats"), nd, "point " + std::to_string(i));
+                stats, p.at("config").at("num_devices").asInt(), where);
             if (!err.empty())
                 return fail(err);
         }
@@ -535,17 +521,17 @@ CheckResult
 checkLitmusMatrix(const Json &doc, std::int64_t expected_cells)
 {
     // --- document header ---------------------------------------------
-    for (const char *k : {"bench", "exec_mode", "watchdog_cycles",
-                          "threads_per_cta", "iters"}) {
+    for (const char *k : {"bench", "config", "threads_per_cta", "iters"}) {
         if (!doc.has(k))
             return fail(std::string("litmus document lacks \"") + k +
                         "\"");
     }
-    const std::string &mode = doc.at("exec_mode").asString();
-    ExecMode parsed = ExecMode::Cycle;
-    if (!parseExecMode(mode, &parsed))
-        return fail("unknown exec_mode \"" + mode + "\"");
-    if (doc.at("watchdog_cycles").asInt() <= 0)
+    const std::string cfg_err =
+        configViolation(doc.at("config"), "litmus header");
+    if (!cfg_err.empty())
+        return fail(cfg_err);
+    const std::string &mode = doc.at("config").at("exec_mode").asString();
+    if (doc.at("config").at("watchdog_cycles").asInt() <= 0)
         return fail("watchdog_cycles must be positive");
 
     // --- axis lists ---------------------------------------------------
@@ -606,7 +592,7 @@ checkLitmusMatrix(const Json &doc, std::int64_t expected_cells)
         for (const char *k : {"id", "primitive", "scheduler", "bows",
                               "occupancy", "devices", "ctas",
                               "warps_per_cta", "iters", "outcome",
-                              "config", "stats"}) {
+                              "stats"}) {
             if (!c.has(k))
                 return fail(where + " lacks \"" + k + "\"");
         }
@@ -619,31 +605,6 @@ checkLitmusMatrix(const Json &doc, std::int64_t expected_cells)
             c.at("warps_per_cta").asInt() <= 0 ||
             c.at("iters").asInt() <= 0 || c.at("devices").asInt() <= 0)
             return fail(where + " has non-positive geometry");
-        const Json &cfg = c.at("config");
-        if (cfg.type() != Json::Type::Object)
-            return fail(where + " \"config\" is not an object");
-        // The cell configuration must be self-describing and agree
-        // with the cell's own axis coordinates.
-        for (const char *k : {"exec_mode", "watchdog_cycles",
-                              "scheduler", "bows_enabled",
-                              "spin_detect"}) {
-            if (!cfg.has(k))
-                return fail(where + " config lacks \"" + k + "\"");
-        }
-        if (cfg.at("exec_mode").asString() != mode)
-            return fail(where + " config exec_mode disagrees with the "
-                        "document header");
-        if (cfg.at("scheduler").asString() !=
-            c.at("scheduler").asString())
-            return fail(where + " config scheduler disagrees with the "
-                        "cell's scheduler");
-        if (cfg.at("bows_enabled").asBool() != c.at("bows").asBool())
-            return fail(where + " config bows_enabled disagrees with "
-                        "the cell's bows flag");
-        if (cfg.has("devices") &&
-            cfg.at("devices").asInt() != c.at("devices").asInt())
-            return fail(where + " config devices disagrees with the "
-                        "cell's device count");
         if (c.at("stats").type() != Json::Type::Object)
             return fail(where + " \"stats\" is not an object");
         // Every outcome keeps its shards: abort records are folded like

@@ -28,13 +28,14 @@ Json loadJsonFile(const std::string &path);
 /**
  * Validates a BENCH_*.json sweep artifact: a "points" array of
  * @p expected_points entries (any size when negative) in which every
- * point reports ok == true and carries a "config" object recording at
- * least the idle_skip setting and an exec_mode of "cycle" or
- * "functional"; no point may carry the IPC-estimator fields ipc_est,
- * ipc_ci95 or sampled_windows. When the artifact carries a "cache"
- * block (the sweep ran with --cache, docs/BENCH.md) its mode and
- * counters are validated: hits + misses + bypassed must equal the
- * point count and stored may not exceed misses. A
+ * point reports ok == true and carries a "config" object with exactly
+ * the keys configToJson writes for its num_devices (so no idle_skip)
+ * and an exec_mode of "cycle" or "functional", plus one stats shard per
+ * device when num_devices > 1; no point may carry the IPC-estimator
+ * fields ipc_est, ipc_ci95 or sampled_windows. When the artifact
+ * carries a "cache" block (the sweep ran with --cache, docs/BENCH.md)
+ * its mode and counters are validated: hits + misses + bypassed must
+ * equal the point count and stored may not exceed misses. A
  * non-negative @p expected_cache_hits additionally requires the block
  * to be present and report exactly that many hits (the CI warm-run
  * all-hits gate).
@@ -81,16 +82,15 @@ CheckResult checkMetricsSeries(const Json &doc,
 
 /**
  * Validates a litmus outcome-matrix document (docs/SYNC.md):
- *  - the header records bench, exec_mode (legal value), a positive
- *    watchdog_cycles, threads_per_cta and iters;
+ *  - the header records bench, the base configuration as "config"
+ *    (checked like a sweep point's, with a positive watchdog_cycles),
+ *    threads_per_cta and iters;
  *  - the axis lists (primitives, schedulers, bows, occupancies) are
  *    non-empty and name known primitives/occupancy levels;
  *  - "cells" covers the full axis cross-product exactly once, and each
- *    cell carries its coordinates, geometry, a legal outcome, a
- *    self-describing config (exec_mode agreeing with the header,
- *    scheduler/bows_enabled agreeing with the cell), and a stats
- *    object with one shard per device in stats.devices when the cell
- *    runs on more than one device (none on one device).
+ *    cell carries its coordinates, geometry, a legal outcome, and a
+ *    stats object with one shard per device in stats.devices when the
+ *    cell runs on more than one device (none on one device).
  * @p expected_cells additionally pins the cell count when >= 0.
  */
 CheckResult checkLitmusMatrix(const Json &doc,

@@ -102,8 +102,6 @@ defaultLitmusConfig()
     cfg.gtoRotatePeriod = 0;
     cfg.spinDetect = SpinDetect::Ddos;
     cfg.bows.enabled = false;
-    // Spin-cycle attribution feeds the per-cell spin share.
-    cfg.collectSpinCycles = true;
     return cfg;
 }
 
@@ -188,12 +186,11 @@ buildLitmusCells(const LitmusOptions &opts)
 }
 
 SyncOutcome
-classifySyncAbort(const LaunchAbort &abort, const GpuConfig &cfg,
-                  const std::string &message)
+classifySyncAbort(const LaunchAbort &abort, const GpuConfig &cfg)
 {
     // Functional mode's zero-progress check is a direct deadlock
     // witness: a full rotation over every live warp retired nothing.
-    if (message.find("made no progress") != std::string::npos)
+    if (abort.cause == AbortCause::NoProgress)
         return SyncOutcome::Deadlocked;
     // Cycle mode: blocked (nothing issuing for a long tail) vs
     // actively spinning.
@@ -235,19 +232,15 @@ runLitmusCell(const LitmusCell &cell, Gpu &gpu)
         r.stats = harness->run(gpu);
         r.outcome = SyncOutcome::Completed;
     } catch (const SimError &e) {
-        const std::string message = e.what();
         const LaunchAbort &abort = gpu.lastAbort();
-        const bool is_hang =
-            message.find("watchdog") != std::string::npos ||
-            message.find("made no progress") != std::string::npos;
-        // Anything else (out-of-bounds access, kernel does not fit) is
-        // a harness bug, not a synchronization pathology.
-        if (!is_hang || !abort.valid)
+        // A fault (out-of-bounds access, kernel does not fit) is a
+        // harness bug, not a synchronization pathology.
+        if (!abort.valid || abort.cause == AbortCause::Fault)
             throw;
-        r.detail = message;
+        r.detail = e.what();
         r.stats = abort.stats;
         r.stats.kernel = harness->name();
-        r.outcome = classifySyncAbort(abort, gpu.config(), message);
+        r.outcome = classifySyncAbort(abort, gpu.config());
     }
     if (reg != nullptr) {
         const auto hot = reg->hotAddresses(1);
@@ -267,44 +260,6 @@ runLitmusCell(const LitmusCell &cell, Gpu &gpu)
     return r;
 }
 
-namespace {
-
-/**
- * Semantic configuration subset for one cell. Execution knobs that
- * cannot affect results (idle_skip, metrics_interval) are
- * deliberately absent so artifacts stay byte-identical across them.
- */
-Json
-litmusConfigToJson(const GpuConfig &cfg)
-{
-    Json j = Json::object();
-    j.set("name", cfg.name);
-    j.set("cores", cfg.numCores);
-    j.set("devices", cfg.numDevices);
-    if (cfg.numDevices != 1) {
-        j.set("link_latency", kLinkLatency);
-        j.set("link_service_period", kLinkServicePeriod);
-        j.set("switch_latency", kSwitchLatency);
-    }
-    j.set("exec_mode", toString(cfg.execMode));
-    j.set("watchdog_cycles", cfg.watchdogCycles);
-    j.set("scheduler", toString(cfg.scheduler));
-    j.set("gto_rotate_period", cfg.gtoRotatePeriod);
-    j.set("spin_detect", toString(cfg.spinDetect));
-    j.set("atomic_service_period", cfg.atomicServicePeriod);
-    j.set("bows_enabled", cfg.bows.enabled);
-    j.set("bows_deprioritize", cfg.bows.deprioritize);
-    j.set("bows_adaptive", cfg.bows.adaptive);
-    j.set("bows_delay_limit", cfg.bows.delayLimit);
-    j.set("ddos_hash", toString(cfg.ddos.hash));
-    j.set("ddos_hash_bits", cfg.ddos.hashBits);
-    j.set("ddos_history_length", cfg.ddos.historyLength);
-    j.set("ddos_confidence_threshold", cfg.ddos.confidenceThreshold);
-    return j;
-}
-
-}  // namespace
-
 Json
 litmusToJson(const std::string &bench_name, const LitmusOptions &opts,
              const std::vector<LitmusCell> &cells,
@@ -314,8 +269,9 @@ litmusToJson(const std::string &bench_name, const LitmusOptions &opts,
         panic("litmusToJson: cells/results size mismatch");
     Json doc = Json::object();
     doc.set("bench", bench_name);
-    doc.set("exec_mode", toString(opts.base.execMode));
-    doc.set("watchdog_cycles", opts.base.watchdogCycles);
+    // Every cell runs this base with its own scheduler, BOWS flag and
+    // device count, which the cell records as coordinates.
+    doc.set("config", configToJson(opts.base));
     doc.set("threads_per_cta", opts.threadsPerCta);
     doc.set("iters", opts.iters);
     Json prims = Json::array();
@@ -370,7 +326,6 @@ litmusToJson(const std::string &bench_name, const LitmusOptions &opts,
             ev.set("storms", r.evidenceStorms);
             c.set("evidence", std::move(ev));
         }
-        c.set("config", litmusConfigToJson(cell.cfg));
         c.set("stats", statsToJson(r.stats));
         arr.push(std::move(c));
     }

@@ -38,7 +38,7 @@ struct LaunchAbort;
  *
  * Classification consumes Gpu::lastAbort(), which is deterministic
  * across idle-skip, so a litmus artifact is byte-identical across that
- * execution knob (it is deliberately not recorded in the document).
+ * execution knob and --jobs; neither is in the document.
  */
 
 namespace bowsim::harness {
@@ -128,7 +128,8 @@ struct LitmusCellResult {
 /** The matrix to run: axis lists plus the shared base configuration. */
 struct LitmusOptions {
     /** Base configuration every cell derives from
-     *  (defaultLitmusConfig()); scheduler and bows.enabled are
+     *  (defaultLitmusConfig()), recorded once as the document's
+     *  "config"; scheduler, bows.enabled and numDevices are
      *  overwritten per cell. */
     GpuConfig base;
     std::vector<sync::Primitive> primitives;
@@ -149,9 +150,9 @@ struct LitmusOptions {
 
 /**
  * Litmus base configuration: one SM, a litmus-sized watchdog, DDOS
- * spin detection, spin-cycle attribution on, and — crucially — GTO age
- * rotation disabled, so the pure-GTO starvation the rotation exists to
- * paper over is observable as a livelock.
+ * spin detection, and — crucially — GTO age rotation disabled, so the
+ * pure-GTO starvation the rotation exists to paper over is observable
+ * as a livelock.
  */
 GpuConfig defaultLitmusConfig();
 
@@ -171,30 +172,29 @@ std::vector<LitmusCell> buildLitmusCells(const LitmusOptions &opts);
 
 /**
  * Runs @p cell's kernel on @p gpu (constructed from cell.cfg, possibly
- * with execution-knob overrides) and classifies the outcome. Watchdog
- * SimErrors are absorbed into the classification; validation failures
- * and non-watchdog SimErrors propagate — they signal harness bugs, not
- * synchronization pathologies.
+ * with execution-knob overrides) and classifies the outcome. Hang
+ * aborts (LaunchAbort::cause Watchdog or NoProgress) are absorbed into
+ * the classification; validation failures and faults propagate — they
+ * signal harness bugs, not synchronization pathologies.
  */
 LitmusCellResult runLitmusCell(const LitmusCell &cell, Gpu &gpu);
 
 /**
- * Classifies a watchdog abort from the Gpu's abort record (see the
- * file comment for the taxonomy). @p message is the SimError text;
- * functional-mode zero-progress aborts classify as Deadlocked from it.
+ * Classifies a hang abort from the Gpu's abort record (see the file
+ * comment for the taxonomy); a NoProgress cause, functional mode's
+ * zero-progress check, is Deadlocked outright.
  */
 SyncOutcome classifySyncAbort(const LaunchAbort &abort,
-                              const GpuConfig &cfg,
-                              const std::string &message);
+                              const GpuConfig &cfg);
 
 /**
- * Builds the litmus artifact: { "bench", "exec_mode",
- * "watchdog_cycles", "threads_per_cta", "iters", "primitives",
- * "schedulers", "bows", "occupancies", "devices", "cells": [...] }.
- * Execution
- * knobs that cannot affect results (--jobs, idle-skip, metrics
- * interval) are deliberately omitted so artifacts are
- * byte-identical across them.
+ * Builds the litmus artifact: { "bench", "config", "threads_per_cta",
+ * "iters", "primitives", "schedulers", "bows", "occupancies",
+ * "devices", "cells": [...] }. "config" is configToJson(opts.base),
+ * written once; each cell records only its coordinates (scheduler,
+ * bows, devices, ...), its geometry, its outcome and its stats. No
+ * execution knob is recorded, so artifacts are byte-identical across
+ * --jobs and idle-skip.
  */
 Json litmusToJson(const std::string &bench_name,
                   const LitmusOptions &opts,

@@ -70,7 +70,7 @@ runPoint(const SweepPoint &point)
     std::unique_ptr<metrics::MetricsSampler> sampler;
     if (!point.metricsPath.empty()) {
         const Cycle interval =
-            point.cfg.metricsInterval ? point.cfg.metricsInterval : 1000;
+            point.metricsInterval ? point.metricsInterval : 1000;
         sampler = std::make_unique<metrics::MetricsSampler>(
             interval, point.metricsPath);
     }
@@ -263,10 +263,6 @@ statsToJson(const KernelStats &s)
     Json sched = Json::object();
     sched.set("resident_warp_cycles", s.residentWarpCycles);
     sched.set("backed_off_warp_cycles", s.backedOffWarpCycles);
-    // Gated counter (GpuConfig::collectSpinCycles): emitted only when
-    // collected so artifacts from runs without it stay byte-stable.
-    if (s.spinningWarpCycles != 0)
-        sched.set("spinning_warp_cycles", s.spinningWarpCycles);
     sched.set("delay_limit_cycle_sum", s.delayLimitCycleSum);
     sched.set("sm_cycles", s.smCycles);
     // Per-SM peak residency (empty when no cycle-mode SM ran, e.g. on
@@ -409,11 +405,6 @@ statsFromJson(const Json &j)
     const Json &sched = j.at("sched");
     s.residentWarpCycles = getU64(sched, "resident_warp_cycles");
     s.backedOffWarpCycles = getU64(sched, "backed_off_warp_cycles");
-    if (sched.has("spinning_warp_cycles")) {
-        s.spinningWarpCycles = getU64(sched, "spinning_warp_cycles");
-        if (s.spinningWarpCycles == 0)
-            fatal("statsFromJson: explicit zero spinning_warp_cycles");
-    }
     s.delayLimitCycleSum = getU64(sched, "delay_limit_cycle_sum");
     s.smCycles = getU64(sched, "sm_cycles");
     if (sched.has("peak_resident_per_sm")) {
@@ -483,41 +474,78 @@ statsFromJson(const Json &j)
     return s;
 }
 
+/*
+ * Field-coverage guard for the one configuration record below. If this
+ * assertion fires, GpuConfig (or one of its nested structs) gained,
+ * lost or resized a field. A field that can influence simulated results
+ * MUST be written by configToJson() before the expected sizes are
+ * updated: the result cache keys on this record, so a field left out
+ * would let two configurations that simulate differently share a cache
+ * record, and the cache would serve STALE statistics for one of them.
+ * That failure is silent at run time (the cached record looks valid),
+ * which is why the guard is structural: growing the struct breaks the
+ * build until a human re-audits the record.
+ */
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+static_assert(sizeof(GpuConfig) == 224 && sizeof(BowsConfig) == 40 &&
+                  sizeof(DdosConfig) == 20 && sizeof(CacheConfig) == 16,
+              "GpuConfig layout changed: write any new field in "
+              "configToJson(), then update these expected sizes (see the "
+              "stale-cache hazard comment above)");
+#endif
+
 Json
 configToJson(const GpuConfig &cfg)
 {
     Json j = Json::object();
     j.set("name", cfg.name);
     j.set("cores", cfg.numCores);
-    // The device count and the link constants appear only on
-    // multi-device points, keeping single-device artifacts
-    // byte-identical to the pre-split format.
-    if (cfg.numDevices != 1) {
-        j.set("num_devices", cfg.numDevices);
-        j.set("link_latency", kLinkLatency);
-        j.set("link_service_period", kLinkServicePeriod);
-        j.set("switch_latency", kSwitchLatency);
-    }
-    j.set("idle_skip", cfg.idleSkip);
-    j.set("metrics_interval", cfg.metricsInterval);
-    j.set("atomic_service_period", cfg.atomicServicePeriod);
-    j.set("exec_mode", toString(cfg.execMode));
+    j.set("max_threads_per_core", cfg.maxThreadsPerCore);
+    j.set("num_regs_per_core", cfg.numRegsPerCore);
+    j.set("num_schedulers_per_core", cfg.numSchedulersPerCore);
     j.set("scheduler", toString(cfg.scheduler));
-    j.set("spin_detect", toString(cfg.spinDetect));
+    j.set("gto_rotate_period", cfg.gtoRotatePeriod);
     j.set("bows_enabled", cfg.bows.enabled);
     j.set("bows_deprioritize", cfg.bows.deprioritize);
-    j.set("bows_adaptive", cfg.bows.adaptive);
     j.set("bows_delay_limit", cfg.bows.delayLimit);
+    j.set("bows_adaptive", cfg.bows.adaptive);
+    j.set("bows_min_limit", cfg.bows.minLimit);
+    j.set("bows_max_limit", cfg.bows.maxLimit);
     j.set("ddos_hash", toString(cfg.ddos.hash));
     j.set("ddos_hash_bits", cfg.ddos.hashBits);
     j.set("ddos_history_length", cfg.ddos.historyLength);
     j.set("ddos_confidence_threshold", cfg.ddos.confidenceThreshold);
     j.set("ddos_time_share", cfg.ddos.timeShare);
+    j.set("spin_detect", toString(cfg.spinDetect));
+    j.set("l1d_size_bytes", cfg.l1d.sizeBytes);
+    j.set("l1d_ways", cfg.l1d.ways);
+    j.set("l1_mshrs", cfg.l1Mshrs);
+    j.set("l2_size_bytes", cfg.l2.sizeBytes);
+    j.set("l2_ways", cfg.l2.ways);
+    j.set("num_l2_banks", cfg.numL2Banks);
+    j.set("l2_hit_latency", cfg.l2HitLatency);
+    j.set("dram_latency", cfg.dramLatency);
+    j.set("dram_service_period", cfg.dramServicePeriod);
+    j.set("atomic_service_period", cfg.atomicServicePeriod);
+    j.set("core_clock_mhz", cfg.coreClockMhz);
+    j.set("watchdog_cycles", cfg.watchdogCycles);
+    // A stats-collection gate: it changes what statsToJson emits (the
+    // stall tables), so it belongs to the record although it never
+    // alters timing.
+    j.set("collect_stall_breakdown", cfg.collectStallBreakdown);
+    j.set("exec_mode", toString(cfg.execMode));
+    j.set("num_devices", cfg.numDevices);
+    // The link is only modelled, and only recorded, across devices.
+    if (cfg.numDevices != 1) {
+        j.set("link_latency", kLinkLatency);
+        j.set("link_service_period", kLinkServicePeriod);
+        j.set("switch_latency", kSwitchLatency);
+    }
     return j;
 }
 
 Json
-sweepToJson(const std::string &bench_name, unsigned jobs,
+sweepToJson(const std::string &bench_name,
             const std::vector<SweepPoint> &points,
             const std::vector<SweepResult> &results,
             const ResultCache *cache)
@@ -526,7 +554,6 @@ sweepToJson(const std::string &bench_name, unsigned jobs,
         panic("sweepToJson: points/results size mismatch");
     Json doc = Json::object();
     doc.set("bench", bench_name);
-    doc.set("jobs", jobs);
     if (cache) {
         const CacheCounters c = cache->counters();
         Json cj = Json::object();

@@ -69,12 +69,17 @@ struct SweepPoint {
     std::string traceFilter;
     /**
      * When set, the point runs with a MetricsSampler attached (interval
-     * cfg.metricsInterval, or 1000 when that is 0) and writes the
-     * sampled time series here (CSV for a ".csv" suffix, else JSON; see
-     * docs/METRICS.md). Written even when the point fails, like
-     * tracePath.
+     * metricsInterval) and writes the sampled time series here (CSV for
+     * a ".csv" suffix, else JSON; see docs/METRICS.md). Written even
+     * when the point fails, like tracePath.
      */
     std::string metricsPath;
+    /**
+     * Sample spacing in simulated cycles for metricsPath; 0 means 1000.
+     * A sampler setting, not part of the configuration: the series
+     * records it as its "interval".
+     */
+    Cycle metricsInterval = 0;
     /**
      * When set, the point runs with a sync-contention profiler attached
      * (Gpu::setSyncProf; docs/SYNC.md) and writes its JSON report —
@@ -179,19 +184,28 @@ Json statsToJson(const KernelStats &s);
  */
 KernelStats statsFromJson(const Json &j);
 
-/** Serializes the sweep-relevant fields of @p cfg. */
+/**
+ * The one record of a configuration: every GpuConfig field except the
+ * execution knob idleSkip, in one fixed order, plus the kLink*
+ * constants on multi-device records (num_devices > 1). Sweep points
+ * write it as their "config", the litmus document writes its base
+ * configuration's in the header, the result cache keys on its dump, and
+ * json_check checks config blocks against its key list. Artifacts and
+ * keys are therefore the same across --jobs, --no-skip and
+ * --metrics-interval.
+ */
 Json configToJson(const GpuConfig &cfg);
 
 /**
  * Builds the --json artifact document for one finished sweep:
- * { "bench", "jobs", ["cache"], "points": [ {id, kernel, scale,
- * [params], ok, config, stats|error} ] }; "params" appears only on
- * points with kernel overrides. When @p cache is non-null a "cache"
- * block records its mode and hit/miss/stored/bypassed counters
- * (validated by json_check); the "points" array is identical either
- * way, so cold and warm runs differ only in that block.
+ * { "bench", ["cache"], "points": [ {id, kernel, scale, [params], ok,
+ * config, stats|error} ] }; "params" appears only on points with kernel
+ * overrides. When @p cache is non-null a "cache" block records its mode
+ * and hit/miss/stored/bypassed counters (validated by json_check); the
+ * "points" array is identical either way, so cold and warm runs differ
+ * only in that block.
  */
-Json sweepToJson(const std::string &bench_name, unsigned jobs,
+Json sweepToJson(const std::string &bench_name,
                  const std::vector<SweepPoint> &points,
                  const std::vector<SweepResult> &results,
                  const ResultCache *cache = nullptr);

@@ -178,19 +178,23 @@ FunctionalExecutor::runFor(std::uint64_t max_instr)
     // warp slot) — only where a call pauses varies, and that is a
     // deterministic function of the runFor call sequence.
     while (!finished() && executed_ < target) {
-        if (executed_ >= cfg_.watchdogCycles)
+        if (executed_ >= cfg_.watchdogCycles) {
+            abortCause_ = AbortCause::Watchdog;
             simFatal("kernel '", launch_.prog->name, "' exceeded the ",
                      cfg_.watchdogCycles,
                      "-instruction functional watchdog (deadlock?)");
+        }
         if (rotSm_ == 0 && rotCta_ == 0 && rotWarp_ == 0) {
             // Rotation boundary: every resident warp had a turn since
             // the last one, so zero accumulated progress while CTAs
             // remain is a barrier deadlock, not a spin (spinning warps
             // execute instructions).
-            if (rotationStarted_ && rotationProgress_ == 0)
+            if (rotationStarted_ && rotationProgress_ == 0) {
+                abortCause_ = AbortCause::NoProgress;
                 simFatal("kernel '", launch_.prog->name,
                          "' made no progress in functional mode "
                          "(barrier deadlock?)");
+            }
             rotationStarted_ = true;
             rotationProgress_ = 0;
         }

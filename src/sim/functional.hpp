@@ -55,6 +55,9 @@ class FunctionalExecutor {
     /** Warp instructions executed so far (the runFor odometer). */
     std::uint64_t instructionsExecuted() const { return executed_; }
 
+    /** Why runFor threw: one of the two hang checks, else a Fault. */
+    AbortCause abortCause() const { return abortCause_; }
+
   private:
     struct FSm {
         std::vector<Cta> ctas;
@@ -87,6 +90,7 @@ class FunctionalExecutor {
      *  zero-progress deadlock check). */
     std::uint64_t rotationProgress_ = 0;
     bool rotationStarted_ = false;
+    AbortCause abortCause_ = AbortCause::Fault;
 };
 
 }  // namespace bowsim

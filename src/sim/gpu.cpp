@@ -276,9 +276,11 @@ GpuSystem::launchCycle(std::vector<LaunchState> &launches)
     do {
         ++now;
         running = 0;
-        if (now > cfg_.watchdogCycles)
+        if (now > cfg_.watchdogCycles) {
+            abort_.cause = AbortCause::Watchdog;
             simFatal("kernel '", prog.name, "' exceeded the ",
                      cfg_.watchdogCycles, "-cycle watchdog (deadlock?)");
+        }
         for (unsigned d = 0; d < num_devices; ++d) {
             launches[d].stats.delayLimitCycleSum += idle_delay_sum[d];
             launches[d].stats.smCycles += idle_cores[d];
@@ -387,11 +389,14 @@ GpuSystem::launchFunctional(std::vector<LaunchState> &launches)
     // rotation walk, small enough that a device spinning on a peer's
     // store observes it within one pass.
     constexpr std::uint64_t kDeviceSlice = 1024;
+    // Set before each runFor, the only call in the loop that throws.
+    const FunctionalExecutor *running = nullptr;
     try {
         bool all_done = false;
         while (!all_done) {
             all_done = true;
             for (auto &fx : fxs) {
+                running = fx.get();
                 if (!fx->finished() && !fx->runFor(kDeviceSlice))
                     all_done = false;
             }
@@ -401,6 +406,7 @@ GpuSystem::launchFunctional(std::vector<LaunchState> &launches)
         // stash the partial stats like the cycle loop; without a cycle
         // clock the abort and issue-recency cycles stay zero.
         abort_.valid = true;
+        abort_.cause = running->abortCause();
         abort_.stats = finish(launches, {}, 0);
         throw;
     }

@@ -50,6 +50,9 @@ class MetricsSampler;
  */
 struct LaunchAbort {
     bool valid = false;
+    /** What ended the launch; the litmus harness classifies only the
+     *  hangs and rethrows a Fault. */
+    AbortCause cause = AbortCause::Fault;
     /** System-wide stats at the abort point, folded like a finished
      *  launch's: memory-system counters included, and per-device shards
      *  in stats.perDevice on multi-device launches, in both modes. */

@@ -101,7 +101,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     if (launch_.tracker == nullptr)
         panic("launch without a lock tracker");
     cawaAccounting_ = cfg.scheduler == SchedulerKind::CAWA;
-    spinAccounting_ = cfg.collectSpinCycles;
 
     // Tracing and stall attribution ride the same launch-wide handle.
     // Sizing the stall table here (cores are built serially) keeps
@@ -569,8 +568,6 @@ SmCore::cycle(Cycle now)
         recordStallCycle(now);
     st.residentWarpCycles += resident_.size();
     st.backedOffWarpCycles += backoff_.backedOffCount();
-    if (spinAccounting_)
-        st.spinningWarpCycles += spinningWarpCount();
 
     retireFinishedCtas();
     return issued_any;
@@ -635,11 +632,6 @@ SmCore::fastForward(Cycle from, Cycle to)
     st.residentWarpCycles += delta * resident_.size();
     st.backedOffWarpCycles +=
         delta * static_cast<std::uint64_t>(backoff_.backedOffCount());
-    // Exact under fast-forward: DDOS spin state only changes at issue
-    // time, and nothing issues inside an idle gap.
-    if (spinAccounting_)
-        st.spinningWarpCycles +=
-            delta * static_cast<std::uint64_t>(spinningWarpCount());
 }
 
 void

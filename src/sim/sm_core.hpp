@@ -29,6 +29,19 @@
 namespace bowsim {
 
 /**
+ * Why a launch died (LaunchAbort::cause), set by the engine where it
+ * throws: the two hang checks name themselves; every other SimError (an
+ * out-of-bounds access, a kernel that does not fit) is a Fault.
+ */
+enum class AbortCause {
+    Fault,
+    /** The cycle watchdog, or functional mode's instruction watchdog. */
+    Watchdog,
+    /** Functional mode's zero-progress check (a barrier deadlock). */
+    NoProgress,
+};
+
+/**
  * State shared by all SMs of one device during one kernel launch, in
  * either execution mode. GpuSystem::launch builds one per device
  * (GpuConfig::numDevices): its own CTA dispatch window [nextCta,
@@ -334,8 +347,6 @@ class SmCore : private IssueGate {
     trace::Tracer tracer_;
     /** Per-cycle stall attribution into stats.stallCounts (gated). */
     bool stallAccounting_ = false;
-    /** Per-cycle spinning-warp attribution (GpuConfig::collectSpinCycles). */
-    bool spinAccounting_ = false;
 };
 
 }  // namespace bowsim

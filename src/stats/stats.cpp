@@ -34,7 +34,6 @@ KernelStats::operator+=(const KernelStats &o)
     outcomes += o.outcomes;
     residentWarpCycles += o.residentWarpCycles;
     backedOffWarpCycles += o.backedOffWarpCycles;
-    spinningWarpCycles += o.spinningWarpCycles;
     delayLimitCycleSum += o.delayLimitCycleSum;
     smCycles += o.smCycles;
     energy += o.energy;

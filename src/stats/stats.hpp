@@ -79,13 +79,6 @@ struct KernelStats {
     std::uint64_t residentWarpCycles = 0;
     /** Sum over cycles of warps in the backed-off state. */
     std::uint64_t backedOffWarpCycles = 0;
-    /**
-     * Sum over cycles of warps the spin-detection mechanism flags as
-     * spinning (GpuConfig::collectSpinCycles; 0 when not collected).
-     * The litmus harness reports spinningWarpCycles / residentWarpCycles
-     * as the spin-cycle share of a cell.
-     */
-    std::uint64_t spinningWarpCycles = 0;
     /** Sum over SM-cycles of the (adaptive) back-off delay limit. */
     std::uint64_t delayLimitCycleSum = 0;
     /** SM-cycles accumulated into delayLimitCycleSum. */

@@ -150,6 +150,47 @@ TRY:
                  FatalError);
 }
 
+TEST(GpuApi, AbortRecordNamesItsCause)
+{
+    // The cause is set where the engine throws, not read back from the
+    // message: a fault in a kernel whose name, and so whose message,
+    // contains "watchdog" is still a fault, in both modes.
+    const Program probe = assemble(R"(
+.kernel watchdog_probe
+  st.shared.u64 [1048576], 1;
+  exit;
+)");
+    for (ExecMode mode : {ExecMode::Cycle, ExecMode::Functional}) {
+        GpuConfig cfg = smallConfig();
+        cfg.execMode = mode;
+        Gpu gpu(cfg);
+        try {
+            gpu.launch(probe, Dim3{1, 1, 1}, Dim3{32, 1, 1}, {});
+            ADD_FAILURE() << "no fault in " << toString(mode);
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find("watchdog"),
+                      std::string::npos);
+        }
+        ASSERT_TRUE(gpu.lastAbort().valid) << toString(mode);
+        EXPECT_EQ(gpu.lastAbort().cause, AbortCause::Fault)
+            << toString(mode);
+    }
+
+    // The cycle watchdog names itself.
+    GpuConfig cfg = smallConfig();
+    cfg.watchdogCycles = 1000;
+    Gpu gpu(cfg);
+    const Program spin = assemble(R"(
+.kernel spin
+LOOP:
+  bra LOOP;
+)");
+    EXPECT_THROW(gpu.launch(spin, Dim3{1, 1, 1}, Dim3{32, 1, 1}, {}),
+                 SimError);
+    ASSERT_TRUE(gpu.lastAbort().valid);
+    EXPECT_EQ(gpu.lastAbort().cause, AbortCause::Watchdog);
+}
+
 TEST(GpuApi, MidCycleFaultAbortRecordMatchesNoSkip)
 {
     // One CTA per SM (48 KiB of shared memory each). CTAs 0, 2 and 3

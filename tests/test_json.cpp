@@ -7,6 +7,7 @@
 #include "src/harness/json.hpp"
 #include "src/harness/json_check.hpp"
 #include "src/harness/litmus.hpp"
+#include "src/harness/sweep.hpp"
 
 /**
  * @file
@@ -161,8 +162,8 @@ TEST(JsonCheckLitmus, ExpectedCellCountMismatchFails)
 
 TEST(JsonCheckLitmus, MissingHeaderFieldFails)
 {
-    // Strip the header's watchdog budget (the cell configs keep
-    // theirs; only the first occurrence is the header's).
+    // Strip the watchdog budget from the header's config record, the
+    // document's only one.
     const Json doc = mutated(litmusDoc(), "\"watchdog_cycles\":3000000,",
                              "");
     const harness::CheckResult r = harness::checkLitmusMatrix(doc);
@@ -179,24 +180,22 @@ TEST(JsonCheckLitmus, IllegalOutcomeFails)
     EXPECT_NE(r.message.find("exploded"), std::string::npos);
 }
 
-TEST(JsonCheckLitmus, ExecModeDisagreementFails)
+TEST(JsonCheckLitmus, HeaderConfigUnknownExecModeFails)
 {
-    // Flip the header's exec_mode; every cell config now disagrees.
     const Json doc = mutated(litmusDoc(), "\"exec_mode\":\"cycle\"",
-                             "\"exec_mode\":\"functional\"");
+                             "\"exec_mode\":\"sampled\"");
     const harness::CheckResult r = harness::checkLitmusMatrix(doc);
     EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.message.find("exec_mode"), std::string::npos);
+    EXPECT_NE(r.message.find("unknown exec_mode \"sampled\""),
+              std::string::npos)
+        << r.message;
 }
 
 TEST(JsonCheckLitmus, DuplicateCellFails)
 {
-    // Rewrite the base cell into a second bows cell (flag and config
-    // kept consistent so the duplicate check is what fires).
-    Json doc = mutated(litmusDoc(), "\"bows\":false",
-                       "\"bows\":true");
-    doc = mutated(doc, "\"bows_enabled\":false",
-                  "\"bows_enabled\":true");
+    // Rewrite the base cell into a second bows cell.
+    const Json doc = mutated(litmusDoc(), "\"bows\":false",
+                             "\"bows\":true");
     const harness::CheckResult r = harness::checkLitmusMatrix(doc);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.message.find("duplicate"), std::string::npos);
@@ -222,16 +221,6 @@ TEST(JsonCheckLitmus, TwoDeviceCellWithoutShardsFails)
                              "shard(s)"),
               std::string::npos)
         << r.message;
-}
-
-TEST(JsonCheckLitmus, ConfigBowsMismatchFails)
-{
-    // Flag flipped but config left alone: self-description broken.
-    const Json doc = mutated(litmusDoc(), "\"bows\":false",
-                             "\"bows\":true");
-    const harness::CheckResult r = harness::checkLitmusMatrix(doc);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.message.find("bows_enabled"), std::string::npos);
 }
 
 // --- per-cell contention evidence (docs/SYNC.md) ------------------------
@@ -308,17 +297,12 @@ Json
 cachedSweepDoc(const char *mode, int hits, int misses, int stored,
                int bypassed)
 {
-    Json cfg = Json::object();
-    cfg.set("idle_skip", true);
-    cfg.set("atomic_service_period", 1);
-    cfg.set("metrics_interval", 0);
-    cfg.set("exec_mode", "cycle");
     Json stats = Json::object();
     stats.set("cycles", 100);
     Json p = Json::object();
     p.set("id", "p0");
     p.set("ok", true);
-    p.set("config", std::move(cfg));
+    p.set("config", harness::configToJson(GpuConfig{}));
     p.set("stats", std::move(stats));
     Json arr = Json::array();
     arr.push(std::move(p));
@@ -330,7 +314,6 @@ cachedSweepDoc(const char *mode, int hits, int misses, int stored,
     cache.set("bypassed", bypassed);
     Json d = Json::object();
     d.set("bench", "unit");
-    d.set("jobs", 1);
     d.set("cache", std::move(cache));
     d.set("points", std::move(arr));
     return d;
@@ -440,6 +423,38 @@ TEST(JsonCheckCache, ComparePointsAcceptsOnlyByteIdenticalArrays)
     EXPECT_FALSE(bench.ok);
     EXPECT_NE(bench.message.find("bench"), std::string::npos)
         << bench.message;
+}
+
+// --- json_check: sweep config records ----------------------------------
+
+TEST(JsonCheckSweep, ConfigMissingRecordKeyFails)
+{
+    const Json doc = cachedSweepDoc("rw", 0, 1, 1, 0);
+    const harness::CheckResult r = harness::checkSweepArtifact(
+        mutated(doc, "\"ddos_time_share\":false,", ""));
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.message.find("lacks \"ddos_time_share\""),
+              std::string::npos)
+        << r.message;
+
+    // The key list follows num_devices: a two-device record must carry
+    // the link constants.
+    const harness::CheckResult link = harness::checkSweepArtifact(
+        mutated(doc, "\"num_devices\":1", "\"num_devices\":2"));
+    EXPECT_FALSE(link.ok);
+    EXPECT_NE(link.message.find("lacks \"link_latency\""),
+              std::string::npos)
+        << link.message;
+}
+
+TEST(JsonCheckSweep, ConfigCarryingIdleSkipFails)
+{
+    const harness::CheckResult r = harness::checkSweepArtifact(
+        mutated(cachedSweepDoc("rw", 0, 1, 1, 0), "\"num_devices\":1",
+                "\"num_devices\":1,\"idle_skip\":true"));
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.message.find("\"idle_skip\""), std::string::npos)
+        << r.message;
 }
 
 }  // namespace

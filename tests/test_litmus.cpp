@@ -6,6 +6,7 @@
 #include "src/common/log.hpp"
 #include "src/harness/json_check.hpp"
 #include "src/harness/litmus.hpp"
+#include "src/harness/sweep.hpp"
 #include "src/sim/gpu.hpp"
 #include "src/sync/sync_kernels.hpp"
 
@@ -68,11 +69,10 @@ TEST(Litmus, ClassifiesFunctionalNoProgressAsDeadlock)
 {
     LaunchAbort abort;
     abort.valid = true;
+    abort.cause = AbortCause::NoProgress;
     abort.stats.warpInstructions = 1000;
     abort.stats.sibInstructions = 900;  // would otherwise be livelock
-    EXPECT_EQ(harness::classifySyncAbort(
-                  abort, classifierConfig(),
-                  "kernel made no progress in functional mode"),
+    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig()),
               SyncOutcome::Deadlocked);
 }
 
@@ -81,12 +81,12 @@ TEST(Litmus, ClassifiesLongIdleTailAsDeadlock)
 {
     LaunchAbort abort;
     abort.valid = true;
+    abort.cause = AbortCause::Watchdog;
     abort.atCycle = 1'000'000;
     abort.lastIssueCycle = 700'000;  // idle 300k >= 250k threshold
     abort.stats.warpInstructions = 1000;
     abort.stats.sibInstructions = 900;
-    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig(),
-                                         "watchdog (deadlock?)"),
+    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig()),
               SyncOutcome::Deadlocked);
 }
 
@@ -95,12 +95,12 @@ TEST(Litmus, ClassifiesSpinDominatedStreamAsLivelock)
 {
     LaunchAbort abort;
     abort.valid = true;
+    abort.cause = AbortCause::Watchdog;
     abort.atCycle = 1'000'000;
     abort.lastIssueCycle = 999'999;
     abort.stats.warpInstructions = 1000;
     abort.stats.sibInstructions = 50;  // exactly the 5% threshold
-    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig(),
-                                         "watchdog (deadlock?)"),
+    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig()),
               SyncOutcome::Livelocked);
 }
 
@@ -109,16 +109,15 @@ TEST(Litmus, ClassifiesBusyStreamAsWatchdogKilled)
 {
     LaunchAbort abort;
     abort.valid = true;
+    abort.cause = AbortCause::Watchdog;
     abort.atCycle = 1'000'000;
     abort.lastIssueCycle = 999'999;
     abort.stats.warpInstructions = 1000;
     abort.stats.sibInstructions = 49;  // just below 5%
-    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig(),
-                                         "watchdog (deadlock?)"),
+    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig()),
               SyncOutcome::WatchdogKilled);
     abort.stats.sibInstructions = 0;
-    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig(),
-                                         "watchdog (deadlock?)"),
+    EXPECT_EQ(harness::classifySyncAbort(abort, classifierConfig()),
               SyncOutcome::WatchdogKilled);
 }
 
@@ -291,18 +290,23 @@ TEST(Litmus, JsonArtifactIsSelfDescribingAndValidates)
     const harness::Json doc =
         harness::litmusToJson("litmus", opts, cells, results);
     EXPECT_EQ(doc.at("bench").asString(), "litmus");
-    EXPECT_EQ(doc.at("exec_mode").asString(), "cycle");
-    EXPECT_EQ(doc.at("watchdog_cycles").asInt(), 3'000'000);
+    // The base configuration is recorded once, as the one config
+    // record; execution knobs must not leak into it, since the
+    // artifact is byte-identical across idle-skip by contract.
+    const harness::Json &cfg = doc.at("config");
+    EXPECT_EQ(cfg.dump(), harness::configToJson(opts.base).dump());
+    EXPECT_EQ(cfg.at("exec_mode").asString(), "cycle");
+    EXPECT_EQ(cfg.at("watchdog_cycles").asInt(), 3'000'000);
+    EXPECT_TRUE(cfg.has("ddos_time_share"));
+    EXPECT_FALSE(cfg.has("idle_skip"));
     ASSERT_EQ(doc.at("cells").size(), 1u);
     const harness::Json &cell = doc.at("cells").at(0);
     EXPECT_EQ(cell.at("id").asString(), "tas/LRR/base/under/d1");
     EXPECT_EQ(cell.at("devices").asInt(), 1);
     EXPECT_EQ(cell.at("outcome").asString(), "completed");
     EXPECT_FALSE(cell.has("detail"));  // empty detail is omitted
-    // Execution knobs must not leak into the artifact: it is
-    // byte-identical across idle-skip by contract.
-    EXPECT_FALSE(cell.at("config").has("idle_skip"));
-    EXPECT_TRUE(cell.at("config").has("atomic_service_period"));
+    // A cell records its coordinates, not a config of its own.
+    EXPECT_FALSE(cell.has("config"));
 
     const harness::CheckResult check =
         harness::checkLitmusMatrix(doc, 1);

@@ -93,9 +93,10 @@ smallSweep()
 }
 
 /**
- * A KernelStats with every field — including every optional block —
- * set to a distinct, recognizable value. Doubles are exactly
- * representable so dump/parse round trips are bit-exact.
+ * A KernelStats with every field — including every optional block, the
+ * link traffic and the per-device shards of a --devices=2 run — set to
+ * a distinct, recognizable value. Doubles are exactly representable so
+ * dump/parse round trips are bit-exact.
  */
 KernelStats
 fullStats()
@@ -121,6 +122,7 @@ fullStats()
     s.mem.atomics = 55;
     s.mem.atomicWaitCycles = 202;
     s.mem.icntPackets = 88;
+    s.mem.linkPackets = 19;
     s.outcomes.lockSuccess = 10;
     s.outcomes.interWarpFail = 20;
     s.outcomes.intraWarpFail = 30;
@@ -128,7 +130,6 @@ fullStats()
     s.outcomes.waitExitFail = 50;
     s.residentWarpCycles = 8000;
     s.backedOffWarpCycles = 1200;
-    s.spinningWarpCycles = 340;
     s.delayLimitCycleSum = 5000;
     s.smCycles = 2500;
     s.stallWarpsPerSm = 2;
@@ -156,6 +157,15 @@ fullStats()
     s.ddos.falseDetected = 1;
     s.ddos.dprTrueSum = 2.5;
     s.ddos.dprFalseSum = 0.5;
+    // One shard per device, distinct from each other and from the
+    // total; shards carry no shards of their own.
+    const KernelStats total = s;
+    for (std::uint64_t d = 0; d < 2; ++d) {
+        KernelStats shard = total;
+        shard.warpInstructions = 500 + d;
+        shard.mem.linkPackets = 9 + d;
+        s.perDevice.push_back(shard);
+    }
     return s;
 }
 
@@ -187,6 +197,7 @@ TEST(StatsJsonRoundTrip, EveryFieldSurvives)
     EXPECT_EQ(t.mem.atomics, s.mem.atomics);
     EXPECT_EQ(t.mem.atomicWaitCycles, s.mem.atomicWaitCycles);
     EXPECT_EQ(t.mem.icntPackets, s.mem.icntPackets);
+    EXPECT_EQ(t.mem.linkPackets, s.mem.linkPackets);
     EXPECT_EQ(t.outcomes.lockSuccess, s.outcomes.lockSuccess);
     EXPECT_EQ(t.outcomes.interWarpFail, s.outcomes.interWarpFail);
     EXPECT_EQ(t.outcomes.intraWarpFail, s.outcomes.intraWarpFail);
@@ -194,7 +205,6 @@ TEST(StatsJsonRoundTrip, EveryFieldSurvives)
     EXPECT_EQ(t.outcomes.waitExitFail, s.outcomes.waitExitFail);
     EXPECT_EQ(t.residentWarpCycles, s.residentWarpCycles);
     EXPECT_EQ(t.backedOffWarpCycles, s.backedOffWarpCycles);
-    EXPECT_EQ(t.spinningWarpCycles, s.spinningWarpCycles);
     EXPECT_EQ(t.delayLimitCycleSum, s.delayLimitCycleSum);
     EXPECT_EQ(t.smCycles, s.smCycles);
     EXPECT_EQ(t.stallWarpsPerSm, s.stallWarpsPerSm);
@@ -220,6 +230,8 @@ TEST(StatsJsonRoundTrip, EveryFieldSurvives)
     EXPECT_EQ(t.ddos.falseDetected, s.ddos.falseDetected);
     EXPECT_EQ(t.ddos.dprTrueSum, s.ddos.dprTrueSum);
     EXPECT_EQ(t.ddos.dprFalseSum, s.ddos.dprFalseSum);
+    // The shards' fields are covered by the byte comparison below.
+    EXPECT_EQ(t.perDevice.size(), s.perDevice.size());
 
     // Derived fields recompute from the raws, so the re-dump is
     // byte-identical — which is what makes a cache hit
@@ -245,14 +257,15 @@ TEST(StatsJsonRoundTrip, MinimalStatsOmitOptionalBlocks)
     EXPECT_FALSE(j.has("unit_issues"));
     EXPECT_FALSE(j.has("ipc_est"));
     EXPECT_FALSE(j.has("sampled_windows"));
-    EXPECT_FALSE(j.at("sched").has("spinning_warp_cycles"));
+    EXPECT_FALSE(j.has("devices"));
+    EXPECT_FALSE(j.at("mem").has("link_packets"));
     EXPECT_FALSE(j.at("sched").has("peak_resident_per_sm"));
 
     const KernelStats t = harness::statsFromJson(j);
     EXPECT_EQ(harness::statsToJson(t).dump(), j.dump());
     EXPECT_TRUE(t.stallCounts.empty());
     EXPECT_TRUE(t.unitIssues.empty());
-    EXPECT_EQ(t.spinningWarpCycles, 0u);
+    EXPECT_TRUE(t.perDevice.empty());
 }
 
 TEST(StatsJsonRoundTrip, NonFiniteValuesAreFatal)
@@ -292,11 +305,22 @@ TEST(StatsJsonRoundTrip, ParseRejectsContradictoryRecords)
     EXPECT_THROW(
         harness::statsFromJson(mutated(j, "\"cycles\":123456,", "")),
         FatalError);
-    // An explicit zero for a presence-gated gauge.
+    // An explicit zero for the presence-gated link counter.
     EXPECT_THROW(
-        harness::statsFromJson(mutated(j, "\"spinning_warp_cycles\":340",
-                                       "\"spinning_warp_cycles\":0")),
+        harness::statsFromJson(mutated(j, "\"link_packets\":19",
+                                       "\"link_packets\":0")),
         FatalError);
+    // A shard that carries shards of its own.
+    KernelStats nested = fullStats();
+    nested.perDevice[0].perDevice.push_back(nested.perDevice[1]);
+    EXPECT_THROW(harness::statsFromJson(harness::statsToJson(nested)),
+                 FatalError);
+    // A devices block without shards.
+    KernelStats single = fullStats();
+    single.perDevice.clear();
+    Json no_shards = harness::statsToJson(single);
+    no_shards.set("devices", Json::array());
+    EXPECT_THROW(harness::statsFromJson(no_shards), FatalError);
 }
 
 // --- fingerprints ------------------------------------------------------
@@ -322,21 +346,21 @@ TEST(Fingerprint, StableAcrossCallsAndExcludedKnobs)
     }
     {
         SweepPoint knobs = p;
-        knobs.cfg.metricsInterval = 12345;
+        knobs.metricsInterval = 12345;
         EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
             << "metricsInterval";
     }
     // And both together.
     SweepPoint knobs = p;
     knobs.cfg.idleSkip = !knobs.cfg.idleSkip;
-    knobs.cfg.metricsInterval = 12345;
+    knobs.metricsInterval = 12345;
     EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash);
 }
 
 TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
 {
     using Mut = std::pair<const char *, void (*)(GpuConfig &)>;
-    // One mutation per hashed GpuConfig field. If hashConfig ever skips
+    // One mutation per recorded GpuConfig field. If configToJson skips
     // one of these, two configs that simulate differently would share a
     // cache record — the stale-result hazard this suite exists to catch.
     const std::vector<Mut> muts = {
@@ -392,8 +416,6 @@ TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
          [](GpuConfig &c) {
              c.collectStallBreakdown = !c.collectStallBreakdown;
          }},
-        {"collectSpinCycles",
-         [](GpuConfig &c) { c.collectSpinCycles = !c.collectSpinCycles; }},
         {"execMode",
          [](GpuConfig &c) { c.execMode = ExecMode::Functional; }},
     };
@@ -458,13 +480,13 @@ TEST(Fingerprint, OverridesChangeKeyOnlyWhenPresent)
 {
     // Keys recorded before overrides existed: a point without overrides
     // must still hash to them, or every cached result would go cold.
-    // They move only with kResultSchemaVersion or hashConfig().
+    // They move only with kResultSchemaVersion or configToJson().
     SweepPoint ht = registryPoint("HT");
     ht.kernel = "HT";
     EXPECT_EQ(harness::fingerprintPoint(registryPoint()).hash,
-              "c43f710029f6d91ab01b45a8164ad6e8212c3efbb486c0b1c7f09a1e216f537b");
+              "c0283cc9c49b553612cbcc295f394e77db4063eb775672f485ed68b2e3614be5");
     EXPECT_EQ(harness::fingerprintPoint(ht).hash,
-              "6c1099c6ae1c95fbcee66ef7050fd4de4748df2956043639425b030c616d2c42");
+              "91272e32185eb94c4498c11c168f4b5d2061845917776369f6845905699812fa");
 
     // Every override value, and the delay factor's switch to the
     // back-off program, moves the key.
@@ -669,10 +691,9 @@ TEST(CacheIntegration, WarmRunServesEveryPointBitIdentically)
 
     // The artifact's cache block reflects the counters, and cold/warm
     // points arrays agree byte-for-byte.
-    const Json cold_doc =
-        harness::sweepToJson("unit", 2, points, first, &cold);
+    const Json cold_doc = harness::sweepToJson("unit", points, first, &cold);
     const Json warm_doc =
-        harness::sweepToJson("unit", 2, points, second, &warm);
+        harness::sweepToJson("unit", points, second, &warm);
     EXPECT_EQ(warm_doc.at("cache").at("hits").asInt(),
               static_cast<std::int64_t>(points.size()));
     EXPECT_EQ(cold_doc.at("points").dump(), warm_doc.at("points").dump());

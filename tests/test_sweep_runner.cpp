@@ -141,7 +141,7 @@ TEST(SweepRunner, SideArtifactsSurviveAFailedPoint)
     p.cfg = makeGtx480Config();
     p.cfg.numCores = 2;
     p.cfg.watchdogCycles = 5000;
-    p.cfg.metricsInterval = 500;
+    p.metricsInterval = 500;
     p.tracePath = (dir / "trace.json").string();
     p.metricsPath = (dir / "metrics.json").string();
     p.syncReportPath = (dir / "sync.json").string();
@@ -182,10 +182,9 @@ TEST(SweepToJson, RecordsEveryPointWithStatsOrError)
     points[1].cfg.watchdogCycles = 10;
     const std::vector<SweepResult> results = SweepRunner(2).run(points);
 
-    const Json doc =
-        harness::sweepToJson("unit_test", 2, points, results);
+    const Json doc = harness::sweepToJson("unit_test", points, results);
     EXPECT_EQ(doc.at("bench").asString(), "unit_test");
-    EXPECT_EQ(doc.at("jobs").asInt(), 2);
+    EXPECT_FALSE(doc.has("jobs"));  // an execution knob, not recorded
     const Json &arr = doc.at("points");
     ASSERT_EQ(arr.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -201,33 +200,35 @@ TEST(SweepToJson, RecordsEveryPointWithStatsOrError)
     EXPECT_EQ(Json::parse(text).dump(), text);
 }
 
-TEST(SweepToJson, RecordsIdleSkipAndStaticEnergy)
+TEST(SweepToJson, RecordsConfigRecordAndStaticEnergy)
 {
     std::vector<SweepPoint> points = smallSweep();
     points.resize(2);
     points[1].cfg.idleSkip = false;
     const std::vector<SweepResult> results = SweepRunner(1).run(points);
 
-    const Json doc =
-        harness::sweepToJson("unit_test", 1, points, results);
+    const Json doc = harness::sweepToJson("unit_test", points, results);
     const Json &arr = doc.at("points");
     ASSERT_EQ(arr.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
         const Json &p = arr.at(i);
-        // json_check requires config.idle_skip on every point; the
-        // producer must emit it unconditionally.
+        // Every point writes the one configuration record, which leaves
+        // out the execution knob idleSkip: a --no-skip point records
+        // what a skipping one does.
         ASSERT_TRUE(p.has("config"));
-        ASSERT_TRUE(p.at("config").has("idle_skip"));
-        EXPECT_EQ(p.at("config").at("idle_skip").asBool(),
-                  points[i].cfg.idleSkip);
-        // Likewise for the atomic service period (json_check requires
-        // it).
-        ASSERT_TRUE(p.at("config").has("atomic_service_period"));
+        EXPECT_EQ(p.at("config").dump(),
+                  harness::configToJson(points[i].cfg).dump());
+        EXPECT_FALSE(p.at("config").has("idle_skip"));
         EXPECT_EQ(p.at("config").at("atomic_service_period").asInt(),
                   static_cast<std::int64_t>(points[i].cfg.atomicServicePeriod));
         ASSERT_TRUE(p.at("stats").has("static_energy_nj"));
         EXPECT_GT(p.at("stats").at("static_energy_nj").asDouble(), 0.0);
     }
+    GpuConfig skipping = points[1].cfg;
+    skipping.idleSkip = true;
+    EXPECT_EQ(arr.at(1).at("config").dump(),
+              harness::configToJson(skipping).dump());
+    EXPECT_TRUE(harness::checkSweepArtifact(doc, 2).ok);
 }
 
 TEST(SweepToJson, RecordsExecMode)
@@ -238,8 +239,7 @@ TEST(SweepToJson, RecordsExecMode)
     points[1].cfg.execMode = ExecMode::Functional;
     const std::vector<SweepResult> results = SweepRunner(1).run(points);
 
-    const Json doc =
-        harness::sweepToJson("unit_test", 1, points, results);
+    const Json doc = harness::sweepToJson("unit_test", points, results);
     const Json &arr = doc.at("points");
     ASSERT_EQ(arr.size(), 2u);
 
@@ -259,10 +259,12 @@ TEST(SweepToJson, RecordsExecMode)
     // present and name a known mode, and no point may carry estimator
     // fields.
     auto brokenDoc = [](const char *mode, bool with_est) {
+        const Json record = harness::configToJson(makeGtx480Config());
         Json cfg = Json::object();
-        cfg.set("idle_skip", true);
-        cfg.set("atomic_service_period", 1);
-        cfg.set("metrics_interval", 0);
+        for (const auto &[key, value] : record.members()) {
+            if (key != "exec_mode")
+                cfg.set(key, value);
+        }
         if (mode)
             cfg.set("exec_mode", mode);
         Json stats = Json::object();
