@@ -23,20 +23,24 @@ struct CawaState {
     double estRemaining = 0.0;
     /** Instructions issued so far. */
     std::uint64_t issued = 0;
-    /** Cycles since the warp launched. */
-    std::uint64_t activeCycles = 0;
-    /** Cycles the warp was resident but could not issue (nStall). */
-    std::uint64_t stallCycles = 0;
+    /** Cycle the warp's CTA was dispatched to its SM. */
+    Cycle dispatchCycle = 0;
 
-    /** Criticality metric: nInst * CPIavg + nStall. */
+    /**
+     * Criticality metric at an arbitration in cycle @p now:
+     * nInst * CPIavg + nStall. The warp was resident for the
+     * now - dispatchCycle cycles before this one and issued at most once
+     * in each, so nStall, the cycles it could not issue, is that count
+     * minus its issued instructions.
+     */
     double
-    criticality() const
+    criticality(Cycle now) const
     {
-        double cpi =
-            issued == 0 ? 1.0
-                        : static_cast<double>(activeCycles) /
-                              static_cast<double>(issued);
-        return estRemaining * cpi + static_cast<double>(stallCycles);
+        const std::uint64_t active = now - dispatchCycle;
+        const double cpi = issued == 0 ? 1.0
+                                       : static_cast<double>(active) /
+                                             static_cast<double>(issued);
+        return estRemaining * cpi + static_cast<double>(active - issued);
     }
 };
 
@@ -86,7 +90,7 @@ class Warp {
     BowsState &bows() { return bows_; }
     const BowsState &bows() const { return bows_; }
 
-    /** Cycle this warp last won arbitration (CAWA stall accounting). */
+    /** Cycle this warp last won arbitration (stall attribution). */
     Cycle lastIssueCycle() const { return lastIssueCycle_; }
     void setLastIssueCycle(Cycle c) { lastIssueCycle_ = c; }
 

@@ -21,7 +21,7 @@ class CawaScheduler : public Scheduler {
 
   protected:
     Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                   Cycle now, const IssueGate &gate) override;
+                   Cycle now) override;
 };
 
 }  // namespace bowsim

@@ -25,7 +25,7 @@ class GtoScheduler : public Scheduler {
 
   protected:
     Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                   Cycle now, const IssueGate &gate) override;
+                   Cycle now) override;
 
   private:
     Cycle rotatePeriod_;

@@ -7,15 +7,14 @@ namespace bowsim {
 
 Warp *
 LrrScheduler::pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                       Cycle now, const IssueGate &gate)
+                       Cycle now)
 {
     (void)now;
     // Priority is ascending warp id rotated to start just after the
-    // last-issued warp's id. The first eligible warp of that circular
-    // order is the eligible warp with the smallest id above the pivot,
-    // else the smallest eligible id overall (ids are unique per unit).
-    // The id-minimum bookkeeping is order-independent and eligible() is
-    // side-effect free, so one pass over the set bits finds both.
+    // last-issued warp's id. The first candidate of that circular order
+    // is the candidate with the smallest id above the pivot, else the
+    // smallest id overall (ids are unique per unit); one pass over the
+    // set bits finds both.
     const bool have_pivot = lastIssued_ != nullptr;
     const unsigned pivot = have_pivot ? lastIssued_->id() : 0;
     Warp *best_above = nullptr;
@@ -23,16 +22,9 @@ LrrScheduler::pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
     for (; cand != 0; cand &= cand - 1) {
         Warp *w = warps[static_cast<unsigned>(std::countr_zero(cand))];
         const unsigned id = w->id();
-        const bool improves_above =
-            have_pivot && id > pivot && (!best_above || id < best_above->id());
-        const bool improves_any = !best_any || id < best_any->id();
-        if (!improves_above && !improves_any)
-            continue;
-        if (!gate.eligible(*w))
-            continue;
-        if (improves_above)
+        if (have_pivot && id > pivot && (!best_above || id < best_above->id()))
             best_above = w;
-        if (improves_any)
+        if (!best_any || id < best_any->id())
             best_any = w;
     }
     // The pivot only applies while the last-issued warp is resident: a

@@ -17,7 +17,7 @@ class LrrScheduler : public Scheduler {
 
   protected:
     Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                   Cycle now, const IssueGate &gate) override;
+                   Cycle now) override;
 };
 
 }  // namespace bowsim

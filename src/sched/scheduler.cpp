@@ -12,40 +12,36 @@ namespace bowsim {
 
 Warp *
 Scheduler::pick(const std::vector<Warp *> &warps, const UnitMask &mask,
-                Cycle now, bool deprioritize, const IssueGate &gate)
+                Cycle now, bool deprioritize)
 {
     const std::uint64_t cand =
-        deprioritize ? mask.issuable & ~mask.backedOff : mask.issuable;
-    if (Warp *w = pickFrom(warps, cand, now, gate))
-        return w;
+        deprioritize ? mask.ready & ~mask.backedOff : mask.ready;
+    if (cand != 0)
+        return pickFrom(warps, cand, now);
     if (!deprioritize)
-        return nullptr;
-    // Backed-off queue: the first eligible warp in FIFO order is the
-    // eligible one with the smallest (unique, per-core) backoffSeq.
-    // Barrier-parked warps are never backed off (issuing the bar
-    // cleared the state), so masking with issuable loses nothing.
+        return nullptr;  // every ready warp was a candidate
+    // Backed-off queue: the first ready warp in FIFO order is the one
+    // with the smallest (unique, per-core) backoffSeq.
     Warp *best = nullptr;
-    for (std::uint64_t boff = mask.backedOff & mask.issuable; boff != 0;
+    for (std::uint64_t boff = mask.ready & mask.backedOff; boff != 0;
          boff &= boff - 1) {
         Warp *w = warps[static_cast<unsigned>(std::countr_zero(boff))];
-        if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
-            continue;
-        if (gate.eligible(*w))
+        if (!best || w->bows().backoffSeq < best->bows().backoffSeq)
             best = w;
     }
     return best;
 }
 
 Warp *
-Scheduler::greedyPick(const std::vector<Warp *> &warps, std::uint64_t cand,
-                      const IssueGate &gate) const
+Scheduler::greedyPick(const std::vector<Warp *> &warps,
+                      std::uint64_t cand) const
 {
     if (!lastIssued_)
         return nullptr;
     for (; cand != 0; cand &= cand - 1) {
-        if (warps[static_cast<unsigned>(std::countr_zero(cand))] ==
-            lastIssued_)
-            return gate.eligible(*lastIssued_) ? lastIssued_ : nullptr;
+        Warp *w = warps[static_cast<unsigned>(std::countr_zero(cand))];
+        if (w == lastIssued_)
+            return w;
     }
     return nullptr;
 }

@@ -11,37 +11,22 @@
 /**
  * @file
  * Warp-scheduler policies. Each SM scheduler unit owns one Scheduler
- * instance; every cycle the core asks it to pick() the warp that issues
- * from the unit's warp bitmasks. The eligibility test (scoreboard,
- * barrier, BOWS back-off) stays in the core, so policies remain pure
- * priority functions.
+ * instance; every cycle in which the unit has a ready warp, the core
+ * asks it to pick() the warp that issues. The core keeps the unit's
+ * ready bitmask (barrier, BOWS back-off delay, scoreboard and LD/ST
+ * port all pass), so a policy is a pure function of the masks: it
+ * orders the ready warps and never probes a warp's eligibility.
  */
 
 namespace bowsim {
 
 /**
- * Eligibility oracle the core hands to pick(): wraps the per-warp checks
- * that stay core-side (scoreboard, barrier, back-off delay, memory-port
- * availability). eligible() must be side-effect free — arbitration
- * probes warps in mask order, not in priority order.
- */
-class IssueGate {
-  public:
-    virtual bool eligible(Warp &w) const = 0;
-
-  protected:
-    ~IssueGate() = default;
-};
-
-/**
- * Per-unit warp bitmasks maintained incrementally by the core: bit k
- * describes warps[k] of the unit's resident vector, which holds at most
- * 64 warps.
+ * Per-unit warp bitmasks the core hands to pick(): bit k describes
+ * warps[k] of the unit's resident vector, which holds at most 64 warps.
  */
 struct UnitMask {
-    /** Warp is not parked at a barrier (finished warps leave the
-     *  vector immediately, so every resident warp is live). */
-    std::uint64_t issuable = 0;
+    /** Warp passes every issue gate this cycle (SmCore::eligible()). */
+    std::uint64_t ready = 0;
     /** Warp is in the BOWS backed-off state. */
     std::uint64_t backedOff = 0;
 };
@@ -51,16 +36,16 @@ class Scheduler {
     virtual ~Scheduler() = default;
 
     /**
-     * Fig. 8 arbitration: the first warp passing @p gate in the base
-     * policy's order over the candidates — the issuable warps, minus the
-     * backed-off ones when @p deprioritize — then, when
-     * @p deprioritize, the backed-off queue in FIFO order (smallest
-     * backoffSeq first). nullptr when no warp is eligible. @p warps are
-     * the unit's residents in launch-age order (the order the core
-     * maintains), indexed by the bits of @p mask.
+     * Fig. 8 arbitration: the base policy's first warp among the
+     * candidates — the ready warps, minus the backed-off ones when
+     * @p deprioritize — then, when @p deprioritize, the ready backed-off
+     * warp that entered the queue first (smallest backoffSeq). Never
+     * nullptr while @p mask has a ready bit; nullptr when it has none.
+     * @p warps are the unit's residents in launch-age order (the order
+     * the core maintains), indexed by the bits of @p mask.
      */
     Warp *pick(const std::vector<Warp *> &warps, const UnitMask &mask,
-               Cycle now, bool deprioritize, const IssueGate &gate);
+               Cycle now, bool deprioritize);
 
     /** Called when @p warp wins arbitration this cycle. */
     virtual void
@@ -83,18 +68,17 @@ class Scheduler {
   protected:
     /**
      * The base policy: the highest-priority warp among the set bits of
-     * @p cand that passes @p gate, or nullptr.
+     * @p cand, which is never empty.
      */
     virtual Warp *pickFrom(const std::vector<Warp *> &warps,
-                           std::uint64_t cand, Cycle now,
-                           const IssueGate &gate) = 0;
+                           std::uint64_t cand, Cycle now) = 0;
 
     /**
      * The greedy component of GTO and CAWA: lastIssued_ when it is still
-     * a candidate (its bit is set in @p cand) and passes @p gate.
+     * a candidate (its bit is set in @p cand), else nullptr.
      */
-    Warp *greedyPick(const std::vector<Warp *> &warps, std::uint64_t cand,
-                     const IssueGate &gate) const;
+    Warp *greedyPick(const std::vector<Warp *> &warps,
+                     std::uint64_t cand) const;
 
     Warp *lastIssued_ = nullptr;
 };

@@ -7,8 +7,7 @@ namespace bowsim {
 
 Warp *
 TwoLevelScheduler::pickFrom(const std::vector<Warp *> &warps,
-                            std::uint64_t cand, Cycle now,
-                            const IssueGate &gate)
+                            std::uint64_t cand, Cycle now)
 {
     (void)now;
     // Priority key: (group distance from the active group, round-robin
@@ -36,10 +35,8 @@ TwoLevelScheduler::pickFrom(const std::vector<Warp *> &warps,
         const std::uint64_t k = key(w);
         if (best && k >= best_key)
             continue;
-        if (gate.eligible(*w)) {
-            best = w;
-            best_key = k;
-        }
+        best = w;
+        best_key = k;
     }
     return best;
 }

@@ -31,7 +31,7 @@ class TwoLevelScheduler : public Scheduler {
 
   protected:
     Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                   Cycle now, const IssueGate &gate) override;
+                   Cycle now) override;
 
   private:
     unsigned activeGroup_ = 0;

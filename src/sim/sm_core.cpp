@@ -22,6 +22,20 @@ firstLane(LaneMask m)
     return static_cast<unsigned>(std::countr_zero(m));
 }
 
+/** True when issuing @p inst needs a free LD/ST-unit slot. */
+bool
+needsLdstPort(const Instruction &inst)
+{
+    return inst.isMemory() && inst.space != MemSpace::Param;
+}
+
+/** Sets or clears @p bit of @p mask. */
+void
+assign(std::uint64_t &mask, std::uint64_t bit, bool set)
+{
+    mask = set ? mask | bit : mask & ~bit;
+}
+
 }  // namespace
 
 unsigned
@@ -86,9 +100,7 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
               " unit and at most 64 warp slots per unit");
     for (unsigned s = 0; s < units; ++s)
         schedulers_.push_back(makeScheduler(cfg));
-    unitResident_.resize(units);
-    unitIssuable_.assign(units, 0);
-    unitBackedOff_.assign(units, 0);
+    units_.resize(units);
     unitPosOf_.assign(maxWarps_, 0);
     ddos_ = std::make_unique<DdosUnit>(cfg.ddos, maxWarps_);
 
@@ -100,7 +112,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
         launch_.buildPcFlags();  // idempotent; cores are built serially
     if (launch_.tracker == nullptr)
         panic("launch without a lock tracker");
-    cawaAccounting_ = cfg.scheduler == SchedulerKind::CAWA;
 
     // Tracing and stall attribution ride the same launch-wide handle.
     // Sizing the stall table here (cores are built serially) keeps
@@ -163,14 +174,12 @@ SmCore::tryLaunchCtas()
         for (const auto &warp : slot.warps) {
             const unsigned warp_slot = warp->id();
             ddos_->resetWarp(warp_slot);
+            warp->cawa().dispatchCycle = now_;
             resident_.push_back(warp.get());
-            const unsigned unit_id = warp_slot % units;
-            auto &unit = unitResident_[unit_id];
-            const std::uint64_t bit = std::uint64_t{1} << unit.size();
+            auto &unit = units_[warp_slot % units].warps;
             unitPosOf_[warp_slot] = static_cast<std::uint32_t>(unit.size());
-            unitIssuable_[unit_id] |= bit;
-            unitBackedOff_[unit_id] &= ~bit;
             unit.push_back(warp.get());
+            refreshWarpMask(*warp);
         }
         stats_.peakResidentPerSm[id_] = std::max<std::uint64_t>(
             stats_.peakResidentPerSm[id_], resident_.size());
@@ -232,7 +241,7 @@ SmCore::isSib(Pc pc) const
 }
 
 inline trace::StallCause
-SmCore::classifyStall(Warp &w) const
+SmCore::classifyStall(const Warp &w) const
 {
     if (w.atBarrier())
         return trace::StallCause::Barrier;
@@ -241,15 +250,13 @@ SmCore::classifyStall(Warp &w) const
     const Instruction &inst = fetch(w.stack().pc());
     if (!w.scoreboard().canIssue(inst))
         return trace::StallCause::Scoreboard;
-    if (inst.isMemory() && inst.space != MemSpace::Param &&
-        !ldst_.canAccept()) {
+    if (needsLdstPort(inst) && !ldst_.canAccept())
         return trace::StallCause::PipelineBusy;
-    }
     return trace::StallCause::Arbitration;
 }
 
 bool
-SmCore::eligible(Warp &w) const
+SmCore::eligible(const Warp &w) const
 {
     return !w.done() && classifyStall(w) == trace::StallCause::Arbitration;
 }
@@ -431,9 +438,8 @@ SmCore::onWarpFinished(Warp &w)
         sched->notifyFinished(&w);
     resident_.erase(std::remove(resident_.begin(), resident_.end(), &w),
                     resident_.end());
-    const unsigned unit_id =
-        w.id() % static_cast<unsigned>(schedulers_.size());
-    auto &unit = unitResident_[unit_id];
+    const unsigned unit_id = w.id() % static_cast<unsigned>(units_.size());
+    auto &unit = units_[unit_id].warps;
     unit.erase(std::remove(unit.begin(), unit.end(), &w), unit.end());
     rebuildUnitMask(unit_id);  // positions shifted by the erase
     Cta &cta = ctas_.at(w.id() / warpsPerCta_);
@@ -448,51 +454,105 @@ SmCore::onWarpFinished(Warp &w)
 void
 SmCore::rebuildUnitMask(unsigned u)
 {
-    std::uint64_t issuable = 0;
-    std::uint64_t backed_off = 0;
-    const auto &unit = unitResident_[u];
-    for (std::size_t k = 0; k < unit.size(); ++k) {
-        const Warp &w = *unit[k];
-        unitPosOf_[w.id()] = static_cast<std::uint32_t>(k);
-        const std::uint64_t bit = std::uint64_t{1} << k;
-        if (!w.atBarrier())
-            issuable |= bit;
-        if (w.bows().backedOff)
-            backed_off |= bit;
+    Unit &unit = units_[u];
+    unit.issuable = unit.backedOff = unit.delayed = 0;
+    unit.sbReady = unit.memNext = 0;
+    for (std::size_t k = 0; k < unit.warps.size(); ++k) {
+        unitPosOf_[unit.warps[k]->id()] = static_cast<std::uint32_t>(k);
+        refreshWarpMask(*unit.warps[k]);
     }
-    unitIssuable_[u] = issuable;
-    unitBackedOff_[u] = backed_off;
 }
 
 void
 SmCore::refreshWarpMask(const Warp &w)
 {
-    const unsigned u =
-        w.id() % static_cast<unsigned>(schedulers_.size());
+    // One bit per classifyStall() check, evaluated the same way; only
+    // the LD/ST port stays live (Unit::ready()).
+    Unit &unit = units_[w.id() % units_.size()];
     const std::uint64_t bit = std::uint64_t{1} << unitPosOf_[w.id()];
-    if (w.atBarrier())
-        unitIssuable_[u] &= ~bit;
-    else
-        unitIssuable_[u] |= bit;
-    if (w.bows().backedOff)
-        unitBackedOff_[u] |= bit;
-    else
-        unitBackedOff_[u] &= ~bit;
+    const Instruction &inst = fetch(w.stack().pc());
+    const bool delayed = !backoff_.mayIssue(w, now_);
+    assign(unit.issuable, bit, !w.atBarrier());
+    assign(unit.backedOff, bit, w.bows().backedOff);
+    assign(unit.delayed, bit, delayed);
+    assign(unit.sbReady, bit, w.scoreboard().canIssue(inst));
+    assign(unit.memNext, bit, needsLdstPort(inst));
+    if (delayed)
+        delayHorizon_ = std::min(delayHorizon_, w.bows().delayUntil);
+}
+
+void
+SmCore::expireDelays(Cycle now)
+{
+    // A delayed warp cannot issue, so its bit clears only here: the
+    // minimum over the survivors is the exact next expiry.
+    Cycle next = kNeverCycle;
+    for (Unit &unit : units_) {
+        for (std::uint64_t d = unit.delayed; d != 0; d &= d - 1) {
+            const unsigned k = static_cast<unsigned>(std::countr_zero(d));
+            const Cycle until = unit.warps[k]->bows().delayUntil;
+            if (until <= now)
+                unit.delayed &= ~(std::uint64_t{1} << k);
+            else
+                next = std::min(next, until);
+        }
+    }
+    delayHorizon_ = next;
+}
+
+std::string
+SmCore::readyMaskMismatch() const
+{
+    const bool ldst_free = ldst_.canAccept();
+    for (const Unit &unit : units_) {
+        const std::uint64_t ready = unit.ready(ldst_free);
+        const std::size_t n = unit.warps.size();
+        if (n < 64 && (ready >> n) != 0)
+            return detail::format("SM ", id_, ": ready bit above the ",
+                                  n, " residents of a unit");
+        for (std::size_t k = 0; k < n; ++k) {
+            const Warp &w = *unit.warps[k];
+            const bool bit = ((ready >> k) & 1) != 0;
+            if (unitPosOf_[w.id()] != k || bit != eligible(w))
+                return detail::format("SM ", id_, " warp ", w.id(),
+                                      " at cycle ", now_, ": position ", k,
+                                      " (recorded ", unitPosOf_[w.id()],
+                                      "), ready bit ", bit,
+                                      ", eligible() ", eligible(w));
+        }
+    }
+    Cycle scan = kNeverCycle;
+    for (const Warp *w : resident_) {
+        const BowsState &b = w->bows();
+        if (b.backedOff && b.delayUntil > now_)
+            scan = std::min(scan, b.delayUntil);
+    }
+    if (scan != delayHorizon_)
+        return detail::format("SM ", id_, " at cycle ", now_,
+                              ": earliest back-off deadline ", delayHorizon_,
+                              ", scan ", scan);
+    return {};
 }
 
 bool
 SmCore::cycle(Cycle now)
 {
     now_ = now;
+    if (now >= delayHorizon_)
+        expireDelays(now);
     tryLaunchCtas();
 
-    // 1. Memory and ALU writebacks due this cycle.
+    // 1. Memory and ALU writebacks due this cycle. A release can clear
+    //    the scoreboard for the warp's next instruction; a finished warp
+    //    has already left its unit.
     const bool tracing = tracer_.enabled();
     memCompletions_.clear();
     ldst_.cycle(now, memCompletions_);
     for (const MemCompletion &c : memCompletions_) {
         if (c.inst->dst.valid()) {
             c.warp->scoreboard().release(*c.inst);
+            if (!c.warp->done())
+                refreshWarpMask(*c.warp);
             if (tracing) {
                 tracer_.emit(now, id_,
                              static_cast<std::int32_t>(c.warp->id()),
@@ -506,6 +566,8 @@ SmCore::cycle(Cycle now)
         if (!due.empty()) {
             for (const WbEvent &ev : due) {
                 ev.warp->scoreboard().release(*ev.inst);
+                if (!ev.warp->done())
+                    refreshWarpMask(*ev.warp);
                 if (tracing) {
                     tracer_.emit(now, id_,
                                  static_cast<std::int32_t>(ev.warp->id()),
@@ -527,43 +589,35 @@ SmCore::cycle(Cycle now)
 
     // 3. Issue: one instruction per scheduler unit per cycle (Fig. 8
     //    arbitration: base-policy order over non-backed-off warps, then
-    //    the backed-off queue in FIFO order).
-    const unsigned units = static_cast<unsigned>(schedulers_.size());
+    //    the backed-off queue in FIFO order). A unit with no ready warp
+    //    skips arbitration. canAccept() is read per unit: an earlier
+    //    unit's submit this cycle can fill the LD/ST window.
+    const unsigned units = static_cast<unsigned>(units_.size());
     const bool deprio = backoff_.deprioritizes();
     bool issued_any = false;
     for (unsigned u = 0; u < units; ++u) {
-        if (unitResident_[u].empty())
+        Unit &unit = units_[u];
+        const std::uint64_t ready = unit.ready(ldst_.canAccept());
+        if (ready == 0)
             continue;
         Scheduler &sched = *schedulers_[u];
-        Warp *winner =
-            sched.pick(unitResident_[u],
-                       UnitMask{unitIssuable_[u], unitBackedOff_[u]}, now,
-                       deprio, *this);
-        if (winner) {
-            issue(*winner, now);
-            if (stallAccounting_)
-                ++stats_.unitIssues[id_ * schedulers_.size() + u];
-            // A finished winner left the vectors (masks rebuilt); a
-            // live one may have entered a barrier or changed back-off
-            // state during execution.
-            if (!winner->done())
-                refreshWarpMask(*winner);
-            sched.notifyIssued(winner, now);
-            issued_any = true;
-        }
+        Warp *winner = sched.pick(unit.warps, UnitMask{ready, unit.backedOff},
+                                  now, deprio);
+        issue(*winner, now);
+        if (stallAccounting_)
+            ++stats_.unitIssues[id_ * units + u];
+        // A finished winner left the vectors (masks rebuilt); a live one
+        // moved its PC, may have reserved its scoreboard, entered a
+        // barrier or changed back-off state.
+        if (!winner->done())
+            refreshWarpMask(*winner);
+        sched.notifyIssued(winner, now);
+        issued_any = true;
     }
 
-    // 4. Per-cycle warp accounting (CAWA stalls, Fig. 11 occupancy).
-    //    The occupancy sums are running counters, so only CAWA — the one
-    //    consumer of per-warp active/stall cycles — needs the warp loop.
+    // 4. Per-cycle accounting (Fig. 11 occupancy sums are running
+    //    counters, so no warp loop runs unless stalls are attributed).
     KernelStats &st = stats_;
-    if (cawaAccounting_) {
-        for (Warp *w : resident_) {
-            ++w->cawa().activeCycles;
-            if (w->lastIssueCycle() != now)
-                ++w->cawa().stallCycles;
-        }
-    }
     if (stallAccounting_)
         recordStallCycle(now);
     st.residentWarpCycles += resident_.size();
@@ -592,18 +646,10 @@ SmCore::nextWorkCycle(Cycle now) const
             }
         }
     }
-    horizon = std::min(horizon, ldst_.nextEventCycle(now));
-    if (backoff_.enabled()) {
-        // Only unexpired deadlines create future work; a backed-off
-        // warp whose delay already expired is blocked by something
-        // else (or it would have issued this cycle).
-        for (const Warp *w : resident_) {
-            const BowsState &b = w->bows();
-            if (b.backedOff && b.delayUntil > now)
-                horizon = std::min(horizon, b.delayUntil);
-        }
-    }
-    return horizon;
+    // Only unexpired deadlines create future work, and cycle(now)
+    // cleared every expired delayed bit: delayHorizon_ is the earliest
+    // deadline after now.
+    return std::min({horizon, ldst_.nextEventCycle(now), delayHorizon_});
 }
 
 void
@@ -621,12 +667,6 @@ SmCore::fastForward(Cycle from, Cycle to)
     KernelStats &st = stats_;
     st.delayLimitCycleSum += backoff_.fastForwardWindows(from, to);
     st.smCycles += delta;
-    if (cawaAccounting_) {
-        for (Warp *w : resident_) {
-            w->cawa().activeCycles += delta;
-            w->cawa().stallCycles += delta;  // nobody issued in the gap
-        }
-    }
     if (stallAccounting_)
         recordStallGap(delta);
     st.residentWarpCycles += delta * resident_.size();
@@ -637,7 +677,7 @@ SmCore::fastForward(Cycle from, Cycle to)
 void
 SmCore::recordStallGap(std::uint64_t delta)
 {
-    // recordStallCycle() over unitResident_ visits exactly the resident
+    // recordStallCycle() over the units' warps visits exactly the resident
     // warps; with no issues and frozen gates each warp keeps one cause
     // for the whole gap, so the per-cycle increment becomes += delta
     // and the grand total still advances by resident_.size() per cycle.
@@ -666,9 +706,8 @@ SmCore::recordStallCycle(Cycle now)
     KernelStats &st = stats_;
     const std::size_t sm_base =
         static_cast<std::size_t>(id_) * st.stallWarpsPerSm;
-    const unsigned units = static_cast<unsigned>(schedulers_.size());
-    for (unsigned u = 0; u < units; ++u) {
-        if (unitResident_[u].empty()) {
+    for (const Unit &unit : units_) {
+        if (unit.warps.empty()) {
             if (tracing && validCtas_ != 0) {
                 tracer_.emit(now, id_, -1, trace::EventKind::IssueStall,
                              static_cast<std::uint64_t>(
@@ -679,7 +718,7 @@ SmCore::recordStallCycle(Cycle now)
         bool unit_issued = false;
         bool have_cause = false;
         trace::StallCause unit_cause = trace::StallCause::Arbitration;
-        for (Warp *w : unitResident_[u]) {
+        for (const Warp *w : unit.warps) {
             trace::StallCause cause;
             if (w->lastIssueCycle() == now) {
                 cause = trace::StallCause::Issued;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/arch/warp.hpp"
@@ -171,7 +172,7 @@ struct Cta {
 unsigned maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
                             unsigned threads_per_cta);
 
-class SmCore : private IssueGate {
+class SmCore {
   public:
     /**
      * Counts into launch.stats, which every SM of the device shares.
@@ -209,13 +210,12 @@ class SmCore : private IssueGate {
     /**
      * Replays the per-cycle accounting of the idle gap [from, to] in
      * one step: adaptive-window boundaries and the delay-limit sum,
-     * smCycles, CAWA active/stall counters, the stall-breakdown table
-     * (each warp's blocking cause is frozen through the gap), and the
-     * resident/backed-off warp-cycle sums. Callable only when no unit
-     * on this SM can issue anywhere in the gap (to < nextWorkCycle).
-     * One gap may arrive as consecutive pieces — a catch-up for a
-     * metrics sample, then the rest when the SM wakes — and the pieces
-     * add up to the whole gap exactly.
+     * smCycles, the stall-breakdown table (each warp's blocking cause is
+     * frozen through the gap), and the resident/backed-off warp-cycle
+     * sums. Callable only when no unit on this SM can issue anywhere in
+     * the gap (to < nextWorkCycle). One gap may arrive as consecutive
+     * pieces — a catch-up for a metrics sample, then the rest when the
+     * SM wakes — and the pieces add up to the whole gap exactly.
      */
     void fastForward(Cycle from, Cycle to);
 
@@ -237,6 +237,15 @@ class SmCore : private IssueGate {
     /** Instructions issued by this SM so far (always collected). */
     std::uint64_t issuedInstructions() const { return issuedInstructions_; }
 
+    /**
+     * Checks the ready masks against their oracle (tests; docs/PERF.md,
+     * "Ready-mask arbitration"): each resident warp's ready bit against
+     * eligible(), and the earliest back-off deadline against a scan of
+     * the resident warps. Empty when everything agrees, else a message
+     * naming the first disagreement.
+     */
+    std::string readyMaskMismatch() const;
+
   private:
     /** ALU-pipeline writeback event (bucketed by completion cycle). */
     struct WbEvent {
@@ -244,29 +253,63 @@ class SmCore : private IssueGate {
         const Instruction *inst;
     };
 
+    /**
+     * One scheduler unit: its resident warps in launch-age order and
+     * the bitmasks over their positions (bit k = unit.warps[k]). Each
+     * mask mirrors one classifyStall() check and is kept in sync at the
+     * events that change it, so ready() is set exactly where eligible()
+     * passes (docs/PERF.md, "Ready-mask arbitration").
+     */
+    struct Unit {
+        std::vector<Warp *> warps;
+        /** Not parked at a barrier. */
+        std::uint64_t issuable = 0;
+        /** In the BOWS backed-off state. */
+        std::uint64_t backedOff = 0;
+        /** Backed off with its delay pending (delayUntil > now). */
+        std::uint64_t delayed = 0;
+        /** The scoreboard clears the next instruction. */
+        std::uint64_t sbReady = 0;
+        /** The next instruction needs the LD/ST port. */
+        std::uint64_t memNext = 0;
+
+        /** The warps passing every gate, given LD/ST canAccept(). */
+        std::uint64_t
+        ready(bool ldst_free) const
+        {
+            const std::uint64_t r = issuable & sbReady & ~delayed;
+            return ldst_free ? r : r & ~memNext;
+        }
+    };
+
     void tryLaunchCtas();
     void retireFinishedCtas();
     void checkBarrier(Cta &cta);
-    /** IssueGate: a live warp that classifyStall() finds unblocked. */
-    bool eligible(Warp &w) const override;
+    /** A live warp that classifyStall() finds unblocked (the oracle of
+     *  the ready masks, and the eligible-warps gauge). */
+    bool eligible(const Warp &w) const;
     void issue(Warp &w, Cycle now);
     bool isSib(Pc pc) const;
 
     /**
      * The one issue gate: the first check that blocks @p w at now_, or
      * Arbitration when every check passes (eligible() and the stall
-     * tables both read it). @p w must be resident and not done. Inline
-     * so eligible(), the hottest gate call, pays no extra call.
+     * tables both read it; the unit masks mirror its checks). @p w must
+     * be resident and not done. Inline: the stall tables call it per
+     * warp per cycle.
      */
-    inline trace::StallCause classifyStall(Warp &w) const;
+    inline trace::StallCause classifyStall(const Warp &w) const;
     /** Per-cycle stall attribution + unit-level stall events (gated). */
     void recordStallCycle(Cycle now);
     /** Bulk stall attribution for @p delta identical idle cycles. */
     void recordStallGap(std::uint64_t delta);
     /** Recomputes one unit's masks and positions from its vector. */
     void rebuildUnitMask(unsigned u);
-    /** Re-derives a resident warp's barrier/backed-off mask bits. */
+    /** Re-derives every mask bit of a resident warp at now_. */
     void refreshWarpMask(const Warp &w);
+    /** Clears the delayed bits whose deadline is at or before @p now and
+     *  recomputes delayHorizon_. */
+    void expireDelays(Cycle now);
 
     /** Hot-path instruction fetch. Launch-validated programs always have
      *  in-range PCs; anything else falls back to the checked accessor so
@@ -299,18 +342,14 @@ class SmCore : private IssueGate {
     std::vector<Cta> ctas_;
     /** Resident unfinished warps (refreshed as CTAs come and go). */
     std::vector<Warp *> resident_;
-    /** resident_ filtered by scheduler unit, maintained incrementally. */
-    std::vector<std::vector<Warp *>> unitResident_;
-    /**
-     * Active-warp bitmasks mirroring unitResident_ (bit k = position k
-     * of unit u's vector): not-at-barrier and BOWS backed-off. Kept in
-     * sync at warp launch/finish, barrier entry/exit, and back-off
-     * transitions; the constructor rejects units wider than 64 slots.
-     */
-    std::vector<std::uint64_t> unitIssuable_;
-    std::vector<std::uint64_t> unitBackedOff_;
+    /** resident_ split by scheduler unit (warp slot % units), with the
+     *  arbitration masks; the constructor rejects units wider than 64. */
+    std::vector<Unit> units_;
     /** Warp slot -> position inside its unit's resident vector. */
     std::vector<std::uint32_t> unitPosOf_;
+    /** Earliest delayUntil over the units' delayed bits; kNeverCycle
+     *  when no delay is pending. */
+    Cycle delayHorizon_ = kNeverCycle;
 
     /**
      * Calendar queue for ALU writebacks: ring of per-cycle buckets
@@ -337,12 +376,10 @@ class SmCore : private IssueGate {
     unsigned validCtas_ = 0;
     /** Valid CTAs with no live warps, awaiting drain + retirement. */
     unsigned drainedCtas_ = 0;
-    /** Current cycle, for eligibility checks reached via IssueGate. */
+    /** Current cycle, for the eligibility checks and mask upkeep. */
     Cycle now_ = 0;
     /** Lifetime issued-instruction count (metrics gauge source). */
     std::uint64_t issuedInstructions_ = 0;
-    /** Per-warp active/stall counters only feed CAWA's criticality. */
-    bool cawaAccounting_ = false;
     /** Launch-wide event sink handle (null sink unless a trace is on). */
     trace::Tracer tracer_;
     /** Per-cycle stall attribution into stats.stallCounts (gated). */

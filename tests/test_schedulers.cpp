@@ -36,23 +36,12 @@ raw(const std::vector<std::unique_ptr<Warp>> &warps)
     return out;
 }
 
-/** Rejects the listed warps, accepts the rest. */
-struct ListGate : IssueGate {
-    bool
-    eligible(Warp &w) const override
-    {
-        return std::find(rejected.begin(), rejected.end(), &w) ==
-               rejected.end();
-    }
-    std::vector<Warp *> rejected;
-};
-
 /**
  * A policy's full priority order, recovered through pick() alone: each
- * call goes through a gate that rejects @p ineligible and the warps
- * already returned. @p warps is a unit's resident vector in launch-age
- * order, with the masks the core derives from the warps' barrier and
- * back-off state.
+ * returned warp's ready bit is cleared before the next call. @p warps is
+ * a unit's resident vector in launch-age order; a warp parked at a
+ * barrier or listed in @p ineligible starts with a clear ready bit, and
+ * the backed-off mask follows the warps' back-off state.
  */
 std::vector<unsigned>
 priorityOrder(Scheduler &s, const std::vector<Warp *> &warps, Cycle now,
@@ -61,20 +50,20 @@ priorityOrder(Scheduler &s, const std::vector<Warp *> &warps, Cycle now,
 {
     UnitMask mask;
     for (std::size_t k = 0; k < warps.size(); ++k) {
-        if (!warps[k]->atBarrier())
-            mask.issuable |= std::uint64_t{1} << k;
+        const bool blocked =
+            warps[k]->atBarrier() ||
+            std::find(ineligible.begin(), ineligible.end(), warps[k]) !=
+                ineligible.end();
+        if (!blocked)
+            mask.ready |= std::uint64_t{1} << k;
         if (warps[k]->bows().backedOff)
             mask.backedOff |= std::uint64_t{1} << k;
     }
-    ListGate gate;
-    gate.rejected = ineligible;
     std::vector<unsigned> order;
-    // A rejected warp coming back would repeat forever: stop at size.
-    while (Warp *w = s.pick(warps, mask, now, deprioritize, gate)) {
+    while (Warp *w = s.pick(warps, mask, now, deprioritize)) {
         order.push_back(w->id());
-        gate.rejected.push_back(w);
-        if (order.size() > warps.size())
-            break;
+        const auto k = std::find(warps.begin(), warps.end(), w) - warps.begin();
+        mask.ready &= ~(std::uint64_t{1} << k);
     }
     return order;
 }
@@ -186,13 +175,15 @@ TEST(Cawa, PrioritizesHighestCriticality)
 {
     auto owned = makeWarps(3);
     // Warp 2 looks critical: many estimated remaining instructions and
-    // lots of accumulated stall.
+    // lots of accumulated stall (resident 5000 cycles without issuing,
+    // the others 1000).
     owned[2]->cawa().estRemaining = 1000;
-    owned[2]->cawa().stallCycles = 5000;
     owned[0]->cawa().estRemaining = 10;
     owned[1]->cawa().estRemaining = 10;
+    owned[0]->cawa().dispatchCycle = 4000;
+    owned[1]->cawa().dispatchCycle = 4000;
     CawaScheduler cawa;
-    EXPECT_EQ(priorityOrder(cawa, raw(owned), 0).front(), 2u);
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 5000).front(), 2u);
 }
 
 TEST(Cawa, SpinningWarpGainsPriorityAsEstimateGrows)
@@ -204,17 +195,16 @@ TEST(Cawa, SpinningWarpGainsPriorityAsEstimateGrows)
     CawaState &worker = owned[1]->cawa();
     spinner.estRemaining = 50;
     worker.estRemaining = 50;
-    spinner.issued = worker.issued = 100;
-    spinner.activeCycles = worker.activeCycles = 1000;
+    spinner.issued = worker.issued = 100;  // both resident since cycle 0
 
     CawaScheduler cawa;
     // Equal criticality: oldest (warp 0) leads; but now the spinner keeps
     // re-running its loop and its estimate balloons.
-    EXPECT_EQ(priorityOrder(cawa, raw(owned), 0).front(), 0u);
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 1000).front(), 0u);
     for (int i = 0; i < 100; ++i)
         spinner.estRemaining += 5;  // backward-branch inflation
-    EXPECT_EQ(priorityOrder(cawa, raw(owned), 1).front(), 0u);
-    EXPECT_GT(spinner.criticality(), worker.criticality());
+    EXPECT_EQ(priorityOrder(cawa, raw(owned), 1001).front(), 0u);
+    EXPECT_GT(spinner.criticality(1001), worker.criticality(1001));
 }
 
 TEST(Cawa, CriticalityFormulaMatchesPaper)
@@ -222,9 +212,14 @@ TEST(Cawa, CriticalityFormulaMatchesPaper)
     CawaState s;
     s.estRemaining = 100;
     s.issued = 50;
-    s.activeCycles = 200;  // CPIavg = 4
-    s.stallCycles = 30;
-    EXPECT_DOUBLE_EQ(s.criticality(), 100 * 4.0 + 30);
+    s.dispatchCycle = 300;
+    // At cycle 500: 200 active cycles, so CPIavg = 4, and 150 of them
+    // issued nothing.
+    EXPECT_DOUBLE_EQ(s.criticality(500), 100 * 4.0 + 150);
+    // Before the first issue CPIavg counts as 1: nInst plus every
+    // resident cycle.
+    s.issued = 0;
+    EXPECT_DOUBLE_EQ(s.criticality(310), 100 * 1.0 + 10);
 }
 
 TEST(Cawa, GreedyComponentKeepsLastIssued)
@@ -316,9 +311,9 @@ TEST(Arbitration, BackedOffWarpsComeLastInFifoOrder)
 
 TEST(Arbitration, ClearedIssuableBitIsNeverPicked)
 {
-    // Barrier-parked warps have a clear issuable bit; the fake gate
-    // would accept them, so only the mask keeps them out. Warp 1 is the
-    // last-issued one GTO and CAWA favour, warp 2 is also backed off.
+    // Barrier-parked warps have a clear ready bit, and the mask alone
+    // keeps them out: warp 1 is the last-issued one GTO and CAWA favour,
+    // warp 2 also sits in the backed-off queue.
     auto owned = makeWarps(4);
     owned[1]->setAtBarrier(true);
     owned[2]->setAtBarrier(true);
