@@ -24,24 +24,6 @@ class RegisterFile {
     {
     }
 
-    Word
-    read(unsigned lane, int reg) const
-    {
-        return regs_[slot(lane, reg)];
-    }
-
-    void
-    write(unsigned lane, int reg, Word value)
-    {
-        regs_[slot(lane, reg)] = value;
-    }
-
-    bool
-    readPred(unsigned lane, int pred) const
-    {
-        return (preds_.at(pred) >> lane) & 1;
-    }
-
     /** Lanes (within @p mask) whose predicate @p pred is set. */
     LaneMask
     predMask(int pred, LaneMask mask) const
@@ -52,9 +34,8 @@ class RegisterFile {
     unsigned numRegs() const { return numRegs_; }
 
     /**
-     * Direct row access for per-warp execution loops: one bounds check
-     * per instruction instead of one per lane. Rows are lane-contiguous
-     * (reg-major layout).
+     * Register @p reg's row, all 32 lanes: one bounds check per
+     * instruction. Rows are lane-contiguous (reg-major layout).
      */
     const Word *
     row(int reg) const
@@ -69,8 +50,7 @@ class RegisterFile {
         return regs_.data() + static_cast<size_t>(reg) * kWarpSize;
     }
 
-    /** All 32 lanes of predicate @p pred as a bitmask (hoists the
-     *  per-lane readPred indexing out of execution loops). */
+    /** All 32 lanes of predicate @p pred as a bitmask. */
     LaneMask predBits(int pred) const { return preds_.at(pred); }
     /** Mutable predicate row for per-instruction write loops. */
     LaneMask &predRow(int pred) { return preds_.at(pred); }
@@ -81,17 +61,6 @@ class RegisterFile {
     {
         if (reg < 0 || static_cast<unsigned>(reg) >= numRegs_)
             panic("register file access out of range: %r", reg);
-    }
-
-    size_t
-    slot(unsigned lane, int reg) const
-    {
-        if (lane >= kWarpSize || reg < 0 ||
-            static_cast<unsigned>(reg) >= numRegs_) {
-            panic("register file access out of range: lane ", lane, " %r",
-                  reg);
-        }
-        return static_cast<size_t>(reg) * kWarpSize + lane;
     }
 
     unsigned numRegs_;

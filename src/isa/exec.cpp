@@ -1,75 +1,123 @@
 #include "src/isa/exec.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/common/log.hpp"
 
 namespace bowsim::exec {
 
-Word
-aluCompute(const Instruction &inst, Word a, Word b, Word c)
+void
+aluRow(Opcode op, const Word *a, const Word *b, const Word *c, unsigned lo,
+       unsigned hi, Word *out)
 {
-    switch (inst.op) {
-      case Opcode::Mov: return a;
-      case Opcode::Add: return wrapAdd(a, b);
-      case Opcode::Sub: return wrapSub(a, b);
-      case Opcode::Mul: return wrapMul(a, b);
-      case Opcode::Mad: return wrapAdd(wrapMul(a, b), c);
+    auto rows = [&](auto f) {
+        for (unsigned l = lo; l < hi; ++l)
+            out[l] = f(a[l], b[l], c[l]);
+    };
+    switch (op) {
+      case Opcode::Mov:
+        return rows([](Word x, Word, Word) { return x; });
+      case Opcode::Add:
+        return rows([](Word x, Word y, Word) { return wrapAdd(x, y); });
+      case Opcode::Sub:
+        return rows([](Word x, Word y, Word) { return wrapSub(x, y); });
+      case Opcode::Mul:
+        return rows([](Word x, Word y, Word) { return wrapMul(x, y); });
+      case Opcode::Mad:
+        return rows([](Word x, Word y, Word z) {
+            return wrapAdd(wrapMul(x, y), z);
+        });
       // Division by zero yields 0; INT64_MIN / -1 wraps (both are
       // UB in C++ but well-defined device behaviour here).
       case Opcode::Div:
-        return b == 0 ? 0 : (b == -1 ? wrapSub(0, a) : a / b);
+        return rows([](Word x, Word y, Word) {
+            return y == 0 ? 0 : (y == -1 ? wrapSub(0, x) : x / y);
+        });
       case Opcode::Rem:
-        return b == 0 ? 0 : (b == -1 ? 0 : a % b);
-      case Opcode::Min: return std::min(a, b);
-      case Opcode::Max: return std::max(a, b);
-      case Opcode::And: return a & b;
-      case Opcode::Or: return a | b;
-      case Opcode::Xor: return a ^ b;
-      case Opcode::Not: return ~a;
-      case Opcode::Shl: return static_cast<Word>(
-          static_cast<std::uint64_t>(a) << (b & 63));
-      case Opcode::Shr: return static_cast<Word>(
-          static_cast<std::uint64_t>(a) >> (b & 63));
+        return rows([](Word x, Word y, Word) {
+            return y == 0 ? 0 : (y == -1 ? 0 : x % y);
+        });
+      case Opcode::Min:
+        return rows([](Word x, Word y, Word) { return std::min(x, y); });
+      case Opcode::Max:
+        return rows([](Word x, Word y, Word) { return std::max(x, y); });
+      case Opcode::And:
+        return rows([](Word x, Word y, Word) { return x & y; });
+      case Opcode::Or:
+        return rows([](Word x, Word y, Word) { return x | y; });
+      case Opcode::Xor:
+        return rows([](Word x, Word y, Word) { return x ^ y; });
+      case Opcode::Not:
+        return rows([](Word x, Word, Word) { return ~x; });
+      case Opcode::Shl:
+        return rows([](Word x, Word y, Word) {
+            return static_cast<Word>(static_cast<std::uint64_t>(x)
+                                     << (y & 63));
+        });
+      case Opcode::Shr:
+        return rows([](Word x, Word y, Word) {
+            return static_cast<Word>(static_cast<std::uint64_t>(x) >>
+                                     (y & 63));
+        });
       default:
-        panic("aluCompute on non-ALU opcode");
+        panic("aluRow on non-ALU opcode");
     }
 }
 
-bool
-compare(CmpOp op, Word a, Word b)
+LaneMask
+compareRow(CmpOp op, const Word *a, const Word *b, unsigned lo, unsigned hi)
 {
+    auto rows = [&](auto f) {
+        LaneMask m = 0;
+        for (unsigned l = lo; l < hi; ++l)
+            m |= static_cast<LaneMask>(f(a[l], b[l])) << l;
+        return m;
+    };
     switch (op) {
-      case CmpOp::Eq: return a == b;
-      case CmpOp::Ne: return a != b;
-      case CmpOp::Lt: return a < b;
-      case CmpOp::Le: return a <= b;
-      case CmpOp::Gt: return a > b;
-      case CmpOp::Ge: return a >= b;
-    }
-    return false;
-}
-
-Word
-readSpecial(SpecialReg sr, const ThreadCtx &ctx, unsigned lane)
-{
-    switch (sr) {
-      case SpecialReg::TidX:
-        return static_cast<Word>(ctx.warpInCta * kWarpSize + lane);
-      case SpecialReg::CtaIdX:
-        return static_cast<Word>(ctx.ctaId);
-      case SpecialReg::NTidX:
-        return static_cast<Word>(ctx.blockThreads);
-      case SpecialReg::NCtaIdX:
-        return static_cast<Word>(ctx.gridCtas);
-      case SpecialReg::LaneId:
-        return static_cast<Word>(lane);
-      case SpecialReg::WarpId:
-        return static_cast<Word>(ctx.warpInCta);
-      case SpecialReg::SmId:
-        return static_cast<Word>(ctx.smId);
+      case CmpOp::Eq: return rows(std::equal_to<Word>{});
+      case CmpOp::Ne: return rows(std::not_equal_to<Word>{});
+      case CmpOp::Lt: return rows(std::less<Word>{});
+      case CmpOp::Le: return rows(std::less_equal<Word>{});
+      case CmpOp::Gt: return rows(std::greater<Word>{});
+      case CmpOp::Ge: return rows(std::greater_equal<Word>{});
     }
     return 0;
+}
+
+void
+specialRow(SpecialReg sr, const ThreadCtx &ctx, unsigned lo, unsigned hi,
+           Word *out)
+{
+    // Every special register is lane 0's value plus 0 or 1 per lane.
+    Word base = 0;
+    Word step = 0;
+    switch (sr) {
+      case SpecialReg::TidX:
+        base = static_cast<Word>(ctx.warpInCta) * kWarpSize;
+        step = 1;
+        break;
+      case SpecialReg::CtaIdX:
+        base = ctx.ctaId;
+        break;
+      case SpecialReg::NTidX:
+        base = ctx.blockThreads;
+        break;
+      case SpecialReg::NCtaIdX:
+        base = ctx.gridCtas;
+        break;
+      case SpecialReg::LaneId:
+        step = 1;
+        break;
+      case SpecialReg::WarpId:
+        base = ctx.warpInCta;
+        break;
+      case SpecialReg::SmId:
+        base = ctx.smId;
+        break;
+    }
+    for (unsigned l = lo; l < hi; ++l)
+        out[l] = base + step * static_cast<Word>(l);
 }
 
 }  // namespace bowsim::exec

@@ -6,10 +6,15 @@
 
 /**
  * @file
- * Pure ISA value helpers: wrapping arithmetic, the ALU opcodes, setp
- * comparisons and special registers. They touch no register file,
- * memory, lock tracker or statistics; the per-lane interpreter both
- * execution modes share (src/sim/interpreter.hpp) builds on them.
+ * Pure ISA value helpers: wrapping arithmetic, and the ALU opcodes, setp
+ * comparisons and special registers as row functions. A row holds one
+ * value per lane (index = lane); a row function switches on its opcode
+ * once and computes every lane of a span [lo, hi), including lanes the
+ * exec mask leaves out, which hold stale values. Every row op is
+ * therefore total: no operand value traps or is undefined behaviour.
+ * They touch no register file, memory, lock tracker or statistics; the
+ * interpreter both execution modes share (src/sim/interpreter.hpp)
+ * builds on them and writes back only the exec lanes.
  */
 
 namespace bowsim::exec {
@@ -36,11 +41,14 @@ wrapMul(Word a, Word b)
                              static_cast<std::uint64_t>(b));
 }
 
-/** Result of a plain ALU-class opcode (Mov..Shr). */
-Word aluCompute(const Instruction &inst, Word a, Word b, Word c);
+/** out[l] = @p op (a[l], b[l], c[l]) for l in [lo, hi), for the plain
+ *  ALU-class opcodes (Mov..Shr). */
+void aluRow(Opcode op, const Word *a, const Word *b, const Word *c,
+            unsigned lo, unsigned hi, Word *out);
 
-/** Setp comparison semantics. */
-bool compare(CmpOp op, Word a, Word b);
+/** Lanes l in [lo, hi) where a[l] @p op b[l] holds. */
+LaneMask compareRow(CmpOp op, const Word *a, const Word *b, unsigned lo,
+                    unsigned hi);
 
 /** Per-thread identity a special-register read depends on. */
 struct ThreadCtx {
@@ -51,8 +59,9 @@ struct ThreadCtx {
     unsigned smId = 0;
 };
 
-/** Special (read-only) register semantics shared by both executors. */
-Word readSpecial(SpecialReg sr, const ThreadCtx &ctx, unsigned lane);
+/** out[l] = special register @p sr of lane l, for l in [lo, hi). */
+void specialRow(SpecialReg sr, const ThreadCtx &ctx, unsigned lo,
+                unsigned hi, Word *out);
 
 }  // namespace bowsim::exec
 

@@ -23,7 +23,10 @@ LockTracker::onWrite(Addr addr)
 {
     // Any write to a held lock word releases it: writing 0 is the
     // mutex-release idiom, and publishing a non-sentinel value is the
-    // lock-free "unlock by publish" idiom (BH tree build).
+    // lock-free "unlock by publish" idiom (BH tree build). With no lock
+    // held (every store of a sync-free kernel) there is nothing to find.
+    if (owner_.empty())
+        return {};
     auto it = owner_.find(addr);
     if (it == owner_.end())
         return {};

@@ -19,49 +19,33 @@ MemorySpace::allocate(std::uint64_t bytes)
 void
 MemorySpace::clear()
 {
-    pages_.clear();
+    dense_.clear();
+    sparse_.clear();
     next_ = kHeapBase;
 }
 
-const std::vector<std::uint8_t> *
-MemorySpace::findPage(Addr page) const
+const std::uint8_t *
+MemorySpace::findSparse(Addr page) const
 {
-    auto it = pages_.find(page);
-    return it == pages_.end() ? nullptr : &it->second;
+    auto it = sparse_.find(page);
+    return it == sparse_.end() ? nullptr : it->second.data();
 }
 
-std::vector<std::uint8_t> &
-MemorySpace::touchPage(Addr page)
+std::uint8_t *
+MemorySpace::addPage(Addr page)
 {
-    auto &p = pages_[page];
-    if (p.empty())
-        p.assign(kPageBytes, 0);
-    return p;
-}
-
-Word
-MemorySpace::read(Addr addr, unsigned size) const
-{
-    if (size != 2 && size != 4 && size != 8)
-        panic("MemorySpace::read: bad size ", size);
-    std::uint64_t raw = 0;
-    readBytes(addr, &raw, size);
-    if (size == 4)
-        return static_cast<Word>(static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(raw)));
-    if (size == 2)
-        return static_cast<Word>(static_cast<std::int16_t>(
-            static_cast<std::uint16_t>(raw)));
-    return static_cast<Word>(raw);
+    if (page >= kDensePages)
+        return sparse_.try_emplace(page).first->second.data();
+    if (page >= dense_.size())
+        dense_.resize(page + 1);
+    dense_[page] = std::make_unique<Page>();
+    return dense_[page]->data();
 }
 
 void
-MemorySpace::write(Addr addr, Word value, unsigned size)
+MemorySpace::badSize(const char *op, unsigned size)
 {
-    if (size != 2 && size != 4 && size != 8)
-        panic("MemorySpace::write: bad size ", size);
-    std::uint64_t raw = static_cast<std::uint64_t>(value);
-    writeBytes(addr, &raw, size);
+    panic("MemorySpace::", op, ": bad size ", size);
 }
 
 void
@@ -71,15 +55,12 @@ MemorySpace::readBytes(Addr addr, void *out, std::uint64_t bytes) const
     std::uint64_t done = 0;
     while (done < bytes) {
         Addr a = addr + done;
-        Addr page = a / kPageBytes;
         Addr off = a % kPageBytes;
         std::uint64_t chunk = std::min(bytes - done, kPageBytes - off);
-        const auto *p = findPage(page);
-        if (p) {
-            std::memcpy(dst + done, p->data() + off, chunk);
-        } else {
+        if (const std::uint8_t *p = findPage(a / kPageBytes))
+            std::memcpy(dst + done, p + off, chunk);
+        else
             std::memset(dst + done, 0, chunk);
-        }
         done += chunk;
     }
 }
@@ -91,10 +72,9 @@ MemorySpace::writeBytes(Addr addr, const void *in, std::uint64_t bytes)
     std::uint64_t done = 0;
     while (done < bytes) {
         Addr a = addr + done;
-        Addr page = a / kPageBytes;
         Addr off = a % kPageBytes;
         std::uint64_t chunk = std::min(bytes - done, kPageBytes - off);
-        std::memcpy(touchPage(page).data() + off, src + done, chunk);
+        std::memcpy(touchPage(a / kPageBytes) + off, src + done, chunk);
         done += chunk;
     }
 }
@@ -102,12 +82,6 @@ MemorySpace::writeBytes(Addr addr, const void *in, std::uint64_t bytes)
 std::uint64_t
 MemorySpace::digest() const
 {
-    std::vector<Addr> keys;
-    keys.reserve(pages_.size());
-    for (const auto &kv : pages_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-
     std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
     auto mix = [&h](const void *data, std::size_t n) {
         const auto *b = static_cast<const unsigned char *>(data);
@@ -116,17 +90,23 @@ MemorySpace::digest() const
             h *= 1099511628211ull;
         }
     };
-    for (Addr key : keys) {
-        const auto &page = pages_.at(key);
+    auto mixPage = [&mix](Addr key, const Page &page) {
         // An all-zero page is indistinguishable from an untouched one,
         // so it must not perturb the digest.
-        bool all_zero = std::all_of(page.begin(), page.end(),
-                                    [](std::uint8_t b) { return b == 0; });
-        if (all_zero)
-            continue;
+        if (std::all_of(page.begin(), page.end(),
+                        [](std::uint8_t b) { return b == 0; }))
+            return;
         mix(&key, sizeof(key));
         mix(page.data(), page.size());
+    };
+    // Every sparse page number is at or above every table index, so
+    // the table, then the map, is address order.
+    for (Addr key = 0; key < dense_.size(); ++key) {
+        if (dense_[key])
+            mixPage(key, *dense_[key]);
     }
+    for (const auto &[key, page] : sparse_)
+        mixPage(key, page);
     return h;
 }
 

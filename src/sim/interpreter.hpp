@@ -10,16 +10,21 @@
 
 /**
  * @file
- * The per-lane interpreter both execution modes share. SmCore (cycle
- * mode) and FunctionalExecutor (functional mode) dispatch control flow
- * themselves — Bra, Exit, Bar, Nop, Membar — and hand every other
+ * The instruction interpreter both execution modes share. SmCore
+ * (cycle mode) and FunctionalExecutor (functional mode) dispatch control
+ * flow themselves — Bra, Exit, Bar, Nop, Membar — and hand every other
  * instruction to executeLanes(), the one definition of its value
  * semantics: operand reads, register and predicate writes, param,
- * shared and global loads and stores, and atomics. Each global store
- * and atomic asks the lock tracker for its transition once and hands
- * that one value to the Fig. 2 outcome counters and the syncprof
- * hooks. Timing (scoreboard, writeback, LD/ST unit, DDOS) stays with
- * the caller.
+ * shared and global loads and stores, and atomics.
+ *
+ * It works row-wise: each source is resolved once into a lane row, the
+ * opcode or comparison is switched on once per instruction, and the
+ * value ops loop over the exec mask's lane span, writing back only exec
+ * lanes. Memory accesses and atomics go one exec lane at a time in lane
+ * order. Each global store and atomic asks the lock tracker for its
+ * transition once and hands that one value to the Fig. 2 outcome
+ * counters and the syncprof hooks. Timing (scoreboard, writeback, LD/ST
+ * unit, DDOS) stays with the caller.
  */
 
 namespace bowsim {
@@ -30,7 +35,8 @@ class Warp;
 /** Effective address of each lane of a memory instruction. */
 using LaneAddrs = std::array<Addr, kWarpSize>;
 
-/** Value of operand @p op in lane @p lane of @p w on SM @p sm_id. */
+/** Value of operand @p op in lane @p lane of @p w on SM @p sm_id; a
+ *  missing operand reads 0. */
 Word readOperand(const LaunchState &launch, unsigned sm_id, const Warp &w,
                  const Operand &op, unsigned lane);
 

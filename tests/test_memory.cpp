@@ -83,6 +83,100 @@ TEST(MemorySpace, RejectsBadAccessSize)
     EXPECT_THROW(m.write(0, 1, 16), PanicError);
 }
 
+TEST(MemorySpace, AccessesStraddlingAPageFallBackToChunkedCopy)
+{
+    constexpr Addr kPage = MemorySpace::kPageBytes;
+    MemorySpace m;
+    const Addr edge = MemorySpace::kHeapBase + 3 * kPage;
+    m.write(edge - 2, 0x11223344, 4);  // two bytes on each side
+    m.write(edge + kPage - 3, 0x0102030405060708, 8);  // three and five
+    EXPECT_EQ(m.read(edge - 2, 4), 0x11223344);
+    EXPECT_EQ(m.read(edge + kPage - 3, 8), 0x0102030405060708);
+
+    // Little-endian bytes on both pages; the neighbours stay zero.
+    std::uint8_t bytes[6] = {};
+    m.readBytes(edge - 3, bytes, sizeof(bytes));
+    const std::uint8_t want[6] = {0, 0x44, 0x33, 0x22, 0x11, 0};
+    EXPECT_EQ(std::vector<std::uint8_t>(bytes, bytes + 6),
+              std::vector<std::uint8_t>(want, want + 6));
+
+    // A straddling narrow read still sign-extends.
+    m.write(edge - 1, -2, 4);
+    EXPECT_EQ(m.read(edge - 1, 4), -2);
+    EXPECT_EQ(m.read(edge - 2, 4), static_cast<std::int32_t>(0xfffffe44u));
+
+    // Across the table/sparse split: one page of each.
+    const Addr split = MemorySpace::kDenseBytes;
+    m.write(split - 4, 0x0a0b0c0d0e0f1011, 8);
+    EXPECT_EQ(m.read(split - 4, 8), 0x0a0b0c0d0e0f1011);
+    EXPECT_EQ(m.read(split, 4), 0x0a0b0c0d);
+    EXPECT_EQ(m.read(split - 4, 4), 0x0e0f1011);
+}
+
+TEST(MemorySpace, LowAndFarAddressesReadBackWithoutGrowingTheTable)
+{
+    MemorySpace m;
+    const Addr low = 0x100;  // below kHeapBase: the null region
+    const Addr far = Addr{1} << 40;
+    const Addr top = 0xFFFF'FFFF'FFFF'FFF8ull;
+    m.write(low, 11, 8);
+    m.write(far, 22, 8);
+    m.write(top, 33, 8);
+    m.write(far + MemorySpace::kPageBytes - 2, -3, 2);
+    EXPECT_EQ(m.read(low, 8), 11);
+    EXPECT_EQ(m.read(far, 8), 22);
+    EXPECT_EQ(m.read(top, 8), 33);
+    EXPECT_EQ(m.read(far + MemorySpace::kPageBytes - 2, 2), -3);
+    EXPECT_EQ(m.read(far + 8, 8), 0);
+    EXPECT_EQ(m.read(Addr{1} << 50, 8), 0);  // never written
+    EXPECT_EQ(m.read(0x12345, 8), 0);
+    // Only the low page took a table slot; the far ones are sparse.
+    EXPECT_EQ(m.tableSlots(), 1u);
+}
+
+TEST(MemorySpace, DigestIsIndependentOfWriteOrder)
+{
+    constexpr Addr kPage = MemorySpace::kPageBytes;
+    const std::vector<std::pair<Addr, Word>> writes = {
+        {0x100, 1},
+        {MemorySpace::kHeapBase + 0x1234, 2},
+        {MemorySpace::kHeapBase + 5 * kPage - 4, -1},  // straddles
+        {MemorySpace::kDenseBytes - 8, 3},
+        {MemorySpace::kDenseBytes + 8, 4},
+        {Addr{1} << 40, 5},
+        {0xFFFF'FFFF'FFFF'FFF8ull, 6},
+    };
+    MemorySpace forward;
+    MemorySpace backward;
+    for (const auto &[addr, value] : writes)
+        forward.write(addr, value, 8);
+    for (auto it = writes.rbegin(); it != writes.rend(); ++it)
+        backward.write(it->first, it->second, 8);
+    EXPECT_EQ(forward.digest(), backward.digest());
+    // Recorded with the hash-map page store the page table replaced:
+    // the digest walks pages in address order, so its bytes are kept.
+    EXPECT_EQ(forward.digest(), 0xaf1bea81a83406c4ull);
+
+    // The same bytes written through the bulk path digest the same too.
+    MemorySpace bulk;
+    for (auto it = writes.rbegin(); it != writes.rend(); ++it)
+        bulk.writeBytes(it->first, &it->second, 8);
+    EXPECT_EQ(bulk.digest(), forward.digest());
+}
+
+TEST(MemorySpace, PageWrittenBackToZeroDigestsLikeUntouched)
+{
+    const std::uint64_t untouched = MemorySpace{}.digest();
+    for (Addr a : {Addr{0x100}, MemorySpace::kHeapBase + 0x40,
+                   MemorySpace::kDenseBytes + 0x40, Addr{1} << 40}) {
+        MemorySpace m;
+        m.write(a, -1, 8);
+        EXPECT_NE(m.digest(), untouched) << a;
+        m.write(a, 0, 8);
+        EXPECT_EQ(m.digest(), untouched) << a;
+    }
+}
+
 // -------------------------------------------------------------- timing --
 
 TEST(Dram, LatencyAppliesToIsolatedAccess)
