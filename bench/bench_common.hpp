@@ -1,12 +1,15 @@
 #ifndef BOWSIM_BENCH_BENCH_COMMON_HPP
 #define BOWSIM_BENCH_BENCH_COMMON_HPP
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -164,12 +167,54 @@ tracePathFor(const std::string &base, const std::string &id)
 }
 
 /**
+ * Reads @p text, the value of @p flag, as a whole decimal number in
+ * [@p min, @p max]. Anything else (a sign, a fraction, trailing text,
+ * an empty value, a number out of range) is a usage error: exit 2 with
+ * a message naming the flag.
+ */
+inline std::uint64_t
+parseWhole(const char *flag, const char *text, std::uint64_t min = 0,
+           std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v < min || v > max) {
+        std::fprintf(stderr,
+                     "error: %s needs a whole number from %llu to %llu, "
+                     "got '%s'\n",
+                     flag, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), text);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** Reads @p text as the value of --scale: a positive finite number, or
+ *  a usage error (exit 2). */
+inline double
+parseScale(const char *text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
+        std::fprintf(stderr,
+                     "error: --scale needs a positive finite number, got "
+                     "'%s'\n",
+                     text);
+        std::exit(2);
+    }
+    return v;
+}
+
+/**
  * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
- * --progress / --exec-mode= / --cache= / --cache-dir=. Unknown
- * arguments are ignored so binaries with their own flags can share the
- * parser.
+ * --progress / --exec-mode= / --cache= / --cache-dir=. A numeric value
+ * that does not parse is a usage error (exit 2). Unknown arguments are
+ * ignored so binaries with their own flags can share the parser.
  */
 inline BenchOptions
 parseOptions(int argc, char **argv, double default_scale = 1.0,
@@ -199,13 +244,16 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
     };
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--scale=", 8) == 0)
-            o.scale = std::atof(argv[i] + 8);
+            o.scale = parseScale(argv[i] + 8);
         else if (std::strncmp(argv[i], "--cores=", 8) == 0)
-            o.cores = static_cast<unsigned>(std::atoi(argv[i] + 8));
+            o.cores = static_cast<unsigned>(
+                parseWhole("--cores", argv[i] + 8));
         else if (std::strncmp(argv[i], "--devices=", 10) == 0)
-            o.devices = static_cast<unsigned>(std::atoi(argv[i] + 10));
+            o.devices = static_cast<unsigned>(
+                parseWhole("--devices", argv[i] + 10));
         else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            o.jobs = static_cast<unsigned>(std::atoi(argv[i] + 7));
+            o.jobs = static_cast<unsigned>(
+                parseWhole("--jobs", argv[i] + 7));
         else if (std::strncmp(argv[i], "--json=", 7) == 0)
             o.jsonPath = argv[i] + 7;
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
@@ -217,7 +265,8 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         else if (std::strcmp(argv[i], "--no-skip") == 0)
             o.noSkip = true;
         else if (std::strncmp(argv[i], "--metrics-interval=", 19) == 0)
-            o.metricsInterval = static_cast<Cycle>(std::atoll(argv[i] + 19));
+            o.metricsInterval = parseWhole("--metrics-interval", argv[i] + 19,
+                                           0, kNeverCycle);
         else if (std::strncmp(argv[i], "--metrics=", 10) == 0)
             o.metricsPath = argv[i] + 10;
         else if (std::strcmp(argv[i], "--profile") == 0)

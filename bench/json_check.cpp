@@ -2,7 +2,7 @@
  * Validates bench artifacts (used by the bench_smoke ctest targets):
  *
  *   json_check FILE [EXPECTED_POINT_COUNT [EXPECTED_CACHE_HITS]]
- *                                             BENCH_*.json sweep artifact;
+ *                                             sweep artifact (--json);
  *                                             the third argument asserts
  *                                             the cache block reports
  *                                             exactly that many hits

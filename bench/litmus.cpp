@@ -13,7 +13,8 @@
  *   --bows=base|bows|both         BOWS axis (default: both)
  *   --devices=1,2                 device-count axis (default: 1,2)
  *   --iters=N                     rounds per warp / barrier rounds
- *   --watchdog=N                  watchdog budget in cycles
+ *   --watchdog=N                  watchdog budget in cycles (positive)
+ *   --atomic-service=N            L2 atomic service period in cycles
  *
  * --scale multiplies the round count like every other bench. The JSON
  * artifact (--json) is the litmus outcome-matrix document validated by
@@ -92,8 +93,10 @@ badFlag(const char *flag, const std::string &value)
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = parseOptions(argc, argv);
+    // The matrix flags are read here and the rest go to parseOptions;
+    // --devices is a list here, not the shared single count.
     LitmusOptions lo = harness::defaultLitmusOptions();
+    std::vector<char *> shared = {argv[0]};
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--primitives=", 13) == 0) {
             lo.primitives.clear();
@@ -122,10 +125,8 @@ main(int argc, char **argv)
         } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
             lo.devices.clear();
             for (const std::string &name : splitList(argv[i] + 10)) {
-                const int dev = std::atoi(name.c_str());
-                if (dev <= 0)
-                    badFlag("--devices", name);
-                lo.devices.push_back(static_cast<unsigned>(dev));
+                lo.devices.push_back(static_cast<unsigned>(
+                    parseWhole("--devices", name.c_str(), 1)));
             }
         } else if (std::strncmp(argv[i], "--bows=", 7) == 0) {
             const std::string value = argv[i] + 7;
@@ -138,19 +139,20 @@ main(int argc, char **argv)
             else
                 badFlag("--bows", value);
         } else if (std::strncmp(argv[i], "--iters=", 8) == 0) {
-            lo.iters = static_cast<unsigned>(std::atoi(argv[i] + 8));
+            lo.iters =
+                static_cast<unsigned>(parseWhole("--iters", argv[i] + 8, 1));
         } else if (std::strncmp(argv[i], "--watchdog=", 11) == 0) {
             lo.base.watchdogCycles =
-                static_cast<Cycle>(std::atoll(argv[i] + 11));
+                parseWhole("--watchdog", argv[i] + 11, 1, kNeverCycle);
         } else if (std::strncmp(argv[i], "--atomic-service=", 17) == 0) {
-            lo.base.atomicServicePeriod =
-                static_cast<unsigned>(std::atoi(argv[i] + 17));
+            lo.base.atomicServicePeriod = static_cast<unsigned>(
+                parseWhole("--atomic-service", argv[i] + 17));
+        } else {
+            shared.push_back(argv[i]);
         }
     }
-    if (lo.iters == 0) {
-        std::fprintf(stderr, "error: --iters must be positive\n");
-        return 2;
-    }
+    const BenchOptions opts =
+        parseOptions(static_cast<int>(shared.size()), shared.data());
     // The shared knobs that change *what* is simulated are applied to
     // the base config before cells are built, so the artifact records
     // them; execution-only knobs (--no-skip, --jobs) are left to

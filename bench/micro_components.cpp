@@ -222,7 +222,7 @@ BM_MicroMetrics(benchmark::State &state)
         gpu.setMetrics(&sampler);
         auto h = makeBenchmark(name, 0.05);
         cycles += h->run(gpu).cycles;
-        rows += sampler.registry().rows().size();
+        rows += sampler.rows().size();
     }
     benchmark::DoNotOptimize(cycles);
     benchmark::DoNotOptimize(rows);

@@ -9,11 +9,12 @@
 
 /**
  * @file
- * Minimal JSON value: enough to emit the BENCH_*.json sweep artifacts
- * and to parse them back for validation (bench_smoke, unit tests). No
- * external dependencies. Object keys keep insertion order so emitted
- * artifacts are stable and diffable; dumps are deterministic, so two
- * sweeps agree byte-for-byte iff their results agree.
+ * Minimal JSON value: enough to emit the bench artifacts (sweep, litmus,
+ * metrics and sync-report documents) and to parse them back for
+ * validation (bench_smoke, unit tests). No external dependencies.
+ * Object keys keep insertion order so emitted artifacts are stable and
+ * diffable; dumps are deterministic, so two sweeps agree byte-for-byte
+ * iff their results agree.
  */
 
 namespace bowsim::harness {

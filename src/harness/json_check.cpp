@@ -10,6 +10,7 @@
 #include "src/common/log.hpp"
 #include "src/harness/litmus.hpp"
 #include "src/harness/sweep.hpp"
+#include "src/metrics/sampler.hpp"
 #include "src/sync/primitives.hpp"
 
 namespace bowsim::harness {
@@ -443,67 +444,51 @@ checkMetricsSeries(const Json &doc, const Json *stats)
             return fail("metrics series has no rows to check against "
                         "KernelStats");
         const Json &final_row = rows.at(rows.size() - 1);
-        auto expect = [&](const char *column, const Json &parent,
-                          const char *key) -> CheckResult {
-            if (!colIndex.count(column))
-                return fail(std::string("metrics schema lacks \"") +
-                            column + "\"");
-            if (!parent.has(key))
-                return fail(std::string("stats lack \"") + key + "\"");
+        // Every column the sampler says mirrors a stats counter, for a
+        // run on as many devices as the record has shards. Like the
+        // series' cross-launch cycle column, KernelStats::operator+=
+        // sums cycles across launches, so multi-launch runs compare too.
+        unsigned num_devices = 1;
+        if (stats->has("devices") && stats->at("devices").size() > 1)
+            num_devices = static_cast<unsigned>(stats->at("devices").size());
+        for (const metrics::MetricColumn &m :
+             metrics::statsMirrors(num_devices)) {
+            if (!colIndex.count(m.name))
+                return fail("metrics schema lacks \"" + m.name + "\"");
+            const Json *record = stats;
+            std::string where = "stats";
+            if (m.device >= 0) {
+                record = &stats->at("devices").at(
+                    static_cast<std::size_t>(m.device));
+                where += ".devices[" + std::to_string(m.device) + "]";
+            }
+            // Walk the key path. statsToJson leaves out a zero
+            // link_packets, so a counter the record omits reads as 0.
+            const std::string stat = m.stat;
+            std::size_t from = 0;
+            std::size_t dot;
+            while ((dot = stat.find('.', from)) != std::string::npos) {
+                const std::string key = stat.substr(from, dot - from);
+                if (!record->has(key))
+                    return fail(where + " lacks \"" + key + "\"");
+                record = &record->at(key);
+                where += "." + key;
+                from = dot + 1;
+            }
+            const std::string leaf = stat.substr(from);
+            where += "." + leaf;
+            const std::int64_t want =
+                record->has(leaf) ? record->at(leaf).asInt() : 0;
             const std::int64_t got =
-                final_row.at(colIndex.at(column)).asInt();
-            const std::int64_t want = parent.at(key).asInt();
+                final_row.at(colIndex.at(m.name)).asInt();
             if (got != want) {
                 std::ostringstream os;
-                os << "final row \"" << column << "\" = " << got
-                   << " disagrees with stats." << key << " = " << want;
+                os << "final row \"" << m.name << "\" = " << got
+                   << " disagrees with " << where << " = " << want;
                 return fail(os.str());
             }
             ++checked;
-            return CheckResult{};
-        };
-        // KernelStats::operator+= sums cycles across launches, exactly
-        // like the sampler's cross-launch cycle column, so this holds
-        // for multi-launch harnesses too.
-        CheckResult r = expect("cycle", *stats, "cycles");
-        if (r.ok)
-            r = expect("warp_instructions", *stats, "warp_instructions");
-        if (r.ok)
-            r = expect("thread_instructions", *stats,
-                       "thread_instructions");
-        if (r.ok && stats->has("mem")) {
-            const Json &mem = stats->at("mem");
-            for (const char *k :
-                 {"l1_accesses", "l1_misses", "l2_accesses", "l2_misses",
-                  "dram_accesses", "dram_row_activations", "atomics",
-                  "atomic_wait_cycles", "icnt_packets"}) {
-                r = expect(k, mem, k);
-                if (!r.ok)
-                    break;
-            }
         }
-        if (r.ok && stats->has("sched")) {
-            const Json &sched = stats->at("sched");
-            for (const char *k :
-                 {"resident_warp_cycles", "backed_off_warp_cycles",
-                  "sm_cycles", "delay_limit_cycle_sum"}) {
-                r = expect(k, sched, k);
-                if (!r.ok)
-                    break;
-            }
-        }
-        if (r.ok && stats->has("outcomes")) {
-            const Json &out = stats->at("outcomes");
-            for (const char *k :
-                 {"lock_success", "inter_warp_fail", "intra_warp_fail",
-                  "wait_exit_success", "wait_exit_fail"}) {
-                r = expect(k, out, k);
-                if (!r.ok)
-                    break;
-            }
-        }
-        if (!r.ok)
-            return r;
     }
 
     std::ostringstream os;

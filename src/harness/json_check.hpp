@@ -10,8 +10,8 @@
  * @file
  * Artifact validation shared by the json_check CLI (bench_smoke) and the
  * unit tests: loading a JSON document from disk, structural checks for
- * BENCH_*.json sweep artifacts, and property checks for Chrome
- * trace_event documents produced by the trace exporter.
+ * sweep artifacts (--json), and property checks for Chrome trace_event
+ * documents produced by the trace exporter.
  */
 
 namespace bowsim::harness {
@@ -26,7 +26,7 @@ struct CheckResult {
 Json loadJsonFile(const std::string &path);
 
 /**
- * Validates a BENCH_*.json sweep artifact: a "points" array of
+ * Validates a sweep artifact (--json): a "points" array of
  * @p expected_points entries (any size when negative) in which every
  * point reports ok == true and carries a "config" object with exactly
  * the keys configToJson writes for its num_devices (so no idle_skip)
@@ -72,10 +72,13 @@ CheckResult checkChromeTrace(const Json &doc);
  *  - counter columns are non-decreasing over the whole series;
  *  - the "launch" column is non-decreasing.
  * With @p stats (a sweep artifact's "stats" object for the same run),
- * additionally checks that the final row's counters agree with the
- * KernelStats totals: cycle vs cycles (single-launch artifacts),
- * warp_instructions, the mem block counters, the sched block sums, and
- * the sync-outcome counts.
+ * additionally checks that the final row agrees with the record on
+ * every column that mirrors a stats counter, as the sampler lists them
+ * (metrics::statsMirrors for the record's device count): "cycle" vs
+ * "cycles", "l2_accesses" vs "mem.l2_accesses", and so on, link
+ * columns included. A "d<N>." column is compared against
+ * stats.devices[N], and a counter the record omits (statsToJson leaves
+ * out a zero link_packets) reads as 0.
  */
 CheckResult checkMetricsSeries(const Json &doc,
                                const Json *stats = nullptr);

@@ -1,77 +1,280 @@
 #include "src/metrics/sampler.hpp"
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
 #include "src/common/log.hpp"
 #include "src/harness/json.hpp"
-#include "src/mem/l2_bank.hpp"
 #include "src/sim/sm_core.hpp"
 #include "src/stats/stats.hpp"
 #include "src/syncprof/syncprof.hpp"
 
 namespace bowsim::metrics {
 
+const char *
+toString(Kind kind)
+{
+    switch (kind) {
+      case Kind::Counter: return "counter";
+      case Kind::Gauge: return "gauge";
+      case Kind::Rate: return "rate";
+    }
+    return "?";
+}
+
+/**
+ * Where a column's value comes from. Readings from the stats fold or
+ * an SM restart with every launch: a counter among them continues from
+ * a base folded at each launch's end, and a rate among them (IPC) is
+ * that accumulated count per simulated cycle of the series.
+ */
+enum class Source : std::uint8_t {
+    /** The launch's stats fold. */
+    Stats,
+    /** An SM's own state; the aggregate block sums it over every SM. */
+    Core,
+    /** The sync profiler's running totals; present only with a profiler
+     *  attached. */
+    Sync,
+    /** The sampler's launch index. */
+    Launch,
+};
+
+using StatsRead = std::uint64_t (*)(const KernelStats &);
+using CoreRead = std::uint64_t (*)(const SmCore &);
+using SyncRead = double (*)(const syncprof::SyncProfileRegistry &);
+
+struct ColumnDef {
+    const char *name;
+    Kind kind;
+    Source source;
+    /** The statsToJson key path of the counter a Source::Stats column
+     *  mirrors, or nullptr. */
+    const char *stat;
+    StatsRead stats;
+    CoreRead core;
+    SyncRead sync;
+    /** Present on multi-device schemas only, followed by one "d<N>."
+     *  copy per device, so single-device schemas stay byte-identical to
+     *  the pre-device-split layout. */
+    bool perDevice;
+};
+
 namespace {
 
-/** Aggregate column indices; the per-SM block starts after these. */
-enum AggCol : std::size_t {
-    kCycle = 0,
-    kLaunch,
-    kIpc,
-    kWarpInstructions,
-    kThreadInstructions,
-    kL1Accesses,
-    kL1Misses,
-    kL2Accesses,
-    kL2Misses,
-    kDramAccesses,
-    kDramRowActivations,
-    kIcntPackets,
-    kAtomics,
-    kAtomicWaitCycles,
-    kSibConfirms,
-    kSibEvicts,
-    kLockSuccess,
-    kInterWarpFail,
-    kIntraWarpFail,
-    kWaitExitSuccess,
-    kWaitExitFail,
-    kResidentWarpCycles,
-    kBackedOffWarpCycles,
-    kSmCycles,
-    kDelayLimitCycleSum,
-    kResidentWarps,
-    kEligibleWarps,
-    kSpinningWarps,
-    kBackedOffWarps,
-    kMshrOccupancy,
-    kSibOccupancy,
-    kNumAggCols,
+constexpr ColumnDef
+fromStats(const char *name, const char *stat, StatsRead read,
+          bool per_device = false)
+{
+    return {name, Kind::Counter, Source::Stats, stat, read, nullptr, nullptr,
+            per_device};
+}
+
+constexpr ColumnDef
+fromCore(const char *name, Kind kind, CoreRead read)
+{
+    return {name, kind, Source::Core, nullptr, nullptr, read, nullptr, false};
+}
+
+// Gauges and a rate, not counters: the registry outlives launches, so
+// its totals are already absolute and must not be re-based at launch
+// boundaries.
+constexpr ColumnDef
+fromSync(const char *name, Kind kind, SyncRead read)
+{
+    return {name, kind, Source::Sync, nullptr, nullptr, nullptr, read, false};
+}
+
+constexpr ColumnDef
+perCycle(const char *name, StatsRead read)
+{
+    return {name, Kind::Rate, Source::Stats, nullptr, read, nullptr, nullptr,
+            false};
+}
+
+constexpr ColumnDef
+perCycle(const char *name, CoreRead read)
+{
+    return {name, Kind::Rate, Source::Core, nullptr, nullptr, read, nullptr,
+            false};
+}
+
+// SM readings that more than one column reads.
+constexpr CoreRead kIssued = [](const SmCore &c) {
+    return c.issuedInstructions();
+};
+constexpr CoreRead kResidentWarps = [](const SmCore &c) -> std::uint64_t {
+    return c.residentWarps();
+};
+constexpr CoreRead kEligibleWarps = [](const SmCore &c) -> std::uint64_t {
+    return c.eligibleWarpCount();
+};
+constexpr CoreRead kSpinningWarps = [](const SmCore &c) -> std::uint64_t {
+    return c.spinningWarpCount();
+};
+constexpr CoreRead kBackedOffWarps = [](const SmCore &c) -> std::uint64_t {
+    return c.backoff().backedOffCount();
+};
+constexpr CoreRead kMshr = [](const SmCore &c) -> std::uint64_t {
+    return c.ldst().mshrOccupancy();
+};
+constexpr CoreRead kSibOccupancy = [](const SmCore &c) -> std::uint64_t {
+    return c.ddos().table().size();
 };
 
-/** Per-SM block layout (offsets from the SM's first column). */
-enum SmCol : std::size_t {
-    kSmWarpInstructions = 0,
-    kSmIpc,
-    kSmResidentWarps,
-    kSmEligibleWarps,
-    kSmSpinningWarps,
-    kSmBackedOffWarps,
-    kSmDelayLimit,
-    kSmMshr,
-    kSmSibOccupancy,
-    kNumSmCols,
+/** The aggregate block, in column order; the cycle column comes first. */
+constexpr ColumnDef kAggregate[] = {
+    fromStats("cycle", "cycles", [](const KernelStats &s) { return s.cycles; }),
+    {"launch", Kind::Counter, Source::Launch, nullptr, nullptr, nullptr,
+     nullptr, false},
+    perCycle("ipc", [](const KernelStats &s) { return s.warpInstructions; }),
+    fromStats("warp_instructions", "warp_instructions",
+              [](const KernelStats &s) { return s.warpInstructions; }),
+    fromStats("thread_instructions", "thread_instructions",
+              [](const KernelStats &s) { return s.threadInstructions; }),
+    fromStats("l1_accesses", "mem.l1_accesses",
+              [](const KernelStats &s) { return s.l1Accesses; }),
+    fromStats("l1_misses", "mem.l1_misses",
+              [](const KernelStats &s) { return s.l1Misses; }),
+    fromStats("l2_accesses", "mem.l2_accesses",
+              [](const KernelStats &s) { return s.mem.l2Accesses; }),
+    fromStats("l2_misses", "mem.l2_misses",
+              [](const KernelStats &s) { return s.mem.l2Misses; }),
+    fromStats("dram_accesses", "mem.dram_accesses",
+              [](const KernelStats &s) { return s.mem.dramAccesses; }),
+    fromStats("dram_row_activations", "mem.dram_row_activations",
+              [](const KernelStats &s) { return s.mem.dramRowActivations; }),
+    fromStats("icnt_packets", "mem.icnt_packets",
+              [](const KernelStats &s) { return s.mem.icntPackets; }),
+    fromStats("atomics", "mem.atomics",
+              [](const KernelStats &s) { return s.mem.atomics; }),
+    fromStats("atomic_wait_cycles", "mem.atomic_wait_cycles",
+              [](const KernelStats &s) { return s.mem.atomicWaitCycles; }),
+    fromCore("sib_confirms", Kind::Counter,
+             [](const SmCore &c) { return c.ddos().table().confirms(); }),
+    fromCore("sib_evicts", Kind::Counter,
+             [](const SmCore &c) { return c.ddos().table().evicts(); }),
+    fromStats("lock_success", "outcomes.lock_success",
+              [](const KernelStats &s) { return s.outcomes.lockSuccess; }),
+    fromStats("inter_warp_fail", "outcomes.inter_warp_fail",
+              [](const KernelStats &s) { return s.outcomes.interWarpFail; }),
+    fromStats("intra_warp_fail", "outcomes.intra_warp_fail",
+              [](const KernelStats &s) { return s.outcomes.intraWarpFail; }),
+    fromStats("wait_exit_success", "outcomes.wait_exit_success",
+              [](const KernelStats &s) { return s.outcomes.waitExitSuccess; }),
+    fromStats("wait_exit_fail", "outcomes.wait_exit_fail",
+              [](const KernelStats &s) { return s.outcomes.waitExitFail; }),
+    fromStats("resident_warp_cycles", "sched.resident_warp_cycles",
+              [](const KernelStats &s) { return s.residentWarpCycles; }),
+    fromStats("backed_off_warp_cycles", "sched.backed_off_warp_cycles",
+              [](const KernelStats &s) { return s.backedOffWarpCycles; }),
+    fromStats("sm_cycles", "sched.sm_cycles",
+              [](const KernelStats &s) { return s.smCycles; }),
+    fromStats("delay_limit_cycle_sum", "sched.delay_limit_cycle_sum",
+              [](const KernelStats &s) { return s.delayLimitCycleSum; }),
+    fromCore("resident_warps", Kind::Gauge, kResidentWarps),
+    fromCore("eligible_warps", Kind::Gauge, kEligibleWarps),
+    fromCore("spinning_warps", Kind::Gauge, kSpinningWarps),
+    fromCore("backed_off_warps", Kind::Gauge, kBackedOffWarps),
+    fromCore("mshr_occupancy", Kind::Gauge, kMshr),
+    fromCore("sib_occupancy", Kind::Gauge, kSibOccupancy),
+    fromStats("link_packets", "mem.link_packets",
+              [](const KernelStats &s) { return s.mem.linkPackets; }, true),
+    fromSync("sync_contended_lines", Kind::Gauge,
+             [](const syncprof::SyncProfileRegistry &r) {
+                 return static_cast<double>(r.contendedLines());
+             }),
+    fromSync("sync_failed_cas_share", Kind::Rate,
+             [](const syncprof::SyncProfileRegistry &r) {
+                 return r.casAttempts() == 0
+                            ? 0.0
+                            : static_cast<double>(r.casFailures()) /
+                                  static_cast<double>(r.casAttempts());
+             }),
+    fromSync("sync_peak_waiters", Kind::Gauge,
+             [](const syncprof::SyncProfileRegistry &r) {
+                 return static_cast<double>(r.peakWaiters());
+             }),
 };
+
+/** The per-SM block, repeated for every SM in flat order. */
+constexpr ColumnDef kPerSm[] = {
+    fromCore("warp_instructions", Kind::Counter, kIssued),
+    perCycle("ipc", kIssued),
+    fromCore("resident_warps", Kind::Gauge, kResidentWarps),
+    fromCore("eligible_warps", Kind::Gauge, kEligibleWarps),
+    fromCore("spinning_warps", Kind::Gauge, kSpinningWarps),
+    fromCore("backed_off_warps", Kind::Gauge, kBackedOffWarps),
+    fromCore("delay_limit", Kind::Gauge,
+             [](const SmCore &c) { return c.backoff().delayLimit(); }),
+    fromCore("mshr", Kind::Gauge, kMshr),
+    fromCore("sib_occupancy", Kind::Gauge, kSibOccupancy),
+};
+
+/** Column of the series' cycle, the denominator of every rate. */
+constexpr std::size_t kCycleCol = 0;
+
+/**
+ * The column schema for @p num_cores SMs (system-wide) on
+ * @p num_devices devices: the aggregate block, its link and sync
+ * groups when present, then one per-SM block per SM, prefixed "smN."
+ * or, on multi-device schemas, "dD.smN." with a device-local N.
+ */
+std::vector<MetricColumn>
+schema(unsigned num_cores, unsigned num_devices, bool has_sync)
+{
+    std::vector<MetricColumn> cols;
+    auto add = [&cols](std::string name, const ColumnDef &def, int device,
+                       int sm) {
+        cols.push_back({std::move(name), def.kind, def.stat, &def, device,
+                        sm});
+    };
+    for (const ColumnDef &def : kAggregate) {
+        if ((def.perDevice && num_devices < 2) ||
+            (def.source == Source::Sync && !has_sync))
+            continue;
+        add(def.name, def, -1, -1);
+        if (!def.perDevice)
+            continue;
+        for (unsigned d = 0; d < num_devices; ++d) {
+            add("d" + std::to_string(d) + "." + def.name, def,
+                static_cast<int>(d), -1);
+        }
+    }
+    for (unsigned sm = 0; sm < num_cores; ++sm) {
+        std::string p = "sm" + std::to_string(sm) + ".";
+        if (num_devices > 1) {
+            const unsigned per_device = num_cores / num_devices;
+            p = "d" + std::to_string(sm / per_device) + ".sm" +
+                std::to_string(sm % per_device) + ".";
+        }
+        for (const ColumnDef &def : kPerSm)
+            add(p + def.name, def, -1, static_cast<int>(sm));
+    }
+    return cols;
+}
+
+/** Whether a column accumulates across launches (see Source). */
+bool
+rebased(const ColumnDef &def)
+{
+    return (def.source == Source::Stats || def.source == Source::Core) &&
+           def.kind != Kind::Gauge;
+}
 
 }  // namespace
 
-std::size_t
-MetricsSampler::smColBase(unsigned sm) const
+std::vector<MetricColumn>
+statsMirrors(unsigned num_devices)
 {
-    return kNumAggCols + extraCols_ +
-           static_cast<std::size_t>(sm) * kNumSmCols;
+    std::vector<MetricColumn> out;
+    for (MetricColumn &col : schema(0, num_devices, false)) {
+        if (col.stat != nullptr)
+            out.push_back(std::move(col));
+    }
+    return out;
 }
 
 MetricsSampler::MetricsSampler(Cycle interval, std::string path)
@@ -83,91 +286,17 @@ MetricsSampler::MetricsSampler(Cycle interval, std::string path)
 }
 
 void
-MetricsSampler::defineColumns(unsigned num_cores, unsigned num_devices,
-                              bool has_sync)
-{
-    reg_.define("cycle", Kind::Counter);
-    reg_.define("launch", Kind::Counter);
-    reg_.define("ipc", Kind::Rate);
-    reg_.define("warp_instructions", Kind::Counter);
-    reg_.define("thread_instructions", Kind::Counter);
-    reg_.define("l1_accesses", Kind::Counter);
-    reg_.define("l1_misses", Kind::Counter);
-    reg_.define("l2_accesses", Kind::Counter);
-    reg_.define("l2_misses", Kind::Counter);
-    reg_.define("dram_accesses", Kind::Counter);
-    reg_.define("dram_row_activations", Kind::Counter);
-    reg_.define("icnt_packets", Kind::Counter);
-    reg_.define("atomics", Kind::Counter);
-    reg_.define("atomic_wait_cycles", Kind::Counter);
-    reg_.define("sib_confirms", Kind::Counter);
-    reg_.define("sib_evicts", Kind::Counter);
-    reg_.define("lock_success", Kind::Counter);
-    reg_.define("inter_warp_fail", Kind::Counter);
-    reg_.define("intra_warp_fail", Kind::Counter);
-    reg_.define("wait_exit_success", Kind::Counter);
-    reg_.define("wait_exit_fail", Kind::Counter);
-    reg_.define("resident_warp_cycles", Kind::Counter);
-    reg_.define("backed_off_warp_cycles", Kind::Counter);
-    reg_.define("sm_cycles", Kind::Counter);
-    reg_.define("delay_limit_cycle_sum", Kind::Counter);
-    reg_.define("resident_warps", Kind::Gauge);
-    reg_.define("eligible_warps", Kind::Gauge);
-    reg_.define("spinning_warps", Kind::Gauge);
-    reg_.define("backed_off_warps", Kind::Gauge);
-    reg_.define("mshr_occupancy", Kind::Gauge);
-    reg_.define("sib_occupancy", Kind::Gauge);
-    // Multi-device link traffic; absent from single-device schemas so
-    // those stay byte-identical to the pre-device-split layout.
-    if (num_devices > 1) {
-        reg_.define("link_packets", Kind::Counter);
-        for (unsigned d = 0; d < num_devices; ++d) {
-            reg_.define("d" + std::to_string(d) + ".link_packets",
-                        Kind::Counter);
-        }
-    }
-    // Sync-contention columns (docs/SYNC.md); absent unless a profiler
-    // is attached, so default schemas stay byte-identical. Gauges, not
-    // counters: the registry outlives launches, so its totals are
-    // already absolute and must not be re-based at launch boundaries.
-    if (has_sync) {
-        reg_.define("sync_contended_lines", Kind::Gauge);
-        reg_.define("sync_failed_cas_share", Kind::Rate);
-        reg_.define("sync_peak_waiters", Kind::Gauge);
-    }
-    const unsigned per_device = num_cores / num_devices;
-    for (unsigned sm = 0; sm < num_cores; ++sm) {
-        std::string p;
-        if (num_devices > 1)
-            p = "d" + std::to_string(sm / per_device) + ".";
-        p += "sm" + std::to_string(num_devices > 1 ? sm % per_device : sm) +
-             ".";
-        reg_.define(p + "warp_instructions", Kind::Counter);
-        reg_.define(p + "ipc", Kind::Rate);
-        reg_.define(p + "resident_warps", Kind::Gauge);
-        reg_.define(p + "eligible_warps", Kind::Gauge);
-        reg_.define(p + "spinning_warps", Kind::Gauge);
-        reg_.define(p + "backed_off_warps", Kind::Gauge);
-        reg_.define(p + "delay_limit", Kind::Gauge);
-        reg_.define(p + "mshr", Kind::Gauge);
-        reg_.define(p + "sib_occupancy", Kind::Gauge);
-    }
-    base_.assign(reg_.size(), 0.0);
-}
-
-void
 MetricsSampler::beginLaunch(const std::string &kernel, unsigned num_cores,
                             unsigned num_devices, bool has_sync)
 {
     if (num_devices == 0)
         num_devices = 1;
-    if (reg_.size() == 0) {
+    if (columns_.empty()) {
         numCores_ = num_cores;
         numDevices_ = num_devices;
         hasSync_ = has_sync;
-        linkCols_ = num_devices > 1 ? 1 + num_devices : 0;
-        extraCols_ = linkCols_ + (has_sync ? 3 : 0);
-        defineColumns(num_cores, num_devices, has_sync);
+        columns_ = schema(num_cores, num_devices, has_sync);
+        base_.assign(columns_.size(), 0.0);
     } else if (num_cores != numCores_ || num_devices != numDevices_ ||
                has_sync != hasSync_) {
         fatal("metrics sampler reused across launches with ", num_cores,
@@ -179,171 +308,87 @@ MetricsSampler::beginLaunch(const std::string &kernel, unsigned num_cores,
 }
 
 std::vector<double>
-MetricsSampler::collectLocal(Cycle now, const SampleSources &src) const
+MetricsSampler::read(const KernelStats &stats, const SampleSources &src) const
 {
-    (void)now;
-    std::vector<double> local(reg_.size(), 0.0);
-
-    // Launch-wide counters: every device's launch aggregate, summed in
-    // device-id order.
-    auto fold = [&](auto &&get) {
-        std::uint64_t v = 0;
-        for (const KernelStats *ls : src.launchStats)
-            v += get(*ls);
-        return static_cast<double>(v);
-    };
-    local[kWarpInstructions] =
-        fold([](const KernelStats &s) { return s.warpInstructions; });
-    local[kThreadInstructions] =
-        fold([](const KernelStats &s) { return s.threadInstructions; });
-    local[kL1Accesses] =
-        fold([](const KernelStats &s) { return s.l1Accesses; });
-    local[kL1Misses] = fold([](const KernelStats &s) { return s.l1Misses; });
-    local[kLockSuccess] =
-        fold([](const KernelStats &s) { return s.outcomes.lockSuccess; });
-    local[kInterWarpFail] =
-        fold([](const KernelStats &s) { return s.outcomes.interWarpFail; });
-    local[kIntraWarpFail] =
-        fold([](const KernelStats &s) { return s.outcomes.intraWarpFail; });
-    local[kWaitExitSuccess] = fold(
-        [](const KernelStats &s) { return s.outcomes.waitExitSuccess; });
-    local[kWaitExitFail] =
-        fold([](const KernelStats &s) { return s.outcomes.waitExitFail; });
-    local[kResidentWarpCycles] =
-        fold([](const KernelStats &s) { return s.residentWarpCycles; });
-    local[kBackedOffWarpCycles] =
-        fold([](const KernelStats &s) { return s.backedOffWarpCycles; });
-    local[kSmCycles] = fold([](const KernelStats &s) { return s.smCycles; });
-    local[kDelayLimitCycleSum] =
-        fold([](const KernelStats &s) { return s.delayLimitCycleSum; });
-
-    MemSystemStats mem;
-    std::vector<MemSystemStats> per_dev_mem;
-    per_dev_mem.reserve(src.memsys.size());
-    for (const MemorySystem *ms : src.memsys) {
-        per_dev_mem.push_back(ms->stats());
-        mem += per_dev_mem.back();
-    }
-    local[kL2Accesses] = static_cast<double>(mem.l2Accesses);
-    local[kL2Misses] = static_cast<double>(mem.l2Misses);
-    local[kDramAccesses] = static_cast<double>(mem.dramAccesses);
-    local[kDramRowActivations] =
-        static_cast<double>(mem.dramRowActivations);
-    local[kIcntPackets] = static_cast<double>(mem.icntPackets);
-    local[kAtomics] = static_cast<double>(mem.atomics);
-    local[kAtomicWaitCycles] = static_cast<double>(mem.atomicWaitCycles);
-    if (linkCols_ != 0) {
-        local[kNumAggCols] = static_cast<double>(mem.linkPackets);
-        for (std::size_t d = 0; d < per_dev_mem.size(); ++d) {
-            local[kNumAggCols + 1 + d] =
-                static_cast<double>(per_dev_mem[d].linkPackets);
-        }
-    }
-    if (hasSync_ && src.sync != nullptr) {
-        const std::size_t b = kNumAggCols + linkCols_;
-        const std::uint64_t attempts = src.sync->casAttempts();
-        const std::uint64_t failures = src.sync->casFailures();
-        local[b + 0] = static_cast<double>(src.sync->contendedLines());
-        local[b + 1] = attempts == 0 ? 0.0
-                                     : static_cast<double>(failures) /
-                                           static_cast<double>(attempts);
-        local[b + 2] = static_cast<double>(src.sync->peakWaiters());
-    }
-
-    // Per-SM state: all SM-private and settled at the end of the cycle.
     // Cores are indexed by flat (device-major) position — SmCore::id()
     // is device-local and repeats across devices.
-    std::uint64_t resident = 0, eligible = 0, spinning = 0, backed = 0;
-    std::uint64_t mshr = 0, sib_occ = 0, confirms = 0, evicts = 0;
-    for (std::size_t flat = 0; flat < src.cores->size(); ++flat) {
-        const auto &core = (*src.cores)[flat];
-        const std::size_t b = smColBase(static_cast<unsigned>(flat));
-        const std::uint64_t r = core->residentWarps();
-        const std::uint64_t e = core->eligibleWarpCount();
-        const std::uint64_t sp = core->spinningWarpCount();
-        const std::uint64_t bo = core->backoff().backedOffCount();
-        const std::uint64_t m = core->ldst().mshrOccupancy();
-        const std::uint64_t so = core->ddos().table().size();
-        resident += r;
-        eligible += e;
-        spinning += sp;
-        backed += bo;
-        mshr += m;
-        sib_occ += so;
-        confirms += core->ddos().table().confirms();
-        evicts += core->ddos().table().evicts();
-        local[b + kSmWarpInstructions] =
-            static_cast<double>(core->issuedInstructions());
-        local[b + kSmResidentWarps] = static_cast<double>(r);
-        local[b + kSmEligibleWarps] = static_cast<double>(e);
-        local[b + kSmSpinningWarps] = static_cast<double>(sp);
-        local[b + kSmBackedOffWarps] = static_cast<double>(bo);
-        local[b + kSmDelayLimit] =
-            static_cast<double>(core->backoff().delayLimit());
-        local[b + kSmMshr] = static_cast<double>(m);
-        local[b + kSmSibOccupancy] = static_cast<double>(so);
+    const auto &cores = *src.cores;
+    std::vector<double> local(columns_.size(), 0.0);
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+        const MetricColumn &col = columns_[c];
+        const ColumnDef &def = *col.def;
+        switch (def.source) {
+          case Source::Stats:
+            local[c] = static_cast<double>(def.stats(
+                col.device < 0 ? stats : stats.perDevice[col.device]));
+            break;
+          case Source::Core: {
+            std::uint64_t v = 0;
+            if (col.sm >= 0) {
+                v = def.core(*cores[col.sm]);
+            } else {
+                for (const auto &core : cores)
+                    v += def.core(*core);
+            }
+            local[c] = static_cast<double>(v);
+            break;
+          }
+          case Source::Sync:
+            if (src.sync != nullptr)
+                local[c] = def.sync(*src.sync);
+            break;
+          case Source::Launch:
+            local[c] = static_cast<double>(launchIndex_);
+            break;
+        }
     }
-    local[kResidentWarps] = static_cast<double>(resident);
-    local[kEligibleWarps] = static_cast<double>(eligible);
-    local[kSpinningWarps] = static_cast<double>(spinning);
-    local[kBackedOffWarps] = static_cast<double>(backed);
-    local[kMshrOccupancy] = static_cast<double>(mshr);
-    local[kSibOccupancy] = static_cast<double>(sib_occ);
-    local[kSibConfirms] = static_cast<double>(confirms);
-    local[kSibEvicts] = static_cast<double>(evicts);
     return local;
 }
 
 void
-MetricsSampler::emitRow(Cycle now, const std::vector<double> &local)
+MetricsSampler::emitRow(const std::vector<double> &local)
 {
-    const auto &cols = reg_.columns();
     std::vector<double> row(local.size(), 0.0);
+    const double cyc = base_[kCycleCol] + local[kCycleCol];
     for (std::size_t c = 0; c < local.size(); ++c) {
-        row[c] = cols[c].kind == Kind::Counter ? base_[c] + local[c]
-                                               : local[c];
+        const ColumnDef &def = *columns_[c].def;
+        if (!rebased(def))
+            row[c] = local[c];
+        else if (def.kind == Kind::Rate)
+            row[c] = cyc > 0.0 ? (base_[c] + local[c]) / cyc : 0.0;
+        else
+            row[c] = base_[c] + local[c];
     }
-    const Cycle global = cycleBase_ + now;
-    row[kCycle] = static_cast<double>(global);
-    row[kLaunch] = static_cast<double>(launchIndex_);
-    const double cyc = static_cast<double>(global);
-    row[kIpc] = cyc > 0.0 ? row[kWarpInstructions] / cyc : 0.0;
-    for (unsigned sm = 0; sm < numCores_; ++sm) {
-        const std::size_t b = smColBase(sm);
-        row[b + kSmIpc] =
-            cyc > 0.0 ? row[b + kSmWarpInstructions] / cyc : 0.0;
-    }
-    reg_.addRow(std::move(row));
-    lastSampled_ = global;
+    lastSampled_ = static_cast<Cycle>(cyc);
     haveSampled_ = true;
+    rows_.push_back(std::move(row));
 }
 
 void
-MetricsSampler::sample(Cycle now, const SampleSources &src)
+MetricsSampler::sample(const KernelStats &stats, const SampleSources &src)
 {
-    emitRow(now, collectLocal(now, src));
-    while (nextSampleGlobal_ <= cycleBase_ + now)
+    emitRow(read(stats, src));
+    while (nextSampleGlobal_ <= cycleBase_ + stats.cycles)
         nextSampleGlobal_ += interval_;
 }
 
 void
-MetricsSampler::endLaunch(Cycle final_now, const SampleSources &src)
+MetricsSampler::endLaunch(const KernelStats &stats, const SampleSources &src)
 {
-    const std::vector<double> local = collectLocal(final_now, src);
+    const std::vector<double> local = read(stats, src);
     // Boundary row: the final cycle of every launch is recorded even
     // when it falls off the sample grid, so the last row's counters
     // always match the launch's KernelStats (json_check --metrics).
-    if (!haveSampled_ || lastSampled_ != cycleBase_ + final_now)
-        emitRow(final_now, local);
+    if (!haveSampled_ || lastSampled_ != cycleBase_ + stats.cycles)
+        emitRow(local);
     // Fold the launch's counters into the cross-launch bases so the
     // next launch's (launch-local, freshly zeroed) counters continue
     // the monotone series.
-    const auto &cols = reg_.columns();
-    for (std::size_t c = kIpc; c < local.size(); ++c) {
-        if (cols[c].kind == Kind::Counter)
+    for (std::size_t c = 0; c < local.size(); ++c) {
+        if (rebased(*columns_[c].def))
             base_[c] += local[c];
     }
-    cycleBase_ += final_now;
+    cycleBase_ += stats.cycles;
     ++launchIndex_;
     while (nextSampleGlobal_ <= cycleBase_)
         nextSampleGlobal_ += interval_;
@@ -352,7 +397,7 @@ MetricsSampler::endLaunch(Cycle final_now, const SampleSources &src)
 std::string
 MetricsSampler::serialize() const
 {
-    const auto &cols = reg_.columns();
+    const auto &cols = columns_;
     const bool csv = path_.size() >= 4 &&
                      path_.compare(path_.size() - 4, 4, ".csv") == 0;
     if (csv) {
@@ -364,7 +409,7 @@ MetricsSampler::serialize() const
         }
         out += '\n';
         char buf[64];
-        for (const auto &row : reg_.rows()) {
+        for (const auto &row : rows_) {
             for (std::size_t c = 0; c < row.size(); ++c) {
                 if (c)
                     out += ',';
@@ -396,7 +441,7 @@ MetricsSampler::serialize() const
     }
     doc.set("columns", std::move(columns));
     harness::Json rows = harness::Json::array();
-    for (const auto &row : reg_.rows()) {
+    for (const auto &row : rows_) {
         harness::Json r = harness::Json::array();
         for (std::size_t c = 0; c < row.size(); ++c) {
             if (cols[c].kind == Kind::Rate)

@@ -1,35 +1,37 @@
 #ifndef BOWSIM_METRICS_SAMPLER_HPP
 #define BOWSIM_METRICS_SAMPLER_HPP
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/types.hpp"
-#include "src/metrics/metrics.hpp"
 
 /**
  * @file
  * Time-series sampling of simulator state (docs/METRICS.md). A
  * MetricsSampler attached to a Gpu (Gpu::setMetrics) snapshots a fixed
- * column schema every `interval` simulated cycles into a MetricsRegistry,
- * plus one boundary row at the end of every launch. Sampling is *pull*:
- * Gpu::launch calls sample() at the end of a cycle, once every SM has
- * run it or, if it sleeps, has been caught up through it, so every
- * value is read from settled state. The idle-cycle fast-forward clamps
- * its clock jumps to the next sample cycle (over-conservative, hence
- * legal under the horizon contract), so skip-on and skip-off runs
- * produce byte-identical series.
+ * column schema every `interval` simulated cycles, plus one boundary row
+ * at the end of every launch. Sampling is *pull*: Gpu::launch calls
+ * sample() at the end of a cycle, once every SM has run it or, if it
+ * sleeps, has been caught up through it, so every value is read from
+ * settled state. Every counter the stats record holds is read from the
+ * launch's stats fold (GpuSystem::finish), the same fold that builds
+ * the launch's KernelStats, so the series and the stats cannot
+ * disagree. The idle-cycle fast-forward clamps its clock jumps to the
+ * next sample cycle (over-conservative, hence legal under the horizon
+ * contract), so skip-on and skip-off runs produce byte-identical
+ * series.
  *
  * Samples sit on a *global* cycle grid (multiples of the interval across
  * launches): counter columns accumulate over launches via per-column
  * bases folded at endLaunch(), so the whole series is monotone even for
- * multi-launch harnesses (e.g. NW's two kernels).
+ * multi-launch API callers.
  */
 
 namespace bowsim {
 class SmCore;
-class MemorySystem;
 struct KernelStats;
 }  // namespace bowsim
 
@@ -39,17 +41,48 @@ class SyncProfileRegistry;
 
 namespace bowsim::metrics {
 
-/** Where sample() reads from; everything is owned by Gpu::launch.
- *  Multi-device runs list one launch aggregate and one memory system
- *  per device (device-id order); `cores` is a flat, device-major vector
- *  covering every SM in the system. */
+/** How a column's values behave over time (and how they are emitted). */
+enum class Kind {
+    /** Monotonically non-decreasing event count; emitted as an integer. */
+    Counter,
+    /** Instantaneous state sampled at the barrier; emitted as an integer. */
+    Gauge,
+    /** Derived ratio (e.g. IPC); emitted as a double. */
+    Rate,
+};
+
+const char *toString(Kind kind);
+
+/** One row of a column table (sampler.cpp): name, kind and source. */
+struct ColumnDef;
+
+/** One column of the series: a table row, bound to a device or an SM. */
+struct MetricColumn {
+    std::string name;
+    Kind kind = Kind::Counter;
+    /** The statsToJson key path of the KernelStats counter the column
+     *  mirrors ("mem.l2_accesses"; "cycles" for "cycle"), or nullptr. */
+    const char *stat = nullptr;
+    const ColumnDef *def = nullptr;
+    /** The stats.devices shard a "d<N>." copy of an aggregate column
+     *  reads; -1 reads the system-wide record. */
+    int device = -1;
+    /** Flat (device-major) SM index of a per-SM column; -1 in the
+     *  aggregate block. */
+    int sm = -1;
+};
+
+/**
+ * The columns of every schema on @p num_devices devices that mirror a
+ * KernelStats counter, in column order. json_check --metrics compares
+ * a series' final row against the stats record through these.
+ */
+std::vector<MetricColumn> statsMirrors(unsigned num_devices);
+
+/** What sample() reads besides the stats fold; owned by Gpu::launch. */
 struct SampleSources {
+    /** Every SM in the system, flat and device-major. */
     const std::vector<std::unique_ptr<SmCore>> *cores = nullptr;
-    /** Per-device launch aggregates (every SM's counters + retired-SM
-     *  idle accounting applied by the cycle loop). */
-    std::vector<const KernelStats *> launchStats;
-    /** Per-device memory systems (device-id order). */
-    std::vector<const MemorySystem *> memsys;
     /** Sync-contention profiler, when one is attached (docs/SYNC.md);
      *  feeds the sync_* columns. Read at the end of a cycle like every
      *  other source, so the values are settled and deterministic. */
@@ -66,7 +99,7 @@ class MetricsSampler {
     explicit MetricsSampler(Cycle interval, std::string path = "");
 
     /**
-     * Starts a launch: defines the column schema on the first call (the
+     * Starts a launch: builds the column schema on the first call (the
      * per-SM column block needs @p num_cores — the *system-wide* SM
      * count — and @p num_devices; neither may change between launches
      * of one sampler). Multi-device schemas insert link-traffic columns
@@ -86,19 +119,25 @@ class MetricsSampler {
      */
     Cycle nextSampleCycle() const { return nextSampleGlobal_ - cycleBase_; }
 
-    /** Emits one row at launch-local cycle @p now and advances the grid. */
-    void sample(Cycle now, const SampleSources &src);
+    /**
+     * Emits one row from @p stats, the launch's stats fold at the
+     * sample cycle (its `cycles` is the launch-local clock), and
+     * advances the grid.
+     */
+    void sample(const KernelStats &stats, const SampleSources &src);
 
     /**
-     * Ends a launch at launch-local cycle @p final_now: emits the
+     * Ends a launch whose final stats fold is @p stats: emits the
      * boundary row (unless a grid sample already landed there), folds
      * the launch's counters into the cross-launch bases, and re-anchors
      * the grid for the next launch.
      */
-    void endLaunch(Cycle final_now, const SampleSources &src);
+    void endLaunch(const KernelStats &stats, const SampleSources &src);
 
-    /** The sampled series (schema + rows). */
-    const MetricsRegistry &registry() const { return reg_; }
+    /** The column schema, in column order. */
+    const std::vector<MetricColumn> &columns() const { return columns_; }
+    /** The sampled rows, one value per column. */
+    const std::vector<std::vector<double>> &rows() const { return rows_; }
 
     /** Serializes the series (JSON, or CSV for a ".csv" path). */
     std::string serialize() const;
@@ -107,27 +146,17 @@ class MetricsSampler {
     void writeFile() const;
 
   private:
-    std::vector<double> collectLocal(Cycle now,
-                                     const SampleSources &src) const;
-    void emitRow(Cycle now, const std::vector<double> &local);
-    void defineColumns(unsigned num_cores, unsigned num_devices,
-                       bool has_sync);
-    /** First column of the per-SM block for flat (device-major) SM
-     *  index @p sm. */
-    std::size_t smColBase(unsigned sm) const;
+    std::vector<double> read(const KernelStats &stats,
+                             const SampleSources &src) const;
+    void emitRow(const std::vector<double> &local);
 
     Cycle interval_;
     std::string path_;
-    MetricsRegistry reg_;
+    std::vector<MetricColumn> columns_;
+    std::vector<std::vector<double>> rows_;
     std::vector<std::string> kernels_;
     unsigned numCores_ = 0;
     unsigned numDevices_ = 1;
-    /** Columns between the aggregate and per-SM blocks: link-traffic
-     *  (0 single-device; 1 aggregate + one per device otherwise) plus
-     *  the sync_* block (3 when a sync profiler is attached). */
-    std::size_t extraCols_ = 0;
-    /** Link-traffic share of extraCols_ (sync columns follow it). */
-    std::size_t linkCols_ = 0;
     bool hasSync_ = false;
 
     /** Simulated cycles consumed by completed launches (grid anchor). */

@@ -142,10 +142,11 @@ GpuSystem::finish(const std::vector<LaunchState> &launches,
                                        s.peakResidentPerSm.end());
     }
     if (scored) {
-        // Recomputed from the merged events rather than summed:
-        // operator+= neither sums staticEnergyNj nor merges the accuracy
-        // report, and the DDOS report's rates must score the
-        // system-wide confusion counts.
+        // Recomputed from the merged events rather than summed, so
+        // each system-wide energy is one model evaluation over the
+        // merged counts; operator+= does not merge the accuracy report,
+        // and the DDOS report's rates must score the system-wide
+        // confusion counts.
         total.energyNj = energy_.dynamicEnergyNj(total.energy);
         total.staticEnergyNj = energy_.staticEnergyNj(total.smCycles);
         DdosAccuracy all;
@@ -246,13 +247,10 @@ GpuSystem::launchCycle(std::vector<LaunchState> &launches)
     // Metrics sampling (docs/METRICS.md): samples are pulled at the end
     // of the cycle iteration, once every SM has run the cycle or been
     // caught up through it, whenever the clock has reached the
-    // sampler's next grid cycle. kNeverCycle keeps the detached fast
-    // path to a single always-false compare per cycle.
-    metrics::SampleSources msrc{&cores, {}, {}, syncProf_};
-    for (unsigned d = 0; d < num_devices; ++d) {
-        msrc.launchStats.push_back(&launches[d].stats);
-        msrc.memsys.push_back(memsys[d].get());
-    }
+    // sampler's next grid cycle, and read the same stats fold the
+    // launch returns. kNeverCycle keeps the detached fast path to a
+    // single always-false compare per cycle.
+    const metrics::SampleSources msrc{&cores, syncProf_};
     Cycle metricsNext = kNeverCycle;
     if (metrics_) {
         metrics_->beginLaunch(prog.name, total_cores, num_devices,
@@ -336,7 +334,7 @@ GpuSystem::launchCycle(std::vector<LaunchState> &launches)
         if (now >= metricsNext) {
             for (ActiveSm &sm : active)
                 catch_up(sm, now);
-            metrics_->sample(now, msrc);
+            metrics_->sample(finish(launches, {}, now), msrc);
             metricsNext = metrics_->nextSampleCycle();
         }
     } while (!active.empty());
@@ -360,9 +358,10 @@ GpuSystem::launchCycle(std::vector<LaunchState> &launches)
     // The final cycle of the launch is recorded even when it falls off
     // the sample grid, so the series' last row matches the returned
     // KernelStats.
+    KernelStats stats = finish(launches, cores, now);
     if (metrics_)
-        metrics_->endLaunch(now, msrc);
-    return finish(launches, cores, now);
+        metrics_->endLaunch(stats, msrc);
+    return stats;
 }
 
 KernelStats

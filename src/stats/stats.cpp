@@ -22,15 +22,7 @@ KernelStats::operator+=(const KernelStats &o)
     l1Misses += o.l1Misses;
     sharedAccesses += o.sharedAccesses;
     syncMemTransactions += o.syncMemTransactions;
-    mem.l2Accesses += o.mem.l2Accesses;
-    mem.l2Hits += o.mem.l2Hits;
-    mem.l2Misses += o.mem.l2Misses;
-    mem.dramAccesses += o.mem.dramAccesses;
-    mem.dramRowActivations += o.mem.dramRowActivations;
-    mem.atomics += o.mem.atomics;
-    mem.atomicWaitCycles += o.mem.atomicWaitCycles;
-    mem.icntPackets += o.mem.icntPackets;
-    mem.linkPackets += o.mem.linkPackets;
+    mem += o.mem;
     outcomes += o.outcomes;
     residentWarpCycles += o.residentWarpCycles;
     backedOffWarpCycles += o.backedOffWarpCycles;
@@ -38,6 +30,7 @@ KernelStats::operator+=(const KernelStats &o)
     smCycles += o.smCycles;
     energy += o.energy;
     energyNj += o.energyNj;
+    staticEnergyNj += o.staticEnergyNj;
     // Stall tables are indexed (sm * stallWarpsPerSm + warp) * cause, so
     // rows from two tables only line up when both sides agree on warps
     // per SM. Folding tables from different core geometries positionally

@@ -193,7 +193,8 @@ struct KernelStats {
         return static_cast<double>(cycles) / (clock_mhz * 1e3);
     }
 
-    /** Accumulates another launch (e.g., NW's second kernel). */
+    /** Accumulates another launch, for API callers that launch more
+     *  than one kernel. */
     KernelStats &operator+=(const KernelStats &o);
 };
 

@@ -8,6 +8,7 @@
 #include "src/harness/sweep.hpp"
 #include "src/kernels/hashtable.hpp"
 #include "src/kernels/registry.hpp"
+#include "src/metrics/sampler.hpp"
 #include "src/sim/gpu.hpp"
 #include "src/syncprof/syncprof.hpp"
 #include "src/trace/ring_recorder.hpp"
@@ -18,8 +19,8 @@
  * configuration, plus SHA-256 digests of whole runs (every stats field
  * and the final memory image) for every registry kernel in cycle and in
  * functional mode, TwoLevel and arbitration-variant runs, the hashtable
- * shapes of the contention figures, one traced run, two-device runs and
- * two sync reports. The simulator is
+ * shapes of the contention figures, one traced run, two-device runs, two
+ * sync reports and four metrics series. The simulator is
  * deterministic, so any drift here is a real behavior change — timing
  * model, scheduler, DDOS, BOWS, or side-effect order. When a change is intentional, re-measure and
  * update the constants in the same commit, and say why in the commit
@@ -469,6 +470,40 @@ TEST(GoldenDigests, TwoDeviceSyncReportPinned)
     // One registry and one lock tracker serve both devices.
     EXPECT_EQ(syncReportDigest(2),
               "de98b53a195fef46ca5ad5b0f8aa40162b71f66d4903b87e8dbcb8726b11fae5");
+}
+
+/** Digest of the serialized --metrics series of one HT run on
+ *  @p num_devices devices; @p path's suffix picks JSON or CSV. */
+std::string
+metricsSeriesDigest(unsigned num_devices, const std::string &path)
+{
+    GpuConfig cfg = makeGtx480Config();
+    cfg.numCores = 4;
+    cfg.numDevices = num_devices;
+    cfg.collectStallBreakdown = true;
+    syncprof::SyncProfileRegistry reg;
+    metrics::MetricsSampler sampler(500, path);
+    Gpu gpu(cfg);
+    gpu.setSyncProf(&reg);
+    gpu.setMetrics(&sampler);
+    makeBenchmark("HT", 0.25)->run(gpu);
+    harness::FingerprintHasher h;
+    h.add("series", sampler.serialize());
+    return h.hex();
+}
+
+TEST(GoldenDigests, MetricsSeriesPinned)
+{
+    // Every column of the sampled series, the link and sync blocks
+    // included, byte for byte in both output formats.
+    EXPECT_EQ(metricsSeriesDigest(1, ""),
+              "322c3acd60b87374f709330005c0b90883bd28b0fc993e4461d49b05b0b6f10c");
+    EXPECT_EQ(metricsSeriesDigest(1, "series.csv"),
+              "cec0c868ae431ed1131c9041e55c2f9d486688050b184c9636205f68b40e3a7f");
+    EXPECT_EQ(metricsSeriesDigest(2, ""),
+              "c265cc97c7957c0709e2e066caa6e205edcb83c51c569e83bcee3c568343ac63");
+    EXPECT_EQ(metricsSeriesDigest(2, "series.csv"),
+              "f6f897231cf2875b0edfcd3b1ccabdc466a1bb5cbcb80e0ca1e237b4d55a55fc");
 }
 
 }  // namespace

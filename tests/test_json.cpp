@@ -11,7 +11,7 @@
 
 /**
  * @file
- * The minimal JSON layer used for BENCH_*.json artifacts: deterministic
+ * The minimal JSON layer used for the bench artifacts: deterministic
  * (insertion-ordered) dumps, parse/dump round trips, string escaping,
  * and loud failures on malformed input.
  */

@@ -11,13 +11,12 @@
 #include "src/harness/sweep.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/metrics/kernel_profile.hpp"
-#include "src/metrics/metrics.hpp"
 #include "src/metrics/sampler.hpp"
 #include "src/sim/gpu.hpp"
 
 /**
- * Metrics layer (docs/METRICS.md): registry semantics, the sampler's
- * observer effect, its grid/boundary math at kernel end, and
+ * Metrics layer (docs/METRICS.md): the sampler's observer effect, its
+ * grid/boundary math at kernel end, its stats-mirroring columns, and
  * the checkMetricsSeries validator. The byte-equivalence of whole
  * series across idle-skip lives with the other differential properties
  * in test_differential.cpp.
@@ -29,43 +28,7 @@ namespace {
 using harness::CheckResult;
 using harness::Json;
 using metrics::Kind;
-using metrics::MetricsRegistry;
 using metrics::MetricsSampler;
-
-TEST(MetricsRegistry, DefinesOrderedSchemaAndStoresRows)
-{
-    MetricsRegistry reg;
-    EXPECT_EQ(reg.define("cycle", Kind::Counter), 0u);
-    EXPECT_EQ(reg.define("ipc", Kind::Rate), 1u);
-    EXPECT_EQ(reg.define("warps", Kind::Gauge), 2u);
-    ASSERT_EQ(reg.size(), 3u);
-    EXPECT_EQ(reg.columns()[0].name, "cycle");
-    EXPECT_EQ(reg.columns()[1].kind, Kind::Rate);
-    EXPECT_EQ(reg.columns()[2].kind, Kind::Gauge);
-
-    reg.addRow({1000.0, 0.5, 12.0});
-    reg.addRow({2000.0, 0.75, 8.0});
-    ASSERT_EQ(reg.rows().size(), 2u);
-    EXPECT_EQ(reg.rows()[1][0], 2000.0);
-    EXPECT_EQ(reg.rows()[0][2], 12.0);
-}
-
-TEST(MetricsRegistry, DefineAfterRowsIsFatal)
-{
-    MetricsRegistry reg;
-    reg.define("cycle", Kind::Counter);
-    reg.addRow({1000.0});
-    EXPECT_THROW(reg.define("late", Kind::Gauge), FatalError);
-}
-
-TEST(MetricsRegistry, RowSizeMismatchIsFatal)
-{
-    MetricsRegistry reg;
-    reg.define("cycle", Kind::Counter);
-    reg.define("ipc", Kind::Rate);
-    EXPECT_THROW(reg.addRow({1000.0}), FatalError);
-    EXPECT_THROW(reg.addRow({1000.0, 0.5, 3.0}), FatalError);
-}
 
 TEST(MetricsKind, ToString)
 {
@@ -103,11 +66,11 @@ runWith(const GpuConfig &cfg, MetricsSampler *sampler)
 }
 
 std::map<std::string, std::size_t>
-columnIndex(const MetricsRegistry &reg)
+columnIndex(const MetricsSampler &sampler)
 {
     std::map<std::string, std::size_t> idx;
-    for (std::size_t c = 0; c < reg.columns().size(); ++c)
-        idx.emplace(reg.columns()[c].name, c);
+    for (std::size_t c = 0; c < sampler.columns().size(); ++c)
+        idx.emplace(sampler.columns()[c].name, c);
     return idx;
 }
 
@@ -118,7 +81,7 @@ TEST(MetricsSamplerTest, AttachingASamplerIsInvisibleToTheSimulation)
     MetricsSampler sampler(500);
     SampledRun sampled = runWith(cfg, &sampler);
 
-    EXPECT_GT(sampler.registry().rows().size(), 1u)
+    EXPECT_GT(sampler.rows().size(), 1u)
         << "sampler was not attached";
     ASSERT_EQ(sampled.digest, plain.digest)
         << "sampling changed the final memory image";
@@ -133,11 +96,10 @@ TEST(MetricsSamplerTest, GridAlignmentAndKernelEndBoundary)
     MetricsSampler sampler(interval);
     SampledRun r = runWith(samplerConfig(), &sampler);
 
-    const MetricsRegistry &reg = sampler.registry();
-    const auto idx = columnIndex(reg);
+    const auto idx = columnIndex(sampler);
     ASSERT_TRUE(idx.count("cycle"));
     const std::size_t cycle_col = idx.at("cycle");
-    const auto &rows = reg.rows();
+    const auto &rows = sampler.rows();
     ASSERT_GE(rows.size(), 2u);
 
     // Every row but the last sits exactly on the sample grid, one
@@ -163,9 +125,8 @@ TEST(MetricsSamplerTest, FinalRowAgreesWithKernelStats)
     MetricsSampler sampler(500);
     SampledRun r = runWith(samplerConfig(), &sampler);
 
-    const MetricsRegistry &reg = sampler.registry();
-    const auto idx = columnIndex(reg);
-    const auto &last = reg.rows().back();
+    const auto idx = columnIndex(sampler);
+    const auto &last = sampler.rows().back();
     auto col = [&](const char *name) {
         return static_cast<std::uint64_t>(last[idx.at(name)]);
     };
@@ -215,7 +176,7 @@ TEST(MetricsSamplerTest, CsvSerializationMatchesSchema)
     ASSERT_TRUE(std::getline(csv, header));
     EXPECT_EQ(header.rfind("cycle,launch,ipc,warp_instructions", 0), 0u)
         << header;
-    const std::size_t cols = sampler.registry().columns().size();
+    const std::size_t cols = sampler.columns().size();
     std::size_t data_lines = 0;
     for (std::string line; std::getline(csv, line); ++data_lines) {
         std::size_t commas = 0;
@@ -223,7 +184,7 @@ TEST(MetricsSamplerTest, CsvSerializationMatchesSchema)
             commas += ch == ',';
         EXPECT_EQ(commas + 1, cols) << "line " << data_lines + 1;
     }
-    EXPECT_EQ(data_lines, sampler.registry().rows().size());
+    EXPECT_EQ(data_lines, sampler.rows().size());
 }
 
 TEST(MetricsSamplerTest, ProfileReportListsIssueDistribution)
@@ -356,6 +317,58 @@ TEST(CheckMetricsSeries, DetectsFinalRowStatsDisagreement)
     EXPECT_FALSE(res.ok);
     EXPECT_NE(res.message.find("warp_instructions"), std::string::npos)
         << res.message;
+
+    // Two devices: the link columns are checked too, each "d<N>." one
+    // against its own device shard.
+    GpuConfig cfg = samplerConfig();
+    cfg.numDevices = 2;
+    MetricsSampler two(500);
+    SampledRun r2 = runWith(cfg, &two);
+    const Json doc2 = Json::parse(two.serialize());
+    const Json stats2 = harness::statsToJson(r2.stats);
+    CheckResult ok2 = harness::checkMetricsSeries(doc2, &stats2);
+    EXPECT_TRUE(ok2.ok) << ok2.message;
+    EXPECT_NE(ok2.message.find("24 totals matched"), std::string::npos)
+        << ok2.message;
+
+    KernelStats link = r2.stats;
+    ASSERT_EQ(link.perDevice.size(), 2u);
+    link.perDevice[1].mem.linkPackets += 1;
+    const Json tampered2 = harness::statsToJson(link);
+    CheckResult res2 = harness::checkMetricsSeries(doc2, &tampered2);
+    EXPECT_FALSE(res2.ok);
+    EXPECT_NE(res2.message.find("devices[1].mem.link_packets"),
+              std::string::npos)
+        << res2.message;
+}
+
+TEST(CheckMetricsSeries, StatsMirrorsNameKeysTheRecordWrites)
+{
+    // Every stats key the sampler names must be one statsToJson writes,
+    // or the final-row check would compare against an absent key.
+    KernelStats shard;
+    shard.mem.linkPackets = 1;
+    KernelStats s = shard;
+    s.perDevice = {shard, shard};
+    const Json record = harness::statsToJson(s);
+    const auto mirrors = metrics::statsMirrors(2);
+    ASSERT_FALSE(mirrors.empty());
+    for (const metrics::MetricColumn &m : mirrors) {
+        const Json *j = m.device < 0
+                            ? &record
+                            : &record.at("devices").at(
+                                  static_cast<std::size_t>(m.device));
+        const std::string stat = m.stat;
+        std::size_t from = 0;
+        std::size_t dot;
+        while ((dot = stat.find('.', from)) != std::string::npos) {
+            const std::string key = stat.substr(from, dot - from);
+            ASSERT_TRUE(j->has(key)) << m.name << ": " << stat;
+            j = &j->at(key);
+            from = dot + 1;
+        }
+        EXPECT_TRUE(j->has(stat.substr(from))) << m.name << ": " << stat;
+    }
 }
 
 }  // namespace

@@ -40,14 +40,22 @@ TEST(Stats, AccumulationSumsEverything)
     a.warpInstructions = 100;
     a.outcomes.lockSuccess = 5;
     a.mem.l2Accesses = 7;
+    a.mem.linkPackets = 3;
+    a.smCycles = 40;
     a.energyNj = 1.5;
+    a.staticEnergyNj = 0.25;
     KernelStats b = a;
     a += b;
     EXPECT_EQ(a.cycles, 20u);
     EXPECT_EQ(a.warpInstructions, 200u);
     EXPECT_EQ(a.outcomes.lockSuccess, 10u);
     EXPECT_EQ(a.mem.l2Accesses, 14u);
+    EXPECT_EQ(a.mem.linkPackets, 6u);
+    EXPECT_EQ(a.smCycles, 80u);
+    // Both energies cover every launch's cycles: the static share is
+    // charged per SM-cycle, so it sums like smCycles.
     EXPECT_DOUBLE_EQ(a.energyNj, 3.0);
+    EXPECT_DOUBLE_EQ(a.staticEnergyNj, 0.5);
 }
 
 TEST(Stats, OutcomeTotals)
