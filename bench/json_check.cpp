@@ -22,8 +22,10 @@
  *   json_check --sync-report FILE             sync-contention report
  *                                             (--sync-report, docs/SYNC.md)
  *
- * Sweep artifacts must parse, carry a "points" array of the expected
- * size (when a count is given), and every point must report ok == true.
+ * Each count is a whole decimal number; anything else is a usage error
+ * (exit 2), checked before the file is read. Sweep artifacts must
+ * parse, carry a "points" array of the expected size (when a count is
+ * given), and every point must report ok == true.
  * Trace documents get the structural/property checks of
  * harness::checkChromeTrace (monotone per-track timestamps, balanced
  * B/E intervals). Metrics series get harness::checkMetricsSeries
@@ -32,14 +34,17 @@
  * src/harness/json_check so the unit tests exercise exactly what this
  * tool runs.
  */
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "bench/bench_common.hpp"
 #include "src/common/log.hpp"
 #include "src/harness/json_check.hpp"
 
+using bowsim::bench::parseWhole;
 using bowsim::harness::CheckResult;
 using bowsim::harness::Json;
 
@@ -111,6 +116,23 @@ main(int argc, char **argv)
         return usage(argv[0]);
     const char *path = argv[first_file];
 
+    // The optional counts, -1 when absent; parseWhole exits 2 on a
+    // value that is not a whole decimal number.
+    auto count = [&](const char *name, int index) -> std::int64_t {
+        if (index >= argc)
+            return -1;
+        return static_cast<std::int64_t>(parseWhole(
+            name, argv[index], 0, std::numeric_limits<std::int64_t>::max()));
+    };
+    std::int64_t expected = -1;
+    std::int64_t expected_hits = -1;
+    if (litmus_mode) {
+        expected = count("EXPECTED_CELLS", 3);
+    } else if (first_file == 1) {
+        expected = count("EXPECTED_POINT_COUNT", 2);
+        expected_hits = count("EXPECTED_CACHE_HITS", 3);
+    }
+
     try {
         const Json doc = bowsim::harness::loadJsonFile(path);
         CheckResult res;
@@ -122,9 +144,6 @@ main(int argc, char **argv)
             const Json other = bowsim::harness::loadJsonFile(argv[3]);
             res = bowsim::harness::compareSweepPoints(doc, other);
         } else if (litmus_mode) {
-            std::int64_t expected = -1;
-            if (argc == 4)
-                expected = std::strtol(argv[3], nullptr, 10);
             res = bowsim::harness::checkLitmusMatrix(doc, expected);
         } else if (metrics_mode) {
             Json sweep;
@@ -135,12 +154,6 @@ main(int argc, char **argv)
             }
             res = bowsim::harness::checkMetricsSeries(doc, stats);
         } else {
-            std::int64_t expected = -1;
-            std::int64_t expected_hits = -1;
-            if (argc >= 3)
-                expected = std::strtol(argv[2], nullptr, 10);
-            if (argc == 4)
-                expected_hits = std::strtol(argv[3], nullptr, 10);
             res = bowsim::harness::checkSweepArtifact(doc, expected,
                                                       expected_hits);
         }

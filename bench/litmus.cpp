@@ -16,6 +16,7 @@
  *   --watchdog=N                  watchdog budget in cycles (positive)
  *   --atomic-service=N            L2 atomic service period in cycles
  *
+ * A list flag with no value (--devices=) is a usage error (exit 2).
  * --scale multiplies the round count like every other bench. The JSON
  * artifact (--json) is the litmus outcome-matrix document validated by
  * json_check --litmus. Its header records the base configuration once,
@@ -43,8 +44,10 @@ using harness::SyncOutcome;
 
 namespace {
 
+/** The comma-separated items of @p flag's value @p text; an empty list
+ *  is a usage error (exit 2), since every matrix axis needs a value. */
 std::vector<std::string>
-splitList(const char *text)
+splitList(const char *flag, const char *text)
 {
     std::vector<std::string> out;
     std::string item;
@@ -59,6 +62,10 @@ splitList(const char *text)
     }
     if (!item.empty())
         out.push_back(item);
+    if (out.empty()) {
+        std::fprintf(stderr, "error: %s needs at least one value\n", flag);
+        std::exit(2);
+    }
     return out;
 }
 
@@ -100,7 +107,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--primitives=", 13) == 0) {
             lo.primitives.clear();
-            for (const std::string &name : splitList(argv[i] + 13)) {
+            for (const std::string &name :
+                 splitList("--primitives", argv[i] + 13)) {
                 sync::Primitive p;
                 if (!sync::parsePrimitive(name, &p))
                     badFlag("--primitives", name);
@@ -108,7 +116,8 @@ main(int argc, char **argv)
             }
         } else if (std::strncmp(argv[i], "--schedulers=", 13) == 0) {
             lo.schedulers.clear();
-            for (const std::string &name : splitList(argv[i] + 13)) {
+            for (const std::string &name :
+                 splitList("--schedulers", argv[i] + 13)) {
                 SchedulerKind kind;
                 if (!parseScheduler(name, &kind))
                     badFlag("--schedulers", name);
@@ -116,7 +125,8 @@ main(int argc, char **argv)
             }
         } else if (std::strncmp(argv[i], "--occupancies=", 14) == 0) {
             lo.occupancies.clear();
-            for (const std::string &name : splitList(argv[i] + 14)) {
+            for (const std::string &name :
+                 splitList("--occupancies", argv[i] + 14)) {
                 OccupancyLevel level;
                 if (!harness::parseOccupancy(name, &level))
                     badFlag("--occupancies", name);
@@ -124,7 +134,8 @@ main(int argc, char **argv)
             }
         } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
             lo.devices.clear();
-            for (const std::string &name : splitList(argv[i] + 10)) {
+            for (const std::string &name :
+                 splitList("--devices", argv[i] + 10)) {
                 lo.devices.push_back(static_cast<unsigned>(
                     parseWhole("--devices", name.c_str(), 1)));
             }

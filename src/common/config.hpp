@@ -222,11 +222,12 @@ struct GpuConfig {
     bool collectStallBreakdown = false;
 
     /**
-     * Event-driven idle-cycle fast-forward: an SM that issued nothing
-     * sleeps until the earliest cycle at which it can do work
-     * (writeback, memory completion, back-off deadline, CTA dispatch)
-     * and replays the gap's accounting when it wakes; when every SM
-     * sleeps, the clock jumps. Deterministic and statistics-exact by
+     * Event-driven idle-cycle fast-forward: an SM with no ready warp
+     * sleeps until the earliest cycle at which one can become ready
+     * (writeback, memory completion, back-off deadline, CTA dispatch),
+     * stepping only its L1 port meanwhile, and replays the gap's
+     * accounting when it wakes; when every SM sleeps and no port is
+     * busy, the clock jumps. Deterministic and statistics-exact by
      * construction (see docs/PERF.md for the horizon contract); the
      * flag exists as an escape hatch (--no-skip on the bench binaries)
      * and for differential testing. Ignored — skip is forced off —

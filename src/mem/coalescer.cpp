@@ -1,21 +1,19 @@
 #include "src/mem/coalescer.hpp"
 
-#include <algorithm>
+#include <bit>
 
 namespace bowsim {
 
-std::vector<Addr>
-coalesce(const std::array<Addr, kWarpSize> &lane_addrs, LaneMask mask)
+Targets
+coalesce(const std::array<Addr, kWarpSize> &lane_addrs, LaneMask mask,
+         Granularity g)
 {
-    std::vector<Addr> lines;
-    for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-        if (!((mask >> lane) & 1))
-            continue;
-        Addr line = lineBase(lane_addrs[lane]);
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-            lines.push_back(line);
+    Targets targets;
+    for (LaneMask m = mask; m != 0; m &= m - 1) {
+        const Addr a = lane_addrs[std::countr_zero(m)];
+        targets.insert(g == Granularity::Line ? lineBase(a) : a);
     }
-    return lines;
+    return targets;
 }
 
 }  // namespace bowsim

@@ -18,11 +18,13 @@
  *
  * Determinism: traverse() mutates port state, so it is only legal from
  * the cycle loop's fixed request order — the same contract MemorySystem
- * already has. Horizon: a link traversal's completion is folded into
- * the reply cycle MemorySystem::request() returns, which lands in the
- * requesting SM's LD/ST event queue at request time, so that SM's own
- * nextWorkCycle covers link events with no separate term, and no other
- * SM has to wake it.
+ * already has; a sleeping SM's L1-port step requests at its place in
+ * that order too. Horizon: a link traversal's completion is folded into
+ * the reply cycle MemorySystem::request() returns, which the requesting
+ * SM's LD/ST unit keys into the instruction's one completion event at
+ * request time (docs/PERF.md, "One completion event per instruction"),
+ * so that SM's own nextWorkCycle covers link events with no separate
+ * term, and no other SM has to wake it.
  */
 
 namespace bowsim {

@@ -214,15 +214,18 @@ GpuSystem::launchCycle(std::vector<LaunchState> &launches)
     // limits, so statistics stay bit-identical with the
     // cycle-everything loop.
     //
-    // Per-SM wake horizons (docs/PERF.md): an SM that issued nothing at
-    // `now` cannot issue before nextWorkCycle(now), so it sleeps until
-    // that cycle and replays the skipped cycles' accounting with
-    // fastForward() when it wakes, before a metrics sample, or before
-    // an abort is stashed. Another SM cannot wake it early: memory and
-    // link replies are scheduled into the requester's LD/ST queue at
-    // request time, and functional memory is read only at issue.
-    // Disabled while a trace sink is attached: per-cycle IssueStall
-    // events cannot be synthesized for cycles that never run.
+    // Per-SM wake horizons (docs/PERF.md): an SM with no ready warp
+    // after cycle `now` cannot issue before nextWorkCycle(now), so it
+    // sleeps until that cycle and replays the skipped cycles'
+    // accounting with fastForward() when it wakes, before a metrics
+    // sample, or before an abort is stashed. While it sleeps, its L1
+    // port still steps once per cycle, at its place in core order, so
+    // the memory system sees the same request sequence. Another SM
+    // cannot wake it early: memory and link replies are scheduled into
+    // the requester's LD/ST events at request time, and functional
+    // memory is read only at issue. Disabled while a trace sink is
+    // attached: per-cycle IssueStall events cannot be synthesized for
+    // cycles that never run.
     struct ActiveSm {
         SmCore *core;
         /** First cycle this SM may issue again; it runs live from here. */
@@ -267,8 +270,8 @@ GpuSystem::launchCycle(std::vector<LaunchState> &launches)
     Cycle now = 0;
     Cycle last_issue = 0;
 
-    // Index into `active` of the SM inside cycle(now): the ones before
-    // it have run cycle `now`, the rest have not.
+    // Index into `active` of the SM inside cycle(now) or its port step:
+    // the ones before it are through cycle `now`, the rest are not.
     std::size_t running = 0;
     try {
     do {
@@ -283,36 +286,36 @@ GpuSystem::launchCycle(std::vector<LaunchState> &launches)
             launches[d].stats.delayLimitCycleSum += idle_delay_sum[d];
             launches[d].stats.smCycles += idle_cores[d];
         }
+        // One pass: each SM runs the cycle, or port-steps while it
+        // sleeps, and folds its wake into the horizon. busy() changes
+        // only inside the SM's own cycle(), so an SM leaves the list
+        // only in a cycle it ran: nothing to catch up.
         bool issued = false;
-        for (; running < active.size(); ++running) {
+        Cycle horizon = kNeverCycle;
+        while (running < active.size()) {
             ActiveSm &sm = active[running];
-            if (now < sm.wake)
-                continue;
-            catch_up(sm, now - 1);
-            sm.lastRun = now;
-            if (sm.core->cycle(now)) {
-                issued = true;
-                sm.wake = now + 1;
-            } else {
-                sm.wake = skip ? sm.core->nextWorkCycle(now) : now + 1;
+            SmCore &core = *sm.core;
+            if (now >= sm.wake) {
+                catch_up(sm, now - 1);
+                sm.lastRun = now;
+                issued |= core.cycle(now);
+                if (!core.busy()) {
+                    idle_delay_sum[core.device()] +=
+                        core.backoff().delayLimit();
+                    ++idle_cores[core.device()];
+                    active.erase(active.begin() + running);
+                    continue;
+                }
+                sm.wake = skip ? core.nextWorkCycle(now) : now + 1;
+            } else if (core.portBusy()) {
+                sm.wake = std::min(sm.wake, core.portStep(now));
             }
+            // A busy port steps next cycle, whether the SM sleeps or not.
+            horizon = std::min(horizon, core.portBusy() ? now + 1 : sm.wake);
+            ++running;
         }
         if (issued)
             last_issue = now;
-        // busy() changes only inside the SM's own cycle(), so an SM
-        // leaves the list only in a cycle it ran: nothing to catch up.
-        Cycle horizon = kNeverCycle;
-        for (std::size_t i = 0; i < active.size();) {
-            SmCore &core = *active[i].core;
-            if (core.busy()) {
-                horizon = std::min(horizon, active[i].wake);
-                ++i;
-                continue;
-            }
-            idle_delay_sum[core.device()] += core.backoff().delayLimit();
-            ++idle_cores[core.device()];
-            active.erase(active.begin() + i);
-        }
         // Every SM sleeps: jump the clock to the first wake. Clamp to
         // the watchdog so a deadlock (horizon at infinity) trips the
         // same fatal at the same cycle, and never past a sample cycle,

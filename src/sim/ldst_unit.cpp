@@ -1,7 +1,5 @@
 #include "src/sim/ldst_unit.hpp"
 
-#include <algorithm>
-
 #include "src/common/log.hpp"
 #include "src/mem/coalescer.hpp"
 
@@ -15,7 +13,7 @@ LdstUnit::LdstUnit(const GpuConfig &cfg, unsigned sm_id,
 }
 
 std::uint32_t
-LdstUnit::allocOp(Warp *warp, const Instruction &inst, unsigned pending)
+LdstUnit::allocOp(Warp *warp, const Instruction &inst, unsigned queued)
 {
     std::uint32_t id;
     if (!freeOps_.empty()) {
@@ -25,17 +23,39 @@ LdstUnit::allocOp(Warp *warp, const Instruction &inst, unsigned pending)
         id = static_cast<std::uint32_t>(ops_.size());
         ops_.emplace_back();
     }
-    ops_[id] = Op{warp, &inst, pending, true};
+    ops_[id] = Op{warp, &inst, queued, 0, 0, 0, true};
     ++inflightOps_;
     warp->addLdstOutstanding(1);
     return id;
 }
 
 void
-LdstUnit::pushEvent(Cycle when, Event::Kind kind, std::uint32_t op,
-                    Addr line)
+LdstUnit::keyReply(Op &op, Cycle when)
 {
-    events_.push(Event{when, ++eventSeq_, kind, op, line});
+    // Every direct reply takes its sequence number, so the op's one
+    // event carries the key its latest reply had as an event of its own.
+    const std::uint64_t seq = ++eventSeq_;
+    if (when >= op.lastWhen) {
+        op.lastWhen = when;
+        op.lastSeq = seq;
+    }
+}
+
+void
+LdstUnit::passPort(std::uint32_t op_id, Cycle now)
+{
+    Op &op = ops_[op_id];
+    if (--op.queued != 0)
+        return;
+    // The last transaction is through: one event at the latest direct
+    // reply. A key at or before now has landed already (its per-
+    // transaction event would have drained by this port step), and then
+    // the op waits on a fill that lands later.
+    if (op.lastWhen > now) {
+        ++op.pending;
+        events_.push(
+            Event{op.lastWhen, op.lastSeq, Event::Kind::OpDone, op_id, 0});
+    }
 }
 
 void
@@ -54,25 +74,14 @@ LdstUnit::submit(Warp *warp, const Instruction &inst,
         std::uint32_t op = allocOp(warp, inst, 1);
         ++stats_.sharedAccesses;
         ++stats_.energy.sharedAccesses;
-        pushEvent(now + kSharedMemLatency, Event::Kind::OpPartDone, op, 0);
+        keyReply(ops_[op], now + kSharedMemLatency);
+        passPort(op, now);
         return;
     }
 
-    std::vector<Addr> targets;
-    if (inst.isAtomic()) {
-        // Atomics serialize per distinct address at the L2 banks.
-        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-            if (!((mask >> lane) & 1))
-                continue;
-            if (std::find(targets.begin(), targets.end(), addrs[lane]) ==
-                targets.end()) {
-                targets.push_back(addrs[lane]);
-            }
-        }
-    } else {
-        targets = coalesce(addrs, mask);
-    }
-
+    const Targets targets = coalesce(
+        addrs, mask,
+        inst.isAtomic() ? Granularity::Address : Granularity::Line);
     MemPacket::Type type = inst.isAtomic() ? MemPacket::Type::Atomic
                            : inst.op == Opcode::St ? MemPacket::Type::Write
                                                    : MemPacket::Type::Read;
@@ -84,14 +93,14 @@ LdstUnit::submit(Warp *warp, const Instruction &inst,
 }
 
 void
-LdstUnit::completePart(std::uint32_t op_id, Cycle now,
+LdstUnit::completePart(std::uint32_t op_id,
                        std::vector<MemCompletion> &completed)
 {
-    (void)now;
     Op &op = ops_[op_id];
     if (!op.live || op.pending == 0)
         panic("LdstUnit: completion on dead op");
-    if (--op.pending == 0) {
+    // A fill can land while the op still has a transaction queued.
+    if (--op.pending == 0 && op.queued == 0) {
         completed.push_back(MemCompletion{op.warp, op.inst});
         op.warp->addLdstOutstanding(-1);
         op.live = false;
@@ -103,29 +112,33 @@ LdstUnit::completePart(std::uint32_t op_id, Cycle now,
 void
 LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
 {
-    // 1. Drain due events.
     while (!events_.empty() && events_.top().when <= now) {
         Event ev = events_.top();
         events_.pop();
-        if (ev.kind == Event::Kind::OpPartDone) {
-            completePart(ev.op, now, completed);
+        if (ev.kind == Event::Kind::OpDone) {
+            completePart(ev.op, completed);
         } else {
-            // Fill: install the line and wake every waiting load.
+            // Fill: install the line and land every merged op's part.
             bool dirty = false;
             l1_.fill(ev.line, false, &dirty);
             auto it = mshr_.find(ev.line);
             if (it == mshr_.end())
                 panic("LdstUnit: fill without MSHR entry");
             for (std::uint32_t waiting : it->second)
-                completePart(waiting, now, completed);
+                completePart(waiting, completed);
             mshr_.erase(it);
         }
     }
+    portStep(now);
+}
 
-    // 2. One transaction per cycle through the L1 port.
+void
+LdstUnit::portStep(Cycle now)
+{
     if (l1Queue_.empty())
         return;
-    Txn txn = l1Queue_.front();
+    const Txn txn = l1Queue_.front();
+    Op &op = ops_[txn.op];
 
     ++stats_.l1Accesses;
     ++stats_.energy.l1Accesses;
@@ -138,15 +151,12 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
         if (txn.vol) {
             // Volatile polling loads read through to the L2 every time.
             const MemPacket pkt{line, MemPacket::Type::Read, smId_};
-            pushEvent(memsys_.request(pkt, now), Event::Kind::OpPartDone,
-                      txn.op, 0);
-            l1Queue_.pop_front();
+            keyReply(op, memsys_.request(pkt, now));
             break;
         }
         if (l1_.access(line, false)) {
             ++stats_.l1Hits;
-            pushEvent(now + kL1HitLatency, Event::Kind::OpPartDone, txn.op, 0);
-            l1Queue_.pop_front();
+            keyReply(op, now + kL1HitLatency);
             break;
         }
         ++stats_.l1Misses;
@@ -154,13 +164,12 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
         if (it != mshr_.end()) {
             // Merge into the outstanding fill.
             it->second.push_back(txn.op);
+            ++op.pending;
             if (tracer_.enabled()) {
                 tracer_.emit(now, smId_,
-                             static_cast<std::int32_t>(
-                                 ops_[txn.op].warp->id()),
+                             static_cast<std::int32_t>(op.warp->id()),
                              trace::EventKind::MshrMerge, line);
             }
-            l1Queue_.pop_front();
             break;
         }
         if (mshr_.size() >= cfg_.l1Mshrs) {
@@ -170,17 +179,18 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
             --stats_.energy.l1Accesses;
             if (txn.sync)
                 --stats_.syncMemTransactions;
-            break;
+            return;
         }
         if (tracer_.enabled()) {
             tracer_.emit(now, smId_,
-                         static_cast<std::int32_t>(ops_[txn.op].warp->id()),
+                         static_cast<std::int32_t>(op.warp->id()),
                          trace::EventKind::L1Miss, line);
         }
         const MemPacket pkt{line, MemPacket::Type::Read, smId_};
         mshr_.emplace(line, std::vector<std::uint32_t>{txn.op});
-        pushEvent(memsys_.request(pkt, now), Event::Kind::Fill, 0, line);
-        l1Queue_.pop_front();
+        events_.push(Event{memsys_.request(pkt, now), ++eventSeq_,
+                           Event::Kind::Fill, 0, line});
+        ++op.pending;
         break;
       }
       case MemPacket::Type::Write: {
@@ -188,20 +198,19 @@ LdstUnit::cycle(Cycle now, std::vector<MemCompletion> &completed)
         // Write-through, no-allocate: update the line if present.
         (void)l1_.access(line, true);
         memsys_.request(MemPacket{line, MemPacket::Type::Write, smId_}, now);
-        // Writes get no reply; the op completes next cycle.
-        pushEvent(now + 1, Event::Kind::OpPartDone, txn.op, 0);
-        l1Queue_.pop_front();
+        // Writes get no reply; the transaction is done next cycle.
+        keyReply(op, now + 1);
         break;
       }
       case MemPacket::Type::Atomic: {
         const MemPacket pkt{txn.addr, MemPacket::Type::Atomic, smId_,
                             txn.scope};
-        pushEvent(memsys_.request(pkt, now), Event::Kind::OpPartDone,
-                  txn.op, 0);
-        l1Queue_.pop_front();
+        keyReply(op, memsys_.request(pkt, now));
         break;
       }
     }
+    l1Queue_.pop_front();
+    passPort(txn.op, now);
 }
 
 }  // namespace bowsim

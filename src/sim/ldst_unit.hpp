@@ -22,6 +22,11 @@
  * allocate MSHRs on miss; stores are write-through/no-allocate and
  * fire-and-forget; atomics bypass the L1 entirely. Functional values are
  * handled at issue by the core — this unit models timing and traffic.
+ *
+ * Events (docs/PERF.md, "One completion event per instruction"): a fill
+ * lands a part of every op merged on it, and an op's direct replies
+ * collapse into one event at their latest (reply cycle, sequence) key, so
+ * completions land where one event per transaction would put them.
  */
 
 namespace bowsim {
@@ -56,30 +61,37 @@ class LdstUnit {
                 bool sync, Cycle now);
 
     /**
-     * Advances one cycle: drains due events and pushes at most one
-     * transaction through the L1 port. Finished warp instructions are
-     * appended to @p completed.
+     * Advances one cycle: drains due events, then portStep(). Finished
+     * warp instructions are appended to @p completed.
      */
     void cycle(Cycle now, std::vector<MemCompletion> &completed);
 
+    /** True while a transaction waits for the L1 port. */
+    bool portBusy() const { return !l1Queue_.empty(); }
+
     /**
-     * Next-event horizon: the earliest cycle after @p now at which this
-     * unit can make progress — kNeverCycle when nothing is pending.
-     * A queued L1 transaction makes every next cycle busy (one txn per
-     * cycle through the port); otherwise the earliest scheduled event
-     * decides. Every in-flight op is backed by a queue entry or an
-     * event, so inflightOps_ > 0 implies a finite horizon.
+     * Pushes at most one transaction through the L1 port. A sleeping SM
+     * calls it alone in each cycle its port is busy: no event is due
+     * then, and the step changes neither canAccept() nor any warp's
+     * state, only the L1, the MSHRs, the memory system and the events.
+     */
+    void portStep(Cycle now);
+
+    /**
+     * Next-event horizon: the earliest scheduled completion or fill after
+     * @p now — kNeverCycle when none is pending. Queued transactions are
+     * not a term: the cycle loop steps a busy port every cycle, and a
+     * step can only lower the horizon. An op whose transactions have
+     * all passed the port is backed by an event, so such an op always
+     * gives a finite horizon.
      */
     Cycle
     nextEventCycle(Cycle now) const
     {
-        if (!l1Queue_.empty())
-            return now + 1;
-        if (!events_.empty()) {
-            const Cycle when = events_.top().when;
-            return when > now ? when : now + 1;
-        }
-        return kNeverCycle;
+        if (events_.empty())
+            return kNeverCycle;
+        const Cycle when = events_.top().when;
+        return when > now ? when : now + 1;
     }
 
     /** Lines currently outstanding in the MSHR file (metrics gauge). */
@@ -94,7 +106,14 @@ class LdstUnit {
     struct Op {
         Warp *warp = nullptr;
         const Instruction *inst = nullptr;
+        /** Transactions still waiting for the L1 port. */
+        unsigned queued = 0;
+        /** Outstanding events: fills it is merged on, plus its own. */
         unsigned pending = 0;
+        /** Latest (reply cycle, sequence) key of its direct replies;
+         *  lastWhen 0 while it has none. */
+        Cycle lastWhen = 0;
+        std::uint64_t lastSeq = 0;
         bool live = false;
     };
 
@@ -112,7 +131,7 @@ class LdstUnit {
     struct Event {
         Cycle when;
         std::uint64_t seq;
-        enum class Kind { OpPartDone, Fill } kind;
+        enum class Kind { OpDone, Fill } kind;
         std::uint32_t op;
         Addr line;
 
@@ -124,11 +143,16 @@ class LdstUnit {
     };
 
     std::uint32_t allocOp(Warp *warp, const Instruction &inst,
-                          unsigned pending);
-    void completePart(std::uint32_t op_id, Cycle now,
+                          unsigned queued);
+    /** Lands one of the op's events; completes it on the last one
+     *  once every transaction has passed the port. */
+    void completePart(std::uint32_t op_id,
                       std::vector<MemCompletion> &completed);
-    void pushEvent(Cycle when, Event::Kind kind, std::uint32_t op,
-                   Addr line);
+    /** Keys a direct reply of @p op landing at @p when. */
+    void keyReply(Op &op, Cycle when);
+    /** One of the op's transactions passed the port at @p now; after
+     *  the last one, pushes the op's event at its latest key. */
+    void passPort(std::uint32_t op_id, Cycle now);
 
     const GpuConfig &cfg_;
     unsigned smId_;

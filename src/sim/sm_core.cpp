@@ -148,14 +148,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     ctas_.resize(maxResidentCtas_);
 }
 
-bool
-SmCore::busy() const
-{
-    // CTAs are handed out by the device's dispatcher; this SM stays busy
-    // while work remains so it can pick CTAs up as slots free.
-    return validCtas_ != 0 || launch_.nextCta < launch_.ctaEnd;
-}
-
 void
 SmCore::tryLaunchCtas()
 {
@@ -634,6 +626,15 @@ SmCore::nextWorkCycle(Cycle now) const
     // retirement at the end of cycle(now) may have just opened one).
     if (launch_.nextCta < launch_.ctaEnd && validCtas_ < maxResidentCtas_)
         return now + 1;
+    // A ready warp issues next cycle. A clear bit becomes set only at
+    // one of the events below or inside a cycle this SM runs (a barrier
+    // release, a warp exit), and canAccept() changes only at a
+    // completion (an LD/ST event) or an issue.
+    const bool ldst_free = ldst_.canAccept();
+    for (const Unit &unit : units_) {
+        if (unit.ready(ldst_free) != 0)
+            return now + 1;
+    }
     Cycle horizon = kNeverCycle;
     if (wbPending_ != 0) {
         // The ring covers at most kWbRingSize-1 cycles ahead and the
@@ -655,9 +656,10 @@ SmCore::nextWorkCycle(Cycle now) const
 void
 SmCore::fastForward(Cycle from, Cycle to)
 {
-    // No unit issued at `from - 1` and nothing can issue before
-    // nextWorkCycle() > to, so per-warp eligibility — and with it each
-    // warp's stall classification — is frozen across the gap; every
+    // No warp was ready after cycle `from - 1` and none can become
+    // ready before nextWorkCycle() > to (L1-port steps change nothing
+    // an issue decision reads), so per-warp eligibility — and with it
+    // each warp's stall classification — is frozen across the gap; every
     // per-cycle accounting step collapses to one multiplication. The
     // adaptive-window replay is the exception: the delay limit can
     // change at mid-gap boundaries, which fastForwardWindows()

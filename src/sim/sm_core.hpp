@@ -182,30 +182,53 @@ class SmCore {
     SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch);
 
     /**
-     * Advances the SM by one cycle: CTA dispatch, writebacks, the BOWS
-     * window, one issue per scheduler unit (functional global-memory
-     * ops and memory-system requests run inline, at issue and at the
-     * L1 port), then the per-cycle accounting. True when any unit
-     * issued.
+     * Advances the SM by one cycle: CTA dispatch, memory events and
+     * one L1-port step, writebacks, the BOWS window, one issue per
+     * scheduler unit (functional global-memory ops run inline at issue),
+     * then the per-cycle accounting. True when any unit issued.
      */
     bool cycle(Cycle now);
 
     /** True while CTAs are resident or still waiting for dispatch. */
-    bool busy() const;
+    bool
+    busy() const
+    {
+        // CTAs are handed out by the device's dispatcher; this SM stays
+        // busy while work remains so it can pick CTAs up as slots free.
+        return validCtas_ != 0 || launch_.nextCta < launch_.ctaEnd;
+    }
 
     /**
-     * Next-event horizon (docs/PERF.md): assuming cycle(now) just ran
-     * and issued nothing, the earliest cycle > now at which this SM can
-     * issue again — the minimum over pending ALU writebacks, LD/ST
-     * events, expiring back-off deadlines, and CTA-dispatch
-     * availability; kNeverCycle when none is pending (deadlock). The SM
-     * sleeps until then, however busy the other SMs are. Being early
-     * (over-conservative) only shortens a sleep; reporting later than a
-     * real event would desynchronize the simulation, so every state
-     * change inside (now, horizon) must trace back to one of the
-     * enumerated sources.
+     * Next-event horizon (docs/PERF.md), read after cycle(now): now + 1
+     * while some unit has a ready warp, else the earliest cycle > now at
+     * which one can become ready — the minimum over pending ALU
+     * writebacks, LD/ST completions and fills, expiring back-off
+     * deadlines, and CTA-dispatch availability; kNeverCycle when none is
+     * pending (deadlock). The SM sleeps until then, however busy the
+     * other SMs are, and its L1 port steps on its own meanwhile
+     * (portStep). Being early (over-conservative) only shortens a sleep;
+     * reporting later than a real event would desynchronize the
+     * simulation, so every state change inside (now, horizon) must trace
+     * back to one of the enumerated sources.
      */
     Cycle nextWorkCycle(Cycle now) const;
+
+    /** True while a memory transaction waits for the L1 port. */
+    bool portBusy() const { return ldst_.portBusy(); }
+
+    /**
+     * The L1-port step of cycle @p now for a sleeping SM (now before its
+     * wake), at the SM's place in core order. It changes nothing an
+     * issue decision reads, so the cycle's accounting is left to
+     * fastForward. Returns the SM's earliest memory event, which can
+     * only lower its wake.
+     */
+    Cycle
+    portStep(Cycle now)
+    {
+        ldst_.portStep(now);
+        return ldst_.nextEventCycle(now);
+    }
 
     /**
      * Replays the per-cycle accounting of the idle gap [from, to] in

@@ -160,7 +160,10 @@ TEST(Integration, SleepingSmsMatchTheNoSkipOracle)
     // oracle: BOWS parks HT and ATM warps long enough that one SM
     // sleeps while another issues. Memory, every statsToJson field
     // (per-SM stall rows included) and a sampled metrics series must
-    // match with idleSkip on and off, at one and two devices.
+    // match with idleSkip on and off, at one and two devices. HL and KM
+    // cover sleeping SMs' L1-port steps: KM retries on full MSHRs while
+    // its SMs sleep, and HL lands fills while the load that waits on
+    // them still has a transaction queued.
     struct Run {
         std::uint64_t digest;
         std::string stats;
@@ -187,7 +190,8 @@ TEST(Integration, SleepingSmsMatchTheNoSkipOracle)
     };
     const Case cases[] = {{"HT", 1, false},  {"HT", 2, false},
                           {"ATM", 1, false}, {"ATM", 2, false},
-                          {"ATM", 1, true}};
+                          {"ATM", 1, true},  {"HL", 1, false},
+                          {"KM", 1, false}};
     for (const Case &c : cases) {
         SCOPED_TRACE(std::string(c.kernel) + " at " +
                      std::to_string(c.devices) + " device(s)" +
