@@ -7,20 +7,22 @@ namespace bowsim {
 bool
 Scoreboard::pending(const Operand &op) const
 {
-    switch (op.kind) {
-      case Operand::Kind::Reg:
-        return regPending_.at(op.index);
-      case Operand::Kind::Pred:
-        return predPending_.at(op.index);
-      default:
+    const bool reg = op.kind == Operand::Kind::Reg;
+    if (!reg && op.kind != Operand::Kind::Pred)
         return false;
-    }
+    const unsigned i = static_cast<unsigned>(op.index);
+    if (i >= (reg ? numRegs_ : numPreds_))
+        panic("scoreboard: ", reg ? "%r" : "%p", op.index,
+              " outside the register file");
+    if (i < 64)
+        return (((reg ? regMask_ : predMask_) >> i) & 1) != 0;
+    return (reg ? wideRegs_ : widePreds_)[i - 64];
 }
 
 bool
 Scoreboard::canIssueSlow(const Instruction &inst) const
 {
-    if (inst.guard >= 0 && predPending_.at(inst.guard))
+    if (inst.guard >= 0 && pending(Operand::pred(inst.guard)))
         return false;
     for (const Operand &src : inst.src) {
         if (pending(src))
@@ -33,53 +35,19 @@ Scoreboard::canIssueSlow(const Instruction &inst) const
 }
 
 void
-Scoreboard::reserve(const Instruction &inst)
+Scoreboard::markSlow(const Operand &dst, bool reserve)
 {
-    switch (inst.dst.kind) {
-      case Operand::Kind::Reg:
-        if (regPending_.at(inst.dst.index))
-            panic("scoreboard: WAW reserve on %r", inst.dst.index);
-        regPending_[inst.dst.index] = true;
-        if (inst.dst.index < 64)
-            regMask_ |= std::uint64_t{1} << inst.dst.index;
+    // Reached for an index of 64 or more, and on every error.
+    const bool reg = dst.kind == Operand::Kind::Reg;
+    if (pending(dst) == reserve)  // pending() rejects an index outside
+        panic("scoreboard: ", reserve ? "WAW reserve on " : "release of idle ",
+              reg ? "%r" : "%p", dst.index);
+    (reg ? wideRegs_ : widePreds_)[static_cast<unsigned>(dst.index) - 64] =
+        reserve;
+    if (reserve)
         ++outstanding_;
-        break;
-      case Operand::Kind::Pred:
-        if (predPending_.at(inst.dst.index))
-            panic("scoreboard: WAW reserve on %p", inst.dst.index);
-        predPending_[inst.dst.index] = true;
-        if (inst.dst.index < 64)
-            predMask_ |= std::uint64_t{1} << inst.dst.index;
-        ++outstanding_;
-        break;
-      default:
-        break;
-    }
-}
-
-void
-Scoreboard::release(const Instruction &inst)
-{
-    switch (inst.dst.kind) {
-      case Operand::Kind::Reg:
-        if (!regPending_.at(inst.dst.index))
-            panic("scoreboard: release of idle %r", inst.dst.index);
-        regPending_[inst.dst.index] = false;
-        if (inst.dst.index < 64)
-            regMask_ &= ~(std::uint64_t{1} << inst.dst.index);
+    else
         --outstanding_;
-        break;
-      case Operand::Kind::Pred:
-        if (!predPending_.at(inst.dst.index))
-            panic("scoreboard: release of idle %p", inst.dst.index);
-        predPending_[inst.dst.index] = false;
-        if (inst.dst.index < 64)
-            predMask_ &= ~(std::uint64_t{1} << inst.dst.index);
-        --outstanding_;
-        break;
-      default:
-        break;
-    }
 }
 
 }  // namespace bowsim

@@ -18,7 +18,9 @@ namespace bowsim {
 class Scoreboard {
   public:
     Scoreboard(unsigned num_regs, unsigned num_preds)
-        : regPending_(num_regs, false), predPending_(num_preds, false)
+        : numRegs_(num_regs), numPreds_(num_preds),
+          wideRegs_(num_regs > 64 ? num_regs - 64 : 0),
+          widePreds_(num_preds > 64 ? num_preds - 64 : 0)
     {
     }
 
@@ -39,11 +41,13 @@ class Scoreboard {
         return canIssueSlow(inst);
     }
 
-    /** Marks @p inst's destination as pending (no-op if none). */
-    void reserve(const Instruction &inst);
+    /** Marks @p inst's destination as pending (no-op if none). Panics
+     *  when it is already pending (WAW) or outside the register file. */
+    void reserve(const Instruction &inst) { mark(inst.dst, true); }
 
-    /** Clears @p inst's destination (called at writeback). */
-    void release(const Instruction &inst);
+    /** Clears @p inst's destination (called at writeback). Panics when
+     *  it is not pending or outside the register file. */
+    void release(const Instruction &inst) { mark(inst.dst, false); }
 
     /** True when no writes are outstanding (used at barriers/teardown). */
     bool idle() const { return outstanding_ == 0; }
@@ -54,15 +58,54 @@ class Scoreboard {
     bool pending(const Operand &op) const;
     bool canIssueSlow(const Instruction &inst) const;
 
-    std::vector<bool> regPending_;
-    std::vector<bool> predPending_;
     /**
-     * Bitmask mirror of the pending vectors for indices < 64 (every
-     * assembled kernel; wider register files simply leave the mask path
-     * unused because their instructions carry no hazard masks).
+     * Sets (@p reserve) or clears the pending flag of @p dst. Indices
+     * below 64 are one mask bit, inline; wider files and every error go
+     * through markSlow().
+     */
+    void
+    mark(const Operand &dst, bool reserve)
+    {
+        std::uint64_t *mask;
+        unsigned size;
+        switch (dst.kind) {
+          case Operand::Kind::Reg:
+            mask = &regMask_;
+            size = numRegs_;
+            break;
+          case Operand::Kind::Pred:
+            mask = &predMask_;
+            size = numPreds_;
+            break;
+          default:
+            return;
+        }
+        const unsigned i = static_cast<unsigned>(dst.index);
+        const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+        if (i >= 64 || i >= size || ((*mask & bit) != 0) == reserve) {
+            markSlow(dst, reserve);
+            return;
+        }
+        *mask ^= bit;
+        if (reserve)
+            ++outstanding_;
+        else
+            --outstanding_;
+    }
+    void markSlow(const Operand &dst, bool reserve);
+
+    unsigned numRegs_;
+    unsigned numPreds_;
+    /**
+     * The pending flags: bit i of the masks for index i < 64 (every
+     * assembled kernel), the wide vectors at index i - 64 above. Wider
+     * register files leave the hazard-mask fast path unused, because
+     * their instructions carry no hazard masks.
      */
     std::uint64_t regMask_ = 0;
     std::uint64_t predMask_ = 0;
+    std::vector<bool> wideRegs_;
+    std::vector<bool> widePreds_;
     unsigned outstanding_ = 0;
 };
 

@@ -3,14 +3,15 @@
 namespace bowsim {
 
 HistoryRegisters::HistoryRegisters(const DdosConfig &cfg)
-    : length_(cfg.historyLength)
+    : length_(cfg.historyLength), ring_(cfg.historyLength)
 {
 }
 
 void
 HistoryRegisters::reset()
 {
-    history_.clear();
+    head_ = 0;
+    size_ = 0;
     state_ = State::Searching;
     matchPointer_ = 0;
     remainingMatches_ = 0;
@@ -27,8 +28,8 @@ HistoryRegisters::insert(std::uint32_t pc_hash, std::uint32_t value_hash0,
         // Compare the incoming entry against the candidate at index
         // matchPointer_ (0 = previous insertion). A match at distance d
         // means a loop of period d+1 setps.
-        if (matchPointer_ < history_.size()) {
-            if (history_[matchPointer_] == incoming) {
+        if (matchPointer_ < size_) {
+            if (recent(matchPointer_) == incoming) {
                 const unsigned period = matchPointer_ + 1;
                 // The paper initializes Remaining Matches to the (new)
                 // match pointer minus one, i.e. period - 1 further matches
@@ -50,8 +51,8 @@ HistoryRegisters::insert(std::uint32_t pc_hash, std::uint32_t value_hash0,
       case State::Confirming:
       case State::Spinning: {
         const unsigned period = matchPointer_;
-        if (period >= 1 && period - 1 < history_.size() &&
-            history_[period - 1] == incoming) {
+        if (period >= 1 && period - 1 < size_ &&
+            recent(period - 1) == incoming) {
             if (state_ == State::Confirming && --remainingMatches_ == 0)
                 state_ = State::Spinning;
         } else {
@@ -63,9 +64,12 @@ HistoryRegisters::insert(std::uint32_t pc_hash, std::uint32_t value_hash0,
       }
     }
 
-    history_.push_front(incoming);
-    if (history_.size() > length_)
-        history_.pop_back();
+    if (length_ == 0)
+        return;
+    head_ = head_ == 0 ? length_ - 1 : head_ - 1;
+    ring_[head_] = incoming;
+    if (size_ < length_)
+        ++size_;
 }
 
 }  // namespace bowsim

@@ -2,7 +2,7 @@
 #define BOWSIM_CORE_DDOS_HISTORY_HPP
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "src/common/config.hpp"
 
@@ -60,9 +60,19 @@ class HistoryRegisters {
         }
     };
 
+    /** The @p i-th most recent insertion (0 = the last), i < size_. */
+    const Entry &
+    recent(unsigned i) const
+    {
+        const unsigned j = head_ + i;
+        return ring_[j < length_ ? j : j - length_];
+    }
+
     unsigned length_;
-    /** history_[0] is the most recent insertion. */
-    std::deque<Entry> history_;
+    /** The last length_ insertions, a ring whose newest is at head_. */
+    std::vector<Entry> ring_;
+    unsigned head_ = 0;
+    unsigned size_ = 0;
     State state_ = State::Searching;
     /** While Searching: candidate compare index; afterwards: loop period. */
     unsigned matchPointer_ = 0;

@@ -94,8 +94,8 @@ makeBenchmark(const std::string &name, double scale,
               const KernelParams &params)
 {
     if (name == "HT") {
-        // 30 CTAs x 256 threads over 256 buckets keeps the paper's
-        // resident-threads-per-lock ratio (~25-30) at scaled size.
+        // 30 CTAs x 256 threads over 128 buckets: 60 threads per lock
+        // at every scale (the scale sets only the insertion count).
         HashtableParams p;
         p.insertions = scaled(12288, scale);
         p.buckets = 128;

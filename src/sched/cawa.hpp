@@ -20,8 +20,8 @@ class CawaScheduler : public Scheduler {
     const char *name() const override { return "CAWA"; }
 
   protected:
-    Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                   Cycle now) override;
+    unsigned pickFrom(const UnitWarps &unit, std::uint64_t cand,
+                      Cycle now) override;
 };
 
 }  // namespace bowsim

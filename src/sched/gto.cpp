@@ -1,25 +1,29 @@
 #include "src/sched/gto.hpp"
 
-#include <bit>
+#include "src/common/log.hpp"
 
 namespace bowsim {
 
-Warp *
-GtoScheduler::pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                       Cycle now)
+unsigned
+GtoScheduler::pickFrom(const UnitWarps &unit, std::uint64_t cand, Cycle now)
 {
     // Priority: the last-issued warp first, then the residents in age
-    // order rotated by the livelock-avoidance offset, i.e. positions
+    // order rotated by the livelock-avoidance offset, i.e. age positions
     // >= rot ascending, then the wrapped positions below rot.
-    if (Warp *w = greedyPick(warps, cand))
-        return w;
-    std::size_t rot = 0;
-    if (rotatePeriod_ > 0 && !warps.empty())
-        rot = static_cast<std::size_t>(now / rotatePeriod_) % warps.size();
-    const std::uint64_t low =
-        rot > 0 ? cand & ((std::uint64_t{1} << rot) - 1) : 0;
-    const std::uint64_t first = cand != low ? cand ^ low : low;
-    return warps[static_cast<unsigned>(std::countr_zero(first))];
+    if (greedy(unit, cand))
+        return lastSlot_;
+    const std::vector<std::uint8_t> &age = unit.byAge;
+    const std::size_t n = age.size();
+    std::size_t i = 0;
+    if (rotatePeriod_ > 0 && n != 0)
+        i = static_cast<std::size_t>(now / rotatePeriod_) % n;
+    for (std::size_t left = n; left != 0; --left) {
+        if (((cand >> age[i]) & 1) != 0)
+            return age[i];
+        if (++i == n)
+            i = 0;
+    }
+    panic("GTO: a candidate outside its unit's age list");
 }
 
 }  // namespace bowsim

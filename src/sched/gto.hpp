@@ -24,8 +24,8 @@ class GtoScheduler : public Scheduler {
     const char *name() const override { return "GTO"; }
 
   protected:
-    Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                   Cycle now) override;
+    unsigned pickFrom(const UnitWarps &unit, std::uint64_t cand,
+                      Cycle now) override;
 
   private:
     Cycle rotatePeriod_;

@@ -16,8 +16,8 @@ class LrrScheduler : public Scheduler {
     const char *name() const override { return "LRR"; }
 
   protected:
-    Warp *pickFrom(const std::vector<Warp *> &warps, std::uint64_t cand,
-                   Cycle now) override;
+    unsigned pickFrom(const UnitWarps &unit, std::uint64_t cand,
+                      Cycle now) override;
 };
 
 }  // namespace bowsim

@@ -10,44 +10,34 @@
 
 namespace bowsim {
 
-Warp *
-Scheduler::pick(const std::vector<Warp *> &warps, const UnitMask &mask,
-                Cycle now, bool deprioritize)
+unsigned
+Scheduler::pick(const UnitWarps &unit, const UnitMask &mask, Cycle now,
+                bool deprioritize)
 {
     const std::uint64_t cand =
         deprioritize ? mask.ready & ~mask.backedOff : mask.ready;
     if (cand != 0)
-        return pickFrom(warps, cand, now);
+        return pickFrom(unit, cand, now);
     if (!deprioritize)
-        return nullptr;  // every ready warp was a candidate
+        return kNoSlot;  // every ready warp was a candidate
     // Backed-off queue: the first ready warp in FIFO order is the one
     // with the smallest (unique, per-core) backoffSeq.
-    Warp *best = nullptr;
+    unsigned best = kNoSlot;
+    std::uint64_t best_seq = 0;
     for (std::uint64_t boff = mask.ready & mask.backedOff; boff != 0;
          boff &= boff - 1) {
-        Warp *w = warps[static_cast<unsigned>(std::countr_zero(boff))];
-        if (!best || w->bows().backoffSeq < best->bows().backoffSeq)
-            best = w;
+        const unsigned k = static_cast<unsigned>(std::countr_zero(boff));
+        const std::uint64_t seq = unit.bySlot[k]->bows().backoffSeq;
+        if (best == kNoSlot || seq < best_seq) {
+            best = k;
+            best_seq = seq;
+        }
     }
     return best;
 }
 
-Warp *
-Scheduler::greedyPick(const std::vector<Warp *> &warps,
-                      std::uint64_t cand) const
-{
-    if (!lastIssued_)
-        return nullptr;
-    for (; cand != 0; cand &= cand - 1) {
-        Warp *w = warps[static_cast<unsigned>(std::countr_zero(cand))];
-        if (w == lastIssued_)
-            return w;
-    }
-    return nullptr;
-}
-
 std::unique_ptr<Scheduler>
-makeScheduler(const GpuConfig &cfg)
+makeScheduler(const GpuConfig &cfg, unsigned unit)
 {
     switch (cfg.scheduler) {
       case SchedulerKind::LRR:
@@ -57,7 +47,8 @@ makeScheduler(const GpuConfig &cfg)
       case SchedulerKind::CAWA:
         return std::make_unique<CawaScheduler>();
       case SchedulerKind::TwoLevel:
-        return std::make_unique<TwoLevelScheduler>();
+        return std::make_unique<TwoLevelScheduler>(cfg.numSchedulersPerCore,
+                                                   unit);
     }
     fatal("unknown scheduler kind");
 }

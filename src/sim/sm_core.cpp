@@ -22,13 +22,6 @@ firstLane(LaneMask m)
     return static_cast<unsigned>(std::countr_zero(m));
 }
 
-/** True when issuing @p inst needs a free LD/ST-unit slot. */
-bool
-needsLdstPort(const Instruction &inst)
-{
-    return inst.isMemory() && inst.space != MemSpace::Param;
-}
-
 /** Sets or clears @p bit of @p mask. */
 void
 assign(std::uint64_t &mask, std::uint64_t bit, bool set)
@@ -99,9 +92,10 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
               cfg.maxThreadsPerCore, ": an SM needs at least one scheduler",
               " unit and at most 64 warp slots per unit");
     for (unsigned s = 0; s < units; ++s)
-        schedulers_.push_back(makeScheduler(cfg));
+        schedulers_.push_back(makeScheduler(cfg, s));
     units_.resize(units);
-    unitPosOf_.assign(maxWarps_, 0);
+    for (Unit &unit : units_)
+        unit.warps.bySlot.assign((maxWarps_ + units - 1) / units, nullptr);
     ddos_ = std::make_unique<DdosUnit>(cfg.ddos, maxWarps_);
 
     wbRing_.resize(kWbRingSize);
@@ -146,6 +140,9 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     maxResidentCtas_ =
         maxResidentCtasFor(cfg, *launch_.prog, threads_per_cta);
     ctas_.resize(maxResidentCtas_);
+    for (unsigned slot = 0; slot < maxResidentCtas_ * warpsPerCta_; ++slot)
+        placeOf_.push_back(
+            SlotPlace{slot % units, slot / units, slot / warpsPerCta_});
 }
 
 void
@@ -154,7 +151,6 @@ SmCore::tryLaunchCtas()
     if (launch_.nextCta >= launch_.ctaEnd ||
         validCtas_ == maxResidentCtas_)
         return;
-    const unsigned units = static_cast<unsigned>(schedulers_.size());
     for (unsigned s = 0; s < maxResidentCtas_; ++s) {
         Cta &slot = ctas_[s];
         if (slot.valid)
@@ -168,9 +164,11 @@ SmCore::tryLaunchCtas()
             ddos_->resetWarp(warp_slot);
             warp->cawa().dispatchCycle = now_;
             resident_.push_back(warp.get());
-            auto &unit = units_[warp_slot % units].warps;
-            unitPosOf_[warp_slot] = static_cast<std::uint32_t>(unit.size());
-            unit.push_back(warp.get());
+            const SlotPlace &p = placeOf_[warp_slot];
+            UnitWarps &unit = units_[p.unit].warps;
+            unit.bySlot[p.bit] = warp.get();
+            unit.byAge.push_back(static_cast<std::uint8_t>(p.bit));
+            unit.resident |= std::uint64_t{1} << p.bit;
             refreshWarpMask(*warp);
         }
         stats_.peakResidentPerSm[id_] = std::max<std::uint64_t>(
@@ -239,10 +237,11 @@ SmCore::classifyStall(const Warp &w) const
         return trace::StallCause::Barrier;
     if (!backoff_.mayIssue(w, now_))
         return trace::StallCause::Backoff;
-    const Instruction &inst = fetch(w.stack().pc());
-    if (!w.scoreboard().canIssue(inst))
+    const Pc pc = w.stack().pc();
+    if (!w.scoreboard().canIssue(fetch(pc)))
         return trace::StallCause::Scoreboard;
-    if (needsLdstPort(inst) && !ldst_.canAccept())
+    if ((launch_.pcFlags[pc] & LaunchState::kPcLdst) != 0 &&
+        !ldst_.canAccept())
         return trace::StallCause::PipelineBusy;
     return trace::StallCause::Arbitration;
 }
@@ -273,7 +272,7 @@ SmCore::spinningWarpCount() const
 
 void
 SmCore::execute(Warp &w, const Instruction &inst, LaneMask active,
-                LaneMask exec, bool sync, Cycle now)
+                LaneMask exec, std::uint8_t pc_flags, Cycle now)
 {
     // DDOS profiles the first active thread of the warp at every setp,
     // guard or no guard.
@@ -283,25 +282,27 @@ SmCore::execute(Warp &w, const Instruction &inst, LaneMask active,
                       readOperand(launch_, id_, w, inst.src[0], lane),
                       readOperand(launch_, id_, w, inst.src[1], lane), now);
     }
-    const bool memory = inst.op == Opcode::St || inst.op == Opcode::Atom ||
-                        (inst.op == Opcode::Ld &&
-                         inst.space != MemSpace::Param);
+    const bool memory = (pc_flags & LaunchState::kPcLdst) != 0;
     if (memory && exec == 0)
         return;  // fully predicated off: no transaction, no hazard
 
-    LaneAddrs addrs{};
-    executeLanes(launch_, id_, ctas_.at(w.id() / warpsPerCta_).shared, w,
-                 inst, exec, now, addrs);
+    // Only exec lanes' addresses are written, and only they are read.
+    LaneAddrs addrs;
+    executeLanes(launch_, id_, ctas_[placeOf_[w.id()].cta].shared, w, inst,
+                 exec, now, addrs);
     if (memory) {
-        ldst_.submit(&w, inst, addrs, exec, sync, now);
+        ldst_.submit(&w, inst, addrs, exec,
+                     (pc_flags & LaunchState::kPcSyncRegion) != 0, now);
         if (inst.dst.valid())
             w.scoreboard().reserve(inst);
     } else if (inst.dst.valid()) {
         w.scoreboard().reserve(inst);
-        const unsigned latency =
-            inst.longLatency() ? kMulDivLatency : kAluLatency;
-        wbRing_[(now + latency) % kWbRingSize].push_back(WbEvent{&w, &inst});
-        ++wbPending_;
+        const unsigned latency = (pc_flags & LaunchState::kPcLongLatency) != 0
+                                     ? kMulDivLatency
+                                     : kAluLatency;
+        const unsigned b = (now + latency) % kWbRingSize;
+        wbRing_[b].push_back(WbEvent{&w, &inst});
+        wbBusy_ |= std::uint32_t{1} << b;
     }
 }
 
@@ -318,36 +319,36 @@ SmCore::issue(Warp &w, Cycle now)
         exec = inst.guardNegate ? (active & ~pm) : pm;
     }
 
+    // Without -mpopcnt std::popcount is a library call: count once.
+    const unsigned lanes = popcount(active);
+    const unsigned exec_lanes = exec == active ? lanes : popcount(exec);
     if (tracer_.enabled()) {
         const std::int32_t wid = static_cast<std::int32_t>(w.id());
         tracer_.emit(now, id_, wid, trace::EventKind::Fetch, pc);
         tracer_.emit(now, id_, wid, trace::EventKind::Issue, pc,
                      static_cast<std::uint64_t>(inst.op) |
-                         (static_cast<std::uint64_t>(popcount(exec)) << 8));
+                         (static_cast<std::uint64_t>(exec_lanes) << 8));
     }
 
     // --- accounting ----------------------------------------------------
     KernelStats &st = stats_;
     ++st.warpInstructions;
     ++issuedInstructions_;
-    unsigned lanes = popcount(active);
     st.threadInstructions += lanes;
     st.activeLaneSum += lanes;
-    const bool sync_pc =
-        (launch_.pcFlags[pc] & LaunchState::kPcSyncRegion) != 0;
-    if (sync_pc)
+    const std::uint8_t pc_flags = launch_.pcFlags[pc];
+    if ((pc_flags & LaunchState::kPcSyncRegion) != 0)
         st.syncThreadInstructions += lanes;
 
     ++st.energy.warpInstructions;
-    st.energy.laneAluOps += popcount(exec);
-    unsigned reg_srcs = 0;
-    for (const Operand &s : inst.src)
-        reg_srcs += s.isReg() ? 1 : 0;
-    st.energy.rfReadLanes += reg_srcs * lanes;
+    st.energy.laneAluOps += exec_lanes;
+    st.energy.rfReadLanes += (pc_flags >> LaunchState::kPcRegSrcShift) * lanes;
     if (inst.dst.valid())
         st.energy.rfWriteLanes += lanes;
 
     // --- BOWS / CAWA state transitions at issue ---------------------------
+    // Leaving the backed-off state clears a mask bit and arms a delay.
+    const bool was_backed_off = w.bows().backedOff;
     backoff_.onIssue(w, now);
     CawaState &cawa = w.cawa();
     ++cawa.issued;
@@ -396,7 +397,7 @@ SmCore::issue(Warp &w, Cycle now)
         break;
       case Opcode::Bar: {
         w.stack().advance();
-        Cta &cta = ctas_.at(w.id() / warpsPerCta_);
+        Cta &cta = ctas_[placeOf_[w.id()].cta];
         w.setAtBarrier(true);
         ++cta.arrivedAtBarrier;
         tracer_.emit(now, id_, static_cast<std::int32_t>(w.id()),
@@ -411,15 +412,23 @@ SmCore::issue(Warp &w, Cycle now)
         w.stack().advance();
         break;
       default:
-        execute(w, inst, active, exec, sync_pc, now);
+        execute(w, inst, active, exec, pc_flags, now);
         w.stack().advance();
         break;
     }
 
     backoff_.onInstruction(sib_executed);
 
+    // A finished warp leaves its unit. A live one moved its PC and may
+    // have reserved its scoreboard; only a backed-off winner, Bra (a SIB
+    // backs off) and Bar (the barrier flag) touch the other gates.
     if (w.done())
         onWarpFinished(w);
+    else if (was_backed_off || inst.op == Opcode::Bra ||
+             inst.op == Opcode::Bar)
+        refreshWarpMask(w);
+    else
+        refreshPcBits(w);
 }
 
 void
@@ -430,11 +439,20 @@ SmCore::onWarpFinished(Warp &w)
         sched->notifyFinished(&w);
     resident_.erase(std::remove(resident_.begin(), resident_.end(), &w),
                     resident_.end());
-    const unsigned unit_id = w.id() % static_cast<unsigned>(units_.size());
-    auto &unit = units_[unit_id].warps;
-    unit.erase(std::remove(unit.begin(), unit.end(), &w), unit.end());
-    rebuildUnitMask(unit_id);  // positions shifted by the erase
-    Cta &cta = ctas_.at(w.id() / warpsPerCta_);
+    // The slot's bit clears everywhere; no other warp's bit moves.
+    const SlotPlace &p = placeOf_[w.id()];
+    Unit &unit = units_[p.unit];
+    const std::uint64_t keep = ~(std::uint64_t{1} << p.bit);
+    unit.warps.bySlot[p.bit] = nullptr;
+    unit.warps.resident &= keep;
+    std::vector<std::uint8_t> &age = unit.warps.byAge;
+    age.erase(std::find(age.begin(), age.end(), p.bit));
+    unit.issuable &= keep;
+    unit.backedOff &= keep;
+    unit.delayed &= keep;
+    unit.sbReady &= keep;
+    unit.memNext &= keep;
+    Cta &cta = ctas_[p.cta];
     if (cta.liveWarps == 0)
         panic("warp finished in an already-empty CTA");
     --cta.liveWarps;
@@ -444,33 +462,43 @@ SmCore::onWarpFinished(Warp &w)
 }
 
 void
-SmCore::rebuildUnitMask(unsigned u)
-{
-    Unit &unit = units_[u];
-    unit.issuable = unit.backedOff = unit.delayed = 0;
-    unit.sbReady = unit.memNext = 0;
-    for (std::size_t k = 0; k < unit.warps.size(); ++k) {
-        unitPosOf_[unit.warps[k]->id()] = static_cast<std::uint32_t>(k);
-        refreshWarpMask(*unit.warps[k]);
-    }
-}
-
-void
 SmCore::refreshWarpMask(const Warp &w)
 {
     // One bit per classifyStall() check, evaluated the same way; only
     // the LD/ST port stays live (Unit::ready()).
-    Unit &unit = units_[w.id() % units_.size()];
-    const std::uint64_t bit = std::uint64_t{1} << unitPosOf_[w.id()];
-    const Instruction &inst = fetch(w.stack().pc());
+    refreshPcBits(w);
+    const SlotPlace &p = placeOf_[w.id()];
+    Unit &unit = units_[p.unit];
+    const std::uint64_t bit = std::uint64_t{1} << p.bit;
     const bool delayed = !backoff_.mayIssue(w, now_);
     assign(unit.issuable, bit, !w.atBarrier());
     assign(unit.backedOff, bit, w.bows().backedOff);
     assign(unit.delayed, bit, delayed);
-    assign(unit.sbReady, bit, w.scoreboard().canIssue(inst));
-    assign(unit.memNext, bit, needsLdstPort(inst));
     if (delayed)
         delayHorizon_ = std::min(delayHorizon_, w.bows().delayUntil);
+}
+
+void
+SmCore::refreshPcBits(const Warp &w)
+{
+    const SlotPlace &p = placeOf_[w.id()];
+    Unit &unit = units_[p.unit];
+    const std::uint64_t bit = std::uint64_t{1} << p.bit;
+    const Pc pc = w.stack().pc();
+    assign(unit.sbReady, bit, w.scoreboard().canIssue(fetch(pc)));
+    assign(unit.memNext, bit,
+           (launch_.pcFlags[pc] & LaunchState::kPcLdst) != 0);
+}
+
+void
+SmCore::recheckScoreboard(const Warp &w)
+{
+    const SlotPlace &p = placeOf_[w.id()];
+    Unit &unit = units_[p.unit];
+    const std::uint64_t bit = std::uint64_t{1} << p.bit;
+    if ((unit.sbReady & bit) == 0 &&
+        w.scoreboard().canIssue(fetch(w.stack().pc())))
+        unit.sbReady |= bit;
 }
 
 void
@@ -482,7 +510,7 @@ SmCore::expireDelays(Cycle now)
     for (Unit &unit : units_) {
         for (std::uint64_t d = unit.delayed; d != 0; d &= d - 1) {
             const unsigned k = static_cast<unsigned>(std::countr_zero(d));
-            const Cycle until = unit.warps[k]->bows().delayUntil;
+            const Cycle until = unit.warps.bySlot[k]->bows().delayUntil;
             if (until <= now)
                 unit.delayed &= ~(std::uint64_t{1} << k);
             else
@@ -496,23 +524,50 @@ std::string
 SmCore::readyMaskMismatch() const
 {
     const bool ldst_free = ldst_.canAccept();
-    for (const Unit &unit : units_) {
+    const unsigned units = static_cast<unsigned>(units_.size());
+    std::size_t listed = 0;
+    for (unsigned u = 0; u < units; ++u) {
+        const Unit &unit = units_[u];
+        const UnitWarps &uw = unit.warps;
+        const std::uint64_t bits = unit.issuable | unit.backedOff |
+                                   unit.delayed | unit.sbReady |
+                                   unit.memNext;
+        if ((bits & ~uw.resident) != 0)
+            return detail::format("SM ", id_, " unit ", u,
+                                  ": a mask bit on a free slot");
+        for (std::size_t k = 0; k < uw.bySlot.size(); ++k) {
+            const bool occupied = uw.bySlot[k] != nullptr;
+            if (occupied != (((uw.resident >> k) & 1) != 0) ||
+                (occupied && uw.bySlot[k]->id() != k * units + u))
+                return detail::format("SM ", id_, " unit ", u, " slot ", k,
+                                      ": occupancy or warp id disagrees");
+        }
+        if (uw.byAge.size() !=
+            static_cast<std::size_t>(std::popcount(uw.resident)))
+            return detail::format("SM ", id_, " unit ", u,
+                                  ": age list and resident mask differ");
+        listed += uw.byAge.size();
         const std::uint64_t ready = unit.ready(ldst_free);
-        const std::size_t n = unit.warps.size();
-        if (n < 64 && (ready >> n) != 0)
-            return detail::format("SM ", id_, ": ready bit above the ",
-                                  n, " residents of a unit");
-        for (std::size_t k = 0; k < n; ++k) {
-            const Warp &w = *unit.warps[k];
+        const Warp *prev = nullptr;
+        for (const std::uint8_t k : uw.byAge) {
+            const Warp *w = uw.bySlot[k];
+            if (w == nullptr || (prev != nullptr && w->age() <= prev->age()))
+                return detail::format("SM ", id_, " unit ", u,
+                                      ": age list out of order at slot ", k);
+            prev = w;
             const bool bit = ((ready >> k) & 1) != 0;
-            if (unitPosOf_[w.id()] != k || bit != eligible(w))
-                return detail::format("SM ", id_, " warp ", w.id(),
-                                      " at cycle ", now_, ": position ", k,
-                                      " (recorded ", unitPosOf_[w.id()],
-                                      "), ready bit ", bit,
-                                      ", eligible() ", eligible(w));
+            const bool boff = ((unit.backedOff >> k) & 1) != 0;
+            if (bit != eligible(*w) || boff != w->bows().backedOff)
+                return detail::format("SM ", id_, " warp ", w->id(),
+                                      " at cycle ", now_, ": ready bit ",
+                                      bit, ", eligible() ", eligible(*w),
+                                      ", backed-off bit ", boff, ", state ",
+                                      w->bows().backedOff);
         }
     }
+    if (listed != resident_.size())
+        return detail::format("SM ", id_, ": ", listed, " warps in units, ",
+                              resident_.size(), " resident");
     Cycle scan = kNeverCycle;
     for (const Warp *w : resident_) {
         const BowsState &b = w->bows();
@@ -544,7 +599,7 @@ SmCore::cycle(Cycle now)
         if (c.inst->dst.valid()) {
             c.warp->scoreboard().release(*c.inst);
             if (!c.warp->done())
-                refreshWarpMask(*c.warp);
+                recheckScoreboard(*c.warp);
             if (tracing) {
                 tracer_.emit(now, id_,
                              static_cast<std::int32_t>(c.warp->id()),
@@ -553,24 +608,22 @@ SmCore::cycle(Cycle now)
             }
         }
     }
-    if (wbPending_ != 0) {
-        std::vector<WbEvent> &due = wbRing_[now % kWbRingSize];
-        if (!due.empty()) {
-            for (const WbEvent &ev : due) {
-                ev.warp->scoreboard().release(*ev.inst);
-                if (!ev.warp->done())
-                    refreshWarpMask(*ev.warp);
-                if (tracing) {
-                    tracer_.emit(now, id_,
-                                 static_cast<std::int32_t>(ev.warp->id()),
-                                 trace::EventKind::Writeback,
-                                 static_cast<std::uint64_t>(ev.inst -
-                                                            code_));
-                }
+    const unsigned bucket = now % kWbRingSize;
+    if (((wbBusy_ >> bucket) & 1) != 0) {
+        std::vector<WbEvent> &due = wbRing_[bucket];
+        for (const WbEvent &ev : due) {
+            ev.warp->scoreboard().release(*ev.inst);
+            if (!ev.warp->done())
+                recheckScoreboard(*ev.warp);
+            if (tracing) {
+                tracer_.emit(now, id_,
+                             static_cast<std::int32_t>(ev.warp->id()),
+                             trace::EventKind::Writeback,
+                             static_cast<std::uint64_t>(ev.inst - code_));
             }
-            wbPending_ -= due.size();
-            due.clear();
         }
+        due.clear();
+        wbBusy_ &= ~(std::uint32_t{1} << bucket);
     }
 
     // 2. The BOWS adaptive window. (Pending delays are absolute
@@ -593,17 +646,13 @@ SmCore::cycle(Cycle now)
         if (ready == 0)
             continue;
         Scheduler &sched = *schedulers_[u];
-        Warp *winner = sched.pick(unit.warps, UnitMask{ready, unit.backedOff},
-                                  now, deprio);
-        issue(*winner, now);
+        const unsigned slot = sched.pick(
+            unit.warps, UnitMask{ready, unit.backedOff}, now, deprio);
+        Warp *winner = unit.warps.bySlot[slot];
+        issue(*winner, now);  // leaves the masks current
         if (stallAccounting_)
             ++stats_.unitIssues[id_ * units + u];
-        // A finished winner left the vectors (masks rebuilt); a live one
-        // moved its PC, may have reserved its scoreboard, entered a
-        // barrier or changed back-off state.
-        if (!winner->done())
-            refreshWarpMask(*winner);
-        sched.notifyIssued(winner, now);
+        sched.notifyIssued(winner, slot, now);
         issued_any = true;
     }
 
@@ -636,16 +685,15 @@ SmCore::nextWorkCycle(Cycle now) const
             return now + 1;
     }
     Cycle horizon = kNeverCycle;
-    if (wbPending_ != 0) {
+    if (wbBusy_ != 0) {
         // The ring covers at most kWbRingSize-1 cycles ahead and the
-        // bucket for `now` was drained this cycle, so the first
-        // non-empty bucket is the earliest pending writeback.
-        for (unsigned k = 1; k < kWbRingSize; ++k) {
-            if (!wbRing_[(now + k) % kWbRingSize].empty()) {
-                horizon = now + k;
-                break;
-            }
-        }
+        // bucket for `now` was drained this cycle, so the occupancy word
+        // rotated to start at now + 1 has the earliest pending writeback
+        // at its lowest set bit.
+        const unsigned from = (now + 1) % kWbRingSize;
+        horizon = now + 1 +
+                  static_cast<Cycle>(std::countr_zero(std::rotr(wbBusy_,
+                                                          from)));
     }
     // Only unexpired deadlines create future work, and cycle(now)
     // cleared every expired delayed bit: delayHorizon_ is the earliest
@@ -709,7 +757,7 @@ SmCore::recordStallCycle(Cycle now)
     const std::size_t sm_base =
         static_cast<std::size_t>(id_) * st.stallWarpsPerSm;
     for (const Unit &unit : units_) {
-        if (unit.warps.empty()) {
+        if (unit.warps.byAge.empty()) {
             if (tracing && validCtas_ != 0) {
                 tracer_.emit(now, id_, -1, trace::EventKind::IssueStall,
                              static_cast<std::uint64_t>(
@@ -720,7 +768,9 @@ SmCore::recordStallCycle(Cycle now)
         bool unit_issued = false;
         bool have_cause = false;
         trace::StallCause unit_cause = trace::StallCause::Arbitration;
-        for (const Warp *w : unit.warps) {
+        // Age order: the first blocked warp names the unit's stall.
+        for (const std::uint8_t k : unit.warps.byAge) {
+            const Warp *w = unit.warps.bySlot[k];
             trace::StallCause cause;
             if (w->lastIssueCycle() == now) {
                 cause = trace::StallCause::Issued;

@@ -95,19 +95,30 @@ struct LaunchState {
         return warpKeyBase + w.age() + 1;
     }
 
-    /** Per-PC sync-annotation flags, bit-packed from Program::sync once
-     *  at launch so the issue path avoids std::set lookups. */
+    /**
+     * Per-PC flags, built once per launch so the issue path neither
+     * looks annotations up in std::sets nor re-derives an instruction's
+     * class: the sync annotations from Program::sync, then the facts
+     * cycle mode reads at every issue.
+     */
     static constexpr std::uint8_t kPcSyncRegion = 1;
     static constexpr std::uint8_t kPcWaitCheck = 2;
     static constexpr std::uint8_t kPcLockAcquire = 4;
     static constexpr std::uint8_t kPcSpinBranch = 8;
+    /** A memory op that takes the LD/ST port (ld/st/atom, not ld.param). */
+    static constexpr std::uint8_t kPcLdst = 16;
+    /** Its ALU result lands after kMulDivLatency (mul, mad, div, rem). */
+    static constexpr std::uint8_t kPcLongLatency = 32;
+    /** The top two bits count the register sources (0..3). */
+    static constexpr unsigned kPcRegSrcShift = 6;
     std::vector<std::uint8_t> pcFlags;
 
-    /** Builds pcFlags from prog's annotations (call after prog is set). */
+    /** Builds pcFlags from prog (call after prog is set). */
     void
     buildPcFlags()
     {
-        pcFlags.assign(prog->code.size(), 0);
+        const std::vector<Instruction> &code = prog->code;
+        pcFlags.assign(code.size(), 0);
         auto mark = [&](const std::set<Pc> &pcs, std::uint8_t bit) {
             for (Pc pc : pcs) {
                 if (pc < pcFlags.size())
@@ -118,6 +129,18 @@ struct LaunchState {
         mark(prog->sync.waitChecks, kPcWaitCheck);
         mark(prog->sync.lockAcquires, kPcLockAcquire);
         mark(prog->sync.spinBranches, kPcSpinBranch);
+        for (std::size_t pc = 0; pc < code.size(); ++pc) {
+            const Instruction &inst = code[pc];
+            unsigned reg_srcs = 0;
+            for (const Operand &s : inst.src)
+                reg_srcs += s.isReg() ? 1 : 0;
+            std::uint8_t &f = pcFlags[pc];
+            f |= static_cast<std::uint8_t>(reg_srcs << kPcRegSrcShift);
+            if (inst.isMemory() && inst.space != MemSpace::Param)
+                f |= kPcLdst;
+            if (inst.longLatency())
+                f |= kPcLongLatency;
+        }
     }
 };
 
@@ -263,8 +286,10 @@ class SmCore {
     /**
      * Checks the ready masks against their oracle (tests; docs/PERF.md,
      * "Ready-mask arbitration"): each resident warp's ready bit against
-     * eligible(), and the earliest back-off deadline against a scan of
-     * the resident warps. Empty when everything agrees, else a message
+     * eligible() and its backed-off bit against its BOWS state, the
+     * units' slots, resident masks and age lists against the resident
+     * warps, and the earliest back-off deadline against a scan of the
+     * resident warps. Empty when everything agrees, else a message
      * naming the first disagreement.
      */
     std::string readyMaskMismatch() const;
@@ -277,14 +302,14 @@ class SmCore {
     };
 
     /**
-     * One scheduler unit: its resident warps in launch-age order and
-     * the bitmasks over their positions (bit k = unit.warps[k]). Each
-     * mask mirrors one classifyStall() check and is kept in sync at the
-     * events that change it, so ready() is set exactly where eligible()
-     * passes (docs/PERF.md, "Ready-mask arbitration").
+     * One scheduler unit: its warp slots and the bitmasks over them
+     * (bit k = warps.bySlot[k]). Each mask mirrors one classifyStall()
+     * check and is kept in sync at the events that change it, so ready()
+     * is set exactly where eligible() passes (docs/PERF.md, "Ready-mask
+     * arbitration").
      */
     struct Unit {
-        std::vector<Warp *> warps;
+        UnitWarps warps;
         /** Not parked at a barrier. */
         std::uint64_t issuable = 0;
         /** In the BOWS backed-off state. */
@@ -326,10 +351,20 @@ class SmCore {
     void recordStallCycle(Cycle now);
     /** Bulk stall attribution for @p delta identical idle cycles. */
     void recordStallGap(std::uint64_t delta);
-    /** Recomputes one unit's masks and positions from its vector. */
-    void rebuildUnitMask(unsigned u);
-    /** Re-derives every mask bit of a resident warp at now_. */
+    /**
+     * Re-derives every mask bit of a resident warp at now_: at dispatch,
+     * at a barrier release, and after an issue that can change its
+     * barrier or back-off state (a backed-off winner, Bra, Bar).
+     */
     void refreshWarpMask(const Warp &w);
+    /** After any other issue: the new PC's sbReady and memNext bits. */
+    void refreshPcBits(const Warp &w);
+    /**
+     * After a writeback or memory completion released one of @p w's
+     * registers: a release only clears hazards, so a set sbReady bit
+     * stays set and a clear one is re-checked on the current PC.
+     */
+    void recheckScoreboard(const Warp &w);
     /** Clears the delayed bits whose deadline is at or before @p now and
      *  recomputes delayHorizon_. */
     void expireDelays(Cycle now);
@@ -349,7 +384,7 @@ class SmCore {
      * profiling, then an LD/ST-unit submission or an ALU writeback.
      */
     void execute(Warp &w, const Instruction &inst, LaneMask active,
-                 LaneMask exec, bool sync, Cycle now);
+                 LaneMask exec, std::uint8_t pc_flags, Cycle now);
     void onWarpFinished(Warp &w);
 
     unsigned id_;
@@ -368,8 +403,17 @@ class SmCore {
     /** resident_ split by scheduler unit (warp slot % units), with the
      *  arbitration masks; the constructor rejects units wider than 64. */
     std::vector<Unit> units_;
-    /** Warp slot -> position inside its unit's resident vector. */
-    std::vector<std::uint32_t> unitPosOf_;
+    /** Where a warp slot lives, fixed per SM: no division per issue. */
+    struct SlotPlace {
+        /** Scheduler unit: slot % units. */
+        unsigned unit;
+        /** Slot inside the unit, its mask bit: slot / units. */
+        unsigned bit;
+        /** CTA slot: slot / warpsPerCta_. */
+        unsigned cta;
+    };
+    /** Indexed by warp slot (Warp::id()). */
+    std::vector<SlotPlace> placeOf_;
     /** Earliest delayUntil over the units' delayed bits; kNeverCycle
      *  when no delay is pending. */
     Cycle delayHorizon_ = kNeverCycle;
@@ -379,14 +423,20 @@ class SmCore {
      * indexed by (cycle % size). ALU latencies are small and bounded,
      * so the ring replaces a per-cycle priority_queue with O(1) push
      * and a bulk pop; within one bucket the vector preserves issue
-     * order, matching the old (when, seq) heap order exactly.
+     * order, matching the old (when, seq) heap order exactly. The size
+     * is a power of two with a bucket-occupancy word beside it, so the
+     * earliest pending writeback is one rotate and one bit scan.
      */
-    static constexpr unsigned kWbRingSize =
-        std::max(kAluLatency, kMulDivLatency) + 1;
+    static constexpr unsigned kWbRingSize = 32;
     static_assert(kAluLatency > 0 && kMulDivLatency > 0,
                   "a writeback must land after the cycle that issued it");
+    static_assert(std::max(kAluLatency, kMulDivLatency) < kWbRingSize,
+                  "every pending writeback fits the ring");
     std::vector<std::vector<WbEvent>> wbRing_;
-    std::uint64_t wbPending_ = 0;
+    /** Bit b: wbRing_[b] holds a pending writeback. */
+    std::uint32_t wbBusy_ = 0;
+    static_assert(kWbRingSize == 8 * sizeof(wbBusy_),
+                  "one occupancy bit per bucket");
     std::vector<MemCompletion> memCompletions_;
 
     unsigned maxWarps_;

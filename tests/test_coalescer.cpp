@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/mem/coalescer.hpp"
 
 namespace bowsim {
@@ -77,6 +80,42 @@ TEST(Coalescer, OrderIsFirstTouch)
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(lines[0], 0x3080u);
     EXPECT_EQ(lines[1], 0x3000u);
+}
+
+TEST(Coalescer, DistinctAtomicAddressesKeepLaneOrder)
+{
+    // A warp atomic on 32 distinct words, out of address order, and 32
+    // addresses that differ only in their high bits: one target per lane,
+    // in lane order.
+    for (const auto &addrs :
+         {laneAddrs([](unsigned l) { return 0x8000 + 8 * Addr{l * 7 % 32}; }),
+          laneAddrs([](unsigned l) { return 0x40 + (Addr{l} << 40); })}) {
+        const Targets targets =
+            coalesce(addrs, kFullMask, Granularity::Address);
+        ASSERT_EQ(targets.size(), kWarpSize);
+        for (unsigned l = 0; l < kWarpSize; ++l)
+            EXPECT_EQ(targets[l], addrs[l]) << "lane " << l;
+    }
+}
+
+TEST(Coalescer, InterleavedRepeatsKeepFirstTouchOrder)
+{
+    // Lanes cycle through five words, three apart: 0, 3, 1, 4, 2, 0, ...
+    // Each word is one target at its first lane; the masked-off lanes
+    // 0 and 5 drop word 0's first two touches.
+    const auto addrs =
+        laneAddrs([](unsigned l) { return 0x100 * Addr{l * 3 % 5} + 0x40; });
+    const Targets all = coalesce(addrs, kFullMask, Granularity::Address);
+    EXPECT_EQ(std::vector<Addr>(all.begin(), all.end()),
+              (std::vector<Addr>{0x40, 0x340, 0x140, 0x440, 0x240}));
+    const Targets some =
+        coalesce(addrs, kFullMask & ~LaneMask{0x21}, Granularity::Address);
+    EXPECT_EQ(std::vector<Addr>(some.begin(), some.end()),
+              (std::vector<Addr>{0x340, 0x140, 0x440, 0x240, 0x40}));
+    // At line granularity the same lanes touch lines 0x0..0x400.
+    const Targets lines = coalesce(addrs, kFullMask);
+    EXPECT_EQ(std::vector<Addr>(lines.begin(), lines.end()),
+              (std::vector<Addr>{0x0, 0x300, 0x100, 0x400, 0x200}));
 }
 
 }  // namespace

@@ -37,32 +37,59 @@ raw(const std::vector<std::unique_ptr<Warp>> &warps)
 }
 
 /**
+ * One 64-slot unit holding @p warps, listed in launch-age order. The
+ * unit is the only one of its SM, so warp id k sits in slot k.
+ */
+UnitWarps
+unitOf(const std::vector<Warp *> &warps)
+{
+    UnitWarps unit;
+    unit.bySlot.assign(64, nullptr);
+    for (Warp *w : warps) {
+        unit.bySlot[w->id()] = w;
+        unit.byAge.push_back(static_cast<std::uint8_t>(w->id()));
+        unit.resident |= std::uint64_t{1} << w->id();
+    }
+    return unit;
+}
+
+/** Records @p w's issue at @p now; a one-unit slot is the warp id. */
+void
+noteIssue(Scheduler &s, Warp *w, Cycle now)
+{
+    s.notifyIssued(w, w->id(), now);
+}
+
+/**
  * A policy's full priority order, recovered through pick() alone: each
- * returned warp's ready bit is cleared before the next call. @p warps is
- * a unit's resident vector in launch-age order; a warp parked at a
- * barrier or listed in @p ineligible starts with a clear ready bit, and
- * the backed-off mask follows the warps' back-off state.
+ * returned warp's ready bit is cleared before the next call. @p warps are
+ * a unit's residents in launch-age order; a warp parked at a barrier or
+ * listed in @p ineligible starts with a clear ready bit, and the
+ * backed-off mask follows the warps' back-off state.
  */
 std::vector<unsigned>
 priorityOrder(Scheduler &s, const std::vector<Warp *> &warps, Cycle now,
               bool deprioritize = false,
               const std::vector<Warp *> &ineligible = {})
 {
+    const UnitWarps unit = unitOf(warps);
     UnitMask mask;
-    for (std::size_t k = 0; k < warps.size(); ++k) {
+    for (const Warp *w : warps) {
         const bool blocked =
-            warps[k]->atBarrier() ||
-            std::find(ineligible.begin(), ineligible.end(), warps[k]) !=
+            w->atBarrier() ||
+            std::find(ineligible.begin(), ineligible.end(), w) !=
                 ineligible.end();
         if (!blocked)
-            mask.ready |= std::uint64_t{1} << k;
-        if (warps[k]->bows().backedOff)
-            mask.backedOff |= std::uint64_t{1} << k;
+            mask.ready |= std::uint64_t{1} << w->id();
+        if (w->bows().backedOff)
+            mask.backedOff |= std::uint64_t{1} << w->id();
     }
     std::vector<unsigned> order;
-    while (Warp *w = s.pick(warps, mask, now, deprioritize)) {
-        order.push_back(w->id());
-        const auto k = std::find(warps.begin(), warps.end(), w) - warps.begin();
+    for (;;) {
+        const unsigned k = s.pick(unit, mask, now, deprioritize);
+        if (k == Scheduler::kNoSlot)
+            break;
+        order.push_back(unit.bySlot[k]->id());
         mask.ready &= ~(std::uint64_t{1} << k);
     }
     return order;
@@ -86,7 +113,7 @@ TEST(Lrr, RotatesPastLastIssued)
 {
     auto owned = makeWarps(4);
     LrrScheduler lrr;
-    lrr.notifyIssued(owned[1].get(), 0);
+    noteIssue(lrr, owned[1].get(), 0);
     EXPECT_EQ(priorityOrder(lrr, raw(owned), 1),
               (std::vector<unsigned>{2, 3, 0, 1}));
     // A last-issued warp that exited leaves the resident vector but
@@ -103,7 +130,7 @@ TEST(Lrr, FullRotationIsFair)
     std::vector<unsigned> issued;
     for (int c = 0; c < 6; ++c) {
         issued.push_back(priorityOrder(lrr, raw(owned), c).front());
-        lrr.notifyIssued(owned[issued.back()].get(), c);
+        noteIssue(lrr, owned[issued.back()].get(), c);
     }
     EXPECT_EQ(issued, (std::vector<unsigned>{0, 1, 2, 0, 1, 2}));
 }
@@ -112,7 +139,7 @@ TEST(Lrr, FinishedWarpDropsFromRotation)
 {
     auto owned = makeWarps(3);
     LrrScheduler lrr;
-    lrr.notifyIssued(owned[2].get(), 0);
+    noteIssue(lrr, owned[2].get(), 0);
     lrr.notifyFinished(owned[2].get());
     std::vector<Warp *> list = {owned[0].get(), owned[1].get()};
     EXPECT_EQ(priorityOrder(lrr, list, 1), (std::vector<unsigned>{0, 1}));
@@ -139,7 +166,7 @@ TEST(Gto, GreedyKeepsLastIssuedOnTop)
 {
     auto owned = makeWarps(4);
     GtoScheduler gto(0);
-    gto.notifyIssued(owned[3].get(), 0);
+    noteIssue(gto, owned[3].get(), 0);
     // The rest stay oldest-first, and an ineligible greedy warp is
     // skipped.
     EXPECT_EQ(priorityOrder(gto, raw(owned), 1),
@@ -163,7 +190,7 @@ TEST(Gto, FinishedGreedyWarpForgotten)
 {
     auto owned = makeWarps(2);
     GtoScheduler gto(0);
-    gto.notifyIssued(owned[1].get(), 0);
+    noteIssue(gto, owned[1].get(), 0);
     gto.notifyFinished(owned[1].get());
     std::vector<Warp *> list = {owned[0].get()};
     EXPECT_EQ(priorityOrder(gto, list, 1).front(), 0u);
@@ -227,7 +254,7 @@ TEST(Cawa, GreedyComponentKeepsLastIssued)
     auto owned = makeWarps(3);
     owned[0]->cawa().estRemaining = 100;
     CawaScheduler cawa;
-    cawa.notifyIssued(owned[2].get(), 0);
+    noteIssue(cawa, owned[2].get(), 0);
     EXPECT_EQ(priorityOrder(cawa, raw(owned), 1).front(), 2u);
     // An ineligible greedy warp is skipped: criticality, then age.
     EXPECT_EQ(priorityOrder(cawa, raw(owned), 1, false, {owned[2].get()}),
@@ -241,7 +268,7 @@ TEST(TwoLevel, ActiveGroupLeadsTheOrder)
     auto owned = makeWarps(32);
     TwoLevelScheduler tl;
     // Issue from warp 17: group 2 becomes active.
-    tl.notifyIssued(owned[17].get(), 0);
+    noteIssue(tl, owned[17].get(), 0);
     const auto order = priorityOrder(tl, raw(owned), 1);
     // The first eight entries are all of group 2 (ids 16..23).
     for (int i = 0; i < 8; ++i) {
@@ -255,7 +282,7 @@ TEST(TwoLevel, GroupsFollowInWrapOrder)
 {
     auto owned = makeWarps(24);
     TwoLevelScheduler tl;
-    tl.notifyIssued(owned[16].get(), 0);  // active group = 2 (last)
+    noteIssue(tl, owned[16].get(), 0);  // active group = 2 (last)
     const auto order = priorityOrder(tl, raw(owned), 1);
     // Order of groups: 2, then 0, then 1.
     EXPECT_EQ(order[0] / 8, 2u);
@@ -284,6 +311,64 @@ TEST(TwoLevel, RunsAKernelCorrectly)
     EXPECT_EQ(v, 4 * 256);
 }
 
+// ------------------------------------------------------------ residency
+//
+// A warp keeps its slot while resident, so an exit elsewhere in the unit
+// moves no other warp's bit.
+
+TEST(Residency, GreedyStaysOnLastIssuedAfterAnOlderWarpExits)
+{
+    auto owned = makeWarps(4);
+    owned[0]->cawa().estRemaining = 1000;  // CAWA's most critical
+    const std::vector<Warp *> after_exit = {owned[1].get(), owned[2].get(),
+                                            owned[3].get()};
+    GtoScheduler gto(0);
+    CawaScheduler cawa;
+    for (Scheduler *s : {static_cast<Scheduler *>(&gto),
+                         static_cast<Scheduler *>(&cawa)}) {
+        noteIssue(*s, owned[2].get(), 0);
+        EXPECT_EQ(priorityOrder(*s, raw(owned), 1).front(), 2u) << s->name();
+        // Warp 0, older than the greedy warp, exits.
+        EXPECT_EQ(priorityOrder(*s, after_exit, 1).front(), 2u) << s->name();
+    }
+}
+
+TEST(Residency, LrrKeepsItsPivotAfterAnOlderWarpExits)
+{
+    auto owned = makeWarps(4);
+    LrrScheduler lrr;
+    noteIssue(lrr, owned[2].get(), 0);
+    const std::vector<Warp *> after_exit = {owned[1].get(), owned[2].get(),
+                                            owned[3].get()};
+    EXPECT_EQ(priorityOrder(lrr, after_exit, 1),
+              (std::vector<unsigned>{3, 1, 2}));
+}
+
+TEST(Residency, TwoLevelGroupCountDropsWhenTheHighestWarpExits)
+{
+    // Groups 0 and 1 are full and warp 24 is alone in group 3; it issued
+    // last, so group 3 is active.
+    auto owned = makeWarps(25);
+    std::vector<Warp *> list = raw(owned);
+    list.erase(list.begin() + 16, list.begin() + 24);
+    TwoLevelScheduler tl;
+    noteIssue(tl, owned[24].get(), 0);
+    const std::vector<unsigned> low = {1, 2, 3, 4, 5, 6, 7, 0};
+    const std::vector<unsigned> high = {9, 10, 11, 12, 13, 14, 15, 8};
+    // Four groups: group 3 leads, then the wrap to groups 0 and 1.
+    std::vector<unsigned> expect = {24};
+    expect.insert(expect.end(), low.begin(), low.end());
+    expect.insert(expect.end(), high.begin(), high.end());
+    EXPECT_EQ(priorityOrder(tl, list, 1), expect);
+    // Warp 24 exits and stays the last-issued warp. Two groups remain,
+    // so active group 3 wraps to group 1 ((g + 2 - 3) % 2 per group);
+    // with four groups it would still lead with group 0.
+    list.pop_back();
+    expect = high;
+    expect.insert(expect.end(), low.begin(), low.end());
+    EXPECT_EQ(priorityOrder(tl, list, 1), expect);
+}
+
 // ---------------------------------------------------------- arbitration
 
 TEST(Arbitration, BackedOffWarpsComeLastInFifoOrder)
@@ -297,6 +382,7 @@ TEST(Arbitration, BackedOffWarpsComeLastInFifoOrder)
         owned[id]->bows().backoffSeq = seq;
     }
     GpuConfig cfg;
+    cfg.numSchedulersPerCore = 1;  // warp k in slot k, as unitOf() lays out
     for (SchedulerKind kind : kPolicies) {
         cfg.scheduler = kind;
         auto sched = makeScheduler(cfg);
@@ -319,10 +405,11 @@ TEST(Arbitration, ClearedIssuableBitIsNeverPicked)
     owned[2]->setAtBarrier(true);
     owned[2]->bows().backedOff = true;
     GpuConfig cfg;
+    cfg.numSchedulersPerCore = 1;  // warp k in slot k, as unitOf() lays out
     for (SchedulerKind kind : kPolicies) {
         cfg.scheduler = kind;
         auto sched = makeScheduler(cfg);
-        sched->notifyIssued(owned[1].get(), 0);
+        noteIssue(*sched, owned[1].get(), 0);
         for (bool deprioritize : {false, true}) {
             auto order = priorityOrder(*sched, raw(owned), 1, deprioritize);
             std::sort(order.begin(), order.end());
