@@ -10,12 +10,10 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/harness/result_cache.hpp"
 #include "src/harness/sweep.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/metrics/kernel_profile.hpp"
@@ -125,15 +123,6 @@ struct BenchOptions {
      */
     bool hasExecMode = false;
     ExecMode execMode = ExecMode::Cycle;
-    /**
-     * Persistent result cache (--cache=off|ro|rw; see docs/BENCH.md,
-     * "Result cache"). Off by default: caching is opt-in so a default
-     * invocation always re-simulates.
-     */
-    harness::CacheMode cacheMode = harness::CacheMode::Off;
-    /** Cache directory (--cache-dir=); defaults to .bowsim-cache in the
-     *  working directory. */
-    std::string cacheDir = ".bowsim-cache";
 };
 
 /** Sanitizes a point id into a filename fragment (slashes etc. -> '_'). */
@@ -212,9 +201,11 @@ parseScale(const char *text)
  * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
- * --progress / --exec-mode= / --cache= / --cache-dir=. A numeric value
- * that does not parse is a usage error (exit 2). Unknown arguments are
- * ignored so binaries with their own flags can share the parser.
+ * --progress / --exec-mode=. A numeric value that does not parse, and
+ * any argument not in that list, is a usage error (exit 2) naming the
+ * argument, so a misspelt or retired flag never runs silently with the
+ * defaults. A binary with flags of its own hands only the rest to this
+ * parser.
  */
 inline BenchOptions
 parseOptions(int argc, char **argv, double default_scale = 1.0,
@@ -232,15 +223,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             std::exit(2);
         }
         o.hasExecMode = true;
-    };
-    auto setCacheMode = [&o](const char *text) {
-        if (!harness::parseCacheMode(text, &o.cacheMode)) {
-            std::fprintf(stderr,
-                         "error: unknown cache mode '%s' (expected "
-                         "off, ro or rw)\n",
-                         text);
-            std::exit(2);
-        }
     };
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--scale=", 8) == 0)
@@ -275,10 +257,13 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             o.progress = true;
         else if (std::strncmp(argv[i], "--exec-mode=", 12) == 0)
             setExecMode(argv[i] + 12);
-        else if (std::strncmp(argv[i], "--cache=", 8) == 0)
-            setCacheMode(argv[i] + 8);
-        else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0)
-            o.cacheDir = argv[i] + 12;
+        else {
+            std::fprintf(stderr,
+                         "error: unknown argument '%s' (docs/BENCH.md "
+                         "lists the bench flags)\n",
+                         argv[i]);
+            std::exit(2);
+        }
     }
     if (!o.traceFilter.empty()) {
         std::uint32_t mask = 0;
@@ -339,8 +324,7 @@ struct Sweep {
     /**
      * Adds a point whose closure needs the Gpu itself (litmus cells,
      * micro_functional). The runner owns Gpu construction, so
-     * --trace/--metrics/--no-skip/--profile all apply; the point always
-     * simulates, even with --cache.
+     * --trace/--metrics/--no-skip/--profile all apply.
      */
     size_t
     add(std::string id, GpuConfig cfg,
@@ -478,25 +462,12 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         if (opts.hasExecMode)
             p.cfg.execMode = opts.execMode;
     }
-    // Result cache (docs/BENCH.md): the runner serves fingerprint hits
-    // without dispatching to a worker. The cache must outlive
-    // runner.run().
-    std::unique_ptr<harness::ResultCache> cache;
-    if (opts.cacheMode != harness::CacheMode::Off) {
-        cache = std::make_unique<harness::ResultCache>(opts.cacheDir,
-                                                       opts.cacheMode);
-        runner.setCache(cache.get());
-    }
     metrics::ProgressMeter meter;
     if (opts.progress) {
         meter.start(sweep.name, points.size());
-        if (cache)
-            meter.enableCacheDisplay();
         runner.setPointCallback(
             [&meter](std::size_t, const SweepResult &r) {
-                meter.pointDone(r.stats.cycles,
-                                r.source !=
-                                    SweepResult::Source::Simulated);
+                meter.pointDone(r.stats.cycles);
             });
     }
     std::vector<SweepResult> results = runner.run(points);
@@ -509,9 +480,7 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
                          opts.jsonPath.c_str());
             std::exit(1);
         }
-        out << harness::sweepToJson(sweep.name, points, results,
-                                    cache.get())
-                   .dump()
+        out << harness::sweepToJson(sweep.name, points, results).dump()
             << "\n";
     }
     bool failed = false;

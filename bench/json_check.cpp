@@ -1,17 +1,7 @@
 /**
  * Validates bench artifacts (used by the bench_smoke ctest targets):
  *
- *   json_check FILE [EXPECTED_POINT_COUNT [EXPECTED_CACHE_HITS]]
- *                                             sweep artifact (--json);
- *                                             the third argument asserts
- *                                             the cache block reports
- *                                             exactly that many hits
- *                                             (CI warm-run gate)
- *   json_check --compare-points A B           two sweep artifacts whose
- *                                             "points" arrays must be
- *                                             byte-identical (cache
- *                                             determinism gate; only the
- *                                             "cache" blocks may differ)
+ *   json_check FILE [EXPECTED_POINT_COUNT]    sweep artifact (--json)
  *   json_check --trace FILE                   Chrome trace_event document
  *   json_check --metrics FILE [SWEEP POINT]   metrics time series; with a
  *                                             sweep artifact and point id,
@@ -54,14 +44,12 @@ int
 usage(const char *prog)
 {
     std::fprintf(stderr,
-                 "usage: %s FILE [EXPECTED_POINT_COUNT "
-                 "[EXPECTED_CACHE_HITS]]\n"
-                 "       %s --compare-points A B\n"
+                 "usage: %s FILE [EXPECTED_POINT_COUNT]\n"
                  "       %s --trace FILE\n"
                  "       %s --metrics FILE [SWEEP_JSON POINT_ID]\n"
                  "       %s --litmus FILE [EXPECTED_CELLS]\n"
                  "       %s --sync-report FILE\n",
-                 prog, prog, prog, prog, prog, prog);
+                 prog, prog, prog, prog, prog);
     return 2;
 }
 
@@ -93,14 +81,10 @@ main(int argc, char **argv)
         argc >= 2 && std::strcmp(argv[1], "--metrics") == 0;
     bool litmus_mode =
         argc >= 2 && std::strcmp(argv[1], "--litmus") == 0;
-    bool compare_mode =
-        argc >= 2 && std::strcmp(argv[1], "--compare-points") == 0;
     bool sync_mode =
         argc >= 2 && std::strcmp(argv[1], "--sync-report") == 0;
-    int first_file = trace_mode || metrics_mode || litmus_mode ||
-                             compare_mode || sync_mode
-                         ? 2
-                         : 1;
+    int first_file =
+        trace_mode || metrics_mode || litmus_mode || sync_mode ? 2 : 1;
     bool args_ok;
     if (trace_mode || sync_mode)
         args_ok = argc == 3;
@@ -108,10 +92,8 @@ main(int argc, char **argv)
         args_ok = argc == 3 || argc == 5;
     else if (litmus_mode)
         args_ok = argc == 3 || argc == 4;
-    else if (compare_mode)
-        args_ok = argc == 4;
     else
-        args_ok = argc == 2 || argc == 3 || argc == 4;
+        args_ok = argc == 2 || argc == 3;
     if (!args_ok)
         return usage(argv[0]);
     const char *path = argv[first_file];
@@ -125,13 +107,10 @@ main(int argc, char **argv)
             name, argv[index], 0, std::numeric_limits<std::int64_t>::max()));
     };
     std::int64_t expected = -1;
-    std::int64_t expected_hits = -1;
-    if (litmus_mode) {
+    if (litmus_mode)
         expected = count("EXPECTED_CELLS", 3);
-    } else if (first_file == 1) {
+    else if (first_file == 1)
         expected = count("EXPECTED_POINT_COUNT", 2);
-        expected_hits = count("EXPECTED_CACHE_HITS", 3);
-    }
 
     try {
         const Json doc = bowsim::harness::loadJsonFile(path);
@@ -140,9 +119,6 @@ main(int argc, char **argv)
             res = bowsim::harness::checkChromeTrace(doc);
         } else if (sync_mode) {
             res = bowsim::harness::checkSyncReport(doc);
-        } else if (compare_mode) {
-            const Json other = bowsim::harness::loadJsonFile(argv[3]);
-            res = bowsim::harness::compareSweepPoints(doc, other);
         } else if (litmus_mode) {
             res = bowsim::harness::checkLitmusMatrix(doc, expected);
         } else if (metrics_mode) {
@@ -154,8 +130,7 @@ main(int argc, char **argv)
             }
             res = bowsim::harness::checkMetricsSeries(doc, stats);
         } else {
-            res = bowsim::harness::checkSweepArtifact(doc, expected,
-                                                      expected_hits);
+            res = bowsim::harness::checkSweepArtifact(doc, expected);
         }
         if (!res.ok) {
             std::fprintf(stderr, "json_check: %s: %s\n", path,

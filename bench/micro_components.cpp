@@ -237,21 +237,25 @@ BENCHMARK(BM_MicroMetrics)->Name("micro_metrics")
 }  // namespace
 
 /**
- * Custom main instead of BENCHMARK_MAIN(): the shared bench flags go
- * through parseOptions() like in every other bench binary, and only
- * --benchmark_* arguments reach google-benchmark, so one flag set can be
- * passed to every binary.
+ * Custom main instead of BENCHMARK_MAIN(): --benchmark_* arguments go to
+ * google-benchmark and every other argument to parseOptions(), like in
+ * every other bench binary (which rejects any it does not know), so one
+ * flag set can be passed to every binary.
  */
 int
 main(int argc, char **argv)
 {
-    noSkip = bench::parseOptions(argc, argv).noSkip;
-    std::vector<char *> kept;
-    kept.push_back(argv[0]);
+    std::vector<char *> shared = {argv[0]};
+    std::vector<char *> kept = {argv[0]};
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--benchmark_", 12) == 0)
             kept.push_back(argv[i]);
+        else
+            shared.push_back(argv[i]);
     }
+    noSkip = bench::parseOptions(static_cast<int>(shared.size()),
+                                 shared.data())
+                 .noSkip;
     int kept_argc = static_cast<int>(kept.size());
     benchmark::Initialize(&kept_argc, kept.data());
     if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data()))

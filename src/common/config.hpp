@@ -13,11 +13,11 @@
  * the experiment axes: scheduler, BOWS, DDOS (Table I), device count
  * and the execution mode, plus one execution knob, idleSkip. Every
  * field but idleSkip is in harness::configToJson (src/harness/sweep.hpp),
- * the one serialized record of a configuration that artifacts and
- * result-cache keys share. Table II values that neither preset nor any
- * experiment varies are the named constants below. A constant is part
- * of the model: changing one changes simulated results, so it needs a
- * kResultSchemaVersion bump (src/harness/fingerprint.hpp).
+ * the one serialized record of a configuration that every artifact
+ * writes. Table II values that neither preset nor any experiment varies
+ * are the named constants below. A constant is part of the model:
+ * changing one changes simulated results without changing any config
+ * record, so it is a result change that the golden tests pin.
  */
 
 namespace bowsim {
@@ -233,8 +233,8 @@ struct GpuConfig {
      * and for differential testing. Ignored — skip is forced off —
      * while a trace sink is attached, because per-cycle IssueStall
      * events cannot be synthesized for skipped cycles. The one field
-     * configToJson leaves out, so artifacts and cache keys are the same
-     * with the skip on or off.
+     * configToJson leaves out, so artifacts are the same with the skip
+     * on or off.
      */
     bool idleSkip = true;
 

@@ -3,16 +3,13 @@
 #include <cstring>
 
 #include "src/common/log.hpp"
-#include "src/harness/sweep.hpp"
-#include "src/isa/program.hpp"
-#include "src/kernels/registry.hpp"
 
 namespace bowsim::harness {
 
 // ---------------------------------------------------------------------
-// SHA-256 (FIPS 180-4). Self-contained so the cache has no external
-// dependencies; the hash only needs to be stable and collision-resistant
-// for content addressing, not cryptographically current.
+// SHA-256 (FIPS 180-4). Self-contained so the digest has no external
+// dependencies; it only needs to be stable and collision-resistant for
+// pinning results, not cryptographically current.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -220,115 +217,6 @@ FingerprintHasher::hex()
             out += digits[(word >> shift) & 0xf];
     }
     return out;
-}
-
-// ---------------------------------------------------------------------
-// Program serialization.
-// ---------------------------------------------------------------------
-
-namespace {
-
-void
-hashOperand(FingerprintHasher &h, const char *tag, const Operand &op)
-{
-    h.add(tag, static_cast<std::uint64_t>(op.kind));
-    h.add("idx", static_cast<std::int64_t>(op.index));
-    h.add("imm", static_cast<std::int64_t>(op.imm));
-}
-
-void
-hashPcSet(FingerprintHasher &h, const char *tag, const std::set<Pc> &pcs)
-{
-    h.add(tag, static_cast<std::uint64_t>(pcs.size()));
-    for (Pc pc : pcs)
-        h.add("pc", static_cast<std::uint64_t>(pc));
-}
-
-}  // namespace
-
-void
-hashProgram(FingerprintHasher &h, const Program &prog)
-{
-    h.add("program", prog.name);
-    h.add("num_regs", prog.numRegs);
-    h.add("num_preds", prog.numPreds);
-    h.add("shared_bytes", prog.sharedBytes);
-    h.add("num_params", prog.numParams);
-    h.add("length", static_cast<std::uint64_t>(prog.code.size()));
-    for (const Instruction &inst : prog.code) {
-        // Every semantic field, numerically: the disassembly elides
-        // reconvergence PCs and hazard metadata, and a lossy rendering
-        // is exactly the kind of hole a content hash must not have.
-        // (line and the precomputed hazard masks are diagnostics /
-        // derived state and are skipped.)
-        h.add("op", static_cast<std::uint64_t>(inst.op));
-        h.add("cmp", static_cast<std::uint64_t>(inst.cmp));
-        h.add("space", static_cast<std::uint64_t>(inst.space));
-        h.add("atom", static_cast<std::uint64_t>(inst.atom));
-        h.add("scope", static_cast<std::uint64_t>(inst.scope));
-        h.add("size", inst.size);
-        h.add("guard", static_cast<std::int64_t>(inst.guard));
-        h.add("guard_neg", inst.guardNegate);
-        h.add("uniform", inst.uniform);
-        h.add("volatile", inst.isVolatile);
-        hashOperand(h, "dst", inst.dst);
-        hashOperand(h, "src0", inst.src[0]);
-        hashOperand(h, "src1", inst.src[1]);
-        hashOperand(h, "src2", inst.src[2]);
-        h.add("mem_offset", static_cast<std::int64_t>(inst.memOffset));
-        h.add("target", static_cast<std::uint64_t>(inst.target));
-        h.add("reconv", static_cast<std::uint64_t>(inst.reconvergence));
-    }
-    hashPcSet(h, "spin_branches", prog.sync.spinBranches);
-    hashPcSet(h, "lock_acquires", prog.sync.lockAcquires);
-    hashPcSet(h, "wait_checks", prog.sync.waitChecks);
-    hashPcSet(h, "sync_region", prog.sync.syncRegion);
-}
-
-// ---------------------------------------------------------------------
-// Point fingerprints.
-// ---------------------------------------------------------------------
-
-PointKey
-fingerprintPoint(const SweepPoint &point)
-{
-    PointKey key;
-    if (point.gpuBody) {
-        key.reason = "gpuBody closures always simulate";
-        return key;
-    }
-    FingerprintHasher h;
-    h.add("schema", static_cast<std::uint64_t>(kResultSchemaVersion));
-    h.add("config", configToJson(point.cfg).dump());
-    h.add("scale", point.scale);
-    h.add("kernel", point.kernel);
-    // Hashed only when present, so points without overrides keep the
-    // keys they had before overrides existed.
-    if (!point.params.empty()) {
-        h.add("num_params", static_cast<std::uint64_t>(point.params.size()));
-        for (const auto &[name, value] : point.params) {
-            h.add("param", name);
-            h.add("value", value);
-        }
-    }
-    try {
-        // Constructors assemble their programs (setup() only touches
-        // device memory), so the ISA content is available without a
-        // Gpu. An unresolvable kernel or a rejected override is not
-        // cacheable — the run itself will fail and failures are never
-        // cached.
-        auto harness = makeBenchmark(point.kernel, point.scale, point.params);
-        const auto progs = harness->programs();
-        h.add("num_programs", static_cast<std::uint64_t>(progs.size()));
-        for (const Program *p : progs)
-            hashProgram(h, *p);
-    } catch (const FatalError &e) {
-        key.reason = std::string("kernel not fingerprintable: ") + e.what();
-        return key;
-    }
-    key.cacheable = true;
-    key.hash = h.hex();
-    return key;
 }
 
 }  // namespace bowsim::harness

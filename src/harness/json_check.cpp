@@ -113,58 +113,13 @@ loadJsonFile(const std::string &path)
 }
 
 CheckResult
-checkSweepArtifact(const Json &doc, std::int64_t expected_points,
-                   std::int64_t expected_cache_hits)
+checkSweepArtifact(const Json &doc, std::int64_t expected_points)
 {
     if (!doc.has("points"))
         return fail("artifact has no \"points\" array");
     const Json &points = doc.at("points");
     if (points.type() != Json::Type::Array)
         return fail("\"points\" is not an array");
-    if (expected_cache_hits >= 0 && !doc.has("cache"))
-        return fail("expected a \"cache\" block (run with --cache) but "
-                    "the artifact has none");
-    if (doc.has("cache")) {
-        const Json &cache = doc.at("cache");
-        if (cache.type() != Json::Type::Object)
-            return fail("\"cache\" is not an object");
-        if (!cache.has("mode"))
-            return fail("cache block lacks \"mode\"");
-        const std::string &mode = cache.at("mode").asString();
-        // "off" never emits a block at all, so it is illegal here.
-        if (mode != "ro" && mode != "rw")
-            return fail("cache block has unknown mode \"" + mode + "\"");
-        for (const char *k : {"hits", "misses", "stored", "bypassed"}) {
-            if (!cache.has(k) || !cache.at(k).isNumber())
-                return fail(std::string("cache block lacks numeric \"") +
-                            k + "\"");
-            if (cache.at(k).asInt() < 0)
-                return fail(std::string("cache counter \"") + k +
-                            "\" is negative");
-        }
-        const std::int64_t hits = cache.at("hits").asInt();
-        const std::int64_t misses = cache.at("misses").asInt();
-        const std::int64_t stored = cache.at("stored").asInt();
-        const std::int64_t bypassed = cache.at("bypassed").asInt();
-        // Every point gets exactly one disposition.
-        if (hits + misses + bypassed !=
-            static_cast<std::int64_t>(points.size())) {
-            std::ostringstream os;
-            os << "cache counters sum to " << (hits + misses + bypassed)
-               << " but the artifact has " << points.size() << " points";
-            return fail(os.str());
-        }
-        if (stored > misses)
-            return fail("cache stored more records than it missed");
-        if (mode == "ro" && stored != 0)
-            return fail("read-only cache claims to have stored records");
-        if (expected_cache_hits >= 0 && hits != expected_cache_hits) {
-            std::ostringstream os;
-            os << "cache reports " << hits << " hits, expected "
-               << expected_cache_hits;
-            return fail(os.str());
-        }
-    }
     if (expected_points >= 0 &&
         points.size() != static_cast<std::size_t>(expected_points)) {
         std::ostringstream os;
@@ -207,60 +162,7 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
     std::ostringstream os;
     os << "OK (bench="
        << (doc.has("bench") ? doc.at("bench").asString() : "?") << ", "
-       << points.size() << " points";
-    if (doc.has("cache")) {
-        const Json &cache = doc.at("cache");
-        os << ", cache " << cache.at("hits").asInt() << " hit/"
-           << cache.at("misses").asInt() << " miss/"
-           << cache.at("bypassed").asInt() << " bypassed";
-    }
-    os << ")";
-    CheckResult r;
-    r.message = os.str();
-    return r;
-}
-
-CheckResult
-compareSweepPoints(const Json &a, const Json &b)
-{
-    for (const Json *doc : {&a, &b}) {
-        if (!doc->has("points") ||
-            doc->at("points").type() != Json::Type::Array)
-            return fail("artifact has no \"points\" array");
-    }
-    const std::string bench_a =
-        a.has("bench") ? a.at("bench").asString() : "?";
-    const std::string bench_b =
-        b.has("bench") ? b.at("bench").asString() : "?";
-    if (bench_a != bench_b)
-        return fail("bench names differ: \"" + bench_a + "\" vs \"" +
-                    bench_b + "\"");
-    // Byte-level comparison of the serialized arrays: dumps are
-    // deterministic, so this is exactly "the points agree".
-    if (a.at("points").dump() != b.at("points").dump()) {
-        const Json &pa = a.at("points");
-        const Json &pb = b.at("points");
-        if (pa.size() != pb.size()) {
-            std::ostringstream os;
-            os << "point counts differ: " << pa.size() << " vs "
-               << pb.size();
-            return fail(os.str());
-        }
-        for (std::size_t i = 0; i < pa.size(); ++i) {
-            if (pa.at(i).dump() != pb.at(i).dump()) {
-                std::ostringstream os;
-                os << "point " << i << " ("
-                   << (pa.at(i).has("id") ? pa.at(i).at("id").asString()
-                                          : "?")
-                   << ") differs between the artifacts";
-                return fail(os.str());
-            }
-        }
-        return fail("points arrays differ");
-    }
-    std::ostringstream os;
-    os << "OK (bench=" << bench_a << ", " << a.at("points").size()
-       << " points byte-identical)";
+       << points.size() << " points)";
     CheckResult r;
     r.message = os.str();
     return r;

@@ -32,25 +32,10 @@ Json loadJsonFile(const std::string &path);
  * the keys configToJson writes for its num_devices (so no idle_skip)
  * and an exec_mode of "cycle" or "functional", plus one stats shard per
  * device when num_devices > 1; no point may carry the IPC-estimator
- * fields ipc_est, ipc_ci95 or sampled_windows. When the artifact
- * carries a "cache" block (the sweep ran with --cache, docs/BENCH.md)
- * its mode and counters are validated: hits + misses + bypassed must
- * equal the point count and stored may not exceed misses. A
- * non-negative @p expected_cache_hits additionally requires the block
- * to be present and report exactly that many hits (the CI warm-run
- * all-hits gate).
+ * fields ipc_est, ipc_ci95 or sampled_windows.
  */
 CheckResult checkSweepArtifact(const Json &doc,
-                               std::int64_t expected_points = -1,
-                               std::int64_t expected_cache_hits = -1);
-
-/**
- * Compares the "points" arrays of two sweep artifacts byte-for-byte
- * (serialized form), plus the bench names. Cold and warm cached runs
- * must agree exactly here — only their "cache" blocks may differ —
- * which is what makes a cache hit indistinguishable from a simulation.
- */
-CheckResult compareSweepPoints(const Json &a, const Json &b);
+                               std::int64_t expected_points = -1);
 
 /**
  * Validates a Chrome trace_event document (docs/TRACING.md):

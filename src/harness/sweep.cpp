@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "src/common/log.hpp"
-#include "src/harness/fingerprint.hpp"
-#include "src/harness/result_cache.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/metrics/sampler.hpp"
 #include "src/sim/gpu.hpp"
@@ -123,40 +121,6 @@ runPoint(const SweepPoint &point)
 
 }  // namespace
 
-SweepResult
-SweepRunner::execPoint(const SweepPoint &point) const
-{
-    if (!cache_)
-        return runPoint(point);
-
-    // A cache hit would not regenerate side-output files, so points
-    // with a trace, metrics or sync-report output always simulate, as
-    // do the gpuBody closures the fingerprinter cannot key.
-    const bool side_outputs =
-        !point.tracePath.empty() || !point.metricsPath.empty() ||
-        !point.syncReportPath.empty() || point.syncProfile;
-    const PointKey key = side_outputs ? PointKey{} : fingerprintPoint(point);
-    if (!key.cacheable) {
-        cache_->countBypassed();
-        return runPoint(point);
-    }
-
-    SweepResult r;
-    if (cache_->lookup(key.hash, &r.stats)) {
-        r.ok = true;
-        r.source = SweepResult::Source::CacheHit;
-        cache_->countHit();
-        return r;
-    }
-    cache_->countMiss();
-    r = runPoint(point);
-    // Stored the moment the point finishes, so rerunning an interrupted
-    // sweep serves every finished point as a hit.
-    if (r.ok)
-        cache_->store(key.hash, point.id, r.stats);
-    return r;
-}
-
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepPoint> &points) const
 {
@@ -167,7 +131,7 @@ SweepRunner::run(const std::vector<SweepPoint> &points) const
 
     if (workers <= 1) {
         for (std::size_t i = 0; i < points.size(); ++i) {
-            results[i] = execPoint(points[i]);
+            results[i] = runPoint(points[i]);
             if (callback_)
                 callback_(i, results[i]);
         }
@@ -185,7 +149,7 @@ SweepRunner::run(const std::vector<SweepPoint> &points) const
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= points.size())
                 return;
-            results[i] = execPoint(points[i]);
+            results[i] = runPoint(points[i]);
             if (callback_) {
                 std::lock_guard<std::mutex> lock(cb_mu);
                 callback_(i, results[i]);
@@ -205,8 +169,8 @@ namespace {
 
 /**
  * Double checked for NaN/Inf before emission: both serialize to tokens
- * no JSON parser accepts, so a record containing one would read back as
- * corrupt — and a non-finite statistic is a simulator bug anyway.
+ * no JSON parser accepts, so an artifact containing one could not be
+ * read back, and a non-finite statistic is a simulator bug anyway.
  */
 double
 finite(const char *key, double v)
@@ -277,8 +241,8 @@ statsToJson(const KernelStats &s)
               finite("avg_delay_limit", s.avgDelayLimit()));
     j.set("sched", std::move(sched));
 
-    // Derived rates for humans/plots, raw counters for statsFromJson
-    // (the rates are recomputed on parse).
+    // Derived rates for humans/plots, and the raw counters they come
+    // from.
     Json ddos = Json::object();
     ddos.set("tsdr", finite("tsdr", s.ddos.tsdr()));
     ddos.set("fsdr", finite("fsdr", s.ddos.fsdr()));
@@ -304,7 +268,7 @@ statsToJson(const KernelStats &s)
         }
         j.set("stall", std::move(stall));
         // The full per-warp table (the "stall" block above is its
-        // per-cause projection, recomputed on parse).
+        // per-cause projection).
         Json table = Json::object();
         table.set("warps_per_sm", s.stallWarpsPerSm);
         Json counts = Json::array();
@@ -352,146 +316,24 @@ statsToJson(const KernelStats &s)
     return j;
 }
 
-namespace {
-
-std::uint64_t
-getU64(const Json &obj, const char *key)
-{
-    return static_cast<std::uint64_t>(obj.at(key).asInt());
-}
-
-}  // namespace
-
-KernelStats
-statsFromJson(const Json &j)
-{
-    KernelStats s;
-    s.kernel = j.at("kernel").asString();
-    s.cycles = getU64(j, "cycles");
-    s.warpInstructions = getU64(j, "warp_instructions");
-    s.threadInstructions = getU64(j, "thread_instructions");
-    s.syncThreadInstructions = getU64(j, "sync_thread_instructions");
-    s.sibInstructions = getU64(j, "sib_instructions");
-    s.activeLaneSum = getU64(j, "active_lane_sum");
-    // simd_efficiency and ipc are derived; recomputed from the raws.
-
-    const Json &mem = j.at("mem");
-    s.l1Accesses = getU64(mem, "l1_accesses");
-    s.l1Hits = getU64(mem, "l1_hits");
-    s.l1Misses = getU64(mem, "l1_misses");
-    s.sharedAccesses = getU64(mem, "shared_accesses");
-    s.syncMemTransactions = getU64(mem, "sync_mem_transactions");
-    s.mem.l2Accesses = getU64(mem, "l2_accesses");
-    s.mem.l2Hits = getU64(mem, "l2_hits");
-    s.mem.l2Misses = getU64(mem, "l2_misses");
-    s.mem.dramAccesses = getU64(mem, "dram_accesses");
-    s.mem.dramRowActivations = getU64(mem, "dram_row_activations");
-    s.mem.atomics = getU64(mem, "atomics");
-    s.mem.atomicWaitCycles = getU64(mem, "atomic_wait_cycles");
-    s.mem.icntPackets = getU64(mem, "icnt_packets");
-    if (mem.has("link_packets")) {
-        s.mem.linkPackets = getU64(mem, "link_packets");
-        if (s.mem.linkPackets == 0)
-            fatal("statsFromJson: explicit zero link_packets");
-    }
-
-    const Json &out = j.at("outcomes");
-    s.outcomes.lockSuccess = getU64(out, "lock_success");
-    s.outcomes.interWarpFail = getU64(out, "inter_warp_fail");
-    s.outcomes.intraWarpFail = getU64(out, "intra_warp_fail");
-    s.outcomes.waitExitSuccess = getU64(out, "wait_exit_success");
-    s.outcomes.waitExitFail = getU64(out, "wait_exit_fail");
-
-    const Json &sched = j.at("sched");
-    s.residentWarpCycles = getU64(sched, "resident_warp_cycles");
-    s.backedOffWarpCycles = getU64(sched, "backed_off_warp_cycles");
-    s.delayLimitCycleSum = getU64(sched, "delay_limit_cycle_sum");
-    s.smCycles = getU64(sched, "sm_cycles");
-    if (sched.has("peak_resident_per_sm")) {
-        const Json &peaks = sched.at("peak_resident_per_sm");
-        for (const Json &p : peaks.items())
-            s.peakResidentPerSm.push_back(
-                static_cast<std::uint64_t>(p.asInt()));
-    }
-
-    const Json &ddos = j.at("ddos");
-    s.ddos.trueBranches =
-        static_cast<unsigned>(getU64(ddos, "true_branches"));
-    s.ddos.trueDetected =
-        static_cast<unsigned>(getU64(ddos, "true_detected"));
-    s.ddos.falseBranches =
-        static_cast<unsigned>(getU64(ddos, "false_branches"));
-    s.ddos.falseDetected =
-        static_cast<unsigned>(getU64(ddos, "false_detected"));
-    s.ddos.dprTrueSum = ddos.at("dpr_true_sum").asDouble();
-    s.ddos.dprFalseSum = ddos.at("dpr_false_sum").asDouble();
-
-    if (j.has("stall_table")) {
-        const Json &table = j.at("stall_table");
-        s.stallWarpsPerSm =
-            static_cast<unsigned>(getU64(table, "warps_per_sm"));
-        for (const Json &c : table.at("counts").items())
-            s.stallCounts.push_back(
-                static_cast<std::uint64_t>(c.asInt()));
-        if (s.stallCounts.empty())
-            fatal("statsFromJson: empty stall_table counts");
-    }
-    if (j.has("unit_issues")) {
-        const Json &units = j.at("unit_issues");
-        s.unitsPerSm =
-            static_cast<unsigned>(getU64(units, "units_per_sm"));
-        for (const Json &c : units.at("counts").items())
-            s.unitIssues.push_back(
-                static_cast<std::uint64_t>(c.asInt()));
-        if (s.unitIssues.empty())
-            fatal("statsFromJson: empty unit_issues counts");
-    }
-
-    const Json &ev = j.at("energy_events");
-    s.energy.warpInstructions = getU64(ev, "warp_instructions");
-    s.energy.laneAluOps = getU64(ev, "lane_alu_ops");
-    s.energy.rfReadLanes = getU64(ev, "rf_read_lanes");
-    s.energy.rfWriteLanes = getU64(ev, "rf_write_lanes");
-    s.energy.sharedAccesses = getU64(ev, "shared_accesses");
-    s.energy.l1Accesses = getU64(ev, "l1_accesses");
-    s.energy.l2Accesses = getU64(ev, "l2_accesses");
-    s.energy.dramAccesses = getU64(ev, "dram_accesses");
-    s.energy.icntPackets = getU64(ev, "icnt_packets");
-    s.energy.atomicOps = getU64(ev, "atomic_ops");
-
-    s.energyNj = j.at("energy_nj").asDouble();
-    s.staticEnergyNj = j.at("static_energy_nj").asDouble();
-
-    if (j.has("devices")) {
-        for (const Json &d : j.at("devices").items()) {
-            s.perDevice.push_back(statsFromJson(d));
-            if (!s.perDevice.back().perDevice.empty())
-                fatal("statsFromJson: nested device shards");
-        }
-        if (s.perDevice.empty())
-            fatal("statsFromJson: empty devices block");
-    }
-    return s;
-}
-
 /*
  * Field-coverage guard for the one configuration record below. If this
  * assertion fires, GpuConfig (or one of its nested structs) gained,
  * lost or resized a field. A field that can influence simulated results
  * MUST be written by configToJson() before the expected sizes are
- * updated: the result cache keys on this record, so a field left out
- * would let two configurations that simulate differently share a cache
- * record, and the cache would serve STALE statistics for one of them.
- * That failure is silent at run time (the cached record looks valid),
- * which is why the guard is structural: growing the struct breaks the
- * build until a human re-audits the record.
+ * updated: a field left out of the record would let two points that
+ * simulate differently write the same "config" block, so an artifact
+ * would no longer say what produced its statistics. That failure is
+ * silent at run time (the record still looks valid), which is why the
+ * guard is structural: growing the struct breaks the build until a
+ * human re-audits the record.
  */
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(GpuConfig) == 224 && sizeof(BowsConfig) == 40 &&
                   sizeof(DdosConfig) == 20 && sizeof(CacheConfig) == 16,
               "GpuConfig layout changed: write any new field in "
               "configToJson(), then update these expected sizes (see the "
-              "stale-cache hazard comment above)");
+              "comment above)");
 #endif
 
 Json
@@ -547,23 +389,12 @@ configToJson(const GpuConfig &cfg)
 Json
 sweepToJson(const std::string &bench_name,
             const std::vector<SweepPoint> &points,
-            const std::vector<SweepResult> &results,
-            const ResultCache *cache)
+            const std::vector<SweepResult> &results)
 {
     if (points.size() != results.size())
         panic("sweepToJson: points/results size mismatch");
     Json doc = Json::object();
     doc.set("bench", bench_name);
-    if (cache) {
-        const CacheCounters c = cache->counters();
-        Json cj = Json::object();
-        cj.set("mode", toString(cache->mode()));
-        cj.set("hits", c.hits);
-        cj.set("misses", c.misses);
-        cj.set("stored", c.stored);
-        cj.set("bypassed", c.bypassed);
-        doc.set("cache", std::move(cj));
-    }
     Json arr = Json::array();
     for (std::size_t i = 0; i < points.size(); ++i) {
         Json p = Json::object();

@@ -28,8 +28,6 @@ using Gpu = GpuSystem;
 
 namespace bowsim::harness {
 
-class ResultCache;
-
 /** One independent simulation in a sweep. */
 struct SweepPoint {
     /** Unique label for output/JSON rows, e.g. "HT/B500". */
@@ -45,9 +43,7 @@ struct SweepPoint {
      * Custom workload that needs the Gpu itself (litmus cells, the
      * micro_functional timing loop): the runner constructs Gpu(cfg),
      * attaches observers (trace recorder, metrics sampler, sync
-     * profiler), and hands it to this body. The runner cannot see what
-     * a closure does or returns through side effects, so such a point
-     * always simulates and is never cached. When empty the point runs
+     * profiler), and hands it to this body. When empty the point runs
      * makeBenchmark(kernel, scale, params) on that Gpu.
      */
     std::function<KernelStats(Gpu &)> gpuBody;
@@ -100,15 +96,10 @@ struct SweepPoint {
 
 /** Outcome of one sweep point. */
 struct SweepResult {
-    /** How the result was obtained (sweep artifacts do not record
-     *  this — cold and warm runs must emit identical points). */
-    enum class Source { Simulated, CacheHit };
-
     bool ok = false;
     KernelStats stats;
     /** Exception message when !ok. */
     std::string error;
-    Source source = Source::Simulated;
     /** "Hot sync objects" text for the --profile report (points run
      *  with SweepPoint::syncProfile; empty otherwise). */
     std::string syncProfileText;
@@ -138,77 +129,44 @@ class SweepRunner {
     void setPointCallback(PointCallback cb) { callback_ = std::move(cb); }
 
     /**
-     * Attaches a persistent result cache (docs/BENCH.md, "Result
-     * cache"): before dispatching a point to a worker the runner
-     * consults the cache and serves a fingerprint hit without
-     * simulating; misses simulate and (rw mode) store their result as
-     * soon as the point finishes, so rerunning an interrupted sweep
-     * serves its finished points as hits. Points with side outputs
-     * (tracePath/metricsPath/syncReportPath/syncProfile) and points the
-     * fingerprinter cannot key (gpuBody closures) bypass the cache and
-     * are counted as such. @p cache must outlive run(); nullptr
-     * detaches.
-     */
-    void setCache(ResultCache *cache) { cache_ = cache; }
-
-    /**
      * Runs every point and returns results in submission order. With
      * jobs() == 1 everything runs on the calling thread.
      */
     std::vector<SweepResult> run(const std::vector<SweepPoint> &points) const;
 
   private:
-    SweepResult execPoint(const SweepPoint &point) const;
-
     unsigned jobs_;
     PointCallback callback_;
-    ResultCache *cache_ = nullptr;
 };
 
 /**
  * Serializes the interesting fields of @p s (deterministic order).
- * Fatal on NaN/Inf in any floating-point field — such a value is a
- * simulator bug, and emitting it would produce invalid JSON that a
- * cache read would then silently treat as a corrupt record.
+ * Fatal on NaN/Inf in any floating-point field: such a value is a
+ * simulator bug, and emitting it would write an artifact that no JSON
+ * parser accepts.
  */
 Json statsToJson(const KernelStats &s);
-
-/**
- * Inverse of statsToJson: rebuilds a KernelStats from its JSON form.
- * Raw counters are read back exactly; derived fields (ipc,
- * simd_efficiency, avg_delay_limit, the ddos rates, the per-cause
- * stall totals) are recomputed from the raws, so
- * statsToJson(statsFromJson(j)) == j byte-for-byte. Throws FatalError
- * on missing or ill-typed fields (the result cache maps that to a
- * miss).
- */
-KernelStats statsFromJson(const Json &j);
 
 /**
  * The one record of a configuration: every GpuConfig field except the
  * execution knob idleSkip, in one fixed order, plus the kLink*
  * constants on multi-device records (num_devices > 1). Sweep points
  * write it as their "config", the litmus document writes its base
- * configuration's in the header, the result cache keys on its dump, and
- * json_check checks config blocks against its key list. Artifacts and
- * keys are therefore the same across --jobs, --no-skip and
- * --metrics-interval.
+ * configuration's in the header, and json_check checks config blocks
+ * against its key list. Artifacts are therefore the same across --jobs,
+ * --no-skip and --metrics-interval.
  */
 Json configToJson(const GpuConfig &cfg);
 
 /**
  * Builds the --json artifact document for one finished sweep:
- * { "bench", ["cache"], "points": [ {id, kernel, scale, [params], ok,
- * config, stats|error} ] }; "params" appears only on points with kernel
- * overrides. When @p cache is non-null a "cache" block records its mode
- * and hit/miss/stored/bypassed counters (validated by json_check); the
- * "points" array is identical either way, so cold and warm runs differ
- * only in that block.
+ * { "bench", "points": [ {id, kernel, scale, [params], ok, config,
+ * stats|error} ] }; "params" appears only on points with kernel
+ * overrides.
  */
 Json sweepToJson(const std::string &bench_name,
                  const std::vector<SweepPoint> &points,
-                 const std::vector<SweepResult> &results,
-                 const ResultCache *cache = nullptr);
+                 const std::vector<SweepResult> &results);
 
 }  // namespace bowsim::harness
 

@@ -21,7 +21,7 @@
  * A caller that needs a shape the scaled defaults do not give (fig01's
  * bucket sweep, fig03's back-off factor) passes validated overrides
  * instead of building the kernel itself, so the point stays a registry
- * point the result cache can key.
+ * point that its artifact records by kernel name, scale and overrides.
  */
 
 namespace bowsim {

@@ -15,47 +15,28 @@ ProgressMeter::start(std::string label, std::size_t total)
     start_ = std::chrono::steady_clock::now();
     lastDone_ = 0.0;
     ewmaGap_ = 0.0;
-    cacheDisplay_ = false;
-    cacheHits_ = 0;
-    cacheMisses_ = 0;
     active_ = true;
     printLine(false, 0.0);
 }
 
 void
-ProgressMeter::enableCacheDisplay()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    cacheDisplay_ = true;
-}
-
-void
-ProgressMeter::pointDone(std::uint64_t sim_cycles, bool from_cache)
+ProgressMeter::pointDone(std::uint64_t sim_cycles)
 {
     const double now =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    pointDoneAt(sim_cycles, now, from_cache);
+    pointDoneAt(sim_cycles, now);
 }
 
 void
-ProgressMeter::pointDoneAt(std::uint64_t sim_cycles, double now_secs,
-                           bool from_cache)
+ProgressMeter::pointDoneAt(std::uint64_t sim_cycles, double now_secs)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (!active_)
         return;
     ++done_;
-    if (from_cache) {
-        // Served, not simulated: the point advances done/ETA but its
-        // cycles would make the sim-cycles/s gauge report simulation
-        // throughput the pool never delivered.
-        ++cacheHits_;
-    } else {
-        ++cacheMisses_;
-        simCycles_ += sim_cycles;
-    }
+    simCycles_ += sim_cycles;
     // Concurrent workers may take their timestamps slightly out of
     // order relative to lock acquisition; treat that as a zero gap.
     const double gap = now_secs > lastDone_ ? now_secs - lastDone_ : 0.0;
@@ -73,20 +54,6 @@ ProgressMeter::etaSeconds()
 {
     std::lock_guard<std::mutex> lock(mu_);
     return etaLocked();
-}
-
-std::uint64_t
-ProgressMeter::cacheHits()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return cacheHits_;
-}
-
-std::uint64_t
-ProgressMeter::cacheMisses()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return cacheMisses_;
 }
 
 double
@@ -118,11 +85,6 @@ ProgressMeter::printLine(bool last, double now_secs)
         now_secs > 0.0 ? static_cast<double>(simCycles_) / now_secs : 0.0;
     std::fprintf(stderr, "\r%s: %zu/%zu points, %.2fM sim-cycles/s",
                  label_.c_str(), done_, total_, rate / 1e6);
-    if (cacheDisplay_) {
-        std::fprintf(stderr, ", cache %llu hit/%llu miss",
-                     static_cast<unsigned long long>(cacheHits_),
-                     static_cast<unsigned long long>(cacheMisses_));
-    }
     if (done_ < total_)
         std::fprintf(stderr, ", ETA %.0fs ", etaLocked());
     else

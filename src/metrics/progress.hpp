@@ -32,34 +32,15 @@ class ProgressMeter {
     /** Begins a run of @p total points labeled @p label. */
     void start(std::string label, std::size_t total);
 
-    /**
-     * Shows "cache H hit / M miss" in the status line (result cache
-     * attached, docs/BENCH.md). Call between start() and the first
-     * completion; off by default so cacheless sweeps keep their line
-     * unchanged.
-     */
-    void enableCacheDisplay();
-
-    /**
-     * Records one finished point that simulated @p sim_cycles cycles.
-     * @p from_cache marks a point served from the result cache without
-     * simulation: it counts toward the hit gauge and contributes no
-     * sim-cycles worth of throughput.
-     */
-    void pointDone(std::uint64_t sim_cycles, bool from_cache = false);
+    /** Records one finished point that simulated @p sim_cycles cycles. */
+    void pointDone(std::uint64_t sim_cycles);
 
     /**
      * Explicit-clock variant of pointDone for unit tests: @p now_secs
      * is wall time since start(). The ETA math lives behind this entry
      * point so it can be exercised deterministically.
      */
-    void pointDoneAt(std::uint64_t sim_cycles, double now_secs,
-                     bool from_cache = false);
-
-    /** Completed points served from the cache. */
-    std::uint64_t cacheHits();
-    /** Completed points that had to simulate. */
-    std::uint64_t cacheMisses();
+    void pointDoneAt(std::uint64_t sim_cycles, double now_secs);
 
     /**
      * Estimated seconds until the last point completes: the EWMA of
@@ -82,9 +63,6 @@ class ProgressMeter {
     std::size_t total_ = 0;
     std::size_t done_ = 0;
     std::uint64_t simCycles_ = 0;
-    bool cacheDisplay_ = false;
-    std::uint64_t cacheHits_ = 0;
-    std::uint64_t cacheMisses_ = 0;
     std::chrono::steady_clock::time_point start_;
     /** Completion time of the most recent point, seconds since start(). */
     double lastDone_ = 0.0;

@@ -20,7 +20,8 @@
  * and the final memory image) for every registry kernel in cycle and in
  * functional mode, TwoLevel and arbitration-variant runs, the hashtable
  * shapes of the contention figures, one traced run, two-device runs, two
- * sync reports and four metrics series. The simulator is
+ * sync reports and four metrics series, and the self-delimiting
+ * encoding of the hasher those digests go through. The simulator is
  * deterministic, so any drift here is a real behavior change — timing
  * model, scheduler, DDOS, BOWS, or side-effect order. When a change is intentional, re-measure and
  * update the constants in the same commit, and say why in the commit
@@ -227,6 +228,26 @@ const GoldenDigest kGoldenDigests[] = {
     {"STEN",
      "3afb63f53e814600d971521a753bb90734e55961b4ee0617c126f4a708c262e7"},
 };
+
+TEST(Fingerprint, HasherIsSelfDelimiting)
+{
+    // "ab" + "c" vs "a" + "bc": tagged length-prefixed encoding keeps
+    // the digests apart even when the concatenated bytes agree.
+    harness::FingerprintHasher h1;
+    h1.add("x", std::string("ab"));
+    h1.add("y", std::string("c"));
+    harness::FingerprintHasher h2;
+    h2.add("x", std::string("a"));
+    h2.add("y", std::string("bc"));
+    EXPECT_NE(h1.hex(), h2.hex());
+
+    // Type confusion: the same numeric value as unsigned vs double.
+    harness::FingerprintHasher h3;
+    h3.add("v", std::uint64_t{1});
+    harness::FingerprintHasher h4;
+    h4.add("v", 1.0);
+    EXPECT_NE(h3.hex(), h4.hex());
+}
 
 /** Adds one finished run — its stats and final memory — to @p h. */
 void

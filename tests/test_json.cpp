@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,8 @@
  * @file
  * The minimal JSON layer used for the bench artifacts: deterministic
  * (insertion-ordered) dumps, parse/dump round trips, string escaping,
- * and loud failures on malformed input.
+ * and loud failures on malformed input; the json_check validators; and
+ * the statistics record statsToJson writes.
  */
 
 namespace bowsim {
@@ -290,12 +292,11 @@ TEST(JsonCheckLitmus, EvidenceMissingFieldFails)
     EXPECT_NE(r.message.find("peak_waiters"), std::string::npos);
 }
 
-// --- json_check: sweep cache blocks ------------------------------------
+// --- json_check: sweep config records ----------------------------------
 
-/** A minimal valid sweep artifact with a "cache" block. */
+/** A minimal valid one-point sweep artifact. */
 Json
-cachedSweepDoc(const char *mode, int hits, int misses, int stored,
-               int bypassed)
+sweepDoc()
 {
     Json stats = Json::object();
     stats.set("cycles", 100);
@@ -306,130 +307,16 @@ cachedSweepDoc(const char *mode, int hits, int misses, int stored,
     p.set("stats", std::move(stats));
     Json arr = Json::array();
     arr.push(std::move(p));
-    Json cache = Json::object();
-    cache.set("mode", mode);
-    cache.set("hits", hits);
-    cache.set("misses", misses);
-    cache.set("stored", stored);
-    cache.set("bypassed", bypassed);
     Json d = Json::object();
     d.set("bench", "unit");
-    d.set("cache", std::move(cache));
     d.set("points", std::move(arr));
     return d;
 }
 
-TEST(JsonCheckCache, ValidBlockPassesAndIsReported)
-{
-    const harness::CheckResult hit =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 1, 0, 0, 0),
-                                    1, 1);
-    EXPECT_TRUE(hit.ok) << hit.message;
-    EXPECT_NE(hit.message.find("1 hit"), std::string::npos) << hit.message;
-
-    const harness::CheckResult miss =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 1, 0));
-    EXPECT_TRUE(miss.ok) << miss.message;
-}
-
-TEST(JsonCheckCache, ExpectedHitsRequireABlock)
-{
-    // A sweep run without --cache emits no block; asking the checker to
-    // assert a hit count against it must fail loudly (the CI warm-run
-    // gate depends on this).
-    Json doc = cachedSweepDoc("rw", 1, 0, 0, 0);
-    doc = mutated(doc, "\"cache\":", "\"cache_disabled\":");
-    EXPECT_TRUE(harness::checkSweepArtifact(doc, 1).ok);
-    const harness::CheckResult r = harness::checkSweepArtifact(doc, 1, 1);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.message.find("--cache"), std::string::npos) << r.message;
-}
-
-TEST(JsonCheckCache, HitCountMismatchFails)
-{
-    const harness::CheckResult r =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 1, 0),
-                                    1, 1);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.message.find("expected 1"), std::string::npos)
-        << r.message;
-}
-
-TEST(JsonCheckCache, CounterInvariantsAreEnforced)
-{
-    // hits + misses + bypassed must equal the point count.
-    const harness::CheckResult sum =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 1, 1, 0, 0));
-    EXPECT_FALSE(sum.ok);
-    EXPECT_NE(sum.message.find("sum"), std::string::npos) << sum.message;
-
-    // stored is a subset of misses.
-    const harness::CheckResult stored =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 2, 0));
-    EXPECT_FALSE(stored.ok);
-    EXPECT_NE(stored.message.find("stored"), std::string::npos)
-        << stored.message;
-
-    // A read-only cache cannot have written records.
-    const harness::CheckResult ro =
-        harness::checkSweepArtifact(cachedSweepDoc("ro", 0, 1, 1, 0));
-    EXPECT_FALSE(ro.ok);
-    EXPECT_NE(ro.message.find("read-only"), std::string::npos)
-        << ro.message;
-
-    // "off" never emits a block, so a block claiming it is malformed.
-    const harness::CheckResult off =
-        harness::checkSweepArtifact(cachedSweepDoc("off", 0, 1, 0, 0));
-    EXPECT_FALSE(off.ok);
-    EXPECT_NE(off.message.find("mode"), std::string::npos) << off.message;
-
-    // Negative and missing counters are malformed.
-    const harness::CheckResult neg =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", -1, 2, 0, 0));
-    EXPECT_FALSE(neg.ok);
-    const Json dropped = mutated(cachedSweepDoc("rw", 1, 0, 0, 0),
-                                 "\"bypassed\":0", "\"bypassed\":null");
-    const harness::CheckResult miss =
-        harness::checkSweepArtifact(dropped);
-    EXPECT_FALSE(miss.ok);
-    EXPECT_NE(miss.message.find("bypassed"), std::string::npos)
-        << miss.message;
-}
-
-TEST(JsonCheckCache, ComparePointsAcceptsOnlyByteIdenticalArrays)
-{
-    // Cold (all misses) vs warm (all hits): cache blocks differ, the
-    // points arrays must not.
-    const Json cold = cachedSweepDoc("rw", 0, 1, 1, 0);
-    const Json warm = cachedSweepDoc("rw", 1, 0, 0, 0);
-    const harness::CheckResult same =
-        harness::compareSweepPoints(cold, warm);
-    EXPECT_TRUE(same.ok) << same.message;
-    EXPECT_NE(same.message.find("byte-identical"), std::string::npos);
-
-    // A single diverging stat is caught and named.
-    const Json drifted =
-        mutated(warm, "\"cycles\":100", "\"cycles\":101");
-    const harness::CheckResult diff =
-        harness::compareSweepPoints(cold, drifted);
-    EXPECT_FALSE(diff.ok);
-    EXPECT_NE(diff.message.find("p0"), std::string::npos) << diff.message;
-
-    // Different benches must not be compared at all.
-    const Json other = mutated(warm, "\"bench\":\"unit\"",
-                               "\"bench\":\"other\"");
-    const harness::CheckResult bench =
-        harness::compareSweepPoints(cold, other);
-    EXPECT_FALSE(bench.ok);
-    EXPECT_NE(bench.message.find("bench"), std::string::npos)
-        << bench.message;
-}
-
-// --- json_check: sweep config records ----------------------------------
-
 TEST(JsonCheckSweep, ConfigMissingRecordKeyFails)
 {
-    const Json doc = cachedSweepDoc("rw", 0, 1, 1, 0);
+    const Json doc = sweepDoc();
+    ASSERT_TRUE(harness::checkSweepArtifact(doc, 1).ok);
     const harness::CheckResult r = harness::checkSweepArtifact(
         mutated(doc, "\"ddos_time_share\":false,", ""));
     EXPECT_FALSE(r.ok);
@@ -450,11 +337,54 @@ TEST(JsonCheckSweep, ConfigMissingRecordKeyFails)
 TEST(JsonCheckSweep, ConfigCarryingIdleSkipFails)
 {
     const harness::CheckResult r = harness::checkSweepArtifact(
-        mutated(cachedSweepDoc("rw", 0, 1, 1, 0), "\"num_devices\":1",
+        mutated(sweepDoc(), "\"num_devices\":1",
                 "\"num_devices\":1,\"idle_skip\":true"));
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.message.find("\"idle_skip\""), std::string::npos)
         << r.message;
+}
+
+// --- statsToJson -------------------------------------------------------
+
+/** A run's statistics with only the counters every record carries. */
+KernelStats
+minimalStats()
+{
+    KernelStats s;
+    s.kernel = "TB";
+    s.cycles = 10;
+    s.warpInstructions = 5;
+    return s;
+}
+
+TEST(StatsToJson, MinimalStatsOmitOptionalBlocks)
+{
+    const Json j = harness::statsToJson(minimalStats());
+    EXPECT_FALSE(j.has("stall"));
+    EXPECT_FALSE(j.has("stall_table"));
+    EXPECT_FALSE(j.has("unit_issues"));
+    EXPECT_FALSE(j.has("ipc_est"));
+    EXPECT_FALSE(j.has("sampled_windows"));
+    EXPECT_FALSE(j.has("devices"));
+    EXPECT_FALSE(j.at("mem").has("link_packets"));
+    EXPECT_FALSE(j.at("sched").has("peak_resident_per_sm"));
+}
+
+TEST(StatsToJson, NonFiniteValuesAreFatal)
+{
+    // A NaN/Inf statistic is a simulator bug, and emitting it would write
+    // an artifact no JSON parser accepts. Fail at the source instead.
+    KernelStats nan_energy = minimalStats();
+    nan_energy.energyNj = std::nan("");
+    EXPECT_THROW(harness::statsToJson(nan_energy), FatalError);
+
+    KernelStats inf_static = minimalStats();
+    inf_static.staticEnergyNj = INFINITY;
+    EXPECT_THROW(harness::statsToJson(inf_static), FatalError);
+
+    KernelStats nan_dpr = minimalStats();
+    nan_dpr.ddos.dprFalseSum = -std::nan("");
+    EXPECT_THROW(harness::statsToJson(nan_dpr), FatalError);
 }
 
 }  // namespace

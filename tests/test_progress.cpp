@@ -79,56 +79,5 @@ TEST(ProgressMeter, IgnoresPointsWhenInactive)
     EXPECT_EQ(m.etaSeconds(), 0.0);
 }
 
-TEST(ProgressMeter, CountsCacheHitsSeparatelyFromSimulatedPoints)
-{
-    ProgressMeter m;
-    m.start("unit", 4);
-    m.enableCacheDisplay();
-    m.pointDoneAt(100, 1.0, /*from_cache=*/false);
-    m.pointDoneAt(100, 2.0, /*from_cache=*/true);
-    m.pointDoneAt(100, 3.0, /*from_cache=*/true);
-    m.pointDoneAt(100, 4.0, /*from_cache=*/false);
-    EXPECT_EQ(m.cacheHits(), 2u);
-    EXPECT_EQ(m.cacheMisses(), 2u);
-    m.finish();
-}
-
-TEST(ProgressMeter, CachedPointsContributeNoSimulatedThroughput)
-{
-    // Two meters, same completion times; in one, the second point is a
-    // cache hit. The hit's sim_cycles must not enter the cycles/s rate
-    // (a warm run simulates nothing), but the ETA math — driven by
-    // completion gaps — is unaffected. Since the rate itself is only
-    // printed, assert the observable invariant: counters diverge while
-    // the ETA stays identical.
-    ProgressMeter sim, cached;
-    sim.start("unit", 3);
-    cached.start("unit", 3);
-    sim.pointDoneAt(1000, 1.0);
-    cached.pointDoneAt(1000, 1.0);
-    sim.pointDoneAt(1000, 2.0, false);
-    cached.pointDoneAt(1000, 2.0, true);
-    EXPECT_EQ(sim.cacheMisses(), 2u);
-    EXPECT_EQ(cached.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(sim.etaSeconds(), cached.etaSeconds());
-    sim.finish();
-    cached.finish();
-}
-
-TEST(ProgressMeter, CacheCountersResetOnStart)
-{
-    ProgressMeter m;
-    m.start("first", 1);
-    m.pointDoneAt(10, 1.0, true);
-    m.finish();
-    EXPECT_EQ(m.cacheHits(), 1u);
-    m.start("second", 1);
-    EXPECT_EQ(m.cacheHits(), 0u);
-    EXPECT_EQ(m.cacheMisses(), 0u);
-    m.pointDoneAt(10, 1.0, false);
-    m.finish();
-    EXPECT_EQ(m.cacheMisses(), 1u);
-}
-
 }  // namespace
 }  // namespace bowsim::metrics

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/log.hpp"
@@ -15,7 +17,8 @@
  * The parallel sweep harness: results must be bit-identical and in
  * submission order regardless of the worker count, and a point that
  * dies (deadlock-watchdog SimError) must be captured per-point without
- * killing the sweep.
+ * killing the sweep. The artifact it writes records each point's
+ * configuration through configToJson, which must write every field.
  */
 
 namespace bowsim {
@@ -229,6 +232,86 @@ TEST(SweepToJson, RecordsConfigRecordAndStaticEnergy)
     EXPECT_EQ(arr.at(1).at("config").dump(),
               harness::configToJson(skipping).dump());
     EXPECT_TRUE(harness::checkSweepArtifact(doc, 2).ok);
+}
+
+TEST(ConfigRecord, EveryConfigFieldMovesTheRecord)
+{
+    using Mut = std::pair<const char *, void (*)(GpuConfig &)>;
+    // One mutation per recorded GpuConfig field. If configToJson skips
+    // one of these, two points that simulate differently would write the
+    // same "config" block. checkSweepArtifact cannot catch that: it
+    // compares keys against configToJson's own list.
+    const std::vector<Mut> muts = {
+        {"name", [](GpuConfig &c) { c.name = "OTHER"; }},
+        {"numCores", [](GpuConfig &c) { c.numCores = 3; }},
+        {"maxThreadsPerCore",
+         [](GpuConfig &c) { c.maxThreadsPerCore = 1024; }},
+        {"numRegsPerCore", [](GpuConfig &c) { c.numRegsPerCore = 16384; }},
+        {"numSchedulersPerCore",
+         [](GpuConfig &c) { c.numSchedulersPerCore = 4; }},
+        {"scheduler",
+         [](GpuConfig &c) { c.scheduler = SchedulerKind::LRR; }},
+        {"gtoRotatePeriod",
+         [](GpuConfig &c) { c.gtoRotatePeriod = 60000; }},
+        {"bows.enabled",
+         [](GpuConfig &c) { c.bows.enabled = !c.bows.enabled; }},
+        {"bows.deprioritize",
+         [](GpuConfig &c) { c.bows.deprioritize = !c.bows.deprioritize; }},
+        {"bows.delayLimit", [](GpuConfig &c) { c.bows.delayLimit = 123; }},
+        {"bows.adaptive",
+         [](GpuConfig &c) { c.bows.adaptive = !c.bows.adaptive; }},
+        {"bows.minLimit", [](GpuConfig &c) { c.bows.minLimit = 10; }},
+        {"bows.maxLimit", [](GpuConfig &c) { c.bows.maxLimit = 5000; }},
+        {"ddos.hash", [](GpuConfig &c) { c.ddos.hash = HashKind::Modulo; }},
+        {"ddos.hashBits", [](GpuConfig &c) { c.ddos.hashBits = 4; }},
+        {"ddos.historyLength",
+         [](GpuConfig &c) { c.ddos.historyLength = 16; }},
+        {"ddos.confidenceThreshold",
+         [](GpuConfig &c) { c.ddos.confidenceThreshold = 2; }},
+        {"ddos.timeShare",
+         [](GpuConfig &c) { c.ddos.timeShare = !c.ddos.timeShare; }},
+        {"spinDetect",
+         [](GpuConfig &c) { c.spinDetect = SpinDetect::Oracle; }},
+        {"l1d.sizeBytes",
+         [](GpuConfig &c) { c.l1d.sizeBytes = 32 * 1024; }},
+        {"l1d.ways", [](GpuConfig &c) { c.l1d.ways = 8; }},
+        {"l1Mshrs", [](GpuConfig &c) { c.l1Mshrs = 64; }},
+        {"l2.sizeBytes",
+         [](GpuConfig &c) { c.l2.sizeBytes = 128 * 1024; }},
+        {"l2.ways", [](GpuConfig &c) { c.l2.ways = 16; }},
+        {"numL2Banks", [](GpuConfig &c) { c.numL2Banks = 8; }},
+        {"l2HitLatency", [](GpuConfig &c) { c.l2HitLatency = 100; }},
+        {"dramLatency", [](GpuConfig &c) { c.dramLatency = 200; }},
+        {"dramServicePeriod",
+         [](GpuConfig &c) { c.dramServicePeriod = 8; }},
+        {"atomicServicePeriod",
+         [](GpuConfig &c) { c.atomicServicePeriod = 8; }},
+        {"numDevices", [](GpuConfig &c) { c.numDevices = 2; }},
+        {"coreClockMhz", [](GpuConfig &c) { c.coreClockMhz = 1000.0; }},
+        {"watchdogCycles",
+         [](GpuConfig &c) { c.watchdogCycles = 100'000'000; }},
+        {"collectStallBreakdown",
+         [](GpuConfig &c) {
+             c.collectStallBreakdown = !c.collectStallBreakdown;
+         }},
+        {"execMode",
+         [](GpuConfig &c) { c.execMode = ExecMode::Functional; }},
+    };
+
+    const GpuConfig base = smallSweep().front().cfg;
+    const std::string base_dump = harness::configToJson(base).dump();
+    std::set<std::string> dumps{base_dump};
+    for (const Mut &m : muts) {
+        GpuConfig cfg = base;
+        m.second(cfg);
+        const std::string dump = harness::configToJson(cfg).dump();
+        EXPECT_NE(dump, base_dump)
+            << "mutating " << m.first << " did not change the record";
+        dumps.insert(dump);
+    }
+    // All mutations land on mutually distinct records, not just records
+    // that differ from the baseline.
+    EXPECT_EQ(dumps.size(), muts.size() + 1);
 }
 
 TEST(SweepToJson, RecordsExecMode)
