@@ -1,7 +1,6 @@
 #include "src/kernels/hashtable.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/log.hpp"
@@ -226,30 +225,40 @@ class HashtableHarness : public KernelHarness {
     bool
     validate(Gpu &gpu) const override
     {
-        // Every key must appear exactly once, in the right bucket chain.
+        // Every key must appear exactly once, in the right bucket chain:
+        // node i holds key i (the kernel stores it before linking), each
+        // node is reached once, and every lock is released. One bulk
+        // readback per array; a link must point at a node of the pool.
+        const std::uint64_t num_nodes = p_.insertions;
         std::vector<Word> heads(p_.buckets);
+        std::vector<Word> locks(p_.buckets);
+        std::vector<Word> nodes(2 * num_nodes);  // {key, next} pairs
         gpu.memcpyFromDevice(heads.data(), headsAddr_, p_.buckets * 8);
-        std::unordered_set<Addr> visited;
+        gpu.memcpyFromDevice(locks.data(), locksAddr_, p_.buckets * 8);
+        gpu.memcpyFromDevice(nodes.data(), nodesAddr_, num_nodes * 16);
+        std::vector<bool> visited(num_nodes);
         std::uint64_t found = 0;
         for (unsigned b = 0; b < p_.buckets; ++b) {
-            Addr node = static_cast<Addr>(heads[b]);
-            while (node != 0) {
-                if (!visited.insert(node).second)
-                    return false;  // cycle or double-link
-                Word kv[2];
-                gpu.memcpyFromDevice(kv, node, 16);
-                if (static_cast<std::uint64_t>(kv[0]) % p_.buckets != b)
-                    return false;  // key in the wrong bucket
-                ++found;
-                node = static_cast<Addr>(kv[1]);
-            }
-            // All locks must be released.
-            Word lock = 0;
-            gpu.memcpyFromDevice(&lock, locksAddr_ + 8 * b, 8);
-            if (lock != 0)
+            if (locks[b] != 0)
                 return false;
+            for (Addr link = static_cast<Addr>(heads[b]); link != 0;) {
+                // Unsigned: a link below the pool wraps to a huge offset.
+                const Addr offset = link - nodesAddr_;
+                if (offset % 16 != 0 || offset / 16 >= num_nodes)
+                    return false;  // not a node of the pool
+                const std::uint64_t i = offset / 16;
+                if (visited[i])
+                    return false;  // cycle or double-link
+                visited[i] = true;
+                const Word key = nodes[2 * i];
+                if (key != keys_[i] ||
+                    static_cast<std::uint64_t>(key) % p_.buckets != b)
+                    return false;  // wrong key, or key in the wrong bucket
+                ++found;
+                link = static_cast<Addr>(nodes[2 * i + 1]);
+            }
         }
-        return found == p_.insertions;
+        return found == num_nodes;
     }
 
     std::vector<const Program *>

@@ -1,5 +1,7 @@
 #include "src/kernels/tsp.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/log.hpp"
@@ -8,6 +10,22 @@
 namespace bowsim {
 
 namespace {
+
+/** The best cost before any climber has reported. */
+constexpr Word kInfinity = 1 << 30;
+
+/**
+ * Climbers per pass of the host reference: that many independent
+ * multiply chains in flight instead of one.
+ */
+constexpr unsigned kReferenceBatch = 8;
+
+/** One step of the kernel's cost chain (its COST loop body). */
+std::int64_t
+costStep(std::int64_t cost)
+{
+    return (cost * 1103515245 + 12345) & 1048575;
+}
 
 /**
  * Each climber evaluates a deterministic pseudo-random tour cost (an LCG
@@ -102,31 +120,17 @@ class TspHarness : public KernelHarness {
              static_cast<Word>(p_.climbers)}}};
     }
 
-    /** Host replica of the kernel's cost function. */
-    Word
-    hostCost(unsigned tid) const
-    {
-        std::int64_t cost = static_cast<std::int64_t>(tid) + 99991;
-        for (unsigned i = 0; i < p_.cities * p_.rounds; ++i) {
-            cost = cost * 1103515245 + 12345;
-            cost &= 1048575;
-        }
-        return cost;
-    }
-
     bool
     validate(Gpu &gpu) const override
     {
         Word best[2];
         gpu.memcpyFromDevice(best, bestAddr_, 16);
-        Word expected = kInfinity;
-        for (unsigned t = 0; t < p_.climbers; ++t)
-            expected = std::min(expected, hostCost(t));
+        const Word expected = tspHostBest(p_).cost;
         if (best[0] != expected)
             return false;
         if (best[1] < 0 ||
             best[1] >= static_cast<Word>(p_.climbers) ||
-            hostCost(static_cast<unsigned>(best[1])) != expected) {
+            tspHostCost(p_, static_cast<unsigned>(best[1])) != expected) {
             return false;
         }
         Word mutex = 0;
@@ -141,8 +145,6 @@ class TspHarness : public KernelHarness {
     }
 
   private:
-    static constexpr Word kInfinity = 1 << 30;
-
     TspParams p_;
     Program prog_;
     Addr mutexAddr_ = 0;
@@ -150,6 +152,38 @@ class TspHarness : public KernelHarness {
 };
 
 }  // namespace
+
+Word
+tspHostCost(const TspParams &p, unsigned climber)
+{
+    std::int64_t cost = static_cast<std::int64_t>(climber) + 99991;
+    for (unsigned i = 0; i < p.cities * p.rounds; ++i)
+        cost = costStep(cost);
+    return cost;
+}
+
+TspBest
+tspHostBest(const TspParams &p)
+{
+    TspBest best{kInfinity, 0};
+    for (unsigned first = 0; first < p.climbers;) {
+        const unsigned n = std::min(kReferenceBatch, p.climbers - first);
+        // Lanes past n run on a spare chain and are ignored.
+        std::int64_t cost[kReferenceBatch];
+        for (unsigned k = 0; k < kReferenceBatch; ++k)
+            cost[k] = static_cast<std::int64_t>(first) + k + 99991;
+        for (unsigned i = 0; i < p.cities * p.rounds; ++i) {
+            for (std::int64_t &c : cost)
+                c = costStep(c);
+        }
+        for (unsigned k = 0; k < n; ++k) {
+            if (cost[k] < best.cost)
+                best = {cost[k], first + k};
+        }
+        first += n;
+    }
+    return best;
+}
 
 std::unique_ptr<KernelHarness>
 makeTsp(const TspParams &p)

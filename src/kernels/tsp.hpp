@@ -27,6 +27,22 @@ struct TspParams {
 
 std::unique_ptr<KernelHarness> makeTsp(const TspParams &p);
 
+/** The host reference's best tour: its cost and the first climber that
+ *  reaches it. */
+struct TspBest {
+    Word cost = 0;
+    unsigned climber = 0;
+};
+
+/** Host replica of the kernel's tour cost for one climber. */
+Word tspHostCost(const TspParams &p, unsigned climber);
+
+/**
+ * The best tour over all p.climbers climbers: the minimum of
+ * tspHostCost and its first argmin, computed several climbers per pass.
+ */
+TspBest tspHostBest(const TspParams &p);
+
 }  // namespace bowsim
 
 #endif  // BOWSIM_KERNELS_TSP_HPP

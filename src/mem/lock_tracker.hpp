@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/types.hpp"
 
@@ -19,6 +19,10 @@
  *    the word, and an inter-warp failure otherwise;
  *  - a store, an exchange, or a successful CAS that stores 0 releases a
  *    held word.
+ *
+ * Owners live in a flat open-addressed table (docs/PERF.md, "Lock
+ * tracking and validation"), because every CAS lane and, while any lock
+ * is held, every store lane probes it.
  */
 
 namespace bowsim {
@@ -41,6 +45,7 @@ class LockTracker {
   public:
     /**
      * Records a CAS attempt on @p addr by global warp @p warp_key.
+     * @param warp_key     nonzero: 0 marks an empty slot, and panics
      * @param old_value    value read by the CAS
      * @param expected     the compare value
      * @param desired      the swap value
@@ -52,10 +57,35 @@ class LockTracker {
     LockTransition onWrite(Addr addr);
 
     /** Number of currently-held tracked locks. */
-    size_t held() const { return owner_.size(); }
+    size_t held() const { return held_; }
 
   private:
-    std::unordered_map<Addr, std::uint64_t> owner_;
+    /** One table slot; owner 0 marks it empty. */
+    struct Slot {
+        Addr addr = 0;
+        std::uint64_t owner = 0;
+    };
+
+    /** The slot @p addr hashes to. */
+    size_t
+    home(Addr addr) const
+    {
+        return static_cast<size_t>((addr * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+
+    /** The slot holding @p addr, or the empty slot that ends its probe. */
+    size_t probe(Addr addr) const;
+    void grow();
+
+    /**
+     * Power-of-two capacity (empty until the first acquire), kept at
+     * least twice held_, so every probe ends at an empty slot.
+     */
+    std::vector<Slot> slots_;
+    size_t held_ = 0;
+    /** 64 - log2(capacity), set by grow(): home() keeps the hash's top
+     *  bits. */
+    unsigned shift_ = 64;
 };
 
 }  // namespace bowsim

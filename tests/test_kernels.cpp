@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/log.hpp"
 #include "src/kernels/atm.hpp"
@@ -68,6 +70,144 @@ TEST(Kernels, HashtableWithSoftwareDelayValidates)
     auto h = makeHashtable(p);
     KernelStats s = h->run(gpu);
     EXPECT_EQ(s.outcomes.lockSuccess, p.insertions);
+}
+
+Word
+peek(Gpu &gpu, Addr addr)
+{
+    Word v = 0;
+    gpu.memcpyFromDevice(&v, addr, 8);
+    return v;
+}
+
+void
+poke(Gpu &gpu, Addr addr, Word v)
+{
+    gpu.memcpyToDevice(addr, &v, 8);
+}
+
+/** A named set of word writes that breaks one result property. */
+struct Corruption {
+    std::string name;
+    std::vector<std::pair<Addr, Word>> writes;
+};
+
+/**
+ * Applies each corruption to @p h's validated results in turn: validate()
+ * must reject it, and accept again once the words are restored.
+ */
+void
+expectEachCorruptionRejected(Gpu &gpu, const KernelHarness &h,
+                             const std::vector<Corruption> &cases)
+{
+    ASSERT_TRUE(h.validate(gpu));
+    for (const Corruption &c : cases) {
+        std::vector<std::pair<Addr, Word>> saved;
+        for (const auto &[addr, value] : c.writes) {
+            saved.emplace_back(addr, peek(gpu, addr));
+            poke(gpu, addr, value);
+        }
+        EXPECT_FALSE(h.validate(gpu)) << c.name;
+        for (auto it = saved.rbegin(); it != saved.rend(); ++it)
+            poke(gpu, it->first, it->second);
+        ASSERT_TRUE(h.validate(gpu)) << "after restoring: " << c.name;
+    }
+}
+
+TEST(Kernels, HashtableValidatorRejectsEachCorruption)
+{
+    Gpu gpu(testConfig());
+    HashtableParams p;
+    p.insertions = 512;
+    p.buckets = 16;
+    p.ctas = 4;
+    p.threadsPerCta = 128;
+    auto h = makeHashtable(p);
+    (void)h->run(gpu);
+    // Params: keys, locks, heads, nodes ({key, next}, 16 bytes each).
+    const std::vector<Word> params = h->launches()[0].params;
+    const Addr keys = static_cast<Addr>(params[0]);
+    const Addr locks = static_cast<Addr>(params[1]);
+    const Addr heads = static_cast<Addr>(params[2]);
+    const Addr nodes = static_cast<Addr>(params[3]);
+
+    // Bucket 0's chain a0 -> a1 -> ... -> tail, and bucket 1's head b0.
+    const auto a0 = static_cast<Addr>(peek(gpu, heads));
+    ASSERT_NE(a0, 0u);
+    const auto a1 = static_cast<Addr>(peek(gpu, a0 + 8));
+    const auto b0 = static_cast<Addr>(peek(gpu, heads + 8));
+    ASSERT_NE(a1, 0u);
+    ASSERT_NE(b0, 0u);
+    Addr tail = a1;
+    while (peek(gpu, tail + 8) != 0)
+        tail = static_cast<Addr>(peek(gpu, tail + 8));
+    const Word key0 = peek(gpu, a0);
+
+    expectEachCorruptionRejected(
+        gpu, *h,
+        {{"chain cycle", {{tail + 8, static_cast<Word>(a0)}}},
+         {"node spliced into another bucket's chain",
+          {{heads, static_cast<Word>(a1)},
+           {a0 + 8, static_cast<Word>(b0)},
+           {heads + 8, static_cast<Word>(a0)}}},
+         {"held lock", {{locks + 8 * 5, 1}}},
+         {"dropped node", {{heads, static_cast<Word>(a1)}}},
+         // The tail's link, so no node is dropped: only the pool check
+         // rejects these.
+         {"link past the node pool",
+          {{tail + 8, static_cast<Word>(nodes + 16 * p.insertions)}}},
+         {"link below the node pool", {{tail + 8, static_cast<Word>(keys)}}},
+         {"link into the middle of a node",
+          {{tail + 8, static_cast<Word>(a0 + 8)}}},
+         // Same bucket, so only the node-holds-its-key check sees it.
+         {"wrong key in the right bucket", {{a0, key0 + p.buckets}}}});
+}
+
+TEST(Kernels, TspValidatorRejectsEachCorruption)
+{
+    Gpu gpu(testConfig());
+    TspParams p;
+    p.climbers = 512;
+    p.rounds = 2;
+    auto h = makeTsp(p);
+    (void)h->run(gpu);
+    // Params: mutex, best ({cost, index}, 16 bytes).
+    const std::vector<Word> params = h->launches()[0].params;
+    const Addr mutex = static_cast<Addr>(params[0]);
+    const Addr best = static_cast<Addr>(params[1]);
+    const Word cost = peek(gpu, best);
+    unsigned other = 0;
+    while (tspHostCost(p, other) == cost)
+        ++other;
+
+    expectEachCorruptionRejected(
+        gpu, *h,
+        {{"best cost above the minimum", {{best, cost + 1}}},
+         {"index whose cost differs", {{best + 8, Word{other}}}},
+         {"index past the climbers", {{best + 8, Word{p.climbers}}}},
+         {"negative index", {{best + 8, -1}}},
+         {"held mutex", {{mutex, 1}}}});
+}
+
+TEST(Kernels, TspBatchedReferenceMatchesTheScalarLoop)
+{
+    // Counts around the batch width, and the default 3000.
+    for (unsigned climbers : {1u, 7u, 8u, 9u, 3000u}) {
+        TspParams p;
+        p.climbers = climbers;
+        Word min = tspHostCost(p, 0);
+        unsigned argmin = 0;
+        for (unsigned t = 1; t < climbers; ++t) {
+            const Word c = tspHostCost(p, t);
+            if (c < min) {
+                min = c;
+                argmin = t;
+            }
+        }
+        const TspBest best = tspHostBest(p);
+        EXPECT_EQ(best.cost, min) << climbers << " climbers";
+        EXPECT_EQ(best.climber, argmin) << climbers << " climbers";
+    }
 }
 
 TEST(Kernels, AtmConservesMoney)
