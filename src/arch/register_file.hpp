@@ -1,16 +1,17 @@
 #ifndef BOWSIM_ARCH_REGISTER_FILE_HPP
 #define BOWSIM_ARCH_REGISTER_FILE_HPP
 
+#include <cstddef>
 #include <vector>
 
-#include "src/common/log.hpp"
 #include "src/common/types.hpp"
 
 /**
  * @file
  * Per-warp architectural register state: 32 lanes of general-purpose
  * 64-bit registers plus per-lane predicate bits (one LaneMask per
- * predicate register).
+ * predicate register). Accesses are unchecked: verify() proves at
+ * launch that every index is inside the declared file.
  */
 
 namespace bowsim {
@@ -18,8 +19,7 @@ namespace bowsim {
 class RegisterFile {
   public:
     RegisterFile(unsigned num_regs, unsigned num_preds)
-        : numRegs_(num_regs),
-          regs_(static_cast<size_t>(num_regs) * kWarpSize, 0),
+        : regs_(static_cast<std::size_t>(num_regs) * kWarpSize, 0),
           preds_(num_preds, 0)
     {
     }
@@ -28,42 +28,28 @@ class RegisterFile {
     LaneMask
     predMask(int pred, LaneMask mask) const
     {
-        return preds_.at(pred) & mask;
+        return preds_[pred] & mask;
     }
 
-    unsigned numRegs() const { return numRegs_; }
-
-    /**
-     * Register @p reg's row, all 32 lanes: one bounds check per
-     * instruction. Rows are lane-contiguous (reg-major layout).
-     */
+    /** Register @p reg's row, all 32 lanes. Rows are lane-contiguous
+     *  (reg-major layout). */
     const Word *
     row(int reg) const
     {
-        checkReg(reg);
-        return regs_.data() + static_cast<size_t>(reg) * kWarpSize;
+        return regs_.data() + static_cast<std::size_t>(reg) * kWarpSize;
     }
     Word *
     row(int reg)
     {
-        checkReg(reg);
-        return regs_.data() + static_cast<size_t>(reg) * kWarpSize;
+        return regs_.data() + static_cast<std::size_t>(reg) * kWarpSize;
     }
 
     /** All 32 lanes of predicate @p pred as a bitmask. */
-    LaneMask predBits(int pred) const { return preds_.at(pred); }
+    LaneMask predBits(int pred) const { return preds_[pred]; }
     /** Mutable predicate row for per-instruction write loops. */
-    LaneMask &predRow(int pred) { return preds_.at(pred); }
+    LaneMask &predRow(int pred) { return preds_[pred]; }
 
   private:
-    void
-    checkReg(int reg) const
-    {
-        if (reg < 0 || static_cast<unsigned>(reg) >= numRegs_)
-            panic("register file access out of range: %r", reg);
-    }
-
-    unsigned numRegs_;
     std::vector<Word> regs_;
     std::vector<LaneMask> preds_;
 };

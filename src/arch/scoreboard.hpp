@@ -1,9 +1,10 @@
 #ifndef BOWSIM_ARCH_SCOREBOARD_HPP
 #define BOWSIM_ARCH_SCOREBOARD_HPP
 
+#include <bit>
 #include <cstdint>
-#include <vector>
 
+#include "src/common/log.hpp"
 #include "src/isa/instruction.hpp"
 
 /**
@@ -15,98 +16,90 @@
 
 namespace bowsim {
 
+/**
+ * The registers one instruction touches, as scoreboard masks: bit i of
+ * regs is %ri and bit i of preds is %pi, set for every source, the guard
+ * and the destination. Indices must be below 64 (kMaxRegs, kMaxPreds),
+ * which verify() checks at launch.
+ */
+struct Hazards {
+    std::uint64_t regs = 0;
+    std::uint64_t preds = 0;
+};
+
+/** @p inst's hazard masks (LaunchState builds them once per PC). */
+inline Hazards
+hazardsOf(const Instruction &inst)
+{
+    Hazards h;
+    auto add = [&h](const Operand &op) {
+        if (op.kind == Operand::Kind::Reg)
+            h.regs |= std::uint64_t{1} << op.index;
+        else if (op.kind == Operand::Kind::Pred)
+            h.preds |= std::uint64_t{1} << op.index;
+    };
+    add(inst.dst);
+    for (const Operand &src : inst.src)
+        add(src);
+    if (inst.guard >= 0)
+        h.preds |= std::uint64_t{1} << inst.guard;
+    return h;
+}
+
 class Scoreboard {
   public:
-    Scoreboard(unsigned num_regs, unsigned num_preds)
-        : numRegs_(num_regs), numPreds_(num_preds),
-          wideRegs_(num_regs > 64 ? num_regs - 64 : 0),
-          widePreds_(num_preds > 64 ? num_preds - 64 : 0)
-    {
-    }
-
-    /** True when @p inst has no outstanding hazard. */
+    /** True when nothing @p h names is pending: two ANDs. */
     bool
-    canIssue(const Instruction &inst) const
+    canIssue(const Hazards &h) const
     {
-        // Nothing in flight means no hazard of any kind; this is the
-        // common case on the per-cycle arbitration path.
-        if (outstanding_ == 0)
-            return true;
-        // Assembled instructions carry their full read/guard/write set
-        // as bitmasks, reducing the hazard check to two ANDs.
-        if (inst.hazardMasksValid) {
-            return (regMask_ & inst.hazardRegMask) == 0 &&
-                   (predMask_ & inst.hazardPredMask) == 0;
-        }
-        return canIssueSlow(inst);
+        return ((regMask_ & h.regs) | (predMask_ & h.preds)) == 0;
     }
 
     /** Marks @p inst's destination as pending (no-op if none). Panics
-     *  when it is already pending (WAW) or outside the register file. */
+     *  when it is already pending (WAW). */
     void reserve(const Instruction &inst) { mark(inst.dst, true); }
 
     /** Clears @p inst's destination (called at writeback). Panics when
-     *  it is not pending or outside the register file. */
+     *  it is not pending. */
     void release(const Instruction &inst) { mark(inst.dst, false); }
 
     /** True when no writes are outstanding (used at barriers/teardown). */
-    bool idle() const { return outstanding_ == 0; }
+    bool idle() const { return (regMask_ | predMask_) == 0; }
 
-    unsigned outstanding() const { return outstanding_; }
+    unsigned
+    outstanding() const
+    {
+        return static_cast<unsigned>(std::popcount(regMask_) +
+                                     std::popcount(predMask_));
+    }
 
   private:
-    bool pending(const Operand &op) const;
-    bool canIssueSlow(const Instruction &inst) const;
-
-    /**
-     * Sets (@p reserve) or clears the pending flag of @p dst. Indices
-     * below 64 are one mask bit, inline; wider files and every error go
-     * through markSlow().
-     */
+    /** Sets (@p reserve) or clears the pending bit of @p dst. */
     void
     mark(const Operand &dst, bool reserve)
     {
         std::uint64_t *mask;
-        unsigned size;
         switch (dst.kind) {
           case Operand::Kind::Reg:
             mask = &regMask_;
-            size = numRegs_;
             break;
           case Operand::Kind::Pred:
             mask = &predMask_;
-            size = numPreds_;
             break;
           default:
             return;
         }
-        const unsigned i = static_cast<unsigned>(dst.index);
-        const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-        if (i >= 64 || i >= size || ((*mask & bit) != 0) == reserve) {
-            markSlow(dst, reserve);
-            return;
-        }
+        const std::uint64_t bit = std::uint64_t{1} << dst.index;
+        if (((*mask & bit) != 0) == reserve)
+            panic("scoreboard: ",
+                  reserve ? "WAW reserve on " : "release of idle ",
+                  mask == &regMask_ ? "%r" : "%p", dst.index);
         *mask ^= bit;
-        if (reserve)
-            ++outstanding_;
-        else
-            --outstanding_;
     }
-    void markSlow(const Operand &dst, bool reserve);
 
-    unsigned numRegs_;
-    unsigned numPreds_;
-    /**
-     * The pending flags: bit i of the masks for index i < 64 (every
-     * assembled kernel), the wide vectors at index i - 64 above. Wider
-     * register files leave the hazard-mask fast path unused, because
-     * their instructions carry no hazard masks.
-     */
+    /** Pending writes: bit i for %ri (resp. %pi). */
     std::uint64_t regMask_ = 0;
     std::uint64_t predMask_ = 0;
-    std::vector<bool> wideRegs_;
-    std::vector<bool> widePreds_;
-    unsigned outstanding_ = 0;
 };
 
 }  // namespace bowsim

@@ -60,8 +60,7 @@ class Warp {
     Warp(unsigned id, unsigned cta, unsigned warp_in_cta, std::uint64_t age,
          unsigned num_regs, unsigned num_preds, LaneMask active)
         : id_(id), cta_(cta), warpInCta_(warp_in_cta), age_(age),
-          regs_(num_regs, num_preds),
-          scoreboard_(num_regs, num_preds)
+          regs_(num_regs, num_preds)
     {
         stack_.reset(active);
     }

@@ -17,9 +17,6 @@
  * These throw SimError, which derives from FatalError, so existing
  * catch sites keep working while sweep harnesses can catch a diverging
  * simulation point and keep the rest of the sweep alive.
- *
- * The warning sink is mutex-guarded: sweep harnesses run many
- * simulations on worker threads concurrently.
  */
 
 namespace bowsim {
@@ -96,9 +93,6 @@ panic(const Args &...args)
 {
     throw PanicError(detail::format(args...));
 }
-
-/** Emit a non-fatal warning to std::cerr (thread-safe). */
-void warn(const std::string &message);
 
 }  // namespace bowsim
 

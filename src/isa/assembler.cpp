@@ -568,8 +568,6 @@ class Parser {
                   prog_.numPreds);
 
         assignReconvergencePcs(prog_);
-        for (Instruction &inst : prog_.code)
-            computeHazardMasks(inst);
     }
 
     const std::string &source_;

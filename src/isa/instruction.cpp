@@ -4,39 +4,6 @@
 
 namespace bowsim {
 
-void
-computeHazardMasks(Instruction &inst)
-{
-    std::uint64_t regs = 0;
-    std::uint64_t preds = 0;
-    bool fits = true;
-    auto add = [&](const Operand &op) {
-        if (op.kind == Operand::Kind::Reg) {
-            if (op.index < 0 || op.index >= 64)
-                fits = false;
-            else
-                regs |= std::uint64_t{1} << op.index;
-        } else if (op.kind == Operand::Kind::Pred) {
-            if (op.index < 0 || op.index >= 64)
-                fits = false;
-            else
-                preds |= std::uint64_t{1} << op.index;
-        }
-    };
-    add(inst.dst);
-    for (const Operand &src : inst.src)
-        add(src);
-    if (inst.guard >= 0) {
-        if (inst.guard >= 64)
-            fits = false;
-        else
-            preds |= std::uint64_t{1} << inst.guard;
-    }
-    inst.hazardRegMask = regs;
-    inst.hazardPredMask = preds;
-    inst.hazardMasksValid = fits;
-}
-
 std::string
 toString(Opcode op)
 {

@@ -140,17 +140,6 @@ struct Instruction {
     /** Source line in the assembly text, for diagnostics. */
     int line = 0;
 
-    /**
-     * Precomputed scoreboard hazard masks: bit i set when %ri (resp. %pi)
-     * appears as a source, guard or destination. Valid only when
-     * hazardMasksValid — the assembler fills them for every assembled
-     * kernel; hand-built instructions (unit tests) keep the operand-walk
-     * slow path, as do register indices >= 64.
-     */
-    std::uint64_t hazardRegMask = 0;
-    std::uint64_t hazardPredMask = 0;
-    bool hazardMasksValid = false;
-
     bool isBranch() const { return op == Opcode::Bra; }
     bool
     isMemory() const
@@ -167,10 +156,6 @@ struct Instruction {
                op == Opcode::Div || op == Opcode::Rem;
     }
 };
-
-/** Fills @p inst's hazard masks (no-op marker left unset when any
- *  register index does not fit a 64-bit mask). */
-void computeHazardMasks(Instruction &inst);
 
 /** Human-readable rendering, for diagnostics and tests. */
 std::string toString(const Instruction &inst);

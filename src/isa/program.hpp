@@ -42,13 +42,21 @@ struct SyncAnnotations {
     bool isSyncPc(Pc pc) const { return syncRegion.count(pc) != 0; }
 };
 
+/**
+ * The largest register and predicate files a Program may declare: a
+ * warp's scoreboard keeps one 64-bit mask of each. verify() enforces
+ * both, so every index an instruction names fits a mask bit.
+ */
+constexpr unsigned kMaxRegs = 64;
+constexpr unsigned kMaxPreds = 64;
+
 /** One assembled kernel. */
 struct Program {
     std::string name;
     std::vector<Instruction> code;
-    /** General-purpose registers per thread. */
+    /** General-purpose registers per thread (at most kMaxRegs). */
     unsigned numRegs = 16;
-    /** Predicate registers per thread. */
+    /** Predicate registers per thread (at most kMaxPreds). */
     unsigned numPreds = 4;
     /** Static shared memory per CTA, bytes. */
     unsigned sharedBytes = 0;

@@ -1,5 +1,6 @@
 #include "src/isa/verifier.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -9,29 +10,24 @@ namespace bowsim {
 
 namespace {
 
+/**
+ * Flags a register or predicate operand outside the declared file, or
+ * past the scoreboard's 64-bit masks when the declaration is larger.
+ */
 void
 checkOperandBounds(const Program &prog, Pc pc, const Operand &op,
                    const char *role, std::vector<VerifyIssue> &issues)
 {
-    switch (op.kind) {
-      case Operand::Kind::Reg:
-        if (op.index < 0 ||
-            static_cast<unsigned>(op.index) >= prog.numRegs) {
-            issues.push_back(
-                {pc, std::string(role) + ": register %r" +
-                         std::to_string(op.index) + " out of bounds"});
-        }
-        break;
-      case Operand::Kind::Pred:
-        if (op.index < 0 ||
-            static_cast<unsigned>(op.index) >= prog.numPreds) {
-            issues.push_back(
-                {pc, std::string(role) + ": predicate %p" +
-                         std::to_string(op.index) + " out of bounds"});
-        }
-        break;
-      default:
-        break;
+    const bool reg = op.kind == Operand::Kind::Reg;
+    if (!reg && op.kind != Operand::Kind::Pred)
+        return;
+    const unsigned size = reg ? std::min(prog.numRegs, kMaxRegs)
+                              : std::min(prog.numPreds, kMaxPreds);
+    if (op.index < 0 || static_cast<unsigned>(op.index) >= size) {
+        issues.push_back({pc, std::string(role) +
+                                  (reg ? ": register %r" : ": predicate %p") +
+                                  std::to_string(op.index) +
+                                  " out of bounds"});
     }
 }
 
@@ -88,6 +84,17 @@ verify(const Program &prog)
         return issues;
     }
 
+    if (prog.numRegs > kMaxRegs) {
+        issues.push_back({0, ".reg " + std::to_string(prog.numRegs) +
+                                 " is over the limit of " +
+                                 std::to_string(kMaxRegs) + " registers"});
+    }
+    if (prog.numPreds > kMaxPreds) {
+        issues.push_back({0, ".pred " + std::to_string(prog.numPreds) +
+                                 " is over the limit of " +
+                                 std::to_string(kMaxPreds) + " predicates"});
+    }
+
     const Instruction &last = prog.code.back();
     bool terminated = (last.op == Opcode::Exit && last.guard < 0) ||
                       (last.op == Opcode::Bra && last.guard < 0);
@@ -114,16 +121,17 @@ verify(const Program &prog)
         for (const Operand &s : inst.src)
             checkOperandBounds(prog, pc, s, "src", issues);
         if (inst.guard >= 0 &&
-            static_cast<unsigned>(inst.guard) >= prog.numPreds) {
+            static_cast<unsigned>(inst.guard) >=
+                std::min(prog.numPreds, kMaxPreds)) {
             issues.push_back({pc, "guard predicate out of bounds"});
         }
 
         if (inst.op == Opcode::Bra && inst.target >= n)
             issues.push_back({pc, "branch target out of range"});
-        if (inst.op == Opcode::Bra && inst.guard >= 0 && !inst.uniform &&
-            inst.reconvergence == kInvalidPc) {
-            // Allowed (merge at exit), but the target must still exist.
-        }
+        // kInvalidPc reconverges at exit; any other value is a PC.
+        if (inst.op == Opcode::Bra && inst.reconvergence != kInvalidPc &&
+            inst.reconvergence >= n)
+            issues.push_back({pc, "reconvergence PC out of range"});
         if (inst.isMemory() && inst.size != 2 && inst.size != 4 &&
             inst.size != 8) {
             issues.push_back({pc, "bad memory access size"});
@@ -149,6 +157,10 @@ verify(const Program &prog)
     for (Pc pc : prog.sync.waitChecks) {
         if (pc >= n || prog.at(pc).op != Opcode::Setp)
             issues.push_back({pc, "wait annotation on a non-setp"});
+    }
+    for (Pc pc : prog.sync.syncRegion) {
+        if (pc >= n)
+            issues.push_back({pc, "sync-region annotation past the end"});
     }
     return issues;
 }

@@ -9,9 +9,11 @@
 /**
  * @file
  * Static program verification and disassembly. The verifier enforces the
- * invariants the simulator assumes (so broken hand-built programs fail
- * loudly at load time instead of corrupting a simulation); the
- * disassembler renders a Program back to assembler-compatible text.
+ * invariants the simulator assumes: GpuSystem::launch runs verifyOrDie()
+ * on every program, in both execution modes, so a broken hand-built
+ * program fails with a FatalError before its first cycle, and the
+ * engines index registers, predicates, PCs and annotations unchecked.
+ * The disassembler renders a Program back to assembler-compatible text.
  */
 
 namespace bowsim {
@@ -23,11 +25,12 @@ struct VerifyIssue {
 };
 
 /**
- * Checks @p prog against the simulator's structural invariants:
- * register/predicate indices within bounds, branch targets in range,
+ * Checks @p prog against the simulator's structural invariants: at
+ * most kMaxRegs registers and kMaxPreds predicates, register/predicate
+ * indices within bounds, branch targets and reconvergence PCs in range,
  * operand shapes per opcode, terminated fall-through, annotation
- * consistency (spin branches are backward branches, acquires are
- * atomics, waits are setps).
+ * consistency (every annotated PC exists, spin branches are backward
+ * branches, acquires are atomics, waits are setps).
  *
  * @return all violations found (empty = valid).
  */

@@ -26,7 +26,6 @@ FunctionalExecutor::FunctionalExecutor(const GpuConfig &cfg,
     warpsPerCta_ = (threads_per_cta + kWarpSize - 1) / kWarpSize;
     maxResidentCtas_ = maxResidentCtasFor(cfg, prog, threads_per_cta);
     code_ = prog.code.data();
-    codeSize_ = static_cast<Pc>(prog.code.size());
     if (launch_.pcFlags.size() != prog.code.size())
         launch_.buildPcFlags();
     if (launch_.tracker == nullptr)
@@ -34,12 +33,6 @@ FunctionalExecutor::FunctionalExecutor(const GpuConfig &cfg,
     sms_.resize(cfg.numCores);
     for (FSm &sm : sms_)
         sm.ctas.resize(maxResidentCtas_);
-}
-
-const Instruction &
-FunctionalExecutor::fetch(Pc pc) const
-{
-    return pc < codeSize_ ? code_[pc] : launch_.prog->at(pc);
 }
 
 bool
@@ -91,7 +84,7 @@ FunctionalExecutor::runWarpSlice(unsigned sm_id, Cta &cta, Warp &w)
     LaneAddrs addrs{};  // lane addresses only feed cycle-mode timing
     while (n < kSliceInstructions) {
         const Pc pc = w.stack().pc();
-        const Instruction &inst = fetch(pc);
+        const Instruction &inst = code_[pc];  // verify(): pc in range
         const LaneMask active = w.stack().activeMask();
         LaneMask exec_mask = active;
         if (inst.guard >= 0) {

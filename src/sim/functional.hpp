@@ -68,15 +68,14 @@ class FunctionalExecutor {
     void onWarpFinished(FSm &sm, Cta &cta);
     /** Runs one warp turn; returns instructions executed. */
     std::uint64_t runWarpSlice(unsigned sm_id, Cta &cta, Warp &w);
-    const Instruction &fetch(Pc pc) const;
 
     const GpuConfig &cfg_;
     LaunchState &launch_;
     std::vector<FSm> sms_;
     unsigned warpsPerCta_ = 0;
     unsigned maxResidentCtas_ = 0;
+    /** The program's instructions, fetched unchecked by PC. */
     const Instruction *code_ = nullptr;
-    Pc codeSize_ = 0;
     /** Total warp instructions executed (also the pseudo-clock). */
     std::uint64_t executed_ = 0;
     /** CTAs resident across all virtual SMs (finished() gate). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/log.hpp"
+#include "src/isa/verifier.hpp"
 #include "src/mem/lock_tracker.hpp"
 #include "src/mem/system_link.hpp"
 #include "src/metrics/sampler.hpp"
@@ -34,8 +35,9 @@ KernelStats
 GpuSystem::launch(const Program &prog, Dim3 grid, Dim3 block,
                   const std::vector<Word> &params)
 {
-    if (prog.code.empty())
-        fatal("launch of an empty kernel");
+    // The one well-formedness gate, in both modes: the engines index
+    // registers, predicates, PCs and annotations unchecked.
+    verifyOrDie(prog);
     if (params.size() < prog.numParams)
         fatal("kernel '", prog.name, "' expects ", prog.numParams,
               " params, got ", params.size());

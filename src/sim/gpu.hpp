@@ -80,7 +80,8 @@ class GpuSystem {
     /**
      * Runs @p prog to completion and returns its statistics. Timing state
      * (caches, queues) starts cold at each launch; functional memory
-     * persists across launches.
+     * persists across launches. A program that fails verify() throws a
+     * FatalError naming each failing pc and rule before anything runs.
      *
      * GpuConfig::execMode selects how (docs/PERF.md, "Execution
      * modes"): full cycle-accurate simulation (the default) or fast

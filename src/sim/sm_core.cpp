@@ -101,7 +101,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     wbRing_.resize(kWbRingSize);
 
     code_ = launch_.prog->code.data();
-    codeSize_ = static_cast<Pc>(launch_.prog->code.size());
     if (launch_.pcFlags.size() != launch_.prog->code.size())
         launch_.buildPcFlags();  // idempotent; cores are built serially
     if (launch_.tracker == nullptr)
@@ -238,7 +237,7 @@ SmCore::classifyStall(const Warp &w) const
     if (!backoff_.mayIssue(w, now_))
         return trace::StallCause::Backoff;
     const Pc pc = w.stack().pc();
-    if (!w.scoreboard().canIssue(fetch(pc)))
+    if (!w.scoreboard().canIssue(launch_.pcHazards[pc]))
         return trace::StallCause::Scoreboard;
     if ((launch_.pcFlags[pc] & LaunchState::kPcLdst) != 0 &&
         !ldst_.canAccept())
@@ -485,7 +484,7 @@ SmCore::refreshPcBits(const Warp &w)
     Unit &unit = units_[p.unit];
     const std::uint64_t bit = std::uint64_t{1} << p.bit;
     const Pc pc = w.stack().pc();
-    assign(unit.sbReady, bit, w.scoreboard().canIssue(fetch(pc)));
+    assign(unit.sbReady, bit, w.scoreboard().canIssue(launch_.pcHazards[pc]));
     assign(unit.memNext, bit,
            (launch_.pcFlags[pc] & LaunchState::kPcLdst) != 0);
 }
@@ -497,7 +496,7 @@ SmCore::recheckScoreboard(const Warp &w)
     Unit &unit = units_[p.unit];
     const std::uint64_t bit = std::uint64_t{1} << p.bit;
     if ((unit.sbReady & bit) == 0 &&
-        w.scoreboard().canIssue(fetch(w.stack().pc())))
+        w.scoreboard().canIssue(launch_.pcHazards[w.stack().pc()]))
         unit.sbReady |= bit;
 }
 

@@ -96,10 +96,11 @@ struct LaunchState {
     }
 
     /**
-     * Per-PC flags, built once per launch so the issue path neither
-     * looks annotations up in std::sets nor re-derives an instruction's
-     * class: the sync annotations from Program::sync, then the facts
-     * cycle mode reads at every issue.
+     * Per-PC flags and hazard masks, built once per launch from the
+     * verified program so the issue path neither looks annotations up
+     * in std::sets nor re-derives an instruction's class or operands:
+     * the sync annotations from Program::sync, then the facts cycle
+     * mode reads at every issue.
      */
     static constexpr std::uint8_t kPcSyncRegion = 1;
     static constexpr std::uint8_t kPcWaitCheck = 2;
@@ -112,18 +113,20 @@ struct LaunchState {
     /** The top two bits count the register sources (0..3). */
     static constexpr unsigned kPcRegSrcShift = 6;
     std::vector<std::uint8_t> pcFlags;
+    /** The scoreboard masks of each PC's instruction (hazardsOf). */
+    std::vector<Hazards> pcHazards;
 
-    /** Builds pcFlags from prog (call after prog is set). */
+    /** Builds pcFlags and pcHazards from prog (call after prog is set;
+     *  verify() keeps every annotated PC inside the program). */
     void
     buildPcFlags()
     {
         const std::vector<Instruction> &code = prog->code;
         pcFlags.assign(code.size(), 0);
+        pcHazards.resize(code.size());
         auto mark = [&](const std::set<Pc> &pcs, std::uint8_t bit) {
-            for (Pc pc : pcs) {
-                if (pc < pcFlags.size())
-                    pcFlags[pc] |= bit;
-            }
+            for (Pc pc : pcs)
+                pcFlags[pc] |= bit;
         };
         mark(prog->sync.syncRegion, kPcSyncRegion);
         mark(prog->sync.waitChecks, kPcWaitCheck);
@@ -140,6 +143,7 @@ struct LaunchState {
                 f |= kPcLdst;
             if (inst.longLatency())
                 f |= kPcLongLatency;
+            pcHazards[pc] = hazardsOf(inst);
         }
     }
 };
@@ -369,14 +373,9 @@ class SmCore {
      *  recomputes delayHorizon_. */
     void expireDelays(Cycle now);
 
-    /** Hot-path instruction fetch. Launch-validated programs always have
-     *  in-range PCs; anything else falls back to the checked accessor so
-     *  malformed hand-built programs fail exactly as before. */
-    const Instruction &
-    fetch(Pc pc) const
-    {
-        return pc < codeSize_ ? code_[pc] : launch_.prog->at(pc);
-    }
+    /** Hot-path instruction fetch, unchecked: verify() keeps every
+     *  branch target, reconvergence PC and fall-through in range. */
+    const Instruction &fetch(Pc pc) const { return code_[pc]; }
 
     /**
      * Executes a non-control instruction through the shared interpreter
@@ -444,7 +443,6 @@ class SmCore {
     unsigned maxResidentCtas_ = 0;
     /** Instruction stream cached for the unchecked fetch() fast path. */
     const Instruction *code_ = nullptr;
-    Pc codeSize_ = 0;
     /** Occupied CTA slots (busy() and dispatch gating). */
     unsigned validCtas_ = 0;
     /** Valid CTAs with no live warps, awaiting drain + retirement. */

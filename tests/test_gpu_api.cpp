@@ -102,6 +102,81 @@ TEST(GpuApi, LaunchRejectsSchedulerUnitGeometry)
     }
 }
 
+TEST(GpuApi, LaunchRejectsAMalformedProgram)
+{
+    // Each kernel stores a marker before reaching its fault, so a launch
+    // that ran even one instruction leaves the marker in memory.
+    const char *const kStoreThen = R"(
+.kernel gate
+.param 1
+  ld.param.u64 %r1, [0];
+  st.global.u64 [%r1], 1;
+  mov %r2, %tid;
+  setp.eq.s64 %p1, %r2, 0;
+  @%p1 bra DONE;
+  add %r5, %r2, 1;
+DONE:
+  exit;
+)";
+    struct Case {
+        const char *what;
+        Program prog;
+        const char *issue;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"numRegs below a register it uses", assemble(kStoreThen),
+                     "pc 5: dst: register %r5 out of bounds"});
+    cases.back().prog.numRegs = 5;
+    cases.push_back({"branch target past the end", assemble(kStoreThen),
+                     "pc 4: branch target out of range"});
+    cases.back().prog.code[4].target = 7;
+    cases.push_back({"no final exit", assemble(R"(
+.kernel gate
+.param 1
+  ld.param.u64 %r1, [0];
+  st.global.u64 [%r1], 1;
+  mov %r2, 1;
+  exit;
+)"),
+                     "pc 2: control can fall off the end"});
+    cases.back().prog.code.pop_back();
+    cases.push_back({"%r64", assemble(R"(
+.kernel gate
+.param 1
+  ld.param.u64 %r1, [0];
+  st.global.u64 [%r1], 1;
+  mov %r64, 1;
+  exit;
+)"),
+                     "pc 2: dst: register %r64 out of bounds"});
+
+    for (ExecMode mode : {ExecMode::Cycle, ExecMode::Functional}) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(std::string(toString(mode)) + ", " + c.what);
+            GpuConfig cfg = smallConfig();
+            cfg.execMode = mode;
+            Gpu gpu(cfg);
+            Addr a = gpu.malloc(8);
+            std::string message;
+            try {
+                gpu.launch(c.prog, Dim3{2, 1, 1}, Dim3{64, 1, 1},
+                           {static_cast<Word>(a)});
+                ADD_FAILURE() << "the launch ran";
+            } catch (const SimError &e) {
+                ADD_FAILURE() << "SimError: " << e.what();
+            } catch (const FatalError &e) {
+                message = e.what();
+            }
+            EXPECT_NE(message.find("program 'gate' failed verification"),
+                      std::string::npos)
+                << message;
+            EXPECT_NE(message.find(c.issue), std::string::npos) << message;
+            EXPECT_EQ(gpu.mem().read(a, 8), 0) << "an instruction ran";
+            EXPECT_FALSE(gpu.lastAbort().valid);
+        }
+    }
+}
+
 TEST(GpuApi, MemoryPersistsAcrossLaunches)
 {
     Gpu gpu(smallConfig());

@@ -99,6 +99,76 @@ TEST(Verifier, CatchesBadMemorySize)
     ASSERT_FALSE(issues.empty());
 }
 
+TEST(Verifier, CatchesMoreThan64Registers)
+{
+    Program p = assemble(".kernel k\n  mov %r63, 1;\n  exit;\n");
+    EXPECT_EQ(p.numRegs, kMaxRegs);
+    EXPECT_TRUE(verify(p).empty());
+    p.numRegs = kMaxRegs + 1;
+    auto issues = verify(p);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].pc, 0u);
+    EXPECT_EQ(issues[0].message, ".reg 65 is over the limit of 64 registers");
+
+    // Naming %r64 declares 65 registers, and the operand is past the
+    // scoreboard's masks.
+    Program wide = assemble(".kernel k\n  mov %r64, 1;\n  exit;\n");
+    issues = verify(wide);
+    ASSERT_EQ(issues.size(), 2u);
+    EXPECT_EQ(issues[1].pc, 0u);
+    EXPECT_EQ(issues[1].message, "dst: register %r64 out of bounds");
+}
+
+TEST(Verifier, CatchesMoreThan64Predicates)
+{
+    Program p = assemble(
+        ".kernel k\n  setp.eq.s64 %p63, %r1, 0;\n  @%p63 exit;\n  exit;\n");
+    EXPECT_EQ(p.numPreds, kMaxPreds);
+    EXPECT_TRUE(verify(p).empty());
+    p.numPreds = kMaxPreds + 1;
+    auto issues = verify(p);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].message,
+              ".pred 65 is over the limit of 64 predicates");
+    p.numPreds = 8;  // %p63 is now outside the file, as dst and guard
+    issues = verify(p);
+    ASSERT_EQ(issues.size(), 2u);
+    EXPECT_EQ(issues[0].message, "dst: predicate %p63 out of bounds");
+    EXPECT_EQ(issues[1].pc, 1u);
+    EXPECT_EQ(issues[1].message, "guard predicate out of bounds");
+}
+
+TEST(Verifier, CatchesReconvergencePcOutOfRange)
+{
+    Program p = assemble(R"(
+.kernel k
+  setp.eq.s64 %p1, %r1, 0;
+  @%p1 bra SKIP;
+  mov %r1, 1;
+SKIP:
+  mov %r2, 2;
+  exit;
+)");
+    ASSERT_EQ(p.code[1].reconvergence, 3u);
+    p.code[1].reconvergence = kInvalidPc;  // merge at exit: allowed
+    EXPECT_TRUE(verify(p).empty());
+    p.code[1].reconvergence = p.length();
+    auto issues = verify(p);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].pc, 1u);
+    EXPECT_EQ(issues[0].message, "reconvergence PC out of range");
+}
+
+TEST(Verifier, CatchesSyncRegionPastTheEnd)
+{
+    Program p = assemble(".kernel k\n  mov %r1, 0;\n  exit;\n");
+    p.annotateSyncRange(1, 2);
+    auto issues = verify(p);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].pc, 2u);
+    EXPECT_EQ(issues[0].message, "sync-region annotation past the end");
+}
+
 TEST(Disassembler, RoundTripsTheHashtableKernel)
 {
     auto h = makeBenchmark("HT", 0.1);
