@@ -60,17 +60,10 @@ main(int argc, char **argv)
     printHeader("Figure 1b: HT execution time (ms), CPU vs GPU");
     std::printf("%-8s %12s %12s %12s\n", "buckets", "cpu_ms",
                 "fermi_ms", "pascal_ms");
+    // Real, natively-timed serial CPU insertion of the same keys.
+    const std::vector<Word> keys = hashtableKeys(
+        static_cast<unsigned>(insertions), HashtableParams{}.seed);
     for (size_t i = 0; i < buckets.size(); ++i) {
-        // Real, natively-timed serial CPU insertion of the same keys.
-        std::vector<Word> keys(insertions);
-        std::uint64_t x = HashtableParams{}.seed;
-        for (auto &k : keys) {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            k = static_cast<Word>((x * 0x2545F4914F6CDD1Dull) >> 16 &
-                                  0x7fffffff);
-        }
         CpuHashtableResult cpu = cpuHashtableInsert(keys, buckets[i], 20);
 
         GpuConfig fermi = makeGtx480Config();

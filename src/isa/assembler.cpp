@@ -14,9 +14,6 @@ namespace bowsim {
 
 namespace {
 
-/** Pending annotation to apply to the next emitted instruction. */
-enum class PendingAnnot { None, Spin, Acquire, Wait };
-
 struct PendingBranch {
     Pc pc;
     std::string label;
@@ -67,7 +64,7 @@ class Parser {
         auto comment = line.find("//");
         if (comment != std::string::npos)
             line.erase(comment);
-        tokens_ = tokenize(line, line_no);
+        tokens_ = tokenize(line);
         pos_ = 0;
         line_ = line_no;
         if (tokens_.empty())
@@ -92,7 +89,7 @@ class Parser {
     }
 
     static std::vector<std::string>
-    tokenize(const std::string &line, int line_no)
+    tokenize(const std::string &line)
     {
         std::vector<std::string> out;
         size_t i = 0;
@@ -118,7 +115,6 @@ class Parser {
             out.push_back(line.substr(i, j - i));
             i = j;
         }
-        (void)line_no;
         return out;
     }
 
@@ -148,12 +144,11 @@ class Parser {
             prog_.numParams = takeUnsigned();
         } else if (dir == ".annot") {
             std::string kind = take();
-            if (kind == "spin") {
-                pending_ = PendingAnnot::Spin;
-            } else if (kind == "acquire") {
-                pending_ = PendingAnnot::Acquire;
-            } else if (kind == "wait") {
-                pending_ = PendingAnnot::Wait;
+            auto annot = std::find_if(
+                std::begin(kPcAnnotations), std::end(kPcAnnotations),
+                [&](const PcAnnotation &a) { return kind == a.name; });
+            if (annot != std::end(kPcAnnotations)) {
+                pending_ = annot;
             } else if (kind == "sync_begin") {
                 syncBegin_ = static_cast<Pc>(prog_.code.size());
             } else if (kind == "sync_end") {
@@ -193,129 +188,79 @@ class Parser {
 
         auto parts = splitDots(take());
         const std::string &base = parts[0];
+        // neg d, a  ==  sub d, 0, a
+        const bool neg = base == "neg";
+        if (auto op = neg ? Opcode::Sub : fromString<Opcode>(base))
+            inst.op = *op;
+        else
+            fatal("line ", line_, ": unknown opcode '", base, "'");
 
-        if (base == "mov" || base == "not" || base == "neg" ||
-            base == "clock") {
-            inst.op = base == "clock" ? Opcode::Clock
-                    : base == "not"   ? Opcode::Not
-                                      : Opcode::Mov;
-            inst.dst = parseOperand();
-            if (inst.op != Opcode::Clock)
-                inst.src[0] = parseOperand();
-            if (base == "neg") {
-                // neg d, a  ==  sub d, 0, a
-                inst.op = Opcode::Sub;
-                inst.src[1] = inst.src[0];
-                inst.src[0] = Operand::immediate(0);
-            }
-        } else if (base == "add" || base == "sub" || base == "mul" ||
-                   base == "div" || base == "rem" || base == "min" ||
-                   base == "max" || base == "and" || base == "or" ||
-                   base == "xor" || base == "shl" || base == "shr") {
-            static const std::map<std::string, Opcode> kBinOps = {
-                {"add", Opcode::Add}, {"sub", Opcode::Sub},
-                {"mul", Opcode::Mul}, {"div", Opcode::Div},
-                {"rem", Opcode::Rem}, {"min", Opcode::Min},
-                {"max", Opcode::Max}, {"and", Opcode::And},
-                {"or", Opcode::Or},   {"xor", Opcode::Xor},
-                {"shl", Opcode::Shl}, {"shr", Opcode::Shr},
-            };
-            inst.op = kBinOps.at(base);
-            inst.dst = parseOperand();
-            inst.src[0] = parseOperand();
-            inst.src[1] = parseOperand();
-        } else if (base == "mad") {
-            inst.op = Opcode::Mad;
-            inst.dst = parseOperand();
-            inst.src[0] = parseOperand();
-            inst.src[1] = parseOperand();
-            inst.src[2] = parseOperand();
-        } else if (base == "setp") {
-            inst.op = Opcode::Setp;
-            if (parts.size() < 2)
-                fatal("line ", line_, ": setp needs a comparison suffix");
-            inst.cmp = parseCmp(parts[1]);
-            inst.dst = parseOperand();
-            inst.src[0] = parseOperand();
-            inst.src[1] = parseOperand();
-            if (inst.dst.kind != Operand::Kind::Pred)
-                fatal("line ", line_, ": setp destination must be %p");
-        } else if (base == "selp") {
-            inst.op = Opcode::Selp;
-            inst.dst = parseOperand();
-            inst.src[0] = parseOperand();
-            inst.src[1] = parseOperand();
-            inst.src[2] = parseOperand();
-            if (inst.src[2].kind != Operand::Kind::Pred)
-                fatal("line ", line_, ": selp selector must be %p");
-        } else if (base == "bra") {
-            inst.op = Opcode::Bra;
-            inst.uniform =
-                parts.size() > 1 && parts[1] == "uni";
-            std::string label = take();
+        switch (inst.op) {
+          case Opcode::Bra:
+            inst.uniform = parts.size() > 1 && parts[1] == "uni";
             pendingBranches_.push_back(
-                {static_cast<Pc>(prog_.code.size()), label, line_});
-        } else if (base == "exit") {
-            inst.op = Opcode::Exit;
-        } else if (base == "bar") {
-            inst.op = Opcode::Bar;
+                {static_cast<Pc>(prog_.code.size()), take(), line_});
+            break;
+          case Opcode::Bar:
             // Optional barrier id operand; only barrier 0 is modeled.
             if (pos_ < tokens_.size())
                 (void)parseOperand();
-        } else if (base == "membar") {
-            inst.op = Opcode::Membar;
+            break;
+          case Opcode::Membar:
             if (parts.size() > 1)
-                inst.scope = parseScope(parts[1]);
-        } else if (base == "nop") {
-            inst.op = Opcode::Nop;
-        } else if (base == "ld" || base == "st") {
-            inst.op = base == "ld" ? Opcode::Ld : Opcode::St;
+                inst.scope = parseName<MemScope>(parts[1], "memory scope");
+            break;
+          case Opcode::Setp:
             if (parts.size() < 2)
+                fatal("line ", line_, ": setp needs a comparison suffix");
+            inst.cmp = parseName<CmpOp>(parts[1], "comparison");
+            break;
+          case Opcode::Ld:
+          case Opcode::St: {
+            inst.isVolatile = parts.size() > 1 && parts[1] == "volatile";
+            const unsigned space_idx = inst.isVolatile ? 2 : 1;
+            if (parts.size() <= space_idx)
                 fatal("line ", line_, ": ", base, " needs a space suffix");
-            unsigned space_idx = 1;
-            if (parts[1] == "volatile") {
-                inst.isVolatile = true;
-                if (parts.size() < 3)
-                    fatal("line ", line_, ": ld.volatile needs a space");
-                space_idx = 2;
-            }
-            inst.space = parseSpace(parts[space_idx]);
-            inst.size = parseWidth(parts);
-            if (inst.op == Opcode::Ld) {
-                inst.dst = parseOperand();
-                parseMemRef(inst);
-            } else {
-                parseMemRef(inst);
-                inst.src[1] = parseOperand();
-            }
+            inst.space = parseName<MemSpace>(parts[space_idx], "memory space");
             if (inst.space == MemSpace::Param && inst.op == Opcode::St)
                 fatal("line ", line_, ": cannot store to param space");
-        } else if (base == "atom") {
-            inst.op = Opcode::Atom;
+            inst.size = parseWidth(parts);
+            break;
+          }
+          case Opcode::Atom: {
             if (parts.size() < 3)
                 fatal("line ", line_, ": atom needs space and op suffixes");
-            inst.space = parseSpace(parts[1]);
+            inst.space = parseName<MemSpace>(parts[1], "memory space");
             if (inst.space != MemSpace::Global)
                 fatal("line ", line_, ": only global atomics are supported");
             // Optional scope between the space and the op
             // (atom.global.sys.cas.b64); device scope is the default.
             unsigned op_idx = 2;
-            if (parts[2] == "sys" || parts[2] == "gpu") {
-                inst.scope = parseScope(parts[2]);
+            if (auto scope = fromString<MemScope>(parts[2])) {
+                inst.scope = *scope;
                 if (parts.size() < 4)
                     fatal("line ", line_, ": atom needs an op suffix");
                 op_idx = 3;
             }
-            inst.atom = parseAtomOp(parts[op_idx]);
+            inst.atom = parseName<AtomOp>(parts[op_idx], "atomic op");
             inst.size = parseWidth(parts);
-            inst.dst = parseOperand();
-            parseMemRef(inst);
-            inst.src[1] = parseOperand();
-            if (inst.atom == AtomOp::Cas)
-                inst.src[2] = parseOperand();
-        } else {
-            fatal("line ", line_, ": unknown opcode '", base, "'");
+            break;
+          }
+          default:
+            break;
         }
+
+        if (neg) {
+            inst.dst = parseOperand();
+            inst.src[0] = Operand::immediate(0);
+            inst.src[1] = parseOperand();
+        } else {
+            parseOperands(inst);
+        }
+        if (inst.op == Opcode::Setp && inst.dst.kind != Operand::Kind::Pred)
+            fatal("line ", line_, ": setp destination must be %p");
+        if (inst.op == Opcode::Selp && inst.src[2].kind != Operand::Kind::Pred)
+            fatal("line ", line_, ": selp selector must be %p");
 
         applyPendingAnnotation(inst);
         trackRegisterUse(inst);
@@ -325,27 +270,13 @@ class Parser {
     void
     applyPendingAnnotation(const Instruction &inst)
     {
-        Pc pc = static_cast<Pc>(prog_.code.size());
-        switch (pending_) {
-          case PendingAnnot::None:
-            break;
-          case PendingAnnot::Spin:
-            if (inst.op != Opcode::Bra)
-                fatal("line ", line_, ": .annot spin must tag a branch");
-            prog_.sync.spinBranches.insert(pc);
-            break;
-          case PendingAnnot::Acquire:
-            if (inst.op != Opcode::Atom)
-                fatal("line ", line_, ": .annot acquire must tag an atomic");
-            prog_.sync.lockAcquires.insert(pc);
-            break;
-          case PendingAnnot::Wait:
-            if (inst.op != Opcode::Setp)
-                fatal("line ", line_, ": .annot wait must tag a setp");
-            prog_.sync.waitChecks.insert(pc);
-            break;
-        }
-        pending_ = PendingAnnot::None;
+        if (pending_ == nullptr)
+            return;
+        if (inst.op != pending_->tags)
+            fatal("line ", line_, ": .annot ", pending_->name,
+                  " must tag a ", toString(pending_->tags));
+        (prog_.sync.*pending_->pcs).insert(static_cast<Pc>(prog_.code.size()));
+        pending_ = nullptr;
     }
 
     void
@@ -365,44 +296,32 @@ class Parser {
             maxPred_ = std::max(maxPred_, inst.guard);
     }
 
-    CmpOp
-    parseCmp(const std::string &s)
+    /** The enumerator named @p s; fatal, naming @p what, on no match. */
+    template <typename E>
+    E
+    parseName(const std::string &s, const char *what)
     {
-        if (s == "eq") return CmpOp::Eq;
-        if (s == "ne") return CmpOp::Ne;
-        if (s == "lt") return CmpOp::Lt;
-        if (s == "le") return CmpOp::Le;
-        if (s == "gt") return CmpOp::Gt;
-        if (s == "ge") return CmpOp::Ge;
-        fatal("line ", line_, ": unknown comparison '", s, "'");
+        if (auto e = fromString<E>(s))
+            return *e;
+        fatal("line ", line_, ": unknown ", what, " '", s, "'");
     }
 
-    MemSpace
-    parseSpace(const std::string &s)
+    /**
+     * Reads @p inst's operands in shapeOf order: the destination, then
+     * the sources, a memory op's address base as `[base+offset]`.
+     */
+    void
+    parseOperands(Instruction &inst)
     {
-        if (s == "global") return MemSpace::Global;
-        if (s == "shared") return MemSpace::Shared;
-        if (s == "param") return MemSpace::Param;
-        fatal("line ", line_, ": unknown memory space '", s, "'");
-    }
-
-    MemScope
-    parseScope(const std::string &s)
-    {
-        if (s == "sys") return MemScope::System;
-        if (s == "gpu") return MemScope::Device;
-        fatal("line ", line_, ": unknown memory scope '", s, "'");
-    }
-
-    AtomOp
-    parseAtomOp(const std::string &s)
-    {
-        if (s == "cas") return AtomOp::Cas;
-        if (s == "exch") return AtomOp::Exch;
-        if (s == "add") return AtomOp::Add;
-        if (s == "min") return AtomOp::Min;
-        if (s == "max") return AtomOp::Max;
-        fatal("line ", line_, ": unknown atomic op '", s, "'");
+        const OperandShape shape = shapeOf(inst);
+        if (shape.dst != Operand::Kind::None)
+            inst.dst = parseOperand();
+        for (unsigned i = 0; i < shape.srcs; ++i) {
+            if (i == 0 && inst.isMemory())
+                parseMemRef(inst);
+            else
+                inst.src[i] = parseOperand();
+        }
     }
 
     /** Width from a type suffix such as u32/s64/b32/f32; defaults to 8. */
@@ -431,9 +350,7 @@ class Parser {
         std::string tok = take();
         // Forms: %rN | %rN+imm | %rN-imm | imm
         auto plus = tok.find_first_of("+-", 1);
-        std::string base_tok = tok.substr(0, plus);
-        Operand base = parseOperandToken(base_tok);
-        inst.src[0] = base;
+        inst.src[0] = parseOperandToken(tok.substr(0, plus));
         if (plus != std::string::npos) {
             Word off = parseImm(tok.substr(plus + 1));
             if (tok[plus] == '-')
@@ -473,17 +390,8 @@ class Parser {
                 return body[0] == 'r' ? Operand::reg(idx)
                                       : Operand::pred(idx);
             }
-            if (body == "tid") return Operand::special(SpecialReg::TidX);
-            if (body == "ctaid")
-                return Operand::special(SpecialReg::CtaIdX);
-            if (body == "ntid") return Operand::special(SpecialReg::NTidX);
-            if (body == "nctaid")
-                return Operand::special(SpecialReg::NCtaIdX);
-            if (body == "laneid")
-                return Operand::special(SpecialReg::LaneId);
-            if (body == "warpid")
-                return Operand::special(SpecialReg::WarpId);
-            if (body == "smid") return Operand::special(SpecialReg::SmId);
+            if (auto sr = fromString<SpecialReg>("%" + body))
+                return Operand::special(*sr);
             fatal("line ", line_, ": unknown register '", tok, "'");
         }
         return Operand::immediate(parseImm(tok));
@@ -577,7 +485,8 @@ class Parser {
     std::vector<std::string> tokens_;
     size_t pos_ = 0;
     int line_ = 0;
-    PendingAnnot pending_ = PendingAnnot::None;
+    /** The annotation `.annot` set for the next instruction, if any. */
+    const PcAnnotation *pending_ = nullptr;
     std::optional<Pc> syncBegin_;
     bool explicitRegs_ = false;
     bool explicitPreds_ = false;

@@ -2,8 +2,8 @@
 #define BOWSIM_ISA_INSTRUCTION_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/common/types.hpp"
 
@@ -157,10 +157,42 @@ struct Instruction {
     }
 };
 
-/** Human-readable rendering, for diagnostics and tests. */
+/**
+ * What an instruction's operands are: the kind of its destination
+ * (None when it writes none) and how many sources it reads, src[0]
+ * first. A memory op's src[0] is its address base, written with
+ * memOffset as `[base+offset]`. The assembler reads operands by it,
+ * toString() prints them by it and verify() checks them against it.
+ */
+struct OperandShape {
+    Operand::Kind dst;
+    unsigned srcs;
+};
+
+OperandShape shapeOf(const Instruction &inst);
+
+/**
+ * The ISA's spelling, one name per enumerator: the assembler reads
+ * every name through fromString() and toString() prints it, so the two
+ * cannot drift. Bar is spelled `bar` (the assembler takes `bar.sync`
+ * too), and a special register keeps its `%`, as in `%tid`.
+ */
+const char *toString(Opcode op);
+const char *toString(CmpOp op);
+const char *toString(MemSpace space);
+const char *toString(MemScope scope);
+const char *toString(AtomOp op);
+const char *toString(SpecialReg reg);
+
+/** The enumerator toString() spells @p name, if any (the six enums). */
+template <typename E>
+std::optional<E> fromString(const std::string &name);
+
+/**
+ * @p inst in assembler syntax, without the closing ';'. A branch names
+ * its target as the label `L<target pc>`, which disassemble() defines.
+ */
 std::string toString(const Instruction &inst);
-std::string toString(Opcode op);
-std::string toString(CmpOp op);
 
 }  // namespace bowsim
 

@@ -43,6 +43,24 @@ struct SyncAnnotations {
 };
 
 /**
+ * The per-instruction annotations, as `.annot` spells them: each tags
+ * one opcode and records its PC in one SyncAnnotations set. The
+ * assembler, disassemble() and verify() read this one table. (The
+ * sync region is written as a `sync_begin`/`sync_end` bracket.)
+ */
+struct PcAnnotation {
+    const char *name;
+    Opcode tags;
+    std::set<Pc> SyncAnnotations::*pcs;
+};
+
+inline constexpr PcAnnotation kPcAnnotations[] = {
+    {"spin", Opcode::Bra, &SyncAnnotations::spinBranches},
+    {"acquire", Opcode::Atom, &SyncAnnotations::lockAcquires},
+    {"wait", Opcode::Setp, &SyncAnnotations::waitChecks},
+};
+
+/**
  * The largest register and predicate files a Program may declare: a
  * warp's scoreboard keeps one 64-bit mask of each. verify() enforces
  * both, so every index an instruction names fits a mask bit.
@@ -81,6 +99,15 @@ struct Program {
             sync.syncRegion.insert(pc);
     }
 };
+
+/**
+ * Renders @p prog as assembler text: the directives, a label `L<pc>` on
+ * every branch target, every annotation and toString() of each
+ * instruction. assemble(disassemble(p)) reproduces every field of an
+ * assembled program but the instructions' source lines, so a program
+ * replays exactly from its text.
+ */
+std::string disassemble(const Program &prog);
 
 }  // namespace bowsim
 

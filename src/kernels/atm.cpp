@@ -92,16 +92,10 @@ class AtmHarness : public KernelHarness {
     {
         src_.resize(p_.transactions);
         dst_.resize(p_.transactions);
-        std::uint64_t x = p_.seed;
-        auto next = [&x]() {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            return x * 0x2545F4914F6CDD1Dull;
-        };
+        XorShift64 rng(p_.seed);
         for (unsigned t = 0; t < p_.transactions; ++t) {
-            std::uint64_t a = next() % p_.accounts;
-            std::uint64_t b = next() % p_.accounts;
+            std::uint64_t a = rng.next() % p_.accounts;
+            std::uint64_t b = rng.next() % p_.accounts;
             if (b == a)
                 b = (b + 1) % p_.accounts;  // src != dst (no self-deadlock)
             src_[t] = static_cast<Word>(a);

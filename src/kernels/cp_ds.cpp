@@ -126,23 +126,16 @@ class CpDsHarness : public KernelHarness {
         // Real cloth solvers interleave constraint batches; the shuffle
         // spreads conflicts across warps (as in the paper's DS, where
         // most failures are inter-warp).
-        std::uint64_t shuffle_state = p_.seed ^ 0xdecafbad;
+        XorShift64 shuffle(p_.seed ^ 0xdecafbad);
         for (size_t i = pairA_.size(); i > 1; --i) {
-            shuffle_state ^= shuffle_state >> 12;
-            shuffle_state ^= shuffle_state << 25;
-            shuffle_state ^= shuffle_state >> 27;
-            size_t j = shuffle_state % i;
+            size_t j = shuffle.step() % i;
             std::swap(pairA_[i - 1], pairA_[j]);
             std::swap(pairB_[i - 1], pairB_[j]);
         }
         positions_.resize(particles);
-        std::uint64_t x = p_.seed;
-        for (auto &pos : positions_) {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            pos = static_cast<Word>((x * 0x2545F4914F6CDD1Dull) % 2048);
-        }
+        XorShift64 rng(p_.seed);
+        for (auto &pos : positions_)
+            pos = static_cast<Word>(rng.next() % 2048);
         locksAddr_ = gpu.malloc(particles * 8);
         posAddr_ = gpu.malloc(particles * 8);
         pairAAddr_ = gpu.malloc(pairA_.size() * 8);

@@ -146,16 +146,7 @@ class HashtableHarness : public KernelHarness {
     void
     setup(Gpu &gpu) override
     {
-        keys_.resize(p_.insertions);
-        std::uint64_t x = p_.seed;
-        for (auto &k : keys_) {
-            // xorshift64*: deterministic pseudo-random keys.
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            k = static_cast<Word>((x * 0x2545F4914F6CDD1Dull) >> 16 &
-                                  0x7fffffff);
-        }
+        keys_ = hashtableKeys(p_.insertions, p_.seed);
         keysAddr_ = gpu.malloc(p_.insertions * 8);
         locksAddr_ = gpu.malloc(p_.buckets * 8);
         headsAddr_ = gpu.malloc(p_.buckets * 8);
@@ -278,6 +269,16 @@ class HashtableHarness : public KernelHarness {
 };
 
 }  // namespace
+
+std::vector<Word>
+hashtableKeys(unsigned count, std::uint64_t seed)
+{
+    std::vector<Word> keys(count);
+    XorShift64 rng(seed);
+    for (Word &k : keys)
+        k = static_cast<Word>((rng.next() >> 16) & 0x7fffffff);
+    return keys;
+}
 
 std::unique_ptr<KernelHarness>
 makeHashtable(const HashtableParams &p)

@@ -31,6 +31,12 @@ struct HashtableParams {
 
 std::unique_ptr<KernelHarness> makeHashtable(const HashtableParams &p);
 
+/**
+ * The @p count keys HT inserts for @p seed (31-bit xorshift64* draws),
+ * so a host reference can time the same keys.
+ */
+std::vector<Word> hashtableKeys(unsigned count, std::uint64_t seed);
+
 }  // namespace bowsim
 
 #endif  // BOWSIM_KERNELS_HASHTABLE_HPP

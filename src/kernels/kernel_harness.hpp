@@ -1,6 +1,7 @@
 #ifndef BOWSIM_KERNELS_KERNEL_HARNESS_HPP
 #define BOWSIM_KERNELS_KERNEL_HARNESS_HPP
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +61,32 @@ class KernelHarness {
 
   private:
     std::string name_;
+};
+
+/**
+ * The kernels' one input generator: xorshift64 (Marsaglia) and the
+ * xorshift64* output on top of it (Vigna). Every kernel input derives
+ * from a fixed seed through it, so inputs are the same on every host.
+ */
+class XorShift64 {
+  public:
+    explicit XorShift64(std::uint64_t seed) : x_(seed) {}
+
+    /** Advances the xorshift64 state and returns it. */
+    std::uint64_t
+    step()
+    {
+        x_ ^= x_ >> 12;
+        x_ ^= x_ << 25;
+        x_ ^= x_ >> 27;
+        return x_;
+    }
+
+    /** The next xorshift64* output: the advanced state, scrambled. */
+    std::uint64_t next() { return step() * 0x2545F4914F6CDD1Dull; }
+
+  private:
+    std::uint64_t x_;
 };
 
 }  // namespace bowsim

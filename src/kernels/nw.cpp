@@ -112,16 +112,10 @@ class NwHarness : public KernelHarness {
         const unsigned n = p_.n;
         seqA_.resize(n);
         seqB_.resize(n);
-        std::uint64_t x = p_.seed;
-        auto next = [&x]() {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            return x * 0x2545F4914F6CDD1Dull;
-        };
+        XorShift64 rng(p_.seed);
         for (unsigned i = 0; i < n; ++i) {
-            seqA_[i] = static_cast<Word>(next() % 4);
-            seqB_[i] = static_cast<Word>(next() % 4);
+            seqA_[i] = static_cast<Word>(rng.next() % 4);
+            seqB_[i] = static_cast<Word>(rng.next() % 4);
         }
         // NW2 sweeps the grid in the opposite direction: it aligns the
         // reversed sequences, so its wavefront travels bottom-right to

@@ -14,14 +14,9 @@ std::vector<Word>
 randomWords(unsigned count, std::uint64_t seed, Word modulo)
 {
     std::vector<Word> v(count);
-    std::uint64_t x = seed;
-    for (auto &w : v) {
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        w = static_cast<Word>((x * 0x2545F4914F6CDD1Dull) %
-                              static_cast<std::uint64_t>(modulo));
-    }
+    XorShift64 rng(seed);
+    for (auto &w : v)
+        w = static_cast<Word>(rng.next() % static_cast<std::uint64_t>(modulo));
     return v;
 }
 

@@ -16,14 +16,6 @@ MemorySpace::allocate(std::uint64_t bytes)
     return base;
 }
 
-void
-MemorySpace::clear()
-{
-    dense_.clear();
-    sparse_.clear();
-    next_ = kHeapBase;
-}
-
 const std::uint8_t *
 MemorySpace::findSparse(Addr page) const
 {

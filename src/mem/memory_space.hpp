@@ -35,9 +35,6 @@ class MemorySpace {
     /** Allocates @p bytes, 256-byte aligned; returns the base address. */
     Addr allocate(std::uint64_t bytes);
 
-    /** Releases all allocations and contents. */
-    void clear();
-
     Word
     read(Addr addr, unsigned size) const
     {

@@ -26,8 +26,9 @@ FunctionalExecutor::FunctionalExecutor(const GpuConfig &cfg,
     warpsPerCta_ = (threads_per_cta + kWarpSize - 1) / kWarpSize;
     maxResidentCtas_ = maxResidentCtasFor(cfg, prog, threads_per_cta);
     code_ = prog.code.data();
-    if (launch_.pcFlags.size() != prog.code.size())
-        launch_.buildPcFlags();
+    if (launch_.pcFlags.empty() || launch_.pcFlags.size() != prog.code.size())
+        panic("functional launch without per-PC tables "
+              "(LaunchState::buildPcFlags)");
     if (launch_.tracker == nullptr)
         panic("functional launch without a lock tracker");
     sms_.resize(cfg.numCores);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/log.hpp"
-#include "src/isa/verifier.hpp"
 #include "src/mem/lock_tracker.hpp"
 #include "src/mem/system_link.hpp"
 #include "src/metrics/sampler.hpp"
@@ -35,9 +34,13 @@ KernelStats
 GpuSystem::launch(const Program &prog, Dim3 grid, Dim3 block,
                   const std::vector<Word> &params)
 {
-    // The one well-formedness gate, in both modes: the engines index
-    // registers, predicates, PCs and annotations unchecked.
-    verifyOrDie(prog);
+    // The one well-formedness gate, in both modes: buildPcFlags verifies
+    // the program before it builds the per-PC tables, and the engines
+    // index registers, predicates, PCs and annotations unchecked. Every
+    // device gets a copy of the tables.
+    LaunchState tables;
+    tables.prog = &prog;
+    tables.buildPcFlags();
     if (params.size() < prog.numParams)
         fatal("kernel '", prog.name, "' expects ", prog.numParams,
               " params, got ", params.size());
@@ -58,10 +61,9 @@ GpuSystem::launch(const Program &prog, Dim3 grid, Dim3 block,
     const unsigned grid_ctas = grid.count();
     const unsigned chunk = (grid_ctas + num_devices - 1) / num_devices;
     LockTracker system_locks;
-    std::vector<LaunchState> launches(num_devices);
+    std::vector<LaunchState> launches(num_devices, tables);
     for (unsigned d = 0; d < num_devices; ++d) {
         LaunchState &dl = launches[d];
-        dl.prog = &prog;
         dl.grid = grid;
         dl.block = block;
         dl.params = params;

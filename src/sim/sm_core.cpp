@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "src/common/log.hpp"
+#include "src/isa/verifier.hpp"
 #include "src/sim/interpreter.hpp"
 
 namespace bowsim {
@@ -78,6 +79,36 @@ Cta::dispatch(LaunchState &launch, unsigned slot, unsigned warps_per_cta)
     liveWarps = warps_per_cta;
 }
 
+void
+LaunchState::buildPcFlags()
+{
+    verifyOrDie(*prog);
+    const std::vector<Instruction> &code = prog->code;
+    pcFlags.assign(code.size(), 0);
+    pcHazards.resize(code.size());
+    auto mark = [&](const std::set<Pc> &pcs, std::uint8_t bit) {
+        for (Pc pc : pcs)
+            pcFlags[pc] |= bit;
+    };
+    mark(prog->sync.syncRegion, kPcSyncRegion);
+    mark(prog->sync.waitChecks, kPcWaitCheck);
+    mark(prog->sync.lockAcquires, kPcLockAcquire);
+    mark(prog->sync.spinBranches, kPcSpinBranch);
+    for (std::size_t pc = 0; pc < code.size(); ++pc) {
+        const Instruction &inst = code[pc];
+        unsigned reg_srcs = 0;
+        for (const Operand &s : inst.src)
+            reg_srcs += s.isReg() ? 1 : 0;
+        std::uint8_t &f = pcFlags[pc];
+        f |= static_cast<std::uint8_t>(reg_srcs << kPcRegSrcShift);
+        if (inst.isMemory() && inst.space != MemSpace::Param)
+            f |= kPcLdst;
+        if (inst.longLatency())
+            f |= kPcLongLatency;
+        pcHazards[pc] = hazardsOf(inst);
+    }
+}
+
 SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     : id_(id), cfg_(cfg), launch_(launch), stats_(launch.stats),
       ldst_(cfg, id, *launch.memsys, stats_),
@@ -101,8 +132,9 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     wbRing_.resize(kWbRingSize);
 
     code_ = launch_.prog->code.data();
-    if (launch_.pcFlags.size() != launch_.prog->code.size())
-        launch_.buildPcFlags();  // idempotent; cores are built serially
+    if (launch_.pcFlags.empty() ||
+        launch_.pcFlags.size() != launch_.prog->code.size())
+        panic("launch without per-PC tables (LaunchState::buildPcFlags)");
     if (launch_.tracker == nullptr)
         panic("launch without a lock tracker");
 

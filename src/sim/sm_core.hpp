@@ -116,36 +116,14 @@ struct LaunchState {
     /** The scoreboard masks of each PC's instruction (hazardsOf). */
     std::vector<Hazards> pcHazards;
 
-    /** Builds pcFlags and pcHazards from prog (call after prog is set;
-     *  verify() keeps every annotated PC inside the program). */
-    void
-    buildPcFlags()
-    {
-        const std::vector<Instruction> &code = prog->code;
-        pcFlags.assign(code.size(), 0);
-        pcHazards.resize(code.size());
-        auto mark = [&](const std::set<Pc> &pcs, std::uint8_t bit) {
-            for (Pc pc : pcs)
-                pcFlags[pc] |= bit;
-        };
-        mark(prog->sync.syncRegion, kPcSyncRegion);
-        mark(prog->sync.waitChecks, kPcWaitCheck);
-        mark(prog->sync.lockAcquires, kPcLockAcquire);
-        mark(prog->sync.spinBranches, kPcSpinBranch);
-        for (std::size_t pc = 0; pc < code.size(); ++pc) {
-            const Instruction &inst = code[pc];
-            unsigned reg_srcs = 0;
-            for (const Operand &s : inst.src)
-                reg_srcs += s.isReg() ? 1 : 0;
-            std::uint8_t &f = pcFlags[pc];
-            f |= static_cast<std::uint8_t>(reg_srcs << kPcRegSrcShift);
-            if (inst.isMemory() && inst.space != MemSpace::Param)
-                f |= kPcLdst;
-            if (inst.longLatency())
-                f |= kPcLongLatency;
-            pcHazards[pc] = hazardsOf(inst);
-        }
-    }
+    /**
+     * Runs verifyOrDie(*prog), then builds pcFlags and pcHazards from
+     * it: the one well-formedness gate. GpuSystem::launch calls it once
+     * per launch, before any other check; an engine built on a
+     * hand-made LaunchState needs it called first, and panics without
+     * the tables.
+     */
+    void buildPcFlags();
 };
 
 /**

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/common/log.hpp"
+#include "src/harness/fingerprint.hpp"
 #include "src/isa/assembler.hpp"
+#include "src/kernels/registry.hpp"
+#include "src/sync/sync_kernels.hpp"
+#include "tests/program_fields.hpp"
 
 namespace bowsim {
 namespace {
@@ -279,6 +286,75 @@ TEST(Assembler, InstructionToStringRoundtrips)
     std::string s = toString(p.code[0]);
     EXPECT_NE(s.find("setp.lt"), std::string::npos);
     EXPECT_NE(s.find("@%p1"), std::string::npos);
+}
+
+/**
+ * The 21 programs the repo assembles: the 14 registry kernels', HT's
+ * software-delay variant and the six sync primitives'.
+ */
+class RepoPrograms {
+  public:
+    RepoPrograms()
+    {
+        for (const auto *names : {&syncKernelNames(), &syncFreeKernelNames()})
+            for (const std::string &name : *names)
+                harnesses_.push_back(makeBenchmark(name, 0.1));
+        harnesses_.push_back(makeBenchmark("HT", 0.1, {{"delayFactor", 4}}));
+        for (sync::Primitive p : sync::allPrimitives())
+            harnesses_.push_back(sync::makeSyncKernel(p, sync::SyncGeometry{}));
+        for (const auto &h : harnesses_)
+            for (const Program *p : h->programs())
+                programs_.push_back(p);
+    }
+
+    const std::vector<const Program *> &all() const { return programs_; }
+
+  private:
+    std::vector<std::unique_ptr<KernelHarness>> harnesses_;
+    std::vector<const Program *> programs_;
+};
+
+TEST(Assembler, ProgramsPinned)
+{
+    // Every field of every program the repo assembles, source lines
+    // included: an assembler change that moves any of them fails here.
+    RepoPrograms repo;
+    ASSERT_EQ(repo.all().size(), 21u);
+    harness::FingerprintHasher hasher;
+    for (const Program *p : repo.all())
+        for (const std::string &field : test::programFields(*p, true))
+            hasher.add("field", field);
+    EXPECT_EQ(hasher.hex(), "eac85544fd01c42702cc6137c9ac6e38"
+                            "c30639ca4582d537464e9b4755500869");
+}
+
+TEST(Disassembler, RoundTripsEveryProgram)
+{
+    RepoPrograms repo;
+    ASSERT_EQ(repo.all().size(), 21u);
+    for (const Program *p : repo.all()) {
+        const std::string text = disassemble(*p);
+        EXPECT_EQ(test::firstDifference(*p, assemble(text)), "")
+            << p->name << ":\n" << text;
+    }
+}
+
+TEST(Disassembler, EmitsReadableText)
+{
+    Program p = assemble(R"(
+.kernel pretty
+.param 1
+  ld.param.u64 %r1, [0];
+LOOP:
+  atom.global.cas.b64 %r2, [%r1], 0, 1;
+  setp.ne.s64 %p1, %r2, 0;
+  @%p1 bra LOOP;
+  exit;
+)");
+    std::string text = disassemble(p);
+    EXPECT_NE(text.find("atom.global.cas.b64"), std::string::npos);
+    EXPECT_NE(text.find("@%p1 bra"), std::string::npos);
+    EXPECT_NE(text.find(".kernel pretty"), std::string::npos);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "src/common/log.hpp"
 #include "src/isa/assembler.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/sim/functional.hpp"
 #include "src/sim/gpu.hpp"
+#include "src/sim/sm_core.hpp"
 
 /**
  * Fast-functional execution mode (docs/PERF.md, "Execution modes"):
@@ -130,6 +132,7 @@ TEST(Functional, RunForStopsWithinOneSlice)
     launch.params = {static_cast<Word>(mutex), static_cast<Word>(counter)};
     launch.mem = &gpu.mem();
     launch.stats.kernel = prog.name;
+    launch.buildPcFlags();
 
     FunctionalExecutor fx(gpu.config(), launch);
     fx.runFor(1000);
@@ -139,6 +142,36 @@ TEST(Functional, RunForStopsWithinOneSlice)
     EXPECT_GE(fx.instructionsExecuted(), 1000u);
     EXPECT_LE(fx.instructionsExecuted(),
               1000u + FunctionalExecutor::kSliceInstructions);
+}
+
+TEST(Functional, EnginesRunOnlyOnVerifiedPcTables)
+{
+    // buildPcFlags verifies before it builds: a %r64 program, past the
+    // scoreboard's masks, fails on a hand-made LaunchState as it does in
+    // Gpu::launch, and gets no tables.
+    Program wide = assemble(".kernel wide\n  mov %r64, 1;\n  exit;\n");
+    LaunchState bad;
+    bad.prog = &wide;
+    EXPECT_THROW(bad.buildPcFlags(), FatalError);
+    EXPECT_TRUE(bad.pcFlags.empty());
+
+    // Neither engine starts on a LaunchState without the tables.
+    const GpuConfig cfg = funcConfig(ExecMode::Cycle);
+    Gpu gpu(cfg);
+    Program prog = assemble(kSpinCounter);
+    LockTracker locks;
+    MemorySystem memsys(cfg);
+    LaunchState launch;
+    launch.prog = &prog;
+    launch.tracker = &locks;
+    launch.mem = &gpu.mem();
+    launch.memsys = &memsys;
+    EXPECT_THROW(FunctionalExecutor(cfg, launch), PanicError);
+    EXPECT_THROW(SmCore(0, cfg, launch), PanicError);
+    launch.buildPcFlags();
+    EXPECT_EQ(launch.pcFlags.size(), prog.length());
+    EXPECT_NO_THROW(FunctionalExecutor(cfg, launch));
+    EXPECT_NO_THROW(SmCore(0, cfg, launch));
 }
 
 TEST(ExecModeNames, RoundTripAndRejectUnknown)

@@ -66,16 +66,6 @@ TEST(MemorySpace, AllocatorReturnsAlignedDisjointRegions)
     EXPECT_GE(a, MemorySpace::kHeapBase);
 }
 
-TEST(MemorySpace, ClearResetsAllocatorAndContents)
-{
-    MemorySpace m;
-    Addr a = m.allocate(64);
-    m.write(a, 42, 8);
-    m.clear();
-    EXPECT_EQ(m.read(a, 8), 0);
-    EXPECT_EQ(m.allocate(64), a);
-}
-
 TEST(MemorySpace, RejectsBadAccessSize)
 {
     MemorySpace m;

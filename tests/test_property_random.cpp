@@ -8,6 +8,7 @@
 #include "src/isa/assembler.hpp"
 #include "src/isa/verifier.hpp"
 #include "src/sim/gpu.hpp"
+#include "tests/program_fields.hpp"
 
 /**
  * Differential property test: random structured, race-free kernels run
@@ -422,13 +423,9 @@ TEST(RandomPrograms, DisassembleReassembleIsEquivalent)
     for (std::uint32_t seed = 200; seed < 216; ++seed) {
         ProgramGenerator gen(seed);
         Program prog = assemble(gen.generate());
-        Program round = assemble(disassemble(prog));
-        ASSERT_EQ(prog.length(), round.length()) << "seed " << seed;
-        for (Pc pc = 0; pc < prog.length(); ++pc) {
-            EXPECT_EQ(prog.at(pc).op, round.at(pc).op) << "pc " << pc;
-            EXPECT_EQ(prog.at(pc).target, round.at(pc).target);
-            EXPECT_EQ(prog.at(pc).guard, round.at(pc).guard);
-        }
+        EXPECT_EQ(test::firstDifference(prog, assemble(disassemble(prog))),
+                  "")
+            << "seed " << seed;
     }
 }
 

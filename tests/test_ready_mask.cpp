@@ -49,6 +49,7 @@ runChecked(const GpuConfig &cfg, KernelHarness &h, Causes &causes)
         launch.spinDetect = cfg.spinDetect;
         launch.tracker = &tracker;
         launch.ctaEnd = spec.grid.count();
+        launch.buildPcFlags();
         std::vector<std::unique_ptr<SmCore>> cores;
         for (unsigned c = 0; c < cfg.numCores; ++c)
             cores.push_back(std::make_unique<SmCore>(c, cfg, launch));

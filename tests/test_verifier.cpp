@@ -88,6 +88,14 @@ TEST(Verifier, CatchesWrongOperandShapes)
     p.code[0].src[1] = Operand::none();  // add now has one source
     auto issues = verify(p);
     ASSERT_FALSE(issues.empty());
+
+    // One source, but in src[1]: the engines would read an empty src[0].
+    Program gap = assemble(".kernel k\n  mov %r1, %r2;\n  exit;\n");
+    gap.code[0].src[1] = gap.code[0].src[0];
+    gap.code[0].src[0] = Operand::none();
+    issues = verify(gap);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].message, "wrong source operands");
 }
 
 TEST(Verifier, CatchesBadMemorySize)
@@ -167,46 +175,6 @@ TEST(Verifier, CatchesSyncRegionPastTheEnd)
     ASSERT_EQ(issues.size(), 1u);
     EXPECT_EQ(issues[0].pc, 2u);
     EXPECT_EQ(issues[0].message, "sync-region annotation past the end");
-}
-
-TEST(Disassembler, RoundTripsTheHashtableKernel)
-{
-    auto h = makeBenchmark("HT", 0.1);
-    const Program &orig = *h->programs()[0];
-    Program round = assemble(disassemble(orig));
-    ASSERT_EQ(orig.length(), round.length());
-    for (Pc pc = 0; pc < orig.length(); ++pc) {
-        const Instruction &a = orig.at(pc);
-        const Instruction &b = round.at(pc);
-        EXPECT_EQ(a.op, b.op) << "pc " << pc;
-        EXPECT_EQ(a.guard, b.guard) << "pc " << pc;
-        EXPECT_EQ(a.guardNegate, b.guardNegate) << "pc " << pc;
-        EXPECT_EQ(a.target, b.target) << "pc " << pc;
-        EXPECT_EQ(a.reconvergence, b.reconvergence) << "pc " << pc;
-        EXPECT_EQ(a.memOffset, b.memOffset) << "pc " << pc;
-        EXPECT_EQ(a.isVolatile, b.isVolatile) << "pc " << pc;
-    }
-    // Annotations survive the round trip.
-    EXPECT_EQ(orig.sync.spinBranches, round.sync.spinBranches);
-    EXPECT_EQ(orig.sync.lockAcquires, round.sync.lockAcquires);
-}
-
-TEST(Disassembler, EmitsReadableText)
-{
-    Program p = assemble(R"(
-.kernel pretty
-.param 1
-  ld.param.u64 %r1, [0];
-LOOP:
-  atom.global.cas.b64 %r2, [%r1], 0, 1;
-  setp.ne.s64 %p1, %r2, 0;
-  @%p1 bra LOOP;
-  exit;
-)");
-    std::string text = disassemble(p);
-    EXPECT_NE(text.find("atom.global.cas.b64"), std::string::npos);
-    EXPECT_NE(text.find("@%p1 bra"), std::string::npos);
-    EXPECT_NE(text.find(".kernel pretty"), std::string::npos);
 }
 
 }  // namespace
